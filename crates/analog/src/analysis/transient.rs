@@ -81,7 +81,7 @@ impl TranConfig {
         }
     }
 
-    pub(crate) fn validate(&self) -> Result<(), Error> {
+    fn validate(&self) -> Result<(), Error> {
         if !(self.step.is_finite() && self.step > 0.0) {
             return Err(Error::InvalidTranConfig {
                 reason: "step must be positive and finite",
@@ -161,22 +161,6 @@ pub struct TranResult {
 }
 
 impl TranResult {
-    /// Assembles a result from raw sample storage — the batch engine's
-    /// hand-off into the same result type the scalar engine returns.
-    pub(crate) fn from_parts(
-        times: Vec<f64>,
-        voltages: Vec<Vec<f64>>,
-        captured: Option<Vec<NodeId>>,
-        stats: TranStats,
-    ) -> Self {
-        TranResult {
-            times,
-            voltages,
-            captured,
-            stats,
-        }
-    }
-
     /// Simulated time points (strictly increasing, starting at 0).
     pub fn times(&self) -> &[f64] {
         &self.times
@@ -222,7 +206,7 @@ impl TranResult {
 
 /// Collects waveform breakpoints of all sources into `out` (cleared
 /// first), sorted and deduplicated.
-pub(crate) fn collect_breakpoints(ckt: &Circuit, stop: f64, out: &mut Vec<f64>) {
+fn collect_breakpoints(ckt: &Circuit, stop: f64, out: &mut Vec<f64>) {
     out.clear();
     for e in ckt.elements() {
         match e {
@@ -241,9 +225,9 @@ impl Circuit {
     ///
     /// The initial condition is the DC operating point at `t = 0` with all
     /// capacitor currents zero (quiescent start). Every node's waveform is
-    /// recorded; allocates a fresh [`SolverWorkspace`] internally. Batch
-    /// callers should prefer [`Circuit::transient_with`], which reuses a
-    /// workspace across solves and can slim the capture set.
+    /// recorded; allocates a fresh [`SolverWorkspace`] internally. Callers
+    /// that solve repeatedly should prefer [`Circuit::transient_with`],
+    /// which reuses a workspace across solves and can slim the capture set.
     ///
     /// # Errors
     ///

@@ -70,7 +70,6 @@ pub use elements::{Element, MosType, Mosfet, MosfetParams, Waveform};
 pub use error::Error;
 pub use export::{to_csv, to_vcd};
 pub use inject::{ArmedFault, FaultKind, FaultPlan};
-pub use solver::batch::{BatchLane, BatchOutcome, BatchWorkspace};
 pub use solver::pattern::{topology_key, PatternMode, StampPattern};
 #[allow(deprecated)]
 pub use solver::sparse::solver_counters;

@@ -20,19 +20,19 @@ use pulsar_obs::{Counter, Phase, Recorder};
 const JR_CONTRACTION: f64 = 0.5;
 
 /// Absolute node-voltage convergence tolerance (V).
-pub(crate) const VNTOL: f64 = 1e-6;
+const VNTOL: f64 = 1e-6;
 /// Relative convergence tolerance.
-pub(crate) const RELTOL: f64 = 1e-4;
+const RELTOL: f64 = 1e-4;
 /// Per-iteration clamp on node-voltage updates (V); classic NR damping.
-pub(crate) const VSTEP_LIMIT: f64 = 0.6;
+const VSTEP_LIMIT: f64 = 0.6;
 /// Leakage conductance from every node to ground keeping matrices
 /// well-posed even with all transistors cut off.
-pub(crate) const GMIN_FLOOR: f64 = 1e-12;
+const GMIN_FLOOR: f64 = 1e-12;
 
 /// Books the end of one dense Newton solve: the iteration spend goes to
 /// the process-wide registry (legacy `solver_counters()` view) and the
 /// per-run recorder, which also gets the iterations-per-solve histogram.
-pub(crate) fn dense_solve_done(rec: &Recorder, iters: u64) {
+fn dense_solve_done(rec: &Recorder, iters: u64) {
     global_recorder().add(Counter::DenseIterations, iters);
     rec.add(Counter::DenseIterations, iters);
     rec.newton_solve_done(iters);
@@ -830,9 +830,9 @@ fn sparse_stamp_mosfet(sym: &SymbolicLu, vals: &mut [f64], rhs: &mut [f64], m: &
 }
 
 /// MNA row/column of a node, or `None` for ground. Free-function twin of
-/// [`System::var`] shared with the batch engine.
+/// [`System::var`] for the dense stamp helpers below.
 #[inline]
-pub(crate) fn dense_var(node: NodeId) -> Option<usize> {
+fn dense_var(node: NodeId) -> Option<usize> {
     if node.is_ground() {
         None
     } else {
@@ -842,18 +842,16 @@ pub(crate) fn dense_var(node: NodeId) -> Option<usize> {
 
 /// Node voltage under the MNA unknown ordering (ground reads 0).
 #[inline]
-pub(crate) fn dense_volt(x: &[f64], node: NodeId) -> f64 {
+fn dense_volt(x: &[f64], node: NodeId) -> f64 {
     match dense_var(node) {
         Some(i) => x[i],
         None => 0.0,
     }
 }
 
-/// Stamps conductance `g` between `a` and `b`. The single implementation
-/// behind both the scalar [`System`] assembly and the batched engine, so
-/// the two cannot drift apart numerically.
+/// Stamps conductance `g` between `a` and `b` into the dense matrix.
 #[inline]
-pub(crate) fn dense_stamp_g(matrix: &mut DenseMatrix, a: NodeId, b: NodeId, g: f64) {
+fn dense_stamp_g(matrix: &mut DenseMatrix, a: NodeId, b: NodeId, g: f64) {
     let ia = dense_var(a);
     let ib = dense_var(b);
     if let Some(i) = ia {
@@ -870,7 +868,7 @@ pub(crate) fn dense_stamp_g(matrix: &mut DenseMatrix, a: NodeId, b: NodeId, g: f
 
 /// Injects current `i` into node `into` and removes it from `from`.
 #[inline]
-pub(crate) fn dense_stamp_i(rhs: &mut [f64], into: NodeId, from: NodeId, i: f64) {
+fn dense_stamp_i(rhs: &mut [f64], into: NodeId, from: NodeId, i: f64) {
     if let Some(r) = dense_var(into) {
         rhs[r] += i;
     }
@@ -879,9 +877,8 @@ pub(crate) fn dense_stamp_i(rhs: &mut [f64], into: NodeId, from: NodeId, i: f64)
     }
 }
 
-/// Linearizes and stamps one MOSFET about candidate solution `x`. Shared
-/// by the scalar [`System`] assembly and the batched engine.
-pub(crate) fn dense_stamp_mosfet(matrix: &mut DenseMatrix, rhs: &mut [f64], m: &Mosfet, x: &[f64]) {
+/// Linearizes and stamps one MOSFET about candidate solution `x`.
+fn dense_stamp_mosfet(matrix: &mut DenseMatrix, rhs: &mut [f64], m: &Mosfet, x: &[f64]) {
     let vd = dense_volt(x, m.d);
     let vg = dense_volt(x, m.g);
     let vs = dense_volt(x, m.s);
@@ -925,7 +922,7 @@ pub(crate) fn dense_stamp_mosfet(matrix: &mut DenseMatrix, rhs: &mut [f64], m: &
 /// state): one bad sample then journals as an ordinary failure instead of
 /// unwinding past an entire Monte Carlo campaign.
 #[inline]
-pub(crate) fn branch_var(branch_index: &[Option<usize>], ei: usize) -> Result<usize, Error> {
+fn branch_var(branch_index: &[Option<usize>], ei: usize) -> Result<usize, Error> {
     branch_index
         .get(ei)
         .copied()
@@ -956,7 +953,7 @@ pub(crate) fn collect_cap_branches(ckt: &Circuit, out: &mut Vec<(NodeId, NodeId,
 }
 
 /// Number of companion-model slots a MOSFET occupies (cgs, cgd, cdb).
-pub(crate) const MOS_CAPS: usize = 3;
+const MOS_CAPS: usize = 3;
 
 /// Bulk/junction reference node for `cdb`: ground for NMOS, the source for
 /// PMOS (whose source normally sits at VDD). This keeps junction charge
@@ -973,7 +970,7 @@ pub(crate) fn mos_bulk(m: &Mosfet) -> NodeId {
 /// (step-size-dependent only). The expressions mirror [`companion`]
 /// exactly, so the cached values are bit-identical to recomputing.
 #[allow(clippy::too_many_arguments)] // plain data plumbing, two call sites
-pub(crate) fn hoist_companion(
+fn hoist_companion(
     geq_v: &mut [f64],
     ieq_v: &mut [f64],
     idx: usize,

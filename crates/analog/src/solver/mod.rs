@@ -2,7 +2,6 @@
 //! solver with cached symbolic factorization, and MNA system assembly with
 //! Newton–Raphson linearization of the nonlinear devices.
 
-pub mod batch;
 pub(crate) mod matrix;
 pub(crate) mod mna;
 pub mod pattern;

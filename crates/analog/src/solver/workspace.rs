@@ -49,12 +49,12 @@ pub enum SolverMode {
 /// memory layout beats the sparse engine's indirection (measured in
 /// `bench_hotpath`; see BENCH_pr4.json). The paper-scale 7-gate path is
 /// 12 unknowns (dense); a 32-stage inverter chain is 36 (sparse).
-pub(crate) const SPARSE_CROSSOVER: usize = 24;
+const SPARSE_CROSSOVER: usize = 24;
 
 /// `PULSAR_FORCE_DENSE=1` routes every solve through the dense engine
 /// regardless of [`SolverMode`] — the field escape hatch if the sparse
 /// path ever misbehaves. Read once per process.
-pub(crate) fn force_dense_env() -> bool {
+fn force_dense_env() -> bool {
     static FLAG: OnceLock<bool> = OnceLock::new();
     *FLAG.get_or_init(|| {
         std::env::var("PULSAR_FORCE_DENSE")

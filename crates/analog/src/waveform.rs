@@ -604,8 +604,8 @@ mod tests {
         // `stop` can legitimately end this way): the signal never gets
         // *strictly* past the threshold, so no trailing crossing exists
         // and the pulse is truncated — dropped, exactly like a trace that
-        // ends beyond the threshold. Pinned so the batched width-only
-        // solve can never silently report a phantom completed pulse.
+        // ends beyond the threshold. Pinned so a width-only solve can
+        // never silently report a phantom completed pulse.
         let t = vec![0.0, 1.0, 2.0, 3.0];
         let v = vec![0.0, 1.0, 1.0, 0.5];
         let tr = Trace::new(&t, &v);

@@ -2,7 +2,7 @@
 //! allocation-per-step baseline engine, plus the sparse MNA engine vs the
 //! dense reuse engine, all measured in the same process.
 //!
-//! Ten kernels are timed (median wall-clock ns/op plus a heap-allocation
+//! Nine kernels are timed (median wall-clock ns/op plus a heap-allocation
 //! count from a counting global allocator):
 //!
 //! 1. **single_transient** — one pulse propagation through the paper's
@@ -33,17 +33,8 @@
 //!    are asserted bit-identical before timing: durability never changes
 //!    arithmetic. Written to `BENCH_pr6.json` (`--durable-only` runs
 //!    just this kernel and writes only that file).
-//! 8. **batched_mc_coverage** — the PR7 scoreboard: `PulseStudy`'s
-//!    faulty-width MC coverage point on a dense-eligible 8-gate chain
-//!    (12 MNA unknowns, under the sparse crossover, so every lane runs
-//!    the structure-of-arrays batch engine instead of ejecting), scalar
-//!    retry ladder vs the batched engine at the auto width. Both arms
-//!    are asserted bit-identical sample-for-sample — and across 1 vs 2
-//!    threads — before timing, and a recorder-enabled probe asserts the
-//!    batch engine actually solved lanes with zero ejections, so the
-//!    timing cannot silently measure the scalar fallback. Written to
-//!    `BENCH_pr7.json` (`--batched-only` runs just this kernel and
-//!    writes only that file).
+//! 8. *(retired)* — the lock-step batched-MC scoreboard, deleted with
+//!    the batch engine; `BENCH_pr7.json` keeps its last measurement.
 //! 9. **adaptive_mc_coverage** — the PR9 scoreboard: a full
 //!    `DfStudy` coverage-curve sweep (12 log-spaced resistances × 3
 //!    clock factors on the 8-gate chain), fixed N=200 samples per grid
@@ -95,11 +86,11 @@
 #[allow(deprecated)]
 use pulsar_analog::solver_counters;
 use pulsar_analog::{ObsCounter, Polarity, Recorder, SolverMode, SymbolicCache};
-use pulsar_bench::{auto_batch, log_sweep, rop_put};
+use pulsar_bench::{log_sweep, rop_put};
 use pulsar_cells::{PathSpec, PulseOutcome, Tech};
 use pulsar_core::{
     AdaptivePolicy, CancelToken, Checkpoint, CheckpointSpec, DefectKind, DfStudy, IntervalRule,
-    McConfig, PathInstance, PathUnderTest, PulseStudy, VariationModel,
+    McConfig, PathInstance, PathUnderTest, VariationModel,
 };
 use pulsar_mc::MonteCarlo;
 use pulsar_obs::{json::Json, RunManifest};
@@ -911,163 +902,6 @@ cheaper as restored samples skip both the solve and the append\"}}\n}}\n",
     }
 }
 
-/// Defect-resistance sweep for the kernel-8 batched coverage point: one
-/// hard short and one marginal defect, so each sample exercises both a
-/// wide and a narrow surviving pulse through the batch engine.
-const BATCH_SWEEP: [f64; 2] = [1e3, 20e3];
-
-/// One `PulseStudy::try_faulty_wouts` coverage point over [`BATCH_SWEEP`]
-/// with the given batch width (`0` = the scalar retry ladder), returning
-/// every sample's width row. Panics if any sample fails to resolve: this
-/// kernel times clean runs only.
-fn batched_study_point(
-    put: &PathUnderTest,
-    samples: usize,
-    batch: usize,
-    threads: usize,
-    rec: Option<&Recorder>,
-) -> Vec<Vec<f64>> {
-    let mut mc = McConfig {
-        batch,
-        threads: Some(threads),
-        ..McConfig::paper(samples, 2007)
-    };
-    if let Some(r) = rec {
-        mc.obs = r.clone();
-    }
-    let study = PulseStudy::new(put.clone(), mc, Polarity::PositiveGoing);
-    let run = study
-        .try_faulty_wouts(W_IN, &BATCH_SWEEP)
-        .expect("batched mc point");
-    let rows: Vec<Vec<f64>> = run.resolved().cloned().collect();
-    assert_eq!(
-        rows.len(),
-        samples,
-        "bench kernel must resolve every sample"
-    );
-    rows
-}
-
-/// Kernel 8: the batched-Monte-Carlo scoreboard. The circuit is an
-/// 8-gate inverter chain with the external-ROP defect — 12 MNA unknowns,
-/// under the sparse crossover, so under [`SolverMode::Auto`] every lane
-/// qualifies for the dense batch engine instead of ejecting to scalar
-/// (the paper's 7-gate fan-out path runs sparse at MC scale and ejects;
-/// the equivalence tests cover that arm, this kernel times the engaged
-/// one). Before timing: scalar and batched results are asserted
-/// bit-identical sample-for-sample and across 1 vs 2 threads, and a
-/// recorder-enabled probe asserts lanes actually went through the batch
-/// engine with zero ejections. With `batch < 2` the "batched" arm
-/// degenerates to scalar by design; identity still holds and the probe
-/// is skipped.
-fn batched_mc_coverage(samples: usize, batch: usize, iters: usize) -> KernelResult {
-    let put = chain_put(8);
-    let scalar = batched_study_point(&put, samples, 0, 1, None);
-    let batched = batched_study_point(&put, samples, batch, 1, None);
-    let batched_t2 = batched_study_point(&put, samples, batch, 2, None);
-    let sb: Vec<Vec<u64>> = scalar
-        .iter()
-        .map(|row| row.iter().map(|w| w.to_bits()).collect())
-        .collect();
-    let bb: Vec<Vec<u64>> = batched
-        .iter()
-        .map(|row| row.iter().map(|w| w.to_bits()).collect())
-        .collect();
-    let b2: Vec<Vec<u64>> = batched_t2
-        .iter()
-        .map(|row| row.iter().map(|w| w.to_bits()).collect())
-        .collect();
-    assert_eq!(sb, bb, "batched arm diverged from the scalar retry ladder");
-    assert_eq!(bb, b2, "batched arm diverged across thread counts");
-
-    if batch >= 2 {
-        let live = Recorder::enabled();
-        batched_study_point(&put, samples, batch, 1, Some(&live));
-        let snap = live.snapshot();
-        assert!(
-            snap.counter(ObsCounter::BatchedLaneSolves) > 0,
-            "the dense 8-gate chain must engage the batch engine; \
-             the timing would otherwise measure the scalar fallback twice"
-        );
-        assert_eq!(
-            snap.counter(ObsCounter::BatchEjections),
-            0,
-            "a clean dense run must not eject lanes mid-batch"
-        );
-    }
-
-    let result = measure_pair(
-        iters,
-        || {
-            batched_study_point(&put, samples, 0, 1, None);
-        },
-        || {
-            batched_study_point(&put, samples, batch, 1, None);
-        },
-    );
-    if batch >= 2 {
-        // The PR9 allocation fix: lane scratch (solution vectors, cap
-        // state, breakpoint lists) is pooled inside `BatchWorkspace` and
-        // the workspace itself is pooled across batch groups, so the
-        // batched arm may no longer out-allocate the scalar ladder it
-        // replaces (it used to run ~4% over; it now runs under).
-        assert!(
-            result.reuse_allocs <= result.baseline_allocs,
-            "batched arm allocation regression: {} allocs/op vs {} scalar",
-            result.reuse_allocs,
-            result.baseline_allocs
-        );
-    }
-    result
-}
-
-/// Prints the kernel-8 summary line and, unless `smoke`, writes
-/// `BENCH_pr7.json` with the measured numbers and an honest MET / NOT MET
-/// verdict on the ≥ 2× batched-speedup aspiration.
-fn report_batched_mc(k8: &KernelResult, samples: usize, batch: usize, iters: usize, smoke: bool) {
-    // For this kernel the `KernelResult` arms are: baseline = scalar
-    // retry ladder (batch = 0), reuse = batched engine at `batch` lanes.
-    let speedup = k8.speedup();
-    eprintln!(
-        "batched_mc_coverage[batch={batch}]: scalar {} ns, batched {} ns ({:.2}x), allocs {} -> {}",
-        k8.baseline_ns, k8.reuse_ns, speedup, k8.baseline_allocs, k8.reuse_allocs
-    );
-    if smoke {
-        return;
-    }
-    let met = speedup >= 2.0;
-    let json = format!(
-        "{{\n  \"pr\": 7,\n  \"description\": \"batched Monte Carlo device-eval/assembly: \
-PulseStudy faulty-width coverage point on a dense-eligible 8-gate chain (12 MNA unknowns), \
-scalar per-sample retry ladder vs the structure-of-arrays BatchWorkspace engine solving K \
-lanes lock-step through one slot-table walk; both arms asserted bit-identical \
-sample-for-sample and across thread counts before timing, and the batched arm asserted to \
-run zero ejections via the observability counters\",\n  \
-\"config\": {{\"w_in_s\": {W_IN:e}, \"r_sweep_ohm\": [{:.0}, {:.0}], \"samples\": {samples}, \
-\"iters\": {iters}, \"threads\": 1, \"chain_gates\": 8, \"batch\": {batch}}},\n  \
-\"mc_coverage_point_batched\": {},\n  \
-\"batched_speedup_target\": {{\"target\": 2.0, \"measured\": {speedup:.3}, \"met\": {met}, \
-\"note\": \"bit-identity pins every lane's floating-point sequence, so on a single-core \
-host the batched engine's ceiling is scalar parity minus bookkeeping; the lane-major SoA \
-layout reaches that parity, and the batch's headroom is cross-lane locality plus future \
-multicore/SIMD lanes. The engine engages on dense-eligible lanes only; sparse circuits \
-(like the paper's 7-gate fan-out path at MC scale) eject to the scalar path \
-bit-identically, which the equivalence suite covers\"}}\n}}\n",
-        BATCH_SWEEP[0],
-        BATCH_SWEEP[1],
-        json_ab(k8, "scalar", "batched")
-    );
-    std::fs::write("BENCH_pr7.json", &json).expect("write BENCH_pr7.json");
-    eprintln!("wrote BENCH_pr7.json");
-    if !met {
-        eprintln!(
-            "note: batched speedup target (>= 2.0x) was not met on this machine \
-             ({speedup:.2}x); the JSON records the measured value honestly rather \
-             than failing the run"
-        );
-    }
-}
-
 /// The kernel-9 scoreboard: wall clock plus the evaluation-count and
 /// achieved-precision accounting pulled from the adaptive report.
 struct AdaptiveKernel {
@@ -1535,7 +1369,6 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let obs_only = std::env::args().any(|a| a == "--obs-only");
     let durable_only = std::env::args().any(|a| a == "--durable-only");
-    let batched_only = std::env::args().any(|a| a == "--batched-only");
     let adaptive_only = std::env::args().any(|a| a == "--adaptive-only");
     let serve_only = std::env::args().any(|a| a == "--serve-only");
     let (samples, iters, mc_iters, thread_counts): (usize, usize, usize, Vec<usize>) = if smoke {
@@ -1550,31 +1383,6 @@ fn main() {
     // Kernel 6 gets its own iteration count: its per-op cost is small
     // enough that the shared `mc_iters` would leave the median noisy.
     let obs_iters = if smoke { 3 } else { 7 };
-
-    // Kernel 8's batch width: the auto width unless `PULSAR_BATCH`
-    // overrides it (the CI matrix sets `PULSAR_BATCH=0` to exercise the
-    // off arm; the kernel then degenerates to scalar-vs-scalar and
-    // asserts identity only).
-    let batch_width = match std::env::var("PULSAR_BATCH").ok().as_deref() {
-        None | Some("auto") => auto_batch(samples),
-        Some(v) => v.parse().unwrap_or_else(|_| auto_batch(samples)),
-    };
-
-    if batched_only {
-        eprintln!(
-            "# kernel 8 only: batched {samples}-sample MC coverage point, \
-             batch={batch_width} ({mc_iters} iters)"
-        );
-        let k8 = batched_mc_coverage(samples, batch_width, mc_iters);
-        report_batched_mc(&k8, samples, batch_width, mc_iters, smoke);
-        if smoke {
-            assert!(
-                k8.speedup() > 0.8,
-                "batched MC engine materially slower than the scalar ladder in smoke run"
-            );
-        }
-        return;
-    }
 
     // Kernel 9's own scale: the ISSUE's fixed N=200 reference on the full
     // 12-point sweep for the recorded run, a small grid for CI smoke.
@@ -1751,13 +1559,6 @@ fn main() {
     report_checkpoint_overhead(&k7, samples, obs_iters, smoke);
 
     eprintln!(
-        "# kernel 8: batched {samples}-sample MC coverage point, 8-gate chain, \
-         batch={batch_width} ({mc_iters} iters)"
-    );
-    let k8 = batched_mc_coverage(samples, batch_width, mc_iters);
-    report_batched_mc(&k8, samples, batch_width, mc_iters, smoke);
-
-    eprintln!(
         "# kernel 9: adaptive vs fixed {adaptive_samples}-sample coverage sweep, \
          {adaptive_r_points}x3 grid ({mc_iters} iters)"
     );
@@ -1805,13 +1606,6 @@ fn main() {
         assert!(
             (k7.reuse_ns as f64) < 1.25 * k7.baseline_ns as f64,
             "checkpointed durable run materially slower than checkpoint-free in smoke run"
-        );
-        // Batching may not win on a smoke-sized run, but it must never be
-        // materially slower than the scalar ladder it replaces (the full
-        // run records the real number in BENCH_pr7.json).
-        assert!(
-            k8.speedup() > 0.8,
-            "batched MC engine materially slower than the scalar ladder in smoke run"
         );
         // The adaptive engine saves whole samples, so even a smoke-sized
         // sweep must not run materially slower than the fixed budget.

@@ -26,24 +26,11 @@ pub struct ExpParams {
     pub samples: usize,
     /// Master seed.
     pub seed: u64,
-    /// Batched device-eval width for the MC studies (0 = off). Batching
-    /// is a pure optimization — results are bit-identical either way —
-    /// so this only changes wall clock.
-    pub batch: usize,
-}
-
-/// The auto batch width for `--batch auto`: wide enough to amortize the
-/// slot-table walk, small enough that one divergent lane's ejection
-/// wastes little, and never wider than the sample count.
-pub fn auto_batch(samples: usize) -> usize {
-    samples.min(8)
 }
 
 impl ExpParams {
-    /// Resolves parameters: `--samples N` / `--seed S` / `--batch N|auto`
-    /// CLI flags override `PULSAR_SAMPLES` / `PULSAR_SEED` /
-    /// `PULSAR_BATCH`, which override the defaults (batching defaults to
-    /// off so timings stay comparable with earlier recorded runs).
+    /// Resolves parameters: `--samples N` / `--seed S` CLI flags override
+    /// `PULSAR_SAMPLES` / `PULSAR_SEED`, which override the defaults.
     pub fn from_env(default_samples: usize) -> Self {
         let mut samples = std::env::var("PULSAR_SAMPLES")
             .ok()
@@ -53,36 +40,22 @@ impl ExpParams {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(2007);
-        let mut batch_arg = std::env::var("PULSAR_BATCH").ok();
         let args: Vec<String> = std::env::args().collect();
         let mut i = 1;
         while i + 1 < args.len() {
             match args[i].as_str() {
                 "--samples" => samples = args[i + 1].parse().unwrap_or(samples),
                 "--seed" => seed = args[i + 1].parse().unwrap_or(seed),
-                "--batch" => batch_arg = Some(args[i + 1].clone()),
                 _ => {}
             }
             i += 1;
         }
-        let batch = match batch_arg.as_deref() {
-            None => 0,
-            Some("auto") => auto_batch(samples),
-            Some(v) => v.parse().unwrap_or(0),
-        };
-        ExpParams {
-            samples,
-            seed,
-            batch,
-        }
+        ExpParams { samples, seed }
     }
 
     /// Monte Carlo configuration at the paper's 10 % sigma.
     pub fn mc(&self) -> McConfig {
-        McConfig {
-            batch: self.batch,
-            ..McConfig::paper(self.samples, self.seed)
-        }
+        McConfig::paper(self.samples, self.seed)
     }
 }
 

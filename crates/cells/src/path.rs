@@ -15,9 +15,8 @@
 use crate::gates::{CellKind, CmosBuilder, RopSite};
 use crate::tech::Tech;
 use pulsar_analog::{
-    propagation_delay, BatchLane, BatchOutcome, BatchWorkspace, CancelToken, Circuit, Edge, Error,
-    Integrator, NodeId, Polarity, Recorder, SolverMode, SolverWorkspace, SymbolicCache,
-    TraceCapture, TranConfig, TranResult, Waveform,
+    propagation_delay, CancelToken, Circuit, Edge, Error, Integrator, NodeId, Polarity, Recorder,
+    SolverMode, SolverWorkspace, SymbolicCache, TraceCapture, TranConfig, TranResult, Waveform,
 };
 
 /// Structural description of a path: the gate chain plus per-stage extra
@@ -939,106 +938,6 @@ impl BuiltPath {
     }
 }
 
-/// Batched twin of [`BuiltPath::pulse_width_only`]: stages the stimulus
-/// on K perturbed paths, advances all of them through one
-/// [`BatchWorkspace`] lockstep pass, and measures the surviving output
-/// pulse width per path.
-///
-/// Returns one entry per path in order. `Some(width)` is bit-identical
-/// to what `paths[i].pulse_width_only(w_ins[i], polarity, None)` would
-/// return; `None` means the lane could not stay on the batched fast
-/// path (invalid width, baseline/adaptive simulation mode, topology or
-/// configuration mismatch, Newton trouble, cancellation) — re-run that
-/// sample on the scalar path, which also surfaces the scalar error.
-///
-/// # Panics
-///
-/// Panics if `paths` and `w_ins` disagree in length.
-pub fn pulse_width_only_batch(
-    paths: &mut [&mut BuiltPath],
-    w_ins: &[f64],
-    polarity: Polarity,
-    bw: &mut BatchWorkspace,
-) -> Vec<Option<f64>> {
-    assert_eq!(
-        paths.len(),
-        w_ins.len(),
-        "one stimulus width per batched path"
-    );
-    let k = paths.len();
-    let mut widths: Vec<Option<f64>> = vec![None; k];
-    if k == 0 {
-        return widths;
-    }
-
-    // Stage the stimulus and per-lane config on every eligible path —
-    // the same preamble `pulse_run` executes before simulating. A path
-    // that cannot take the batched engine (invalid width surfaces the
-    // scalar `InvalidParameter`; the baseline engine and adaptive
-    // stepping are scalar-only by design) stays `None` for a scalar
-    // re-run.
-    let mut cfgs: Vec<Option<TranConfig>> = vec![None; k];
-    for (i, p) in paths.iter_mut().enumerate() {
-        let w_in = w_ins[i];
-        if !(w_in.is_finite() && w_in > 0.0 && p.reuse_workspace) || p.adaptive {
-            continue;
-        }
-        let rest = p.rest_level(polarity);
-        let delta = (p.vdd - rest) - rest;
-        let wave = pulse_wave(rest, delta, p.t_start, p.input_edge, w_in);
-        if p.circuit.set_vsource_wave(p.input_src, wave).is_err() {
-            continue;
-        }
-        cfgs[i] = Some(p.default_cfg(w_in));
-    }
-
-    // The shared capture column is the reference lane's output node;
-    // a lane whose output landed on a different node id cannot share
-    // the column (its topology differs anyway and would eject).
-    let Some(first) = cfgs.iter().position(Option::is_some) else {
-        return widths;
-    };
-    let out_node = paths[first].output();
-    let lane_idx: Vec<usize> = (0..k)
-        .filter(|&i| cfgs[i].is_some() && paths[i].output() == out_node)
-        .collect();
-
-    let mut lanes: Vec<BatchLane<'_>> = Vec::with_capacity(lane_idx.len());
-    {
-        // Split-borrow each path into (shared circuit, exclusive
-        // workspace); the iterator hands out disjoint `&mut BuiltPath`s.
-        let mut it = paths.iter_mut().enumerate();
-        for &i in &lane_idx {
-            let (ckt, ws) = loop {
-                let (j, p) = it.next().expect("lane indices are in range");
-                if j == i {
-                    let BuiltPath {
-                        circuit, workspace, ..
-                    } = &mut **p;
-                    break (&*circuit, workspace);
-                }
-            };
-            lanes.push(BatchLane {
-                ckt,
-                ws,
-                cfg: cfgs[i].clone().expect("lane indices point at staged cfgs"),
-            });
-        }
-    }
-
-    let outs = bw.transient_batch(&mut lanes, &TraceCapture::Nodes(vec![out_node]));
-    drop(lanes);
-    for (&i, out) in lane_idx.iter().zip(outs) {
-        if let BatchOutcome::Done(res) = out {
-            let p = &paths[i];
-            let vth = p.vdd / 2.0;
-            let out_pol = p.output_polarity(polarity);
-            widths[i] = Some(res.trace(out_node).widest_pulse_width(vth, out_pol));
-        }
-    }
-    widths
-}
-
 /// Builds a PWL pulse whose width at the 50 % level is exactly `w50`.
 ///
 /// With edge time `edge`, the flat top is `w50 - edge`; if the requested
@@ -1379,81 +1278,6 @@ mod tests {
             widths[2] < widths[0] - 100e-12,
             "30 kΩ must heavily dampen the pulse: {widths:?}"
         );
-    }
-
-    #[test]
-    fn batched_widths_match_scalar_bitwise() {
-        let spec = PathSpec::inverter_chain(3);
-        let fault = PathFault::ExternalRop {
-            stage: 1,
-            ohms: 1e3,
-        };
-        let rs = [1e3, 4e3, 9e3, 16e3];
-        // Per-lane stimulus widths: each lane gets its own stop time.
-        let w_ins = [380e-12, 420e-12, 460e-12, 500e-12];
-
-        let mut scalar = Vec::new();
-        for (&r, &w) in rs.iter().zip(w_ins.iter()) {
-            let mut p = BuiltPath::new(&spec, &fault, &techs(3));
-            p.set_fault_resistance(r).unwrap();
-            scalar.push(
-                p.pulse_width_only(w, Polarity::PositiveGoing, None)
-                    .unwrap(),
-            );
-        }
-
-        let mut paths: Vec<BuiltPath> = rs
-            .iter()
-            .map(|&r| {
-                let mut p = BuiltPath::new(&spec, &fault, &techs(3));
-                p.set_fault_resistance(r).unwrap();
-                p
-            })
-            .collect();
-        let mut refs: Vec<&mut BuiltPath> = paths.iter_mut().collect();
-        let mut bw = BatchWorkspace::new();
-        let widths = pulse_width_only_batch(&mut refs, &w_ins, Polarity::PositiveGoing, &mut bw);
-        for (i, w) in widths.iter().enumerate() {
-            let w = w.unwrap_or_else(|| panic!("lane {i} must stay batched"));
-            assert_eq!(
-                w.to_bits(),
-                scalar[i].to_bits(),
-                "lane {i}: batched {w:e} vs scalar {:e}",
-                scalar[i]
-            );
-        }
-    }
-
-    #[test]
-    fn batched_invalid_width_lane_is_none_siblings_survive() {
-        let spec = PathSpec::inverter_chain(3);
-        let mut a = BuiltPath::new(&spec, &PathFault::None, &techs(3));
-        let mut b = BuiltPath::new(&spec, &PathFault::None, &techs(3));
-        let scalar = a
-            .pulse_width_only(420e-12, Polarity::PositiveGoing, None)
-            .unwrap();
-        let mut refs: Vec<&mut BuiltPath> = vec![&mut a, &mut b];
-        let mut bw = BatchWorkspace::new();
-        let widths = pulse_width_only_batch(
-            &mut refs,
-            &[420e-12, f64::NAN],
-            Polarity::PositiveGoing,
-            &mut bw,
-        );
-        assert_eq!(widths[0].map(f64::to_bits), Some(scalar.to_bits()));
-        assert!(widths[1].is_none(), "invalid width re-runs scalar");
-    }
-
-    #[test]
-    fn batched_baseline_engine_paths_fall_back_to_scalar() {
-        let spec = PathSpec::inverter_chain(2);
-        let mut p = BuiltPath::new(&spec, &PathFault::None, &techs(2));
-        p.set_workspace_reuse(false);
-        let mut refs: Vec<&mut BuiltPath> = vec![&mut p];
-        let mut bw = BatchWorkspace::new();
-        let widths =
-            pulse_width_only_batch(&mut refs, &[400e-12], Polarity::PositiveGoing, &mut bw);
-        assert!(widths[0].is_none(), "baseline engine is scalar-only");
     }
 
     #[test]

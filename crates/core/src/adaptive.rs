@@ -187,14 +187,12 @@ where
         cancel: None,
         contain_panics: None,
     };
-    let raw = driver.try_run_range_resumed_batched(
+    let raw = driver.try_run_range_resumed(
         lo,
         hi,
-        0, // rounds are narrow; the lock-step batch engine never engages
         mc.resilience.max_attempts,
         is_retryable,
         hooks,
-        |_: &[usize], _: &mut [StdRng]| Vec::new(),
         |i, attempt, rng| {
             let rec = &recs[i - lo];
             let _span = rec.span(Phase::McSample);

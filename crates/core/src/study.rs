@@ -14,44 +14,12 @@ use crate::resilience::{
 };
 use crate::transfer::TransferCurve;
 use crate::variation::VariationModel;
-use pulsar_analog::{BatchWorkspace, FaultPlan, Polarity, SymbolicCache};
-use pulsar_cells::{pulse_width_only_batch, BuiltPath, Tech};
+use pulsar_analog::{FaultPlan, Polarity, SymbolicCache};
+use pulsar_cells::Tech;
 use pulsar_mc::{AdaptivePolicy, MonteCarlo, RunHooks, SampleOutcome};
 use pulsar_obs::{CancelToken, Counter as ObsCounter, Event, Phase, Recorder};
 use rand::rngs::StdRng;
 use rand::RngExt;
-
-/// A lock-guarded pool of [`BatchWorkspace`]s shared by the concurrent
-/// batch groups of one run: each group checks a workspace out for the
-/// duration of its lock-step solve and returns it afterwards, so the
-/// SoA buffers and per-lane scratch are recycled across samples instead
-/// of reallocated per group. A poisoned lock degrades to a fresh
-/// workspace (correctness never depends on reuse).
-#[derive(Default)]
-struct WorkspacePool(std::sync::Mutex<Vec<BatchWorkspace>>);
-
-impl WorkspacePool {
-    fn check_out(&self) -> BatchWorkspace {
-        self.0
-            .lock()
-            .ok()
-            .and_then(|mut v| v.pop())
-            .unwrap_or_default()
-    }
-
-    fn check_in(&self, bw: BatchWorkspace) {
-        if let Ok(mut v) = self.0.lock() {
-            v.push(bw);
-        }
-    }
-
-    fn with<R>(&self, f: impl FnOnce(&mut BatchWorkspace) -> R) -> R {
-        let mut bw = self.check_out();
-        let out = f(&mut bw);
-        self.check_in(bw);
-        out
-    }
-}
 
 /// Monte Carlo configuration shared by both studies.
 #[derive(Debug, Clone)]
@@ -80,15 +48,6 @@ pub struct McConfig {
     /// recorder to collect per-sample journal events, solver counters,
     /// and phase timings for the whole study.
     pub obs: Recorder,
-    /// Batched device-evaluation width: groups of up to this many
-    /// consecutive samples are solved lock-step through the SIMD-friendly
-    /// [`pulsar_analog::BatchWorkspace`] engine. `0` (the default) or `1`
-    /// disables batching. Batching is a pure optimization: first attempts
-    /// that the batch engine resolves are bit-identical to scalar runs,
-    /// and any lane it cannot hold (topology mismatch, planned fault,
-    /// divergence, cancellation, sparse-path circuit) falls back to the
-    /// scalar retry ladder, which replays the same seeded RNG stream.
-    pub batch: usize,
     /// A pre-primed symbolic factorization adopted instead of running the
     /// study's own one-per-topology analysis. `None` (the default) primes
     /// as before; a long-running service that executes many studies over
@@ -113,7 +72,6 @@ impl McConfig {
             fault_plan: None,
             dc_warm_start: false,
             obs: Recorder::disabled(),
-            batch: 0,
             symbolic: None,
         }
     }
@@ -168,81 +126,15 @@ impl McConfig {
         T: Send,
         F: Fn(usize, u32, &mut StdRng, &Recorder) -> Result<T, CoreError> + Sync,
     {
-        // Batch width 0: the driver never calls the batch closure.
-        self.run_plain(
-            label,
-            0,
-            |_: &[usize], _: &mut [StdRng], _: &[Recorder]| Vec::new(),
-            f,
-        )
-    }
-
-    /// Like [`McConfig::try_run_samples_with`], with a batched fast path:
-    /// groups of up to [`McConfig::batch`] consecutive samples are first
-    /// offered to `f_batch`, which may resolve any subset of them
-    /// (typically via the [`pulsar_analog::BatchWorkspace`] engine) and
-    /// must return `None` for the rest. Unresolved samples — and every
-    /// sample needing a retry — run through the scalar closure `f`
-    /// exactly as in the unbatched entry point, replaying the same seeded
-    /// RNG stream, so results are bit-identical whether or not the batch
-    /// engine engaged.
-    ///
-    /// `f_batch` receives the group's sample indices, one RNG per sample
-    /// (pre-seeded to the sample's stream), and the per-sample recorders;
-    /// it runs with one open `McSample` span per lane, so span wall time
-    /// honestly overlaps for concurrently solved lanes. It is always
-    /// attempt 1 and must not arm fault plans — callers pre-eject samples
-    /// with a planned fault instead (the injector is a thread-local,
-    /// single-sample slot).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`McConfig::try_run_samples`].
-    pub fn try_run_samples_batched<T, F, B>(
-        &self,
-        label: &'static str,
-        f_batch: B,
-        f: F,
-    ) -> Result<McRunReport<T>, CoreError>
-    where
-        T: Send,
-        F: Fn(usize, u32, &mut StdRng, &Recorder) -> Result<T, CoreError> + Sync,
-        B: Fn(&[usize], &mut [StdRng], &[Recorder]) -> Vec<Option<T>> + Sync,
-    {
-        self.run_plain(label, self.batch, f_batch, f)
-    }
-
-    fn run_plain<T, F, B>(
-        &self,
-        label: &'static str,
-        batch: usize,
-        f_batch: B,
-        f: F,
-    ) -> Result<McRunReport<T>, CoreError>
-    where
-        T: Send,
-        F: Fn(usize, u32, &mut StdRng, &Recorder) -> Result<T, CoreError> + Sync,
-        B: Fn(&[usize], &mut [StdRng], &[Recorder]) -> Vec<Option<T>> + Sync,
-    {
         let plan = self.fault_plan.clone().unwrap_or_default();
         let driver = self.driver();
         // Fork on the main thread so shard creation order is deterministic
         // regardless of worker scheduling.
         let sample_recs: Vec<Recorder> = (0..self.samples).map(|_| self.obs.fork()).collect();
-        let raw = driver.try_run_resumed_batched(
-            batch,
+        let raw = driver.try_run_resumed(
             self.resilience.max_attempts,
             is_retryable,
             RunHooks::default(),
-            |idx, rngs| {
-                // One span per lane: batched samples solve lock-step, so
-                // their McSample wall times legitimately overlap.
-                let _spans: Vec<_> = idx
-                    .iter()
-                    .map(|&i| sample_recs[i].span(Phase::McSample))
-                    .collect();
-                f_batch(idx, rngs, &sample_recs)
-            },
             |i, attempt, rng| {
                 let rec = &sample_recs[i];
                 let _span = rec.span(Phase::McSample);
@@ -337,62 +229,6 @@ impl McConfig {
         T: Send + Sync + Clone + CheckpointValue,
         F: Fn(usize, u32, &mut StdRng, &Recorder, &CancelToken) -> Result<T, CoreError> + Sync,
     {
-        // Batch width 0: the driver never calls the batch closure.
-        self.run_durable(
-            label,
-            run_token,
-            checkpoint,
-            0,
-            |_: &[usize], _: &mut [StdRng], _: &[Recorder], _: &[CancelToken]| Vec::new(),
-            f,
-        )
-    }
-
-    /// Durable variant of [`McConfig::try_run_samples_batched`]: the
-    /// batched fast path of the latter with the cancellation, deadline,
-    /// checkpoint/resume, and panic-containment machinery of
-    /// [`McConfig::try_run_samples_durable`]. `f_batch` additionally
-    /// receives one attempt [`CancelToken`] per lane (already registered
-    /// with the run's watchdog) — install each in its lane's solver
-    /// workspace so run cancellation ejects in-flight lanes mid-solve;
-    /// ejected lanes fall back to the scalar ladder, observe the tripped
-    /// run token there, and resolve to `None` slots accounted through
-    /// [`Completeness`], never through the failure budget. Samples
-    /// restored from a checkpoint never enter a batch.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`McConfig::try_run_samples_durable`].
-    pub fn try_run_samples_durable_batched<T, F, B>(
-        &self,
-        label: &'static str,
-        run_token: &CancelToken,
-        checkpoint: Option<&Checkpoint<T>>,
-        f_batch: B,
-        f: F,
-    ) -> Result<DurableRun<T>, CoreError>
-    where
-        T: Send + Sync + Clone + CheckpointValue,
-        F: Fn(usize, u32, &mut StdRng, &Recorder, &CancelToken) -> Result<T, CoreError> + Sync,
-        B: Fn(&[usize], &mut [StdRng], &[Recorder], &[CancelToken]) -> Vec<Option<T>> + Sync,
-    {
-        self.run_durable(label, run_token, checkpoint, self.batch, f_batch, f)
-    }
-
-    fn run_durable<T, F, B>(
-        &self,
-        label: &'static str,
-        run_token: &CancelToken,
-        checkpoint: Option<&Checkpoint<T>>,
-        batch: usize,
-        f_batch: B,
-        f: F,
-    ) -> Result<DurableRun<T>, CoreError>
-    where
-        T: Send + Sync + Clone + CheckpointValue,
-        F: Fn(usize, u32, &mut StdRng, &Recorder, &CancelToken) -> Result<T, CoreError> + Sync,
-        B: Fn(&[usize], &mut [StdRng], &[Recorder], &[CancelToken]) -> Vec<Option<T>> + Sync,
-    {
         let plan = self.fault_plan.clone().unwrap_or_default();
         let driver = self.driver();
         let watchdog = Watchdog::new(
@@ -421,29 +257,10 @@ impl McConfig {
                 None
             },
         };
-        let raw = driver.try_run_resumed_batched(
-            batch,
+        let raw = driver.try_run_resumed(
             self.resilience.max_attempts,
             is_retryable,
             hooks,
-            |idx, rngs| {
-                // One span and one watchdog-registered attempt token per
-                // lane: batched samples solve lock-step, so their McSample
-                // wall times legitimately overlap, and a deadline or
-                // per-sample timeout can eject individual lanes mid-solve.
-                let _spans: Vec<_> = idx
-                    .iter()
-                    .map(|&i| sample_recs[i].span(Phase::McSample))
-                    .collect();
-                let mut tokens = Vec::with_capacity(idx.len());
-                let mut guards = Vec::with_capacity(idx.len());
-                for &i in idx {
-                    let (token, guard) = watchdog.attempt(i);
-                    tokens.push(token);
-                    guards.push(guard);
-                }
-                f_batch(idx, rngs, &sample_recs, &tokens)
-            },
             |i, attempt, rng| {
                 let rec = &sample_recs[i];
                 let _span = rec.span(Phase::McSample);
@@ -675,11 +492,6 @@ impl CoverageCurve {
 }
 
 /// The reduced-clock DF-testing study (paper Figs. 6 and 8).
-///
-/// Runs scalar regardless of [`McConfig::batch`]: its per-sample work is
-/// a worst-transition *delay* measurement, and the batched device-eval
-/// engine currently accelerates lock-step pulse-*width* queries only
-/// (see [`PulseStudy`]).
 #[derive(Debug, Clone)]
 pub struct DfStudy {
     /// The path + defect under study.
@@ -1162,162 +974,6 @@ impl PulseStudy {
         (techs, gen_factor)
     }
 
-    /// Builds one batch lane per sample of `idx`: replays each sample's
-    /// instance draws from its RNG (the exact stream the scalar closure
-    /// would consume, so an ejected lane's scalar rerun is bit-identical),
-    /// instantiates the path with `build`, and installs recorder,
-    /// per-lane cancellation, and the primed symbolic factorization.
-    /// Samples with a planned fault come back `None`: the injector arms a
-    /// thread-local, single-sample slot that cannot represent a batch, so
-    /// those always run scalar (where `plan.arm` fires as usual).
-    #[allow(clippy::too_many_arguments)]
-    fn batch_lanes<Bld: Fn(&[Tech]) -> AnalogPath>(
-        &self,
-        idx: &[usize],
-        rngs: &mut [StdRng],
-        recs: &[Recorder],
-        tokens: Option<&[CancelToken]>,
-        plan: &FaultPlan,
-        symbolic: &Option<SymbolicCache>,
-        build: Bld,
-    ) -> (Vec<Option<AnalogPath>>, Vec<f64>) {
-        let mut paths = Vec::with_capacity(idx.len());
-        let mut gen_factors = Vec::with_capacity(idx.len());
-        for (j, (&i, rng)) in idx.iter().zip(rngs.iter_mut()).enumerate() {
-            let (techs, gen_factor) = self.draw_techs(rng);
-            gen_factors.push(gen_factor);
-            if plan.due(i, 1).is_some() {
-                paths.push(None);
-                continue;
-            }
-            let mut p = build(&techs);
-            p.set_recorder(recs[i].clone());
-            if let Some(t) = tokens {
-                p.set_cancel(t[j].clone());
-            }
-            adopt_symbolic(&mut p, symbolic);
-            if self.mc.dc_warm_start {
-                p.set_dc_warm_start(true);
-            }
-            paths.push(Some(p));
-        }
-        (paths, gen_factors)
-    }
-
-    /// Batched counterpart of the `try_fault_free_wouts` sample closure:
-    /// one lock-step width measurement over all live lanes. `None` slots
-    /// are lanes the batch engine could not hold; the driver reruns
-    /// exactly those through the scalar ladder.
-    #[allow(clippy::too_many_arguments)]
-    fn fault_free_wouts_batched(
-        &self,
-        idx: &[usize],
-        rngs: &mut [StdRng],
-        recs: &[Recorder],
-        plan: &FaultPlan,
-        symbolic: &Option<SymbolicCache>,
-        w_in: f64,
-        pool: &WorkspacePool,
-    ) -> Vec<Option<f64>> {
-        let (mut paths, gen_factors) =
-            self.batch_lanes(idx, rngs, recs, None, plan, symbolic, |techs| {
-                self.put.instantiate_fault_free(techs)
-            });
-        let mut lane_js = Vec::new();
-        let mut lane_ws = Vec::new();
-        let mut lanes: Vec<&mut BuiltPath> = Vec::new();
-        for (j, slot) in paths.iter_mut().enumerate() {
-            if let Some(p) = slot.as_mut() {
-                lane_js.push(j);
-                lane_ws.push(w_in * gen_factors[j]);
-                lanes.push(p.built_path());
-            }
-        }
-        let mut out: Vec<Option<f64>> = idx.iter().map(|_| None).collect();
-        if !lanes.is_empty() {
-            let widths =
-                pool.with(|bw| pulse_width_only_batch(&mut lanes, &lane_ws, self.polarity, bw));
-            for (j, w) in lane_js.into_iter().zip(widths) {
-                out[j] = w;
-            }
-        }
-        out
-    }
-
-    /// Batched counterpart of the `try_faulty_wouts` sample closure: the
-    /// full resistance sweep, each point one lock-step width measurement
-    /// over the still-live lanes. Any per-lane failure — planned fault,
-    /// set-resistance error, divergence ejection, cancellation — turns
-    /// that lane's whole row `None`, and the driver reruns exactly those
-    /// samples through the scalar ladder from scratch.
-    #[allow(clippy::too_many_arguments)]
-    fn faulty_rows_batched(
-        &self,
-        idx: &[usize],
-        rngs: &mut [StdRng],
-        recs: &[Recorder],
-        tokens: Option<&[CancelToken]>,
-        plan: &FaultPlan,
-        symbolic: &Option<SymbolicCache>,
-        w_in: f64,
-        r_values: &[f64],
-        pool: &WorkspacePool,
-    ) -> Vec<Option<Vec<f64>>> {
-        let (mut paths, gen_factors) =
-            self.batch_lanes(idx, rngs, recs, tokens, plan, symbolic, |techs| {
-                self.put.instantiate(techs, r_values[0])
-            });
-        let mut rows: Vec<Option<Vec<f64>>> = paths
-            .iter()
-            .map(|p| p.as_ref().map(|_| Vec::with_capacity(r_values.len())))
-            .collect();
-        // One checked-out workspace for the whole sweep: its SoA buffers
-        // and lane scratch stay warm across the resistance points.
-        let mut bw = pool.check_out();
-        for &r in r_values {
-            for (j, slot) in paths.iter_mut().enumerate() {
-                if let Some(p) = slot.as_mut() {
-                    if p.set_resistance(r).is_err() {
-                        // The scalar rerun surfaces the same error
-                        // through the retry ladder.
-                        *slot = None;
-                        rows[j] = None;
-                    }
-                }
-            }
-            let mut lane_js = Vec::new();
-            let mut lane_ws = Vec::new();
-            let mut lanes: Vec<&mut BuiltPath> = Vec::new();
-            for (j, slot) in paths.iter_mut().enumerate() {
-                if let Some(p) = slot.as_mut() {
-                    lane_js.push(j);
-                    lane_ws.push(w_in * gen_factors[j]);
-                    lanes.push(p.built_path());
-                }
-            }
-            if lanes.is_empty() {
-                break;
-            }
-            let widths = pulse_width_only_batch(&mut lanes, &lane_ws, self.polarity, &mut bw);
-            drop(lanes);
-            for (j, w) in lane_js.into_iter().zip(widths) {
-                match w {
-                    Some(w) => {
-                        if let Some(row) = rows[j].as_mut() {
-                            row.push(w);
-                        }
-                    }
-                    None => {
-                        paths[j] = None;
-                        rows[j] = None;
-                    }
-                }
-            }
-        }
-        pool.check_in(bw);
-        rows
-    }
-
     /// The fault-free *nominal* transfer curve (the solid line of
     /// Fig. 10), used by the region-3 rule.
     ///
@@ -1333,9 +989,7 @@ impl PulseStudy {
         TransferCurve::measure(&mut p, self.polarity, lo, hi, n)
     }
 
-    /// Fault-free output widths with per-sample fault isolation. With
-    /// [`McConfig::batch`] ≥ 2, first attempts resolve through the batched
-    /// device-evaluation engine — results are bit-identical either way.
+    /// Fault-free output widths with per-sample fault isolation.
     ///
     /// # Errors
     ///
@@ -1346,22 +1000,15 @@ impl PulseStudy {
         lint_preflight(&self.put, None)?;
         let nominal_techs = vec![self.put.tech; self.put.spec.len()];
         let symbolic = prime_or_adopt(&self.mc, || self.put.instantiate_fault_free(&nominal_techs));
-        let plan = self.mc.fault_plan.clone().unwrap_or_default();
-        let pool = WorkspacePool::default();
-        self.mc.try_run_samples_batched(
-            "pulse-fault-free",
-            |idx: &[usize], rngs: &mut [StdRng], recs: &[Recorder]| {
-                self.fault_free_wouts_batched(idx, rngs, recs, &plan, &symbolic, w_in, &pool)
-            },
-            |_, attempt, rng, rec| {
+        self.mc
+            .try_run_samples_with("pulse-fault-free", |_, attempt, rng, rec| {
                 let (techs, gen_factor) = self.draw_techs(rng);
                 let mut p = self.put.instantiate_fault_free(&techs);
                 p.set_recorder(rec.clone());
                 adopt_symbolic(&mut p, &symbolic);
                 prepare_for_attempt(&mut p, attempt, rng, self.mc.dc_warm_start);
                 p.pulse_width_out(w_in * gen_factor, self.polarity)
-            },
-        )
+            })
     }
 
     /// Output widths of every *resolved* fault-free MC instance at
@@ -1442,16 +1089,8 @@ impl PulseStudy {
         let symbolic = prime_or_adopt(&self.mc, || {
             self.put.instantiate(&nominal_techs, r_values[0])
         });
-        let plan = self.mc.fault_plan.clone().unwrap_or_default();
-        let pool = WorkspacePool::default();
-        self.mc.try_run_samples_batched(
-            "pulse-faulty",
-            |idx: &[usize], rngs: &mut [StdRng], recs: &[Recorder]| {
-                self.faulty_rows_batched(
-                    idx, rngs, recs, None, &plan, &symbolic, w_in, &r_values, &pool,
-                )
-            },
-            |_, attempt, rng, rec| {
+        self.mc
+            .try_run_samples_with("pulse-faulty", |_, attempt, rng, rec| {
                 let (techs, gen_factor) = self.draw_techs(rng);
                 let mut p = self.put.instantiate(&techs, r_values[0]);
                 p.set_recorder(rec.clone());
@@ -1463,8 +1102,7 @@ impl PulseStudy {
                     row.push(p.pulse_width_out(w_in * gen_factor, self.polarity)?);
                 }
                 Ok(row)
-            },
-        )
+            })
     }
 
     /// Output widths of every *resolved* instance at every resistance:
@@ -1578,25 +1216,10 @@ impl PulseStudy {
         let symbolic = prime_or_adopt(&self.mc, || {
             self.put.instantiate(&nominal_techs, r_values[0])
         });
-        let plan = self.mc.fault_plan.clone().unwrap_or_default();
-        let pool = WorkspacePool::default();
-        self.mc.try_run_samples_durable_batched(
+        self.mc.try_run_samples_durable(
             "pulse-faulty",
             run_token,
             checkpoint,
-            |idx: &[usize], rngs: &mut [StdRng], recs: &[Recorder], tokens: &[CancelToken]| {
-                self.faulty_rows_batched(
-                    idx,
-                    rngs,
-                    recs,
-                    Some(tokens),
-                    &plan,
-                    &symbolic,
-                    w_in,
-                    &r_values,
-                    &pool,
-                )
-            },
             |_, attempt, rng, rec, token| {
                 let (techs, gen_factor) = self.draw_techs(rng);
                 let mut p = self.put.instantiate(&techs, r_values[0]);
@@ -1920,161 +1543,6 @@ mod tests {
         }
         // Higher threshold factor ⇒ (weakly) more coverage.
         assert!(curves[2].coverage[1] >= curves[0].coverage[1] - 1e-12);
-    }
-
-    /// A 3-stage chain stays under the sparse crossover, so its lanes run
-    /// the dense batch engine instead of ejecting to the scalar path.
-    fn small_put() -> PathUnderTest {
-        PathUnderTest {
-            spec: PathSpec::inverter_chain(3),
-            defect: DefectKind::ExternalRop,
-            stage: 1,
-            tech: Tech::generic_180nm(),
-        }
-    }
-
-    fn fbits(xs: &[f64]) -> Vec<u64> {
-        xs.iter().map(|x| x.to_bits()).collect()
-    }
-
-    #[test]
-    fn batched_pulse_study_is_bit_identical_to_scalar_and_engages() {
-        let scalar = PulseStudy::new(small_put(), tiny_mc(), Polarity::PositiveGoing);
-        let mut mc = tiny_mc();
-        mc.batch = 3;
-        mc.obs = Recorder::enabled();
-        let batched = PulseStudy::new(small_put(), mc, Polarity::PositiveGoing);
-        let rs = [1e3, 50e3];
-        let w_in = 450e-12;
-
-        let a = scalar.try_faulty_wouts(w_in, &rs).unwrap();
-        let b = batched.try_faulty_wouts(w_in, &rs).unwrap();
-        let ar: Vec<&Vec<f64>> = a.resolved().collect();
-        let br: Vec<&Vec<f64>> = b.resolved().collect();
-        assert_eq!(ar.len(), 6);
-        assert_eq!(bits(&ar), bits(&br));
-
-        let af = scalar.try_fault_free_wouts(w_in).unwrap().into_resolved();
-        let bf = batched.try_fault_free_wouts(w_in).unwrap().into_resolved();
-        assert_eq!(fbits(&af), fbits(&bf));
-
-        // Proof the batch engine actually solved lanes rather than
-        // quietly falling back scalar everywhere.
-        let snap = batched.mc.obs.snapshot();
-        assert!(
-            snap.counter(ObsCounter::BatchedLaneSolves) > 0,
-            "the dense 3-stage chain must engage the batch engine"
-        );
-    }
-
-    #[test]
-    fn batched_sparse_path_study_falls_back_scalar_bit_identically() {
-        // paper_chain exceeds the sparse crossover: every lane ejects and
-        // the scalar ladder must reproduce the run exactly.
-        let scalar = PulseStudy::new(put(), tiny_mc(), Polarity::PositiveGoing);
-        let mut mc = tiny_mc();
-        mc.batch = 4;
-        let batched = PulseStudy::new(put(), mc, Polarity::PositiveGoing);
-        let a = scalar.try_faulty_wouts(500e-12, &[10e3]).unwrap();
-        let b = batched.try_faulty_wouts(500e-12, &[10e3]).unwrap();
-        let ar: Vec<&Vec<f64>> = a.resolved().collect();
-        let br: Vec<&Vec<f64>> = b.resolved().collect();
-        assert_eq!(bits(&ar), bits(&br));
-    }
-
-    #[test]
-    fn batched_durable_run_matches_scalar_durable_bit_for_bit() {
-        let scalar = PulseStudy::new(small_put(), tiny_mc(), Polarity::PositiveGoing);
-        let mut mc = tiny_mc();
-        mc.batch = 3;
-        let batched = PulseStudy::new(small_put(), mc, Polarity::PositiveGoing);
-        let rs = [1e3, 50e3];
-        let a = scalar
-            .try_faulty_wouts_durable(450e-12, &rs, &CancelToken::new(), None)
-            .unwrap();
-        let b = batched
-            .try_faulty_wouts_durable(450e-12, &rs, &CancelToken::new(), None)
-            .unwrap();
-        assert!(a.is_complete() && b.is_complete());
-        let ar: Vec<&Vec<f64>> = a.resolved_indexed().map(|(_, v)| v).collect();
-        let br: Vec<&Vec<f64>> = b.resolved_indexed().map(|(_, v)| v).collect();
-        assert_eq!(bits(&ar), bits(&br));
-    }
-
-    #[test]
-    fn batched_study_with_planned_fault_recovers_identically() {
-        use pulsar_analog::FaultKind;
-        // Sample 2 fails its first attempt with a retryable Newton
-        // failure: the batched run must pre-eject it (the injector is a
-        // thread-local single-sample slot), recover it on the scalar
-        // ladder at attempt 2, and still match the scalar run.
-        let plan = FaultPlan::new().fail_sample(2, FaultKind::NonConvergence, 1);
-        let mk = |batch: usize| {
-            let mut mc = tiny_mc();
-            mc.batch = batch;
-            mc.fault_plan = Some(plan.clone());
-            PulseStudy::new(small_put(), mc, Polarity::PositiveGoing)
-        };
-        let a = mk(0).try_faulty_wouts(450e-12, &[1e3, 50e3]).unwrap();
-        let b = mk(3).try_faulty_wouts(450e-12, &[1e3, 50e3]).unwrap();
-        for (oa, ob) in a.outcomes.iter().zip(&b.outcomes) {
-            match (oa, ob) {
-                (SampleOutcome::Ok(va), SampleOutcome::Ok(vb)) => assert_eq!(fbits(va), fbits(vb)),
-                (
-                    SampleOutcome::Recovered {
-                        value: va,
-                        attempts: na,
-                    },
-                    SampleOutcome::Recovered {
-                        value: vb,
-                        attempts: nb,
-                    },
-                ) => {
-                    assert_eq!(na, nb);
-                    assert_eq!(*na, 2);
-                    assert_eq!(fbits(va), fbits(vb));
-                }
-                other => panic!("outcome shapes diverged: {other:?}"),
-            }
-        }
-        assert!(
-            b.outcomes
-                .iter()
-                .any(|o| matches!(o, SampleOutcome::Recovered { .. })),
-            "the planned fault must actually have fired"
-        );
-    }
-
-    #[test]
-    fn batched_per_sample_counters_match_scalar_attribution() {
-        // Batched work must attribute solver counters to individual
-        // samples exactly as the scalar path does — per-pass accounting
-        // would lump K lanes into one sample's journal entry. The
-        // engine-specific batch counters are the only permitted extras.
-        let run = |batch: usize| {
-            let mut mc = tiny_mc();
-            mc.batch = batch;
-            mc.obs = Recorder::enabled();
-            let study = PulseStudy::new(small_put(), mc, Polarity::PositiveGoing);
-            study.try_faulty_wouts(450e-12, &[1e3, 50e3]).unwrap();
-            let per_sample: Vec<Vec<(&'static str, u64)>> = study
-                .mc
-                .obs
-                .events()
-                .iter()
-                .filter(|e| e.kind == "sample")
-                .map(|e| {
-                    e.counters
-                        .iter()
-                        .filter(|(name, _)| !name.starts_with("batch"))
-                        .copied()
-                        .collect()
-                })
-                .collect();
-            assert_eq!(per_sample.len(), 6);
-            per_sample
-        };
-        assert_eq!(run(0), run(3));
     }
 
     #[test]

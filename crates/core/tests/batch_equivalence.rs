@@ -1,26 +1,19 @@
-//! Batch-equivalence laws for the batched Monte Carlo device-eval
-//! engine: batching is a *pure optimization*, so every observable result
-//! — values, outcome shapes, attempt counts, completeness accounting —
-//! must be bit-identical to the scalar path, whatever the batch width,
-//! thread count, planned faults, or cancellation timing.
+//! Cancellation laws for a batch of Monte Carlo samples: a run cancelled
+//! part-way through its batch keeps what already resolved, never counts
+//! the rest as failed, and reports the truncation honestly — whether the
+//! cancellation lands mid-run or before the first sample starts.
 
-use proptest::prelude::*;
-use pulsar_analog::{FaultKind, FaultPlan, Polarity};
+use pulsar_analog::Polarity;
 use pulsar_cells::{PathSpec, Tech};
 use pulsar_core::{
-    CancelReason, CancelToken, CoreError, DefectKind, McConfig, McRunReport, PathUnderTest,
-    PulseStudy,
+    CancelReason, CancelToken, CoreError, DefectKind, McConfig, PathUnderTest, PulseStudy,
 };
-use pulsar_mc::SampleOutcome;
-use rand::rngs::StdRng;
 use rand::RngExt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 const RS: [f64; 2] = [1e3, 50e3];
 const W_IN: f64 = 450e-12;
 
-/// A 3-stage chain stays under the sparse crossover, so its lanes run the
-/// dense batch engine instead of ejecting to the scalar path.
 fn small_put() -> PathUnderTest {
     PathUnderTest {
         spec: PathSpec::inverter_chain(3),
@@ -30,133 +23,38 @@ fn small_put() -> PathUnderTest {
     }
 }
 
-fn study(
-    samples: usize,
-    seed: u64,
-    batch: usize,
-    threads: usize,
-    plan: Option<FaultPlan>,
-) -> PulseStudy {
-    let mut mc = McConfig::paper(samples, seed);
-    mc.batch = batch;
-    mc.threads = Some(threads);
-    mc.fault_plan = plan;
-    PulseStudy::new(small_put(), mc, Polarity::PositiveGoing)
-}
-
-/// Comparable signature of a run: outcome shape, attempts, value bits.
-fn sig(r: &McRunReport<Vec<f64>>) -> Vec<(u8, u32, Vec<u64>)> {
-    r.outcomes
-        .iter()
-        .map(|o| match o {
-            SampleOutcome::Ok(v) => (0u8, 1u32, v.iter().map(|x| x.to_bits()).collect()),
-            SampleOutcome::Recovered { value, attempts } => {
-                (1, *attempts, value.iter().map(|x| x.to_bits()).collect())
-            }
-            SampleOutcome::Failed { attempts, .. } => (2, *attempts, Vec::new()),
-        })
-        .collect()
-}
-
-proptest! {
-    // Each case runs several full electrical Monte Carlo studies; keep
-    // the case count low — the law is exact, not statistical.
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Batch-of-1 and any batched width K, under any thread count, with a
-    /// planned mid-batch ejection (a retryable fault on one sample's
-    /// first attempt), all reproduce the scalar run outcome-for-outcome
-    /// bit-identically — including the `Recovered { attempts: 2 }` shape
-    /// of the ejected sample.
-    #[test]
-    fn batched_outcomes_bit_identical_to_scalar(
-        seed in 0u64..1000,
-        samples in 3usize..6,
-        batch in 1usize..5,
-        threads in 1usize..4,
-        fault_sample in 0usize..6,
-    ) {
-        let plan = FaultPlan::new().fail_sample(
-            fault_sample % samples,
-            FaultKind::NonConvergence,
-            1,
-        );
-        let base = study(samples, seed, 0, 1, Some(plan.clone()))
-            .try_faulty_wouts(W_IN, &RS)
-            .expect("scalar run");
-        prop_assert!(
-            base.outcomes
-                .iter()
-                .any(|o| matches!(o, SampleOutcome::Recovered { attempts: 2, .. })),
-            "the planned fault must force a mid-batch ejection + recovery"
-        );
-        let batched = study(samples, seed, batch, threads, Some(plan))
-            .try_faulty_wouts(W_IN, &RS)
-            .expect("batched run");
-        prop_assert_eq!(sig(&base), sig(&batched));
-
-        // And with no fault plan, batch-of-1 (driver degenerates to
-        // scalar) under the same thread count.
-        let clean = study(samples, seed, 0, 1, None)
-            .try_faulty_wouts(W_IN, &RS)
-            .expect("clean scalar run");
-        let one = study(samples, seed, 1, threads, None)
-            .try_faulty_wouts(W_IN, &RS)
-            .expect("batch-of-1 run");
-        prop_assert_eq!(sig(&clean), sig(&one));
-    }
-}
-
-/// Run cancellation landing mid-campaign, between batched groups: the
-/// already-resolved group stays done, every later sample comes back as a
-/// `None` slot — cancelled, never failed, never in a coverage
-/// denominator — and the truncation is reported honestly.
+/// Run cancellation landing mid-campaign: the samples already resolved
+/// stay done, every later sample comes back as a `None` slot — cancelled,
+/// never failed, never in a coverage denominator — and the truncation is
+/// reported honestly.
 #[test]
 fn cancellation_mid_batch_truncates_without_counting() {
     let mut mc = McConfig::paper(8, 7);
-    mc.batch = 3;
     mc.threads = Some(1);
     let token = CancelToken::new();
-    let saw_cancelled_lanes = AtomicBool::new(false);
+    let saw_cancelled_attempt = AtomicBool::new(false);
     let run = mc
-        .try_run_samples_durable_batched(
-            "cancel-batch",
-            &token,
-            None,
-            |idx: &[usize], rngs: &mut [StdRng], _recs, lane_tokens: &[CancelToken]| {
-                if idx[0] == 0 {
-                    // First group resolves normally.
-                    rngs.iter_mut().map(|r| Some(r.random::<f64>())).collect()
-                } else {
-                    // The run is cancelled mid-campaign; the per-lane
-                    // attempt tokens must observe it so in-flight solves
-                    // eject, and the ejected lanes resolve to None.
-                    token.cancel(CancelReason::User);
-                    saw_cancelled_lanes.store(
-                        lane_tokens.iter().all(CancelToken::is_cancelled),
-                        Ordering::SeqCst,
-                    );
-                    idx.iter().map(|_| None).collect()
-                }
-            },
-            |_i, _attempt, rng, _rec, t| {
-                if t.is_cancelled() {
-                    Err(CoreError::Analog(pulsar_analog::Error::Cancelled {
-                        time: 0.0,
-                        reason: CancelReason::User,
-                    }))
-                } else {
-                    Ok(rng.random::<f64>())
-                }
-            },
-        )
+        .try_run_samples_durable("cancel-batch", &token, None, |i, _attempt, rng, _rec, t| {
+            if i < 3 {
+                Ok(rng.random::<f64>())
+            } else {
+                // The run is cancelled mid-campaign; the attempt token must
+                // observe it so the in-flight solve ejects.
+                token.cancel(CancelReason::User);
+                saw_cancelled_attempt.store(t.is_cancelled(), Ordering::SeqCst);
+                Err(CoreError::Analog(pulsar_analog::Error::Cancelled {
+                    time: 0.0,
+                    reason: CancelReason::User,
+                }))
+            }
+        })
         .expect("durable run");
     assert_eq!(run.completeness.requested, 8);
-    assert_eq!(run.completeness.done, 3, "only the first group resolved");
+    assert_eq!(run.completeness.done, 3, "only the first three resolved");
     assert_eq!(run.completeness.truncated, Some("interrupted"));
     assert!(
-        saw_cancelled_lanes.load(Ordering::SeqCst),
-        "run cancellation must propagate to the per-lane attempt tokens"
+        saw_cancelled_attempt.load(Ordering::SeqCst),
+        "run cancellation must propagate to the attempt token"
     );
     // Cancelled samples are not-done, never failed: they stay out of the
     // failure accounting and any coverage denominator.
@@ -166,14 +64,16 @@ fn cancellation_mid_batch_truncates_without_counting() {
     assert_eq!(run.resolved_indexed().count(), 3);
 }
 
-/// A token cancelled before the batched study starts: nothing runs,
-/// nothing counts, and the study still returns an honest (empty) result
-/// instead of an error.
+/// A token cancelled before the study starts: nothing runs, nothing
+/// counts, and the study still returns an honest (empty) result instead
+/// of an error.
 #[test]
 fn precancelled_batched_study_reports_honest_truncation() {
     let token = CancelToken::new();
     token.cancel(CancelReason::User);
-    let s = study(5, 3, 3, 2, None);
+    let mut mc = McConfig::paper(5, 3);
+    mc.threads = Some(2);
+    let s = PulseStudy::new(small_put(), mc, Polarity::PositiveGoing);
     let run = s
         .try_faulty_wouts_durable(W_IN, &RS, &token, None)
         .expect("durable run");

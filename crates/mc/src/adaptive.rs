@@ -16,7 +16,7 @@
 //!
 //! This module is pure policy/arithmetic (no I/O, no clocks) and is on
 //! the lint-src hot-path list: the per-round decision arithmetic runs
-//! between every batch of transient solves.
+//! between every round of transient solves.
 
 use crate::interval::{clopper_pearson, wilson, BinomialInterval};
 

@@ -217,170 +217,53 @@ impl MonteCarlo {
         F: Fn(usize, u32, &mut StdRng) -> Result<T, E> + Sync,
         R: Fn(&E) -> bool + Sync,
     {
-        let max_attempts = max_attempts.max(1);
-        self.fan_out(|i| self.resolve_one(i, max_attempts, &retryable, &hooks, &f))
+        self.try_run_range_resumed(0, self.n, max_attempts, retryable, hooks, f)
     }
 
-    /// Batched variant of [`MonteCarlo::try_run_resumed`]: consecutive
-    /// pending samples are grouped into batches of `batch` and offered to
-    /// `f_batch` first; any sample the batch declines (`None` in its
-    /// return vector) falls back to the scalar closure `f` with the full
-    /// retry ladder, **from attempt 1**.
-    ///
-    /// `f_batch(indices, rngs)` receives the sample indices of one group
-    /// alongside their per-sample RNG streams — the *same* streams
-    /// ([`MonteCarlo::rng_for`]) the scalar path would replay — and
-    /// returns one `Option<T>` per index. `Some(v)` resolves the sample
-    /// as a first-attempt success and must be bit-identical to what the
-    /// scalar path would produce; `None` (or a panicking / wrong-length
-    /// batch, which is contained and discards the whole group's batched
-    /// work) defers to the scalar path. Grouping depends only on `batch`
-    /// and the sample count, never on the thread count, so outcomes stay
-    /// bit-identical across thread counts.
-    ///
-    /// `batch < 2` degenerates to [`MonteCarlo::try_run_resumed`].
-    pub fn try_run_resumed_batched<T, E, F, B, R>(
-        &self,
-        batch: usize,
-        max_attempts: u32,
-        retryable: R,
-        hooks: RunHooks<'_, T, E>,
-        f_batch: B,
-        f: F,
-    ) -> Vec<Option<SampleOutcome<T, E>>>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize, u32, &mut StdRng) -> Result<T, E> + Sync,
-        B: Fn(&[usize], &mut [StdRng]) -> Vec<Option<T>> + Sync,
-        R: Fn(&E) -> bool + Sync,
-    {
-        self.try_run_range_resumed_batched(
-            0,
-            self.n,
-            batch,
-            max_attempts,
-            retryable,
-            hooks,
-            f_batch,
-            f,
-        )
-    }
-
-    /// Range variant of [`MonteCarlo::try_run_resumed_batched`]: resolves
-    /// only samples `lo..hi` of this driver's stream, returning one entry
-    /// per sample in that range (index order).
+    /// Range variant of [`MonteCarlo::try_run_resumed`]: resolves only
+    /// samples `lo..hi` of this driver's stream, returning one entry per
+    /// sample in that range (index order).
     ///
     /// This is the adaptive engine's building block: a sequential
     /// decision loop consumes the `stream_seed`-ordered sample stream in
     /// rounds, and each round is one contiguous range computed here —
     /// workers fan out *within* the range while the stopping decisions
     /// stay on ordered prefixes. Sample `lo + j` sees exactly the RNG
-    /// stream, retry ladder, and hooks it would see in a full-range run;
-    /// batch grouping restarts at `lo` and depends only on
-    /// `(lo, hi, batch)`, so the resolved outcomes for a given range are
-    /// bit-identical across thread counts.
-    #[allow(clippy::too_many_arguments)] // mirrors try_run_resumed_batched plus the range
-    pub fn try_run_range_resumed_batched<T, E, F, B, R>(
+    /// stream, retry ladder, and hooks it would see in a full-range run,
+    /// so the resolved outcomes for a given range are bit-identical
+    /// across thread counts.
+    pub fn try_run_range_resumed<T, E, F, R>(
         &self,
         lo: usize,
         hi: usize,
-        batch: usize,
         max_attempts: u32,
         retryable: R,
         hooks: RunHooks<'_, T, E>,
-        f_batch: B,
         f: F,
     ) -> Vec<Option<SampleOutcome<T, E>>>
     where
         T: Send,
         E: Send,
         F: Fn(usize, u32, &mut StdRng) -> Result<T, E> + Sync,
-        B: Fn(&[usize], &mut [StdRng]) -> Vec<Option<T>> + Sync,
         R: Fn(&E) -> bool + Sync,
     {
         let max_attempts = max_attempts.max(1);
         let hi = hi.max(lo);
-        if batch < 2 {
-            // Scalar range: fan out over the range via a sub-driver (the
-            // sub-driver only partitions indices; RNG streams and hooks
-            // still come from `self`, keyed by the absolute index).
-            let range_driver = MonteCarlo {
-                n: hi - lo,
-                seed: self.seed,
-                threads: self.threads,
-            };
-            return range_driver
-                .fan_out(|j| self.resolve_one(lo + j, max_attempts, &retryable, &hooks, &f));
-        }
-        // Fan out over groups, not samples: group composition is a pure
-        // function of (lo, hi, batch), so the batched work — and
-        // therefore every outcome — is invariant under the thread count.
-        let groups: Vec<(usize, usize)> = (lo..hi)
-            .step_by(batch)
-            .map(|g| (g, (g + batch).min(hi)))
-            .collect();
-        let group_driver = MonteCarlo {
-            n: groups.len(),
+        // Fan out over the range via a sub-driver (the sub-driver only
+        // partitions indices; RNG streams and hooks still come from
+        // `self`, keyed by the absolute index).
+        let range_driver = MonteCarlo {
+            n: hi - lo,
             seed: self.seed,
             threads: self.threads,
         };
-        let parts = group_driver.fan_out(|g| {
-            let (lo, hi) = groups[g];
-            let mut out: Vec<Option<Option<SampleOutcome<T, E>>>> = Vec::new();
-            out.resize_with(hi - lo, || None);
-
-            // Samples restored from a prior run never enter the batch.
-            if let Some(prior) = hooks.prior {
-                for i in lo..hi {
-                    if let Some(done) = prior(i) {
-                        out[i - lo] = Some(Some(done));
-                    }
-                }
-            }
-            let cancelled = hooks.cancel.is_some_and(|token| token.is_cancelled());
-            let pending: Vec<usize> = (lo..hi).filter(|&i| out[i - lo].is_none()).collect();
-
-            if !cancelled && pending.len() >= 2 {
-                // The batched fast path is an optimization, never a
-                // semantic surface: a panic inside it (or a wrong-length
-                // result) discards the group's batched work and every
-                // sample falls back to the scalar ladder.
-                let mut rngs: Vec<StdRng> = pending.iter().map(|&i| self.rng_for(i)).collect();
-                let vals =
-                    std::panic::catch_unwind(AssertUnwindSafe(|| f_batch(&pending, &mut rngs)))
-                        .ok()
-                        .filter(|v| v.len() == pending.len())
-                        .unwrap_or_else(|| pending.iter().map(|_| None).collect());
-                for (&i, val) in pending.iter().zip(vals) {
-                    if let Some(value) = val {
-                        let outcome = SampleOutcome::Ok(value);
-                        if let Some(on_done) = hooks.on_done {
-                            on_done(i, &outcome);
-                        }
-                        out[i - lo] = Some(Some(outcome));
-                    }
-                }
-            }
-
-            // Everything the batch declined resolves scalar — retry
-            // ladder, cancellation, and panic containment included.
-            for i in lo..hi {
-                if out[i - lo].is_none() {
-                    out[i - lo] = Some(self.resolve_one(i, max_attempts, &retryable, &hooks, &f));
-                }
-            }
-            out.into_iter()
-                .map(|slot| slot.expect("every sample in the group resolves"))
-                .collect::<Vec<_>>()
-        });
-        parts.into_iter().flatten().collect()
+        range_driver.fan_out(|j| self.resolve_one(lo + j, max_attempts, &retryable, &hooks, &f))
     }
 
-    /// The scalar per-sample resolution behind [`MonteCarlo::try_run_resumed`]
-    /// (and the fallback path of the batched variant): prior-run lookup,
-    /// the attempt/retry ladder on a replayed RNG stream, cancellation,
-    /// panic containment, and the checkpoint callback.
+    /// The per-sample resolution behind [`MonteCarlo::try_run_resumed`]:
+    /// prior-run lookup, the attempt/retry ladder on a replayed RNG
+    /// stream, cancellation, panic containment, and the checkpoint
+    /// callback.
     fn resolve_one<T, E, F, R>(
         &self,
         i: usize,
@@ -840,148 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_run_matches_scalar_when_batch_resolves_everything() {
-        let mc = MonteCarlo::new(17, 42).with_threads(3);
-        let scalar = mc.try_run(1, |_: &()| false, |_, _, rng| Ok(rng.random::<u64>()));
-        let out = mc.try_run_resumed_batched(
-            4,
-            1,
-            |_: &()| false,
-            RunHooks::default(),
-            |idx, rngs| {
-                idx.iter()
-                    .zip(rngs.iter_mut())
-                    .map(|(_, rng)| Some(rng.random::<u64>()))
-                    .collect()
-            },
-            // Only the trailing singleton group (sample 16) lands here:
-            // a group with one pending sample skips the batch engine.
-            |i, _, rng| -> Result<u64, ()> {
-                assert_eq!(i, 16, "full groups resolve in the batch");
-                Ok(rng.random::<u64>())
-            },
-        );
-        let out: Vec<_> = out.into_iter().map(Option::unwrap).collect();
-        assert_eq!(out, scalar);
-    }
-
-    #[test]
-    fn batch_declined_samples_fall_back_to_the_scalar_ladder() {
-        // Samples at i % 3 == 0 are declined by the batch; of those,
-        // i == 6 needs a retry — the scalar ladder must run in full.
-        let mc = MonteCarlo::new(12, 7).with_threads(2);
-        let work = |i: usize, attempt: u32, rng: &mut StdRng| -> Result<u64, ()> {
-            let draw = rng.random::<u64>();
-            if i == 6 && attempt == 1 {
-                Err(())
-            } else {
-                Ok(draw)
-            }
-        };
-        let scalar = mc.try_run(2, |_: &()| true, work);
-        for threads in [1usize, 2, 5] {
-            let out = mc.with_threads(threads).try_run_resumed_batched(
-                4,
-                2,
-                |_: &()| true,
-                RunHooks::default(),
-                |idx, rngs| {
-                    idx.iter()
-                        .zip(rngs.iter_mut())
-                        .map(|(&i, rng)| {
-                            let draw = rng.random::<u64>();
-                            if i.is_multiple_of(3) {
-                                None
-                            } else {
-                                Some(draw)
-                            }
-                        })
-                        .collect()
-                },
-                work,
-            );
-            let out: Vec<_> = out.into_iter().map(Option::unwrap).collect();
-            assert_eq!(out, scalar, "threads={threads}");
-        }
-        assert!(scalar[6].is_recovered());
-    }
-
-    #[test]
-    fn panicking_batch_falls_back_to_scalar_for_the_whole_group() {
-        let mc = MonteCarlo::new(8, 9).with_threads(2);
-        let scalar = mc.try_run(1, |_: &()| false, |_, _, rng| Ok(rng.random::<u64>()));
-        let out = mc.try_run_resumed_batched(
-            4,
-            1,
-            |_: &()| false,
-            RunHooks::default(),
-            |_idx, _rngs| -> Vec<Option<u64>> { panic!("batch engine bug") },
-            |_, _, rng| Ok(rng.random::<u64>()),
-        );
-        let out: Vec<_> = out.into_iter().map(Option::unwrap).collect();
-        assert_eq!(out, scalar, "a batch panic must not poison outcomes");
-    }
-
-    #[test]
-    fn wrong_length_batch_result_is_discarded() {
-        let mc = MonteCarlo::new(6, 13).with_threads(1);
-        let scalar = mc.try_run(1, |_: &()| false, |_, _, rng| Ok(rng.random::<u64>()));
-        let out = mc.try_run_resumed_batched(
-            3,
-            1,
-            |_: &()| false,
-            RunHooks::default(),
-            |_idx, _rngs| vec![Some(0u64)],
-            |_, _, rng| Ok(rng.random::<u64>()),
-        );
-        let out: Vec<_> = out.into_iter().map(Option::unwrap).collect();
-        assert_eq!(out, scalar);
-    }
-
-    #[test]
-    fn prior_samples_never_enter_the_batch() {
-        let mc = MonteCarlo::new(8, 23).with_threads(1);
-        let full = mc.try_run(
-            1,
-            |_: &()| false,
-            |_, _, rng| Ok::<u64, ()>(rng.random::<u64>()),
-        );
-        let prior = |i: usize| -> Option<SampleOutcome<u64, ()>> {
-            if i < 4 {
-                Some(full[i].clone())
-            } else {
-                None
-            }
-        };
-        let batched_with = std::sync::Mutex::new(Vec::new());
-        let hooks = RunHooks {
-            prior: Some(&prior),
-            ..RunHooks::default()
-        };
-        let out = mc.try_run_resumed_batched(
-            8,
-            1,
-            |_: &()| false,
-            hooks,
-            |idx, rngs| {
-                batched_with.lock().unwrap().extend_from_slice(idx);
-                idx.iter()
-                    .zip(rngs.iter_mut())
-                    .map(|(_, rng)| Some(rng.random::<u64>()))
-                    .collect()
-            },
-            |_, _, rng| Ok(rng.random::<u64>()),
-        );
-        let out: Vec<_> = out.into_iter().map(Option::unwrap).collect();
-        assert_eq!(out, full);
-        assert_eq!(
-            batched_with.into_inner().unwrap(),
-            vec![4, 5, 6, 7],
-            "restored samples are served from prior, not re-batched"
-        );
-    }
-
-    #[test]
     fn range_run_matches_the_full_run_slice() {
         // A range's outcomes must equal the corresponding slice of the
         // full run — the adaptive decision loop depends on this to take
@@ -998,112 +739,30 @@ mod tests {
                 Ok(draw)
             }
         };
-        let batch_work = |idx: &[usize], rngs: &mut [StdRng]| -> Vec<Option<u64>> {
-            idx.iter()
-                .zip(rngs.iter_mut())
-                .map(|(&i, rng)| {
-                    let draw = rng.random::<u64>();
-                    if i % 7 == 3 || i.is_multiple_of(5) {
-                        None
-                    } else {
-                        Some(draw)
-                    }
-                })
-                .collect()
-        };
         let retryable = |e: &(bool, usize)| e.0;
         let full = mc.with_threads(1).try_run(3, retryable, work);
         for (lo, hi) in [(0usize, 20usize), (3, 17), (16, 20), (5, 5), (7, 3)] {
             for threads in [1usize, 2, 4] {
-                for batch in [0usize, 4] {
-                    let out = mc.with_threads(threads).try_run_range_resumed_batched(
-                        lo,
-                        hi,
-                        batch,
-                        3,
-                        retryable,
-                        RunHooks::default(),
-                        batch_work,
-                        work,
-                    );
-                    let out: Vec<_> = out.into_iter().map(Option::unwrap).collect();
-                    assert_eq!(
-                        out,
-                        full[lo..hi.max(lo)],
-                        "lo={lo} hi={hi} threads={threads} batch={batch}"
-                    );
-                }
+                let out = mc.with_threads(threads).try_run_range_resumed(
+                    lo,
+                    hi,
+                    3,
+                    retryable,
+                    RunHooks::default(),
+                    work,
+                );
+                let out: Vec<_> = out.into_iter().map(Option::unwrap).collect();
+                assert_eq!(
+                    out,
+                    full[lo..hi.max(lo)],
+                    "lo={lo} hi={hi} threads={threads}"
+                );
             }
         }
-    }
-
-    #[test]
-    fn batch_of_less_than_two_degenerates_to_scalar() {
-        let mc = MonteCarlo::new(5, 3);
-        let scalar = mc.try_run(1, |_: &()| false, |i, _, _| Ok::<usize, ()>(i));
-        let out = mc.try_run_resumed_batched(
-            1,
-            1,
-            |_: &()| false,
-            RunHooks::default(),
-            |_idx, _rngs| -> Vec<Option<usize>> { unreachable!("batch=1 is scalar") },
-            |i, _, _| Ok(i),
-        );
-        let out: Vec<_> = out.into_iter().map(Option::unwrap).collect();
-        assert_eq!(out, scalar);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(16))]
-        #[test]
-        fn batched_outcomes_bit_identical_across_thread_counts_and_batch_sizes(
-            seed in 0u64..10_000,
-            n in 1usize..40,
-            batch in 2usize..9,
-        ) {
-            // Batch declines i % 4 == 1; scalar ladder recovers i % 5 == 0
-            // on attempt 2 and hard-fails i % 7 == 3.
-            let work = |i: usize, attempt: u32, rng: &mut StdRng| -> Result<u64, (bool, usize)> {
-                let draw = rng.random::<u64>();
-                if i % 7 == 3 {
-                    Err((false, i))
-                } else if i.is_multiple_of(5) && attempt < 2 {
-                    Err((true, i))
-                } else {
-                    Ok(draw)
-                }
-            };
-            let batch_work = |idx: &[usize], rngs: &mut [StdRng]| -> Vec<Option<u64>> {
-                idx.iter()
-                    .zip(rngs.iter_mut())
-                    .map(|(&i, rng)| {
-                        let draw = rng.random::<u64>();
-                        if i % 4 == 1 || i % 7 == 3 || i.is_multiple_of(5) {
-                            None
-                        } else {
-                            Some(draw)
-                        }
-                    })
-                    .collect()
-            };
-            let retryable = |e: &(bool, usize)| e.0;
-            let base = MonteCarlo::new(n, seed).with_threads(1).try_run(3, retryable, work);
-            for threads in [1usize, 2, 7] {
-                let out = MonteCarlo::new(n, seed)
-                    .with_threads(threads)
-                    .try_run_resumed_batched(
-                        batch,
-                        3,
-                        retryable,
-                        RunHooks::default(),
-                        batch_work,
-                        work,
-                    );
-                let out: Vec<_> = out.into_iter().map(Option::unwrap).collect();
-                prop_assert_eq!(&base, &out);
-            }
-        }
-
         #[test]
         fn try_run_bit_identical_across_thread_counts(seed in 0u64..10_000, n in 1usize..40) {
             // Injected failures: a retryable flake recovering on attempt 2

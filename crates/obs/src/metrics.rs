@@ -122,13 +122,6 @@ pub enum Counter {
     SitesUnsensitizable,
     /// Campaign sites whose electrical analysis failed.
     SitesFailed,
-    /// Newton step-solves completed inside the batched engine, one per
-    /// lane per accepted-or-attempted time point (per-instance
-    /// attribution: K lanes in one shared assembly walk count K).
-    BatchedLaneSolves,
-    /// Lanes ejected from a batched run back to the scalar path (Newton
-    /// failure, cancellation, budget, or an unbatchable configuration).
-    BatchEjections,
     /// Per-point sample evaluations the adaptive stopping rule *skipped*
     /// relative to the fixed budget (fixed-budget evals − evals spent).
     AdaptiveSamplesSaved,
@@ -160,7 +153,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 33;
+    pub const COUNT: usize = 31;
 
     /// Every counter, in canonical order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -182,8 +175,6 @@ impl Counter {
         Counter::SitesPlanned,
         Counter::SitesUnsensitizable,
         Counter::SitesFailed,
-        Counter::BatchedLaneSolves,
-        Counter::BatchEjections,
         Counter::AdaptiveSamplesSaved,
         Counter::AdaptiveRefineSamples,
         Counter::ServeJobsSubmitted,
@@ -220,8 +211,6 @@ impl Counter {
             Counter::SitesPlanned => "sites_planned",
             Counter::SitesUnsensitizable => "sites_unsensitizable",
             Counter::SitesFailed => "sites_failed",
-            Counter::BatchedLaneSolves => "batched_lane_solves",
-            Counter::BatchEjections => "batch_ejections",
             Counter::AdaptiveSamplesSaved => "adaptive_samples_saved",
             Counter::AdaptiveRefineSamples => "adaptive_refine_samples",
             Counter::ServeJobsSubmitted => "serve_jobs_submitted",

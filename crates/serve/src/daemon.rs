@@ -348,20 +348,13 @@ fn handle_connection(stream: UnixStream, inner: &Arc<DaemonInner>) {
         }
         let reply_ok = match Request::parse(&line) {
             Ok(req) => respond(&req, inner, &mut writer),
-            Err(msg) => {
-                let kind = if msg.starts_with("malformed JSON") {
-                    "malformed"
-                } else {
-                    "usage"
-                };
-                write_line(
-                    &mut writer,
-                    &Response::Error {
-                        kind: kind.to_owned(),
-                        message: msg,
-                    },
-                )
-            }
+            Err(e) => write_line(
+                &mut writer,
+                &Response::Error {
+                    kind: e.kind.to_owned(),
+                    message: e.message,
+                },
+            ),
         };
         if !reply_ok {
             return;

@@ -48,6 +48,6 @@ pub use client::{Client, ClientError};
 pub use daemon::{Daemon, ServeConfig, ServeSummary};
 pub use fill::{Claim, FillOrderings, FillSlot, FILL_ORDERINGS};
 pub use job::{Job, JobOutcome, JobState, JobTable};
-pub use proto::{Request, Response};
+pub use proto::{Request, RequestError, Response};
 pub use queue::{JobQueue, PushError};
 pub use spec::{JobSpec, StudyKind};

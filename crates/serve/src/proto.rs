@@ -9,7 +9,50 @@
 
 use crate::spec::{JobSpec, StudyKind};
 use pulsar_obs::json::{self, json_str, Json};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+/// Largest `samples` a `submit` may request. Every sample gets its own
+/// recorder shard and outcome slot before the run starts, so an
+/// unbounded count would let one request exhaust the daemon's memory.
+pub const MAX_SAMPLES: usize = 100_000;
+
+/// 2^53: JSON numbers travel as `f64`, which holds every integer below
+/// this exactly and silently rounds some above it.
+const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
+/// A rejected request line, carrying the error-response `kind` the
+/// daemon answers it with.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestError {
+    /// `malformed` (not JSON, or an integer field that is not a
+    /// non-negative integer below 2^53) or `usage` (well-formed JSON but
+    /// not a valid request).
+    pub kind: &'static str,
+    /// Human-readable message.
+    pub message: String,
+}
+
+impl RequestError {
+    fn malformed(message: impl Into<String>) -> Self {
+        RequestError {
+            kind: "malformed",
+            message: message.into(),
+        }
+    }
+
+    fn usage(message: impl Into<String>) -> Self {
+        RequestError {
+            kind: "usage",
+            message: message.into(),
+        }
+    }
+}
+
+impl fmt::Display for RequestError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.kind, self.message)
+    }
+}
 
 /// One request line, client → daemon.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,15 +100,16 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// A human-readable message when the line is not valid JSON or not a
-    /// well-formed request; the daemon turns it into a typed `malformed`
-    /// / `usage` error response.
-    pub fn parse(line: &str) -> Result<Request, String> {
-        let doc = json::parse(line).map_err(|e| format!("malformed JSON: {e}"))?;
+    /// A [`RequestError`] when the line is not valid JSON or not a
+    /// well-formed request; the daemon answers it with an error response
+    /// of the same `kind`.
+    pub fn parse(line: &str) -> Result<Request, RequestError> {
+        let doc = json::parse(line)
+            .map_err(|e| RequestError::malformed(format!("malformed JSON: {e}")))?;
         let op = doc
             .get("op")
             .and_then(Json::as_str)
-            .ok_or("missing string field `op`")?;
+            .ok_or_else(|| RequestError::usage("missing string field `op`"))?;
         match op {
             "submit" => Self::parse_submit(&doc),
             "status" => Ok(Request::Status { job: job_id(&doc)? }),
@@ -74,56 +118,53 @@ impl Request {
             "cancel" => Ok(Request::Cancel { job: job_id(&doc)? }),
             "stats" => Ok(Request::Stats),
             "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown op `{other}`")),
+            other => Err(RequestError::usage(format!("unknown op `{other}`"))),
         }
     }
 
-    fn parse_submit(doc: &Json) -> Result<Request, String> {
+    fn parse_submit(doc: &Json) -> Result<Request, RequestError> {
         let kind = doc
             .get("kind")
             .and_then(Json::as_str)
-            .ok_or("submit: missing string field `kind`")?;
+            .ok_or_else(|| RequestError::usage("submit: missing string field `kind`"))?;
         let tenant = doc.get("tenant").and_then(Json::as_str).map(str::to_owned);
-        let deadline_ms = doc
-            .get("deadline_ms")
-            .and_then(Json::as_num)
-            .map(|n| n as u64);
+        let deadline_ms = uint_field(doc, "deadline_ms")?;
         let failure_budget = doc.get("failure_budget").and_then(Json::as_num);
         let spec = if kind == "campaign" {
             let netlist = doc
                 .get("netlist")
                 .and_then(Json::as_str)
-                .ok_or("submit campaign: missing string field `netlist`")?
+                .ok_or_else(|| {
+                    RequestError::usage("submit campaign: missing string field `netlist`")
+                })?
                 .to_owned();
-            let stride = doc
-                .get("stride")
-                .and_then(Json::as_num)
-                .map(|n| n as usize)
-                .unwrap_or(1);
+            let stride = uint_field(doc, "stride")?.unwrap_or(1);
             if stride == 0 {
-                return Err("submit campaign: `stride` must be >= 1".to_owned());
+                return Err(RequestError::usage(
+                    "submit campaign: `stride` must be >= 1",
+                ));
             }
             JobSpec::Campaign { netlist, stride }
         } else {
-            let kind = StudyKind::parse(kind)
-                .ok_or_else(|| format!("submit: unknown kind `{kind}` (df|pulse|campaign)"))?;
-            let samples = doc
-                .get("samples")
-                .and_then(Json::as_num)
-                .map(|n| n as usize)
-                .unwrap_or(24);
-            let seed = doc
-                .get("seed")
-                .and_then(Json::as_num)
-                .map(|n| n as u64)
-                .unwrap_or(2007);
+            let kind = StudyKind::parse(kind).ok_or_else(|| {
+                RequestError::usage(format!("submit: unknown kind `{kind}` (df|pulse|campaign)"))
+            })?;
+            let samples = uint_field(doc, "samples")?.unwrap_or(24);
+            let seed = uint_field(doc, "seed")?.unwrap_or(2007);
             let rs = num_list(doc, "r").unwrap_or_else(|| vec![1e3, 30e3, 100e3]);
             let factors = num_list(doc, "factors").unwrap_or_else(|| vec![0.9, 1.1]);
             if samples == 0 {
-                return Err("submit: `samples` must be >= 1".to_owned());
+                return Err(RequestError::usage("submit: `samples` must be >= 1"));
+            }
+            if samples > MAX_SAMPLES {
+                return Err(RequestError::usage(format!(
+                    "submit: `samples` must be <= {MAX_SAMPLES}"
+                )));
             }
             if rs.is_empty() || factors.is_empty() {
-                return Err("submit: `r` and `factors` must be non-empty".to_owned());
+                return Err(RequestError::usage(
+                    "submit: `r` and `factors` must be non-empty",
+                ));
             }
             JobSpec::Study {
                 kind,
@@ -198,11 +239,24 @@ impl Request {
     }
 }
 
-fn job_id(doc: &Json) -> Result<u64, String> {
-    doc.get("job")
-        .and_then(Json::as_num)
-        .map(|n| n as u64)
-        .ok_or_else(|| "missing numeric field `job`".to_owned())
+fn job_id(doc: &Json) -> Result<u64, RequestError> {
+    uint_field(doc, "job")?.ok_or_else(|| RequestError::usage("missing numeric field `job`"))
+}
+
+/// Optional integer field `key`. Absent is `None`; anything but a
+/// non-negative integer below 2^53 that fits `T` is `malformed` — never
+/// truncated, clamped, or rounded into a different value.
+fn uint_field<T: TryFrom<u64>>(doc: &Json, key: &str) -> Result<Option<T>, RequestError> {
+    let Some(v) = doc.get(key) else {
+        return Ok(None);
+    };
+    v.as_num()
+        .filter(|n| (0.0..EXACT_INT_LIMIT).contains(n) && n.fract() == 0.0)
+        .and_then(|n| T::try_from(n as u64).ok())
+        .map(Some)
+        .ok_or_else(|| {
+            RequestError::malformed(format!("`{key}` must be a non-negative integer below 2^53"))
+        })
 }
 
 fn num_list(doc: &Json, key: &str) -> Option<Vec<f64>> {
@@ -361,6 +415,8 @@ impl Response {
             .get("op")
             .and_then(Json::as_str)
             .ok_or("missing string field `op`")?;
+        // Responses are parsed client-side, where a plain message is enough.
+        let job = || job_id(&doc).map_err(|e| e.message);
         match op {
             "submit" => {
                 let digest_hex = doc
@@ -369,7 +425,7 @@ impl Response {
                     .ok_or("submit response: missing `digest`")?;
                 let digest = parse_hex_digest(digest_hex)?;
                 Ok(Response::Accepted {
-                    job: job_id(&doc)?,
+                    job: job()?,
                     digest,
                     cached: matches!(doc.get("cached"), Some(Json::Bool(true))),
                     state: doc
@@ -380,7 +436,7 @@ impl Response {
                 })
             }
             "status" => Ok(Response::Status {
-                job: job_id(&doc)?,
+                job: job()?,
                 state: doc
                     .get("state")
                     .and_then(Json::as_str)
@@ -396,7 +452,7 @@ impl Response {
                 })
             }
             "stream-end" => Ok(Response::StreamEnd {
-                job: job_id(&doc)?,
+                job: job()?,
                 state: doc
                     .get("state")
                     .and_then(Json::as_str)
@@ -544,6 +600,45 @@ mod tests {
             "[1,2,3]",
         ] {
             assert!(Request::parse(bad).is_err(), "{bad:?} should be rejected");
+        }
+    }
+
+    #[test]
+    fn integer_fields_reject_rather_than_coerce() {
+        let submit = |field: &str| format!("{{\"op\":\"submit\",\"kind\":\"df\",{field}}}");
+        for (line, kind) in [
+            (submit("\"samples\":-1"), "malformed"),
+            (submit("\"samples\":2.5"), "malformed"),
+            (submit("\"samples\":1e300"), "malformed"),
+            (submit("\"samples\":\"8\""), "malformed"),
+            (submit("\"samples\":100001"), "usage"),
+            (submit("\"seed\":9007199254740993"), "malformed"),
+            (submit("\"seed\":-7"), "malformed"),
+            (submit("\"deadline_ms\":1.5"), "malformed"),
+            (
+                "{\"op\":\"submit\",\"kind\":\"campaign\",\"netlist\":\"x\",\"stride\":-2}"
+                    .to_owned(),
+                "malformed",
+            ),
+            ("{\"op\":\"wait\",\"job\":-1}".to_owned(), "malformed"),
+        ] {
+            let err = Request::parse(&line).expect_err(&line);
+            assert_eq!(err.kind, kind, "{line}: {err}");
+        }
+
+        // The largest accepted values still parse exactly.
+        let edge = submit(&format!(
+            "\"samples\":{MAX_SAMPLES},\"seed\":9007199254740991"
+        ));
+        match Request::parse(&edge).expect("edge values parse") {
+            Request::Submit {
+                spec: JobSpec::Study { samples, seed, .. },
+                ..
+            } => {
+                assert_eq!(samples, MAX_SAMPLES);
+                assert_eq!(seed, (1u64 << 53) - 1);
+            }
+            other => panic!("expected a study submit, got {other:?}"),
         }
     }
 }

@@ -168,10 +168,17 @@ fn backpressure_cancel_and_stream() {
 
     // One worker, queue depth 1: rapid distinct submits must trip the
     // typed busy rejection long before the worker can drain real
-    // Monte Carlo jobs.
-    let mut admitted = Vec::new();
+    // Monte Carlo jobs. The first job is admitted and taken off the queue
+    // before the burst, so the burst always finds the slot free and the
+    // worker occupied (otherwise the second submit can race the worker's
+    // first dequeue and see `busy` with only one job admitted).
+    let (first, _, _) = c.submit(&small_study(100)).expect("first submit");
+    let mut admitted = vec![first];
+    while c.status(first).expect("status").state == "queued" {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let mut saw_busy = false;
-    for seed in 100..120 {
+    for seed in 101..120 {
         match c.submit(&small_study(seed)) {
             Ok((job, _, _)) => admitted.push(job),
             Err(e) => {

@@ -35,9 +35,12 @@ fn corpus_round_trips_and_rejections() {
             );
             reqs += 1;
         } else if let Some(payload) = line.strip_prefix("BADREQ ") {
-            assert!(
-                Request::parse(payload).is_err(),
+            let err = Request::parse(payload).expect_err(&format!(
                 "corpus line {n}: BADREQ must be rejected: {payload}"
+            ));
+            assert!(
+                ["malformed", "usage"].contains(&err.kind),
+                "corpus line {n}: BADREQ must get a typed error, got {err}"
             );
             bad_reqs += 1;
         } else if let Some(payload) = line.strip_prefix("RESP ") {
@@ -81,9 +84,10 @@ fn corpus_round_trips_and_rejections() {
 #[test]
 fn malformed_request_error_response_is_well_formed() {
     let err = Request::parse("not json").expect_err("must reject");
+    assert_eq!(err.kind, "malformed");
     let resp = Response::Error {
-        kind: "malformed".to_owned(),
-        message: err,
+        kind: err.kind.to_owned(),
+        message: err.message,
     };
     let line = resp.render();
     match Response::parse(&line).expect("error response must parse") {
