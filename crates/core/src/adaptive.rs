@@ -40,19 +40,21 @@
 //! which is why the engine rejects [`McConfig::dc_warm_start`].
 
 use crate::checkpoint::Checkpoint;
-use crate::durable::Completeness;
+use crate::durable::{run_samples, Completeness};
 use crate::error::CoreError;
-use crate::resilience::{error_kind, is_retryable, FailureReport};
+use crate::resilience::FailureReport;
 use crate::study::{CoverageCurve, McConfig};
 use pulsar_mc::{
-    sign_change_neighbors, AdaptivePolicy, BinomialInterval, PointAccuracy, RunHooks,
-    SampleOutcome, SequentialTally,
+    sign_change_neighbors, AdaptivePolicy, BinomialInterval, PointAccuracy, SampleOutcome,
+    SequentialTally,
 };
-use pulsar_obs::{Counter as ObsCounter, Event, Phase, Recorder};
+use pulsar_obs::{CancelToken, Counter as ObsCounter, Event, Recorder};
 use rand::rngs::StdRng;
 
-/// The coverage grid an adaptive run evaluates: resistance columns ×
-/// test-condition factors, with one detection threshold per factor.
+/// The coverage grid a study evaluates — resistance columns × test-condition
+/// factors, with one detection threshold per factor — and the one home of
+/// the detection rule, which the fixed-sample curves and the adaptive
+/// tallies both apply.
 pub(crate) struct AdaptiveGrid<'a> {
     /// Fault resistances (the columns), ohms.
     pub r_values: &'a [f64],
@@ -60,10 +62,72 @@ pub(crate) struct AdaptiveGrid<'a> {
     pub factors: &'a [f64],
     /// Absolute detection threshold per factor (`factor × T₀` or
     /// `factor × ω_th⁰`).
-    pub thresholds: &'a [f64],
+    pub thresholds: Vec<f64>,
     /// `true`: a measured value *below* the threshold detects (pulse
     /// dampening); `false`: a value above detects (DF slack violation).
     pub detect_below: bool,
+}
+
+impl<'a> AdaptiveGrid<'a> {
+    /// Reduced-clock DF testing: a slack need above the test period
+    /// `factor × t0` fails the test.
+    pub(crate) fn delay(r_values: &'a [f64], factors: &'a [f64], t0: f64) -> Self {
+        Self::new(r_values, factors, t0, false)
+    }
+
+    /// Pulse propagation: an output pulse narrower than the sensing
+    /// threshold `factor × w_th` is never seen by the sensor.
+    pub(crate) fn pulse(r_values: &'a [f64], factors: &'a [f64], w_th: f64) -> Self {
+        Self::new(r_values, factors, w_th, true)
+    }
+
+    fn new(r_values: &'a [f64], factors: &'a [f64], nominal: f64, detect_below: bool) -> Self {
+        AdaptiveGrid {
+            r_values,
+            factors,
+            thresholds: factors.iter().map(|&f| f * nominal).collect(),
+            detect_below,
+        }
+    }
+
+    /// The detection rule: does measured `value` detect at threshold `th`?
+    fn detects(&self, value: f64, th: f64) -> bool {
+        if self.detect_below {
+            value < th
+        } else {
+            th < value
+        }
+    }
+
+    /// Fixed-sample coverage curves, one per factor: at each point the
+    /// fraction of the resolved `rows` (`row[c]` = a sample's value at
+    /// resistance column `c`) that detect.
+    pub(crate) fn curves<R: AsRef<[f64]>>(
+        &self,
+        rows: &[R],
+        unresolved: f64,
+        completeness: Completeness,
+    ) -> Vec<CoverageCurve> {
+        self.factors
+            .iter()
+            .zip(&self.thresholds)
+            .map(|(&factor, &th)| CoverageCurve {
+                factor,
+                resistance: self.r_values.to_vec(),
+                coverage: (0..self.r_values.len())
+                    .map(|c| {
+                        let detected = rows
+                            .iter()
+                            .filter(|row| self.detects(row.as_ref()[c], th))
+                            .count();
+                        detected as f64 / rows.len().max(1) as f64
+                    })
+                    .collect(),
+                unresolved,
+                completeness,
+            })
+            .collect()
+    }
 }
 
 /// One grid point of an adaptive run: estimate, interval, and the
@@ -150,137 +214,6 @@ struct RunState {
     det: Vec<bool>,
 }
 
-/// Runs one round of stream samples `[lo, hi)` over the `active` columns
-/// and folds the outcomes — in stream order — into the tallies. Phase 2
-/// passes `offset = max_samples` so its checkpoint records and journal
-/// indices never collide with phase 1's.
-#[allow(clippy::too_many_arguments)]
-fn run_round<F>(
-    mc: &McConfig,
-    grid: &AdaptiveGrid<'_>,
-    label: &'static str,
-    lo: usize,
-    hi: usize,
-    active: &[usize],
-    offset: usize,
-    checkpoint: Option<&Checkpoint<Vec<f64>>>,
-    state: &mut RunState,
-    eval: &F,
-) -> Result<(), CoreError>
-where
-    F: Fn(usize, u32, &mut StdRng, &Recorder, &[f64]) -> Result<Vec<f64>, CoreError> + Sync,
-{
-    let driver = mc.driver();
-    let plan = mc.fault_plan.clone().unwrap_or_default();
-    let active_r: Vec<f64> = active.iter().map(|&c| grid.r_values[c]).collect();
-    // Fork on the main thread so shard creation order is deterministic.
-    let recs: Vec<Recorder> = (lo..hi).map(|_| mc.obs.fork()).collect();
-    let prior = |i: usize| checkpoint.and_then(|c| c.prior().get(&(offset + i)).cloned());
-    let on_done = |i: usize, o: &SampleOutcome<Vec<f64>, CoreError>| {
-        if let Some(c) = checkpoint {
-            c.record(offset + i, driver.stream_seed(i), o);
-        }
-    };
-    let hooks = RunHooks {
-        prior: Some(&prior),
-        on_done: Some(&on_done),
-        cancel: None,
-        contain_panics: None,
-    };
-    let raw = driver.try_run_range_resumed(
-        lo,
-        hi,
-        mc.resilience.max_attempts,
-        is_retryable,
-        hooks,
-        |i, attempt, rng| {
-            let rec = &recs[i - lo];
-            let _span = rec.span(Phase::McSample);
-            // Inert unless a test installed a plan naming sample `i`.
-            let _fault = plan.arm(i, attempt);
-            eval(i, attempt, rng, rec, &active_r)
-        },
-    );
-
-    let refine = offset > 0;
-    let journal = mc.obs.is_enabled();
-    for (j, slot) in raw.into_iter().enumerate() {
-        let i = lo + j;
-        let o = slot.expect("no cancel hook, so every sample resolves");
-        if journal {
-            let mut ev = Event::new("sample", offset + i);
-            ev.label = Some(if refine {
-                format!("{label}-refine")
-            } else {
-                label.to_owned()
-            });
-            ev.seed = Some(driver.stream_seed(i));
-            match &o {
-                SampleOutcome::Ok(_) => {
-                    mc.obs.add(ObsCounter::SamplesOk, 1);
-                }
-                SampleOutcome::Recovered { attempts, .. } => {
-                    ev.outcome = "recovered";
-                    ev.attempts = *attempts;
-                    mc.obs.add(ObsCounter::SamplesRecovered, 1);
-                }
-                SampleOutcome::Failed { error, attempts } => {
-                    ev.outcome = "failed";
-                    ev.attempts = *attempts;
-                    ev.error_kind = Some(error_kind(error).to_owned());
-                    mc.obs.add(ObsCounter::SamplesFailed, 1);
-                }
-            }
-            ev.escalation_rung = ev.attempts.saturating_sub(1);
-            mc.obs
-                .add(ObsCounter::RetryAttempts, u64::from(ev.escalation_rung));
-            ev.counters = recs[j].local_snapshot().nonzero_counters();
-            mc.obs.event(ev);
-        }
-        state.evals += active.len() as u64;
-        if refine {
-            state.refine_evals += active.len() as u64;
-        }
-        if let Some(row) = o.value() {
-            if row.len() != active.len() {
-                return Err(CoreError::Checkpoint {
-                    reason: format!(
-                        "record {} holds {} values but {} columns were active — \
-                         the checkpoint was written by a different sweep",
-                        offset + i,
-                        row.len(),
-                        active.len()
-                    ),
-                });
-            }
-            for (k, &c) in active.iter().enumerate() {
-                state.det.clear();
-                for &th in grid.thresholds {
-                    state.det.push(if grid.detect_below {
-                        row[k] < th
-                    } else {
-                        th < row[k]
-                    });
-                }
-                state.tally[c].push(&state.det);
-            }
-        }
-        let stripped = match o {
-            SampleOutcome::Ok(_) => SampleOutcome::Ok(()),
-            SampleOutcome::Recovered { attempts, .. } => SampleOutcome::Recovered {
-                value: (),
-                attempts,
-            },
-            SampleOutcome::Failed { error, attempts } => SampleOutcome::Failed { error, attempts },
-        };
-        state.outcomes.push((offset + i, stripped));
-    }
-    for rec in &recs {
-        rec.retire();
-    }
-    Ok(())
-}
-
 /// Which columns the refinement pass extends: any column whose interval
 /// straddles the coverage threshold at some factor, any neighbor of a
 /// sign change of `coverage − threshold` along the resistance axis, and
@@ -326,23 +259,34 @@ fn refine_mask(
     refine
 }
 
-/// The generic adaptive coverage runner. `eval` measures one Monte Carlo
-/// instance at the given *active* resistance subset and must be a pure
+/// A study's faulty-row kernel: draws one Monte Carlo instance from the
+/// attempt's RNG stream and measures it at each resistance of the row it
+/// is handed, with the attempt number, recorder and cancel token the
+/// sample loop passes in. The adaptive runner needs it to be a pure
 /// function of `(stream index, attempt, resistance)` — the same instance
-/// evaluated under a different subset must produce bit-identical values
-/// at the shared resistances.
-pub(crate) fn run_adaptive<F>(
+/// evaluated under a different resistance subset must produce
+/// bit-identical values at the shared resistances.
+pub(crate) trait RowEval:
+    Fn(u32, &mut StdRng, &Recorder, &CancelToken, &[f64]) -> Result<Vec<f64>, CoreError> + Sync
+{
+}
+
+impl<F> RowEval for F where
+    F: Fn(u32, &mut StdRng, &Recorder, &CancelToken, &[f64]) -> Result<Vec<f64>, CoreError> + Sync
+{
+}
+
+/// The generic adaptive coverage runner over a study's [`RowEval`],
+/// evaluated at the *active* resistance subset of each round.
+pub(crate) fn run_adaptive(
     mc: &McConfig,
     policy: &AdaptivePolicy,
     label: &'static str,
     grid: &AdaptiveGrid<'_>,
     crossover: Option<&[CoverageCurve]>,
     checkpoint: Option<&Checkpoint<Vec<f64>>>,
-    eval: F,
-) -> Result<AdaptiveReport, CoreError>
-where
-    F: Fn(usize, u32, &mut StdRng, &Recorder, &[f64]) -> Result<Vec<f64>, CoreError> + Sync,
-{
+    eval: impl RowEval,
+) -> Result<AdaptiveReport, CoreError> {
     if mc.dc_warm_start {
         // Warm starting makes a measurement depend on the previous sweep
         // point, which breaks the subset-purity contract above.
@@ -350,9 +294,15 @@ where
             what: "adaptive sampling with dc_warm_start",
         });
     }
+    if mc.resilience.deadline.is_some() {
+        // A deadline truncates a run, and the report has no
+        // `Completeness` to say so.
+        return Err(CoreError::Unsupported {
+            what: "adaptive sampling with a deadline",
+        });
+    }
     let ncols = grid.r_values.len();
     let nfac = grid.factors.len();
-    assert_eq!(nfac, grid.thresholds.len(), "one threshold per factor");
     if let Some(reference) = crossover {
         if reference.iter().any(|c| c.coverage.len() != ncols) {
             return Err(CoreError::Unsupported {
@@ -384,6 +334,62 @@ where
     };
     let mut stopped_early = vec![false; ncols];
 
+    // One round runs stream samples `[lo, hi)` over the `active` columns
+    // through the shared sample loop and folds the outcomes — in stream
+    // order — into the tallies. Phase 2 passes `offset = max_samples` so
+    // its checkpoint records and journal indices never collide with phase
+    // 1's. Nothing cancels the run's private token (a deadline is rejected
+    // above; a sample timeout cancels one attempt, never the run), so
+    // every slot resolves.
+    let token = CancelToken::new();
+    let refine_label = format!("{label}-refine");
+    let run_round = |state: &mut RunState,
+                     lo: usize,
+                     hi: usize,
+                     active: &[usize],
+                     offset: usize|
+     -> Result<(), CoreError> {
+        let refine = offset > 0;
+        let active_r: Vec<f64> = active.iter().map(|&c| grid.r_values[c]).collect();
+        let slots = run_samples(
+            mc,
+            if refine { &refine_label } else { label },
+            lo..hi,
+            offset,
+            &token,
+            checkpoint,
+            |_, attempt, rng, rec, t| eval(attempt, rng, rec, t, &active_r),
+        );
+        for (i, slot) in (lo..).zip(slots) {
+            let o = slot.expect("nothing cancels the run, so every sample resolves");
+            state.evals += active.len() as u64;
+            if refine {
+                state.refine_evals += active.len() as u64;
+            }
+            if let Some(row) = o.value() {
+                if row.len() != active.len() {
+                    return Err(CoreError::Checkpoint {
+                        reason: format!(
+                            "record {} holds {} values but {} columns were active — \
+                             the checkpoint was written by a different sweep",
+                            offset + i,
+                            row.len(),
+                            active.len()
+                        ),
+                    });
+                }
+                for (&value, &c) in row.iter().zip(active) {
+                    state.det.clear();
+                    let detects = grid.thresholds.iter().map(|&th| grid.detects(value, th));
+                    state.det.extend(detects);
+                    state.tally[c].push(&state.det);
+                }
+            }
+            state.outcomes.push((offset + i, o.map(|_| ())));
+        }
+        Ok(())
+    };
+
     // Phase 1: early stopping over the shared stream prefix. All live
     // columns consume the same rounds, so a stop decision at `cursor`
     // means the column's prefix is exactly `cursor` samples long.
@@ -391,18 +397,7 @@ where
     let mut cursor = 0usize;
     while !live.is_empty() && cursor < max {
         let len = policy.round_len(cursor, max);
-        run_round(
-            mc,
-            grid,
-            label,
-            cursor,
-            cursor + len,
-            &live,
-            0,
-            checkpoint,
-            &mut state,
-            &eval,
-        )?;
+        run_round(&mut state, cursor, cursor + len, &live, 0)?;
         for &c in &live {
             state.spent[c] += len as u64;
         }
@@ -474,9 +469,7 @@ where
                 hi = hi.min(cap[c]);
             }
             debug_assert!(hi > cursor, "refinement rounds must advance");
-            run_round(
-                mc, grid, label, cursor, hi, &active, max, checkpoint, &mut state, &eval,
-            )?;
+            run_round(&mut state, cursor, hi, &active, max)?;
             for &c in &active {
                 state.spent[c] += (hi - cursor) as u64;
             }

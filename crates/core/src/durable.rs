@@ -1,19 +1,153 @@
-//! Durable-run machinery shared by the studies and campaigns: the
-//! wall-clock watchdog behind [`ResilienceConfig::deadline`] /
-//! [`ResilienceConfig::sample_timeout`], and the completeness accounting
-//! a truncated run reports instead of throwing its partial result away.
+//! Durable-run machinery shared by the studies and campaigns: the one
+//! Monte Carlo sample loop every study entry point runs on
+//! ([`run_samples`]), the wall-clock watchdog behind
+//! [`ResilienceConfig::deadline`] / [`ResilienceConfig::sample_timeout`],
+//! and the completeness accounting a truncated run reports instead of
+//! throwing its partial result away.
 //!
 //! [`ResilienceConfig::deadline`]: crate::ResilienceConfig
 //! [`ResilienceConfig::sample_timeout`]: crate::ResilienceConfig
 
+use crate::checkpoint::{Checkpoint, CheckpointValue};
 use crate::error::CoreError;
-use crate::resilience::FailureReport;
-use pulsar_mc::SampleOutcome;
-use pulsar_obs::{CancelReason, CancelToken};
+use crate::resilience::{error_kind, is_retryable, is_run_cancelled, FailureReport};
+use crate::study::McConfig;
+use pulsar_mc::{RunHooks, SampleOutcome};
+use pulsar_obs::{CancelReason, CancelToken, Counter as ObsCounter, Event, Phase, Recorder};
+use rand::rngs::StdRng;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// The Monte Carlo sample loop under every study entry point — fixed,
+/// durable and adaptive alike. Resolves stream samples `range` of `mc`'s
+/// driver and returns one slot per sample in index order: `None` where run
+/// cancellation (interrupt or deadline) cut the sample short, which is
+/// *not done* rather than failed.
+///
+/// Per sample it forks a private recorder, arms the test fault plan, opens
+/// the [`Phase::McSample`] span and hands `f` the attempt's watchdog token,
+/// honouring every [`ResilienceConfig`](crate::ResilienceConfig) budget.
+/// Checkpoint records live at `offset + i` — the adaptive refinement pass
+/// runs at `offset = max_samples` so its records never collide with the
+/// first pass — and so do the `"sample"` journal events, labelled `label`,
+/// which carry the stream seed of `i`, attempts, escalation rung, outcome
+/// and that sample's non-zero counters. With a disabled recorder the
+/// journal is inert.
+pub(crate) fn run_samples<T, F>(
+    mc: &McConfig,
+    label: &str,
+    range: Range<usize>,
+    offset: usize,
+    run_token: &CancelToken,
+    checkpoint: Option<&Checkpoint<T>>,
+    f: F,
+) -> Vec<Option<SampleOutcome<T, CoreError>>>
+where
+    T: Send + Sync + Clone + CheckpointValue,
+    F: Fn(usize, u32, &mut StdRng, &Recorder, &CancelToken) -> Result<T, CoreError> + Sync,
+{
+    let driver = mc.driver();
+    let plan = mc.fault_plan.clone().unwrap_or_default();
+    let watchdog = Watchdog::new(
+        run_token.clone(),
+        mc.resilience.deadline,
+        mc.resilience.sample_timeout,
+    );
+    // Fork on the main thread so shard creation order is deterministic
+    // regardless of worker scheduling.
+    let lo = range.start;
+    let recs: Vec<Recorder> = range.clone().map(|_| mc.obs.fork()).collect();
+    let prior = |i: usize| checkpoint.and_then(|c| c.prior().get(&(offset + i)).cloned());
+    let on_done = |i: usize, o: &SampleOutcome<T, CoreError>| {
+        if let Some(c) = checkpoint {
+            c.record(offset + i, driver.stream_seed(i), o);
+        }
+    };
+    let contain = |message: String| CoreError::Panic { message };
+    let hooks = RunHooks {
+        prior: Some(&prior),
+        on_done: Some(&on_done),
+        cancel: Some(run_token),
+        contain_panics: if mc.resilience.contain_panics {
+            Some(&contain)
+        } else {
+            None
+        },
+    };
+    let raw = driver.try_run_range_resumed(
+        lo,
+        range.end,
+        mc.resilience.max_attempts,
+        is_retryable,
+        hooks,
+        |i, attempt, rng| {
+            let rec = &recs[i - lo];
+            let _span = rec.span(Phase::McSample);
+            // Inert unless a test installed a plan naming sample `i`.
+            let _fault = plan.arm(i, attempt);
+            let (token, _guard) = watchdog.attempt(i);
+            f(i, attempt, rng, rec, &token)
+        },
+    );
+    // Stop the watchdog before the caller's accounting so a deadline
+    // cannot fire between its done count and its truncation label.
+    drop(watchdog);
+
+    // Journal every sample that produced an outcome, then strip the
+    // run-cancelled ones to `None`: they were interrupted, not failed.
+    let journal = mc.obs.is_enabled();
+    let outcomes = raw
+        .into_iter()
+        .zip(&recs)
+        .enumerate()
+        .map(|(j, (slot, rec))| {
+            let i = lo + j;
+            let cancelled = matches!(
+                &slot,
+                Some(SampleOutcome::Failed { error, .. }) if is_run_cancelled(error)
+            );
+            if let Some(o) = slot.as_ref().filter(|_| journal) {
+                let mut ev = Event::new("sample", offset + i);
+                ev.label = Some(label.to_owned());
+                ev.seed = Some(driver.stream_seed(i));
+                match o {
+                    SampleOutcome::Ok(_) => mc.obs.add(ObsCounter::SamplesOk, 1),
+                    SampleOutcome::Recovered { attempts, .. } => {
+                        ev.outcome = "recovered";
+                        ev.attempts = *attempts;
+                        mc.obs.add(ObsCounter::SamplesRecovered, 1);
+                    }
+                    SampleOutcome::Failed { error, attempts } => {
+                        ev.outcome = if cancelled { "cancelled" } else { "failed" };
+                        ev.attempts = *attempts;
+                        ev.error_kind = Some(error_kind(error).to_owned());
+                        if let CoreError::Panic { message } = error {
+                            ev.detail = Some(message.clone());
+                        }
+                        if !cancelled {
+                            mc.obs.add(ObsCounter::SamplesFailed, 1);
+                        }
+                    }
+                }
+                ev.escalation_rung = ev.attempts.saturating_sub(1);
+                mc.obs
+                    .add(ObsCounter::RetryAttempts, u64::from(ev.escalation_rung));
+                ev.counters = rec.local_snapshot().nonzero_counters();
+                mc.obs.event(ev);
+            }
+            slot.filter(|_| !cancelled)
+        })
+        .collect();
+    // Fold per-sample shards into the registry accumulator so a long
+    // campaign of many runs does not grow the live set without bound.
+    for rec in &recs {
+        rec.retire();
+    }
+    outcomes
+}
 
 /// How often the watchdog thread re-checks its clocks.
 const WATCHDOG_TICK: Duration = Duration::from_millis(5);
@@ -197,7 +331,6 @@ impl Completeness {
 /// Such samples are *not done* — they appear in [`Completeness`], never in
 /// the failure accounting, and never in a coverage denominator.
 ///
-/// [`McConfig::try_run_samples_durable`]: crate::McConfig::try_run_samples_durable
 #[derive(Debug, Clone)]
 pub struct DurableRun<T> {
     /// Outcome of sample `i` at index `i`; `None` = cut short by run

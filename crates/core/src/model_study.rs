@@ -5,6 +5,7 @@
 //! Monte Carlo; `tests/cross_engine.rs` and the `ext_engine_ablation`
 //! experiment check it tracks the electrical reference.
 
+use crate::adaptive::AdaptiveGrid;
 use crate::calib::{calibrate_pulse, PulseCalibration};
 use crate::durable::Completeness;
 use crate::engine::{ModelFault, ModelPath, PathInstance};
@@ -100,7 +101,7 @@ impl ModelPulseStudy {
     ///
     /// Propagates engine failures.
     pub fn fault_free_wouts(&self, w_in: f64) -> Result<Vec<f64>, CoreError> {
-        let mc = driver(&self.mc);
+        let mc = self.mc.driver();
         mc.run(move |_, rng| {
             let (inst, gen_factor) = self.draw(rng);
             let mut p = ModelPath::new(inst, None, 0.0);
@@ -140,7 +141,7 @@ impl ModelPulseStudy {
     /// Propagates engine failures.
     pub fn faulty_wouts(&self, w_in: f64, r_values: &[f64]) -> Result<Vec<Vec<f64>>, CoreError> {
         let r_values = r_values.to_vec();
-        let mc = driver(&self.mc);
+        let mc = self.mc.driver();
         mc.run(move |_, rng| {
             let (inst, gen_factor) = self.draw(rng);
             let mut p = ModelPath::new(inst, Some(self.fault), r_values[0]);
@@ -167,34 +168,9 @@ impl ModelPulseStudy {
         th_factors: &[f64],
     ) -> Result<Vec<CoverageCurve>, CoreError> {
         let wouts = self.faulty_wouts(calib.w_in, r_values)?;
-        Ok(th_factors
-            .iter()
-            .map(|&f| {
-                let th = f * calib.w_th;
-                let coverage = (0..r_values.len())
-                    .map(|ri| {
-                        let detected = wouts.iter().filter(|row| row[ri] < th).count();
-                        detected as f64 / wouts.len().max(1) as f64
-                    })
-                    .collect();
-                CoverageCurve {
-                    factor: f,
-                    resistance: r_values.to_vec(),
-                    coverage,
-                    // The closed-form timing model cannot fail per sample.
-                    unresolved: 0.0,
-                    completeness: Completeness::full(wouts.len()),
-                }
-            })
-            .collect())
-    }
-}
-
-fn driver(mc: &McConfig) -> pulsar_mc::MonteCarlo {
-    let d = pulsar_mc::MonteCarlo::new(mc.samples, mc.seed);
-    match mc.threads {
-        Some(t) => d.with_threads(t),
-        None => d,
+        // The closed-form timing model cannot fail per sample.
+        let grid = AdaptiveGrid::pulse(r_values, th_factors, calib.w_th);
+        Ok(grid.curves(&wouts, 0.0, Completeness::full(wouts.len())))
     }
 }
 
@@ -253,7 +229,8 @@ impl ModelDfStudy {
     ///
     /// Propagates engine failures.
     pub fn fault_free_needs(&self) -> Result<Vec<f64>, CoreError> {
-        driver(&self.mc)
+        self.mc
+            .driver()
             .run(move |_, rng| {
                 let (inst, ff) = self.draw(rng);
                 let mut p = ModelPath::new(inst, None, 0.0);
@@ -284,7 +261,9 @@ impl ModelDfStudy {
         t_factors: &[f64],
     ) -> Result<Vec<CoverageCurve>, CoreError> {
         let r_vec = r_values.to_vec();
-        let needs: Vec<Vec<f64>> = driver(&self.mc)
+        let needs: Vec<Vec<f64>> = self
+            .mc
+            .driver()
             .run(move |_, rng| {
                 let (inst, ff) = self.draw(rng);
                 let mut p = ModelPath::new(inst, Some(self.fault), r_vec[0]);
@@ -297,27 +276,9 @@ impl ModelDfStudy {
             })
             .into_iter()
             .collect::<Result<_, CoreError>>()?;
-
-        Ok(t_factors
-            .iter()
-            .map(|&f| {
-                let t_test = f * calib.t0;
-                let coverage = (0..r_values.len())
-                    .map(|ri| {
-                        let detected = needs.iter().filter(|row| t_test < row[ri]).count();
-                        detected as f64 / needs.len().max(1) as f64
-                    })
-                    .collect();
-                CoverageCurve {
-                    factor: f,
-                    resistance: r_values.to_vec(),
-                    coverage,
-                    // The closed-form timing model cannot fail per sample.
-                    unresolved: 0.0,
-                    completeness: Completeness::full(needs.len()),
-                }
-            })
-            .collect())
+        // The closed-form timing model cannot fail per sample.
+        let grid = AdaptiveGrid::delay(r_values, t_factors, calib.t0);
+        Ok(grid.curves(&needs, 0.0, Completeness::full(needs.len())))
     }
 }
 

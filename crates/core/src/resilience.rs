@@ -35,26 +35,26 @@ pub struct ResilienceConfig {
     /// the study — the legacy abort-on-error semantics, now with a full
     /// [`FailureReport`] instead of a bare first error.
     pub failure_budget: f64,
-    /// Wall-clock budget for the whole run (durable entry points only).
-    /// When it expires the run token trips with
-    /// [`CancelReason::Deadline`](pulsar_obs::CancelReason): in-flight
-    /// samples bail out at the next step-loop check, unstarted samples
-    /// never run, and the partial result is reported with honest
-    /// completeness instead of being thrown away. `None` (default) = no
+    /// Wall-clock budget for the whole run. When it expires the run token
+    /// trips with [`CancelReason::Deadline`](pulsar_obs::CancelReason):
+    /// in-flight samples bail out at the next step-loop check, unstarted
+    /// samples never run, and the partial result is reported with honest
+    /// completeness instead of being thrown away (an entry point whose
+    /// report has no completeness returns the run-cancelled error, and
+    /// adaptive runs reject a deadline up front). `None` (default) = no
     /// deadline.
     pub deadline: Option<std::time::Duration>,
-    /// Wall-clock budget for a single sample *attempt* (durable entry
-    /// points only). A stuck attempt is cancelled with
-    /// [`CancelReason::Timeout`](pulsar_obs::CancelReason), which is
-    /// retryable — the sample re-runs under the escalated solver ladder
-    /// with a fresh budget before it is declared failed. `None` (default)
-    /// = no per-sample watchdog.
+    /// Wall-clock budget for a single sample *attempt*. A stuck attempt is
+    /// cancelled with [`CancelReason::Timeout`](pulsar_obs::CancelReason),
+    /// which is retryable — the sample re-runs under the escalated solver
+    /// ladder with a fresh budget before it is declared failed. `None`
+    /// (default) = no per-sample watchdog.
     pub sample_timeout: Option<std::time::Duration>,
-    /// Opt-in panic containment (durable entry points only): a panicking
-    /// sample is caught and accounted as a [`CoreError::Panic`] failure
-    /// against the failure budget. Off by default — a panic then unwinds
-    /// the run (after sibling worker shards have been joined), preserving
-    /// the legacy fail-fast behavior.
+    /// Opt-in panic containment: a panicking sample is caught and
+    /// accounted as a [`CoreError::Panic`] failure against the failure
+    /// budget. Off by default — a panic then unwinds the run (after
+    /// sibling worker shards have been joined), preserving the legacy
+    /// fail-fast behavior.
     pub contain_panics: bool,
 }
 

@@ -2,22 +2,20 @@
 //! `C_del(T, R)` for reduced-clock DF testing and `C_pulse(ω_th, R)` for
 //! the pulse-propagation method, over the same circuit instances.
 
-use crate::adaptive::{run_adaptive, AdaptiveGrid, AdaptiveReport};
+use crate::adaptive::{run_adaptive, AdaptiveGrid, AdaptiveReport, RowEval};
 use crate::calib::{calibrate_pulse, calibrate_t0, DfCalibration, PulseCalibration};
 use crate::checkpoint::{Checkpoint, CheckpointSpec, CheckpointValue};
 use crate::df::FfTiming;
-use crate::durable::{Completeness, DurableRun, Watchdog};
+use crate::durable::{run_samples, Completeness, DurableRun};
 use crate::engine::{AnalogPath, PathInstance, PathUnderTest};
 use crate::error::CoreError;
-use crate::resilience::{
-    error_kind, is_retryable, is_run_cancelled, FailureReport, McRunReport, ResilienceConfig,
-};
+use crate::resilience::{FailureReport, McRunReport, ResilienceConfig};
 use crate::transfer::TransferCurve;
 use crate::variation::VariationModel;
 use pulsar_analog::{FaultPlan, Polarity, SymbolicCache};
 use pulsar_cells::Tech;
-use pulsar_mc::{AdaptivePolicy, MonteCarlo, RunHooks, SampleOutcome};
-use pulsar_obs::{CancelToken, Counter as ObsCounter, Event, Phase, Recorder};
+use pulsar_mc::{AdaptivePolicy, MonteCarlo};
+use pulsar_obs::{CancelReason, CancelToken, Recorder};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -92,113 +90,20 @@ impl McConfig {
     /// run completes with per-sample outcomes instead of aborting on the
     /// first error. Bit-identical across thread counts.
     ///
-    /// # Errors
+    /// Each sample gets a private [`Recorder`] forked from
+    /// [`McConfig::obs`], so solver counters attribute to individual
+    /// samples without cross-shard contention; after the run, one
+    /// `"sample"` journal event per sample (labelled `label`, in index
+    /// order) records the outcome, attempts, escalation rung, RNG stream
+    /// seed, and that sample's non-zero counters.
     ///
-    /// [`CoreError::FailureBudgetExceeded`] when the fraction of samples
-    /// still failed after all retries exceeds
-    /// [`ResilienceConfig::failure_budget`].
-    pub fn try_run_samples<T, F>(&self, f: F) -> Result<McRunReport<T>, CoreError>
-    where
-        T: Send,
-        F: Fn(usize, u32, &mut StdRng) -> Result<T, CoreError> + Sync,
-    {
-        self.try_run_samples_with("mc", move |i, attempt, rng, _rec| f(i, attempt, rng))
-    }
-
-    /// Like [`McConfig::try_run_samples`], additionally handing each
-    /// sample a private [`Recorder`] forked from [`McConfig::obs`], so
-    /// solver counters attribute to individual samples without cross-shard
-    /// contention. After the run, one `"sample"` journal event per sample
-    /// (labelled `label`, in index order) records the outcome, attempts,
-    /// escalation rung, RNG stream seed, and that sample's non-zero
-    /// counters — the raw material for post-hoc diagnosis of retries and
-    /// budget spend. With a disabled recorder all of this is inert.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`McConfig::try_run_samples`].
-    pub fn try_run_samples_with<T, F>(
-        &self,
-        label: &'static str,
-        f: F,
-    ) -> Result<McRunReport<T>, CoreError>
-    where
-        T: Send,
-        F: Fn(usize, u32, &mut StdRng, &Recorder) -> Result<T, CoreError> + Sync,
-    {
-        let plan = self.fault_plan.clone().unwrap_or_default();
-        let driver = self.driver();
-        // Fork on the main thread so shard creation order is deterministic
-        // regardless of worker scheduling.
-        let sample_recs: Vec<Recorder> = (0..self.samples).map(|_| self.obs.fork()).collect();
-        let raw = driver.try_run_resumed(
-            self.resilience.max_attempts,
-            is_retryable,
-            RunHooks::default(),
-            |i, attempt, rng| {
-                let rec = &sample_recs[i];
-                let _span = rec.span(Phase::McSample);
-                // Inert unless a test installed a plan naming sample `i`.
-                let _fault = plan.arm(i, attempt);
-                f(i, attempt, rng, rec)
-            },
-        );
-        // Without cancel or prior hooks every sample resolves to an
-        // outcome; `None` slots cannot occur here.
-        let outcomes: Vec<SampleOutcome<T, CoreError>> = raw
-            .into_iter()
-            .map(|o| o.expect("no cancel hook, so every sample resolves"))
-            .collect();
-        if self.obs.is_enabled() {
-            for (i, (o, rec)) in outcomes.iter().zip(&sample_recs).enumerate() {
-                let mut ev = Event::new("sample", i);
-                ev.label = Some(label.to_owned());
-                ev.seed = Some(driver.stream_seed(i));
-                match o {
-                    SampleOutcome::Ok(_) => {
-                        self.obs.add(ObsCounter::SamplesOk, 1);
-                    }
-                    SampleOutcome::Recovered { attempts, .. } => {
-                        ev.outcome = "recovered";
-                        ev.attempts = *attempts;
-                        self.obs.add(ObsCounter::SamplesRecovered, 1);
-                    }
-                    SampleOutcome::Failed { error, attempts } => {
-                        ev.outcome = "failed";
-                        ev.attempts = *attempts;
-                        ev.error_kind = Some(error_kind(error).to_owned());
-                        self.obs.add(ObsCounter::SamplesFailed, 1);
-                    }
-                }
-                ev.escalation_rung = ev.attempts.saturating_sub(1);
-                self.obs
-                    .add(ObsCounter::RetryAttempts, u64::from(ev.escalation_rung));
-                ev.counters = rec.local_snapshot().nonzero_counters();
-                self.obs.event(ev);
-            }
-        }
-        // Fold per-sample shards into the registry accumulator so a long
-        // campaign of many runs does not grow the live set without bound.
-        for rec in &sample_recs {
-            rec.retire();
-        }
-        let failures = FailureReport::from_outcomes(&outcomes, self.resilience.failure_budget);
-        if failures.exceeds_budget() {
-            return Err(CoreError::FailureBudgetExceeded {
-                report: Box::new(failures),
-            });
-        }
-        Ok(McRunReport { outcomes, failures })
-    }
-
-    /// Durable variant of [`McConfig::try_run_samples_with`]: cooperative
-    /// cancellation through `run_token`, the wall-clock budgets from
-    /// [`ResilienceConfig::deadline`] and
+    /// Durability: cooperative cancellation through `run_token`, the
+    /// wall-clock budgets from [`ResilienceConfig::deadline`] and
     /// [`ResilienceConfig::sample_timeout`], opt-in panic containment
     /// ([`ResilienceConfig::contain_panics`]), and crash-consistent
-    /// checkpoint/resume. The sample closure additionally receives the
-    /// attempt's [`CancelToken`] — install it in the solver workspace so
-    /// the transient step loop observes cancellation.
+    /// checkpoint/resume. `f` additionally receives the attempt's
+    /// [`CancelToken`] — install it in the solver workspace so the
+    /// transient step loop observes cancellation.
     ///
     /// Determinism contract: a resumed run restores completed samples
     /// from the checkpoint and recomputes the rest from the *same* seeded
@@ -213,11 +118,11 @@ impl McConfig {
     ///
     /// # Errors
     ///
-    /// [`CoreError::FailureBudgetExceeded`] as for
-    /// [`McConfig::try_run_samples`], computed over the *done* samples
-    /// only; [`CoreError::Checkpoint`] when a checkpoint write failed
-    /// mid-run (the run aborts rather than report durability it does not
-    /// have).
+    /// [`CoreError::FailureBudgetExceeded`] when the fraction of *done*
+    /// samples still failed after all retries exceeds
+    /// [`ResilienceConfig::failure_budget`]; [`CoreError::Checkpoint`]
+    /// when a checkpoint write failed mid-run (the run aborts rather than
+    /// report durability it does not have).
     pub fn try_run_samples_durable<T, F>(
         &self,
         label: &'static str,
@@ -229,110 +134,13 @@ impl McConfig {
         T: Send + Sync + Clone + CheckpointValue,
         F: Fn(usize, u32, &mut StdRng, &Recorder, &CancelToken) -> Result<T, CoreError> + Sync,
     {
-        let plan = self.fault_plan.clone().unwrap_or_default();
-        let driver = self.driver();
-        let watchdog = Watchdog::new(
-            run_token.clone(),
-            self.resilience.deadline,
-            self.resilience.sample_timeout,
-        );
-        // Fork on the main thread so shard creation order is deterministic
-        // regardless of worker scheduling.
-        let sample_recs: Vec<Recorder> = (0..self.samples).map(|_| self.obs.fork()).collect();
-
-        let prior = |i: usize| checkpoint.and_then(|c| c.prior().get(&i).cloned());
-        let on_done = |i: usize, o: &SampleOutcome<T, CoreError>| {
-            if let Some(c) = checkpoint {
-                c.record(i, driver.stream_seed(i), o);
-            }
-        };
-        let contain = |message: String| CoreError::Panic { message };
-        let hooks = RunHooks {
-            prior: Some(&prior),
-            on_done: Some(&on_done),
-            cancel: Some(run_token),
-            contain_panics: if self.resilience.contain_panics {
-                Some(&contain)
-            } else {
-                None
-            },
-        };
-        let raw = driver.try_run_resumed(
-            self.resilience.max_attempts,
-            is_retryable,
-            hooks,
-            |i, attempt, rng| {
-                let rec = &sample_recs[i];
-                let _span = rec.span(Phase::McSample);
-                // Inert unless a test installed a plan naming sample `i`.
-                let _fault = plan.arm(i, attempt);
-                let (token, _guard) = watchdog.attempt(i);
-                f(i, attempt, rng, rec, &token)
-            },
-        );
-        // Stop the watchdog before accounting so a deadline cannot fire
-        // between the done count and the truncation label.
-        drop(watchdog);
-
+        let outcomes = run_samples(self, label, 0..self.samples, 0, run_token, checkpoint, f);
+        let done = outcomes.iter().flatten().count();
         let resumed = checkpoint.map_or(0, |c| {
-            (0..raw.len())
-                .filter(|i| raw[*i].is_some() && c.prior().contains_key(i))
+            (0..outcomes.len())
+                .filter(|i| outcomes[*i].is_some() && c.prior().contains_key(i))
                 .count()
         });
-
-        // Journal every sample that produced an outcome, then strip the
-        // run-cancelled ones to `None`: they were interrupted, not failed.
-        let journal = self.obs.is_enabled();
-        let mut outcomes: Vec<Option<SampleOutcome<T, CoreError>>> = Vec::with_capacity(raw.len());
-        let mut done = 0usize;
-        for (i, slot) in raw.into_iter().enumerate() {
-            let cancelled = matches!(
-                &slot,
-                Some(SampleOutcome::Failed { error, .. }) if is_run_cancelled(error)
-            );
-            if journal {
-                if let Some(o) = &slot {
-                    let mut ev = Event::new("sample", i);
-                    ev.label = Some(label.to_owned());
-                    ev.seed = Some(driver.stream_seed(i));
-                    match o {
-                        SampleOutcome::Ok(_) => {
-                            self.obs.add(ObsCounter::SamplesOk, 1);
-                        }
-                        SampleOutcome::Recovered { attempts, .. } => {
-                            ev.outcome = "recovered";
-                            ev.attempts = *attempts;
-                            self.obs.add(ObsCounter::SamplesRecovered, 1);
-                        }
-                        SampleOutcome::Failed { error, attempts } => {
-                            ev.outcome = if cancelled { "cancelled" } else { "failed" };
-                            ev.attempts = *attempts;
-                            ev.error_kind = Some(error_kind(error).to_owned());
-                            if let CoreError::Panic { message } = error {
-                                ev.detail = Some(message.clone());
-                            }
-                            if !cancelled {
-                                self.obs.add(ObsCounter::SamplesFailed, 1);
-                            }
-                        }
-                    }
-                    ev.escalation_rung = ev.attempts.saturating_sub(1);
-                    self.obs
-                        .add(ObsCounter::RetryAttempts, u64::from(ev.escalation_rung));
-                    ev.counters = sample_recs[i].local_snapshot().nonzero_counters();
-                    self.obs.event(ev);
-                }
-            }
-            let slot = if cancelled { None } else { slot };
-            if slot.is_some() {
-                done += 1;
-            }
-            outcomes.push(slot);
-        }
-        for rec in &sample_recs {
-            rec.retire();
-        }
-
         let failures = FailureReport::from_indexed(
             outcomes
                 .iter()
@@ -369,6 +177,23 @@ impl McConfig {
     }
 }
 
+/// Runs a plain (non-durable) entry point: `run` gets a fresh run token
+/// and no checkpoint. A plain report has no completeness to carry a
+/// partial run, so a run that [`ResilienceConfig::deadline`] cut short
+/// comes back as the run-cancelled error instead.
+fn run_plain<T>(
+    run: impl FnOnce(&CancelToken) -> Result<DurableRun<T>, CoreError>,
+) -> Result<McRunReport<T>, CoreError> {
+    let token = CancelToken::new();
+    let run = run(&token)?;
+    run.into_run_report().ok_or_else(|| {
+        CoreError::Analog(pulsar_analog::Error::Cancelled {
+            time: 0.0,
+            reason: token.cancelled().unwrap_or(CancelReason::Deadline),
+        })
+    })
+}
+
 /// Static preflight shared by the studies: a configuration with
 /// error-severity lint findings (fault stage out of range, non-physical
 /// or empty resistance sweep) is rejected *before* any sample builds, so
@@ -384,18 +209,27 @@ fn lint_preflight(put: &PathUnderTest, r_values: Option<&[f64]>) -> Result<(), C
     Ok(())
 }
 
-/// Applies per-sample solver configuration: the opt-in DC warm start, and
-/// on retries the escalation ladder. The jitter scale is drawn from the
-/// sample's RNG *after* all instance draws, and only on retries — first
-/// attempts consume exactly the legacy stream, so their results stay
+/// Readies one sample attempt's instance: the runner's recorder and
+/// cancel token, the run's symbolic factorization, the opt-in DC warm
+/// start, and on retries the escalation ladder. The jitter scale is drawn
+/// from the sample's RNG *after* all instance draws, and only on retries —
+/// first attempts consume exactly the legacy stream, so their results stay
 /// bit-identical to non-resilient runs.
-fn prepare_for_attempt<P: PathInstance>(
-    p: &mut P,
+fn ready(
+    p: &mut AnalogPath,
+    mc: &McConfig,
+    symbolic: &Option<SymbolicCache>,
     attempt: u32,
     rng: &mut StdRng,
-    dc_warm_start: bool,
+    rec: &Recorder,
+    token: &CancelToken,
 ) {
-    if dc_warm_start {
+    p.set_recorder(rec.clone());
+    p.set_cancel(token.clone());
+    if let Some(c) = symbolic {
+        p.built_path().adopt_symbolic(c);
+    }
+    if mc.dc_warm_start {
         p.set_dc_warm_start(true);
     }
     if attempt > 1 {
@@ -404,39 +238,19 @@ fn prepare_for_attempt<P: PathInstance>(
     }
 }
 
-/// Builds one nominal instance with `build` and runs the sparse symbolic
-/// analysis (fill-reducing ordering + elimination structure) on it once.
-/// Every per-sample instance of the same topology then adopts the result
-/// instead of re-analyzing — process variation and sweep resistances
-/// change element *values*, never the stamp pattern, so one analysis per
-/// Monte Carlo run suffices. `None` when the sparse path is not engaged
-/// for this circuit (below the crossover dimension or forced dense), in
-/// which case adoption is skipped and samples run exactly as before.
-fn prime_symbolic_with<B: FnOnce() -> AnalogPath>(build: B) -> Option<SymbolicCache> {
-    let mut nominal = build();
-    nominal.built_path().prime_symbolic()
-}
-
-/// Returns the pre-primed cache installed on `mc` when one is present,
-/// otherwise primes a fresh one from `build`. A service running many
-/// studies over one topology installs the cache once via
-/// [`McConfig::symbolic`] and every subsequent run adopts it here; a
-/// fingerprint mismatch inside the solver falls back to fresh analysis,
-/// so a stale handle degrades to the un-cached behavior rather than a
-/// wrong answer.
-fn prime_or_adopt<B: FnOnce() -> AnalogPath>(mc: &McConfig, build: B) -> Option<SymbolicCache> {
-    match &mc.symbolic {
-        Some(c) => Some(c.clone()),
-        None => prime_symbolic_with(build),
-    }
-}
-
-/// Installs a primed symbolic factorization on a freshly built sample
-/// instance (no-op when the study's circuit runs dense).
-fn adopt_symbolic(p: &mut AnalogPath, cache: &Option<SymbolicCache>) {
-    if let Some(c) = cache {
-        p.built_path().adopt_symbolic(c);
-    }
+/// The symbolic factorization a run's samples adopt: the pre-primed cache
+/// on [`McConfig::symbolic`] when one is installed (a service shares it
+/// across same-topology studies; a fingerprint mismatch inside the solver
+/// falls back to fresh analysis, so a stale handle degrades to the
+/// un-cached behavior rather than a wrong answer), otherwise one analysis
+/// of the nominal instance `build` makes. Process variation and sweep
+/// resistances change element *values*, never the stamp pattern, so one
+/// analysis per Monte Carlo run suffices. `None` when the sparse path is
+/// not engaged for this circuit.
+fn prime_or_adopt(mc: &McConfig, build: impl FnOnce() -> AnalogPath) -> Option<SymbolicCache> {
+    mc.symbolic
+        .clone()
+        .or_else(|| build().built_path().prime_symbolic())
 }
 
 /// One coverage-vs-resistance series, at one setting of the method's
@@ -455,9 +269,8 @@ pub struct CoverageCurve {
     /// for a clean run; compare against the configured failure budget
     /// when judging how trustworthy the curve is.
     pub unresolved: f64,
-    /// How much of the underlying Monte Carlo run actually happened.
-    /// Always complete for the plain entry points; a durable run
-    /// truncated by a deadline or interrupt reports the honest partial
+    /// How much of the underlying Monte Carlo run actually happened: a
+    /// run truncated by a deadline or interrupt reports the honest partial
     /// denominator here instead of silently pretending it covered
     /// everything.
     pub completeness: Completeness,
@@ -524,7 +337,10 @@ impl DfStudy {
     /// even the one-per-run analysis.
     pub fn prime_symbolic(&self, r: f64) -> Option<SymbolicCache> {
         let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        prime_symbolic_with(|| self.put.instantiate(&nominal_techs, r))
+        self.put
+            .instantiate(&nominal_techs, r)
+            .built_path()
+            .prime_symbolic()
     }
 
     /// Per-sample draws, in a fixed order so calibration and coverage
@@ -538,27 +354,44 @@ impl DfStudy {
         (techs, ff)
     }
 
-    /// Fault-free slack needs with per-sample fault isolation: the run
-    /// completes even when individual samples fail, and the report carries
-    /// both the resolved needs and the failure accounting.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::LintRejected`] when the configuration fails the static
-    /// preflight; [`CoreError::FailureBudgetExceeded`] when too many
-    /// samples stay failed after retries.
-    pub fn try_fault_free_needs(&self) -> Result<McRunReport<f64>, CoreError> {
-        lint_preflight(&self.put, None)?;
+    /// The faulty-row kernel every DF coverage run shares — fixed, durable
+    /// and adaptive. Lints the sweep and primes the faulty topology once;
+    /// the returned closure draws one instance and measures its slack need
+    /// (worst path delay + flop overhead) at each resistance it is handed.
+    fn faulty_eval(&self, r_values: &[f64]) -> Result<impl RowEval + '_, CoreError> {
+        lint_preflight(&self.put, Some(r_values))?;
         let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime_or_adopt(&self.mc, || self.put.instantiate_fault_free(&nominal_techs));
-        self.mc
-            .try_run_samples_with("df-fault-free", |_, attempt, rng, rec| {
+        let symbolic = prime_or_adopt(&self.mc, || {
+            self.put.instantiate(&nominal_techs, r_values[0])
+        });
+        Ok(
+            move |attempt, rng: &mut StdRng, rec: &Recorder, t: &CancelToken, rs: &[f64]| {
                 let (techs, ff) = self.draw(rng);
-                let mut p = self.put.instantiate_fault_free(&techs);
-                p.set_recorder(rec.clone());
-                adopt_symbolic(&mut p, &symbolic);
-                prepare_for_attempt(&mut p, attempt, rng, self.mc.dc_warm_start);
-                Ok(p.worst_delay()? + ff.overhead())
+                let mut p = self.put.instantiate(&techs, rs[0]);
+                ready(&mut p, &self.mc, &symbolic, attempt, rng, rec, t);
+                rs.iter()
+                    .map(|&r| {
+                        p.set_resistance(r)?;
+                        Ok(p.worst_delay()? + ff.overhead())
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    /// Faulty slack needs of every sample, `outcomes[sample]` resolving to
+    /// the per-resistance row, under `run_token` and an optional
+    /// checkpoint.
+    fn faulty_rows(
+        &self,
+        r_values: &[f64],
+        run_token: &CancelToken,
+        checkpoint: Option<&Checkpoint<Vec<f64>>>,
+    ) -> Result<DurableRun<Vec<f64>>, CoreError> {
+        let eval = self.faulty_eval(r_values)?;
+        self.mc
+            .try_run_samples_durable("df-faulty", run_token, checkpoint, |_, a, rng, rec, t| {
+                eval(a, rng, rec, t, r_values)
             })
     }
 
@@ -567,10 +400,27 @@ impl DfStudy {
     ///
     /// # Errors
     ///
-    /// Propagates electrical-simulation failures (via the failure
-    /// budget — the default budget of zero aborts on any failure).
+    /// [`CoreError::LintRejected`] when the configuration fails the static
+    /// preflight; propagates electrical-simulation failures (via the
+    /// failure budget — the default budget of zero aborts on any failure).
     pub fn fault_free_needs(&self) -> Result<Vec<f64>, CoreError> {
-        Ok(self.try_fault_free_needs()?.into_resolved())
+        lint_preflight(&self.put, None)?;
+        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
+        let symbolic = prime_or_adopt(&self.mc, || self.put.instantiate_fault_free(&nominal_techs));
+        let report = run_plain(|token| {
+            self.mc.try_run_samples_durable(
+                "df-fault-free",
+                token,
+                None,
+                |_, attempt, rng, rec, t| {
+                    let (techs, ff) = self.draw(rng);
+                    let mut p = self.put.instantiate_fault_free(&techs);
+                    ready(&mut p, &self.mc, &symbolic, attempt, rng, rec, t);
+                    Ok(p.worst_delay()? + ff.overhead())
+                },
+            )
+        })?;
+        Ok(report.into_resolved())
     }
 
     /// Calibrates `T₀` per the paper: no fault-free instance fails even at
@@ -591,28 +441,10 @@ impl DfStudy {
     /// [`CoreError::LintRejected`] when the configuration fails the static
     /// preflight (out-of-range stage, non-physical or empty sweep);
     /// [`CoreError::FailureBudgetExceeded`] when too many samples stay
-    /// failed after retries.
+    /// failed after retries; the run-cancelled error when
+    /// [`ResilienceConfig::deadline`] cut the run short.
     pub fn try_faulty_needs(&self, r_values: &[f64]) -> Result<McRunReport<Vec<f64>>, CoreError> {
-        lint_preflight(&self.put, Some(r_values))?;
-        let r_values = r_values.to_vec();
-        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime_or_adopt(&self.mc, || {
-            self.put.instantiate(&nominal_techs, r_values[0])
-        });
-        self.mc
-            .try_run_samples_with("df-faulty", move |_, attempt, rng, rec| {
-                let (techs, ff) = self.draw(rng);
-                let mut p = self.put.instantiate(&techs, r_values[0]);
-                p.set_recorder(rec.clone());
-                adopt_symbolic(&mut p, &symbolic);
-                prepare_for_attempt(&mut p, attempt, rng, self.mc.dc_warm_start);
-                let mut row = Vec::with_capacity(r_values.len());
-                for &r in &r_values {
-                    p.set_resistance(r)?;
-                    row.push(p.worst_delay()? + ff.overhead());
-                }
-                Ok(row)
-            })
+        run_plain(|token| self.faulty_rows(r_values, token, None))
     }
 
     /// Slack needs of every *resolved* instance at every defect
@@ -643,7 +475,8 @@ impl DfStudy {
     /// Like [`DfStudy::coverage`], also returning the failure accounting
     /// of the underlying Monte Carlo run. Coverage is computed over the
     /// resolved samples; each curve's `unresolved` field records the
-    /// excluded fraction.
+    /// excluded fraction, and its `completeness` a run that
+    /// [`ResilienceConfig::deadline`] cut short.
     ///
     /// # Errors
     ///
@@ -654,36 +487,14 @@ impl DfStudy {
         r_values: &[f64],
         t_factors: &[f64],
     ) -> Result<(Vec<CoverageCurve>, FailureReport), CoreError> {
-        let report = self.try_faulty_needs(r_values)?;
-        let needs: Vec<&Vec<f64>> = report.resolved().collect();
-        let unresolved = report.unresolved_fraction();
-        let curves = t_factors
-            .iter()
-            .map(|&f| {
-                let t_test = f * calib.t0;
-                let coverage = (0..r_values.len())
-                    .map(|ri| {
-                        let detected = needs.iter().filter(|row| t_test < row[ri]).count();
-                        detected as f64 / needs.len().max(1) as f64
-                    })
-                    .collect();
-                CoverageCurve {
-                    factor: f,
-                    resistance: r_values.to_vec(),
-                    coverage,
-                    unresolved,
-                    completeness: Completeness::full(report.failures.samples),
-                }
-            })
-            .collect();
-        Ok((curves, report.failures))
+        self.coverage_durable(calib, r_values, t_factors, &CancelToken::new(), None)
     }
 
     /// The [`CheckpointSpec`] identifying a durable
-    /// [`DfStudy::try_faulty_needs_durable`] run: the digest covers the
-    /// path under test, the variation model, flop timing, and the exact
-    /// resistance sweep (bit patterns), so a checkpoint can never resume a
-    /// different experiment.
+    /// [`DfStudy::coverage_durable`] run: the digest covers the path under
+    /// test, the variation model, flop timing, and the exact resistance
+    /// sweep (bit patterns), so a checkpoint can never resume a different
+    /// experiment.
     pub fn faulty_checkpoint_spec(&self, r_values: &[f64]) -> CheckpointSpec {
         let digest = pulsar_obs::config_digest(&format!(
             "df-faulty put={:?} variation={:?} ff={:?} margin={:016x} r={:?}",
@@ -700,56 +511,18 @@ impl DfStudy {
         }
     }
 
-    /// Durable variant of [`DfStudy::try_faulty_needs`]: checkpoint/resume
-    /// plus deadlines, per-sample timeouts, and panic containment from
-    /// [`McConfig::try_run_samples_durable`]. The attempt's cancellation
-    /// token is installed in the solver workspace, so a deadline interrupts
-    /// a sample *mid-solve*, not just between samples.
+    /// Durable variant of [`DfStudy::coverage_with_report`]: checkpoint/
+    /// resume plus deadlines, per-sample timeouts, and panic containment
+    /// from [`McConfig::try_run_samples_durable`]. The attempt's
+    /// cancellation token is installed in the solver workspace, so a
+    /// deadline interrupts a sample *mid-solve*, not just between samples.
+    /// Coverage is over whatever samples completed, with the honest
+    /// denominator recorded in each curve's [`CoverageCurve::completeness`].
     ///
     /// # Errors
     ///
     /// As for [`DfStudy::try_faulty_needs`], plus
     /// [`CoreError::Checkpoint`] on checkpoint failures.
-    pub fn try_faulty_needs_durable(
-        &self,
-        r_values: &[f64],
-        run_token: &CancelToken,
-        checkpoint: Option<&Checkpoint<Vec<f64>>>,
-    ) -> Result<DurableRun<Vec<f64>>, CoreError> {
-        lint_preflight(&self.put, Some(r_values))?;
-        let r_values = r_values.to_vec();
-        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime_or_adopt(&self.mc, || {
-            self.put.instantiate(&nominal_techs, r_values[0])
-        });
-        self.mc.try_run_samples_durable(
-            "df-faulty",
-            run_token,
-            checkpoint,
-            move |_, attempt, rng, rec, token| {
-                let (techs, ff) = self.draw(rng);
-                let mut p = self.put.instantiate(&techs, r_values[0]);
-                p.set_recorder(rec.clone());
-                p.set_cancel(token.clone());
-                adopt_symbolic(&mut p, &symbolic);
-                prepare_for_attempt(&mut p, attempt, rng, self.mc.dc_warm_start);
-                let mut row = Vec::with_capacity(r_values.len());
-                for &r in &r_values {
-                    p.set_resistance(r)?;
-                    row.push(p.worst_delay()? + ff.overhead());
-                }
-                Ok(row)
-            },
-        )
-    }
-
-    /// Durable variant of [`DfStudy::coverage_with_report`]: coverage over
-    /// whatever samples completed, with the honest denominator recorded in
-    /// each curve's [`CoverageCurve::completeness`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`DfStudy::try_faulty_needs_durable`].
     pub fn coverage_durable(
         &self,
         calib: &DfCalibration,
@@ -758,28 +531,10 @@ impl DfStudy {
         run_token: &CancelToken,
         checkpoint: Option<&Checkpoint<Vec<f64>>>,
     ) -> Result<(Vec<CoverageCurve>, FailureReport), CoreError> {
-        let run = self.try_faulty_needs_durable(r_values, run_token, checkpoint)?;
-        let needs: Vec<&Vec<f64>> = run.resolved_indexed().map(|(_, v)| v).collect();
-        let unresolved = run.failures.unresolved_fraction();
-        let curves = t_factors
-            .iter()
-            .map(|&f| {
-                let t_test = f * calib.t0;
-                let coverage = (0..r_values.len())
-                    .map(|ri| {
-                        let detected = needs.iter().filter(|row| t_test < row[ri]).count();
-                        detected as f64 / needs.len().max(1) as f64
-                    })
-                    .collect();
-                CoverageCurve {
-                    factor: f,
-                    resistance: r_values.to_vec(),
-                    coverage,
-                    unresolved,
-                    completeness: run.completeness,
-                }
-            })
-            .collect();
+        let run = self.faulty_rows(r_values, run_token, checkpoint)?;
+        let rows: Vec<&Vec<f64>> = run.resolved_indexed().map(|(_, v)| v).collect();
+        let grid = AdaptiveGrid::delay(r_values, t_factors, calib.t0);
+        let curves = grid.curves(&rows, run.failures.unresolved_fraction(), run.completeness);
         Ok((curves, run.failures))
     }
 
@@ -790,12 +545,14 @@ impl DfStudy {
     /// when `crossover` supplies the pulse study's curves on the same
     /// grid, near the `C_pulse − C_del` crossover). Bit-identical across
     /// thread counts. Rejects [`McConfig::dc_warm_start`], which would
-    /// couple a measurement to the sweep points evaluated before it.
+    /// couple a measurement to the sweep points evaluated before it, and
+    /// [`ResilienceConfig::deadline`], which the report cannot account for.
     ///
     /// # Errors
     ///
     /// As for [`DfStudy::coverage`], plus [`CoreError::Unsupported`] for
-    /// `dc_warm_start` or crossover curves on a different grid.
+    /// `dc_warm_start`, a deadline, or crossover curves on a different
+    /// grid.
     pub fn coverage_adaptive(
         &self,
         calib: &DfCalibration,
@@ -882,18 +639,8 @@ impl DfStudy {
         crossover: Option<&[CoverageCurve]>,
         checkpoint: Option<&Checkpoint<Vec<f64>>>,
     ) -> Result<AdaptiveReport, CoreError> {
-        lint_preflight(&self.put, Some(r_values))?;
-        let thresholds: Vec<f64> = t_factors.iter().map(|&f| f * calib.t0).collect();
-        let grid = AdaptiveGrid {
-            r_values,
-            factors: t_factors,
-            thresholds: &thresholds,
-            detect_below: false,
-        };
-        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime_or_adopt(&self.mc, || {
-            self.put.instantiate(&nominal_techs, r_values[0])
-        });
+        let eval = self.faulty_eval(r_values)?;
+        let grid = AdaptiveGrid::delay(r_values, t_factors, calib.t0);
         run_adaptive(
             &self.mc,
             policy,
@@ -901,19 +648,7 @@ impl DfStudy {
             &grid,
             crossover,
             checkpoint,
-            |_, attempt, rng, rec, active_r| {
-                let (techs, ff) = self.draw(rng);
-                let mut p = self.put.instantiate(&techs, active_r[0]);
-                p.set_recorder(rec.clone());
-                adopt_symbolic(&mut p, &symbolic);
-                prepare_for_attempt(&mut p, attempt, rng, self.mc.dc_warm_start);
-                let mut row = Vec::with_capacity(active_r.len());
-                for &r in active_r {
-                    p.set_resistance(r)?;
-                    row.push(p.worst_delay()? + ff.overhead());
-                }
-                Ok(row)
-            },
+            eval,
         )
     }
 }
@@ -961,7 +696,10 @@ impl PulseStudy {
     /// [`DfStudy::prime_symbolic`].
     pub fn prime_symbolic(&self, r: f64) -> Option<SymbolicCache> {
         let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        prime_symbolic_with(|| self.put.instantiate(&nominal_techs, r))
+        self.put
+            .instantiate(&nominal_techs, r)
+            .built_path()
+            .prime_symbolic()
     }
 
     fn draw_techs(&self, rng: &mut StdRng) -> (Vec<Tech>, f64) {
@@ -972,6 +710,56 @@ impl PulseStudy {
         // Pulse-generator width uncertainty (paper §3, point a).
         let gen_factor = self.mc.variation.sample_sensor(1.0, rng);
         (techs, gen_factor)
+    }
+
+    /// The faulty-row kernel every pulse coverage run shares — fixed,
+    /// durable and adaptive. Lints the sweep and primes the faulty
+    /// topology once; the returned closure draws one instance and measures
+    /// its output width, injecting `w_in` times the instance's generator
+    /// factor, at each resistance it is handed.
+    fn faulty_eval(&self, w_in: f64, r_values: &[f64]) -> Result<impl RowEval + '_, CoreError> {
+        lint_preflight(&self.put, Some(r_values))?;
+        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
+        let symbolic = prime_or_adopt(&self.mc, || {
+            self.put.instantiate(&nominal_techs, r_values[0])
+        });
+        Ok(
+            move |attempt, rng: &mut StdRng, rec: &Recorder, t: &CancelToken, rs: &[f64]| {
+                let (techs, gen_factor) = self.draw_techs(rng);
+                let mut p = self.put.instantiate(&techs, rs[0]);
+                ready(&mut p, &self.mc, &symbolic, attempt, rng, rec, t);
+                rs.iter()
+                    .map(|&r| {
+                        p.set_resistance(r)?;
+                        p.pulse_width_out(w_in * gen_factor, self.polarity)
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    /// The fault-free kernel behind [`PulseStudy::fault_free_wouts`] and
+    /// [`PulseStudy::fault_free_wouts_fixed_width`]: output widths of the
+    /// resolved instances, injecting `width(gen_factor)` — the caller
+    /// decides whether the drawn generator factor applies.
+    fn fault_free_run(
+        &self,
+        label: &'static str,
+        width: impl Fn(f64) -> f64 + Sync,
+    ) -> Result<Vec<f64>, CoreError> {
+        lint_preflight(&self.put, None)?;
+        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
+        let symbolic = prime_or_adopt(&self.mc, || self.put.instantiate_fault_free(&nominal_techs));
+        let report = run_plain(|token| {
+            self.mc
+                .try_run_samples_durable(label, token, None, |_, attempt, rng, rec, t| {
+                    let (techs, gen_factor) = self.draw_techs(rng);
+                    let mut p = self.put.instantiate_fault_free(&techs);
+                    ready(&mut p, &self.mc, &symbolic, attempt, rng, rec, t);
+                    p.pulse_width_out(width(gen_factor), self.polarity)
+                })
+        })?;
+        Ok(report.into_resolved())
     }
 
     /// The fault-free *nominal* transfer curve (the solid line of
@@ -989,36 +777,15 @@ impl PulseStudy {
         TransferCurve::measure(&mut p, self.polarity, lo, hi, n)
     }
 
-    /// Fault-free output widths with per-sample fault isolation.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::LintRejected`] when the configuration fails the static
-    /// preflight; [`CoreError::FailureBudgetExceeded`] when too many
-    /// samples stay failed after retries.
-    pub fn try_fault_free_wouts(&self, w_in: f64) -> Result<McRunReport<f64>, CoreError> {
-        lint_preflight(&self.put, None)?;
-        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime_or_adopt(&self.mc, || self.put.instantiate_fault_free(&nominal_techs));
-        self.mc
-            .try_run_samples_with("pulse-fault-free", |_, attempt, rng, rec| {
-                let (techs, gen_factor) = self.draw_techs(rng);
-                let mut p = self.put.instantiate_fault_free(&techs);
-                p.set_recorder(rec.clone());
-                adopt_symbolic(&mut p, &symbolic);
-                prepare_for_attempt(&mut p, attempt, rng, self.mc.dc_warm_start);
-                p.pulse_width_out(w_in * gen_factor, self.polarity)
-            })
-    }
-
     /// Output widths of every *resolved* fault-free MC instance at
     /// injected width `w_in` (with per-instance generator fluctuation).
     ///
     /// # Errors
     ///
-    /// Propagates simulation failures (via the failure budget).
+    /// [`CoreError::LintRejected`] when the configuration fails the static
+    /// preflight; propagates simulation failures (via the failure budget).
     pub fn fault_free_wouts(&self, w_in: f64) -> Result<Vec<f64>, CoreError> {
-        Ok(self.try_fault_free_wouts(w_in)?.into_resolved())
+        self.fault_free_run("pulse-fault-free", |gen_factor| w_in * gen_factor)
     }
 
     /// Like [`PulseStudy::fault_free_wouts`] but with the injected width
@@ -1030,20 +797,7 @@ impl PulseStudy {
     ///
     /// Propagates simulation failures (via the failure budget).
     pub fn fault_free_wouts_fixed_width(&self, w_in: f64) -> Result<Vec<f64>, CoreError> {
-        lint_preflight(&self.put, None)?;
-        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime_or_adopt(&self.mc, || self.put.instantiate_fault_free(&nominal_techs));
-        let report =
-            self.mc
-                .try_run_samples_with("pulse-fixed-width", move |_, attempt, rng, rec| {
-                    let (techs, _) = self.draw_techs(rng);
-                    let mut p = self.put.instantiate_fault_free(&techs);
-                    p.set_recorder(rec.clone());
-                    adopt_symbolic(&mut p, &symbolic);
-                    prepare_for_attempt(&mut p, attempt, rng, self.mc.dc_warm_start);
-                    p.pulse_width_out(w_in, self.polarity)
-                })?;
-        Ok(report.into_resolved())
+        self.fault_free_run("pulse-fixed-width", |_| w_in)
     }
 
     /// Calibrates `(ω_in⁰, ω_th⁰)` per the paper's rule.
@@ -1077,32 +831,14 @@ impl PulseStudy {
     /// [`CoreError::LintRejected`] when the configuration fails the static
     /// preflight (out-of-range stage, non-physical or empty sweep);
     /// [`CoreError::FailureBudgetExceeded`] when too many samples stay
-    /// failed after retries.
+    /// failed after retries; the run-cancelled error when
+    /// [`ResilienceConfig::deadline`] cut the run short.
     pub fn try_faulty_wouts(
         &self,
         w_in: f64,
         r_values: &[f64],
     ) -> Result<McRunReport<Vec<f64>>, CoreError> {
-        lint_preflight(&self.put, Some(r_values))?;
-        let r_values = r_values.to_vec();
-        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime_or_adopt(&self.mc, || {
-            self.put.instantiate(&nominal_techs, r_values[0])
-        });
-        self.mc
-            .try_run_samples_with("pulse-faulty", |_, attempt, rng, rec| {
-                let (techs, gen_factor) = self.draw_techs(rng);
-                let mut p = self.put.instantiate(&techs, r_values[0]);
-                p.set_recorder(rec.clone());
-                adopt_symbolic(&mut p, &symbolic);
-                prepare_for_attempt(&mut p, attempt, rng, self.mc.dc_warm_start);
-                let mut row = Vec::with_capacity(r_values.len());
-                for &r in &r_values {
-                    p.set_resistance(r)?;
-                    row.push(p.pulse_width_out(w_in * gen_factor, self.polarity)?);
-                }
-                Ok(row)
-            })
+        run_plain(|token| self.try_faulty_wouts_durable(w_in, r_values, token, None))
     }
 
     /// Output widths of every *resolved* instance at every resistance:
@@ -1136,7 +872,8 @@ impl PulseStudy {
     /// Like [`PulseStudy::coverage`], also returning the failure
     /// accounting of the underlying Monte Carlo run. Coverage is computed
     /// over the resolved samples; each curve's `unresolved` field records
-    /// the excluded fraction.
+    /// the excluded fraction, and its `completeness` a run that
+    /// [`ResilienceConfig::deadline`] cut short.
     ///
     /// # Errors
     ///
@@ -1147,29 +884,7 @@ impl PulseStudy {
         r_values: &[f64],
         th_factors: &[f64],
     ) -> Result<(Vec<CoverageCurve>, FailureReport), CoreError> {
-        let report = self.try_faulty_wouts(calib.w_in, r_values)?;
-        let wouts: Vec<&Vec<f64>> = report.resolved().collect();
-        let unresolved = report.unresolved_fraction();
-        let curves = th_factors
-            .iter()
-            .map(|&f| {
-                let th = f * calib.w_th;
-                let coverage = (0..r_values.len())
-                    .map(|ri| {
-                        let detected = wouts.iter().filter(|row| row[ri] < th).count();
-                        detected as f64 / wouts.len().max(1) as f64
-                    })
-                    .collect();
-                CoverageCurve {
-                    factor: f,
-                    resistance: r_values.to_vec(),
-                    coverage,
-                    unresolved,
-                    completeness: Completeness::full(report.failures.samples),
-                }
-            })
-            .collect();
-        Ok((curves, report.failures))
+        self.coverage_durable(calib, r_values, th_factors, &CancelToken::new(), None)
     }
 
     /// The [`CheckpointSpec`] identifying a durable
@@ -1210,30 +925,12 @@ impl PulseStudy {
         run_token: &CancelToken,
         checkpoint: Option<&Checkpoint<Vec<f64>>>,
     ) -> Result<DurableRun<Vec<f64>>, CoreError> {
-        lint_preflight(&self.put, Some(r_values))?;
-        let r_values = r_values.to_vec();
-        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime_or_adopt(&self.mc, || {
-            self.put.instantiate(&nominal_techs, r_values[0])
-        });
+        let eval = self.faulty_eval(w_in, r_values)?;
         self.mc.try_run_samples_durable(
             "pulse-faulty",
             run_token,
             checkpoint,
-            |_, attempt, rng, rec, token| {
-                let (techs, gen_factor) = self.draw_techs(rng);
-                let mut p = self.put.instantiate(&techs, r_values[0]);
-                p.set_recorder(rec.clone());
-                p.set_cancel(token.clone());
-                adopt_symbolic(&mut p, &symbolic);
-                prepare_for_attempt(&mut p, attempt, rng, self.mc.dc_warm_start);
-                let mut row = Vec::with_capacity(r_values.len());
-                for &r in &r_values {
-                    p.set_resistance(r)?;
-                    row.push(p.pulse_width_out(w_in * gen_factor, self.polarity)?);
-                }
-                Ok(row)
-            },
+            |_, a, rng, rec, t| eval(a, rng, rec, t, r_values),
         )
     }
 
@@ -1253,27 +950,9 @@ impl PulseStudy {
         checkpoint: Option<&Checkpoint<Vec<f64>>>,
     ) -> Result<(Vec<CoverageCurve>, FailureReport), CoreError> {
         let run = self.try_faulty_wouts_durable(calib.w_in, r_values, run_token, checkpoint)?;
-        let wouts: Vec<&Vec<f64>> = run.resolved_indexed().map(|(_, v)| v).collect();
-        let unresolved = run.failures.unresolved_fraction();
-        let curves = th_factors
-            .iter()
-            .map(|&f| {
-                let th = f * calib.w_th;
-                let coverage = (0..r_values.len())
-                    .map(|ri| {
-                        let detected = wouts.iter().filter(|row| row[ri] < th).count();
-                        detected as f64 / wouts.len().max(1) as f64
-                    })
-                    .collect();
-                CoverageCurve {
-                    factor: f,
-                    resistance: r_values.to_vec(),
-                    coverage,
-                    unresolved,
-                    completeness: run.completeness,
-                }
-            })
-            .collect();
+        let rows: Vec<&Vec<f64>> = run.resolved_indexed().map(|(_, v)| v).collect();
+        let grid = AdaptiveGrid::pulse(r_values, th_factors, calib.w_th);
+        let curves = grid.curves(&rows, run.failures.unresolved_fraction(), run.completeness);
         Ok((curves, run.failures))
     }
 
@@ -1285,12 +964,14 @@ impl PulseStudy {
     /// the same grid, near the `C_pulse − C_del` crossover).
     /// Bit-identical across thread counts. Rejects
     /// [`McConfig::dc_warm_start`], which would couple a measurement to
-    /// the sweep points evaluated before it.
+    /// the sweep points evaluated before it, and
+    /// [`ResilienceConfig::deadline`], which the report cannot account for.
     ///
     /// # Errors
     ///
     /// As for [`PulseStudy::coverage`], plus [`CoreError::Unsupported`]
-    /// for `dc_warm_start` or crossover curves on a different grid.
+    /// for `dc_warm_start`, a deadline, or crossover curves on a different
+    /// grid.
     pub fn coverage_adaptive(
         &self,
         calib: &PulseCalibration,
@@ -1378,19 +1059,8 @@ impl PulseStudy {
         crossover: Option<&[CoverageCurve]>,
         checkpoint: Option<&Checkpoint<Vec<f64>>>,
     ) -> Result<AdaptiveReport, CoreError> {
-        lint_preflight(&self.put, Some(r_values))?;
-        let thresholds: Vec<f64> = th_factors.iter().map(|&f| f * calib.w_th).collect();
-        let grid = AdaptiveGrid {
-            r_values,
-            factors: th_factors,
-            thresholds: &thresholds,
-            detect_below: true,
-        };
-        let w_in = calib.w_in;
-        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime_or_adopt(&self.mc, || {
-            self.put.instantiate(&nominal_techs, r_values[0])
-        });
+        let eval = self.faulty_eval(calib.w_in, r_values)?;
+        let grid = AdaptiveGrid::pulse(r_values, th_factors, calib.w_th);
         run_adaptive(
             &self.mc,
             policy,
@@ -1398,19 +1068,7 @@ impl PulseStudy {
             &grid,
             crossover,
             checkpoint,
-            |_, attempt, rng, rec, active_r| {
-                let (techs, gen_factor) = self.draw_techs(rng);
-                let mut p = self.put.instantiate(&techs, active_r[0]);
-                p.set_recorder(rec.clone());
-                adopt_symbolic(&mut p, &symbolic);
-                prepare_for_attempt(&mut p, attempt, rng, self.mc.dc_warm_start);
-                let mut row = Vec::with_capacity(active_r.len());
-                for &r in active_r {
-                    p.set_resistance(r)?;
-                    row.push(p.pulse_width_out(w_in * gen_factor, self.polarity)?);
-                }
-                Ok(row)
-            },
+            eval,
         )
     }
 }
@@ -1421,6 +1079,7 @@ mod tests {
     use super::*;
     use crate::engine::DefectKind;
     use pulsar_cells::PathSpec;
+    use pulsar_mc::SampleOutcome;
 
     fn put() -> PathUnderTest {
         PathUnderTest {
@@ -1439,7 +1098,7 @@ mod tests {
     fn lint_rejects_out_of_range_stage_before_any_sample() {
         let bad = PathUnderTest { stage: 99, ..put() };
         let study = DfStudy::new(bad, tiny_mc());
-        let err = study.try_fault_free_needs().unwrap_err();
+        let err = study.fault_free_needs().unwrap_err();
         match &err {
             CoreError::LintRejected { report } => {
                 assert!(report.error_count() > 0);
@@ -1469,7 +1128,7 @@ mod tests {
     fn pulse_study_lint_rejection_spends_zero_budget() {
         let bad = PathUnderTest { stage: 99, ..put() };
         let study = PulseStudy::new(bad, tiny_mc(), Polarity::PositiveGoing);
-        let err = study.try_fault_free_wouts(500e-12).unwrap_err();
+        let err = study.fault_free_wouts(500e-12).unwrap_err();
         assert!(matches!(err, CoreError::LintRejected { .. }));
         let err = study.try_faulty_wouts(500e-12, &[10e3]).unwrap_err();
         assert!(matches!(err, CoreError::LintRejected { .. }));
@@ -1551,15 +1210,22 @@ mod tests {
         mc.resilience.failure_budget = 0.5;
         mc.obs = Recorder::enabled();
         let report = mc
-            .try_run_samples_with("internal-test", |i, _attempt, _rng, _rec| {
-                if i == 2 {
-                    Err(CoreError::Analog(pulsar_analog::Error::Internal {
-                        context: "vsource has no branch-current unknown",
-                    }))
-                } else {
-                    Ok(i as f64)
-                }
-            })
+            .try_run_samples_durable(
+                "internal-test",
+                &CancelToken::new(),
+                None,
+                |i, _, _, _, _| {
+                    if i == 2 {
+                        Err(CoreError::Analog(pulsar_analog::Error::Internal {
+                            context: "vsource has no branch-current unknown",
+                        }))
+                    } else {
+                        Ok(i as f64)
+                    }
+                },
+            )
+            .unwrap()
+            .into_run_report()
             .unwrap();
         match &report.outcomes[2] {
             SampleOutcome::Failed { attempts, .. } => {
@@ -1595,9 +1261,7 @@ mod tests {
         let study = DfStudy::new(put(), tiny_mc());
         let rs = [10e3, 100e3];
         let plain = study.try_faulty_needs(&rs).unwrap();
-        let durable = study
-            .try_faulty_needs_durable(&rs, &CancelToken::new(), None)
-            .unwrap();
+        let durable = study.faulty_rows(&rs, &CancelToken::new(), None).unwrap();
         assert!(durable.is_complete());
         let plain_rows: Vec<&Vec<f64>> = plain.resolved().collect();
         let durable_rows: Vec<&Vec<f64>> = durable.resolved_indexed().map(|(_, v)| v).collect();
@@ -1613,7 +1277,7 @@ mod tests {
         let spec = study.faulty_checkpoint_spec(&rs);
         let ck = Checkpoint::create(&path, spec).unwrap();
         let full = study
-            .try_faulty_needs_durable(&rs, &CancelToken::new(), Some(&ck))
+            .faulty_rows(&rs, &CancelToken::new(), Some(&ck))
             .unwrap();
         drop(ck);
 
@@ -1623,7 +1287,7 @@ mod tests {
 
         let ck = Checkpoint::open(&path, spec).unwrap();
         let resumed = study
-            .try_faulty_needs_durable(&rs, &CancelToken::new(), Some(&ck))
+            .faulty_rows(&rs, &CancelToken::new(), Some(&ck))
             .unwrap();
         let full_rows: Vec<&Vec<f64>> = full.resolved_indexed().map(|(_, v)| v).collect();
         let resumed_rows: Vec<&Vec<f64>> = resumed.resolved_indexed().map(|(_, v)| v).collect();

@@ -5,14 +5,17 @@
 //! precision target no run can meet — **identical to the fixed-budget
 //! study**, so the adaptive path cannot silently change the estimator.
 
-use pulsar_analog::Polarity;
+use pulsar_analog::{FaultKind, FaultPlan, Polarity};
 use pulsar_cells::{PathSpec, Tech};
 use pulsar_core::{
     AdaptivePoint, AdaptivePolicy, AdaptiveReport, CheckpointSpec, CoreError, DefectKind,
-    DfCalibration, DfStudy, McConfig, PathUnderTest, PulseStudy,
+    DfCalibration, DfStudy, McConfig, PathUnderTest, PulseStudy, ResilienceConfig,
 };
 use pulsar_core::{Checkpoint, CoverageCurve};
+use pulsar_mc::MonteCarlo;
+use pulsar_obs::Recorder;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 fn put() -> PathUnderTest {
     PathUnderTest {
@@ -252,6 +255,36 @@ fn warm_start_and_mismatched_crossover_are_rejected() {
         .coverage_adaptive(&calib(), &RS, &FACTORS, &loose_policy(), Some(&alien))
         .expect_err("crossover reference on a different grid");
     assert!(matches!(err, CoreError::Unsupported { .. }), "{err:?}");
+
+    let mut study = df_study(1);
+    study.mc.resilience.deadline = Some(Duration::from_secs(60));
+    let err = study
+        .coverage_adaptive(&calib(), &RS, &FACTORS, &loose_policy(), None)
+        .expect_err("the report has no completeness to carry a deadline cut");
+    assert!(matches!(err, CoreError::Unsupported { .. }), "{err:?}");
+}
+
+#[test]
+fn adaptive_run_contains_a_planned_panic() {
+    let mut study = df_study(2);
+    study.mc.resilience = ResilienceConfig {
+        contain_panics: true,
+        ..ResilienceConfig::tolerant(1, 0.5)
+    };
+    study.mc.fault_plan =
+        Some(FaultPlan::new().fail_sample(2, FaultKind::Panic, FaultPlan::ALWAYS));
+    let report = study
+        .coverage_adaptive(&calib(), &RS, &FACTORS, &loose_policy(), None)
+        .expect("a contained panic is one failed sample inside the budget");
+    assert!(
+        report
+            .failures
+            .by_kind
+            .iter()
+            .any(|&(kind, _)| kind == "panic"),
+        "{:?}",
+        report.failures.by_kind
+    );
 }
 
 #[test]
@@ -284,7 +317,7 @@ fn pulse_adaptive_with_crossover_reference_runs_and_refines_near_crossings() {
         threads: Some(2),
         ..McConfig::paper(8, 77)
     };
-    let study = PulseStudy::new(put, mc, Polarity::PositiveGoing);
+    let mut study = PulseStudy::new(put, mc, Polarity::PositiveGoing);
     let policy = AdaptivePolicy {
         min_samples: 4,
         chunk: 4,
@@ -303,6 +336,7 @@ fn pulse_adaptive_with_crossover_reference_runs_and_refines_near_crossings() {
             completeness: pulsar_core::Completeness::full(8),
         })
         .collect();
+    study.mc.obs = Recorder::enabled();
     let report = study
         .coverage_adaptive(&calib, &RS, &FACTORS, &policy, Some(&reference))
         .expect("pulse adaptive run");
@@ -313,6 +347,38 @@ fn pulse_adaptive_with_crossover_reference_runs_and_refines_near_crossings() {
             assert_eq!(p.accuracy.requested_halfwidth, policy.precision / 2.0);
         }
     }
+
+    // The sample journal: phase-1 events sit at their stream index,
+    // refinement events at `max_samples + i`, and every seed is the
+    // stream seed of `i` — never of the offset record index.
+    assert!(report.refine_evals > 0, "the crossover must be refined");
+    let stream = MonteCarlo::new(study.mc.samples, study.mc.seed);
+    let events = study.mc.obs.events();
+    let samples: Vec<_> = events.iter().filter(|e| e.kind == "sample").collect();
+    assert_eq!(
+        samples.len(),
+        report.failures.samples,
+        "one event per stream sample"
+    );
+    let mut refine_events = 0;
+    for e in &samples {
+        let i = match e.label.as_deref() {
+            Some("pulse-adaptive") => e.index,
+            Some("pulse-adaptive-refine") => {
+                refine_events += 1;
+                e.index - policy.max_samples
+            }
+            other => panic!("unexpected sample label {other:?}"),
+        };
+        assert!(i < policy.refine_cap(), "stream index {i} out of range");
+        assert_eq!(
+            e.seed,
+            Some(stream.stream_seed(i)),
+            "seed of stream sample {i}"
+        );
+    }
+    assert!(refine_events > 0, "refinement samples are journalled");
+    study.mc.obs = Recorder::disabled();
     // The same run twice is bit-identical (covers the crossover path).
     let again = study
         .coverage_adaptive(&calib, &RS, &FACTORS, &policy, Some(&reference))

@@ -11,7 +11,7 @@ use pulsar_analog::{FaultKind, FaultPlan, Polarity};
 use pulsar_cells::{PathSpec, Tech};
 use pulsar_core::{
     CancelReason, CancelToken, Checkpoint, CheckpointSpec, CoreError, DefectKind, McConfig,
-    PathUnderTest, PulseStudy, ResilienceConfig,
+    PathUnderTest, PulseCalibration, PulseStudy, ResilienceConfig,
 };
 use pulsar_mc::SampleOutcome;
 use rand::rngs::StdRng;
@@ -250,6 +250,26 @@ fn injected_stall_trips_the_sample_timeout_and_recovers_on_retry() {
         run.outcomes[3].as_ref().and_then(|o| o.value()).is_some(),
         "the recovered sample carries a real measurement"
     );
+
+    // The plain entry points honour the run budget too: a zero deadline
+    // trips before any sample starts.
+    let mut study = study;
+    study.mc.fault_plan = None;
+    study.mc.resilience.deadline = Some(Duration::ZERO);
+    let calib = PulseCalibration {
+        w_in: W_IN,
+        w_th: W_IN,
+    };
+    let (curves, report) = study
+        .coverage_with_report(&calib, &RS, &[1.0])
+        .expect("a deadline truncates the curves, it does not fail them");
+    assert_eq!(curves[0].completeness.truncated, Some("deadline"));
+    assert_eq!(curves[0].completeness.done, 0);
+    assert_eq!(report.samples, 0);
+    let err = study
+        .try_faulty_wouts(W_IN, &RS)
+        .expect_err("a plain report cannot carry a partial run");
+    assert!(pulsar_core::is_run_cancelled(&err), "{err:?}");
 }
 
 #[test]

@@ -285,22 +285,13 @@ fn worker_loop(inner: &Arc<DaemonInner>) {
             continue;
         };
         if !job.begin_running() {
-            // Cancelled while queued (client cancel or shutdown drain):
-            // never run it. A client cancel already installed the
-            // terminal state; the drain path installs it here.
-            job.finish(JobState::Cancelled {
-                reason: job
-                    .token
-                    .cancelled()
-                    .map(CancelReason::label)
-                    .unwrap_or("cancelled")
-                    .to_owned(),
-            });
-            settle(inner, &job, None);
+            // Cancelled while queued: a client cancel already settled
+            // (and counted) it; a shutdown drain is settled here.
+            job.cancel_refused(|| inner.rec.add(Counter::ServeJobsCancelled, 1));
             continue;
         }
         let state = execute(&job, &inner.caches, inner.cfg.spool.as_deref());
-        settle(inner, &job, Some(state));
+        settle(inner, &job, state);
     }
 }
 
@@ -308,14 +299,10 @@ fn worker_loop(inner: &Arc<DaemonInner>) {
 /// recorder, then installs the terminal state. Accounting lands
 /// *before* `finish` wakes any `wait`/`stream` clients, so a stats
 /// request issued right after a wait returns sees the job's work.
-fn settle(inner: &DaemonInner, job: &Job, state: Option<JobState>) {
-    let label = match &state {
-        Some(s) => s.name().to_owned(),
-        None => job.outcome().state,
-    };
-    match label.as_str() {
-        "done" => inner.rec.add(Counter::ServeJobsCompleted, 1),
-        "failed" => {
+fn settle(inner: &DaemonInner, job: &Job, state: JobState) {
+    match &state {
+        JobState::Done { .. } => inner.rec.add(Counter::ServeJobsCompleted, 1),
+        JobState::Failed { .. } => {
             inner.rec.add(Counter::ServeJobsFailed, 1);
             inner.bill_tenant_failure(&job.tenant);
         }
@@ -328,9 +315,7 @@ fn settle(inner: &DaemonInner, job: &Job, state: Option<JobState>) {
             inner.rec.add(c, n);
         }
     }
-    if let Some(state) = state {
-        job.finish(state);
-    }
+    job.finish(state);
 }
 
 fn handle_connection(stream: UnixStream, inner: &Arc<DaemonInner>) {
@@ -387,7 +372,7 @@ fn respond(req: &Request, inner: &Arc<DaemonInner>, w: &mut UnixStream) -> bool 
             write_line(w, &outcome_response(&job.wait_terminal()))
         }),
         Request::Cancel { job } => with_job(inner, *job, w, |job, w| {
-            job.cancel();
+            job.cancel(|| inner.rec.add(Counter::ServeJobsCancelled, 1));
             write_line(w, &outcome_response(&job.outcome()))
         }),
         Request::Stream { job } => with_job(inner, *job, w, |job, w| stream_job(&job, w)),

@@ -18,14 +18,14 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use pulsar_analog::Polarity;
 use pulsar_cells::{PathSpec, Tech};
 use pulsar_core::{
-    error_kind, Campaign, CheckpointSpec, CoreError, CoverageCurve, DefectKind, DfStudy, McConfig,
-    PathUnderTest, PulseStudy, ResilienceConfig,
+    error_kind, is_run_cancelled, Campaign, CheckpointSpec, CoreError, CoverageCurve, DefectKind,
+    DfStudy, McConfig, PathUnderTest, PulseStudy, ResilienceConfig,
 };
 use pulsar_logic::parse_iscas85;
 use pulsar_obs::{CancelReason, CancelToken, Counter, Recorder};
@@ -173,19 +173,17 @@ impl Job {
     }
 
     /// Requests cancellation. A queued job transitions to `Cancelled`
-    /// immediately; a running job has its token tripped and transitions
-    /// when the durable run unwinds (flushing its checkpoint). Returns
-    /// false when the job was already terminal.
-    pub fn cancel(&self) -> bool {
-        let mut st = lock_clean(&self.state);
+    /// immediately, and `account` runs before that transition wakes any
+    /// `wait`/`stream` client, so whoever the cancel wakes sees the
+    /// caller's accounting. A running job has its token tripped and
+    /// transitions when the durable run unwinds (flushing its checkpoint).
+    /// Returns false when the job was already terminal.
+    pub fn cancel(&self, account: impl FnOnce()) -> bool {
+        let st = lock_clean(&self.state);
         match &*st {
             JobState::Queued => {
                 self.token.cancel(CancelReason::User);
-                *st = JobState::Cancelled {
-                    reason: CancelReason::User.label().to_owned(),
-                };
-                drop(st);
-                self.terminal.notify_all();
+                self.cancel_queued(st, CancelReason::User.label(), account);
                 true
             }
             JobState::Running => {
@@ -194,6 +192,38 @@ impl Job {
             }
             _ => false,
         }
+    }
+
+    /// Settles a job [`Job::begin_running`] refused because the daemon
+    /// token cancelled it while queued (shutdown drain): `Cancelled` with
+    /// the token's reason, `account` first. A no-op when a client
+    /// [`Job::cancel`] already settled the job, so each cancelled job is
+    /// accounted exactly once.
+    pub fn cancel_refused(&self, account: impl FnOnce()) {
+        let st = lock_clean(&self.state);
+        if *st == JobState::Queued {
+            let reason = self
+                .token
+                .cancelled()
+                .map_or("cancelled", CancelReason::label);
+            self.cancel_queued(st, reason, account);
+        }
+    }
+
+    /// Queued → `Cancelled` under the state lock: the accounting, then
+    /// the terminal state, then the wake.
+    fn cancel_queued(
+        &self,
+        mut st: MutexGuard<'_, JobState>,
+        reason: &str,
+        account: impl FnOnce(),
+    ) {
+        account();
+        *st = JobState::Cancelled {
+            reason: reason.to_owned(),
+        };
+        drop(st);
+        self.terminal.notify_all();
     }
 
     /// Blocks until the job reaches a terminal state.
@@ -285,7 +315,7 @@ impl JobTable {
     }
 }
 
-fn lock_clean<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
+fn lock_clean<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     match m.lock() {
         Ok(g) => g,
         Err(p) => p.into_inner(),
@@ -310,7 +340,13 @@ enum RunError {
 
 impl From<CoreError> for RunError {
     fn from(e: CoreError) -> RunError {
-        RunError::Core(e)
+        // A deadline that cuts calibration short cancels the job, just as
+        // it does when it truncates the coverage run.
+        if is_run_cancelled(&e) {
+            RunError::Cancelled(error_kind(&e).to_owned())
+        } else {
+            RunError::Core(e)
+        }
     }
 }
 
@@ -458,7 +494,7 @@ fn run_study(
                 study
                     .calibrate()
                     .map(CalibEntry::Df)
-                    .map_err(RunError::Core)
+                    .map_err(RunError::from)
             })?;
             if co == CacheOutcome::Hit {
                 rec.add(Counter::ServeCalibCacheHits, 1);
@@ -512,7 +548,7 @@ fn run_study(
                 study
                     .calibrate()
                     .map(CalibEntry::Pulse)
-                    .map_err(RunError::Core)
+                    .map_err(RunError::from)
             })?;
             if co == CacheOutcome::Hit {
                 rec.add(Counter::ServeCalibCacheHits, 1);
@@ -647,12 +683,12 @@ mod tests {
     fn cancel_before_dequeue_prevents_running() {
         let (table, root) = table_and_token();
         let job = table.create(small_spec(), "t".into(), None, None, &root);
-        assert!(job.cancel());
+        assert!(job.cancel(|| {}));
         assert!(!job.begin_running(), "cancelled job must not start");
         let o = job.outcome();
         assert_eq!(o.state, "cancelled");
         assert!(o.terminal);
-        assert!(!job.cancel(), "second cancel is a no-op");
+        assert!(!job.cancel(|| {}), "second cancel is a no-op");
     }
 
     #[test]

@@ -226,6 +226,44 @@ fn backpressure_cancel_and_stream() {
 }
 
 #[test]
+fn queued_cancel_is_counted_before_wait_returns() {
+    let dir = tmp_dir("cancel-count");
+    let mut cfg = ServeConfig::new(dir.join("d.sock"));
+    cfg.workers = 1;
+    let daemon = Daemon::start(cfg).expect("start daemon");
+    let mut c = Client::connect_within(daemon.socket(), Duration::from_secs(5)).expect("connect");
+
+    // A wide sweep keeps the only worker busy for seconds, so it cannot
+    // pop the queued job before the assertions: the cancel itself must
+    // have counted it.
+    let busy_spec = JobSpec::Study {
+        kind: StudyKind::Df,
+        samples: 4,
+        seed: 3,
+        rs: (1..=40).map(|k| f64::from(k) * 2.5e3).collect(),
+        factors: vec![1.0],
+    };
+    let (busy, _, _) = c.submit(&busy_spec).expect("submit busy job");
+    while c.status(busy).expect("status").state == "queued" {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (queued, _, _) = c.submit(&small_study(55)).expect("submit queued job");
+    c.cancel(queued).expect("cancel queued job");
+    assert_eq!(c.wait(queued).expect("wait").state, "cancelled");
+    let stats = c.stats().expect("stats");
+    assert_eq!(
+        c.status(busy).expect("status").state,
+        "running",
+        "the worker must still be busy with the first job"
+    );
+    assert_eq!(counter(&stats, "serve_jobs_cancelled"), 1);
+
+    c.shutdown().expect("shutdown");
+    daemon.join().expect("join");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn tenant_failure_budget_rejects_repeat_offenders() {
     let dir = tmp_dir("tenant");
     let mut cfg = ServeConfig::new(dir.join("d.sock"));
@@ -256,6 +294,16 @@ fn tenant_failure_budget_rejects_repeat_offenders() {
         .expect("submit team-b");
     let o = c.wait(job).expect("wait team-b");
     assert_eq!(o.state, "done", "{:?}", o.error);
+
+    // A job its deadline cuts short is cancelled, not failed, so it bills
+    // the tenant nothing.
+    let (job, _, _) = c
+        .submit_with(&small_study(2), Some("team-b"), Some(0), None)
+        .expect("submit zero-deadline job");
+    let o = c.wait(job).expect("wait zero-deadline job");
+    assert_eq!(o.state, "cancelled", "{:?}", o.error);
+    c.submit_with(&small_study(3), Some("team-b"), None, None)
+        .expect("a deadline cut is not a failed job");
 
     let stats = c.stats().expect("stats");
     assert!(counter(&stats, "serve_tenant_rejections") >= 1);
