@@ -10,7 +10,7 @@ use crate::elements::Element;
 use crate::error::Error;
 use crate::solver::mna::{collect_cap_branches, CapState, Method, System};
 use crate::solver::workspace::{SolverWorkspace, SysScratch, TranScratch};
-use crate::waveform::Trace;
+use crate::waveform::{DelayDetector, Edge, Trace};
 use pulsar_obs::{Counter, Phase};
 
 /// Configuration of a transient run.
@@ -35,6 +35,53 @@ pub struct TranConfig {
     /// instead of stepping indefinitely; the default is far above any
     /// well-posed deck at these time scales.
     pub max_points: usize,
+    /// When the run may end before `stop`; the default, [`Until::Stop`],
+    /// always runs to `stop`.
+    pub until: Until,
+}
+
+/// A rule that ends a transient run before [`TranConfig::stop`] once the
+/// measurement it serves can no longer change.
+///
+/// The rule is checked after each accepted step. Stepping is causal and
+/// the step sequence does not depend on `stop`, so a run cut by a rule
+/// holds exactly the first points of the full-window run, bit for bit.
+/// Only the preserved baseline engine ([`Circuit::transient_baseline`])
+/// ignores the rule and always runs to `stop`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum Until {
+    /// Run to `stop`.
+    #[default]
+    Stop,
+    /// Stop once every source holds its final value and every node
+    /// voltage is within `tol` volts of the DC operating point at those
+    /// final values. When every source ends where it started (a pulse
+    /// that returns to rest), that point is the run's own `t = 0` point;
+    /// otherwise it costs one extra DC solve. A run with a periodic
+    /// source, or whose extra DC solve fails, goes to `stop`.
+    Settled {
+        /// Largest node deviation from the final operating point, volts.
+        tol: f64,
+    },
+    /// Stop once [`crate::propagation_delay`]`(input, in_edge, output,
+    /// out_edge, threshold, after)` of the points so far is known: the
+    /// output has made its `out_edge` crossing at or after the input's
+    /// first `in_edge` crossing at or after `after`. Crossings are
+    /// interpolated exactly as [`Trace::crossings`] does.
+    Crossed {
+        /// Node whose crossing starts the delay.
+        input: NodeId,
+        /// Direction of the input crossing.
+        in_edge: Edge,
+        /// Node whose crossing ends the delay.
+        output: NodeId,
+        /// Direction of the output crossing.
+        out_edge: Edge,
+        /// Crossing threshold, volts.
+        threshold: f64,
+        /// Input crossings before this time are ignored, seconds.
+        after: f64,
+    },
 }
 
 /// Companion-model integration method.
@@ -60,6 +107,7 @@ impl TranConfig {
             adaptive: false,
             lte_tol: 2e-3,
             max_points: 5_000_000,
+            until: Until::Stop,
         }
     }
 
@@ -107,6 +155,13 @@ impl TranConfig {
                 reason: "max_points must allow at least two time points",
             });
         }
+        if let Until::Settled { tol } = self.until {
+            if !(tol.is_finite() && tol >= 0.0) {
+                return Err(Error::InvalidTranConfig {
+                    reason: "settle tolerance must be non-negative and finite",
+                });
+            }
+        }
         Ok(())
     }
 }
@@ -146,6 +201,8 @@ pub struct TranStats {
     /// Steps rejected (and re-taken at half size) by the adaptive LTE
     /// controller.
     pub lte_rejections: usize,
+    /// The [`TranConfig::until`] rule ended the run before `stop`.
+    pub stopped_early: bool,
 }
 
 /// Result of a transient run: sampled node voltages over time.
@@ -218,6 +275,120 @@ fn collect_breakpoints(ckt: &Circuit, stop: f64, out: &mut Vec<f64>) {
     }
     out.sort_by(|a, b| a.total_cmp(b));
     out.dedup_by(|a, b| (*a - *b).abs() < 1e-18);
+}
+
+/// When the sources fall quiet: the time from which every source holds
+/// its final value, and whether each final value is its `t = 0` value.
+/// `None` when some source never settles.
+fn sources_settle(ckt: &Circuit) -> Option<(f64, bool)> {
+    let waves = ckt.elements().iter().filter_map(|e| match e {
+        Element::Vsource { wave, .. } | Element::Isource { wave, .. } => Some(wave),
+        _ => None,
+    });
+    let mut from = 0.0_f64;
+    for wave in waves.clone() {
+        from = from.max(wave.settles_at()?);
+    }
+    let returns = waves
+        .into_iter()
+        .all(|w| w.value_at(from) == w.value_at(0.0));
+    Some((from, returns))
+}
+
+/// Result-column reservation: the fixed-step window, capped by the point
+/// budget so an oversized window fails on the budget, not the allocator.
+fn reserve_points(cfg: &TranConfig, breakpoints: usize) -> usize {
+    ((cfg.stop / cfg.step) as usize)
+        .saturating_add(breakpoints + 2)
+        .min(cfg.max_points)
+}
+
+/// Run-time state of a [`TranConfig::until`] rule.
+enum StopRule {
+    Never,
+    /// Node voltages are compared against the reference point held in the
+    /// scratch buffer `rest`.
+    Settled {
+        from: f64,
+        tol: f64,
+    },
+    Crossed {
+        input: NodeId,
+        output: NodeId,
+        detector: DelayDetector,
+    },
+}
+
+impl StopRule {
+    /// Arms `until` for a run of `ckt` whose `t = 0` solution is `x`,
+    /// leaving a `Settled` rule's reference node voltages in `rest`.
+    fn arm(
+        ckt: &Circuit,
+        until: Until,
+        x: &[f64],
+        rest: &mut Vec<f64>,
+        scratch: &mut SysScratch,
+    ) -> Result<Self, Error> {
+        let nn = ckt.node_count() - 1;
+        Ok(match until {
+            Until::Stop => StopRule::Never,
+            Until::Settled { tol } => match sources_settle(ckt) {
+                Some((from, true)) => {
+                    rest.clear();
+                    rest.extend_from_slice(&x[..nn]);
+                    StopRule::Settled { from, tol }
+                }
+                Some((from, false)) if ckt.dc_into(from, scratch, None, rest).is_ok() => {
+                    rest.truncate(nn);
+                    StopRule::Settled { from, tol }
+                }
+                _ => StopRule::Never,
+            },
+            Until::Crossed {
+                input,
+                in_edge,
+                output,
+                out_edge,
+                threshold,
+                after,
+            } => {
+                if input.index() > nn || output.index() > nn {
+                    return Err(Error::InvalidTranConfig {
+                        reason: "until names a node outside the circuit",
+                    });
+                }
+                let mut detector = DelayDetector::new(in_edge, out_edge, threshold, after);
+                let v = |n| System::node_voltage(x, n);
+                detector.push(0.0, v(input), v(output));
+                StopRule::Crossed {
+                    input,
+                    output,
+                    detector,
+                }
+            }
+        })
+    }
+
+    /// Feeds the accepted point `(t, x)`; true once the rule is met.
+    fn reached(&mut self, t: f64, x: &[f64], rest: &[f64]) -> bool {
+        match self {
+            StopRule::Never => false,
+            StopRule::Settled { from, tol } => {
+                t >= *from && x.iter().zip(rest).all(|(v, r)| (v - r).abs() <= *tol)
+            }
+            StopRule::Crossed {
+                input,
+                output,
+                detector,
+            } => detector
+                .push(
+                    t,
+                    System::node_voltage(x, *input),
+                    System::node_voltage(x, *output),
+                )
+                .is_some(),
+        }
+    }
 }
 
 impl Circuit {
@@ -296,6 +467,7 @@ impl Circuit {
             x,
             xn,
             x_prev,
+            rest,
         } = tran;
 
         // Initial condition: DC operating point into the workspace buffer.
@@ -305,6 +477,8 @@ impl Circuit {
         let rec = sys_scratch.recorder.clone();
         let cancel = sys_scratch.cancel.clone();
         self.dc_into(0.0, sys_scratch, warm, x)?;
+        let nn = self.node_count() - 1;
+        let mut stop_rule = StopRule::arm(self, cfg.until, x, rest, sys_scratch)?;
         let mut sys = System::new(self, sys_scratch);
         let nu = x.len();
         xn.clear();
@@ -326,7 +500,7 @@ impl Circuit {
 
         // Result storage is freshly allocated — it is handed to the caller
         // — but only for the captured columns.
-        let capacity = (cfg.stop / cfg.step) as usize + breakpoints.len() + 2;
+        let capacity = reserve_points(cfg, breakpoints.len());
         let ncols = captured.as_ref().map_or(self.node_count(), Vec::len);
         let mut times = Vec::with_capacity(capacity);
         let mut voltages: Vec<Vec<f64>> = vec![Vec::with_capacity(capacity); ncols];
@@ -364,7 +538,6 @@ impl Circuit {
         };
         let mut have_prev = false;
         let mut h_prev = 0.0_f64;
-        let nn = self.node_count() - 1;
 
         // Counters are bumped as the loop goes (not once at the end), so a
         // run that dies on the step budget still journals its true spend.
@@ -507,6 +680,10 @@ impl Circuit {
             record(t, x, &mut times, &mut voltages);
             rec.add(Counter::StepsAccepted, 1);
             after_discontinuity = hit_bp && (sub_t - tn).abs() < 1e-18;
+            if t < cfg.stop - 1e-18 && stop_rule.reached(t, x, rest) {
+                stats.stopped_early = true;
+                break;
+            }
         }
 
         stats.accepted_points = times.len();
@@ -528,6 +705,9 @@ impl Circuit {
     /// Newton and LU kernels (`System::solve_newton_baseline`). Results
     /// are bit-identical to the workspace engine run dense (asserted by
     /// the `workspace_equivalence` tests).
+    ///
+    /// It ignores [`TranConfig::until`] and always runs to `stop`, which
+    /// makes it the full-window reference for the early-stop rules.
     ///
     /// Not part of the simulation API proper; `bench_hotpath` uses it for
     /// same-run before/after comparisons, and it will be dropped once the
@@ -562,7 +742,7 @@ impl Circuit {
         collect_breakpoints(self, cfg.stop, &mut breakpoints);
         let mut next_bp = 0usize;
 
-        let capacity = (cfg.stop / cfg.step) as usize + breakpoints.len() + 2;
+        let capacity = reserve_points(cfg, breakpoints.len());
         let mut times = Vec::with_capacity(capacity);
         let mut voltages: Vec<Vec<f64>> = vec![Vec::with_capacity(capacity); self.node_count()];
         let record = |t: f64, x: &[f64], times: &mut Vec<f64>, voltages: &mut Vec<Vec<f64>>| {
@@ -708,6 +888,7 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::elements::Waveform;
+    use crate::waveform::Polarity;
 
     /// RC charging must match the analytic exponential.
     #[test]
@@ -1117,5 +1298,184 @@ mod tests {
         // Divider: 3f/(3f+1f) = 0.75 (slowly discharged by the gmin floor,
         // negligible at this time scale).
         assert!((v - 0.75).abs() < 0.01, "capacitive divider voltage {v}");
+    }
+
+    /// Asserts `early` holds exactly the first points of `full`.
+    fn assert_prefix(early: &TranResult, full: &TranResult, nodes: &[NodeId]) {
+        let n = early.len();
+        assert!(n < full.len(), "the rule must cut the run: {n} points");
+        assert_eq!(early.times(), &full.times()[..n]);
+        for &node in nodes {
+            assert_eq!(early.trace(node).values(), &full.trace(node).values()[..n]);
+        }
+    }
+
+    #[test]
+    fn settled_rule_cuts_a_returning_pulse_after_it_has_passed() {
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        let out = ckt.node("out");
+        ckt.vsource(
+            vin,
+            Circuit::GROUND,
+            Waveform::single_pulse(0.0, 1.0, 1e-9, 50e-12, 50e-12, 0.5e-9),
+        );
+        ckt.resistor(vin, out, 1e3);
+        ckt.capacitor(out, Circuit::GROUND, 0.2e-12);
+
+        let full_cfg = TranConfig::new(10e-12, 8e-9);
+        let full = ckt.transient(&full_cfg).unwrap();
+        let cfg = TranConfig {
+            until: Until::Settled { tol: 0.05 },
+            ..full_cfg
+        };
+        let early = ckt.transient(&cfg).unwrap();
+        assert!(early.stats().stopped_early && !full.stats().stopped_early);
+        assert_eq!(early.stats().accepted_points, early.len());
+        assert_prefix(&early, &full, &[vin, out]);
+        // Past the pulse, and every node back within tol of rest.
+        let t_end = *early.times().last().unwrap();
+        assert!((1.6e-9..3e-9).contains(&t_end), "stopped at {t_end:e}");
+        assert!(early.trace(out).last_value().abs() <= 0.05);
+        let w = |r: &TranResult| {
+            r.trace(out)
+                .widest_pulse_width(0.5, Polarity::PositiveGoing)
+        };
+        assert_eq!(w(&early).to_bits(), w(&full).to_bits());
+        assert!(w(&full) > 0.0);
+    }
+
+    #[test]
+    fn settled_rule_solves_the_final_point_when_sources_do_not_return() {
+        // A step ends away from its t = 0 value: the rule compares against
+        // the DC point at the final source values (out = 1 V).
+        let (ckt, vin, out) = rc_deck();
+        let full_cfg = TranConfig::new(5e-12, 20e-9);
+        let full = ckt.transient(&full_cfg).unwrap();
+        let early = ckt
+            .transient(&TranConfig {
+                until: Until::Settled { tol: 1e-3 },
+                ..full_cfg
+            })
+            .unwrap();
+        assert!(early.stats().stopped_early);
+        assert_prefix(&early, &full, &[vin, out]);
+        let v = early.trace(out).last_value();
+        assert!((v - 1.0).abs() <= 1e-3, "stopped {v} away from 1 V");
+        // tau = 1 ns: within 1 mV after about 6.9 tau.
+        assert!(*early.times().last().unwrap() < 8e-9);
+    }
+
+    #[test]
+    fn settled_rule_never_fires_on_a_periodic_source() {
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        ckt.vsource(
+            vin,
+            Circuit::GROUND,
+            Waveform::Pulse {
+                v1: 0.0,
+                v2: 1.0,
+                delay: 0.1e-9,
+                rise: 10e-12,
+                fall: 10e-12,
+                width: 0.2e-9,
+                period: 0.5e-9,
+            },
+        );
+        ckt.resistor(vin, Circuit::GROUND, 1e3);
+        let full_cfg = TranConfig::new(10e-12, 3e-9);
+        let cfg = TranConfig {
+            until: Until::Settled { tol: 10.0 },
+            ..full_cfg.clone()
+        };
+        let res = ckt.transient(&cfg).unwrap();
+        assert!(!res.stats().stopped_early);
+        assert_eq!(res.times(), ckt.transient(&full_cfg).unwrap().times());
+    }
+
+    #[test]
+    fn crossed_rule_stops_once_the_delay_is_known() {
+        let (ckt, vin, out) = rc_deck();
+        let full_cfg = TranConfig::new(5e-12, 6e-9);
+        let crossed = |out_edge| TranConfig {
+            until: Until::Crossed {
+                input: vin,
+                in_edge: Edge::Rising,
+                output: out,
+                out_edge,
+                threshold: 0.5,
+                after: 0.0,
+            },
+            ..full_cfg.clone()
+        };
+        let full = ckt.transient(&full_cfg).unwrap();
+        let early = ckt.transient(&crossed(Edge::Rising)).unwrap();
+        assert!(early.stats().stopped_early);
+        assert_prefix(&early, &full, &[vin, out]);
+        let delay = |r: &TranResult| {
+            crate::propagation_delay(
+                &r.trace(vin),
+                Edge::Rising,
+                &r.trace(out),
+                Edge::Rising,
+                0.5,
+                0.0,
+            )
+        };
+        let d = delay(&full).expect("the RC output crosses");
+        assert_eq!(delay(&early).map(f64::to_bits), Some(d.to_bits()));
+        // RC: ln 2 tau after the input edge, give or take the ramp.
+        assert!((d - 0.693e-9).abs() < 20e-12, "delay {d:e}");
+
+        // An edge that never comes keeps the full window.
+        let never = ckt.transient(&crossed(Edge::Falling)).unwrap();
+        assert!(!never.stats().stopped_early);
+        assert_eq!(never.times(), full.times());
+    }
+
+    #[test]
+    fn invalid_stop_rules_are_rejected() {
+        let (ckt, vin, _) = rc_deck();
+        for tol in [-1e-3, f64::NAN, f64::INFINITY] {
+            let cfg = TranConfig {
+                until: Until::Settled { tol },
+                ..TranConfig::new(5e-12, 1e-9)
+            };
+            assert!(matches!(
+                ckt.transient(&cfg),
+                Err(Error::InvalidTranConfig { .. })
+            ));
+        }
+        let cfg = TranConfig {
+            until: Until::Crossed {
+                input: vin,
+                in_edge: Edge::Rising,
+                output: NodeId(99),
+                out_edge: Edge::Rising,
+                threshold: 0.5,
+                after: 0.0,
+            },
+            ..TranConfig::new(5e-12, 1e-9)
+        };
+        assert!(matches!(
+            ckt.transient(&cfg),
+            Err(Error::InvalidTranConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn oversized_window_fails_on_the_budget_not_the_allocator() {
+        // 1e18 points of window: reserving result storage for all of them
+        // used to abort the process before the budget check could run.
+        let (ckt, _, _) = rc_deck();
+        let mut cfg = TranConfig::new(1e-15, 1e3);
+        cfg.max_points = 1000;
+        let budget = |r: Result<TranResult, Error>| match r {
+            Err(Error::StepBudgetExhausted { points, .. }) => assert_eq!(points, 1000),
+            other => panic!("expected StepBudgetExhausted, got {other:?}"),
+        };
+        budget(ckt.transient(&cfg));
+        budget(ckt.transient_baseline(&cfg));
     }
 }

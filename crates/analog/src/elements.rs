@@ -141,6 +141,31 @@ impl Waveform {
         }
     }
 
+    /// Time from which the waveform holds its final value for good, or
+    /// `None` for a periodic pulse train, which never settles.
+    pub fn settles_at(&self) -> Option<f64> {
+        match self {
+            Waveform::Dc(_) => Some(0.0),
+            Waveform::Pulse {
+                delay,
+                rise,
+                fall,
+                width,
+                period,
+                ..
+            } => {
+                if period.is_finite() && *period > 0.0 {
+                    return None;
+                }
+                // Same sum as the last corner in `breakpoints`; a step
+                // (infinite width) settles at the top of its edge.
+                let end = delay + rise + width + fall;
+                Some(if end.is_finite() { end } else { delay + rise })
+            }
+            Waveform::Pwl(points) => Some(points.last().map_or(0.0, |&(t, _)| t)),
+        }
+    }
+
     /// Times at which the waveform has corners (slope discontinuities)
     /// within `[0, stop]`. The transient engine forces time points here so
     /// sharp edges are never stepped over.

@@ -63,7 +63,7 @@ mod solver;
 pub mod waveform;
 
 pub use analysis::dcop::DcSolution;
-pub use analysis::transient::{Integrator, TraceCapture, TranConfig, TranResult, TranStats};
+pub use analysis::transient::{Integrator, TraceCapture, TranConfig, TranResult, TranStats, Until};
 pub use circuit::{Circuit, NodeId};
 pub use deck::{parse_deck, Deck};
 pub use elements::{Element, MosType, Mosfet, MosfetParams, Waveform};

@@ -263,6 +263,9 @@ pub(crate) struct TranScratch {
     pub xn: Vec<f64>,
     /// Solution at the previously *accepted* point, for the LTE predictor.
     pub x_prev: Vec<f64>,
+    /// Node voltages of the operating point a `Settled` stop rule
+    /// compares against.
+    pub rest: Vec<f64>,
 }
 
 /// Reusable scratch memory for repeated solves of the same (or similar)

@@ -170,59 +170,12 @@ impl<'a> Trace<'a> {
     /// Rising and falling crossings of one threshold always strictly
     /// alternate; pulse pairing in [`Trace::pulses`] relies on this.
     pub fn crossings(&self, threshold: f64, edge: Edge) -> Vec<f64> {
-        // Side of a sample: None while exactly at the threshold.
-        let side = |v: f64| -> Option<bool> {
-            if v > threshold {
-                Some(true)
-            } else if v < threshold {
-                Some(false)
-            } else {
-                None
-            }
-        };
-
-        let mut out = Vec::new();
-        // Last known strict side, and the index of the sample that set it.
-        let mut state = side(self.v[0]);
-        let mut last_off = 0usize;
-        for i in 1..self.t.len() {
-            let Some(above) = side(self.v[i]) else {
-                // Exactly at the threshold: hold the previous side.
-                continue;
-            };
-            match state {
-                None => {
-                    // Leading at-threshold run: establishes the side only.
-                    state = Some(above);
-                    last_off = i;
-                }
-                Some(prev) if prev != above => {
-                    // Strict side change. Since the samples between
-                    // `last_off` and `i` (if any) sit exactly on the
-                    // threshold, the signal first reaches the threshold in
-                    // the segment right after `last_off`.
-                    let wanted = match edge {
-                        Edge::Rising => above,
-                        Edge::Falling => !above,
-                    };
-                    if wanted {
-                        let (t0, t1) = (self.t[last_off], self.t[last_off + 1]);
-                        let (v0, v1) = (self.v[last_off], self.v[last_off + 1]);
-                        // v0 is strictly off-threshold and v1 is at or
-                        // beyond it, so v1 != v0; the clamp only guards
-                        // against float round-off on extreme segments.
-                        let f = ((threshold - v0) / (v1 - v0)).clamp(0.0, 1.0);
-                        out.push(t0 + f * (t1 - t0));
-                    }
-                    state = Some(above);
-                    last_off = i;
-                }
-                Some(_) => {
-                    last_off = i;
-                }
-            }
-        }
-        out
+        let mut detector = CrossingDetector::new(threshold, edge);
+        self.t
+            .iter()
+            .zip(self.v)
+            .filter_map(|(&t, &v)| detector.push(t, v))
+            .collect()
     }
 
     /// First crossing of `threshold` with direction `edge` at or after
@@ -344,6 +297,127 @@ impl<'a> Trace<'a> {
     }
 }
 
+/// [`Trace::crossings`] computed one sample at a time: feed the samples
+/// in time order and each call returns the crossing that sample
+/// completes, if any. A crossing, once returned, is final: later samples
+/// never move or retract it, which is what lets a transient stop as soon
+/// as the crossings it needs have appeared.
+#[derive(Debug, Clone)]
+pub(crate) struct CrossingDetector {
+    threshold: f64,
+    edge: Edge,
+    /// Last strict side (`true` = above); `None` while every sample so
+    /// far sits exactly on the threshold.
+    side: Option<bool>,
+    /// The last strictly off-threshold sample (the first sample, until
+    /// one is off-threshold) and the sample right after it, between which
+    /// the next crossing is interpolated.
+    last_off: Option<(f64, f64)>,
+    after_off: Option<(f64, f64)>,
+}
+
+impl CrossingDetector {
+    pub(crate) fn new(threshold: f64, edge: Edge) -> Self {
+        CrossingDetector {
+            threshold,
+            edge,
+            side: None,
+            last_off: None,
+            after_off: None,
+        }
+    }
+
+    /// Feeds the next sample; returns the crossing it completes.
+    pub(crate) fn push(&mut self, t: f64, v: f64) -> Option<f64> {
+        let Some((t0, v0)) = self.last_off else {
+            // First sample: sets the side (or none, when on the
+            // threshold) without producing a crossing.
+            self.side = self.side_of(v);
+            self.last_off = Some((t, v));
+            return None;
+        };
+        let (t1, v1) = *self.after_off.get_or_insert((t, v));
+        // Exactly at the threshold: hold the previous side.
+        let above = self.side_of(v)?;
+        let wanted = match self.edge {
+            Edge::Rising => above,
+            Edge::Falling => !above,
+        };
+        let crossing = match self.side {
+            // Strict side change. Since the samples between the last
+            // off-threshold one and this one (if any) sit exactly on the
+            // threshold, the signal first reaches the threshold in the
+            // segment right after the last off-threshold sample. There
+            // v0 is strictly off-threshold and v1 is at or beyond it, so
+            // v1 != v0; the clamp only guards against float round-off on
+            // extreme segments.
+            Some(prev) if prev != above && wanted => {
+                let f = ((self.threshold - v0) / (v1 - v0)).clamp(0.0, 1.0);
+                Some(t0 + f * (t1 - t0))
+            }
+            _ => None,
+        };
+        self.side = Some(above);
+        self.last_off = Some((t, v));
+        self.after_off = None;
+        crossing
+    }
+
+    fn side_of(&self, v: f64) -> Option<bool> {
+        if v > self.threshold {
+            Some(true)
+        } else if v < self.threshold {
+            Some(false)
+        } else {
+            None
+        }
+    }
+}
+
+/// [`propagation_delay`] computed one time point at a time: returns the
+/// delay as soon as the samples fed so far fix it. Because crossings are
+/// final once found ([`CrossingDetector`]), the delay of any longer trace
+/// with these samples as a prefix is the same value.
+#[derive(Debug, Clone)]
+pub(crate) struct DelayDetector {
+    input: CrossingDetector,
+    output: CrossingDetector,
+    after: f64,
+    /// First input crossing at or after `after`, once seen.
+    t_in: Option<f64>,
+    /// Output crossings that may still follow `t_in` (all of them until
+    /// `t_in` is known: an input edge resting on the threshold is timed
+    /// at its first touch but confirmed only later).
+    t_outs: Vec<f64>,
+}
+
+impl DelayDetector {
+    pub(crate) fn new(in_edge: Edge, out_edge: Edge, threshold: f64, after: f64) -> Self {
+        DelayDetector {
+            input: CrossingDetector::new(threshold, in_edge),
+            output: CrossingDetector::new(threshold, out_edge),
+            after,
+            t_in: None,
+            t_outs: Vec::new(),
+        }
+    }
+
+    /// Feeds one time point of both traces; returns the delay once known.
+    pub(crate) fn push(&mut self, t: f64, v_in: f64, v_out: f64) -> Option<f64> {
+        if let Some(c) = self.input.push(t, v_in) {
+            if self.t_in.is_none() && c >= self.after {
+                self.t_in = Some(c);
+            }
+        }
+        if let Some(c) = self.output.push(t, v_out) {
+            self.t_outs.push(c);
+        }
+        let t_in = self.t_in?;
+        self.t_outs.retain(|&c| c >= t_in);
+        self.t_outs.first().map(|&t_out| t_out - t_in)
+    }
+}
+
 /// Propagation delay from an edge on `input` to the corresponding edge on
 /// `output`, both measured at `threshold`. Returns `None` if either edge
 /// is missing (e.g. the transition was swallowed by the fault).
@@ -367,6 +441,7 @@ pub fn propagation_delay(
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use proptest::prelude::*;
 
     fn triangle() -> (Vec<f64>, Vec<f64>) {
         // 0 → 1 → 0 triangle over t in [0, 2].
@@ -644,5 +719,133 @@ mod tests {
         assert!((pulses[0].t_start - 0.5).abs() < 1e-12);
         assert!((pulses[0].t_end - 2.0).abs() < 1e-12);
         assert!((tr.widest_pulse_width(0.5, Polarity::PositiveGoing) - 1.5).abs() < 1e-12);
+    }
+
+    /// The batch crossing rule as first written, kept as an independent
+    /// oracle for the incremental [`CrossingDetector`].
+    fn reference_crossings(t: &[f64], v: &[f64], threshold: f64, edge: Edge) -> Vec<f64> {
+        let side = |v: f64| (v != threshold).then_some(v > threshold);
+        let mut out = Vec::new();
+        let mut state = side(v[0]);
+        let mut last_off = 0usize;
+        for i in 1..t.len() {
+            let Some(above) = side(v[i]) else { continue };
+            if state.is_some_and(|prev| prev != above) && above == (edge == Edge::Rising) {
+                let (t0, t1) = (t[last_off], t[last_off + 1]);
+                let (v0, v1) = (v[last_off], v[last_off + 1]);
+                let f = ((threshold - v0) / (v1 - v0)).clamp(0.0, 1.0);
+                out.push(t0 + f * (t1 - t0));
+            }
+            state = Some(above);
+            last_off = i;
+        }
+        out
+    }
+
+    const TH: f64 = 0.5;
+
+    /// A random trace around the threshold `TH`: `(dt, level, value)`
+    /// per sample, where `dt == 0` repeats the time point, level 0 sits
+    /// exactly on the threshold and level 1 repeats the previous value
+    /// (plateaus, also on the threshold).
+    fn trace_strategy() -> BoxedStrategy<Vec<(u8, u8, f64)>> {
+        prop::collection::vec((0u8..4, 0u8..4, -1.0f64..1.0), 1..40).boxed()
+    }
+
+    fn build(spec: &[(u8, u8, f64)]) -> (Vec<f64>, Vec<f64>) {
+        let (mut t, mut v) = (Vec::new(), Vec::new());
+        let (mut now, mut last) = (0.0, TH);
+        for &(dt, level, x) in spec {
+            if !t.is_empty() {
+                now += 0.5 * f64::from(dt);
+            }
+            last = match level {
+                0 => TH,
+                1 => last,
+                _ => TH + x,
+            };
+            t.push(now);
+            v.push(last);
+        }
+        (t, v)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The incremental detector behind `Trace::crossings` reproduces
+        /// the batch rule on plateaus, duplicate times and at-threshold
+        /// samples.
+        #[test]
+        fn crossings_match_the_batch_rule(spec in trace_strategy()) {
+            let (t, v) = build(&spec);
+            let tr = Trace::new(&t, &v);
+            for edge in [Edge::Rising, Edge::Falling] {
+                let want: Vec<u64> =
+                    reference_crossings(&t, &v, TH, edge).iter().map(|c| c.to_bits()).collect();
+                let got: Vec<u64> = tr.crossings(TH, edge).iter().map(|c| c.to_bits()).collect();
+                prop_assert_eq!(got, want);
+            }
+        }
+
+        /// The `Crossed` stop detector returns exactly `propagation_delay`
+        /// of the whole trace, at the first point that fixes it, and the
+        /// trace cut there measures the same delay.
+        #[test]
+        fn delay_detector_matches_propagation_delay(
+            a in trace_strategy(),
+            b in trace_strategy(),
+            after_frac in 0.0f64..1.0,
+            rising: bool,
+            out_rising: bool,
+        ) {
+            let n = a.len().min(b.len());
+            let (t, vin) = build(&a[..n]);
+            // The output shares the input's time points.
+            let (_, vout) = build(&b[..n]);
+            let after = after_frac * t[n - 1];
+            let edge = |r: bool| if r { Edge::Rising } else { Edge::Falling };
+            let (ie, oe) = (edge(rising), edge(out_rising));
+            let mut det = DelayDetector::new(ie, oe, TH, after);
+            let stop = (0..n).find_map(|i| det.push(t[i], vin[i], vout[i]).map(|d| (i, d)));
+            let whole = propagation_delay(
+                &Trace::new(&t, &vin), ie, &Trace::new(&t, &vout), oe, TH, after,
+            );
+            prop_assert_eq!(stop.map(|(_, d)| d.to_bits()), whole.map(f64::to_bits));
+            if let Some((i, d)) = stop {
+                let cut = propagation_delay(
+                    &Trace::new(&t[..=i], &vin[..=i]),
+                    ie,
+                    &Trace::new(&t[..=i], &vout[..=i]),
+                    oe,
+                    TH,
+                    after,
+                );
+                prop_assert_eq!(cut.map(f64::to_bits), Some(d.to_bits()));
+            }
+        }
+
+        /// The `Settled` premise at trace level: once the signal stays on
+        /// its resting side, cutting the trace at the first resting sample
+        /// leaves every pulse width unchanged.
+        #[test]
+        fn widths_are_fixed_once_the_trace_rests(
+            head in trace_strategy(),
+            tail in prop::collection::vec(0.0f64..0.4, 1..20),
+        ) {
+            let (mut t, mut v) = build(&head);
+            let cut = t.len() + 1;
+            let mut now = t[t.len() - 1];
+            for x in tail {
+                now += 0.5;
+                t.push(now);
+                v.push(x);
+            }
+            for polarity in [Polarity::PositiveGoing, Polarity::NegativeGoing] {
+                let whole = Trace::new(&t, &v).widest_pulse_width(TH, polarity);
+                let head = Trace::new(&t[..cut], &v[..cut]).widest_pulse_width(TH, polarity);
+                prop_assert_eq!(head.to_bits(), whole.to_bits());
+            }
+        }
     }
 }

@@ -16,7 +16,8 @@ use crate::gates::{CellKind, CmosBuilder, RopSite};
 use crate::tech::Tech;
 use pulsar_analog::{
     propagation_delay, CancelToken, Circuit, Edge, Error, Integrator, NodeId, Polarity, Recorder,
-    SolverMode, SolverWorkspace, SymbolicCache, TraceCapture, TranConfig, TranResult, Waveform,
+    SolverMode, SolverWorkspace, SymbolicCache, TraceCapture, TranConfig, TranResult, Until,
+    Waveform,
 };
 
 /// Structural description of a path: the gate chain plus per-stage extra
@@ -258,6 +259,9 @@ pub struct BuiltPath {
     reuse_workspace: bool,
     /// Which node waveforms the default measurement runs record.
     capture_policy: CapturePolicy,
+    /// Node tolerance of the pulse queries' [`Until::Settled`] rule: a
+    /// quarter of the smallest |Vt0| of any transistor in the path.
+    settle_tol: f64,
 }
 
 impl BuiltPath {
@@ -385,6 +389,12 @@ impl BuiltPath {
 
         let vdd_source = b.vdd_source();
         let (circuit, _) = b.finish();
+        // Every transistor, loads and aggressor included, takes its
+        // threshold from one of `techs`.
+        let min_vt = techs
+            .iter()
+            .flat_map(|t| [t.vt0_n.abs(), t.vt0_p.abs()])
+            .fold(f64::INFINITY, f64::min);
         BuiltPath {
             circuit,
             input,
@@ -403,6 +413,7 @@ impl BuiltPath {
             workspace: SolverWorkspace::new(),
             reuse_workspace: true,
             capture_policy: CapturePolicy::default(),
+            settle_tol: 0.25 * min_vt,
         }
     }
 
@@ -516,8 +527,28 @@ impl BuiltPath {
     /// The transient configuration default measurement runs would use,
     /// given `extra` seconds of stimulus-dependent window (e.g. the input
     /// pulse width). Exposes the default window to static pre-checks.
+    ///
+    /// The window is an upper bound: the pulse-width and delay queries
+    /// attach an early-stop rule ([`TranConfig::until`]) and usually end
+    /// far sooner, with bit-identical measurements. The returned config
+    /// runs the full window ([`Until::Stop`]), which is what the lint
+    /// step-budget check sizes and what a forced full-window run passes
+    /// back in as `cfg`.
     pub fn default_config(&self, extra: f64) -> TranConfig {
         self.default_cfg(extra)
+    }
+
+    /// Node tolerance of the early-stop rule the pulse queries use
+    /// ([`Until::Settled`]): a quarter of the smallest |Vt0| in the path,
+    /// 0.1 V on the generic 180 nm technology.
+    ///
+    /// Why it is safe: the square-law model cuts a transistor off exactly
+    /// at `vgs <= vt0`. While every node sits within this tolerance of its
+    /// resting point, no gate-source voltage moves by more than half a
+    /// threshold, so every off transistor stays off and no node can cross
+    /// VDD/2 again: the widths measured so far are final.
+    pub fn settle_tolerance(&self) -> f64 {
+        self.settle_tol
     }
 
     /// Attaches a particle-strike current source to the given stage's
@@ -600,9 +631,7 @@ impl BuiltPath {
     }
 
     /// Switches the default simulations to adaptive (LTE-controlled)
-    /// stepping with the current step as the maximum. Typically 2–4×
-    /// faster on quiescent stretches at equal measured pulse widths; the
-    /// `ablation/step` bench quantifies the trade.
+    /// stepping with the current step as the maximum.
     pub fn set_adaptive(&mut self, on: bool) {
         self.adaptive = on;
     }
@@ -781,7 +810,10 @@ impl BuiltPath {
     /// [`CapturePolicy::StageOutputs`], at every intermediate stage.
     ///
     /// Pass a custom `cfg` to control step/stop; `None` uses a window
-    /// sized from the path length.
+    /// sized from the path length ([`BuiltPath::default_config`]) and runs
+    /// all of it: a dampened pulse's peak excursion can still creep up in
+    /// the quiet tail an early stop would cut, so `peak_fraction` needs
+    /// the full window.
     ///
     /// # Errors
     ///
@@ -798,7 +830,9 @@ impl BuiltPath {
             CapturePolicy::StageOutputs => TraceCapture::Nodes(self.stage_outputs.clone()),
             CapturePolicy::MeasurementsOnly => TraceCapture::Nodes(vec![self.output()]),
         };
-        let (outcome, _) = self.pulse_run(w_in, polarity, cfg, &capture)?;
+        // The full window: a dampened pulse's peak excursion can still
+        // creep up in the tail the settle rule would cut.
+        let (outcome, _) = self.pulse_run(w_in, polarity, cfg, &capture, Until::Stop)?;
         Ok(outcome)
     }
 
@@ -806,6 +840,11 @@ impl BuiltPath {
     /// [`CapturePolicy::MeasurementsOnly`] (regardless of the configured
     /// policy), returning just the output pulse width. This is what
     /// Monte Carlo width studies run per sample.
+    ///
+    /// With `cfg = None` the run ends early under [`Until::Settled`] at
+    /// [`BuiltPath::settle_tolerance`]: once the input pulse is over and
+    /// every node is back near rest, no node can cross VDD/2 again, so
+    /// the width is bit-identical to the full window's.
     ///
     /// # Errors
     ///
@@ -817,7 +856,10 @@ impl BuiltPath {
         cfg: Option<&TranConfig>,
     ) -> Result<f64, Error> {
         let capture = TraceCapture::Nodes(vec![self.output()]);
-        let (outcome, _) = self.pulse_run(w_in, polarity, cfg, &capture)?;
+        let settled = Until::Settled {
+            tol: self.settle_tol,
+        };
+        let (outcome, _) = self.pulse_run(w_in, polarity, cfg, &capture, settled)?;
         Ok(outcome.output_width)
     }
 
@@ -834,18 +876,20 @@ impl BuiltPath {
         polarity: Polarity,
         cfg: Option<&TranConfig>,
     ) -> Result<(PulseOutcome, TranResult), Error> {
-        self.pulse_run(w_in, polarity, cfg, &TraceCapture::All)
+        self.pulse_run(w_in, polarity, cfg, &TraceCapture::All, Until::Stop)
     }
 
     /// Shared pulse-propagation engine behind [`BuiltPath::propagate_pulse`]
     /// (stage-output capture) and [`BuiltPath::propagate_pulse_traced`]
-    /// (full capture).
+    /// (full capture). `until` applies to the default window only; a
+    /// caller's `cfg` runs as given.
     fn pulse_run(
         &mut self,
         w_in: f64,
         polarity: Polarity,
         cfg: Option<&TranConfig>,
         capture: &TraceCapture,
+        until: Until,
     ) -> Result<(PulseOutcome, TranResult), Error> {
         if !(w_in.is_finite() && w_in > 0.0) {
             return Err(Error::InvalidParameter {
@@ -861,7 +905,10 @@ impl BuiltPath {
         let wave = pulse_wave(rest, delta, self.t_start, self.input_edge, w_in);
         self.circuit.set_vsource_wave(self.input_src, wave)?;
 
-        let cfg_default = self.default_cfg(w_in);
+        let cfg_default = TranConfig {
+            until,
+            ..self.default_cfg(w_in)
+        };
         let cfg = cfg.unwrap_or(&cfg_default);
         let res = self.sim(cfg, capture)?;
 
@@ -895,6 +942,10 @@ impl BuiltPath {
     /// Applies a single input transition and measures the propagation
     /// delay to the output at `vdd/2`.
     ///
+    /// With `cfg = None` the run ends under [`Until::Crossed`] as soon as
+    /// the output edge has crossed, so the delay is bit-identical to the
+    /// full window's; a swallowed transition runs the whole window.
+    ///
     /// # Errors
     ///
     /// Propagates simulator errors.
@@ -912,28 +963,33 @@ impl BuiltPath {
             Waveform::step(v1, v2, self.t_start, self.input_edge),
         )?;
 
-        let cfg_default = self.default_cfg(0.0);
-        let cfg = cfg.unwrap_or(&cfg_default);
-        // The delay measurement reads only the input and output traces.
-        let capture = TraceCapture::Nodes(vec![self.input, self.output()]);
-        let res = self.sim(cfg, &capture)?;
-
         let output_edge = if self.inverts {
             input_edge.inverted()
         } else {
             input_edge
         };
         let vth = self.vdd / 2.0;
+        let after = self.t_start * 0.5;
+        // The default window ends as soon as the delay is known.
+        let cfg_default = TranConfig {
+            until: Until::Crossed {
+                input: self.input,
+                in_edge: input_edge,
+                output: self.output(),
+                out_edge: output_edge,
+                threshold: vth,
+                after,
+            },
+            ..self.default_cfg(0.0)
+        };
+        let cfg = cfg.unwrap_or(&cfg_default);
+        // The delay measurement reads only the input and output traces.
+        let capture = TraceCapture::Nodes(vec![self.input, self.output()]);
+        let res = self.sim(cfg, &capture)?;
+
         let tin = res.trace(self.input);
         let tout = res.trace(self.output());
-        let delay = propagation_delay(
-            &tin,
-            input_edge,
-            &tout,
-            output_edge,
-            vth,
-            self.t_start * 0.5,
-        );
+        let delay = propagation_delay(&tin, input_edge, &tout, output_edge, vth, after);
         Ok(TransitionOutcome { delay, output_edge })
     }
 }
@@ -994,6 +1050,56 @@ mod tests {
             .unwrap()
             .output_width;
         assert_eq!(back, nominal);
+    }
+
+    #[test]
+    fn queries_stop_early_on_the_paper_chain_with_full_window_results() {
+        let spec = PathSpec::paper_chain();
+        let fault = PathFault::ExternalRop {
+            stage: 1,
+            ohms: 8e3,
+        };
+        let mut p = BuiltPath::new(&spec, &fault, &techs(7));
+        assert!((p.settle_tolerance() - 0.1).abs() < 1e-12);
+        let w = 278e-12;
+        let pol = Polarity::PositiveGoing;
+        let full_cfg = p.default_config(w);
+        assert_eq!(full_cfg.until, Until::Stop);
+        let full = p.propagate_pulse(w, pol, Some(&full_cfg)).unwrap();
+        assert!(full.output_width > 0.0);
+        let width = p.pulse_width_only(w, pol, None).unwrap();
+        assert_eq!(width.to_bits(), full.output_width.to_bits());
+        // `propagate_pulse` keeps the full window: every field matches.
+        let default = p.propagate_pulse(w, pol, None).unwrap();
+        assert_eq!(
+            default.peak_fraction.to_bits(),
+            full.peak_fraction.to_bits()
+        );
+        assert_eq!(default.stage_widths, full.stage_widths);
+
+        // The width query's rule fires, long before the window ends.
+        let settled = TranConfig {
+            until: Until::Settled {
+                tol: p.settle_tolerance(),
+            },
+            ..full_cfg.clone()
+        };
+        let early = p.run_transient(Some(&settled)).unwrap();
+        let whole = p.run_transient(Some(&full_cfg)).unwrap();
+        assert!(early.stats().stopped_early && !whole.stats().stopped_early);
+        assert!(
+            early.len() * 3 < whole.len(),
+            "{} of {} points",
+            early.len(),
+            whole.len()
+        );
+
+        for edge in [Edge::Rising, Edge::Falling] {
+            let full = p.propagate_transition(edge, Some(&p.default_config(0.0)));
+            let early = p.propagate_transition(edge, None).unwrap();
+            assert!(early.delay.is_some());
+            assert_eq!(early.delay, full.unwrap().delay);
+        }
     }
 
     #[test]
