@@ -1365,6 +1365,27 @@ fn json_kernel(r: &KernelResult) -> String {
     json_ab(r, "baseline", "reuse")
 }
 
+/// A smoke regression guard on a ratio that must stay above `floor`:
+/// prints the measured ratio and its bound whether it passes or not, so a
+/// failed run says by how much.
+fn guard_above(what: &str, ratio: f64, floor: f64) {
+    eprintln!("smoke guard: {what} = {ratio:.3} (bound: > {floor})");
+    assert!(
+        ratio > floor,
+        "smoke guard failed: {what} = {ratio:.3}, bound > {floor}"
+    );
+}
+
+/// A smoke regression guard on a ratio that must stay below `ceiling`;
+/// prints like [`guard_above`].
+fn guard_below(what: &str, ratio: f64, ceiling: f64) {
+    eprintln!("smoke guard: {what} = {ratio:.3} (bound: < {ceiling})");
+    assert!(
+        ratio < ceiling,
+        "smoke guard failed: {what} = {ratio:.3}, bound < {ceiling}"
+    );
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let obs_only = std::env::args().any(|a| a == "--obs-only");
@@ -1396,10 +1417,7 @@ fn main() {
         let k9 = adaptive_mc_coverage(adaptive_samples, adaptive_r_points, mc_iters);
         report_adaptive_mc(&k9, adaptive_samples, adaptive_r_points, mc_iters, smoke);
         if smoke {
-            assert!(
-                k9.result.speedup() > 0.8,
-                "adaptive engine materially slower than the fixed-budget sweep in smoke run"
-            );
+            guard_above("adaptive vs fixed-budget speedup", k9.result.speedup(), 0.8);
         }
         return;
     }
@@ -1416,10 +1434,7 @@ fn main() {
         let k10 = serve_submission(serve_samples, serve_iters);
         report_serve(&k10, serve_samples, serve_iters, smoke);
         if smoke {
-            assert!(
-                k10.result.speedup() > 0.8,
-                "warm serve submission materially slower than cold in smoke run"
-            );
+            guard_above("warm vs cold serve speedup", k10.result.speedup(), 0.8);
         }
         return;
     }
@@ -1578,48 +1593,47 @@ fn main() {
         // replaces. (The slack below 1.0 absorbs scheduler noise on
         // loaded CI runners; the full run records the real numbers in
         // the JSON.)
-        assert!(
-            single_thread_speedup > 0.8,
-            "workspace engine materially slower than baseline in smoke run"
+        guard_above(
+            "workspace vs baseline engine speedup",
+            single_thread_speedup,
+            0.8,
         );
         if !forced_dense {
-            assert!(
-                sparse32_speedup > 0.8,
-                "sparse engine materially slower than dense on the 32-gate chain"
+            guard_above(
+                "sparse vs dense speedup on the 32-gate chain",
+                sparse32_speedup,
+                0.8,
             );
         }
         // Disabled-recorder overhead must stay within noise of the PR2/PR4
         // hot path (full runs record the real number in BENCH_pr5.json; the
         // slack absorbs scheduler noise on loaded CI runners), and an
         // enabled recorder must not blow past any reasonable bound.
-        assert!(
-            (k6.disabled_ns as f64) < 1.25 * k6.plain_ns as f64,
-            "disabled-recorder path materially slower than the plain hot path in smoke run"
+        guard_below(
+            "disabled-recorder / plain hot path time",
+            k6.disabled_ns as f64 / k6.plain_ns as f64,
+            1.25,
         );
-        assert!(
-            (k6.enabled_ns as f64) < 2.0 * k6.disabled_ns as f64,
-            "enabled-recorder overhead far beyond expectation in smoke run"
+        guard_below(
+            "enabled / disabled recorder time",
+            k6.enabled_ns as f64 / k6.disabled_ns as f64,
+            2.0,
         );
         // Checkpointing must stay within noise of the checkpoint-free
         // durable run (the full run records the real number in
         // BENCH_pr6.json).
-        assert!(
-            (k7.reuse_ns as f64) < 1.25 * k7.baseline_ns as f64,
-            "checkpointed durable run materially slower than checkpoint-free in smoke run"
+        guard_below(
+            "checkpointed / checkpoint-free durable run time",
+            k7.reuse_ns as f64 / k7.baseline_ns as f64,
+            1.25,
         );
         // The adaptive engine saves whole samples, so even a smoke-sized
         // sweep must not run materially slower than the fixed budget.
-        assert!(
-            k9.result.speedup() > 0.8,
-            "adaptive engine materially slower than the fixed-budget sweep in smoke run"
-        );
+        guard_above("adaptive vs fixed-budget speedup", k9.result.speedup(), 0.8);
         // A warm whole-result hit is a socket round trip; it must never
         // lose to a full recompute (the full run records the number in
         // BENCH_pr10.json).
-        assert!(
-            k10.result.speedup() > 0.8,
-            "warm serve submission materially slower than cold in smoke run"
-        );
+        guard_above("warm vs cold serve speedup", k10.result.speedup(), 0.8);
         return;
     }
 

@@ -349,6 +349,29 @@ impl<T: CheckpointValue> Checkpoint<T> {
         &self.spec
     }
 
+    /// Checks that this checkpoint was opened for the run `want`
+    /// identifies — the guard a study runs before it restores a record,
+    /// so a checkpoint of another experiment (or of the same sweep with
+    /// another row layout) is refused instead of folded.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Checkpoint`] when the specs differ.
+    pub fn expect_spec(&self, want: &CheckpointSpec) -> Result<(), CoreError> {
+        if self.spec == *want {
+            Ok(())
+        } else {
+            Err(CoreError::Checkpoint {
+                reason: format!(
+                    "{} was opened for another run (spec {:?}, this run expects {:?})",
+                    self.path.display(),
+                    self.spec,
+                    want
+                ),
+            })
+        }
+    }
+
     /// Appends one completion record. Failed outcomes are ignored — they
     /// re-run on resume. Called from worker threads; a write error poisons
     /// the checkpoint ([`Checkpoint::healthy`]) instead of panicking

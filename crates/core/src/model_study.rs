@@ -169,8 +169,8 @@ impl ModelPulseStudy {
     ) -> Result<Vec<CoverageCurve>, CoreError> {
         let wouts = self.faulty_wouts(calib.w_in, r_values)?;
         // The closed-form timing model cannot fail per sample.
-        let grid = AdaptiveGrid::pulse(r_values, th_factors, calib.w_th);
-        Ok(grid.curves(&wouts, 0.0, Completeness::full(wouts.len())))
+        let grid = AdaptiveGrid::pulse(r_values, th_factors, calib.w_th, None);
+        grid.curves(&wouts, 0.0, Completeness::full(wouts.len()))
     }
 }
 
@@ -277,8 +277,8 @@ impl ModelDfStudy {
             .into_iter()
             .collect::<Result<_, CoreError>>()?;
         // The closed-form timing model cannot fail per sample.
-        let grid = AdaptiveGrid::delay(r_values, t_factors, calib.t0);
-        Ok(grid.curves(&needs, 0.0, Completeness::full(needs.len())))
+        let grid = AdaptiveGrid::delay(r_values, t_factors, calib.t0, None);
+        grid.curves(&needs, 0.0, Completeness::full(needs.len()))
     }
 }
 

@@ -2,12 +2,12 @@
 //! `C_del(T, R)` for reduced-clock DF testing and `C_pulse(ω_th, R)` for
 //! the pulse-propagation method, over the same circuit instances.
 
-use crate::adaptive::{run_adaptive, AdaptiveGrid, AdaptiveReport, RowEval};
+use crate::adaptive::{run_adaptive, AdaptiveGrid, AdaptiveReport, RowEval, Trend};
 use crate::calib::{calibrate_pulse, calibrate_t0, DfCalibration, PulseCalibration};
 use crate::checkpoint::{Checkpoint, CheckpointSpec, CheckpointValue};
 use crate::df::FfTiming;
 use crate::durable::{run_samples, Completeness, DurableRun};
-use crate::engine::{AnalogPath, PathInstance, PathUnderTest};
+use crate::engine::{AnalogPath, DefectKind, PathInstance, PathUnderTest};
 use crate::error::CoreError;
 use crate::resilience::{FailureReport, McRunReport, ResilienceConfig};
 use crate::transfer::TransferCurve;
@@ -253,6 +253,16 @@ fn prime_or_adopt(mc: &McConfig, build: impl FnOnce() -> AnalogPath) -> Option<S
         .or_else(|| build().built_path().prime_symbolic())
 }
 
+/// The row-layout tag a coverage checkpoint's digest carries: `sparse`
+/// when the run searches each row, `full` when it simulates every column.
+fn rows_tag(trend: Option<Trend>) -> &'static str {
+    if trend.is_some() {
+        "sparse"
+    } else {
+        "full"
+    }
+}
+
 /// One coverage-vs-resistance series, at one setting of the method's
 /// free parameter (`T/T₀` for DF, `ω_th/ω_th⁰` for the pulse test).
 #[derive(Debug, Clone, PartialEq)]
@@ -354,10 +364,28 @@ impl DfStudy {
         (techs, ff)
     }
 
+    /// The declared direction of the slack need along R (DESIGN.md
+    /// §5.12): a resistive open only slows the path, so the need rises;
+    /// a bridge's need has a shallow minimum near `0.9·T₀` and detection
+    /// comes back at high R, so bridges declare none. `None` as well
+    /// under [`McConfig::dc_warm_start`], whose values depend on the
+    /// order of the sweep.
+    fn trend(&self) -> Option<Trend> {
+        if self.mc.dc_warm_start {
+            return None;
+        }
+        match self.put.defect {
+            DefectKind::ExternalRop | DefectKind::InternalRop { .. } => Some(Trend::Rising),
+            DefectKind::Bridge { .. } => None,
+        }
+    }
+
     /// The faulty-row kernel every DF coverage run shares — fixed, durable
     /// and adaptive. Lints the sweep and primes the faulty topology once;
     /// the returned closure draws one instance and measures its slack need
-    /// (worst path delay + flop overhead) at each resistance it is handed.
+    /// (worst path delay + flop overhead) at the resistances of the row
+    /// it is handed that the grid's search picks (all of them without a
+    /// grid).
     fn faulty_eval(&self, r_values: &[f64]) -> Result<impl RowEval + '_, CoreError> {
         lint_preflight(&self.put, Some(r_values))?;
         let nominal_techs = vec![self.put.tech; self.put.spec.len()];
@@ -365,33 +393,46 @@ impl DfStudy {
             self.put.instantiate(&nominal_techs, r_values[0])
         });
         Ok(
-            move |attempt, rng: &mut StdRng, rec: &Recorder, t: &CancelToken, rs: &[f64]| {
+            move |attempt,
+                  rng: &mut StdRng,
+                  rec: &Recorder,
+                  t: &CancelToken,
+                  rs: &[f64],
+                  grid: Option<&AdaptiveGrid<'_>>| {
                 let (techs, ff) = self.draw(rng);
                 let mut p = self.put.instantiate(&techs, rs[0]);
                 ready(&mut p, &self.mc, &symbolic, attempt, rng, rec, t);
-                rs.iter()
-                    .map(|&r| {
-                        p.set_resistance(r)?;
-                        Ok(p.worst_delay()? + ff.overhead())
-                    })
-                    .collect()
+                AdaptiveGrid::measure_row(grid, rs, rec, |r| {
+                    p.set_resistance(r)?;
+                    Ok(p.worst_delay()? + ff.overhead())
+                })
             },
         )
     }
 
-    /// Faulty slack needs of every sample, `outcomes[sample]` resolving to
-    /// the per-resistance row, under `run_token` and an optional
-    /// checkpoint.
-    fn faulty_rows(
+    /// Durable variant of [`DfStudy::try_faulty_needs`]: faulty slack
+    /// needs of every sample, `outcomes[sample]` resolving to the
+    /// per-resistance row, under `run_token` and an optional checkpoint
+    /// opened with [`DfStudy::faulty_checkpoint_spec`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`DfStudy::try_faulty_needs`], plus
+    /// [`CoreError::Checkpoint`] on checkpoint failures or a checkpoint
+    /// opened with another spec.
+    pub fn try_faulty_needs_durable(
         &self,
         r_values: &[f64],
         run_token: &CancelToken,
         checkpoint: Option<&Checkpoint<Vec<f64>>>,
     ) -> Result<DurableRun<Vec<f64>>, CoreError> {
+        if let Some(ck) = checkpoint {
+            ck.expect_spec(&self.faulty_checkpoint_spec(r_values))?;
+        }
         let eval = self.faulty_eval(r_values)?;
         self.mc
             .try_run_samples_durable("df-faulty", run_token, checkpoint, |_, a, rng, rec, t| {
-                eval(a, rng, rec, t, r_values)
+                eval(a, rng, rec, t, r_values, None)
             })
     }
 
@@ -444,7 +485,7 @@ impl DfStudy {
     /// failed after retries; the run-cancelled error when
     /// [`ResilienceConfig::deadline`] cut the run short.
     pub fn try_faulty_needs(&self, r_values: &[f64]) -> Result<McRunReport<Vec<f64>>, CoreError> {
-        run_plain(|token| self.faulty_rows(r_values, token, None))
+        run_plain(|token| self.try_faulty_needs_durable(r_values, token, None))
     }
 
     /// Slack needs of every *resolved* instance at every defect
@@ -491,10 +532,11 @@ impl DfStudy {
     }
 
     /// The [`CheckpointSpec`] identifying a durable
-    /// [`DfStudy::coverage_durable`] run: the digest covers the path under
-    /// test, the variation model, flop timing, and the exact resistance
-    /// sweep (bit patterns), so a checkpoint can never resume a different
-    /// experiment.
+    /// [`DfStudy::try_faulty_needs_durable`] run: the digest
+    /// covers the path under test, the variation model, flop timing, and
+    /// the exact resistance sweep (bit patterns), so a checkpoint can
+    /// never resume a different experiment. Coverage runs use
+    /// [`DfStudy::coverage_checkpoint_spec`].
     pub fn faulty_checkpoint_spec(&self, r_values: &[f64]) -> CheckpointSpec {
         let digest = pulsar_obs::config_digest(&format!(
             "df-faulty put={:?} variation={:?} ff={:?} margin={:016x} r={:?}",
@@ -511,6 +553,51 @@ impl DfStudy {
         }
     }
 
+    /// The coverage grid of a calibrated run, searched per row when the
+    /// defect class declares a direction.
+    fn grid<'a>(
+        &self,
+        calib: &DfCalibration,
+        r_values: &'a [f64],
+        t_factors: &'a [f64],
+    ) -> AdaptiveGrid<'a> {
+        AdaptiveGrid::delay(r_values, t_factors, calib.t0, self.trend())
+    }
+
+    /// The [`CheckpointSpec`] identifying a durable
+    /// [`DfStudy::coverage_durable`] run. Its records are sparse rows —
+    /// `NaN` where the critical-resistance search skipped a column — and
+    /// only meaningful under the thresholds they were searched against,
+    /// so on top of [`DfStudy::faulty_checkpoint_spec`]'s identity the
+    /// digest covers `T₀`, the factor grid (bit patterns) and a
+    /// `rows=sparse` (or `rows=full`, for a class without a declared
+    /// direction) tag. A need-row checkpoint never resumes a coverage
+    /// run, nor the reverse.
+    pub fn coverage_checkpoint_spec(
+        &self,
+        calib: &DfCalibration,
+        r_values: &[f64],
+        t_factors: &[f64],
+    ) -> CheckpointSpec {
+        let digest = pulsar_obs::config_digest(&format!(
+            "df-coverage put={:?} variation={:?} ff={:?} margin={:016x} t0={:016x} \
+             factors={:?} r={:?} rows={}",
+            self.put,
+            self.mc.variation,
+            self.ff,
+            self.clock_margin.to_bits(),
+            calib.t0.to_bits(),
+            t_factors.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+            r_values.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+            rows_tag(self.trend()),
+        ));
+        CheckpointSpec {
+            config_digest: digest,
+            seed: self.mc.seed,
+            samples: self.mc.samples,
+        }
+    }
+
     /// Durable variant of [`DfStudy::coverage_with_report`]: checkpoint/
     /// resume plus deadlines, per-sample timeouts, and panic containment
     /// from [`McConfig::try_run_samples_durable`]. The attempt's
@@ -518,11 +605,16 @@ impl DfStudy {
     /// deadline interrupts a sample *mid-solve*, not just between samples.
     /// Coverage is over whatever samples completed, with the honest
     /// denominator recorded in each curve's [`CoverageCurve::completeness`].
+    /// Each instance is simulated only at the resistances its
+    /// critical-resistance search needs (DESIGN.md §5.12); the curves are
+    /// bit-identical to a full-grid run.
     ///
     /// # Errors
     ///
     /// As for [`DfStudy::try_faulty_needs`], plus
-    /// [`CoreError::Checkpoint`] on checkpoint failures.
+    /// [`CoreError::Checkpoint`] on checkpoint failures or a checkpoint
+    /// opened with another spec than
+    /// [`DfStudy::coverage_checkpoint_spec`].
     pub fn coverage_durable(
         &self,
         calib: &DfCalibration,
@@ -531,10 +623,19 @@ impl DfStudy {
         run_token: &CancelToken,
         checkpoint: Option<&Checkpoint<Vec<f64>>>,
     ) -> Result<(Vec<CoverageCurve>, FailureReport), CoreError> {
-        let run = self.faulty_rows(r_values, run_token, checkpoint)?;
+        if let Some(ck) = checkpoint {
+            ck.expect_spec(&self.coverage_checkpoint_spec(calib, r_values, t_factors))?;
+        }
+        let eval = self.faulty_eval(r_values)?;
+        let grid = self.grid(calib, r_values, t_factors);
+        let run = self.mc.try_run_samples_durable(
+            "df-faulty",
+            run_token,
+            checkpoint,
+            |_, a, rng, rec, t| eval(a, rng, rec, t, r_values, Some(&grid)),
+        )?;
         let rows: Vec<&Vec<f64>> = run.resolved_indexed().map(|(_, v)| v).collect();
-        let grid = AdaptiveGrid::delay(r_values, t_factors, calib.t0);
-        let curves = grid.curves(&rows, run.failures.unresolved_fraction(), run.completeness);
+        let curves = grid.curves(&rows, run.failures.unresolved_fraction(), run.completeness)?;
         Ok((curves, run.failures))
     }
 
@@ -561,7 +662,8 @@ impl DfStudy {
         policy: &AdaptivePolicy,
         crossover: Option<&[CoverageCurve]>,
     ) -> Result<AdaptiveReport, CoreError> {
-        self.coverage_adaptive_inner(calib, r_values, t_factors, policy, crossover, None)
+        let grid = self.grid(calib, r_values, t_factors);
+        self.coverage_adaptive_inner(grid, policy, crossover, None)
     }
 
     /// Durable variant of [`DfStudy::coverage_adaptive`]: every evaluated
@@ -583,14 +685,8 @@ impl DfStudy {
         crossover: Option<&[CoverageCurve]>,
         checkpoint: &Checkpoint<Vec<f64>>,
     ) -> Result<AdaptiveReport, CoreError> {
-        self.coverage_adaptive_inner(
-            calib,
-            r_values,
-            t_factors,
-            policy,
-            crossover,
-            Some(checkpoint),
-        )
+        let grid = self.grid(calib, r_values, t_factors);
+        self.coverage_adaptive_inner(grid, policy, crossover, Some(checkpoint))
     }
 
     /// The [`CheckpointSpec`] identifying a durable
@@ -599,6 +695,12 @@ impl DfStudy {
     /// reference curves, because all three steer which samples run; the
     /// record space reserves `3 × policy.max_samples` slots (first pass
     /// plus the refinement extension at its `max_samples` offset).
+    ///
+    /// `T₀` is not an argument, so the digest cannot cover it. A record
+    /// searched against another `T₀` is still never guessed from: the
+    /// fold refuses a row whose simulated columns cannot decide a skipped
+    /// one under this run's thresholds ([`CoreError::Checkpoint`]), and a
+    /// row they do decide yields the verdicts its full row would.
     pub fn adaptive_checkpoint_spec(
         &self,
         r_values: &[f64],
@@ -630,17 +732,38 @@ impl DfStudy {
         }
     }
 
-    fn coverage_adaptive_inner(
+    /// [`DfStudy::coverage_adaptive`] with every active column of every
+    /// row simulated: the forced full-grid arm the critical-resistance
+    /// search is checked against.
+    #[doc(hidden)]
+    pub fn coverage_adaptive_full_grid(
         &self,
         calib: &DfCalibration,
         r_values: &[f64],
         t_factors: &[f64],
         policy: &AdaptivePolicy,
         crossover: Option<&[CoverageCurve]>,
+    ) -> Result<AdaptiveReport, CoreError> {
+        let grid = AdaptiveGrid::delay(r_values, t_factors, calib.t0, None);
+        self.coverage_adaptive_inner(grid, policy, crossover, None)
+    }
+
+    fn coverage_adaptive_inner(
+        &self,
+        grid: AdaptiveGrid<'_>,
+        policy: &AdaptivePolicy,
+        crossover: Option<&[CoverageCurve]>,
         checkpoint: Option<&Checkpoint<Vec<f64>>>,
     ) -> Result<AdaptiveReport, CoreError> {
-        let eval = self.faulty_eval(r_values)?;
-        let grid = AdaptiveGrid::delay(r_values, t_factors, calib.t0);
+        if let Some(ck) = checkpoint {
+            ck.expect_spec(&self.adaptive_checkpoint_spec(
+                grid.r_values,
+                grid.factors,
+                policy,
+                crossover,
+            ))?;
+        }
+        let eval = self.faulty_eval(grid.r_values)?;
         run_adaptive(
             &self.mc,
             policy,
@@ -712,11 +835,27 @@ impl PulseStudy {
         (techs, gen_factor)
     }
 
+    /// The declared direction of the output width along R (DESIGN.md
+    /// §5.12): a resistive open dampens the pulse more as it grows, so the
+    /// width falls; a bridge fights the pulse less as it weakens, so the
+    /// width rises. `None` under [`McConfig::dc_warm_start`], whose values
+    /// depend on the order of the sweep.
+    fn trend(&self) -> Option<Trend> {
+        if self.mc.dc_warm_start {
+            return None;
+        }
+        match self.put.defect {
+            DefectKind::ExternalRop | DefectKind::InternalRop { .. } => Some(Trend::Falling),
+            DefectKind::Bridge { .. } => Some(Trend::Rising),
+        }
+    }
+
     /// The faulty-row kernel every pulse coverage run shares — fixed,
     /// durable and adaptive. Lints the sweep and primes the faulty
     /// topology once; the returned closure draws one instance and measures
     /// its output width, injecting `w_in` times the instance's generator
-    /// factor, at each resistance it is handed.
+    /// factor, at the resistances of the row it is handed that the grid's
+    /// search picks (all of them without a grid).
     fn faulty_eval(&self, w_in: f64, r_values: &[f64]) -> Result<impl RowEval + '_, CoreError> {
         lint_preflight(&self.put, Some(r_values))?;
         let nominal_techs = vec![self.put.tech; self.put.spec.len()];
@@ -724,16 +863,19 @@ impl PulseStudy {
             self.put.instantiate(&nominal_techs, r_values[0])
         });
         Ok(
-            move |attempt, rng: &mut StdRng, rec: &Recorder, t: &CancelToken, rs: &[f64]| {
+            move |attempt,
+                  rng: &mut StdRng,
+                  rec: &Recorder,
+                  t: &CancelToken,
+                  rs: &[f64],
+                  grid: Option<&AdaptiveGrid<'_>>| {
                 let (techs, gen_factor) = self.draw_techs(rng);
                 let mut p = self.put.instantiate(&techs, rs[0]);
                 ready(&mut p, &self.mc, &symbolic, attempt, rng, rec, t);
-                rs.iter()
-                    .map(|&r| {
-                        p.set_resistance(r)?;
-                        p.pulse_width_out(w_in * gen_factor, self.polarity)
-                    })
-                    .collect()
+                AdaptiveGrid::measure_row(grid, rs, rec, |r| {
+                    p.set_resistance(r)?;
+                    p.pulse_width_out(w_in * gen_factor, self.polarity)
+                })
             },
         )
     }
@@ -890,7 +1032,8 @@ impl PulseStudy {
     /// The [`CheckpointSpec`] identifying a durable
     /// [`PulseStudy::try_faulty_wouts_durable`] run: the digest covers the
     /// path under test, the variation model, polarity, injected width, and
-    /// the exact resistance sweep (bit patterns).
+    /// the exact resistance sweep (bit patterns). Coverage runs use
+    /// [`PulseStudy::coverage_checkpoint_spec`].
     pub fn faulty_checkpoint_spec(&self, w_in: f64, r_values: &[f64]) -> CheckpointSpec {
         let digest = pulsar_obs::config_digest(&format!(
             "pulse-faulty put={:?} variation={:?} polarity={:?} w_in={:016x} r={:?}",
@@ -917,7 +1060,9 @@ impl PulseStudy {
     /// # Errors
     ///
     /// As for [`PulseStudy::try_faulty_wouts`], plus
-    /// [`CoreError::Checkpoint`] on checkpoint failures.
+    /// [`CoreError::Checkpoint`] on checkpoint failures or a checkpoint
+    /// opened with another spec than
+    /// [`PulseStudy::faulty_checkpoint_spec`].
     pub fn try_faulty_wouts_durable(
         &self,
         w_in: f64,
@@ -925,22 +1070,74 @@ impl PulseStudy {
         run_token: &CancelToken,
         checkpoint: Option<&Checkpoint<Vec<f64>>>,
     ) -> Result<DurableRun<Vec<f64>>, CoreError> {
+        if let Some(ck) = checkpoint {
+            ck.expect_spec(&self.faulty_checkpoint_spec(w_in, r_values))?;
+        }
         let eval = self.faulty_eval(w_in, r_values)?;
         self.mc.try_run_samples_durable(
             "pulse-faulty",
             run_token,
             checkpoint,
-            |_, a, rng, rec, t| eval(a, rng, rec, t, r_values),
+            |_, a, rng, rec, t| eval(a, rng, rec, t, r_values, None),
         )
+    }
+
+    /// The coverage grid of a calibrated run, searched per row when the
+    /// defect class declares a direction.
+    fn grid<'a>(
+        &self,
+        calib: &PulseCalibration,
+        r_values: &'a [f64],
+        th_factors: &'a [f64],
+    ) -> AdaptiveGrid<'a> {
+        AdaptiveGrid::pulse(r_values, th_factors, calib.w_th, self.trend())
+    }
+
+    /// The [`CheckpointSpec`] identifying a durable
+    /// [`PulseStudy::coverage_durable`] run. Its records are sparse rows,
+    /// only meaningful under the thresholds they were searched against,
+    /// so on top of [`PulseStudy::faulty_checkpoint_spec`]'s identity the
+    /// digest covers `ω_th⁰`, the factor grid (bit patterns) and a
+    /// `rows=sparse` tag. A width-row checkpoint never resumes a coverage
+    /// run, nor the reverse.
+    pub fn coverage_checkpoint_spec(
+        &self,
+        calib: &PulseCalibration,
+        r_values: &[f64],
+        th_factors: &[f64],
+    ) -> CheckpointSpec {
+        let digest = pulsar_obs::config_digest(&format!(
+            "pulse-coverage put={:?} variation={:?} polarity={:?} w_in={:016x} w_th={:016x} \
+             factors={:?} r={:?} rows={}",
+            self.put,
+            self.mc.variation,
+            self.polarity,
+            calib.w_in.to_bits(),
+            calib.w_th.to_bits(),
+            th_factors.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+            r_values.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+            rows_tag(self.trend()),
+        ));
+        CheckpointSpec {
+            config_digest: digest,
+            seed: self.mc.seed,
+            samples: self.mc.samples,
+        }
     }
 
     /// Durable variant of [`PulseStudy::coverage_with_report`]: coverage
     /// over whatever samples completed, with the honest denominator
-    /// recorded in each curve's [`CoverageCurve::completeness`].
+    /// recorded in each curve's [`CoverageCurve::completeness`]. Each
+    /// instance is simulated only at the resistances its
+    /// critical-resistance search needs (DESIGN.md §5.12); the curves are
+    /// bit-identical to a full-grid run.
     ///
     /// # Errors
     ///
-    /// As for [`PulseStudy::try_faulty_wouts_durable`].
+    /// As for [`PulseStudy::try_faulty_wouts`], plus
+    /// [`CoreError::Checkpoint`] on checkpoint failures or a checkpoint
+    /// opened with another spec than
+    /// [`PulseStudy::coverage_checkpoint_spec`].
     pub fn coverage_durable(
         &self,
         calib: &PulseCalibration,
@@ -949,10 +1146,19 @@ impl PulseStudy {
         run_token: &CancelToken,
         checkpoint: Option<&Checkpoint<Vec<f64>>>,
     ) -> Result<(Vec<CoverageCurve>, FailureReport), CoreError> {
-        let run = self.try_faulty_wouts_durable(calib.w_in, r_values, run_token, checkpoint)?;
+        if let Some(ck) = checkpoint {
+            ck.expect_spec(&self.coverage_checkpoint_spec(calib, r_values, th_factors))?;
+        }
+        let eval = self.faulty_eval(calib.w_in, r_values)?;
+        let grid = self.grid(calib, r_values, th_factors);
+        let run = self.mc.try_run_samples_durable(
+            "pulse-faulty",
+            run_token,
+            checkpoint,
+            |_, a, rng, rec, t| eval(a, rng, rec, t, r_values, Some(&grid)),
+        )?;
         let rows: Vec<&Vec<f64>> = run.resolved_indexed().map(|(_, v)| v).collect();
-        let grid = AdaptiveGrid::pulse(r_values, th_factors, calib.w_th);
-        let curves = grid.curves(&rows, run.failures.unresolved_fraction(), run.completeness);
+        let curves = grid.curves(&rows, run.failures.unresolved_fraction(), run.completeness)?;
         Ok((curves, run.failures))
     }
 
@@ -980,7 +1186,8 @@ impl PulseStudy {
         policy: &AdaptivePolicy,
         crossover: Option<&[CoverageCurve]>,
     ) -> Result<AdaptiveReport, CoreError> {
-        self.coverage_adaptive_inner(calib, r_values, th_factors, policy, crossover, None)
+        let grid = self.grid(calib, r_values, th_factors);
+        self.coverage_adaptive_inner(calib, grid, policy, crossover, None)
     }
 
     /// Durable variant of [`PulseStudy::coverage_adaptive`]: every
@@ -1002,25 +1209,21 @@ impl PulseStudy {
         crossover: Option<&[CoverageCurve]>,
         checkpoint: &Checkpoint<Vec<f64>>,
     ) -> Result<AdaptiveReport, CoreError> {
-        self.coverage_adaptive_inner(
-            calib,
-            r_values,
-            th_factors,
-            policy,
-            crossover,
-            Some(checkpoint),
-        )
+        let grid = self.grid(calib, r_values, th_factors);
+        self.coverage_adaptive_inner(calib, grid, policy, crossover, Some(checkpoint))
     }
 
     /// The [`CheckpointSpec`] identifying a durable
     /// [`PulseStudy::coverage_adaptive_durable`] run. The digest
-    /// additionally covers the calibrated injection width, the stopping
-    /// policy, the factor grid, and any crossover reference curves; the
-    /// record space reserves `3 × policy.max_samples` slots (first pass
-    /// plus the refinement extension at its `max_samples` offset).
+    /// additionally covers the calibration (`ω_in⁰` and, because the
+    /// records are rows searched against its thresholds, `ω_th⁰`), the
+    /// stopping policy, the factor grid, and any crossover reference
+    /// curves; the record space reserves `3 × policy.max_samples` slots
+    /// (first pass plus the refinement extension at its `max_samples`
+    /// offset).
     pub fn adaptive_checkpoint_spec(
         &self,
-        w_in: f64,
+        calib: &PulseCalibration,
         r_values: &[f64],
         th_factors: &[f64],
         policy: &AdaptivePolicy,
@@ -1032,12 +1235,13 @@ impl PulseStudy {
             .map(|c| c.coverage.iter().map(|v| v.to_bits()).collect())
             .collect();
         let digest = pulsar_obs::config_digest(&format!(
-            "pulse-adaptive put={:?} variation={:?} polarity={:?} w_in={:016x} policy={:?} \
-             factors={:?} r={:?} crossover={:?}",
+            "pulse-adaptive put={:?} variation={:?} polarity={:?} w_in={:016x} w_th={:016x} \
+             policy={:?} factors={:?} r={:?} crossover={:?}",
             self.put,
             self.mc.variation,
             self.polarity,
-            w_in.to_bits(),
+            calib.w_in.to_bits(),
+            calib.w_th.to_bits(),
             policy,
             th_factors.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
             r_values.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
@@ -1050,17 +1254,40 @@ impl PulseStudy {
         }
     }
 
-    fn coverage_adaptive_inner(
+    /// [`PulseStudy::coverage_adaptive`] with every active column of
+    /// every row simulated: the forced full-grid arm the
+    /// critical-resistance search is checked against.
+    #[doc(hidden)]
+    pub fn coverage_adaptive_full_grid(
         &self,
         calib: &PulseCalibration,
         r_values: &[f64],
         th_factors: &[f64],
         policy: &AdaptivePolicy,
         crossover: Option<&[CoverageCurve]>,
+    ) -> Result<AdaptiveReport, CoreError> {
+        let grid = AdaptiveGrid::pulse(r_values, th_factors, calib.w_th, None);
+        self.coverage_adaptive_inner(calib, grid, policy, crossover, None)
+    }
+
+    fn coverage_adaptive_inner(
+        &self,
+        calib: &PulseCalibration,
+        grid: AdaptiveGrid<'_>,
+        policy: &AdaptivePolicy,
+        crossover: Option<&[CoverageCurve]>,
         checkpoint: Option<&Checkpoint<Vec<f64>>>,
     ) -> Result<AdaptiveReport, CoreError> {
-        let eval = self.faulty_eval(calib.w_in, r_values)?;
-        let grid = AdaptiveGrid::pulse(r_values, th_factors, calib.w_th);
+        if let Some(ck) = checkpoint {
+            ck.expect_spec(&self.adaptive_checkpoint_spec(
+                calib,
+                grid.r_values,
+                grid.factors,
+                policy,
+                crossover,
+            ))?;
+        }
+        let eval = self.faulty_eval(calib.w_in, grid.r_values)?;
         run_adaptive(
             &self.mc,
             policy,
@@ -1261,7 +1488,9 @@ mod tests {
         let study = DfStudy::new(put(), tiny_mc());
         let rs = [10e3, 100e3];
         let plain = study.try_faulty_needs(&rs).unwrap();
-        let durable = study.faulty_rows(&rs, &CancelToken::new(), None).unwrap();
+        let durable = study
+            .try_faulty_needs_durable(&rs, &CancelToken::new(), None)
+            .unwrap();
         assert!(durable.is_complete());
         let plain_rows: Vec<&Vec<f64>> = plain.resolved().collect();
         let durable_rows: Vec<&Vec<f64>> = durable.resolved_indexed().map(|(_, v)| v).collect();
@@ -1277,7 +1506,7 @@ mod tests {
         let spec = study.faulty_checkpoint_spec(&rs);
         let ck = Checkpoint::create(&path, spec).unwrap();
         let full = study
-            .faulty_rows(&rs, &CancelToken::new(), Some(&ck))
+            .try_faulty_needs_durable(&rs, &CancelToken::new(), Some(&ck))
             .unwrap();
         drop(ck);
 
@@ -1287,7 +1516,7 @@ mod tests {
 
         let ck = Checkpoint::open(&path, spec).unwrap();
         let resumed = study
-            .faulty_rows(&rs, &CancelToken::new(), Some(&ck))
+            .try_faulty_needs_durable(&rs, &CancelToken::new(), Some(&ck))
             .unwrap();
         let full_rows: Vec<&Vec<f64>> = full.resolved_indexed().map(|(_, v)| v).collect();
         let resumed_rows: Vec<&Vec<f64>> = resumed.resolved_indexed().map(|(_, v)| v).collect();

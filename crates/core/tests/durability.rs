@@ -10,8 +10,9 @@ use proptest::prelude::*;
 use pulsar_analog::{FaultKind, FaultPlan, Polarity};
 use pulsar_cells::{PathSpec, Tech};
 use pulsar_core::{
-    CancelReason, CancelToken, Checkpoint, CheckpointSpec, CoreError, DefectKind, McConfig,
-    PathUnderTest, PulseCalibration, PulseStudy, ResilienceConfig,
+    AdaptivePolicy, AdaptiveReport, CancelReason, CancelToken, Checkpoint, CheckpointSpec,
+    CoreError, CoverageCurve, DefectKind, DfCalibration, DfStudy, McConfig, PathUnderTest,
+    PulseCalibration, PulseStudy, ResilienceConfig,
 };
 use pulsar_mc::SampleOutcome;
 use rand::rngs::StdRng;
@@ -331,4 +332,262 @@ fn panic_storm_unwinds_by_default() {
         result.is_err(),
         "without contain_panics a worker panic must unwind the caller"
     );
+}
+
+/// A sweep wide enough that the critical-resistance search skips columns.
+const SWEEP: [f64; 6] = [300.0, 2e3, 10e3, 40e3, 120e3, 400e3];
+const FACTORS: [f64; 3] = [0.9, 1.0, 1.1];
+
+fn is_checkpoint_error<T: std::fmt::Debug>(r: Result<T, CoreError>) -> bool {
+    matches!(r, Err(CoreError::Checkpoint { .. }))
+}
+
+fn curve_bits(curves: &[CoverageCurve]) -> Vec<u64> {
+    curves
+        .iter()
+        .flat_map(|c| c.coverage.iter().map(|v| v.to_bits()))
+        .collect()
+}
+
+fn pulse_study(samples: usize) -> (PulseStudy, PulseCalibration) {
+    let mc = McConfig {
+        threads: Some(2),
+        ..McConfig::paper(samples, 11)
+    };
+    let study = PulseStudy::new(put(), mc, Polarity::PositiveGoing);
+    let calib = study.calibrate().expect("pulse calibration");
+    (study, calib)
+}
+
+fn df_study(samples: usize) -> (DfStudy, DfCalibration) {
+    let mc = McConfig {
+        threads: Some(2),
+        ..McConfig::paper(samples, 11)
+    };
+    let study = DfStudy::new(put(), mc);
+    let calib = study.calibrate().expect("DF calibration");
+    (study, calib)
+}
+
+#[test]
+fn width_row_and_coverage_checkpoints_refuse_each_other() {
+    let (study, calib) = pulse_study(6);
+    let width_spec = study.faulty_checkpoint_spec(calib.w_in, &SWEEP);
+    let coverage_spec = study.coverage_checkpoint_spec(&calib, &SWEEP, &FACTORS);
+    assert_ne!(width_spec, coverage_spec);
+
+    // A width-row file resumed as a coverage checkpoint.
+    let path = fresh_ckpt("width-rows");
+    {
+        let ck = Checkpoint::create(&path, width_spec).expect("create");
+        study
+            .try_faulty_wouts_durable(calib.w_in, &SWEEP, &CancelToken::new(), Some(&ck))
+            .expect("width rows");
+    }
+    assert!(is_checkpoint_error(Checkpoint::<Vec<f64>>::open(
+        &path,
+        coverage_spec
+    )));
+    let ck = Checkpoint::open(&path, width_spec).expect("reopen as width rows");
+    assert!(is_checkpoint_error(study.coverage_durable(
+        &calib,
+        &SWEEP,
+        &FACTORS,
+        &CancelToken::new(),
+        Some(&ck)
+    )));
+    drop(ck);
+    let _ = std::fs::remove_file(&path);
+
+    // And the reverse.
+    let path = fresh_ckpt("sparse-rows");
+    {
+        let ck = Checkpoint::create(&path, coverage_spec).expect("create");
+        study
+            .coverage_durable(&calib, &SWEEP, &FACTORS, &CancelToken::new(), Some(&ck))
+            .expect("coverage");
+    }
+    assert!(is_checkpoint_error(Checkpoint::<Vec<f64>>::open(
+        &path, width_spec
+    )));
+    let ck = Checkpoint::open(&path, coverage_spec).expect("reopen as coverage");
+    assert!(is_checkpoint_error(study.try_faulty_wouts_durable(
+        calib.w_in,
+        &SWEEP,
+        &CancelToken::new(),
+        Some(&ck)
+    )));
+    drop(ck);
+    let _ = std::fs::remove_file(&path);
+
+    // DF: need rows and coverage rows refuse each other the same way.
+    let (df, t0) = df_study(4);
+    let need_spec = df.faulty_checkpoint_spec(&SWEEP);
+    let df_coverage = df.coverage_checkpoint_spec(&t0, &SWEEP, &FACTORS);
+    let path = fresh_ckpt("df-need-rows");
+    {
+        let ck = Checkpoint::create(&path, need_spec).expect("create");
+        df.try_faulty_needs_durable(&SWEEP, &CancelToken::new(), Some(&ck))
+            .expect("need rows");
+    }
+    assert!(is_checkpoint_error(Checkpoint::<Vec<f64>>::open(
+        &path,
+        df_coverage
+    )));
+    let ck = Checkpoint::open(&path, need_spec).expect("reopen as need rows");
+    assert!(is_checkpoint_error(df.coverage_durable(
+        &t0,
+        &SWEEP,
+        &FACTORS,
+        &CancelToken::new(),
+        Some(&ck)
+    )));
+    drop(ck);
+    let _ = std::fs::remove_file(&path);
+    let path = fresh_ckpt("df-sparse-rows");
+    {
+        let ck = Checkpoint::create(&path, df_coverage).expect("create");
+        df.coverage_durable(&t0, &SWEEP, &FACTORS, &CancelToken::new(), Some(&ck))
+            .expect("DF coverage");
+    }
+    assert!(is_checkpoint_error(Checkpoint::<Vec<f64>>::open(
+        &path, need_spec
+    )));
+    let ck = Checkpoint::open(&path, df_coverage).expect("reopen as coverage");
+    assert!(is_checkpoint_error(df.try_faulty_needs_durable(
+        &SWEEP,
+        &CancelToken::new(),
+        Some(&ck)
+    )));
+    drop(ck);
+    let _ = std::fs::remove_file(&path);
+}
+
+fn policy() -> AdaptivePolicy {
+    AdaptivePolicy {
+        min_samples: 2,
+        chunk: 2,
+        ..AdaptivePolicy::new(0.34, 6)
+    }
+}
+
+fn report_bits(r: &AdaptiveReport) -> Vec<u64> {
+    let mut bits = curve_bits(&r.curves);
+    bits.extend([r.evals, r.fixed_budget_evals, r.refine_evals]);
+    bits.extend(r.points.iter().map(|p| p.accuracy.samples_spent));
+    bits
+}
+
+#[test]
+fn adaptive_checkpoint_from_another_calibration_is_refused() {
+    let (study, calib) = pulse_study(6);
+    let other = PulseCalibration {
+        w_th: 0.8 * calib.w_th,
+        ..calib
+    };
+    let policy = policy();
+    let spec = study.adaptive_checkpoint_spec(&calib, &SWEEP, &FACTORS, &policy, None);
+    let other_spec = study.adaptive_checkpoint_spec(&other, &SWEEP, &FACTORS, &policy, None);
+    assert_ne!(spec, other_spec, "the pulse digest covers ω_th⁰");
+    let path = fresh_ckpt("pulse-adaptive");
+    {
+        let ck = Checkpoint::create(&path, spec).expect("create");
+        study
+            .coverage_adaptive_durable(&calib, &SWEEP, &FACTORS, &policy, None, &ck)
+            .expect("adaptive");
+    }
+    assert!(is_checkpoint_error(Checkpoint::<Vec<f64>>::open(
+        &path, other_spec
+    )));
+    let ck = Checkpoint::open(&path, spec).expect("reopen");
+    assert!(is_checkpoint_error(study.coverage_adaptive_durable(
+        &other, &SWEEP, &FACTORS, &policy, None, &ck
+    )));
+    drop(ck);
+    let _ = std::fs::remove_file(&path);
+
+    // DF's adaptive spec takes no T₀, so the fold is the guard: a record
+    // searched against another T₀ is refused when it cannot decide a
+    // column, and otherwise yields exactly a fresh run's report.
+    let (df, t0) = df_study(6);
+    let spec = df.adaptive_checkpoint_spec(&SWEEP, &FACTORS, &policy, None);
+    for scale in [0.8, 0.97, 1.03, 1.25] {
+        let path = fresh_ckpt("df-adaptive");
+        {
+            let ck = Checkpoint::create(&path, spec).expect("create");
+            df.coverage_adaptive_durable(&t0, &SWEEP, &FACTORS, &policy, None, &ck)
+                .expect("adaptive");
+        }
+        let moved = DfCalibration { t0: scale * t0.t0 };
+        let fresh = df
+            .coverage_adaptive(&moved, &SWEEP, &FACTORS, &policy, None)
+            .expect("fresh run");
+        let ck = Checkpoint::open(&path, spec).expect("reopen");
+        match df.coverage_adaptive_durable(&moved, &SWEEP, &FACTORS, &policy, None, &ck) {
+            Ok(resumed) => assert_eq!(report_bits(&resumed), report_bits(&fresh), "T₀ × {scale}"),
+            Err(e) => assert!(
+                matches!(e, CoreError::Checkpoint { .. }),
+                "T₀ × {scale}: {e:?}"
+            ),
+        }
+        drop(ck);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+#[test]
+fn coverage_killed_mid_run_resumes_to_the_uninterrupted_curves() {
+    let (study, calib) = pulse_study(8);
+    let (clean, _) = study
+        .coverage_with_report(&calib, &SWEEP, &FACTORS)
+        .expect("uninterrupted");
+    let spec = study.coverage_checkpoint_spec(&calib, &SWEEP, &FACTORS);
+    let path = fresh_ckpt("pulse-coverage");
+    {
+        let ck = Checkpoint::create(&path, spec).expect("create");
+        study
+            .coverage_durable(&calib, &SWEEP, &FACTORS, &CancelToken::new(), Some(&ck))
+            .expect("checkpointed");
+    }
+    // Kill mid-file, then resume to completion.
+    let bytes = std::fs::read(&path).expect("read");
+    std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
+    let ck = Checkpoint::<Vec<f64>>::open(&path, spec).expect("reopen");
+    let restored = ck.resumed_count();
+    assert!(restored > 0 && restored < 8, "{restored} of 8 restored");
+    // Sparse rows really were checkpointed: the restored ones skip columns.
+    assert!(ck
+        .prior()
+        .values()
+        .filter_map(|o| o.value())
+        .any(|row| row.iter().any(|v| v.is_nan())));
+    let (resumed, _) = study
+        .coverage_durable(&calib, &SWEEP, &FACTORS, &CancelToken::new(), Some(&ck))
+        .expect("resumed");
+    assert_eq!(curve_bits(&resumed), curve_bits(&clean));
+    assert!(resumed[0].completeness.is_complete());
+    assert_eq!(resumed[0].completeness.resumed, restored);
+    drop(ck);
+    let _ = std::fs::remove_file(&path);
+
+    let (df, t0) = df_study(8);
+    let (clean, _) = df
+        .coverage_with_report(&t0, &SWEEP, &FACTORS)
+        .expect("uninterrupted");
+    let spec = df.coverage_checkpoint_spec(&t0, &SWEEP, &FACTORS);
+    let path = fresh_ckpt("df-coverage");
+    {
+        let ck = Checkpoint::create(&path, spec).expect("create");
+        df.coverage_durable(&t0, &SWEEP, &FACTORS, &CancelToken::new(), Some(&ck))
+            .expect("checkpointed");
+    }
+    let bytes = std::fs::read(&path).expect("read");
+    std::fs::write(&path, &bytes[..bytes.len() * 2 / 5]).expect("truncate");
+    let ck = Checkpoint::open(&path, spec).expect("reopen");
+    let (resumed, _) = df
+        .coverage_durable(&t0, &SWEEP, &FACTORS, &CancelToken::new(), Some(&ck))
+        .expect("resumed");
+    assert_eq!(curve_bits(&resumed), curve_bits(&clean));
+    drop(ck);
+    let _ = std::fs::remove_file(&path);
 }

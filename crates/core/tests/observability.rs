@@ -123,3 +123,53 @@ fn journal_reconstructs_retries_escalation_and_failure_kinds() {
         json::parse(line).expect("journal line must parse as JSON");
     }
 }
+
+#[test]
+fn sample_events_say_how_many_columns_each_row_simulated() {
+    // A clean coverage run over a 7-point sweep: every sample event
+    // carries its simulated/inferred column split, the two add up to the
+    // row, and the run totals match the journal.
+    let obs = Recorder::enabled();
+    let mc = McConfig {
+        threads: Some(2),
+        obs: obs.clone(),
+        ..McConfig::paper(6, SEED)
+    };
+    let study = PulseStudy::new(put(), mc, Polarity::PositiveGoing);
+    let calib = study.calibrate().expect("calibration");
+    let rs = [300.0, 1e3, 3e3, 10e3, 30e3, 100e3, 300e3];
+    let before = obs.snapshot();
+    study
+        .coverage(&calib, &rs, &[0.9, 1.0, 1.1])
+        .expect("coverage");
+    let snap = obs.snapshot();
+    let count = |e: &pulsar_obs::Event, name: &str| {
+        e.counters
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |(_, v)| *v)
+    };
+    let events: Vec<_> = obs
+        .events()
+        .into_iter()
+        .filter(|e| e.kind == "sample" && e.label.as_deref() == Some("pulse-faulty"))
+        .collect();
+    assert_eq!(events.len(), 6);
+    let mut simulated = 0;
+    for e in &events {
+        let (sim, inf) = (count(e, "columns_simulated"), count(e, "columns_inferred"));
+        assert!(sim > 0, "sample {} simulated nothing", e.index);
+        assert_eq!(sim + inf, rs.len() as u64, "sample {}", e.index);
+        simulated += sim;
+    }
+    let delta = |c: Counter| snap.counter(c) - before.counter(c);
+    assert_eq!(delta(Counter::ColumnsSimulated), simulated);
+    assert_eq!(
+        delta(Counter::ColumnsSimulated) + delta(Counter::ColumnsInferred),
+        6 * rs.len() as u64
+    );
+    assert!(
+        delta(Counter::ColumnsInferred) > 0,
+        "the search inferred no column"
+    );
+}

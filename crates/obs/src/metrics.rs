@@ -127,6 +127,11 @@ pub enum Counter {
     AdaptiveSamplesSaved,
     /// Sample evaluations spent in the crossover-refinement pass.
     AdaptiveRefineSamples,
+    /// Coverage-row columns a Monte Carlo instance was simulated at.
+    ColumnsSimulated,
+    /// Coverage-row columns whose verdict was inferred from the simulated
+    /// columns on both sides instead of simulated.
+    ColumnsInferred,
     /// Jobs accepted into the serve daemon's queue.
     ServeJobsSubmitted,
     /// Serve jobs that ran to completion.
@@ -153,7 +158,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 31;
+    pub const COUNT: usize = 33;
 
     /// Every counter, in canonical order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -177,6 +182,8 @@ impl Counter {
         Counter::SitesFailed,
         Counter::AdaptiveSamplesSaved,
         Counter::AdaptiveRefineSamples,
+        Counter::ColumnsSimulated,
+        Counter::ColumnsInferred,
         Counter::ServeJobsSubmitted,
         Counter::ServeJobsCompleted,
         Counter::ServeJobsFailed,
@@ -213,6 +220,8 @@ impl Counter {
             Counter::SitesFailed => "sites_failed",
             Counter::AdaptiveSamplesSaved => "adaptive_samples_saved",
             Counter::AdaptiveRefineSamples => "adaptive_refine_samples",
+            Counter::ColumnsSimulated => "columns_simulated",
+            Counter::ColumnsInferred => "columns_inferred",
             Counter::ServeJobsSubmitted => "serve_jobs_submitted",
             Counter::ServeJobsCompleted => "serve_jobs_completed",
             Counter::ServeJobsFailed => "serve_jobs_failed",

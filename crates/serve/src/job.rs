@@ -523,7 +523,11 @@ fn run_study(
                 },
             );
 
-            let ck = open_checkpoint(spool, job.digest, study.faulty_checkpoint_spec(rs))?;
+            let ck = open_checkpoint(
+                spool,
+                job.digest,
+                study.coverage_checkpoint_spec(&calib, rs, factors),
+            )?;
             let (curves, _failures) =
                 study.coverage_durable(&calib, rs, factors, &job.token, ck.as_ref())?;
             check_cancelled(job)?;
@@ -581,7 +585,7 @@ fn run_study(
             let ck = open_checkpoint(
                 spool,
                 job.digest,
-                study.faulty_checkpoint_spec(calib.w_in, rs),
+                study.coverage_checkpoint_spec(&calib, rs, factors),
             )?;
             let (curves, _failures) =
                 study.coverage_durable(&calib, rs, factors, &job.token, ck.as_ref())?;
