@@ -68,6 +68,13 @@ pub enum Until {
     /// output has made its `out_edge` crossing at or after the input's
     /// first `in_edge` crossing at or after `after`. Crossings are
     /// interpolated exactly as [`Trace::crossings`] does.
+    ///
+    /// Also stop once the delay is proven to exceed `within`: the output
+    /// has not crossed, and [`crate::delay_floor`] of the points so far —
+    /// measured from the output's last sample strictly off the threshold,
+    /// before which no later crossing can be interpolated — is above
+    /// `within`. The run then holds no delay, and its floor is the proof.
+    /// `within = ∞` never stops this way.
     Crossed {
         /// Node whose crossing starts the delay.
         input: NodeId,
@@ -81,6 +88,10 @@ pub enum Until {
         threshold: f64,
         /// Input crossings before this time are ignored, seconds.
         after: f64,
+        /// Delays beyond this are not worth measuring, seconds (the
+        /// verdict bound of a caller that compares the delay against
+        /// thresholds); `f64::INFINITY` measures every delay.
+        within: f64,
     },
 }
 
@@ -155,14 +166,17 @@ impl TranConfig {
                 reason: "max_points must allow at least two time points",
             });
         }
-        if let Until::Settled { tol } = self.until {
-            if !(tol.is_finite() && tol >= 0.0) {
-                return Err(Error::InvalidTranConfig {
+        match self.until {
+            Until::Settled { tol } if !(tol.is_finite() && tol >= 0.0) => {
+                Err(Error::InvalidTranConfig {
                     reason: "settle tolerance must be non-negative and finite",
-                });
+                })
             }
+            Until::Crossed { within, .. } if within.is_nan() => Err(Error::InvalidTranConfig {
+                reason: "verdict bound must not be NaN",
+            }),
+            _ => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -316,6 +330,7 @@ enum StopRule {
         input: NodeId,
         output: NodeId,
         detector: DelayDetector,
+        within: f64,
     },
 }
 
@@ -351,6 +366,7 @@ impl StopRule {
                 out_edge,
                 threshold,
                 after,
+                within,
             } => {
                 if input.index() > nn || output.index() > nn {
                     return Err(Error::InvalidTranConfig {
@@ -364,6 +380,7 @@ impl StopRule {
                     input,
                     output,
                     detector,
+                    within,
                 }
             }
         })
@@ -380,13 +397,17 @@ impl StopRule {
                 input,
                 output,
                 detector,
-            } => detector
-                .push(
-                    t,
-                    System::node_voltage(x, *input),
-                    System::node_voltage(x, *output),
-                )
-                .is_some(),
+                within,
+            } => {
+                detector
+                    .push(
+                        t,
+                        System::node_voltage(x, *input),
+                        System::node_voltage(x, *output),
+                    )
+                    .is_some()
+                    || detector.floor().is_some_and(|floor| floor > *within)
+            }
         }
     }
 }
@@ -1406,6 +1427,7 @@ mod tests {
                 out_edge,
                 threshold: 0.5,
                 after: 0.0,
+                within: f64::INFINITY,
             },
             ..full_cfg.clone()
         };
@@ -1435,6 +1457,51 @@ mod tests {
     }
 
     #[test]
+    fn crossed_rule_stops_once_the_delay_exceeds_its_bound() {
+        let (ckt, vin, out) = rc_deck();
+        let full_cfg = TranConfig::new(5e-12, 6e-9);
+        let bounded = |within| TranConfig {
+            until: Until::Crossed {
+                input: vin,
+                in_edge: Edge::Rising,
+                output: out,
+                out_edge: Edge::Rising,
+                threshold: 0.5,
+                after: 0.0,
+                within,
+            },
+            ..full_cfg.clone()
+        };
+        let full = ckt.transient(&full_cfg).unwrap();
+        let measure = |r: &TranResult| {
+            let (i, o) = (r.trace(vin), r.trace(out));
+            (
+                crate::propagation_delay(&i, Edge::Rising, &o, Edge::Rising, 0.5, 0.0),
+                crate::delay_floor(&i, Edge::Rising, &o, Edge::Rising, 0.5, 0.0),
+            )
+        };
+        let d = measure(&full).0.expect("the RC output crosses");
+        // A bound below the delay: the run stops without the crossing, a
+        // prefix of the full run whose floor clears the bound by at most
+        // one step and never passes the delay.
+        let within = 0.3e-9;
+        let cut = ckt.transient(&bounded(within)).unwrap();
+        assert!(cut.stats().stopped_early);
+        assert_prefix(&cut, &full, &[vin, out]);
+        let (delay, floor) = measure(&cut);
+        assert_eq!(delay, None);
+        let floor = floor.expect("a censored run proves a floor");
+        assert!(within < floor && floor <= within + 5e-12 && floor <= d);
+        // A bound above the delay measures it, bit for bit.
+        let exact = ckt.transient(&bounded(1e-9)).unwrap();
+        assert_eq!(measure(&exact).0.map(f64::to_bits), Some(d.to_bits()));
+        assert_eq!(
+            exact.len(),
+            ckt.transient(&bounded(f64::INFINITY)).unwrap().len()
+        );
+    }
+
+    #[test]
     fn invalid_stop_rules_are_rejected() {
         let (ckt, vin, _) = rc_deck();
         for tol in [-1e-3, f64::NAN, f64::INFINITY] {
@@ -1447,21 +1514,24 @@ mod tests {
                 Err(Error::InvalidTranConfig { .. })
             ));
         }
-        let cfg = TranConfig {
-            until: Until::Crossed {
-                input: vin,
-                in_edge: Edge::Rising,
-                output: NodeId(99),
-                out_edge: Edge::Rising,
-                threshold: 0.5,
-                after: 0.0,
-            },
-            ..TranConfig::new(5e-12, 1e-9)
-        };
-        assert!(matches!(
-            ckt.transient(&cfg),
-            Err(Error::InvalidTranConfig { .. })
-        ));
+        for (output, within) in [(NodeId(99), f64::INFINITY), (vin, f64::NAN)] {
+            let cfg = TranConfig {
+                until: Until::Crossed {
+                    input: vin,
+                    in_edge: Edge::Rising,
+                    output,
+                    out_edge: Edge::Rising,
+                    threshold: 0.5,
+                    after: 0.0,
+                    within,
+                },
+                ..TranConfig::new(5e-12, 1e-9)
+            };
+            assert!(matches!(
+                ckt.transient(&cfg),
+                Err(Error::InvalidTranConfig { .. })
+            ));
+        }
     }
 
     #[test]

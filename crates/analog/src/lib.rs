@@ -75,7 +75,7 @@ pub use solver::pattern::{topology_key, PatternMode, StampPattern};
 pub use solver::sparse::solver_counters;
 pub use solver::sparse::SolverCounters;
 pub use solver::workspace::{SolverMode, SolverWorkspace, SymbolicCache};
-pub use waveform::{propagation_delay, Edge, Polarity, Pulse, Trace};
+pub use waveform::{delay_floor, propagation_delay, Edge, Polarity, Pulse, Trace};
 
 // Re-exported so downstream crates can speak the observability types this
 // crate's instrumentation records into without naming `pulsar_obs`

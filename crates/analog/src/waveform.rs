@@ -363,6 +363,12 @@ impl CrossingDetector {
         crossing
     }
 
+    /// A time no later crossing can precede: each is interpolated inside
+    /// the segment that starts at the last strictly off-threshold sample.
+    fn not_before(&self) -> Option<f64> {
+        self.last_off.map(|(t, _)| t)
+    }
+
     fn side_of(&self, v: f64) -> Option<bool> {
         if v > self.threshold {
             Some(true)
@@ -416,6 +422,46 @@ impl DelayDetector {
         self.t_outs.retain(|&c| c >= t_in);
         self.t_outs.first().map(|&t_out| t_out - t_in)
     }
+
+    /// A lower bound on the delay of every continuation of the samples fed
+    /// so far, while the input has crossed and the output has not: the
+    /// output's crossing can come no earlier than its last sample strictly
+    /// off the threshold. That sample is the latest one, unless the latest
+    /// one touches the threshold. `None` before the input crossing, or once
+    /// [`DelayDetector::push`] has returned the delay.
+    pub(crate) fn floor(&self) -> Option<f64> {
+        let t_in = self.t_in?;
+        if !self.t_outs.is_empty() {
+            return None;
+        }
+        Some(self.output.not_before()? - t_in)
+    }
+}
+
+/// A lower bound these samples prove on the delay that
+/// [`propagation_delay`] would report for any continuation of them; `None`
+/// when the input has not crossed yet, or the output already has (the
+/// delay itself is then known). Both traces must share their time points,
+/// as the traces of one transient run do.
+///
+/// A run that a verdict bound stopped ([`crate::Until::Crossed`]'s
+/// `within`) reads its censored delay back through here: the stop rule
+/// fired on this floor, so it exceeds `within`.
+pub fn delay_floor(
+    input: &Trace<'_>,
+    in_edge: Edge,
+    output: &Trace<'_>,
+    out_edge: Edge,
+    threshold: f64,
+    after: f64,
+) -> Option<f64> {
+    let mut detector = DelayDetector::new(in_edge, out_edge, threshold, after);
+    for ((&t, &v_in), &v_out) in input.t.iter().zip(input.v).zip(output.v) {
+        if detector.push(t, v_in, v_out).is_some() {
+            return None;
+        }
+    }
+    detector.floor()
 }
 
 /// Propagation delay from an edge on `input` to the corresponding edge on
@@ -822,6 +868,38 @@ mod tests {
                     after,
                 );
                 prop_assert_eq!(cut.map(f64::to_bits), Some(d.to_bits()));
+            }
+        }
+
+        /// The verdict-bound premise: whatever floor a prefix proves, the
+        /// delay of the whole trace is at least that large — also where
+        /// the prefix ends on samples that touch the threshold.
+        #[test]
+        fn delay_floor_bounds_every_continuation(
+            a in trace_strategy(),
+            b in trace_strategy(),
+            after_frac in 0.0f64..1.0,
+            rising: bool,
+            out_rising: bool,
+        ) {
+            let n = a.len().min(b.len());
+            let (t, vin) = build(&a[..n]);
+            let (_, vout) = build(&b[..n]);
+            let after = after_frac * t[n - 1];
+            let edge = |r: bool| if r { Edge::Rising } else { Edge::Falling };
+            let (ie, oe) = (edge(rising), edge(out_rising));
+            let whole = propagation_delay(
+                &Trace::new(&t, &vin), ie, &Trace::new(&t, &vout), oe, TH, after,
+            );
+            for i in 0..n {
+                let input = Trace::new(&t[..=i], &vin[..=i]);
+                let output = Trace::new(&t[..=i], &vout[..=i]);
+                let floor = delay_floor(&input, ie, &output, oe, TH, after);
+                let known = propagation_delay(&input, ie, &output, oe, TH, after);
+                prop_assert!(floor.is_none() || known.is_none());
+                if let (Some(f), Some(d)) = (floor, whole) {
+                    prop_assert!(f <= d, "prefix {} floor {} above the delay {}", i, f, d);
+                }
             }
         }
 

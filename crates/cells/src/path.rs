@@ -15,9 +15,9 @@
 use crate::gates::{CellKind, CmosBuilder, RopSite};
 use crate::tech::Tech;
 use pulsar_analog::{
-    propagation_delay, CancelToken, Circuit, Edge, Error, Integrator, NodeId, Polarity, Recorder,
-    SolverMode, SolverWorkspace, SymbolicCache, TraceCapture, TranConfig, TranResult, Until,
-    Waveform,
+    delay_floor, propagation_delay, CancelToken, Circuit, Edge, Error, Integrator, NodeId,
+    Polarity, Recorder, SolverMode, SolverWorkspace, SymbolicCache, TraceCapture, TranConfig,
+    TranResult, Until, Waveform,
 };
 
 /// Structural description of a path: the gate chain plus per-stage extra
@@ -217,10 +217,15 @@ impl PulseOutcome {
 #[derive(Debug, Clone, Copy)]
 pub struct TransitionOutcome {
     /// Input-edge to output-edge propagation delay at `vdd/2`, or `None`
-    /// when the output never switched within the simulated window.
+    /// when the output never switched within the simulated window, or the
+    /// run stopped at its verdict bound first (`floor` is then set).
     pub delay: Option<f64>,
     /// The edge direction expected (and looked for) at the output.
     pub output_edge: Edge,
+    /// Set when [`BuiltPath::propagate_transition_within`] stopped the run
+    /// before the output crossed: a proven lower bound on the delay, above
+    /// the bound it was given ([`pulsar_analog::delay_floor`]).
+    pub floor: Option<f64>,
 }
 
 /// A transistor-level sensitized path with one injectable defect.
@@ -954,6 +959,37 @@ impl BuiltPath {
         input_edge: Edge,
         cfg: Option<&TranConfig>,
     ) -> Result<TransitionOutcome, Error> {
+        self.transition_run(input_edge, cfg, f64::INFINITY)
+    }
+
+    /// [`BuiltPath::propagate_transition`] over the default window for a
+    /// caller that only compares the delay against thresholds: the run
+    /// also ends once the delay is proven to exceed `within` seconds
+    /// ([`Until::Crossed`]), and reports that proof in
+    /// [`TransitionOutcome::floor`] instead of a delay. A delay that
+    /// crosses first is bit-identical to the full window's, and
+    /// `within = ∞` is [`BuiltPath::propagate_transition`] itself.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors; a NaN `within` is an invalid
+    /// configuration.
+    pub fn propagate_transition_within(
+        &mut self,
+        input_edge: Edge,
+        within: f64,
+    ) -> Result<TransitionOutcome, Error> {
+        self.transition_run(input_edge, None, within)
+    }
+
+    /// Shared transition engine; `within` applies to the default window
+    /// only, and a caller's `cfg` runs as given.
+    fn transition_run(
+        &mut self,
+        input_edge: Edge,
+        cfg: Option<&TranConfig>,
+        within: f64,
+    ) -> Result<TransitionOutcome, Error> {
         let (v1, v2) = match input_edge {
             Edge::Rising => (0.0, self.vdd),
             Edge::Falling => (self.vdd, 0.0),
@@ -979,6 +1015,7 @@ impl BuiltPath {
                 out_edge: output_edge,
                 threshold: vth,
                 after,
+                within,
             },
             ..self.default_cfg(0.0)
         };
@@ -990,7 +1027,18 @@ impl BuiltPath {
         let tin = res.trace(self.input);
         let tout = res.trace(self.output());
         let delay = propagation_delay(&tin, input_edge, &tout, output_edge, vth, after);
-        Ok(TransitionOutcome { delay, output_edge })
+        // Only a run the bound stopped early can prove a floor above it.
+        let floor = match delay {
+            None if res.stats().stopped_early => {
+                delay_floor(&tin, input_edge, &tout, output_edge, vth, after)
+            }
+            _ => None,
+        };
+        Ok(TransitionOutcome {
+            delay,
+            output_edge,
+            floor,
+        })
     }
 }
 

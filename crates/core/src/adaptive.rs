@@ -90,6 +90,10 @@ pub(crate) struct AdaptiveGrid<'a> {
     /// The declared direction of the measured value along R; `None`
     /// simulates every column of every row.
     pub trend: Option<Trend>,
+    /// Whether a delay grid's queries may stop at the verdict bound
+    /// ([`AdaptiveGrid::verdict_bound`]); `false` runs every query to its
+    /// crossing.
+    pub bounded: bool,
 }
 
 impl<'a> AdaptiveGrid<'a> {
@@ -128,16 +132,58 @@ impl<'a> AdaptiveGrid<'a> {
             thresholds: factors.iter().map(|&f| f * nominal).collect(),
             detect_below,
             trend,
+            bounded: !detect_below,
         }
     }
 
-    /// The detection rule: does measured `value` detect at threshold `th`?
-    fn detects(&self, value: f64, th: f64) -> bool {
-        if self.detect_below {
-            value < th
-        } else {
-            th < value
+    /// The verdict bound of a delay grid (DESIGN.md §5.13): an instance
+    /// whose flop adds `overhead` to the path delay fails every test
+    /// period once its delay exceeds the returned value, so a delay query
+    /// may stop there. It is the largest threshold less `overhead`, nudged
+    /// up to where the floating-point need clears that threshold too.
+    /// `∞` (measure every delay) for a pulse or unbounded grid.
+    pub(crate) fn verdict_bound(&self, overhead: f64) -> f64 {
+        let top = self
+            .thresholds
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max);
+        if !self.bounded || !top.is_finite() || !overhead.is_finite() {
+            return f64::INFINITY;
         }
+        let mut within = top - overhead;
+        // A floor above `within` then gives `floor + overhead > top`,
+        // since rounded addition is monotone.
+        while within + overhead <= top {
+            within = within.next_up();
+        }
+        within
+    }
+
+    /// The detection rule: does measured `value` detect at threshold `th`?
+    ///
+    /// A negative value on a delay grid is a censored need ([`censored`]):
+    /// the need is proven to exceed `−value`, which decides only the
+    /// thresholds below it; any other threshold refuses the row, as the
+    /// bound it was measured under was not this grid's.
+    fn detects(&self, value: f64, th: f64) -> Result<bool, CoreError> {
+        if self.detect_below {
+            return Ok(value < th);
+        }
+        if value < 0.0 {
+            let floor = -value;
+            return if th < floor {
+                Ok(true)
+            } else {
+                Err(CoreError::Checkpoint {
+                    reason: format!(
+                        "a censored slack need (above {floor:e} s) cannot decide the test \
+                         period {th:e} s — it was bounded against other thresholds"
+                    ),
+                })
+            };
+        }
+        Ok(th < value)
     }
 
     /// The positions of columns `rs` along which detection never switches
@@ -155,7 +201,8 @@ impl<'a> AdaptiveGrid<'a> {
 
     /// The verdicts of one row at every threshold, column-major into `out`
     /// (`out[c × factors + f]`); `row[c]` is the value at resistance
-    /// `rs[c]`, `NaN` where the column was not simulated.
+    /// `rs[c]`, `NaN` where the column was not simulated and [`censored`]
+    /// where a slack need is known only to exceed a floor.
     ///
     /// The one inference rule: a skipped column takes the verdict its
     /// nearest simulated neighbours on both sides of the detection axis
@@ -171,11 +218,11 @@ impl<'a> AdaptiveGrid<'a> {
     ) -> Result<(), CoreError> {
         let nfac = self.thresholds.len();
         out.clear();
-        out.extend(
-            row.iter()
-                .flat_map(|&v| self.thresholds.iter().map(move |&th| (v, th)))
-                .map(|(v, th)| self.detects(v, th)),
-        );
+        for &v in row {
+            for &th in &self.thresholds {
+                out.push(self.detects(v, th)?);
+            }
+        }
         if !row.iter().any(|v| v.is_nan()) {
             return Ok(());
         }
@@ -291,7 +338,7 @@ impl<'a> AdaptiveGrid<'a> {
             for (k, &c) in axis.iter().enumerate() {
                 if row[c].is_nan() {
                     continue;
-                } else if self.detects(row[c], th) {
+                } else if self.detects(row[c], th)? {
                     hi = hi.min(k);
                 } else {
                     lo = lo.max(k + 1);
@@ -299,7 +346,7 @@ impl<'a> AdaptiveGrid<'a> {
             }
             while lo < hi {
                 let k = lo + (hi - lo) / 2;
-                if self.detects(at(axis[k], row)?, th) {
+                if self.detects(at(axis[k], row)?, th)? {
                     hi = k;
                 } else {
                     lo = k + 1;
@@ -308,15 +355,17 @@ impl<'a> AdaptiveGrid<'a> {
         }
         // The runtime guard: along the axis, every threshold's probed
         // verdicts must switch on at most once and never off.
-        Ok(ths.iter().all(|&th| {
+        for &th in &ths {
             let mut on = false;
-            axis.iter().filter(|&&c| !row[c].is_nan()).all(|&c| {
-                let d = self.detects(row[c], th);
-                let ok = d || !on;
+            for &c in axis.iter().filter(|&&c| !row[c].is_nan()) {
+                let d = self.detects(row[c], th)?;
+                if on && !d {
+                    return Ok(false);
+                }
                 on = d;
-                ok
-            })
-        }))
+            }
+        }
+        Ok(true)
     }
 
     /// Fixed-sample coverage curves, one per factor: at each point the
@@ -353,6 +402,15 @@ impl<'a> AdaptiveGrid<'a> {
             })
             .collect())
     }
+}
+
+/// The row encoding of a censored slack need: one proven to exceed
+/// `floor`, stored as `−floor` (DESIGN.md §5.13). Needs are positive, so
+/// the sign tells it apart from an exact need, and `NaN` still marks a
+/// column the search skipped.
+pub(crate) fn censored(floor: f64) -> f64 {
+    debug_assert!(floor > 0.0, "a need floor is positive");
+    -floor
 }
 
 /// One grid point of an adaptive run: estimate, interval, and the

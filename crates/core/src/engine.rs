@@ -150,14 +150,14 @@ impl PathUnderTest {
 /// [`ModelPath`] (logic-level timing model, for large-circuit test
 /// generation).
 pub trait PathInstance {
-    /// Propagation delay for a single input transition, seconds.
+    /// Propagation delay for a single input transition, seconds. An
+    /// output that never switches (inside the electrical engine's
+    /// simulation window) is not an error: its delay is `f64::INFINITY`,
+    /// so slack arithmetic stays total.
     ///
     /// # Errors
     ///
-    /// Engine-specific failures; for the electrical engine, an output
-    /// that never switches inside the simulation window is reported as a
-    /// non-convergence error by the caller's choice — here it surfaces as
-    /// `Ok(f64::INFINITY)` so slack arithmetic stays total.
+    /// Engine-specific simulation failures.
     fn delay(&mut self, input_edge: Edge) -> Result<f64, CoreError>;
 
     /// Output pulse width for an injected input pulse; `0.0` = dampened.
@@ -243,6 +243,32 @@ impl AnalogPath {
     pub fn built_path(&mut self) -> &mut BuiltPath {
         &mut self.inner
     }
+
+    /// [`PathInstance::delay`] for a caller that only compares it against
+    /// thresholds: the query may stop once the delay is proven to exceed
+    /// `within` seconds ([`BuiltPath::propagate_transition_within`],
+    /// DESIGN.md §5.13).
+    pub(crate) fn delay_within(
+        &mut self,
+        input_edge: Edge,
+        within: f64,
+    ) -> Result<BoundedDelay, CoreError> {
+        let out = self.inner.propagate_transition_within(input_edge, within)?;
+        Ok(match (out.delay, out.floor) {
+            (None, Some(floor)) => BoundedDelay::Beyond(floor),
+            (delay, _) => BoundedDelay::Exact(delay.unwrap_or(f64::INFINITY)),
+        })
+    }
+}
+
+/// A delay query's answer under a verdict bound.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum BoundedDelay {
+    /// The delay, bit-identical to the full window's.
+    Exact(f64),
+    /// The delay is proven to exceed the bound: this lower bound, which
+    /// is above it.
+    Beyond(f64),
 }
 
 impl PathInstance for AnalogPath {

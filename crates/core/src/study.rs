@@ -2,20 +2,20 @@
 //! `C_del(T, R)` for reduced-clock DF testing and `C_pulse(ω_th, R)` for
 //! the pulse-propagation method, over the same circuit instances.
 
-use crate::adaptive::{run_adaptive, AdaptiveGrid, AdaptiveReport, RowEval, Trend};
+use crate::adaptive::{censored, run_adaptive, AdaptiveGrid, AdaptiveReport, RowEval, Trend};
 use crate::calib::{calibrate_pulse, calibrate_t0, DfCalibration, PulseCalibration};
 use crate::checkpoint::{Checkpoint, CheckpointSpec, CheckpointValue};
 use crate::df::FfTiming;
 use crate::durable::{run_samples, Completeness, DurableRun};
-use crate::engine::{AnalogPath, DefectKind, PathInstance, PathUnderTest};
+use crate::engine::{AnalogPath, BoundedDelay, DefectKind, PathInstance, PathUnderTest};
 use crate::error::CoreError;
 use crate::resilience::{FailureReport, McRunReport, ResilienceConfig};
 use crate::transfer::TransferCurve;
 use crate::variation::VariationModel;
-use pulsar_analog::{FaultPlan, Polarity, SymbolicCache};
+use pulsar_analog::{Edge, FaultPlan, Polarity, SymbolicCache};
 use pulsar_cells::Tech;
 use pulsar_mc::{AdaptivePolicy, MonteCarlo};
-use pulsar_obs::{CancelReason, CancelToken, Recorder};
+use pulsar_obs::{CancelReason, CancelToken, Counter, Recorder};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -263,6 +263,11 @@ fn rows_tag(trend: Option<Trend>) -> &'static str {
     }
 }
 
+/// The row format of DF coverage records, carried in both DF coverage
+/// checkpoint digests: format 2 rows may hold censored needs (DESIGN.md
+/// §5.13), which a reader of format 1 would take for exact ones.
+const DF_ROWS_FORMAT: u32 = 2;
+
 /// One coverage-vs-resistance series, at one setting of the method's
 /// free parameter (`T/T₀` for DF, `ω_th/ω_th⁰` for the pulse test).
 #[derive(Debug, Clone, PartialEq)]
@@ -385,7 +390,8 @@ impl DfStudy {
     /// the returned closure draws one instance and measures its slack need
     /// (worst path delay + flop overhead) at the resistances of the row
     /// it is handed that the grid's search picks (all of them without a
-    /// grid).
+    /// grid). Under a grid, each need is measured only up to the grid's
+    /// verdict bound ([`DfStudy::bounded_need`]).
     fn faulty_eval(&self, r_values: &[f64]) -> Result<impl RowEval + '_, CoreError> {
         lint_preflight(&self.put, Some(r_values))?;
         let nominal_techs = vec![self.put.tech; self.put.spec.len()];
@@ -402,12 +408,44 @@ impl DfStudy {
                 let (techs, ff) = self.draw(rng);
                 let mut p = self.put.instantiate(&techs, rs[0]);
                 ready(&mut p, &self.mc, &symbolic, attempt, rng, rec, t);
+                let overhead = ff.overhead();
+                let within = grid.map_or(f64::INFINITY, |g| g.verdict_bound(overhead));
                 AdaptiveGrid::measure_row(grid, rs, rec, |r| {
                     p.set_resistance(r)?;
-                    Ok(p.worst_delay()? + ff.overhead())
+                    Self::bounded_need(&mut p, overhead, within, rec)
                 })
             },
         )
+    }
+
+    /// One instance's slack need, worst path delay + `overhead`, measured
+    /// only as far as the verdict bound `within` on the delay (DESIGN.md
+    /// §5.13). The rising edge runs first; a delay proven past `within`
+    /// fails every test period, so the need is then stored [`censored`]
+    /// at its proven floor and the falling edge is skipped. With
+    /// `within = ∞` this is [`PathInstance::worst_delay`] + `overhead`,
+    /// bit for bit.
+    fn bounded_need(
+        p: &mut AnalogPath,
+        overhead: f64,
+        within: f64,
+        rec: &Recorder,
+    ) -> Result<f64, CoreError> {
+        let rise = match p.delay_within(Edge::Rising, within)? {
+            BoundedDelay::Exact(d) => d,
+            BoundedDelay::Beyond(floor) => {
+                rec.add(Counter::DelaysCensored, 1);
+                rec.add(Counter::EdgesSkipped, 1);
+                return Ok(censored(floor + overhead));
+            }
+        };
+        Ok(match p.delay_within(Edge::Falling, within)? {
+            BoundedDelay::Exact(d) => rise.max(d) + overhead,
+            BoundedDelay::Beyond(floor) => {
+                rec.add(Counter::DelaysCensored, 1);
+                censored(rise.max(floor) + overhead)
+            }
+        })
     }
 
     /// Durable variant of [`DfStudy::try_faulty_needs`]: faulty slack
@@ -566,13 +604,15 @@ impl DfStudy {
 
     /// The [`CheckpointSpec`] identifying a durable
     /// [`DfStudy::coverage_durable`] run. Its records are sparse rows —
-    /// `NaN` where the critical-resistance search skipped a column — and
-    /// only meaningful under the thresholds they were searched against,
-    /// so on top of [`DfStudy::faulty_checkpoint_spec`]'s identity the
-    /// digest covers `T₀`, the factor grid (bit patterns) and a
-    /// `rows=sparse` (or `rows=full`, for a class without a declared
-    /// direction) tag. A need-row checkpoint never resumes a coverage
-    /// run, nor the reverse.
+    /// `NaN` where the critical-resistance search skipped a column,
+    /// negative where a need is censored at the verdict bound (DESIGN.md
+    /// §5.13) — and only meaningful under the thresholds they were
+    /// searched against, so on top of [`DfStudy::faulty_checkpoint_spec`]'s
+    /// identity the digest covers `T₀`, the factor grid (bit patterns) and
+    /// a `rows=sparse` (or `rows=full`, for a class without a declared
+    /// direction) tag with the row format version. A need-row checkpoint
+    /// never resumes a coverage run, nor the reverse, and a checkpoint
+    /// written before needs could be censored never resumes either.
     pub fn coverage_checkpoint_spec(
         &self,
         calib: &DfCalibration,
@@ -581,7 +621,7 @@ impl DfStudy {
     ) -> CheckpointSpec {
         let digest = pulsar_obs::config_digest(&format!(
             "df-coverage put={:?} variation={:?} ff={:?} margin={:016x} t0={:016x} \
-             factors={:?} r={:?} rows={}",
+             factors={:?} r={:?} rows={} v{}",
             self.put,
             self.mc.variation,
             self.ff,
@@ -590,6 +630,7 @@ impl DfStudy {
             t_factors.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
             r_values.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
             rows_tag(self.trend()),
+            DF_ROWS_FORMAT,
         ));
         CheckpointSpec {
             config_digest: digest,
@@ -696,11 +737,16 @@ impl DfStudy {
     /// record space reserves `3 × policy.max_samples` slots (first pass
     /// plus the refinement extension at its `max_samples` offset).
     ///
+    /// The digest also carries the row tag and format version of
+    /// [`DfStudy::coverage_checkpoint_spec`], so a checkpoint written
+    /// before needs could be censored is refused.
+    ///
     /// `T₀` is not an argument, so the digest cannot cover it. A record
     /// searched against another `T₀` is still never guessed from: the
     /// fold refuses a row whose simulated columns cannot decide a skipped
-    /// one under this run's thresholds ([`CoreError::Checkpoint`]), and a
-    /// row they do decide yields the verdicts its full row would.
+    /// one under this run's thresholds, or that holds a censored need
+    /// whose floor does not clear one of them ([`CoreError::Checkpoint`]),
+    /// and a row they do decide yields the verdicts its full row would.
     pub fn adaptive_checkpoint_spec(
         &self,
         r_values: &[f64],
@@ -715,7 +761,7 @@ impl DfStudy {
             .collect();
         let digest = pulsar_obs::config_digest(&format!(
             "df-adaptive put={:?} variation={:?} ff={:?} margin={:016x} policy={:?} \
-             factors={:?} r={:?} crossover={:?}",
+             factors={:?} r={:?} crossover={:?} rows={} v{}",
             self.put,
             self.mc.variation,
             self.ff,
@@ -724,6 +770,8 @@ impl DfStudy {
             t_factors.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
             r_values.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
             cross_bits,
+            rows_tag(self.trend()),
+            DF_ROWS_FORMAT,
         ));
         CheckpointSpec {
             config_digest: digest,
@@ -733,8 +781,10 @@ impl DfStudy {
     }
 
     /// [`DfStudy::coverage_adaptive`] with every active column of every
-    /// row simulated: the forced full-grid arm the critical-resistance
-    /// search is checked against.
+    /// row simulated, each delay to its crossing: the forced full-grid,
+    /// full-window arm the critical-resistance search and the verdict
+    /// bound are checked against. Its optional checkpoint (opened with
+    /// [`DfStudy::adaptive_checkpoint_spec`]) records the exact rows.
     #[doc(hidden)]
     pub fn coverage_adaptive_full_grid(
         &self,
@@ -743,9 +793,11 @@ impl DfStudy {
         t_factors: &[f64],
         policy: &AdaptivePolicy,
         crossover: Option<&[CoverageCurve]>,
+        checkpoint: Option<&Checkpoint<Vec<f64>>>,
     ) -> Result<AdaptiveReport, CoreError> {
-        let grid = AdaptiveGrid::delay(r_values, t_factors, calib.t0, None);
-        self.coverage_adaptive_inner(grid, policy, crossover, None)
+        let mut grid = AdaptiveGrid::delay(r_values, t_factors, calib.t0, None);
+        grid.bounded = false;
+        self.coverage_adaptive_inner(grid, policy, crossover, checkpoint)
     }
 
     fn coverage_adaptive_inner(

@@ -535,6 +535,102 @@ fn adaptive_checkpoint_from_another_calibration_is_refused() {
     }
 }
 
+/// The hazard the verdict bound must never hide (DESIGN.md §5.13). A DF
+/// adaptive checkpoint written under `T₀` holds needs censored at `T₀`'s
+/// bound, and at least one of them has a full-window need between the
+/// old largest test period (`1.1·T₀`) and the one of `T₀ × 1.25`. Read
+/// as "fails every period", that need would flip a verdict under the
+/// longer periods, so resuming there must be refused. A checkpoint in
+/// the row format from before censoring is refused as well.
+#[test]
+fn censored_needs_refuse_a_resume_under_longer_periods() {
+    let (df, t0) = df_study(6);
+    let policy = policy();
+    let spec = df.adaptive_checkpoint_spec(&SWEEP, &FACTORS, &policy, None);
+    let bounded_path = fresh_ckpt("df-bounded");
+    let exact_path = fresh_ckpt("df-exact");
+    {
+        let bounded = Checkpoint::create(&bounded_path, spec).expect("create");
+        let exact = Checkpoint::create(&exact_path, spec).expect("create");
+        let a = df
+            .coverage_adaptive_durable(&t0, &SWEEP, &FACTORS, &policy, None, &bounded)
+            .expect("bounded run");
+        let b = df
+            .coverage_adaptive_full_grid(&t0, &SWEEP, &FACTORS, &policy, None, Some(&exact))
+            .expect("full-window run");
+        assert_eq!(report_bits(&a), report_bits(&b));
+    }
+    // Both runs took the same decisions, so record `i` of each holds the
+    // same columns: pair every censored need with its full-window need.
+    let rows = |path| {
+        let ck = Checkpoint::<Vec<f64>>::open(path, spec).expect("reopen");
+        ck.prior()
+            .iter()
+            .map(|(&i, o)| (i, o.value().cloned().expect("a resolved row")))
+            .collect::<Vec<_>>()
+    };
+    let (bounded, exact) = (rows(&bounded_path), rows(&exact_path));
+    let (old_top, new_top) = (1.1 * t0.t0, 1.1 * 1.25 * t0.t0);
+    let mut hazards = 0;
+    for ((i, b), (j, e)) in bounded.iter().zip(&exact) {
+        assert_eq!((i, b.len()), (j, e.len()), "record {i}");
+        for (&v, &need) in b.iter().zip(e) {
+            if v < 0.0 {
+                assert!(old_top < -v && -v <= need, "record {i}: {v:e} vs {need:e}");
+                hazards += usize::from(need <= new_top);
+            }
+        }
+    }
+    assert!(
+        hazards > 0,
+        "no censored need falls between the two periods"
+    );
+    let longer = DfCalibration { t0: 1.25 * t0.t0 };
+    let ck = Checkpoint::open(&bounded_path, spec).expect("reopen");
+    match df.coverage_adaptive_durable(&longer, &SWEEP, &FACTORS, &policy, None, &ck) {
+        Err(CoreError::Checkpoint { reason }) => {
+            assert!(reason.contains("censored"), "refused for {reason}")
+        }
+        other => panic!("a censored need decided a longer period: {other:?}"),
+    }
+    drop(ck);
+
+    // The same exact rows under the digest a checkpoint had before needs
+    // could be censored: its header no longer matches the study's spec.
+    let old_format = CheckpointSpec {
+        config_digest: pulsar_obs::config_digest(&format!(
+            "df-adaptive put={:?} variation={:?} ff={:?} margin={:016x} policy={:?} \
+             factors={:?} r={:?} crossover={:?}",
+            df.put,
+            df.mc.variation,
+            df.ff,
+            df.clock_margin.to_bits(),
+            policy,
+            FACTORS.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+            SWEEP.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+            Vec::<Vec<u64>>::new(),
+        )),
+        ..spec
+    };
+    assert_ne!(old_format, spec);
+    let old_path = fresh_ckpt("df-old-format");
+    {
+        let ck = Checkpoint::create(&old_path, old_format).expect("create");
+        for (i, row) in &exact {
+            ck.record(*i, 0, &SampleOutcome::Ok(row.clone()));
+        }
+    }
+    let ck = Checkpoint::open(&old_path, old_format).expect("reopen old format");
+    assert_eq!(ck.resumed_count(), exact.len());
+    assert!(is_checkpoint_error(df.coverage_adaptive_durable(
+        &t0, &SWEEP, &FACTORS, &policy, None, &ck
+    )));
+    drop(ck);
+    for p in [bounded_path, exact_path, old_path] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 #[test]
 fn coverage_killed_mid_run_resumes_to_the_uninterrupted_curves() {
     let (study, calib) = pulse_study(8);

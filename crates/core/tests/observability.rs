@@ -6,7 +6,7 @@
 
 use pulsar_analog::{FaultKind, FaultPlan, Polarity};
 use pulsar_cells::{PathSpec, Tech};
-use pulsar_core::{DefectKind, McConfig, PathUnderTest, PulseStudy, ResilienceConfig};
+use pulsar_core::{DefectKind, DfStudy, McConfig, PathUnderTest, PulseStudy, ResilienceConfig};
 use pulsar_mc::MonteCarlo;
 use pulsar_obs::{json, render_journal, Counter, HistId, Recorder};
 
@@ -172,4 +172,55 @@ fn sample_events_say_how_many_columns_each_row_simulated() {
         delta(Counter::ColumnsInferred) > 0,
         "the search inferred no column"
     );
+}
+
+#[test]
+fn sample_events_count_censored_delays_and_skipped_edges() {
+    // DF coverage up to 400 kΩ: the slowest columns prove their need past
+    // the largest test period and stop there. Every sample event carries
+    // its censored-query and skipped-edge counts beside the column split,
+    // a skipped edge always follows a censored query, and the run totals
+    // match the journal.
+    let obs = Recorder::enabled();
+    let mc = McConfig {
+        threads: Some(2),
+        obs: obs.clone(),
+        ..McConfig::paper(6, SEED)
+    };
+    let study = DfStudy::new(put(), mc);
+    let calib = study.calibrate().expect("calibration");
+    let rs = [300.0, 3e3, 30e3, 400e3];
+    let before = obs.snapshot();
+    study
+        .coverage(&calib, &rs, &[0.9, 1.0, 1.1])
+        .expect("coverage");
+    let snap = obs.snapshot();
+    let count = |e: &pulsar_obs::Event, name: &str| {
+        e.counters
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |(_, v)| *v)
+    };
+    let events: Vec<_> = obs
+        .events()
+        .into_iter()
+        .filter(|e| e.kind == "sample" && e.label.as_deref() == Some("df-faulty"))
+        .collect();
+    assert_eq!(events.len(), 6);
+    let (mut censored, mut skipped) = (0, 0);
+    for e in &events {
+        let (c, k) = (count(e, "delays_censored"), count(e, "edges_skipped"));
+        assert!(
+            k <= c,
+            "sample {}: {k} skipped edges, {c} censored",
+            e.index
+        );
+        assert!(count(e, "columns_simulated") > 0, "sample {}", e.index);
+        censored += c;
+        skipped += k;
+    }
+    let delta = |c: Counter| snap.counter(c) - before.counter(c);
+    assert_eq!(delta(Counter::DelaysCensored), censored);
+    assert_eq!(delta(Counter::EdgesSkipped), skipped);
+    assert!(skipped > 0, "no 400 kΩ column skipped its falling edge");
 }

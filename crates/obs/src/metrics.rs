@@ -132,6 +132,12 @@ pub enum Counter {
     /// Coverage-row columns whose verdict was inferred from the simulated
     /// columns on both sides instead of simulated.
     ColumnsInferred,
+    /// Delay queries that stopped at their verdict bound, the delay
+    /// proven to fail every test period instead of measured.
+    DelaysCensored,
+    /// Second transition edges not simulated because the first one's
+    /// censored delay already decided the slack need's verdicts.
+    EdgesSkipped,
     /// Jobs accepted into the serve daemon's queue.
     ServeJobsSubmitted,
     /// Serve jobs that ran to completion.
@@ -158,7 +164,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 33;
+    pub const COUNT: usize = 35;
 
     /// Every counter, in canonical order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -184,6 +190,8 @@ impl Counter {
         Counter::AdaptiveRefineSamples,
         Counter::ColumnsSimulated,
         Counter::ColumnsInferred,
+        Counter::DelaysCensored,
+        Counter::EdgesSkipped,
         Counter::ServeJobsSubmitted,
         Counter::ServeJobsCompleted,
         Counter::ServeJobsFailed,
@@ -222,6 +230,8 @@ impl Counter {
             Counter::AdaptiveRefineSamples => "adaptive_refine_samples",
             Counter::ColumnsSimulated => "columns_simulated",
             Counter::ColumnsInferred => "columns_inferred",
+            Counter::DelaysCensored => "delays_censored",
+            Counter::EdgesSkipped => "edges_skipped",
             Counter::ServeJobsSubmitted => "serve_jobs_submitted",
             Counter::ServeJobsCompleted => "serve_jobs_completed",
             Counter::ServeJobsFailed => "serve_jobs_failed",

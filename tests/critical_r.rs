@@ -13,8 +13,10 @@
 //!   class's declared direction;
 //! * the searched coverage curves equal the full-grid arm's bit for bit,
 //!   every value the search simulated (read back from the run's
-//!   checkpoint) equals the full-grid value, and the skipped columns are
-//!   what the `columns_inferred` counter says;
+//!   checkpoint) equals the full-grid value — or, for a DF need censored
+//!   at the verdict bound, has a floor above every threshold and no
+//!   larger than the full need — and the skipped columns are what the
+//!   `columns_inferred` counter says;
 //! * the adaptive report equals the forced full-grid adaptive arm's;
 //! * DF bridges declare no direction and keep the full grid — their
 //!   counterexample is pinned below.
@@ -213,7 +215,7 @@ fn df_arms(put: &PathUnderTest, samples: usize, seed: u64) -> Arms {
             .coverage_adaptive(&calib, &rs, &FACTORS, &policy, None)
             .expect("adaptive"),
         adaptive_full: study
-            .coverage_adaptive_full_grid(&calib, &rs, &FACTORS, &policy, None)
+            .coverage_adaptive_full_grid(&calib, &rs, &FACTORS, &policy, None, None)
             .expect("adaptive full grid"),
         rs,
     }
@@ -303,13 +305,21 @@ impl Arms {
             .flat_map(|c| c.coverage.iter().map(|v| v.to_bits()))
             .collect();
         assert_eq!(searched, self.full_curves_bits(), "{l}: curves");
-        // Every simulated value is the full grid's; NaN marks the rest.
+        // Every simulated value is the full grid's, or a DF need censored
+        // at the verdict bound (DESIGN.md §5.13) whose floor clears every
+        // threshold and does not pass the full need; NaN marks the rest.
         let mut skipped = 0u64;
         for (i, (row, full)) in self.rows.iter().zip(&self.full).enumerate() {
             assert_eq!(row.len(), full.len(), "{l}: row {i} length");
             for (c, (&v, &w)) in row.iter().zip(full).enumerate() {
                 if v.is_nan() {
                     skipped += 1;
+                } else if v < 0.0 && !self.detect_below {
+                    let floor = -v;
+                    assert!(
+                        self.thresholds.iter().all(|&th| th < floor) && floor <= w,
+                        "{l}: sample {i} column {c}: censored floor {floor:e}, full need {w:e}"
+                    );
                 } else {
                     assert_eq!(v.to_bits(), w.to_bits(), "{l}: sample {i} column {c}");
                 }

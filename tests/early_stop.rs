@@ -160,6 +160,7 @@ fn check_df(put: &PathUnderTest, samples: usize, seed: u64) -> Tally {
                     out_edge: early.output_edge,
                     threshold: p.vdd() / 2.0,
                     after: 0.5 * p.stimulus_start(),
+                    within: f64::INFINITY,
                 };
                 let (early_points, stopped) = points(
                     p,
