@@ -730,9 +730,9 @@ impl Circuit {
     /// It ignores [`TranConfig::until`] and always runs to `stop`, which
     /// makes it the full-window reference for the early-stop rules.
     ///
-    /// Not part of the simulation API proper; `bench_hotpath` uses it for
-    /// same-run before/after comparisons, and it will be dropped once the
-    /// perf trajectory no longer needs the anchor.
+    /// Not part of the simulation API proper: it is the test oracle of
+    /// the `workspace_equivalence` suite and of
+    /// `BuiltPath`'s baseline-engine unit tests.
     ///
     /// # Errors
     ///

@@ -71,9 +71,6 @@ pub use error::Error;
 pub use export::{to_csv, to_vcd};
 pub use inject::{ArmedFault, FaultKind, FaultPlan};
 pub use solver::pattern::{topology_key, PatternMode, StampPattern};
-#[allow(deprecated)]
-pub use solver::sparse::solver_counters;
-pub use solver::sparse::SolverCounters;
 pub use solver::workspace::{SolverMode, SolverWorkspace, SymbolicCache};
 pub use waveform::{delay_floor, propagation_delay, Edge, Polarity, Pulse, Trace};
 

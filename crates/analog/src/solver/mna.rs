@@ -9,7 +9,7 @@ use crate::circuit::{Circuit, NodeId};
 use crate::elements::{Element, MosType, Mosfet, MosfetParams};
 use crate::error::Error;
 use crate::solver::matrix::DenseMatrix;
-use crate::solver::sparse::{global_recorder, SymbolicLu};
+use crate::solver::sparse::SymbolicLu;
 use crate::solver::workspace::{SparseScratch, SysScratch};
 use pulsar_obs::{Counter, Phase, Recorder};
 
@@ -29,11 +29,9 @@ const VSTEP_LIMIT: f64 = 0.6;
 /// well-posed even with all transistors cut off.
 const GMIN_FLOOR: f64 = 1e-12;
 
-/// Books the end of one dense Newton solve: the iteration spend goes to
-/// the process-wide registry (legacy `solver_counters()` view) and the
-/// per-run recorder, which also gets the iterations-per-solve histogram.
+/// Books the end of one dense Newton solve on the per-run recorder: the
+/// iteration spend and the iterations-per-solve histogram.
 fn dense_solve_done(rec: &Recorder, iters: u64) {
-    global_recorder().add(Counter::DenseIterations, iters);
     rec.add(Counter::DenseIterations, iters);
     rec.newton_solve_done(iters);
 }
@@ -431,12 +429,10 @@ impl<'c, 'w> System<'c, 'w> {
                         sparse, recorder, ..
                     } = &mut *self.scratch;
                     x.copy_from_slice(&sparse.x_save);
-                    global_recorder().add(Counter::DenseFallbacks, 1);
                     recorder.add(Counter::DenseFallbacks, 1);
                 }
             }
         }
-        global_recorder().add(Counter::DenseSolves, 1);
         self.scratch.recorder.add(Counter::DenseSolves, 1);
         let mut iters: u64 = 0;
         for iter in 0..max_iter {
@@ -512,7 +508,6 @@ impl<'c, 'w> System<'c, 'w> {
         max_iter: usize,
         context: &'static str,
     ) -> Option<Result<(), Error>> {
-        global_recorder().add(Counter::SparseSolves, 1);
         self.scratch.recorder.add(Counter::SparseSolves, 1);
         let nn = self.nn;
         let nu = self.nu;
@@ -562,7 +557,6 @@ impl<'c, 'w> System<'c, 'w> {
             let rnorm = sym.residual(a_vals, x, rhs, resid);
             let reuse = jr && *factored && rnorm <= JR_CONTRACTION * last_rnorm;
             if reuse {
-                global_recorder().add(Counter::JacobianReuses, 1);
                 recorder.add(Counter::JacobianReuses, 1);
             } else {
                 let _span = recorder.span(Phase::NumericRefactorize);

@@ -26,11 +26,8 @@
 //! that solve. All phases are deterministic, so results are bitwise
 //! reproducible across threads and runs for a fixed circuit.
 
-use std::sync::OnceLock;
-
 use crate::error::Error;
 use crate::solver::pattern::StampPattern;
-use pulsar_obs::{Counter, Recorder};
 
 /// Smallest usable pivot magnitude, matching the dense LU threshold.
 const PIVOT_MIN: f64 = 1e-300;
@@ -87,7 +84,6 @@ impl SymbolicLu {
     /// PL0101/PL0102 matching reports, with `row` the first uncoverable
     /// row.
     pub fn analyze(pattern: &StampPattern, topo_key: u64) -> Result<SymbolicLu, Error> {
-        global_recorder().add(Counter::SymbolicAnalyses, 1);
         let n = pattern.dim();
         let (col_match, unmatched) = pattern.matching();
         if let Some(&row) = unmatched.first() {
@@ -293,7 +289,6 @@ impl SymbolicLu {
         lu_vals: &mut Vec<f64>,
         w: &mut Vec<f64>,
     ) -> Result<(), usize> {
-        global_recorder().add(Counter::NumericFactorizations, 1);
         lu_vals.clear();
         lu_vals.resize(self.lu_cols.len(), 0.0);
         w.clear();
@@ -410,77 +405,6 @@ fn min_degree_order(pattern: &StampPattern, rperm0: &[usize], n: usize) -> Vec<u
         }
     }
     order
-}
-
-/// One snapshot of the global solver counters (monotonic, process-wide).
-///
-/// Counters attribute where solve time goes: how many symbolic analyses a
-/// study performed (the caching contract is *one per circuit topology*),
-/// how many numeric refactorizations the Newton loops paid, how many
-/// iterations reused stale Jacobian factors, and how often the sparse path
-/// fell back to dense LU. Obtain with [`crate::solver_counters`], diff
-/// with [`SolverCounters::since`]. Updates are `Relaxed` atomics: exact
-/// under single-threaded sections, eventually consistent across threads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolverCounters {
-    /// Symbolic analyses performed (pattern + ordering + fill).
-    pub symbolic_analyses: u64,
-    /// Numeric refactorizations of the sparse matrix.
-    pub numeric_factorizations: u64,
-    /// Newton iterations that reused existing factors (modified Newton).
-    pub jacobian_reuses: u64,
-    /// Newton solves routed through the sparse engine.
-    pub sparse_solves: u64,
-    /// Newton solves routed through the dense engine (excluding the
-    /// preserved baseline engine, which is left uninstrumented).
-    pub dense_solves: u64,
-    /// Newton iterations (assemble + LU) taken by the dense engine.
-    pub dense_iterations: u64,
-    /// Sparse solves abandoned to dense LU (structural-rank deficit at
-    /// analysis, or a vanishing numeric pivot).
-    pub dense_fallbacks: u64,
-}
-
-impl SolverCounters {
-    /// Counter increments since an `earlier` snapshot.
-    #[must_use]
-    pub fn since(&self, earlier: &SolverCounters) -> SolverCounters {
-        SolverCounters {
-            symbolic_analyses: self.symbolic_analyses - earlier.symbolic_analyses,
-            numeric_factorizations: self.numeric_factorizations - earlier.numeric_factorizations,
-            jacobian_reuses: self.jacobian_reuses - earlier.jacobian_reuses,
-            sparse_solves: self.sparse_solves - earlier.sparse_solves,
-            dense_solves: self.dense_solves - earlier.dense_solves,
-            dense_iterations: self.dense_iterations - earlier.dense_iterations,
-            dense_fallbacks: self.dense_fallbacks - earlier.dense_fallbacks,
-        }
-    }
-}
-
-/// The process-wide, always-enabled [`Recorder`] backing the legacy
-/// [`solver_counters`] view. Every solver instrumentation point records
-/// here *and* into the per-run recorder installed on the workspace (when
-/// one is), so old global snapshots and new scoped snapshots agree.
-pub(crate) fn global_recorder() -> &'static Recorder {
-    static GLOBAL: OnceLock<Recorder> = OnceLock::new();
-    GLOBAL.get_or_init(Recorder::enabled)
-}
-
-/// Snapshots the process-wide [`SolverCounters`].
-#[deprecated(note = "process-wide counters race across concurrent runs; install a \
-            per-run `pulsar_obs::Recorder` via `SolverWorkspace::set_recorder` \
-            and use `Recorder::snapshot` instead")]
-pub fn solver_counters() -> SolverCounters {
-    let snap = global_recorder().snapshot();
-    SolverCounters {
-        symbolic_analyses: snap.counter(Counter::SymbolicAnalyses),
-        numeric_factorizations: snap.counter(Counter::NumericFactorizations),
-        jacobian_reuses: snap.counter(Counter::JacobianReuses),
-        sparse_solves: snap.counter(Counter::SparseSolves),
-        dense_solves: snap.counter(Counter::DenseSolves),
-        dense_iterations: snap.counter(Counter::DenseIterations),
-        dense_fallbacks: snap.counter(Counter::DenseFallbacks),
-    }
 }
 
 #[cfg(test)]

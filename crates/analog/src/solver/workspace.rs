@@ -25,7 +25,7 @@ use crate::circuit::{Circuit, NodeId};
 use crate::solver::matrix::DenseMatrix;
 use crate::solver::mna::{CapState, Method};
 use crate::solver::pattern::{topology_key, StampPattern};
-use crate::solver::sparse::{global_recorder, SymbolicLu};
+use crate::solver::sparse::SymbolicLu;
 use pulsar_obs::{CancelToken, Counter, Phase, Recorder};
 
 /// Linear-engine selection for a [`SolverWorkspace`].
@@ -47,7 +47,7 @@ pub enum SolverMode {
 /// Below this many MNA unknowns `SolverMode::Auto` stays dense: the dense
 /// LU already skips structural zeros, and for small matrices its linear
 /// memory layout beats the sparse engine's indirection (measured in
-/// `bench_hotpath`; see BENCH_pr4.json). The paper-scale 7-gate path is
+/// BENCH_pr4.json). The paper-scale 7-gate path is
 /// 12 unknowns (dense); a 32-stage inverter chain is 36 (sparse).
 const SPARSE_CROSSOVER: usize = 24;
 
@@ -159,8 +159,7 @@ impl SparseScratch {
     /// Decides whether the sparse engine handles the next solves of `ckt`
     /// (`nu` MNA unknowns) and, if so, ensures a matching symbolic
     /// factorization is cached. Called once per `System` construction.
-    /// `rec` is the per-run recorder of the owning workspace; the
-    /// process-wide registry is updated regardless.
+    /// `rec` is the per-run recorder of the owning workspace.
     pub fn prepare(&mut self, ckt: &Circuit, nu: usize, rec: &Recorder) -> bool {
         self.active = false;
         if force_dense_env() {
@@ -192,7 +191,6 @@ impl SparseScratch {
                     // Structural-rank deficit: remember and let the dense
                     // engine report the identical SingularMatrix error.
                     self.failed_key = Some(key);
-                    global_recorder().add(Counter::DenseFallbacks, 1);
                     rec.add(Counter::DenseFallbacks, 1);
                     return false;
                 }
@@ -401,11 +399,9 @@ impl SolverWorkspace {
     }
 
     /// Installs a per-run [`Recorder`]; every solve through this workspace
-    /// then records counters, spans, and histograms there in addition to
-    /// the process-wide registry behind the deprecated
-    /// `solver_counters()`. The default recorder is disabled, in which
-    /// case each instrumentation point costs a single `Option` branch and
-    /// never reads the clock (overhead measured in `bench_hotpath`).
+    /// then records counters, spans, and histograms there. The default
+    /// recorder is disabled, in which case each instrumentation point
+    /// costs a single `Option` branch and never reads the clock.
     pub fn set_recorder(&mut self, rec: Recorder) {
         self.sys.recorder = rec;
     }

@@ -3,15 +3,11 @@
 //! The environment flag must beat *every* other engine selection,
 //! including an explicit `ForceSparse`, so a deployment can neutralize
 //! the sparse path without touching code. The flag is read once per
-//! process, and the global solver counters are process-wide state, so
-//! this file holds exactly one test and runs as its own binary.
-
-// The whole point of this test is the legacy process-wide counter view,
-// so the deprecated shim is exercised on purpose.
-#![allow(deprecated)]
+//! process, so this file holds exactly one test and runs as its own
+//! binary.
 
 use pulsar_analog::{
-    solver_counters, Circuit, SolverMode, SolverWorkspace, TraceCapture, TranConfig, Waveform,
+    Circuit, ObsCounter, Recorder, SolverMode, SolverWorkspace, TraceCapture, TranConfig, Waveform,
 };
 
 #[test]
@@ -38,17 +34,24 @@ fn env_flag_overrides_even_force_sparse() {
 
     let mut ws = SolverWorkspace::new();
     ws.set_solver_mode(SolverMode::ForceSparse);
-    let before = solver_counters();
+    let rec = Recorder::enabled();
+    ws.set_recorder(rec.clone());
     ckt.transient_with(&TranConfig::new(10e-12, 2e-9), &mut ws, &TraceCapture::All)
         .expect("transient");
     ckt.dc_op_with(0.0, &mut ws).expect("dc");
-    let delta = solver_counters().since(&before);
+    let snap = rec.snapshot();
+    let count = |c: ObsCounter| snap.counter(c);
 
     assert_eq!(
-        delta.sparse_solves, 0,
-        "PULSAR_FORCE_DENSE=1 must keep the sparse engine cold: {delta:?}"
+        count(ObsCounter::SparseSolves),
+        0,
+        "PULSAR_FORCE_DENSE=1 must keep the sparse engine cold"
     );
-    assert_eq!(delta.symbolic_analyses, 0, "no analysis either: {delta:?}");
-    assert!(delta.dense_solves > 0, "solves must still run: {delta:?}");
-    assert_eq!(delta.dense_fallbacks, 0, "dense-by-choice, not fallback");
+    assert_eq!(count(ObsCounter::SymbolicAnalyses), 0, "no analysis either");
+    assert!(count(ObsCounter::DenseSolves) > 0, "solves must still run");
+    assert_eq!(
+        count(ObsCounter::DenseFallbacks),
+        0,
+        "dense-by-choice, not fallback"
+    );
 }

@@ -260,7 +260,8 @@ pub struct BuiltPath {
     /// runs (stimulus sweeps, resistance sweeps, retries).
     workspace: SolverWorkspace,
     /// When false, simulations run through the allocation-per-step
-    /// baseline engine instead of the workspace (benchmark reference).
+    /// baseline engine instead of the workspace (the unit tests' oracle).
+    #[cfg(test)]
     reuse_workspace: bool,
     /// Which node waveforms the default measurement runs record.
     capture_policy: CapturePolicy,
@@ -416,6 +417,7 @@ impl BuiltPath {
             step_scale: 1.0,
             vdd_source,
             workspace: SolverWorkspace::new(),
+            #[cfg(test)]
             reuse_workspace: true,
             capture_policy: CapturePolicy::default(),
             settle_tol: 0.25 * min_vt,
@@ -451,16 +453,16 @@ impl BuiltPath {
         Ok(Self::new(spec, fault, techs))
     }
 
-    /// Runs a transient through the path's own workspace (or the baseline
-    /// engine when reuse is disabled). All measurement paths funnel here so
-    /// the reuse/baseline toggle covers every simulation uniformly.
+    /// Runs a transient through the path's own workspace (or, in unit
+    /// tests with reuse disabled, the baseline engine). All measurement
+    /// paths funnel here so the toggle covers every simulation uniformly.
     fn sim(&mut self, cfg: &TranConfig, capture: &TraceCapture) -> Result<TranResult, Error> {
-        if self.reuse_workspace {
-            self.circuit
-                .transient_with(cfg, &mut self.workspace, capture)
-        } else {
-            self.circuit.transient_baseline(cfg)
+        #[cfg(test)]
+        if !self.reuse_workspace {
+            return self.circuit.transient_baseline(cfg);
         }
+        self.circuit
+            .transient_with(cfg, &mut self.workspace, capture)
     }
 
     /// The underlying circuit (for inspection or custom probing).
@@ -622,11 +624,7 @@ impl BuiltPath {
     /// Propagates DC-solver errors.
     pub fn quiescent_current(&mut self, input_high: bool) -> Result<f64, Error> {
         self.hold_input(input_high)?;
-        let dc = if self.reuse_workspace {
-            self.circuit.dc_op_with(0.0, &mut self.workspace)?
-        } else {
-            self.circuit.dc_op()?
-        };
+        let dc = self.circuit.dc_op_with(0.0, &mut self.workspace)?;
         dc.source_current(&self.circuit, self.vdd_source)
     }
 
@@ -645,10 +643,10 @@ impl BuiltPath {
     ///
     /// With reuse on, every simulation this path runs goes through one
     /// per-path [`SolverWorkspace`], recycling the MNA matrix, Newton
-    /// scratch and transient buffers across calls — bit-identical results,
-    /// no per-step allocation. With reuse off, simulations run through the
-    /// allocation-per-step baseline engine; this exists as the reference
-    /// configuration for the `bench_hotpath` speedup measurements.
+    /// scratch and transient buffers across calls. With reuse off,
+    /// simulations run through the allocation-per-step baseline engine,
+    /// the oracle the unit tests hold the workspace engine to bit for bit.
+    #[cfg(test)]
     pub fn set_workspace_reuse(&mut self, on: bool) {
         self.reuse_workspace = on;
     }
@@ -669,9 +667,7 @@ impl BuiltPath {
     /// Selects the linear-solver engine used inside Newton iterations for
     /// this path's workspace-backed simulations: [`SolverMode::Auto`]
     /// (sparse above the crossover dimension, dense below — the default),
-    /// [`SolverMode::ForceDense`], or [`SolverMode::ForceSparse`]. The
-    /// baseline engine ([`BuiltPath::set_workspace_reuse`] off) is always
-    /// dense regardless of this setting.
+    /// [`SolverMode::ForceDense`], or [`SolverMode::ForceSparse`].
     pub fn set_solver_mode(&mut self, mode: SolverMode) {
         self.workspace.set_solver_mode(mode);
     }
@@ -698,7 +694,7 @@ impl BuiltPath {
     /// result into every other instance of the same topology so the
     /// analysis runs exactly once per topology.
     pub fn prime_symbolic(&mut self) -> Option<SymbolicCache> {
-        self.workspace.prime_symbolic(&self.circuit)
+        SolverWorkspace::prime_symbolic(&mut self.workspace, &self.circuit)
     }
 
     /// Installs a symbolic factorization produced by

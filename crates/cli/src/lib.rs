@@ -1298,7 +1298,7 @@ mod tests {
     }
 
     #[test]
-    fn sim_stats_reports_solver_counters() {
+    fn sim_stats_reports_solver_work() {
         let deck = tmp("stats.sp", DECK);
         let out = dispatch(&["sim".into(), deck.clone(), "--stats".into()]).unwrap();
         assert!(out.contains("solver stats:"), "{out}");

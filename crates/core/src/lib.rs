@@ -99,7 +99,6 @@ pub use faultsim::{all_branch_faults, fault_simulate, BranchFault, FaultSimRepor
 pub use iddq::IddqStudy;
 pub use model_study::{ModelDfStudy, ModelPulseStudy};
 pub use ordering::{OrderingCalibration, OrderingStudy};
-pub use pulsar_analog::SymbolicCache;
 pub use pulsar_lint::LintReport;
 pub use pulsar_mc::{AdaptivePolicy, BinomialInterval, IntervalRule, PointAccuracy};
 pub use pulsar_obs::{CancelReason, CancelToken};

@@ -46,16 +46,6 @@ pub struct McConfig {
     /// recorder to collect per-sample journal events, solver counters,
     /// and phase timings for the whole study.
     pub obs: Recorder,
-    /// A pre-primed symbolic factorization adopted instead of running the
-    /// study's own one-per-topology analysis. `None` (the default) primes
-    /// as before; a long-running service that executes many studies over
-    /// the same topology installs the cache primed by an earlier run so
-    /// later jobs skip even that single analysis. Safe by construction:
-    /// the handle carries the structural fingerprint of its circuit, and
-    /// a mismatched adoption falls back to a fresh analysis
-    /// ([`pulsar_analog::SymbolicCache`]). Symbolic analysis is
-    /// value-independent, so adopting a cache never changes results.
-    pub symbolic: Option<SymbolicCache>,
 }
 
 impl McConfig {
@@ -70,7 +60,6 @@ impl McConfig {
             fault_plan: None,
             dc_warm_start: false,
             obs: Recorder::disabled(),
-            symbolic: None,
         }
     }
 
@@ -238,19 +227,15 @@ fn ready(
     }
 }
 
-/// The symbolic factorization a run's samples adopt: the pre-primed cache
-/// on [`McConfig::symbolic`] when one is installed (a service shares it
-/// across same-topology studies; a fingerprint mismatch inside the solver
-/// falls back to fresh analysis, so a stale handle degrades to the
-/// un-cached behavior rather than a wrong answer), otherwise one analysis
-/// of the nominal instance `build` makes. Process variation and sweep
-/// resistances change element *values*, never the stamp pattern, so one
-/// analysis per Monte Carlo run suffices. `None` when the sparse path is
-/// not engaged for this circuit.
-fn prime_or_adopt(mc: &McConfig, build: impl FnOnce() -> AnalogPath) -> Option<SymbolicCache> {
-    mc.symbolic
-        .clone()
-        .or_else(|| build().built_path().prime_symbolic())
+/// The symbolic factorization a run's samples adopt: one analysis of the
+/// nominal instance `build` makes, booked on the run's recorder. Process
+/// variation and sweep resistances change element *values*, never the
+/// stamp pattern, so one analysis per Monte Carlo run suffices. `None`
+/// when the sparse path is not engaged for this circuit.
+fn prime(mc: &McConfig, build: impl FnOnce() -> AnalogPath) -> Option<SymbolicCache> {
+    let mut p = build();
+    p.set_recorder(mc.obs.clone());
+    p.built_path().prime_symbolic()
 }
 
 /// The row-layout tag a coverage checkpoint's digest carries: `sparse`
@@ -344,20 +329,6 @@ impl DfStudy {
         }
     }
 
-    /// Primes the symbolic factorization of the *faulty* topology (the
-    /// coverage phase, where all the solves go) at defect resistance `r`
-    /// and returns the shareable handle, or `None` when the sparse engine
-    /// is not engaged for this circuit. A service installs the result on
-    /// [`McConfig::symbolic`] of later same-topology jobs so they skip
-    /// even the one-per-run analysis.
-    pub fn prime_symbolic(&self, r: f64) -> Option<SymbolicCache> {
-        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        self.put
-            .instantiate(&nominal_techs, r)
-            .built_path()
-            .prime_symbolic()
-    }
-
     /// Per-sample draws, in a fixed order so calibration and coverage
     /// runs see identical instances.
     fn draw(&self, rng: &mut StdRng) -> (Vec<Tech>, FfTiming) {
@@ -395,7 +366,7 @@ impl DfStudy {
     fn faulty_eval(&self, r_values: &[f64]) -> Result<impl RowEval + '_, CoreError> {
         lint_preflight(&self.put, Some(r_values))?;
         let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime_or_adopt(&self.mc, || {
+        let symbolic = prime(&self.mc, || {
             self.put.instantiate(&nominal_techs, r_values[0])
         });
         Ok(
@@ -485,7 +456,7 @@ impl DfStudy {
     pub fn fault_free_needs(&self) -> Result<Vec<f64>, CoreError> {
         lint_preflight(&self.put, None)?;
         let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime_or_adopt(&self.mc, || self.put.instantiate_fault_free(&nominal_techs));
+        let symbolic = prime(&self.mc, || self.put.instantiate_fault_free(&nominal_techs));
         let report = run_plain(|token| {
             self.mc.try_run_samples_durable(
                 "df-fault-free",
@@ -865,18 +836,6 @@ impl PulseStudy {
         }
     }
 
-    /// Primes the symbolic factorization of the *faulty* topology at
-    /// defect resistance `r` and returns the shareable handle, or `None`
-    /// when the sparse engine is not engaged for this circuit. See
-    /// [`DfStudy::prime_symbolic`].
-    pub fn prime_symbolic(&self, r: f64) -> Option<SymbolicCache> {
-        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        self.put
-            .instantiate(&nominal_techs, r)
-            .built_path()
-            .prime_symbolic()
-    }
-
     fn draw_techs(&self, rng: &mut StdRng) -> (Vec<Tech>, f64) {
         let techs = self
             .mc
@@ -911,7 +870,7 @@ impl PulseStudy {
     fn faulty_eval(&self, w_in: f64, r_values: &[f64]) -> Result<impl RowEval + '_, CoreError> {
         lint_preflight(&self.put, Some(r_values))?;
         let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime_or_adopt(&self.mc, || {
+        let symbolic = prime(&self.mc, || {
             self.put.instantiate(&nominal_techs, r_values[0])
         });
         Ok(
@@ -943,7 +902,7 @@ impl PulseStudy {
     ) -> Result<Vec<f64>, CoreError> {
         lint_preflight(&self.put, None)?;
         let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime_or_adopt(&self.mc, || self.put.instantiate_fault_free(&nominal_techs));
+        let symbolic = prime(&self.mc, || self.put.instantiate_fault_free(&nominal_techs));
         let report = run_plain(|token| {
             self.mc
                 .try_run_samples_durable(label, token, None, |_, attempt, rng, rec, t| {

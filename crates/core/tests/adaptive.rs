@@ -13,7 +13,8 @@ use pulsar_core::{
 };
 use pulsar_core::{Checkpoint, CoverageCurve};
 use pulsar_mc::MonteCarlo;
-use pulsar_obs::Recorder;
+use pulsar_obs::json::{self, Json};
+use pulsar_obs::{Recorder, RunManifest};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -232,6 +233,44 @@ fn early_stops_save_evals_and_honestly_report_achieved_precision() {
     assert_eq!(manifest.points.len(), report.points.len());
     assert_eq!(manifest.evals, report.evals);
     assert_eq!(manifest.fixed_budget_evals, report.fixed_budget_evals);
+}
+
+#[test]
+fn rendered_manifest_keeps_every_achieved_halfwidth_to_the_bit() {
+    let report = df_study(2)
+        .coverage_adaptive(&calib(), &RS, &FACTORS, &loose_policy(), None)
+        .expect("adaptive run");
+    assert!(
+        report.points.iter().any(|p| p.accuracy.stopped_early),
+        "the grid must exercise an early stop"
+    );
+    // The record an operator reads: rendered, then parsed back.
+    let mut manifest = RunManifest::new("study", 0);
+    manifest.adaptive = Some(report.to_manifest());
+    let doc = json::parse(&manifest.render_json()).expect("manifest parses");
+    let Some(Json::Arr(points)) = doc.get("adaptive").and_then(|a| a.get("points")) else {
+        panic!("manifest lost the adaptive points block");
+    };
+    assert_eq!(points.len(), report.points.len());
+    for (j, (rendered, point)) in points.iter().zip(&report.points).enumerate() {
+        let num = |key: &str| rendered.get(key).and_then(Json::as_num).expect(key);
+        let requested = num("requested_halfwidth");
+        let achieved = num("achieved_halfwidth");
+        // f64 `Display` round-trips exactly.
+        assert_eq!(
+            achieved.to_bits(),
+            point.accuracy.achieved_halfwidth.to_bits(),
+            "manifest diverged from the report at point {j}"
+        );
+        let stopped = matches!(rendered.get("stopped_early"), Some(Json::Bool(true)));
+        assert_eq!(stopped, point.accuracy.stopped_early, "point {j}");
+        if stopped {
+            assert!(
+                achieved <= requested,
+                "point {j} claims an early stop at {achieved} > requested {requested}"
+            );
+        }
+    }
 }
 
 #[test]

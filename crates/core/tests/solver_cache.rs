@@ -5,21 +5,14 @@
 //! study never changes: process variation and resistance sweeps perturb
 //! element values only. The study runner therefore primes the analysis
 //! once on a nominal instance and every per-sample instance adopts it.
-//! This test pins that contract with the global solver counters.
-//!
-//! Counters are process-global, so this file holds exactly one test and
-//! runs as its own integration-test binary: nothing else in the process
-//! touches the solver while it measures.
+//! This test pins that contract with the run's own recorder, which books
+//! the priming analysis as well as every sample's solves.
 
-// This test is *about* the process-global legacy view: it pins the
-// topology-wide analysis count across samples that share no workspace.
-#[allow(deprecated)]
-use pulsar_analog::solver_counters;
 use pulsar_cells::{PathSpec, Tech};
 use pulsar_core::{DefectKind, DfStudy, McConfig, PathUnderTest};
+use pulsar_obs::{Counter, Recorder};
 
 #[test]
-#[allow(deprecated)]
 fn study_runs_exactly_one_symbolic_analysis_per_topology() {
     // 32 stages → 36 MNA unknowns, above the sparse crossover, so
     // SolverMode::Auto engages the sparse engine without any forcing.
@@ -29,30 +22,39 @@ fn study_runs_exactly_one_symbolic_analysis_per_topology() {
         stage: 1,
         tech: Tech::generic_180nm(),
     };
-    let study = DfStudy::new(put, McConfig::paper(3, 7));
+    let obs = Recorder::enabled();
+    let study = DfStudy::new(
+        put,
+        McConfig {
+            obs: obs.clone(),
+            ..McConfig::paper(3, 7)
+        },
+    );
 
-    let before = solver_counters();
     let report = study
         .try_faulty_needs(&[10e3, 80e3])
         .expect("study must resolve");
-    let delta = solver_counters().since(&before);
+    let snap = obs.snapshot();
+    let count = |c: Counter| snap.counter(c);
 
     assert_eq!(report.outcomes.len(), 3);
     assert_eq!(
-        delta.symbolic_analyses, 1,
+        count(Counter::SymbolicAnalyses),
+        1,
         "one topology, one analysis — every sample and sweep point must \
-         adopt the primed factorization: {delta:?}"
+         adopt the primed factorization"
     );
     assert!(
-        delta.sparse_solves > 0,
-        "a 36-unknown circuit must route through the sparse engine: {delta:?}"
+        count(Counter::SparseSolves) > 0,
+        "a 36-unknown circuit must route through the sparse engine"
     );
     assert_eq!(
-        delta.dense_fallbacks, 0,
-        "a healthy chain must never fall back to dense: {delta:?}"
+        count(Counter::DenseFallbacks),
+        0,
+        "a healthy chain must never fall back to dense"
     );
     assert!(
-        delta.numeric_factorizations > 0,
-        "Newton must refactor numerically: {delta:?}"
+        count(Counter::NumericFactorizations) > 0,
+        "Newton must refactor numerically"
     );
 }

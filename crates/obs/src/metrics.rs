@@ -80,10 +80,6 @@ pub mod shard_proto {
 pub const HIST_BUCKETS: usize = 32;
 
 /// Scalar event counters, in canonical rendering order.
-///
-/// The first block mirrors the legacy `SolverCounters` fields one-for-one
-/// (the deprecated `solver_counters()` shim is rebuilt from these); the
-/// rest are new with this subsystem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
     /// Newton solves dispatched to the sparse engine.
@@ -156,15 +152,11 @@ pub enum Counter {
     ServeResultCacheMisses,
     /// Jobs that adopted a cached calibration instead of re-calibrating.
     ServeCalibCacheHits,
-    /// Jobs that adopted a cached symbolic factorization.
-    ServeSymbolicCacheHits,
-    /// Jobs whose lint preflight verdict came from the cross-job cache.
-    ServeLintCacheHits,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 35;
+    pub const COUNT: usize = 33;
 
     /// Every counter, in canonical order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -201,8 +193,6 @@ impl Counter {
         Counter::ServeResultCacheHits,
         Counter::ServeResultCacheMisses,
         Counter::ServeCalibCacheHits,
-        Counter::ServeSymbolicCacheHits,
-        Counter::ServeLintCacheHits,
     ];
 
     /// Stable snake_case name used in JSON output and journal events.
@@ -241,8 +231,6 @@ impl Counter {
             Counter::ServeResultCacheHits => "serve_result_cache_hits",
             Counter::ServeResultCacheMisses => "serve_result_cache_misses",
             Counter::ServeCalibCacheHits => "serve_calib_cache_hits",
-            Counter::ServeSymbolicCacheHits => "serve_symbolic_cache_hits",
-            Counter::ServeLintCacheHits => "serve_lint_cache_hits",
         }
     }
 

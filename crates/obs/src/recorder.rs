@@ -6,8 +6,8 @@
 //! A disabled recorder (the default) carries `None` internally, so every
 //! instrumentation call — counter add, histogram record, span open — is a
 //! single branch on an `Option` and returns immediately. In particular
-//! **no clock is read** on the disabled path; `bench_hotpath` asserts the
-//! cost is within measurement noise of an uninstrumented build. An enabled
+//! **no clock is read** on the disabled path; pulsebench's
+//! `obs.trace_overhead` measures what enabling a recorder costs. An enabled
 //! recorder increments relaxed atomics on a shard private to the handle
 //! that [`Recorder::fork`] created, so concurrent samples never contend on
 //! a cache line.

@@ -10,7 +10,6 @@
 //! by the next job instead of wedging the key forever.
 
 use crate::fill::{Claim, FillSlot, EMPTY, FILL_ORDERINGS, READY};
-use pulsar_analog::SymbolicCache;
 use pulsar_core::{DfCalibration, PulseCalibration};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -215,15 +214,6 @@ pub enum CalibEntry {
     Pulse(PulseCalibration),
 }
 
-/// A cached lint preflight verdict for one config digest.
-#[derive(Debug, Clone)]
-pub struct LintVerdict {
-    /// True when the config passed the zero-solve static preflight.
-    pub clean: bool,
-    /// Rendered findings (empty when clean).
-    pub rendered: String,
-}
-
 /// The daemon's cross-job cache bundle, shared by every worker.
 #[derive(Debug, Default)]
 pub struct ServeCaches {
@@ -232,13 +222,6 @@ pub struct ServeCaches {
     pub result: DigestCache<CachedResult>,
     /// Calibration cache (see [`CalibEntry`]).
     pub calib: DigestCache<CalibEntry>,
-    /// Lint-verdict cache: admission preflight without re-running the
-    /// static analysis.
-    pub lint: DigestCache<LintVerdict>,
-    /// Symbolic-factorization cache per topology digest. `None` is a
-    /// cached *negative* — the sparse engine is not engaged for this
-    /// circuit, so later jobs skip even the priming attempt.
-    pub symbolic: DigestCache<Option<SymbolicCache>>,
 }
 
 impl ServeCaches {

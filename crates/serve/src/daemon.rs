@@ -550,14 +550,11 @@ fn stats_payload(inner: &DaemonInner) -> String {
     }
     let _ = write!(
         out,
-        "}},\"queue\":{},\"jobs\":{},\"caches\":{{\"result\":{},\"calib\":{},\"lint\":{},\
-         \"symbolic\":{}}}}}",
+        "}},\"queue\":{},\"jobs\":{},\"caches\":{{\"result\":{},\"calib\":{}}}}}",
         inner.queue.len(),
         inner.table.len(),
         inner.caches.result.len(),
-        inner.caches.calib.len(),
-        inner.caches.lint.len(),
-        inner.caches.symbolic.len()
+        inner.caches.calib.len()
     );
     out
 }

@@ -10,10 +10,10 @@
 //! protocol model P4 in `pulsar-check`.
 //!
 //! [`execute`] runs a job the way the one-shot CLI would, but through
-//! the cross-job caches: lint verdicts, calibrated operating points and
-//! symbolic factorizations are fetched (or filled once) from
-//! [`ServeCaches`], and the whole run is wrapped in the whole-result
-//! cache so an identical config digest is answered with zero solves.
+//! the cross-job caches: calibrated operating points are fetched (or
+//! filled once) from [`ServeCaches`], and the whole run is wrapped in the
+//! whole-result cache so an identical config digest is answered with
+//! zero solves.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -31,7 +31,7 @@ use pulsar_logic::parse_iscas85;
 use pulsar_obs::{CancelReason, CancelToken, Counter, Recorder};
 use pulsar_timing::TimingLibrary;
 
-use crate::cache::{CacheOutcome, CachedResult, CalibEntry, LintVerdict, ServeCaches};
+use crate::cache::{CacheOutcome, CachedResult, CalibEntry, ServeCaches};
 use crate::spec::{JobSpec, StudyKind};
 
 /// Lifecycle of a job.
@@ -453,21 +453,11 @@ fn run_study(
 ) -> Result<CachedResult, RunError> {
     let rec = job.rec.clone();
 
-    // Static preflight through the lint-verdict cache: structurally
-    // broken configs are rejected without engaging the Monte Carlo
-    // machinery, and the verdict is shared across jobs.
-    let (verdict, lo) = caches.lint.get_or_fill(job.spec.lint_digest(), || {
-        let report = paper_put().lint(Some(rs));
-        Ok::<_, RunError>(LintVerdict {
-            clean: report.is_clean(),
-            rendered: report.render_human(),
-        })
-    })?;
-    if lo == CacheOutcome::Hit {
-        rec.add(Counter::ServeLintCacheHits, 1);
-    }
-    if !verdict.clean {
-        return Err(RunError::Lint(verdict.rendered));
+    // Static preflight: structurally broken configs are rejected before
+    // calibration engages the Monte Carlo machinery.
+    let report = paper_put().lint(Some(rs));
+    if !report.is_clean() {
+        return Err(RunError::Lint(report.render_human()));
     }
 
     let base_mc = McConfig {
@@ -479,17 +469,10 @@ fn run_study(
         .spec
         .calib_digest()
         .ok_or_else(|| RunError::Cancelled("internal: study without calib key".to_owned()))?;
-    let topo_key = job
-        .spec
-        .topology_digest()
-        .ok_or_else(|| RunError::Cancelled("internal: study without topology key".to_owned()))?;
 
     match kind {
         StudyKind::Df => {
-            // Calibration runs on the *fault-free* topology, so it uses a
-            // study without the (faulty-topology) symbolic cache — adoption
-            // is mismatch-safe but would forfeit the intra-run sharing.
-            let study = DfStudy::new(paper_put(), base_mc.clone());
+            let study = DfStudy::new(paper_put(), base_mc);
             let (entry, co) = caches.calib.get_or_fill(calib_key, || {
                 study
                     .calibrate()
@@ -505,23 +488,6 @@ fn run_study(
                 ));
             };
             check_cancelled(job)?;
-
-            let (sym, so) = caches
-                .symbolic
-                .get_or_fill(topo_key, || Ok::<_, RunError>(study.prime_symbolic(rs[0])))?;
-            if so == CacheOutcome::Hit {
-                // A cached `None` (dense path, no factorization) is
-                // still an answered probe: the rebuild+analysis attempt
-                // was skipped.
-                rec.add(Counter::ServeSymbolicCacheHits, 1);
-            }
-            let study = DfStudy::new(
-                paper_put(),
-                McConfig {
-                    symbolic: sym,
-                    ..base_mc
-                },
-            );
 
             let ck = open_checkpoint(
                 spool,
@@ -547,7 +513,7 @@ fn run_study(
             })
         }
         StudyKind::Pulse => {
-            let study = PulseStudy::new(paper_put(), base_mc.clone(), Polarity::PositiveGoing);
+            let study = PulseStudy::new(paper_put(), base_mc, Polarity::PositiveGoing);
             let (entry, co) = caches.calib.get_or_fill(calib_key, || {
                 study
                     .calibrate()
@@ -563,24 +529,6 @@ fn run_study(
                 ));
             };
             check_cancelled(job)?;
-
-            let (sym, so) = caches
-                .symbolic
-                .get_or_fill(topo_key, || Ok::<_, RunError>(study.prime_symbolic(rs[0])))?;
-            if so == CacheOutcome::Hit {
-                // A cached `None` (dense path, no factorization) is
-                // still an answered probe: the rebuild+analysis attempt
-                // was skipped.
-                rec.add(Counter::ServeSymbolicCacheHits, 1);
-            }
-            let study = PulseStudy::new(
-                paper_put(),
-                McConfig {
-                    symbolic: sym,
-                    ..base_mc
-                },
-                Polarity::PositiveGoing,
-            );
 
             let ck = open_checkpoint(
                 spool,

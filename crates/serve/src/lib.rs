@@ -1,11 +1,10 @@
 //! `pulsar serve`: the long-running campaign daemon.
 //!
-//! One-shot CLI runs re-pay symbolic factorization, calibration, lint
-//! preflight, and whole coverage curves on every invocation, even when
-//! the config digest is identical to the previous request. This crate
-//! turns the existing engines ([`pulsar_core::DfStudy`],
-//! [`pulsar_core::PulseStudy`], [`pulsar_core::Campaign`]) into a
-//! daemon:
+//! One-shot CLI runs re-pay calibration and whole coverage curves on
+//! every invocation, even when the config digest is identical to the
+//! previous request. This crate turns the existing engines
+//! ([`pulsar_core::DfStudy`], [`pulsar_core::PulseStudy`],
+//! [`pulsar_core::Campaign`]) into a daemon:
 //!
 //! - a **bounded job queue** feeding a sharded worker pool, with typed
 //!   `busy` backpressure when the queue is full and per-tenant failure
@@ -14,9 +13,8 @@
 //!   `status`, `wait`, `stream`, `cancel`, `stats`, `shutdown`) reusing
 //!   the `pulsar-obs` JSON writer/parser — no new dependencies;
 //! - **cross-job caches** keyed by the FNV-1a config digest: whole
-//!   results (an identical digest is answered with zero solves),
-//!   calibrated operating points, lint verdicts, and symbolic
-//!   factorizations, each filled exactly once under the
+//!   results (an identical digest is answered with zero solves) and
+//!   calibrated operating points, each filled exactly once under the
 //!   [`fill::FillSlot`] single-fill protocol that `pulsar-check`
 //!   explores as protocol model P4;
 //! - **durable drain**: every job runs under its own
@@ -43,7 +41,7 @@ pub mod proto;
 pub mod queue;
 pub mod spec;
 
-pub use cache::{CacheOutcome, CachedResult, CalibEntry, DigestCache, LintVerdict, ServeCaches};
+pub use cache::{CacheOutcome, CachedResult, CalibEntry, DigestCache, ServeCaches};
 pub use client::{Client, ClientError};
 pub use daemon::{Daemon, ServeConfig, ServeSummary};
 pub use fill::{Claim, FillOrderings, FillSlot, FILL_ORDERINGS};

@@ -118,34 +118,6 @@ impl JobSpec {
         }
     }
 
-    /// Cache key of the lint-verdict cache: the static preflight depends
-    /// on the path under test and the resistance sweep only.
-    pub fn lint_digest(&self) -> u64 {
-        match self {
-            JobSpec::Study { kind, rs, .. } => {
-                let bits: Vec<u64> = rs.iter().map(|r| r.to_bits()).collect();
-                config_digest(&format!("serve-lint kind={} r={bits:?}", kind.as_str()))
-            }
-            JobSpec::Campaign { netlist, stride } => {
-                config_digest(&format!("serve-lint campaign stride={stride}\n{netlist}"))
-            }
-        }
-    }
-
-    /// Cache key of the symbolic-factorization cache: the faulty
-    /// topology of the paper path depends on the study kind only (the
-    /// defect model and stage are fixed; resistance and process draws
-    /// change values, never the stamp pattern). `None` for campaigns.
-    pub fn topology_digest(&self) -> Option<u64> {
-        match self {
-            JobSpec::Study { kind, .. } => Some(config_digest(&format!(
-                "serve-topology kind={}",
-                kind.as_str()
-            ))),
-            JobSpec::Campaign { .. } => None,
-        }
-    }
-
     /// Short human label for status lines and logs.
     pub fn label(&self) -> String {
         match self {

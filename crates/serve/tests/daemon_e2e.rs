@@ -1,8 +1,9 @@
 //! End-to-end daemon tests over a real Unix socket: whole-result cache
 //! hits with zero transient solves (asserted via the obs counters),
-//! malformed-line handling that keeps the connection open, busy
-//! backpressure, cancel, stream, per-tenant failure budgets, and a
-//! drain/restart cycle that resumes a checkpointed job bit-identically.
+//! calibration reuse across resweeps, malformed-line handling that keeps
+//! the connection open, busy backpressure, cancel, stream, per-tenant
+//! failure budgets, and a drain/restart cycle that resumes a checkpointed
+//! job bit-identically.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -97,10 +98,49 @@ fn identical_digest_is_a_zero_solve_cache_hit() {
         solves(&end) > solves(&after),
         "a distinct digest must run for real"
     );
-    // The second job shares calibration-independent caches where keys
-    // match: same topology, so the symbolic factorization was adopted.
-    assert!(counter(&end, "serve_symbolic_cache_hits") >= 1);
-    assert!(counter(&end, "serve_lint_cache_hits") >= 1);
+
+    c.shutdown().expect("shutdown");
+    daemon.join().expect("join");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resweep_reuses_the_cached_calibration() {
+    let dir = tmp_dir("resweep");
+    let daemon = Daemon::start(ServeConfig::new(dir.join("d.sock"))).expect("start daemon");
+    let mut c = Client::connect_within(daemon.socket(), Duration::from_secs(5)).expect("connect");
+    let run = |c: &mut Client, spec: &JobSpec| {
+        let (job, _, cached) = c.submit(spec).expect("submit");
+        assert!(!cached, "a new digest cannot be a whole-result hit");
+        let o = c.wait(job).expect("wait");
+        assert_eq!(o.state, "done", "{:?}", o.error);
+        o.result.expect("done job has a result")
+    };
+
+    let first = run(&mut c, &small_study(7));
+    let before = c.stats().expect("stats");
+    assert_eq!(counter(&before, "serve_calib_cache_hits"), 0);
+
+    // Same kind, samples and seed; new threshold factors: the result
+    // cache misses, the calibration is reused.
+    let resweep = JobSpec::Study {
+        kind: StudyKind::Df,
+        samples: 2,
+        seed: 7,
+        rs: vec![1e3],
+        factors: vec![0.9, 1.1],
+    };
+    let second = run(&mut c, &resweep);
+    let after = c.stats().expect("stats");
+    assert!(counter(&after, "serve_calib_cache_hits") >= 1);
+    // The header's first clause is `df study on the paper path: T0 = ...`.
+    let t0 = |text: &str| text.split(',').next().map(str::to_owned);
+    assert_eq!(
+        t0(&first),
+        t0(&second),
+        "a reused calibration must report the same T0"
+    );
+    assert_ne!(first, second, "new factors must change the curves");
 
     c.shutdown().expect("shutdown");
     daemon.join().expect("join");
