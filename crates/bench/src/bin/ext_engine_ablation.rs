@@ -7,10 +7,10 @@
 //! Output: CSV `R, Cpulse_electrical, Cpulse_model` + timing summary.
 
 use pulsar_analog::Polarity;
-use pulsar_bench::{log_sweep, rop_put, ExpParams};
+use pulsar_bench::{log_sweep, model_rop_study, rop_put, ExpParams};
 use pulsar_cells::Tech;
-use pulsar_core::{ModelFault, ModelPulseStudy, PulseStudy};
-use pulsar_timing::{calibrate_inverter, PathElement, PathTimingModel, TimingLibrary};
+use pulsar_core::PulseStudy;
+use pulsar_timing::{calibrate_inverter, TimingLibrary};
 use std::time::Instant;
 
 fn main() {
@@ -30,25 +30,7 @@ fn main() {
     // with the fan-out derate on the faulted stage.
     let t0 = Instant::now();
     let inv = calibrate_inverter(&Tech::generic_180nm()).expect("calibration");
-    let lib = TimingLibrary::calibrated(inv);
-    let gate = |fanout: usize| PathElement::Gate {
-        model: lib.model(pulsar_logic::GateKind::Not, fanout),
-        inverting: true,
-        slow_rise: 0.0,
-        slow_fall: 0.0,
-    };
-    let mut elements = vec![gate(1); 7];
-    elements[1] = gate(2); // the faulted stage drives the dummy load too
-    let healthy = PathTimingModel::new(elements);
-    let model = ModelPulseStudy::new(
-        healthy,
-        ModelFault::RcAfter {
-            stage: 1,
-            c_branch: 13e-15,
-        },
-        p.mc(),
-        Polarity::PositiveGoing,
-    );
+    let model = model_rop_study(&TimingLibrary::calibrated(inv), p.mc());
     let mcal = model.calibrate().expect("model calibration");
     let mcov = model.coverage(&mcal, &rs, &[1.0]).expect("model coverage");
     let t_model = t0.elapsed();

@@ -10,7 +10,7 @@
 
 use pulsar_bench::ExpParams;
 use pulsar_cells::Tech;
-use pulsar_core::{plan_for_site, CoreError, TestgenConfig};
+use pulsar_core::{CoreError, SitePlanner, TestgenConfig};
 use pulsar_logic::c432_like;
 use pulsar_timing::{calibrate_inverter, TimingLibrary};
 
@@ -29,6 +29,9 @@ fn main() {
         max_paths: 96,
         ..TestgenConfig::default()
     };
+    // One planner across every probed site: a path shared by several
+    // sites is sensitized and characterized once.
+    let planner = SitePlanner::new(&nl, &lib, &cfg).expect("acyclic benchmark netlist");
 
     println!("# Fig 11 reproduction: per-site best pulse-test plan, C432-like benchmark");
     println!(
@@ -43,7 +46,7 @@ fn main() {
     let stride = (nl.gate_count() / p.samples.max(1)).max(1);
     for gi in (0..nl.gate_count()).step_by(stride).take(p.samples) {
         let site = nl.gates()[gi].output;
-        match plan_for_site(&nl, site, &lib, &cfg) {
+        match planner.plan(site) {
             Ok(plans) => {
                 let plan = &plans[0];
                 let rmin = plan.r_min.unwrap_or(f64::INFINITY);

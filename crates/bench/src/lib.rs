@@ -15,9 +15,12 @@
 //! runs and publication-scale sweeps. See `EXPERIMENTS.md` at the
 //! repository root for the recorded paper-vs-measured comparison.
 
+use pulsar_analog::Polarity;
 use pulsar_cells::RopSite;
 use pulsar_cells::{PathSpec, Tech};
-use pulsar_core::{DefectKind, McConfig, PathUnderTest};
+use pulsar_core::{DefectKind, McConfig, ModelFault, ModelPulseStudy, PathUnderTest};
+use pulsar_logic::GateKind;
+use pulsar_timing::{PathElement, PathTimingModel, TimingLibrary};
 
 /// Shared experiment parameters, resolved from the environment/CLI.
 #[derive(Debug, Clone, Copy)]
@@ -87,6 +90,30 @@ pub fn bridge_put() -> PathUnderTest {
     paper_put(DefectKind::Bridge {
         aggressor_high: false,
     })
+}
+
+/// The logic-level counterpart of [`rop_put`] for a Fig. 7 pulse study
+/// (the `ext_engine_ablation` model arm): seven inverters from `lib`, the
+/// faulted stage also driving the dummy load, and an external ROP after
+/// stage 1 charging a 13 fF branch.
+pub fn model_rop_study(lib: &TimingLibrary, mc: McConfig) -> ModelPulseStudy {
+    let gate = |fanout: usize| PathElement::Gate {
+        model: lib.model(GateKind::Not, fanout),
+        inverting: true,
+        slow_rise: 0.0,
+        slow_fall: 0.0,
+    };
+    let mut elements = vec![gate(1); 7];
+    elements[1] = gate(2);
+    ModelPulseStudy::new(
+        PathTimingModel::new(elements),
+        ModelFault::RcAfter {
+            stage: 1,
+            c_branch: 13e-15,
+        },
+        mc,
+        Polarity::PositiveGoing,
+    )
 }
 
 /// Logarithmic resistance sweep: `n` points from `lo` to `hi` inclusive.

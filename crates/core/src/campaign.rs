@@ -9,7 +9,7 @@ use crate::checkpoint::{decode_f64, encode_f64, Checkpoint, CheckpointSpec, Chec
 use crate::durable::{Completeness, Watchdog};
 use crate::error::CoreError;
 use crate::resilience::{error_kind, is_run_cancelled, ResilienceConfig};
-use crate::testgen::{plan_for_site, PathTestPlan, TestgenConfig};
+use crate::testgen::{PathTestPlan, SitePlanner, TestgenConfig};
 use pulsar_analog::{FaultPlan, Polarity};
 use pulsar_logic::{collapsed_fault_sites, GateId, InputVector, Netlist, Path, PathStep, SignalId};
 use pulsar_mc::{MonteCarlo, RunHooks, SampleOutcome, Summary};
@@ -63,11 +63,10 @@ pub struct Campaign {
     /// enabled, it times site enumeration, counts per-site outcomes, and
     /// journals one `"site"` event per probed site.
     pub obs: Recorder,
-    /// Resilience knobs honored by the durable entry points
-    /// ([`Campaign::run_durable`] / [`Campaign::resume_from`]): `deadline`
+    /// Resilience knobs honored by every entry point ([`Campaign::run`],
+    /// [`Campaign::run_durable`], [`Campaign::resume_from`]): `deadline`
     /// truncates the run at a site boundary, `contain_panics` converts a
-    /// panicking site into a [`SiteOutcome::Failed`]. The plain
-    /// [`Campaign::run`] ignores this field.
+    /// panicking site into a [`SiteOutcome::Failed`].
     pub resilience: ResilienceConfig,
 }
 
@@ -241,8 +240,9 @@ pub struct CampaignReport {
     pub unsensitizable: usize,
     /// Number of sites that errored.
     pub failed: usize,
-    /// How much of the campaign actually ran. Always complete for
-    /// [`Campaign::run`]; a durable run reports honest partial progress.
+    /// How much of the campaign actually ran: complete unless a deadline
+    /// or interrupt cut the run, in which case it reports honest partial
+    /// progress.
     pub completeness: Completeness,
 }
 
@@ -418,7 +418,9 @@ impl CampaignReport {
 }
 
 impl Campaign {
-    /// Runs the campaign over `nl` using gate-kind models from `lib`.
+    /// Runs the campaign over `nl` using gate-kind models from `lib`: the
+    /// uncheckpointed [`Campaign::run_durable`] under a fresh token, so
+    /// [`Campaign::resilience`] applies here too.
     ///
     /// Sites that cannot be sensitized or whose generation fails are
     /// recorded, not fatal — a campaign must survive odd corners of real
@@ -429,79 +431,7 @@ impl Campaign {
     /// Only structural netlist errors (e.g. a combinational loop) abort
     /// the whole campaign.
     pub fn run(&self, nl: &Netlist, lib: &TimingLibrary) -> Result<CampaignReport, CoreError> {
-        let setup_span = self.obs.span(Phase::StudySetup);
-        let sites = self.probed_sites(nl)?;
-        drop(setup_span);
-
-        let threads = self.worker_threads(sites.len());
-
-        let plan_one = |index: usize, site: SignalId| -> SiteOutcome {
-            // A planned fault for this probed-site index fails it here:
-            // campaign planning is logic-level and never reaches the
-            // analog solver, so the plan is honored at this level.
-            if let Some((kind, _)) = self.fault_plan.as_ref().and_then(|p| p.due(index, 1)) {
-                if let Some(e) = kind.planned_outcome() {
-                    return SiteOutcome::Failed(CoreError::Analog(e));
-                }
-            }
-            match plan_for_site(nl, site, lib, &self.cfg) {
-                Ok(mut plans) => SiteOutcome::Planned(plans.swap_remove(0)),
-                Err(CoreError::NoSensitizablePath { .. }) => SiteOutcome::Unsensitizable,
-                Err(e) => SiteOutcome::Failed(e),
-            }
-        };
-
-        // Each worker returns its own chunk's outcomes; joining in spawn
-        // order restores site order with no placeholder slots to unwrap.
-        let chunk = sites.len().div_ceil(threads.max(1)).max(1);
-        let mut outcomes: Vec<SiteOutcome> = Vec::with_capacity(sites.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = sites
-                .chunks(chunk)
-                .enumerate()
-                .map(|(c, site_chunk)| {
-                    let plan_one = &plan_one;
-                    scope.spawn(move || {
-                        site_chunk
-                            .iter()
-                            .enumerate()
-                            .map(|(j, site)| plan_one(c * chunk + j, *site))
-                            .collect::<Vec<SiteOutcome>>()
-                    })
-                })
-                .collect();
-            // Join *every* worker before re-raising a panic: siblings get
-            // to finish (and flush any journaling) instead of being torn
-            // down mid-site by an unwinding scope.
-            let mut first_panic = None;
-            for h in handles {
-                match h.join() {
-                    Ok(part) => outcomes.extend(part),
-                    Err(payload) => {
-                        if first_panic.is_none() {
-                            first_panic = Some(payload);
-                        }
-                    }
-                }
-            }
-            if let Some(payload) = first_panic {
-                std::panic::resume_unwind(payload);
-            }
-        });
-
-        let sites: Vec<(SignalId, SiteOutcome)> = sites.into_iter().zip(outcomes).collect();
-        if self.obs.is_enabled() {
-            for (i, (site, o)) in sites.iter().enumerate() {
-                self.journal_site(i, *site, o);
-            }
-        }
-        let completeness = Completeness {
-            requested: sites.len(),
-            done: sites.len(),
-            resumed: 0,
-            truncated: None,
-        };
-        Ok(CampaignReport::from_parts(sites, completeness))
+        self.run_durable(nl, lib, &CancelToken::new(), None)
     }
 
     /// The deterministic probed-site list for `nl` under this campaign's
@@ -591,7 +521,8 @@ impl Campaign {
     /// [`CampaignReport::completeness`] says how many and why it stopped —
     /// and the checkpoint (when given) holds everything needed to resume.
     /// An uninterrupted durable run is identical to [`Campaign::run`]
-    /// outcome-for-outcome.
+    /// outcome-for-outcome ([`Campaign::run`] is this call without a
+    /// checkpoint).
     ///
     /// # Errors
     ///
@@ -625,19 +556,9 @@ impl Campaign {
         // cancellation point, so a per-site timeout could never fire.
         let watchdog = Watchdog::new(run_token.clone(), self.resilience.deadline, None);
 
-        let plan_one = |index: usize, site: SignalId| -> SiteOutcome {
-            if let Some((kind, _)) = self.fault_plan.as_ref().and_then(|p| p.due(index, 1)) {
-                if let Some(e) = kind.planned_outcome() {
-                    return SiteOutcome::Failed(CoreError::Analog(e));
-                }
-            }
-            match plan_for_site(nl, site, lib, &self.cfg) {
-                Ok(mut plans) => SiteOutcome::Planned(plans.swap_remove(0)),
-                Err(CoreError::NoSensitizablePath { .. }) => SiteOutcome::Unsensitizable,
-                Err(e) => SiteOutcome::Failed(e),
-            }
-        };
-
+        // One planner per run: every site shares its per-path memo, which
+        // goes when the run returns (DESIGN.md §5.14).
+        let planner = SitePlanner::new(nl, lib, &self.cfg)?;
         let prior = |i: usize| checkpoint.and_then(|c| c.prior().get(&i).cloned());
         let on_done = |i: usize, o: &SampleOutcome<SitePlanRecord, CoreError>| {
             if let Some(c) = checkpoint {
@@ -659,10 +580,20 @@ impl Campaign {
             1,
             |_: &CoreError| false,
             hooks,
-            |i, _attempt, _rng| match plan_one(i, sites[i]) {
-                SiteOutcome::Planned(p) => Ok(SitePlanRecord::Planned(p)),
-                SiteOutcome::Unsensitizable => Ok(SitePlanRecord::Unsensitizable),
-                SiteOutcome::Failed(e) => Err(e),
+            |i, _attempt, _rng| {
+                // A planned fault for this probed-site index fails it
+                // here: campaign planning is logic-level and never reaches
+                // the analog solver, so the plan is honored at this level.
+                if let Some((kind, _)) = self.fault_plan.as_ref().and_then(|p| p.due(i, 1)) {
+                    if let Some(e) = kind.planned_outcome() {
+                        return Err(CoreError::Analog(e));
+                    }
+                }
+                match planner.plan(sites[i]) {
+                    Ok(mut plans) => Ok(SitePlanRecord::Planned(plans.swap_remove(0))),
+                    Err(CoreError::NoSensitizablePath { .. }) => Ok(SitePlanRecord::Unsensitizable),
+                    Err(e) => Err(e),
+                }
             },
         );
         drop(watchdog);

@@ -5,7 +5,7 @@ use crate::error::CoreError;
 use pulsar_analog::{Edge, Polarity};
 use pulsar_cells::{BuiltPath, PathFault, PathSpec, RopSite, Tech};
 use pulsar_obs::{CancelToken, Recorder};
-use pulsar_timing::PathTimingModel;
+use pulsar_timing::{PathElement, PathTimingModel};
 
 /// The defect class injected into a path under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -337,29 +337,74 @@ pub enum ModelFault {
 }
 
 /// Logic-level path instance: a healthy [`PathTimingModel`] plus a fault
-/// mapping; `set_resistance` re-derives the faulty model (cheap).
+/// mapping. The fault's element is placed once, by [`ModelPath::new`];
+/// `set_resistance` then rewrites that one value in place (cheap).
 ///
 /// Bridges are *not* supported at this level (their delay depends on a
 /// drive fight the abstraction cannot see); use [`AnalogPath`] for them.
 #[derive(Debug, Clone)]
 pub struct ModelPath {
-    healthy: PathTimingModel,
-    fault: Option<ModelFault>,
+    /// The healthy chain with the fault element (if any) at the current
+    /// resistance.
     current: PathTimingModel,
+    fault: Option<FaultSlot>,
+}
+
+/// Where a [`ModelFault`] lives inside [`ModelPath::current`].
+#[derive(Debug, Clone, Copy)]
+struct FaultSlot {
+    fault: ModelFault,
+    /// Index of the element the resistance writes.
+    at: usize,
+    /// The healthy value of the written field: an edge slow-down adds to
+    /// it (an RC element has none).
+    base: f64,
 }
 
 impl ModelPath {
     /// Wraps a healthy model with an optional fault mapping, initially at
     /// resistance `r0` (ignored when `fault` is `None`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault's stage does not index a gate element.
     pub fn new(healthy: PathTimingModel, fault: Option<ModelFault>, r0: f64) -> Self {
-        let mut mp = ModelPath {
-            current: healthy.clone(),
-            healthy,
-            fault,
-        };
-        if mp.fault.is_some() {
-            mp.apply(r0);
-        }
+        let mut current = healthy;
+        let fault = fault.map(|fault| match fault {
+            ModelFault::RcAfter { stage, .. } => {
+                current.inject_rc_after(stage, 0.0);
+                FaultSlot {
+                    fault,
+                    at: current.gate_position(stage) + 1,
+                    base: 0.0,
+                }
+            }
+            ModelFault::RcAtInput { .. } => {
+                current.inject_rc_at_front(0.0);
+                FaultSlot {
+                    fault,
+                    at: 0,
+                    base: 0.0,
+                }
+            }
+            ModelFault::EdgeSlow { stage, edge, .. } => {
+                let at = current.gate_position(stage);
+                let base = match current.elements()[at] {
+                    PathElement::Gate {
+                        slow_rise,
+                        slow_fall,
+                        ..
+                    } => match edge {
+                        Edge::Rising => slow_rise,
+                        Edge::Falling => slow_fall,
+                    },
+                    PathElement::RcNet { .. } => unreachable!("gate_position finds gates"),
+                };
+                FaultSlot { fault, at, base }
+            }
+        });
+        let mut mp = ModelPath { current, fault };
+        mp.apply(r0);
         mp
     }
 
@@ -368,18 +413,31 @@ impl ModelPath {
         &self.current
     }
 
+    /// Writes resistance `ohms` into the fault's element: the same value
+    /// as injecting `ohms × c` into a fresh copy of the healthy model.
     fn apply(&mut self, ohms: f64) {
-        let mut m = self.healthy.clone();
-        match self.fault.expect("apply is only called with a fault") {
-            ModelFault::RcAfter { stage, c_branch } => m.inject_rc_after(stage, ohms * c_branch),
-            ModelFault::EdgeSlow {
-                stage,
-                edge,
-                c_load,
-            } => m.inject_edge_slow(stage, edge, ohms * c_load),
-            ModelFault::RcAtInput { c_branch } => m.inject_rc_at_front(ohms * c_branch),
+        let Some(slot) = self.fault else { return };
+        match (slot.fault, &mut self.current.elements_mut()[slot.at]) {
+            (
+                ModelFault::RcAfter { c_branch, .. } | ModelFault::RcAtInput { c_branch },
+                PathElement::RcNet { tau },
+            ) => *tau = ohms * c_branch,
+            (
+                ModelFault::EdgeSlow { edge, c_load, .. },
+                PathElement::Gate {
+                    slow_rise,
+                    slow_fall,
+                    ..
+                },
+            ) => {
+                let slow = match edge {
+                    Edge::Rising => slow_rise,
+                    Edge::Falling => slow_fall,
+                };
+                *slow = slot.base + ohms * c_load;
+            }
+            _ => unreachable!("ModelPath::new places each fault on its element kind"),
         }
-        self.current = m;
     }
 }
 
@@ -414,7 +472,7 @@ impl PathInstance for ModelPath {
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
-    use pulsar_timing::{GateTimingModel, PathElement};
+    use pulsar_timing::GateTimingModel;
 
     fn healthy_chain(n: usize) -> PathTimingModel {
         let inv = GateTimingModel::new(95e-12, 75e-12, 70e-12, 260e-12);

@@ -34,7 +34,8 @@
 //!   `C_del(T, R)` and `C_pulse(ω_th, R)` of Figs. 6–9;
 //! * [`plan_for_site`] — test generation (§5): per fault site, enumerate
 //!   sensitizable paths, derive `(ω_in, ω_th)` per path and the minimum
-//!   detectable resistance `R_min` (Fig. 11).
+//!   detectable resistance `R_min` (Fig. 11); [`SitePlanner`] plans many
+//!   sites of one netlist, sharing each path's site-independent work.
 //!
 //! ## Quick example
 //!
@@ -107,7 +108,8 @@ pub use resilience::{
 };
 pub use study::{CoverageCurve, DfStudy, McConfig, PulseStudy};
 pub use testgen::{
-    electrical_spec, plan_for_site, validate_plan_electrically, PathTestPlan, TestgenConfig,
+    electrical_spec, plan_for_site, validate_plan_electrically, PathTestPlan, SitePlanner,
+    TestgenConfig,
 };
 pub use tradeoff::TradeoffPoint;
 pub use transfer::{Region, TransferCurve};

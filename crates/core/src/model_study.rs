@@ -31,12 +31,22 @@ pub struct ModelPulseStudy {
     pub polarity: Polarity,
     /// Slope tolerance for the region-3 knee.
     pub region_tol: f64,
-    /// Relative guard above the knee for `ω_in`.
+    /// Relative guard above the knee for `ω_in`. [`ModelPulseStudy::new`]
+    /// sets `1 / f_min − 1`, where `f_min = max(1 − 4σ, 0.05)` is the
+    /// narrowest generator-width factor a Monte Carlo instance can draw:
+    /// every drawn pulse, `f·ω_in ≥ knee`, then starts at or past the
+    /// nominal knee (2/3 at the paper's σ = 10 %).
     pub guard: f64,
     /// Sensor-variation margin for `ω_th⁰`.
     pub sensor_margin: f64,
     /// Transfer sweep `(w_lo, w_hi, points)`.
     pub sweep: (f64, f64, usize),
+}
+
+/// The smallest factor the model studies' draws can produce at `sigma`:
+/// the lower end of their ±4σ clamp.
+fn factor_floor(sigma: f64) -> f64 {
+    (1.0 - 4.0 * sigma).max(0.05)
 }
 
 impl ModelPulseStudy {
@@ -47,6 +57,7 @@ impl ModelPulseStudy {
         mc: McConfig,
         polarity: Polarity,
     ) -> Self {
+        let sigma = mc.variation.sigma;
         ModelPulseStudy {
             healthy,
             fault,
@@ -54,9 +65,10 @@ impl ModelPulseStudy {
             polarity,
             region_tol: 0.08,
             // The model's filtering knee is sharper than the electrical
-            // one (per-stage attenuation compounds linearly), so slow
-            // Monte Carlo instances need more headroom above it.
-            guard: 0.35,
+            // one (per-stage attenuation compounds linearly), so a pulse
+            // drawn narrower than the knee is dampened outright and the
+            // calibration has no threshold left.
+            guard: 1.0 / factor_floor(sigma) - 1.0,
             sensor_margin: 1.1,
             sweep: (60e-12, 1.6e-9, 60),
         }
@@ -75,7 +87,7 @@ impl ModelPulseStudy {
     fn draw(&self, rng: &mut StdRng) -> (PathTimingModel, f64) {
         let sigma = self.mc.variation.sigma;
         let g = Gaussian::new(1.0, sigma);
-        let lo = (1.0 - 4.0 * sigma).max(0.05);
+        let lo = factor_floor(sigma);
         let hi = 1.0 + 4.0 * sigma;
         let factors: Vec<f64> = (0..self.gate_count())
             .map(|_| g.sample_clamped(rng, lo, hi))
@@ -214,7 +226,7 @@ impl ModelDfStudy {
     fn draw(&self, rng: &mut StdRng) -> (PathTimingModel, crate::df::FfTiming) {
         let sigma = self.mc.variation.sigma;
         let g = Gaussian::new(1.0, sigma);
-        let lo = (1.0 - 4.0 * sigma).max(0.05);
+        let lo = factor_floor(sigma);
         let hi = 1.0 + 4.0 * sigma;
         let factors: Vec<f64> = (0..self.gate_count())
             .map(|_| g.sample_clamped(rng, lo, hi))

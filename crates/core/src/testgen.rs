@@ -18,6 +18,9 @@ use pulsar_analog::Polarity;
 use pulsar_cells::{BuiltPath, CellKind, PathFault, PathSpec, Tech};
 use pulsar_logic::{paths_from_fanin, sensitize, GateKind, InputVector, Netlist, Path, SignalId};
 use pulsar_timing::{PathTimingModel, TimingLibrary};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Knobs for [`plan_for_site`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,6 +85,10 @@ pub struct PathTestPlan {
 /// fan-out branch. Plans come back sorted by `R_min` ascending
 /// (undetectable paths last), so `plans[0]` is the paper's "best path".
 ///
+/// The one-site form of [`SitePlanner`]; a caller planning several sites
+/// of one netlist should build one planner and call
+/// [`SitePlanner::plan`] per site.
+///
 /// # Errors
 ///
 /// [`CoreError::NoSensitizablePath`] when no candidate path can be
@@ -92,55 +99,194 @@ pub fn plan_for_site(
     lib: &TimingLibrary,
     cfg: &TestgenConfig,
 ) -> Result<Vec<PathTestPlan>, CoreError> {
-    let candidates = paths_from_fanin(nl, site, cfg.max_paths)?;
-    let mut plans = Vec::new();
+    SitePlanner::new(nl, lib, cfg)?.plan(site)
+}
 
-    for path in candidates {
-        // Sensitization. A blown backtrack budget just skips the path.
-        let vector = match sensitize(nl, &path, cfg.max_backtracks) {
-            Ok(Some(v)) => v,
-            Ok(None) | Err(_) => continue,
-        };
+/// The pulse kinds tried per path, in tie-break order: on equal `R_min`
+/// the earlier kind wins.
+const POLARITIES: [Polarity; 2] = [Polarity::PositiveGoing, Polarity::NegativeGoing];
 
-        let healthy = PathTimingModel::from_netlist_path(nl, &path, lib);
-        let fault = fault_for(&path, nl, site, cfg.c_branch);
+/// Test generation for many sites of one netlist that does each path's
+/// site-independent work once (DESIGN.md §5.14).
+///
+/// Sensitization, the healthy [`PathTimingModel`] and each pulse kind's
+/// `(ω_in, ω_th)` from the healthy transfer knee are pure functions of
+/// (netlist, path, library, config), and a path through several probed
+/// sites is a candidate of each. The planner memoizes them per distinct
+/// path; [`SitePlanner::plan`] runs only the site-specific part (the
+/// fault mapping and the `R_min` bisection). Its plans are bit-identical
+/// to [`plan_for_site`]'s, whatever the order or thread sites are planned
+/// in.
+///
+/// The memo grows with every distinct path planned and is never
+/// invalidated, so a planner should live for one run over one netlist.
+#[derive(Debug)]
+pub struct SitePlanner<'a> {
+    nl: &'a Netlist,
+    lib: &'a TimingLibrary,
+    cfg: TestgenConfig,
+    /// Per distinct candidate path: its shared work, or `None` when it
+    /// yields no plan for any site (unsensitizable or over budget).
+    memo: Mutex<PathMap<Option<Arc<SharedPath>>>>,
+}
 
-        // Try both pulse kinds; keep the better (lower R_min, then lower
-        // w_in).
-        let mut best: Option<PathTestPlan> = None;
-        for polarity in [Polarity::PositiveGoing, Polarity::NegativeGoing] {
-            let Some(candidate) = characterize(&healthy, fault, &path, &vector, polarity, cfg)?
-            else {
+/// The site-independent planning work for one path.
+#[derive(Debug)]
+struct SharedPath {
+    vector: InputVector,
+    healthy: PathTimingModel,
+    /// Per pulse kind ([`POLARITIES`] order): `(ω_in, ω_th)`, or `None`
+    /// when the healthy transfer has no region 3 or dampens `ω_in`.
+    knees: [Option<(f64, f64)>; 2],
+}
+
+impl<'a> SitePlanner<'a> {
+    /// A planner for sites of `nl` with gate models from `lib`.
+    ///
+    /// # Errors
+    ///
+    /// Structural netlist errors (a combinational loop).
+    pub fn new(
+        nl: &'a Netlist,
+        lib: &'a TimingLibrary,
+        cfg: &TestgenConfig,
+    ) -> Result<Self, CoreError> {
+        nl.topological_order()?;
+        Ok(SitePlanner {
+            nl,
+            lib,
+            cfg: *cfg,
+            memo: Mutex::new(PathMap::default()),
+        })
+    }
+
+    /// [`plan_for_site`] for `site`: ranked plans, best first.
+    ///
+    /// # Errors
+    ///
+    /// As for [`plan_for_site`].
+    pub fn plan(&self, site: SignalId) -> Result<Vec<PathTestPlan>, CoreError> {
+        let (nl, cfg) = (self.nl, &self.cfg);
+        let candidates = paths_from_fanin(nl, site, cfg.max_paths)?;
+        let mut plans = Vec::new();
+
+        for path in candidates {
+            let Some(shared) = self.shared(&path)? else {
                 continue;
             };
-            best = Some(match best.take() {
-                None => candidate,
-                Some(cur) => {
-                    if plan_rank(&candidate) < plan_rank(&cur) {
-                        candidate
-                    } else {
-                        cur
-                    }
+            let fault = fault_for(&path, nl, site, cfg.c_branch);
+            let mut faulty = ModelPath::new(shared.healthy.clone(), Some(fault), cfg.r_bracket.0);
+
+            // Try both pulse kinds; keep the better (lower R_min).
+            let mut best: Option<(Polarity, f64, f64, Option<f64>)> = None;
+            for (polarity, knee) in POLARITIES.into_iter().zip(shared.knees) {
+                let Some((w_in, w_th)) = knee else {
+                    continue;
+                };
+                let r_min = r_min(&mut faulty, polarity, w_in, w_th, cfg.r_bracket)?;
+                if best.is_none_or(|b| rank(r_min) < rank(b.3)) {
+                    best = Some((polarity, w_in, w_th, r_min));
                 }
+            }
+            if let Some((polarity, w_in, w_th, r_min)) = best {
+                plans.push(PathTestPlan {
+                    path,
+                    vector: shared.vector.clone(),
+                    polarity,
+                    w_in,
+                    w_th,
+                    r_min,
+                });
+            }
+        }
+
+        if plans.is_empty() {
+            return Err(CoreError::NoSensitizablePath {
+                site: nl.signal_name(site).to_owned(),
             });
         }
-        if let Some(p) = best {
-            plans.push(p);
+        plans.sort_by(|a, b| plan_rank(a).total_cmp(&plan_rank(b)));
+        Ok(plans)
+    }
+
+    /// The memoized shared work for `path`, computed on first use. Two
+    /// threads may both compute a missing entry; the work is pure, so
+    /// either copy is the same. An error is returned, not memoized.
+    fn shared(&self, path: &Path) -> Result<Option<Arc<SharedPath>>, CoreError> {
+        if let Some(hit) = self.memo().get(path) {
+            return Ok(hit.clone());
+        }
+        let entry = self.characterize(path)?.map(Arc::new);
+        self.memo().insert(path.clone(), entry.clone());
+        Ok(entry)
+    }
+
+    fn memo(&self) -> MutexGuard<'_, PathMap<Option<Arc<SharedPath>>>> {
+        // A panic elsewhere cannot leave a half-written entry: inserts
+        // are single calls on fully built values.
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Sensitizes `path` and characterizes its healthy transfer for both
+    /// pulse kinds; `None` when it cannot be sensitized.
+    fn characterize(&self, path: &Path) -> Result<Option<SharedPath>, CoreError> {
+        let cfg = &self.cfg;
+        // A blown backtrack budget just skips the path.
+        let vector = match sensitize(self.nl, path, cfg.max_backtracks) {
+            Ok(Some(v)) => v,
+            Ok(None) | Err(_) => return Ok(None),
+        };
+        let healthy = PathTimingModel::from_netlist_path(self.nl, path, self.lib);
+        let mut probe = ModelPath::new(healthy.clone(), None, 0.0);
+        let mut knees = [None; 2];
+        for (knee, polarity) in knees.iter_mut().zip(POLARITIES) {
+            *knee = transfer_knee(&mut probe, polarity, cfg)?;
+        }
+        Ok(Some(SharedPath {
+            vector,
+            healthy,
+            knees,
+        }))
+    }
+}
+
+/// `HashMap` keyed by [`Path`] under [`PathHasher`].
+type PathMap<V> = HashMap<Path, V, BuildHasherDefault<PathHasher>>;
+
+/// Multiply-rotate hasher for the planner's memo (the FxHash step). A
+/// path key is a short run of small integers, hashed once per candidate
+/// path: std's SipHash made the lookups a visible share of a campaign
+/// (DESIGN.md §5.14), and the keys are not attacker-chosen.
+#[derive(Debug, Default, Clone, Copy)]
+struct PathHasher(u64);
+
+impl Hasher for PathHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
     }
 
-    if plans.is_empty() {
-        return Err(CoreError::NoSensitizablePath {
-            site: nl.signal_name(site).to_owned(),
-        });
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
-    plans.sort_by(|a, b| plan_rank(a).total_cmp(&plan_rank(b)));
-    Ok(plans)
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Sort key: detectable plans by `R_min`, undetectable ones last.
 fn plan_rank(p: &PathTestPlan) -> f64 {
-    p.r_min.unwrap_or(f64::INFINITY)
+    rank(p.r_min)
+}
+
+fn rank(r_min: Option<f64>) -> f64 {
+    r_min.unwrap_or(f64::INFINITY)
 }
 
 /// Maps the external ROP at `site` onto the path's timing model.
@@ -156,18 +302,16 @@ fn fault_for(path: &Path, nl: &Netlist, site: SignalId, c_branch: f64) -> ModelF
     ModelFault::RcAfter { stage, c_branch }
 }
 
-fn characterize(
-    healthy: &PathTimingModel,
-    fault: ModelFault,
-    path: &Path,
-    vector: &InputVector,
+/// `(ω_in, ω_th)` for one pulse kind on a fault-free path: `ω_in` from the
+/// healthy curve's region-3 knee, `ω_th` the healthy output width over the
+/// sensor margin.
+fn transfer_knee(
+    healthy: &mut ModelPath,
     polarity: Polarity,
     cfg: &TestgenConfig,
-) -> Result<Option<PathTestPlan>, CoreError> {
-    // ω_in from the healthy curve's region-3 knee.
-    let mut healthy_path = ModelPath::new(healthy.clone(), None, 0.0);
+) -> Result<Option<(f64, f64)>, CoreError> {
     let curve = crate::transfer::TransferCurve::measure(
-        &mut healthy_path,
+        healthy,
         polarity,
         cfg.w_hi / cfg.sweep_points as f64,
         cfg.w_hi,
@@ -176,45 +320,43 @@ fn characterize(
     let Some(w_in) = curve.region3_start(cfg.region_tol, cfg.guard) else {
         return Ok(None);
     };
-    let w_healthy = healthy.pulse_out(w_in, polarity);
+    let w_healthy = healthy.model().pulse_out(w_in, polarity);
     if w_healthy <= 0.0 {
         return Ok(None);
     }
-    let w_th = w_healthy / cfg.sensor_margin;
+    Ok(Some((w_in, w_healthy / cfg.sensor_margin)))
+}
 
-    // R_min by bisection: detection (w_out < w_th) is monotone in R.
-    let mut faulty = ModelPath::new(healthy.clone(), Some(fault), cfg.r_bracket.0);
-    let detects = |p: &mut ModelPath, r: f64| -> Result<bool, CoreError> {
-        p.set_resistance(r)?;
-        Ok(p.pulse_width_out(w_in, polarity)? < w_th)
+/// `R_min` by bisection inside `(r_lo, r_hi)`: detection (w_out < w_th)
+/// is monotone in R. `None` when even `r_hi` goes undetected.
+fn r_min(
+    faulty: &mut ModelPath,
+    polarity: Polarity,
+    w_in: f64,
+    w_th: f64,
+    (r_lo, r_hi): (f64, f64),
+) -> Result<Option<f64>, CoreError> {
+    let mut detects = |r: f64| -> Result<bool, CoreError> {
+        faulty.set_resistance(r)?;
+        Ok(faulty.pulse_width_out(w_in, polarity)? < w_th)
     };
-    let (r_lo, r_hi) = cfg.r_bracket;
-    let r_min = if !detects(&mut faulty, r_hi)? {
+    Ok(if !detects(r_hi)? {
         None
-    } else if detects(&mut faulty, r_lo)? {
+    } else if detects(r_lo)? {
         Some(r_lo)
     } else {
         let (mut lo, mut hi) = (r_lo, r_hi);
         // Bisect in log space: resistance spans decades.
         for _ in 0..48 {
             let mid = (lo.ln() + hi.ln()).exp2div2();
-            if detects(&mut faulty, mid)? {
+            if detects(mid)? {
                 hi = mid;
             } else {
                 lo = mid;
             }
         }
         Some(hi)
-    };
-
-    Ok(Some(PathTestPlan {
-        path: path.clone(),
-        vector: vector.clone(),
-        polarity,
-        w_in,
-        w_th,
-        r_min,
-    }))
+    })
 }
 
 /// Geometric mean helper for log-space bisection.

@@ -181,6 +181,9 @@ pub struct Netlist {
     /// Per signal: the driving gate, if any (primary inputs have none).
     drivers: Vec<Option<GateId>>,
     gates: Vec<Gate>,
+    /// Per signal: the (gate, pin) pairs reading it, kept up to date by
+    /// [`Netlist::add_gate`] so readers borrow it instead of rebuilding it.
+    fanouts: Vec<Vec<(GateId, usize)>>,
     inputs: Vec<SignalId>,
     outputs: Vec<SignalId>,
 }
@@ -196,6 +199,7 @@ impl Netlist {
         let s = SignalId(self.names.len());
         self.names.push(name.into());
         self.drivers.push(None);
+        self.fanouts.push(Vec::new());
         self.inputs.push(s);
         s
     }
@@ -227,6 +231,10 @@ impl Netlist {
         self.names.push(name.into());
         let gid = GateId(self.gates.len());
         self.drivers.push(Some(gid));
+        self.fanouts.push(Vec::new());
+        for (pin, s) in inputs.iter().enumerate() {
+            self.fanouts[s.0].push((gid, pin));
+        }
         self.gates.push(Gate {
             kind,
             inputs: inputs.to_vec(),
@@ -292,15 +300,10 @@ impl Netlist {
         self.gates.len()
     }
 
-    /// Per-signal list of (gate, pin) pairs reading it.
-    pub fn fanouts(&self) -> Vec<Vec<(GateId, usize)>> {
-        let mut out = vec![Vec::new(); self.names.len()];
-        for (gi, g) in self.gates.iter().enumerate() {
-            for (pin, s) in g.inputs.iter().enumerate() {
-                out[s.0].push((GateId(gi), pin));
-            }
-        }
-        out
+    /// Per-signal list of (gate, pin) pairs reading it, indexed by
+    /// [`SignalId::index`], each list in gate order.
+    pub fn fanouts(&self) -> &[Vec<(GateId, usize)>] {
+        &self.fanouts
     }
 
     /// Gates in topological (input-to-output) order.
@@ -320,7 +323,6 @@ impl Netlist {
                 }
             }
         }
-        let fanouts = self.fanouts();
         let mut queue: Vec<GateId> = indeg
             .iter()
             .enumerate()
@@ -331,7 +333,7 @@ impl Netlist {
         while let Some(g) = queue.pop() {
             order.push(g);
             let out = self.gates[g.0].output;
-            for &(succ, _) in &fanouts[out.0] {
+            for &(succ, _) in &self.fanouts[out.0] {
                 indeg[succ.0] -= 1;
                 if indeg[succ.0] == 0 {
                     queue.push(succ);
@@ -426,9 +428,48 @@ mod tests {
     fn fanouts_track_pins() {
         let (nl, a, b, n, _) = small();
         let f = nl.fanouts();
+        assert_eq!(f.len(), nl.signal_count());
         assert_eq!(f[a.index()], vec![(GateId(0), 0)]);
         assert_eq!(f[b.index()], vec![(GateId(0), 1)]);
         assert_eq!(f[n.index()], vec![(GateId(1), 0)]);
+    }
+
+    /// The per-signal reader lists, rebuilt from the gate table.
+    fn recomputed_fanouts(nl: &Netlist) -> Vec<Vec<(GateId, usize)>> {
+        let mut out = vec![Vec::new(); nl.signal_count()];
+        for (gi, g) in nl.gates().iter().enumerate() {
+            for (pin, s) in g.inputs.iter().enumerate() {
+                out[s.index()].push((GateId(gi), pin));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn kept_fanouts_match_a_recompute_from_the_gates() {
+        use crate::{c432_like, parse_iscas85, random_netlist, write_iscas85, BenchParams};
+        let mut netlists = vec![
+            c432_like(),
+            parse_iscas85(&write_iscas85(&c432_like())).unwrap(),
+        ];
+        // Parsed text with a net read twice by one gate and a gate
+        // referenced before its definition.
+        netlists.push(
+            parse_iscas85("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(n, a)\nn = AND(a, a, b)\n")
+                .unwrap(),
+        );
+        for seed in 0..8 {
+            let params = BenchParams {
+                inputs: 6,
+                gates: 40,
+                outputs: 4,
+                layers: 5,
+            };
+            netlists.push(random_netlist(&params, seed));
+        }
+        for nl in &netlists {
+            assert_eq!(nl.fanouts(), recomputed_fanouts(nl).as_slice());
+        }
     }
 
     #[test]

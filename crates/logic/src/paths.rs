@@ -17,7 +17,7 @@ pub struct PathStep {
 }
 
 /// A structural path from a primary input to a primary output.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Path {
     /// The launching primary input.
     pub from: SignalId,
@@ -132,7 +132,7 @@ pub fn enumerate_paths(
     for &pi in nl.inputs() {
         dfs(
             nl,
-            &fanouts,
+            fanouts,
             &output_set,
             pi,
             pi,
@@ -237,15 +237,7 @@ pub fn paths_from_fanin(
             stack.pop();
         }
     }
-    fwd_dfs(
-        nl,
-        &fanouts,
-        &output_set,
-        site,
-        &mut fstack,
-        &mut fwd,
-        limit,
-    );
+    fwd_dfs(nl, fanouts, &output_set, site, &mut fstack, &mut fwd, limit);
 
     // Cartesian product, capped.
     let mut result = Vec::new();

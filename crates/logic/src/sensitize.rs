@@ -124,7 +124,7 @@ struct Justify<'a> {
     max_backtracks: usize,
 }
 
-impl Justify<'_> {
+impl<'a> Justify<'a> {
     fn budget_exhausted(&self) -> bool {
         self.backtracks >= self.max_backtracks
     }
@@ -153,20 +153,22 @@ impl Justify<'_> {
                 self.trail.push(s);
             }
         }
-        let Some(gate) = self.nl.driver(s) else {
+        // Borrowed through the `&'a Netlist`, not through `self`, so the
+        // recursion below can take `&mut self`.
+        let nl: &'a Netlist = self.nl;
+        let Some(gate) = nl.driver(s) else {
             return true; // primary input: freely assignable
         };
-        let kind = gate.kind;
-        let inputs = gate.inputs.clone();
-        let ok = match kind {
+        let inputs = gate.inputs.as_slice();
+        let ok = match gate.kind {
             GateKind::Not => self.justify(inputs[0], !v),
             GateKind::Buf => self.justify(inputs[0], v),
-            GateKind::And => self.gate_and(&inputs, v, false),
-            GateKind::Nand => self.gate_and(&inputs, !v, false),
-            GateKind::Or => self.gate_and(&inputs, !v, true),
-            GateKind::Nor => self.gate_and(&inputs, v, true),
-            GateKind::Xor => self.gate_parity(&inputs, v),
-            GateKind::Xnor => self.gate_parity(&inputs, !v),
+            GateKind::And => self.gate_and(inputs, v, false),
+            GateKind::Nand => self.gate_and(inputs, !v, false),
+            GateKind::Or => self.gate_and(inputs, !v, true),
+            GateKind::Nor => self.gate_and(inputs, v, true),
+            GateKind::Xor => self.gate_parity(inputs, v),
+            GateKind::Xnor => self.gate_parity(inputs, !v),
         };
         if !ok {
             // Undo this signal's own assignment (children rolled back by

@@ -154,14 +154,7 @@ impl PathTimingModel {
     ///
     /// Panics if `stage` does not index a gate element.
     pub fn inject_edge_slow(&mut self, stage: usize, edge: Edge, extra: f64) {
-        let gate_indices: Vec<usize> = self
-            .elements
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| matches!(e, PathElement::Gate { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        let idx = gate_indices[stage];
+        let idx = self.gate_position(stage);
         match &mut self.elements[idx] {
             PathElement::Gate {
                 slow_rise,
@@ -188,15 +181,24 @@ impl PathTimingModel {
     ///
     /// Panics if `stage` does not index a gate element.
     pub fn inject_rc_after(&mut self, stage: usize, tau: f64) {
-        let gate_indices: Vec<usize> = self
-            .elements
+        let idx = self.gate_position(stage);
+        self.elements.insert(idx + 1, PathElement::RcNet { tau });
+    }
+
+    /// Index into [`PathTimingModel::elements`] of the `stage`-th *gate*
+    /// element (RC elements are not stages).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage` does not index a gate element.
+    pub fn gate_position(&self, stage: usize) -> usize {
+        self.elements
             .iter()
             .enumerate()
             .filter(|(_, e)| matches!(e, PathElement::Gate { .. }))
+            .nth(stage)
             .map(|(i, _)| i)
-            .collect();
-        let idx = gate_indices[stage];
-        self.elements.insert(idx + 1, PathElement::RcNet { tau });
+            .unwrap_or_else(|| panic!("stage {stage} does not index a gate element"))
     }
 
     /// Returns a copy whose `i`-th *gate* element is scaled by

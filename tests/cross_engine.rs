@@ -169,3 +169,27 @@ fn engines_agree_on_one_edge_rop_asymmetry() {
     // The slowed direction agrees.
     assert_eq!(de_r > de_f, dm_r > dm_f);
 }
+
+/// The `ext_engine_ablation` model arm at the size and seed its recorded
+/// file uses: the calibration must find a threshold that every fault-free
+/// instance clears with the sensor margin (it used to stop on an instance
+/// that dampened the pulse).
+#[test]
+fn ablation_model_study_calibrates_at_its_recorded_scale() {
+    use pulsar_core::McConfig;
+    use pulsar_timing::TimingLibrary;
+
+    let inv = calibrate_inverter(&Tech::generic_180nm()).unwrap();
+    let study =
+        pulsar_bench::model_rop_study(&TimingLibrary::calibrated(inv), McConfig::paper(96, 2007));
+    let cal = study
+        .calibrate()
+        .expect("model calibration at N = 96, seed 2007");
+    assert!(cal.w_th > 0.0 && cal.w_th < cal.w_in, "{cal:?}");
+    for w in study.fault_free_wouts(cal.w_in).unwrap() {
+        assert!(
+            w >= study.sensor_margin * cal.w_th - 1e-18,
+            "false positive: {w:e} vs {cal:?}"
+        );
+    }
+}
