@@ -3,7 +3,8 @@
 //! The engine takes fixed base steps, snaps to waveform breakpoints so
 //! pulse edges are never stepped over, starts each discontinuity with a
 //! backward-Euler step (damping trapezoidal ringing), and integrates with
-//! the trapezoidal rule elsewhere.
+//! the trapezoidal rule elsewhere. Each step's Newton solve starts from a
+//! linear extrapolation of the last two accepted points (`predict`).
 
 use crate::circuit::{Circuit, NodeId};
 use crate::elements::Element;
@@ -16,9 +17,8 @@ use pulsar_obs::{Counter, Phase};
 /// Configuration of a transient run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TranConfig {
-    /// Base time step, seconds. In adaptive mode this is the *maximum*
-    /// step; the controller shrinks below it as the local truncation
-    /// error demands.
+    /// Base time step, seconds. Steps shrink below it only to land on a
+    /// waveform breakpoint or to retry a failed Newton solve.
     pub step: f64,
     /// Stop time, seconds (simulation spans `[0, stop]`).
     pub stop: f64,
@@ -26,10 +26,6 @@ pub struct TranConfig {
     pub integrator: Integrator,
     /// Maximum Newton iterations per time point.
     pub max_newton: usize,
-    /// Enable local-truncation-error step control.
-    pub adaptive: bool,
-    /// Node-voltage LTE tolerance for the adaptive controller, volts.
-    pub lte_tol: f64,
     /// Budget of accepted time points (the `t = 0` point included). A run
     /// that would exceed it fails with [`Error::StepBudgetExhausted`]
     /// instead of stepping indefinitely; the default is far above any
@@ -115,8 +111,6 @@ impl TranConfig {
             stop,
             integrator: Integrator::Trapezoidal,
             max_newton: 60,
-            adaptive: false,
-            lte_tol: 2e-3,
             max_points: 5_000_000,
             until: Until::Stop,
         }
@@ -127,16 +121,6 @@ impl TranConfig {
         TranConfig {
             integrator,
             ..TranConfig::new(step, stop)
-        }
-    }
-
-    /// An adaptive run: steps grow toward `max_step` in quiet intervals
-    /// and shrink (down to `max_step / 1024`) wherever the estimated
-    /// local truncation error exceeds `lte_tol` (default 2 mV).
-    pub fn adaptive(max_step: f64, stop: f64) -> Self {
-        TranConfig {
-            adaptive: true,
-            ..TranConfig::new(max_step, stop)
         }
     }
 
@@ -205,16 +189,13 @@ pub enum TraceCapture {
 ///
 /// Useful both as an allocation-free observability hook for benchmarks
 /// (points accepted ≈ solver work) and to assert step-control behavior in
-/// tests (e.g. that the LTE controller actually rejected a step).
+/// tests (e.g. that a run needed no Newton retries).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TranStats {
     /// Accepted time points, including the `t = 0` sample.
     pub accepted_points: usize,
     /// Newton failures that triggered a step-halving retry.
     pub newton_retries: usize,
-    /// Steps rejected (and re-taken at half size) by the adaptive LTE
-    /// controller.
-    pub lte_rejections: usize,
     /// The [`TranConfig::until`] rule ended the run before `stop`.
     pub stopped_early: bool,
 }
@@ -315,6 +296,18 @@ fn reserve_points(cfg: &TranConfig, breakpoints: usize) -> usize {
     ((cfg.stop / cfg.step) as usize)
         .saturating_add(breakpoints + 2)
         .min(cfg.max_points)
+}
+
+/// Seeds `xn`, the Newton starting point of a step of size `h`, on the
+/// line through the last two accepted points: `x + (x − x_prev)·h/h_prev`
+/// over every unknown, where `h_prev` is the step from `x_prev` to `x`.
+/// Only the initial guess comes from here; the convergence test that
+/// accepts the solve is the same as for a start from `x`.
+fn predict(xn: &mut [f64], x: &[f64], x_prev: &[f64], h: f64, h_prev: f64) {
+    let ratio = h / h_prev;
+    for ((p, &v), &v_prev) in xn.iter_mut().zip(x).zip(x_prev) {
+        *p = v + (v - v_prev) * ratio;
+    }
 }
 
 /// Run-time state of a [`TranConfig::until`] rule.
@@ -498,7 +491,6 @@ impl Circuit {
         let rec = sys_scratch.recorder.clone();
         let cancel = sys_scratch.cancel.clone();
         self.dc_into(0.0, sys_scratch, warm, x)?;
-        let nn = self.node_count() - 1;
         let mut stop_rule = StopRule::arm(self, cfg.until, x, rest, sys_scratch)?;
         let mut sys = System::new(self, sys_scratch);
         let nu = x.len();
@@ -545,19 +537,12 @@ impl Circuit {
         let mut stats = TranStats::default();
         let mut t = 0.0;
         // Force a BE step right after t=0 and after every breakpoint.
+        // Such a step also starts Newton from the current point: there is
+        // no earlier point (t = 0) or the sources' slope just changed.
         let mut after_discontinuity = true;
-        // Adaptive-control state: current step and predictor history. The
-        // predictor buffers hold the solution at the previously *accepted*
-        // point and the size of the step that produced the current point
-        // (`h_prev` is written only after any rejection/retry shrinking,
-        // so a rejected trial size never enters the LTE slope).
-        let h_min = cfg.step / 1024.0;
-        let mut h_cur = if cfg.adaptive {
-            cfg.step / 8.0
-        } else {
-            cfg.step
-        };
-        let mut have_prev = false;
+        // Predictor history: `x_prev` is the accepted point before `x`,
+        // `h_prev` the accepted step between them. Read only when
+        // `after_discontinuity` is false, i.e. after a first step.
         let mut h_prev = 0.0_f64;
 
         // Counters are bumped as the loop goes (not once at the end), so a
@@ -583,8 +568,8 @@ impl Circuit {
             if let Some(e) = crate::inject::fire(times.len(), t) {
                 return Err(e);
             }
-            // Next target time: current step, clipped to breakpoint/stop.
-            let mut tn = t + h_cur;
+            // Next target time: base step, clipped to breakpoint/stop.
+            let mut tn = t + cfg.step;
             let mut hit_bp = false;
             while next_bp < breakpoints.len() && breakpoints[next_bp] <= t + 1e-18 {
                 next_bp += 1;
@@ -608,14 +593,16 @@ impl Circuit {
                 }
             };
 
-            // Solve at tn, halving the step on Newton failure (up to 10x)
-            // or, in adaptive mode, on an LTE violation. `xn` is the
-            // double-buffer partner of `x`: seeded by copy, swapped (not
-            // cloned) on acceptance.
+            // Solve at tn, halving the step on Newton failure (up to 10x).
+            // `xn` is the buffer partner of `x`: seeded by the predictor
+            // (by copy on a retry), rotated (not cloned) on acceptance.
             let mut sub_t = tn;
             let mut attempts = 0;
-            xn.copy_from_slice(x);
-            let mut lte = 0.0_f64;
+            if after_discontinuity {
+                xn.copy_from_slice(x);
+            } else {
+                predict(xn, x, x_prev, tn - t, h_prev);
+            }
             loop {
                 let h = sub_t - t;
                 match sys.solve_newton(
@@ -627,27 +614,7 @@ impl Circuit {
                     cfg.max_newton,
                     "transient",
                 ) {
-                    Ok(()) => {
-                        // LTE estimate: deviation from the linear
-                        // predictor built on the previous accepted step.
-                        if cfg.adaptive && !after_discontinuity && have_prev {
-                            lte = 0.0;
-                            for i in 0..nn {
-                                let slope = (x[i] - x_prev[i]) / h_prev;
-                                let pred = x[i] + slope * h;
-                                lte = lte.max((xn[i] - pred).abs());
-                            }
-                            if lte > cfg.lte_tol && h > h_min && attempts <= 10 {
-                                attempts += 1;
-                                stats.lte_rejections += 1;
-                                rec.add(Counter::LteRejections, 1);
-                                sub_t = t + h / 2.0;
-                                xn.copy_from_slice(x);
-                                continue;
-                            }
-                        }
-                        break;
-                    }
+                    Ok(()) => break,
                     Err(e @ Error::SingularMatrix { .. }) => return Err(e),
                     Err(e) => {
                         attempts += 1;
@@ -664,24 +631,8 @@ impl Circuit {
 
             // Accept the (possibly shortened) step: `h` is recomputed from
             // the final `sub_t`, so it is the *accepted* step size even
-            // after rejections halved the trial step.
+            // after retries halved the trial step.
             let h = sub_t - t;
-            if cfg.adaptive {
-                // Grow in quiet intervals, shrink when the error crowds
-                // the tolerance.
-                if lte < 0.25 * cfg.lte_tol {
-                    h_cur = (h * 1.6).min(cfg.step);
-                } else if lte > 0.75 * cfg.lte_tol {
-                    h_cur = (h / 1.5).max(h_min);
-                } else {
-                    h_cur = h.min(cfg.step);
-                }
-                // Predictor history for the next step's LTE estimate
-                // (only read in adaptive mode, so only maintained there).
-                x_prev.copy_from_slice(x);
-                h_prev = h;
-                have_prev = true;
-            }
             // Advance the companion states, reusing the `c/h` conductances
             // the last (accepted) solve hoisted for exactly this `h` and
             // method — the same bits the baseline recomputes per branch.
@@ -696,7 +647,11 @@ impl Circuit {
                 st.v_prev = v_now;
                 st.i_prev = i_now;
             }
+            // Rotate the buffers: the old point becomes the predictor's
+            // history, the new one the current point.
+            core::mem::swap(x_prev, x);
             core::mem::swap(x, xn);
+            h_prev = h;
             t = sub_t;
             record(t, x, &mut times, &mut voltages);
             rec.add(Counter::StepsAccepted, 1);
@@ -721,11 +676,12 @@ impl Circuit {
     ///
     /// This is what [`Circuit::transient`] was before workspace reuse:
     /// it clones the solution vector on every step attempt and every
-    /// accepted step, keeps the LTE predictor history as a per-step
+    /// accepted step, keeps the predictor history as a per-step
     /// allocation, records every node, and runs the preserved pre-PR
-    /// Newton and LU kernels (`System::solve_newton_baseline`). Results
-    /// are bit-identical to the workspace engine run dense (asserted by
-    /// the `workspace_equivalence` tests).
+    /// Newton and LU kernels (`System::solve_newton_baseline`). It seeds
+    /// each step's Newton solve with the same predictor as the
+    /// workspace engine, so results are bit-identical to the workspace
+    /// engine run dense (asserted by the `workspace_equivalence` tests).
     ///
     /// It ignores [`TranConfig::until`] and always runs to `stop`, which
     /// makes it the full-window reference for the early-stop rules.
@@ -776,14 +732,7 @@ impl Circuit {
 
         let mut t = 0.0;
         let mut after_discontinuity = true;
-        let h_min = cfg.step / 1024.0;
-        let mut h_cur = if cfg.adaptive {
-            cfg.step / 8.0
-        } else {
-            cfg.step
-        };
         let mut prev: Option<(f64, Vec<f64>)> = None; // (h of last step, x before it)
-        let nn = self.node_count() - 1;
 
         while t < cfg.stop - 1e-18 {
             if times.len() >= cfg.max_points {
@@ -795,7 +744,7 @@ impl Circuit {
             if let Some(e) = crate::inject::fire(times.len(), t) {
                 return Err(e);
             }
-            let mut tn = t + h_cur;
+            let mut tn = t + cfg.step;
             let mut hit_bp = false;
             while next_bp < breakpoints.len() && breakpoints[next_bp] <= t + 1e-18 {
                 next_bp += 1;
@@ -822,7 +771,9 @@ impl Circuit {
             let mut sub_t = tn;
             let mut attempts = 0;
             let mut xn = x.clone();
-            let mut lte = 0.0_f64;
+            if let (false, Some((h_prev, x_prev))) = (after_discontinuity, &prev) {
+                predict(&mut xn, &x, x_prev, tn - t, *h_prev);
+            }
             loop {
                 let h = sub_t - t;
                 match sys.solve_newton_baseline(
@@ -834,25 +785,7 @@ impl Circuit {
                     cfg.max_newton,
                     "transient",
                 ) {
-                    Ok(()) => {
-                        if cfg.adaptive && !after_discontinuity {
-                            if let Some((h_prev, ref x_prev)) = prev {
-                                lte = 0.0;
-                                for i in 0..nn {
-                                    let slope = (x[i] - x_prev[i]) / h_prev;
-                                    let pred = x[i] + slope * h;
-                                    lte = lte.max((xn[i] - pred).abs());
-                                }
-                                if lte > cfg.lte_tol && h > h_min && attempts <= 10 {
-                                    attempts += 1;
-                                    sub_t = t + h / 2.0;
-                                    xn.copy_from_slice(&x);
-                                    continue;
-                                }
-                            }
-                        }
-                        break;
-                    }
+                    Ok(()) => break,
                     Err(e @ Error::SingularMatrix { .. }) => return Err(e),
                     Err(e) => {
                         attempts += 1;
@@ -866,15 +799,6 @@ impl Circuit {
             }
 
             let h = sub_t - t;
-            if cfg.adaptive {
-                if lte < 0.25 * cfg.lte_tol {
-                    h_cur = (h * 1.6).min(cfg.step);
-                } else if lte > 0.75 * cfg.lte_tol {
-                    h_cur = (h / 1.5).max(h_min);
-                } else {
-                    h_cur = h.min(cfg.step);
-                }
-            }
             prev = Some((h, x.clone()));
             for (st, &(a, b, c)) in caps.iter_mut().zip(&branches) {
                 let v_now = System::node_voltage(&xn, a) - System::node_voltage(&xn, b);
@@ -1018,64 +942,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_matches_fixed_step_accuracy_with_fewer_points() {
-        let r = 1e3;
-        let c = 1e-12;
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.vsource(
-            vin,
-            Circuit::GROUND,
-            Waveform::step(0.0, 1.0, 0.1e-9, 1e-12),
-        );
-        ckt.resistor(vin, out, r);
-        ckt.capacitor(out, Circuit::GROUND, c);
-
-        let fixed = ckt.transient(&TranConfig::new(2e-12, 8e-9)).unwrap();
-        let adapt = ckt.transient(&TranConfig::adaptive(200e-12, 8e-9)).unwrap();
-        assert!(
-            adapt.len() < fixed.len() / 4,
-            "adaptive should need far fewer points: {} vs {}",
-            adapt.len(),
-            fixed.len()
-        );
-        // Accuracy against the analytic exponential at several times.
-        let tau = r * c;
-        for k in 1..=4 {
-            let t = 0.1e-9 + k as f64 * tau;
-            let expect = 1.0 - (-(k as f64)).exp();
-            let got = adapt.trace(out).value_at(t);
-            assert!((got - expect).abs() < 1e-2, "at {k}τ: {got} vs {expect}");
-        }
-    }
-
-    #[test]
-    fn adaptive_still_resolves_short_pulses() {
-        // A 150 ps pulse must not be smeared away by large steps: the
-        // breakpoint snapping + LTE control keep it sharp.
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.vsource(
-            vin,
-            Circuit::GROUND,
-            Waveform::single_pulse(0.0, 1.0, 1e-9, 20e-12, 20e-12, 150e-12),
-        );
-        ckt.resistor(vin, out, 1e3);
-        ckt.capacitor(out, Circuit::GROUND, 20e-15); // τ = 20 ps
-
-        let res = ckt.transient(&TranConfig::adaptive(500e-12, 3e-9)).unwrap();
-        let w = res
-            .trace(out)
-            .widest_pulse_width(0.5, crate::waveform::Polarity::PositiveGoing);
-        assert!(
-            (w - 170e-12).abs() < 25e-12,
-            "pulse width distorted by adaptive stepping: {w:e}"
-        );
-    }
-
-    #[test]
     fn step_budget_degrades_into_reported_failure() {
         let mut ckt = Circuit::new();
         let vin = ckt.node("in");
@@ -1144,7 +1010,7 @@ mod tests {
         assert!(ckt.transient(&cfg).is_ok());
     }
 
-    /// RC deck shared by the adaptive/capture tests below.
+    /// RC deck shared by the capture and stop-rule tests below.
     fn rc_deck() -> (Circuit, NodeId, NodeId) {
         let mut ckt = Circuit::new();
         let vin = ckt.node("in");
@@ -1157,91 +1023,6 @@ mod tests {
         ckt.resistor(vin, out, 1e3);
         ckt.capacitor(out, Circuit::GROUND, 1e-12);
         (ckt, vin, out)
-    }
-
-    #[test]
-    fn forced_lte_rejection_keeps_accepted_step_bookkeeping() {
-        // An inverter driven by a slow ramp: the only breakpoints are the
-        // ramp endpoints, so the step controller grows toward the 1 ns
-        // maximum over the flat pre-threshold stretch and is then surprised
-        // by the output switching mid-ramp — a hard LTE rejection, not a
-        // gradual band shrink. The predictor history (h_prev, x_prev) must
-        // then hold the *accepted* step, not the rejected trial size —
-        // verified by bit-identity with the preserved clone-based baseline
-        // engine, which recomputes h after the retry loop by construction.
-        use crate::elements::{MosType, Mosfet, MosfetParams};
-        let params = |kind: MosType, w: f64| MosfetParams {
-            vt0: if matches!(kind, MosType::Nmos) {
-                0.4
-            } else {
-                -0.42
-            },
-            kp: if matches!(kind, MosType::Nmos) {
-                170e-6
-            } else {
-                60e-6
-            },
-            lambda: 0.06,
-            w,
-            l: 0.18e-6,
-            cgs: 1e-15,
-            cgd: 1e-15,
-            cdb: 1e-15,
-        };
-        let mut ckt = Circuit::new();
-        let vdd = ckt.node("vdd");
-        let inp = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.vsource(vdd, Circuit::GROUND, Waveform::dc(1.8));
-        ckt.vsource(inp, Circuit::GROUND, Waveform::step(0.0, 1.8, 0.2e-9, 4e-9));
-        ckt.add_mosfet(Mosfet {
-            kind: MosType::Pmos,
-            d: out,
-            g: inp,
-            s: vdd,
-            params: params(MosType::Pmos, 2.0e-6),
-        });
-        ckt.add_mosfet(Mosfet {
-            kind: MosType::Nmos,
-            d: out,
-            g: inp,
-            s: Circuit::GROUND,
-            params: params(MosType::Nmos, 1.0e-6),
-        });
-        ckt.capacitor(out, Circuit::GROUND, 20e-15);
-
-        let cfg = TranConfig::adaptive(1e-9, 6e-9);
-        let res = ckt.transient(&cfg).unwrap();
-        assert!(
-            res.stats().lte_rejections > 0,
-            "deck chosen to force rejections, got {:?}",
-            res.stats()
-        );
-        assert_eq!(res.stats().accepted_points, res.len());
-        assert!(
-            res.trace(out).last_value() < 0.05,
-            "inverter must settle low after the ramp"
-        );
-
-        let base = ckt.transient_baseline(&cfg).unwrap();
-        assert_eq!(res.times(), base.times(), "step sequences must match");
-        for n in 0..ckt.node_count() {
-            let node = NodeId(n);
-            assert_eq!(
-                res.trace(node).values(),
-                base.trace(node).values(),
-                "node {n} diverged from the baseline engine"
-            );
-        }
-    }
-
-    #[test]
-    fn fixed_step_runs_report_no_rejections() {
-        let (ckt, _, _) = rc_deck();
-        let res = ckt.transient(&TranConfig::new(5e-12, 2e-9)).unwrap();
-        assert_eq!(res.stats().lte_rejections, 0);
-        assert_eq!(res.stats().newton_retries, 0);
-        assert_eq!(res.stats().accepted_points, res.len());
     }
 
     #[test]

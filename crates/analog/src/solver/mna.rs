@@ -392,6 +392,12 @@ impl<'c, 'w> System<'c, 'w> {
     /// Newton–Raphson loop. `x` holds the initial guess and, on success,
     /// the solution.
     ///
+    /// Every iteration applies the clamped update and then tests it: the
+    /// solve is accepted once no node update was clamped and each is
+    /// within `VNTOL + RELTOL·|x|`. That holds for the first iteration
+    /// too, so a good initial guess (a warm DC start, the transient
+    /// predictor) costs one assembly and one LU solve.
+    ///
     /// Routing: when the workspace's sparse engine is engaged (see
     /// [`SparseScratch::prepare`]) the solve runs the sparse chord/Newton
     /// loop; a numeric pivot failure there falls back to the dense loop,
@@ -435,7 +441,7 @@ impl<'c, 'w> System<'c, 'w> {
         }
         self.scratch.recorder.add(Counter::DenseSolves, 1);
         let mut iters: u64 = 0;
-        for iter in 0..max_iter {
+        for _ in 0..max_iter {
             iters += 1;
             if let Err(e) = self.assemble_fast(x, dynamics.is_some(), gmin) {
                 dense_solve_done(&self.scratch.recorder, iters);
@@ -474,7 +480,7 @@ impl<'c, 'w> System<'c, 'w> {
                 }
                 x[i] += delta;
             }
-            if converged && iter > 0 {
+            if converged {
                 dense_solve_done(recorder, iters);
                 return Ok(());
             }
@@ -594,7 +600,7 @@ impl<'c, 'w> System<'c, 'w> {
                 }
                 x[i] += d;
             }
-            if converged && iter > 0 {
+            if converged {
                 recorder.newton_solve_done(iter as u64 + 1);
                 return Some(Ok(()));
             }
@@ -708,7 +714,7 @@ impl<'c, 'w> System<'c, 'w> {
     ) -> Result<(), Error> {
         debug_assert_eq!(x.len(), self.nu);
         let mut xnew = vec![0.0; self.nu];
-        for iter in 0..max_iter {
+        for _ in 0..max_iter {
             self.assemble_baseline(x, t, dynamics, src_scale, gmin)?;
             xnew.copy_from_slice(&self.scratch.rhs);
             self.scratch.matrix.solve_in_place_baseline(&mut xnew)?;
@@ -730,7 +736,7 @@ impl<'c, 'w> System<'c, 'w> {
                 }
                 x[i] += delta;
             }
-            if converged && iter > 0 {
+            if converged {
                 return Ok(());
             }
         }

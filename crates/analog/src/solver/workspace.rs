@@ -248,7 +248,7 @@ pub(crate) struct SysScratch {
 }
 
 /// Scratch for the transient engine: companion states, the capacitive
-/// branch list, breakpoints and the solution double-buffers.
+/// branch list, breakpoints and the three solution buffers.
 #[derive(Debug, Default)]
 pub(crate) struct TranScratch {
     pub caps: Vec<CapState>,
@@ -256,10 +256,12 @@ pub(crate) struct TranScratch {
     pub breakpoints: Vec<f64>,
     /// Accepted solution at the current time point.
     pub x: Vec<f64>,
-    /// Candidate solution for the step being attempted (double-buffer
-    /// partner of `x`; swapped on acceptance instead of cloned).
+    /// Candidate solution for the step being attempted, seeded by the
+    /// step predictor (buffer partner of `x`; rotated on acceptance
+    /// instead of cloned).
     pub xn: Vec<f64>,
-    /// Solution at the previously *accepted* point, for the LTE predictor.
+    /// Solution at the accepted point before `x`, the step predictor's
+    /// history.
     pub x_prev: Vec<f64>,
     /// Node voltages of the operating point a `Settled` stop rule
     /// compares against.

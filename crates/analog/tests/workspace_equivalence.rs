@@ -28,8 +28,6 @@ struct DeckSpec {
     /// Extra coupling capacitor between first and last tap, farads
     /// (`0.0` = none), to break the pure-ladder structure.
     c_couple: f64,
-    /// Adaptive (LTE-controlled) vs fixed stepping.
-    adaptive: bool,
 }
 
 fn build(spec: &DeckSpec) -> (Circuit, Vec<NodeId>) {
@@ -61,22 +59,16 @@ fn deck_strategy() -> impl Strategy<Value = DeckSpec> {
         proptest::collection::vec(stage, 2..6),
         (150e-12f64..900e-12),
         prop_oneof![Just(0.0f64), (5e-15f64..50e-15)],
-        any::<bool>(),
     )
-        .prop_map(|(stages, width, c_couple, adaptive)| DeckSpec {
+        .prop_map(|(stages, width, c_couple)| DeckSpec {
             stages,
             width,
             c_couple,
-            adaptive,
         })
 }
 
-fn config(spec: &DeckSpec) -> TranConfig {
-    if spec.adaptive {
-        TranConfig::adaptive(40e-12, 3e-9)
-    } else {
-        TranConfig::new(10e-12, 3e-9)
-    }
+fn config() -> TranConfig {
+    TranConfig::new(10e-12, 3e-9)
 }
 
 proptest! {
@@ -87,7 +79,7 @@ proptest! {
     #[test]
     fn workspace_reuse_is_bit_identical(spec in deck_strategy()) {
         let (ckt, taps) = build(&spec);
-        let cfg = config(&spec);
+        let cfg = config();
         let fresh = ckt.transient(&cfg).expect("linear deck converges");
 
         let mut ws = SolverWorkspace::new();
@@ -121,7 +113,7 @@ proptest! {
     #[test]
     fn slim_capture_matches_full_capture(spec in deck_strategy()) {
         let (ckt, taps) = build(&spec);
-        let cfg = config(&spec);
+        let cfg = config();
         let all = ckt.transient(&cfg).expect("linear deck converges");
 
         let last = *taps.last().expect("non-empty");
@@ -170,7 +162,7 @@ proptest! {
     #[test]
     fn forced_sparse_matches_dense_within_tolerance(spec in deck_strategy()) {
         let (ckt, taps) = build(&spec);
-        let cfg = config(&spec);
+        let cfg = config();
         let dense = ckt.transient(&cfg).expect("linear deck converges");
         let mut ws = SolverWorkspace::new();
         ws.set_solver_mode(SolverMode::ForceSparse);

@@ -4,7 +4,8 @@
 //! this ablation prints both engines' `C_pulse(R)` side by side along
 //! with their wall-clock costs, so the fidelity/speed trade is explicit.
 //!
-//! Output: CSV `R, Cpulse_electrical, Cpulse_model` + timing summary.
+//! Output: CSV `R, Cpulse_electrical, Cpulse_model` on stdout; the two
+//! engines' wall-clock times on stderr.
 
 use pulsar_analog::Polarity;
 use pulsar_bench::{log_sweep, model_rop_study, rop_put, ExpParams};
@@ -38,13 +39,16 @@ fn main() {
     println!("# engine ablation: C_pulse(R) at nominal w_th, external ROP");
     println!("# samples = {}, seed = {}", p.samples, p.seed);
     println!(
-        "# electrical: w_in0 = {:.3e}, w_th0 = {:.3e}, wall = {:.2?}",
-        ecal.w_in, ecal.w_th, t_elec
+        "# electrical: w_in0 = {:.3e}, w_th0 = {:.3e}",
+        ecal.w_in, ecal.w_th
     );
     println!(
-        "# model:      w_in0 = {:.3e}, w_th0 = {:.3e}, wall = {:.2?} (incl. calibration transients)",
-        mcal.w_in, mcal.w_th, t_model
+        "# model:      w_in0 = {:.3e}, w_th0 = {:.3e}",
+        mcal.w_in, mcal.w_th
     );
+    // Wall clock goes to stderr so stdout stays reproducible bit for bit.
+    eprintln!("electrical wall = {t_elec:.2?}");
+    eprintln!("model wall = {t_model:.2?} (incl. calibration transients)");
     println!("R_ohms,Cpulse_electrical,Cpulse_model");
     for (i, r) in rs.iter().enumerate() {
         println!(

@@ -247,8 +247,6 @@ pub struct BuiltPath {
     t_start: f64,
     /// Default simulation step.
     step: f64,
-    /// Use adaptive (LTE-controlled) stepping in default simulations.
-    adaptive: bool,
     /// Retry-escalation level (0 = nominal); see [`BuiltPath::set_robustness`].
     robustness: u32,
     /// Multiplicative step perturbation applied with the robustness
@@ -412,7 +410,6 @@ impl BuiltPath {
             input_edge: 80e-12,
             t_start: 0.5e-9,
             step: 4e-12,
-            adaptive: false,
             robustness: 0,
             step_scale: 1.0,
             vdd_source,
@@ -633,12 +630,6 @@ impl BuiltPath {
         self.step = seconds;
     }
 
-    /// Switches the default simulations to adaptive (LTE-controlled)
-    /// stepping with the current step as the maximum.
-    pub fn set_adaptive(&mut self, on: bool) {
-        self.adaptive = on;
-    }
-
     /// Enables or disables solver-workspace reuse (default: enabled).
     ///
     /// With reuse on, every simulation this path runs goes through one
@@ -775,17 +766,9 @@ impl BuiltPath {
         let stop = self.t_start + extra + per_stage * self.stage_outputs.len() as f64 + 1e-9;
         let level = self.robustness;
         if level == 0 {
-            return if self.adaptive {
-                // Cap the adaptive controller at 8x the fixed step; it
-                // falls back to fine steps around the pulse edges on its
-                // own.
-                TranConfig::adaptive(self.step * 8.0, stop)
-            } else {
-                TranConfig::new(self.step, stop)
-            };
+            return TranConfig::new(self.step, stop);
         }
-        // Escalated retry: fixed stepping (the adaptive controller is
-        // part of what may have failed), tightened per the ladder.
+        // Escalated retry: the step tightened per the ladder.
         let step = self.step * self.step_scale / (1u64 << level) as f64;
         let mut cfg = if level >= 2 {
             TranConfig::with_integrator(step, stop, Integrator::BackwardEuler)
@@ -1514,45 +1497,6 @@ mod tests {
                 "a series open draws no static current, got {i:e}"
             );
         }
-    }
-
-    #[test]
-    fn adaptive_stepping_matches_fixed_step_measurements() {
-        let spec = PathSpec::paper_chain();
-        let fault = PathFault::ExternalRop {
-            stage: 1,
-            ohms: 8e3,
-        };
-        let mut fixed = BuiltPath::new(&spec, &fault, &techs(7));
-        let mut adaptive = BuiltPath::new(&spec, &fault, &techs(7));
-        adaptive.set_adaptive(true);
-
-        let wf = fixed
-            .propagate_pulse(400e-12, Polarity::PositiveGoing, None)
-            .unwrap();
-        let wa = adaptive
-            .propagate_pulse(400e-12, Polarity::PositiveGoing, None)
-            .unwrap();
-        assert!(
-            (wf.output_width - wa.output_width).abs() < 12e-12,
-            "adaptive width {:e} vs fixed {:e}",
-            wa.output_width,
-            wf.output_width
-        );
-        let df = fixed
-            .propagate_transition(Edge::Rising, None)
-            .unwrap()
-            .delay
-            .unwrap();
-        let da = adaptive
-            .propagate_transition(Edge::Rising, None)
-            .unwrap()
-            .delay
-            .unwrap();
-        assert!(
-            (df - da).abs() < 8e-12,
-            "adaptive delay {da:e} vs fixed {df:e}"
-        );
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub enum Code {
     /// Pulse stimulus that completes after the transient window ends.
     PulseExceedsWindow,
     /// `stop/step` alone exceeds `max_points`; the run is guaranteed to
-    /// exhaust its step budget even before LTE rejections.
+    /// exhaust its step budget even before any Newton retry.
     StepBudget,
     /// Sensing threshold `w_th` below the sensing-circuit floor.
     ThresholdBelowFloor,

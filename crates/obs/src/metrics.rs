@@ -100,7 +100,9 @@ pub enum Counter {
     DenseFallbacks,
     /// Transient time points accepted (step-budget spend).
     StepsAccepted,
-    /// Transient steps rejected by local-truncation-error control.
+    /// Transient steps rejected by local-truncation-error control. No
+    /// engine has one since the step controller was removed, so it reads
+    /// 0; it stays while the benchmark and `sim --stats` still report it.
     LteRejections,
     /// Transient steps retried after a Newton failure.
     NewtonRetries,
