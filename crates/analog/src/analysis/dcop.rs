@@ -80,65 +80,30 @@ impl Circuit {
 
     /// DC operating point reusing a caller-owned [`SolverWorkspace`].
     ///
-    /// Numerically identical to [`Circuit::dc_op_at`] — workspace reuse
-    /// only recycles allocations — unless the workspace has
-    /// [`SolverWorkspace::enable_dc_warm_start`] switched on, in which case
-    /// Newton is first seeded from the workspace's previous DC solution
-    /// (with a cold-ladder fallback) and the result matches a cold solve
-    /// within solver tolerances rather than bit-exactly.
+    /// Numerically identical to [`Circuit::dc_op_at`]: workspace reuse
+    /// only recycles allocations.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`Circuit::dc_op`].
     pub fn dc_op_with(&self, t: f64, ws: &mut SolverWorkspace) -> Result<DcSolution, Error> {
         let mut x = Vec::new();
-        let SolverWorkspace {
-            sys,
-            warm_dc,
-            warm_x,
-            ..
-        } = ws;
-        let warm = if *warm_dc { Some(warm_x) } else { None };
-        self.dc_into(t, sys, warm, &mut x)?;
+        self.dc_into(t, &mut ws.sys, &mut x)?;
         Ok(DcSolution { x })
     }
 
     /// DC solve into a caller-owned solution vector, using `scratch` for
-    /// all intermediate storage and optionally warm-starting from (and
-    /// refreshing) `warm`.
+    /// all intermediate storage.
     pub(crate) fn dc_into(
         &self,
         t: f64,
         scratch: &mut SysScratch,
-        warm: Option<&mut Vec<f64>>,
         x: &mut Vec<f64>,
     ) -> Result<(), Error> {
         let mut sys = System::new(self, scratch);
         x.clear();
         x.resize(sys.unknowns(), 0.0);
-
-        let mut warm = warm;
-        if let Some(w) = warm.as_deref_mut() {
-            if w.len() == x.len() {
-                x.copy_from_slice(w);
-                if sys
-                    .solve_newton(x, t, None, 1.0, 0.0, 100, "dc operating point (warm)")
-                    .is_ok()
-                {
-                    w.copy_from_slice(x);
-                    return Ok(());
-                }
-                // Warm attempt failed: fall back to the cold ladder.
-                x.fill(0.0);
-            }
-        }
-
-        dc_cold(&mut sys, x, t)?;
-        if let Some(w) = warm {
-            w.clear();
-            w.extend_from_slice(x);
-        }
-        Ok(())
+        dc_cold(&mut sys, x, t)
     }
 }
 
@@ -193,6 +158,10 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::elements::{MosType, Mosfet, MosfetParams, Waveform};
+    use pulsar_obs::{Counter, Recorder};
+
+    /// Largest seeded-vs-cold DC disagreement on any node, volts.
+    const SEEDED_TOL: f64 = 10e-6;
 
     fn params(kind: MosType, w: f64) -> MosfetParams {
         MosfetParams {
@@ -238,6 +207,63 @@ mod tests {
             params: params(MosType::Nmos, 1.0e-6),
         });
         (ckt, inp, out)
+    }
+
+    /// Seeds the shared Newton loop with the cold DC solution of `ckt`. It
+    /// must accept on its first iteration and land within [`SEEDED_TOL`] of
+    /// the cold solve on every node. Returns the cold solve's iterations.
+    fn check_seeded_dc(what: &str, ckt: &Circuit) -> u64 {
+        let rec = Recorder::enabled();
+        let iters = || rec.snapshot().counter(Counter::NewtonIterations);
+        let mut scratch = SysScratch {
+            recorder: rec.clone(),
+            ..SysScratch::default()
+        };
+        let mut cold = Vec::new();
+        ckt.dc_into(0.0, &mut scratch, &mut cold).unwrap();
+        let cold_iters = iters();
+        let mut x = cold.clone();
+        System::new(ckt, &mut scratch)
+            .solve_newton(&mut x, 0.0, None, 1.0, 0.0, 100, "seeded dc")
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let seeded_iters = iters() - cold_iters;
+        assert_eq!(
+            seeded_iters, 1,
+            "{what}: the seeded solve took {seeded_iters} iterations"
+        );
+        for n in ckt.nodes() {
+            let seeded = System::node_voltage(&x, n);
+            let cold = System::node_voltage(&cold, n);
+            assert!(
+                (seeded - cold).abs() <= SEEDED_TOL,
+                "{what}: node {} seeded {seeded} vs cold {cold}",
+                n.index()
+            );
+        }
+        cold_iters
+    }
+
+    #[test]
+    fn newton_seeded_with_the_dc_solution_accepts_its_first_update() {
+        // Inverters along the transfer curve: their cold solves iterate from
+        // zero, so the single seeded iteration is checked against a
+        // genuinely iterated point.
+        for vin in [0.0, 0.7, 0.9, 1.8] {
+            let (ckt, _, _) = inverter(vin);
+            assert!(check_seeded_dc(&format!("inverter at {vin} V"), &ckt) > 1);
+        }
+        let decks = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/decks");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(decks).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "sp") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let deck = crate::parse_deck(&text).unwrap();
+                check_seeded_dc(&path.display().to_string(), &deck.circuit);
+                seen += 1;
+            }
+        }
+        assert!(seen >= 3, "only {seen} example decks found");
     }
 
     #[test]

@@ -346,7 +346,7 @@ impl StopRule {
                     rest.extend_from_slice(&x[..nn]);
                     StopRule::Settled { from, tol }
                 }
-                Some((from, false)) if ckt.dc_into(from, scratch, None, rest).is_ok() => {
+                Some((from, false)) if ckt.dc_into(from, scratch, rest).is_ok() => {
                     rest.truncate(nn);
                     StopRule::Settled { from, tol }
                 }
@@ -428,10 +428,7 @@ impl Circuit {
     ///
     /// Numerics are bit-identical to [`Circuit::transient`] regardless of
     /// workspace reuse or capture policy (the workspace recycles
-    /// allocations, never intermediate values), with one opt-in exception:
-    /// a workspace with [`SolverWorkspace::enable_dc_warm_start`] switched
-    /// on seeds the initial DC solve from the previous operating point and
-    /// matches a cold start only within solver tolerances.
+    /// allocations, never intermediate values).
     ///
     /// # Panics
     ///
@@ -471,8 +468,6 @@ impl Circuit {
         let SolverWorkspace {
             sys: sys_scratch,
             tran,
-            warm_dc,
-            warm_x,
         } = ws;
         let TranScratch {
             caps,
@@ -485,12 +480,11 @@ impl Circuit {
         } = tran;
 
         // Initial condition: DC operating point into the workspace buffer.
-        let warm = if *warm_dc { Some(warm_x) } else { None };
         // Cheap handle clones (one Arc bump each per run); the borrow of
         // `sys_scratch` below would otherwise pin these fields.
         let rec = sys_scratch.recorder.clone();
         let cancel = sys_scratch.cancel.clone();
-        self.dc_into(0.0, sys_scratch, warm, x)?;
+        self.dc_into(0.0, sys_scratch, x)?;
         let mut stop_rule = StopRule::arm(self, cfg.until, x, rest, sys_scratch)?;
         let mut sys = System::new(self, sys_scratch);
         let nu = x.len();
@@ -701,7 +695,7 @@ impl Circuit {
         // even for circuits above the `Auto` crossover dimension.
         scratch.sparse.mode = crate::solver::workspace::SolverMode::ForceDense;
         let mut x = Vec::new();
-        self.dc_into(0.0, &mut scratch, None, &mut x)?;
+        self.dc_into(0.0, &mut scratch, &mut x)?;
         let mut sys = System::new(self, &mut scratch);
 
         // Companion-model states, one per capacitive branch.

@@ -13,12 +13,6 @@ use crate::solver::sparse::SymbolicLu;
 use crate::solver::workspace::{SparseScratch, SysScratch};
 use pulsar_obs::{Counter, Phase, Recorder};
 
-/// Modified-Newton stall threshold: a reused Jacobian is kept only while
-/// the residual max-norm contracts by at least this factor per iteration;
-/// otherwise the matrix is refactorized and the step retried with fresh
-/// factors.
-const JR_CONTRACTION: f64 = 0.5;
-
 /// Absolute node-voltage convergence tolerance (V).
 const VNTOL: f64 = 1e-6;
 /// Relative convergence tolerance.
@@ -395,13 +389,13 @@ impl<'c, 'w> System<'c, 'w> {
     /// Every iteration applies the clamped update and then tests it: the
     /// solve is accepted once no node update was clamped and each is
     /// within `VNTOL + RELTOL·|x|`. That holds for the first iteration
-    /// too, so a good initial guess (a warm DC start, the transient
+    /// too, so a good initial guess (a converged DC point, the transient
     /// predictor) costs one assembly and one LU solve.
     ///
     /// Routing: when the workspace's sparse engine is engaged (see
-    /// [`SparseScratch::prepare`]) the solve runs the sparse chord/Newton
-    /// loop; a numeric pivot failure there falls back to the dense loop,
-    /// which also serves every below-crossover and force-dense solve with
+    /// [`SparseScratch::prepare`]) the solve runs the sparse Newton loop;
+    /// a numeric pivot failure there falls back to the dense loop, which
+    /// also serves every below-crossover and force-dense solve with
     /// arithmetic bit-identical to the pre-sparse engine.
     #[allow(clippy::too_many_arguments)] // one call site per analysis
     pub fn solve_newton(
@@ -493,15 +487,10 @@ impl<'c, 'w> System<'c, 'w> {
         })
     }
 
-    /// The sparse Newton loop, in delta (chord) form: each iteration
-    /// assembles `A(x)` and `b(x)` over the stamp pattern (cheap, O(nnz)),
-    /// forms the residual `r = b − A·x`, and takes the step
-    /// `x += clamp(LU⁻¹·r)`. With freshly factored `LU = A(x)` this *is*
-    /// the exact Newton step; with Jacobian reuse enabled, factors are
-    /// kept while `‖r‖∞` contracts (textbook modified Newton) and a stall
-    /// forces a refactorize-and-retry. Factors persist across calls (and
-    /// therefore across time steps) as long as the factor environment —
-    /// topology, gmin, `(h, method)` — is unchanged.
+    /// The sparse Newton loop, in delta form: each iteration assembles
+    /// `A(x)` and `b(x)` over the stamp pattern (cheap, O(nnz)), forms the
+    /// residual `r = b − A·x`, refactors `LU = A(x)` and takes the exact
+    /// Newton step `x += clamp(LU⁻¹·r)`.
     ///
     /// Returns `None` when a numeric pivot vanishes, in which case the
     /// caller reruns the solve on the dense partial-pivot engine.
@@ -518,22 +507,6 @@ impl<'c, 'w> System<'c, 'w> {
         let nn = self.nn;
         let nu = self.nu;
         let dyn_on = dynamics.is_some();
-        let jr = self.scratch.sparse.jacobian_reuse_active();
-        let env = {
-            let sym = match self.scratch.sparse.symbolic.as_deref() {
-                Some(s) => s,
-                None => unreachable!("sparse engine active without a symbolic object"),
-            };
-            (
-                sym.topo_key,
-                gmin.to_bits(),
-                dynamics.map(|(_, h, m)| (h.to_bits(), m)),
-            )
-        };
-        if self.scratch.sparse.factor_env != Some(env) {
-            self.scratch.sparse.factored = false;
-        }
-        let mut last_rnorm = f64::INFINITY;
         for iter in 0..max_iter {
             if let Err(e) = self.assemble_sparse(x, dyn_on, gmin) {
                 return Some(Err(e));
@@ -552,31 +525,21 @@ impl<'c, 'w> System<'c, 'w> {
                 y,
                 resid,
                 delta,
-                factored,
-                factor_env,
                 ..
             } = sparse;
             let sym = match symbolic.as_deref() {
                 Some(s) => s,
                 None => unreachable!("sparse engine active without a symbolic object"),
             };
-            let rnorm = sym.residual(a_vals, x, rhs, resid);
-            let reuse = jr && *factored && rnorm <= JR_CONTRACTION * last_rnorm;
-            if reuse {
-                recorder.add(Counter::JacobianReuses, 1);
-            } else {
+            sym.residual(a_vals, x, rhs, resid);
+            {
                 let _span = recorder.span(Phase::NumericRefactorize);
                 recorder.add(Counter::NumericFactorizations, 1);
                 if sym.factor(a_vals, lu_vals, w).is_err() {
-                    *factored = false;
-                    *factor_env = None;
                     recorder.add(Counter::NewtonIterations, iter as u64 + 1);
                     return None;
                 }
-                *factored = true;
-                *factor_env = Some(env);
             }
-            last_rnorm = rnorm;
             delta.clear();
             delta.resize(nu, 0.0);
             sym.solve(lu_vals, resid, delta, y);

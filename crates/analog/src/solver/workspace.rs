@@ -11,12 +11,11 @@
 //!
 //! Reuse is allocation-only: the arithmetic performed with a warm
 //! workspace is bit-for-bit identical to a fresh one (asserted by the
-//! `workspace_equivalence` property tests). Two exceptions trade bitwise
-//! identity for speed, within solver tolerances: the opt-in
-//! [`SolverWorkspace::enable_dc_warm_start`], which seeds Newton from the
-//! previous DC solution, and the sparse linear engine, which [`SolverMode`]
-//! engages above a crossover dimension (different elimination order ⇒
-//! different rounding; the `sparse_solver` tests bound the drift).
+//! `workspace_equivalence` property tests). The one exception trades
+//! bitwise identity for speed, within solver tolerances: the sparse linear
+//! engine, which [`SolverMode`] engages above a crossover dimension
+//! (different elimination order ⇒ different rounding; the `sparse_solver`
+//! tests bound the drift).
 
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -109,14 +108,8 @@ impl SymbolicCache {
     }
 }
 
-/// The factor environment: factors are valid only for one circuit
-/// topology, gmin shunt and companion discretization `(h, method)`.
-/// (The source scale is excluded on purpose: it touches the RHS only.)
-pub(crate) type FactorEnv = (u64, u64, Option<(u64, Method)>);
-
 /// Sparse-engine state carried by [`SysScratch`]: the cached symbolic
-/// object, value buffers for assembly and factors, and the
-/// modified-Newton bookkeeping.
+/// object and the value buffers for assembly and factors.
 #[derive(Debug, Default)]
 pub(crate) struct SparseScratch {
     /// Engine selection for this workspace.
@@ -144,15 +137,6 @@ pub(crate) struct SparseScratch {
     /// Initial guess saved across a sparse attempt, so a dense retry
     /// after sparse non-convergence starts from the same point.
     pub x_save: Vec<f64>,
-    /// Whether `lu_vals` holds valid factors.
-    pub factored: bool,
-    /// Environment the factors were computed in.
-    pub factor_env: Option<FactorEnv>,
-    /// User-requested Jacobian reuse (modified Newton).
-    pub jr_user: bool,
-    /// Escalation-ladder suspension of Jacobian reuse: robust retries run
-    /// exact Newton.
-    pub jr_suspended: bool,
 }
 
 impl SparseScratch {
@@ -183,10 +167,7 @@ impl SparseScratch {
             let pattern = StampPattern::build_transient(ckt);
             rec.add(Counter::SymbolicAnalyses, 1);
             match SymbolicLu::analyze(&pattern, key) {
-                Ok(sym) => {
-                    self.symbolic = Some(Arc::new(sym));
-                    self.factored = false;
-                }
+                Ok(sym) => self.symbolic = Some(Arc::new(sym)),
                 Err(_) => {
                     // Structural-rank deficit: remember and let the dense
                     // engine report the identical SingularMatrix error.
@@ -198,17 +179,6 @@ impl SparseScratch {
         }
         self.active = true;
         true
-    }
-
-    /// Whether modified-Newton Jacobian reuse is in effect.
-    pub fn jacobian_reuse_active(&self) -> bool {
-        self.jr_user && !self.jr_suspended
-    }
-
-    /// Drops any numeric factors (forces a refactorization next solve).
-    pub fn invalidate_factors(&mut self) {
-        self.factored = false;
-        self.factor_env = None;
     }
 }
 
@@ -236,7 +206,7 @@ pub(crate) struct SysScratch {
     pub cap_ieq: Vec<f64>,
     /// `(h.to_bits(), method)` that `cap_geq` was computed for.
     pub cap_geq_key: Option<(u64, Method)>,
-    /// Sparse-engine state (symbolic cache, factors, Jacobian reuse).
+    /// Sparse-engine state (symbolic cache, assembly and factor values).
     pub sparse: SparseScratch,
     /// Per-run observability handle; disabled by default, so every
     /// instrumentation call is one `Option` branch.
@@ -279,18 +249,11 @@ pub(crate) struct TranScratch {
 ///
 /// A default-constructed workspace is empty and allocates lazily on first
 /// use; [`crate::Circuit::transient`] and [`crate::Circuit::dc_op`] create
-/// one internally per call, which is the "fresh allocation" baseline the
-/// benchmarks compare against.
+/// one internally per call.
 #[derive(Debug, Default)]
 pub struct SolverWorkspace {
     pub(crate) sys: SysScratch,
     pub(crate) tran: TranScratch,
-    /// When true, DC solves seed Newton from `warm_x` (the previous DC
-    /// solution for this workspace) before falling back to the cold
-    /// gmin/source-stepping ladder.
-    pub(crate) warm_dc: bool,
-    /// Last successful DC solution, kept only while warm starting is on.
-    pub(crate) warm_x: Vec<f64>,
 }
 
 impl SolverWorkspace {
@@ -299,79 +262,17 @@ impl SolverWorkspace {
         Self::default()
     }
 
-    /// Enables or disables DC warm starting.
-    ///
-    /// When enabled, [`crate::Circuit::dc_op_with`] first tries Newton from
-    /// the previous successful DC solution held in this workspace — the
-    /// intended use is a resistance sweep, where consecutive operating
-    /// points are close. A failed warm attempt falls back to the cold
-    /// ladder, so robustness is unaffected.
-    ///
-    /// **Not bit-exact:** a warm start changes the Newton trajectory, so
-    /// the operating point matches a cold solve only within solver
-    /// tolerances (≈1 µV). Leave this off (the default) wherever exact
-    /// reproducibility across call orders matters.
-    pub fn enable_dc_warm_start(&mut self, on: bool) {
-        self.warm_dc = on;
-        if !on {
-            self.warm_x.clear();
-        }
-    }
-
-    /// Whether DC warm starting is currently enabled.
-    pub fn dc_warm_start(&self) -> bool {
-        self.warm_dc
-    }
-
-    /// Drops the stored DC solution so the next solve runs cold, without
-    /// disabling warm starting for subsequent solves.
-    pub fn clear_dc_warm_start(&mut self) {
-        self.warm_x.clear();
-    }
-
     /// Selects the linear engine for this workspace. The default,
     /// [`SolverMode::Auto`], switches from dense to sparse at a measured
     /// crossover dimension. `PULSAR_FORCE_DENSE=1` in the environment
     /// overrides every mode.
     pub fn set_solver_mode(&mut self, mode: SolverMode) {
         self.sys.sparse.mode = mode;
-        self.sys.sparse.invalidate_factors();
     }
 
     /// The currently selected [`SolverMode`].
     pub fn solver_mode(&self) -> SolverMode {
         self.sys.sparse.mode
-    }
-
-    /// Enables opt-in modified-Newton Jacobian reuse on the sparse engine:
-    /// while the Newton residual keeps contracting, iterations reuse the
-    /// existing LU factors (skipping the numeric refactorization) and a
-    /// stall triggers a full refactorize-and-retry.
-    ///
-    /// **Not bit-exact:** reusing a stale Jacobian changes the Newton
-    /// trajectory, so results agree with exact Newton only within solver
-    /// tolerances. Robust retries (`suspend_jacobian_reuse`) run exact
-    /// Newton regardless of this flag. No effect on the dense engine.
-    pub fn set_jacobian_reuse(&mut self, on: bool) {
-        self.sys.sparse.jr_user = on;
-        if !on {
-            self.sys.sparse.invalidate_factors();
-        }
-    }
-
-    /// Whether modified-Newton Jacobian reuse has been requested.
-    pub fn jacobian_reuse(&self) -> bool {
-        self.sys.sparse.jr_user
-    }
-
-    /// Temporarily disables Jacobian reuse without clearing the user's
-    /// request — the hook the robustness escalation ladder uses so
-    /// resilience retries always run exact Newton with fresh factors.
-    pub fn suspend_jacobian_reuse(&mut self, suspend: bool) {
-        self.sys.sparse.jr_suspended = suspend;
-        if suspend {
-            self.sys.sparse.invalidate_factors();
-        }
     }
 
     /// Runs (or reuses) the symbolic analysis of `ckt` under this
@@ -397,7 +298,6 @@ impl SolverWorkspace {
     /// analysis.
     pub fn adopt_symbolic(&mut self, cache: &SymbolicCache) {
         self.sys.sparse.symbolic = Some(Arc::clone(&cache.0));
-        self.sys.sparse.invalidate_factors();
     }
 
     /// Installs a per-run [`Recorder`]; every solve through this workspace

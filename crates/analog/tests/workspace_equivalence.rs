@@ -10,15 +10,22 @@
 //!   ([`Circuit::transient_baseline`]), and
 //! * [`TraceCapture::Nodes`] vs [`TraceCapture::All`] for the captured
 //!   columns.
+//!
+//! The decks are RC ladders, and about half of them end in a CMOS
+//! inverter. A linear deck's Newton solve lands on `A⁻¹b` whatever its
+//! starting point, so only the inverter's multi-iteration solves show
+//! that the workspace and baseline engines share the step predictor and
+//! the acceptance rule (DESIGN.md §5.15), not just the linear algebra.
 
 use proptest::prelude::*;
 use proptest::strategy::Just;
 use pulsar_analog::{
-    Circuit, Edge, NodeId, SolverMode, SolverWorkspace, TraceCapture, TranConfig, Waveform,
+    Circuit, Edge, MosType, Mosfet, MosfetParams, NodeId, SolverMode, SolverWorkspace,
+    TraceCapture, TranConfig, Waveform,
 };
 
 /// A randomized RC-ladder deck: series resistors with shunt capacitors,
-/// driven by a pulse. Linear, so every configuration converges.
+/// driven by a pulse, optionally loaded by a CMOS inverter.
 #[derive(Debug, Clone)]
 struct DeckSpec {
     /// Per-stage (series ohms, shunt farads).
@@ -28,6 +35,23 @@ struct DeckSpec {
     /// Extra coupling capacitor between first and last tap, farads
     /// (`0.0` = none), to break the pure-ladder structure.
     c_couple: f64,
+    /// Output load of a CMOS inverter driven by the last tap, farads
+    /// (`None` = no inverter, a linear deck).
+    inverter: Option<f64>,
+}
+
+fn mos_params(kind: MosType) -> MosfetParams {
+    let nmos = matches!(kind, MosType::Nmos);
+    MosfetParams {
+        vt0: if nmos { 0.45 } else { -0.45 },
+        kp: if nmos { 120e-6 } else { 60e-6 },
+        lambda: 0.04,
+        w: if nmos { 2e-6 } else { 4e-6 },
+        l: 0.18e-6,
+        cgs: 2e-15,
+        cgd: 1e-15,
+        cdb: 2e-15,
+    }
 }
 
 fn build(spec: &DeckSpec) -> (Circuit, Vec<NodeId>) {
@@ -50,6 +74,22 @@ fn build(spec: &DeckSpec) -> (Circuit, Vec<NodeId>) {
     if spec.c_couple > 0.0 && taps.len() > 2 {
         ckt.capacitor(taps[1], *taps.last().expect("non-empty"), spec.c_couple);
     }
+    if let Some(c_load) = spec.inverter {
+        let vdd = ckt.node("vdd");
+        ckt.vsource(vdd, Circuit::GROUND, Waveform::dc(1.8));
+        let out = ckt.node("inv");
+        for (kind, rail) in [(MosType::Pmos, vdd), (MosType::Nmos, Circuit::GROUND)] {
+            ckt.add_mosfet(Mosfet {
+                kind,
+                d: out,
+                g: prev,
+                s: rail,
+                params: mos_params(kind),
+            });
+        }
+        ckt.capacitor(out, Circuit::GROUND, c_load);
+        taps.push(out);
+    }
     (ckt, taps)
 }
 
@@ -59,11 +99,13 @@ fn deck_strategy() -> impl Strategy<Value = DeckSpec> {
         proptest::collection::vec(stage, 2..6),
         (150e-12f64..900e-12),
         prop_oneof![Just(0.0f64), (5e-15f64..50e-15)],
+        prop_oneof![Just(None), (2e-15f64..20e-15).prop_map(Some)],
     )
-        .prop_map(|(stages, width, c_couple)| DeckSpec {
+        .prop_map(|(stages, width, c_couple, inverter)| DeckSpec {
             stages,
             width,
             c_couple,
+            inverter,
         })
 }
 
@@ -80,7 +122,7 @@ proptest! {
     fn workspace_reuse_is_bit_identical(spec in deck_strategy()) {
         let (ckt, taps) = build(&spec);
         let cfg = config();
-        let fresh = ckt.transient(&cfg).expect("linear deck converges");
+        let fresh = ckt.transient(&cfg).expect("deck converges");
 
         let mut ws = SolverWorkspace::new();
         let first = ckt
@@ -114,7 +156,7 @@ proptest! {
     fn slim_capture_matches_full_capture(spec in deck_strategy()) {
         let (ckt, taps) = build(&spec);
         let cfg = config();
-        let all = ckt.transient(&cfg).expect("linear deck converges");
+        let all = ckt.transient(&cfg).expect("deck converges");
 
         let last = *taps.last().expect("non-empty");
         let subset = vec![last, taps[0]];
@@ -138,13 +180,13 @@ proptest! {
         }
     }
 
-    /// DC solves through a reused workspace (warm start off) match the
-    /// per-call-workspace path exactly, across a ladder of decks.
+    /// DC solves through a reused workspace match the per-call-workspace
+    /// path exactly, across a ladder of decks.
     #[test]
     fn dc_reuse_is_bit_identical(spec in deck_strategy()) {
         let (ckt, taps) = build(&spec);
         let mut ws = SolverWorkspace::new();
-        let cold = ckt.dc_op().expect("linear dc");
+        let cold = ckt.dc_op().expect("dc");
         let reused = ckt.dc_op_with(0.0, &mut ws).expect("reused dc");
         let reused2 = ckt.dc_op_with(0.0, &mut ws).expect("reused dc again");
         for &n in &taps {
@@ -163,7 +205,7 @@ proptest! {
     fn forced_sparse_matches_dense_within_tolerance(spec in deck_strategy()) {
         let (ckt, taps) = build(&spec);
         let cfg = config();
-        let dense = ckt.transient(&cfg).expect("linear deck converges");
+        let dense = ckt.transient(&cfg).expect("deck converges");
         let mut ws = SolverWorkspace::new();
         ws.set_solver_mode(SolverMode::ForceSparse);
         let sparse = ckt

@@ -668,15 +668,6 @@ impl BuiltPath {
         self.workspace.solver_mode()
     }
 
-    /// Opts in to modified-Newton Jacobian reuse on the sparse path:
-    /// while the residual keeps contracting, the previous LU factors are
-    /// reused instead of refactoring every iteration; on stall the solver
-    /// refactors and retries. Off (the default) every iteration
-    /// refactors, which is plain Newton. Ignored on the dense path.
-    pub fn set_jacobian_reuse(&mut self, on: bool) {
-        self.workspace.set_jacobian_reuse(on);
-    }
-
     /// Runs the sparse symbolic analysis (fill-reducing ordering +
     /// elimination structure) for this path's circuit now, and returns a
     /// shareable handle to it, or `None` when the sparse path is not
@@ -697,24 +688,10 @@ impl BuiltPath {
         self.workspace.adopt_symbolic(cache);
     }
 
-    /// Enables or disables DC warm starting for this path's solves.
-    ///
-    /// Intended for resistance sweeps ([`BuiltPath::set_fault_resistance`]
-    /// between runs): consecutive sweep points have nearly identical
-    /// operating points, so Newton seeded from the previous DC solution
-    /// converges in a few iterations. **Not bit-exact** — the operating
-    /// point matches a cold solve only within solver tolerances (≈1 µV);
-    /// leave it off (the default) where exact reproducibility across call
-    /// orders matters.
-    pub fn set_dc_warm_start(&mut self, on: bool) {
-        self.workspace.enable_dc_warm_start(on);
-    }
-
     /// Installs a per-run observability [`Recorder`] on this path's
     /// workspace: every subsequent solve records its counters, spans and
-    /// histograms there (in addition to the process-wide registry). The
-    /// default recorder is disabled and costs one branch per
-    /// instrumentation point. Recording never changes the arithmetic —
+    /// histograms there. The default recorder is disabled and costs one
+    /// branch per instrumentation point. Recording never changes the arithmetic —
     /// waveforms are bit-identical with the recorder on or off.
     pub fn set_recorder(&mut self, rec: Recorder) {
         self.workspace.set_recorder(rec);
@@ -741,11 +718,6 @@ impl BuiltPath {
     /// retries deterministic. Level 0 with scale 1.0 restores nominal
     /// behavior.
     pub fn set_robustness(&mut self, level: u32, step_scale: f64) {
-        // Escalated retries must not inherit a possibly-stale Jacobian:
-        // suspend reuse (and drop cached factors) for the whole retry, so
-        // every iteration is exact Newton; level 0 restores the user's
-        // setting.
-        self.workspace.suspend_jacobian_reuse(level > 0);
         self.robustness = level.min(6);
         self.step_scale = if step_scale.is_finite() {
             step_scale.clamp(0.5, 1.0)
@@ -1656,44 +1628,6 @@ mod tests {
             .unwrap()
             .delay;
         assert_eq!(da, db);
-    }
-
-    #[test]
-    fn dc_warm_start_stays_within_solver_tolerance() {
-        // Warm starting changes the Newton trajectory, not the answer:
-        // across a bridge-resistance sweep, warm IDDQ and pulse widths
-        // must track the cold solves within solver tolerances.
-        let spec = PathSpec::paper_chain();
-        let fault = PathFault::Bridge {
-            stage: 1,
-            ohms: 3e3,
-            aggressor_high: false,
-        };
-        let mut warm = BuiltPath::new(&spec, &fault, &techs(7));
-        let mut cold = BuiltPath::new(&spec, &fault, &techs(7));
-        warm.set_dc_warm_start(true);
-        for r in [2e3, 3e3, 5e3, 8e3] {
-            warm.set_fault_resistance(r).unwrap();
-            cold.set_fault_resistance(r).unwrap();
-            let iw = warm.quiescent_current(true).unwrap();
-            let ic = cold.quiescent_current(true).unwrap();
-            assert!(
-                (iw - ic).abs() < 1e-3 * ic.abs() + 1e-7,
-                "warm IDDQ {iw:e} vs cold {ic:e} at {r:e} Ω"
-            );
-            let ww = warm
-                .propagate_pulse(450e-12, Polarity::PositiveGoing, None)
-                .unwrap()
-                .output_width;
-            let wc = cold
-                .propagate_pulse(450e-12, Polarity::PositiveGoing, None)
-                .unwrap()
-                .output_width;
-            assert!(
-                (ww - wc).abs() < 2e-12,
-                "warm width {ww:e} vs cold {wc:e} at {r:e} Ω"
-            );
-        }
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! value at resistance `r` must not depend on which *other* resistances
 //! the row evaluates, nor in which order. The study closures guarantee it
 //! by drawing the instance before any measurement and cold-starting every
-//! DC solve, which is why the engine rejects [`McConfig::dc_warm_start`].
+//! DC solve.
 //! The same purity lets each row simulate only the columns its
 //! critical-resistance search picks among the active ones
 //! ([`AdaptiveGrid::measure_row`]); the tallies fold the skipped columns'
@@ -588,13 +588,6 @@ pub(crate) fn run_adaptive(
     checkpoint: Option<&Checkpoint<Vec<f64>>>,
     eval: impl RowEval,
 ) -> Result<AdaptiveReport, CoreError> {
-    if mc.dc_warm_start {
-        // Warm starting makes a measurement depend on the previous sweep
-        // point, which breaks the subset-purity contract above.
-        return Err(CoreError::Unsupported {
-            what: "adaptive sampling with dc_warm_start",
-        });
-    }
     if mc.resilience.deadline.is_some() {
         // A deadline truncates a run, and the report has no
         // `Completeness` to say so.

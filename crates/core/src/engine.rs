@@ -196,16 +196,6 @@ pub trait PathInstance {
         let _ = (level, step_scale);
     }
 
-    /// Enables DC warm starting for resistance sweeps on this instance:
-    /// consecutive sweep points seed the operating-point solve from the
-    /// previous one. Opt-in because a warm start reproduces a cold solve
-    /// only within solver tolerances, not bit-exactly.
-    ///
-    /// Default: no-op — engines without a DC solve ignore it.
-    fn set_dc_warm_start(&mut self, on: bool) {
-        let _ = on;
-    }
-
     /// Installs a per-run observability recorder so this instance's
     /// solver-level counters, histograms, and spans land in the caller's
     /// registry. Recording never changes arithmetic: with a disabled
@@ -293,10 +283,6 @@ impl PathInstance for AnalogPath {
 
     fn harden(&mut self, level: u32, step_scale: f64) {
         self.inner.set_robustness(level, step_scale);
-    }
-
-    fn set_dc_warm_start(&mut self, on: bool) {
-        self.inner.set_dc_warm_start(on);
     }
 
     fn set_recorder(&mut self, rec: Recorder) {

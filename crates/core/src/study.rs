@@ -35,11 +35,6 @@ pub struct McConfig {
     pub resilience: ResilienceConfig,
     /// Test-only deterministic solver fault plan (`None` in production).
     pub fault_plan: Option<FaultPlan>,
-    /// Warm-start each sample's DC solves from the previous resistance
-    /// sweep point. Off by default: warm starting reproduces cold solves
-    /// only within solver tolerances, so leave it off wherever
-    /// bit-identical reproducibility matters more than speed.
-    pub dc_warm_start: bool,
     /// Observability recorder for the run. Disabled by default — every
     /// instrumentation call is then a single branch and the run is
     /// bit-identical to an uninstrumented one. Install an enabled
@@ -58,7 +53,6 @@ impl McConfig {
             threads: None,
             resilience: ResilienceConfig::default(),
             fault_plan: None,
-            dc_warm_start: false,
             obs: Recorder::disabled(),
         }
     }
@@ -199,14 +193,13 @@ fn lint_preflight(put: &PathUnderTest, r_values: Option<&[f64]>) -> Result<(), C
 }
 
 /// Readies one sample attempt's instance: the runner's recorder and
-/// cancel token, the run's symbolic factorization, the opt-in DC warm
-/// start, and on retries the escalation ladder. The jitter scale is drawn
+/// cancel token, the run's symbolic factorization, and on retries the
+/// escalation ladder. The jitter scale is drawn
 /// from the sample's RNG *after* all instance draws, and only on retries —
 /// first attempts consume exactly the legacy stream, so their results stay
 /// bit-identical to non-resilient runs.
 fn ready(
     p: &mut AnalogPath,
-    mc: &McConfig,
     symbolic: &Option<SymbolicCache>,
     attempt: u32,
     rng: &mut StdRng,
@@ -217,9 +210,6 @@ fn ready(
     p.set_cancel(token.clone());
     if let Some(c) = symbolic {
         p.built_path().adopt_symbolic(c);
-    }
-    if mc.dc_warm_start {
-        p.set_dc_warm_start(true);
     }
     if attempt > 1 {
         let step_scale = 0.7 + 0.25 * rng.random::<f64>();
@@ -343,13 +333,8 @@ impl DfStudy {
     /// The declared direction of the slack need along R (DESIGN.md
     /// §5.12): a resistive open only slows the path, so the need rises;
     /// a bridge's need has a shallow minimum near `0.9·T₀` and detection
-    /// comes back at high R, so bridges declare none. `None` as well
-    /// under [`McConfig::dc_warm_start`], whose values depend on the
-    /// order of the sweep.
+    /// comes back at high R, so bridges declare none.
     fn trend(&self) -> Option<Trend> {
-        if self.mc.dc_warm_start {
-            return None;
-        }
         match self.put.defect {
             DefectKind::ExternalRop | DefectKind::InternalRop { .. } => Some(Trend::Rising),
             DefectKind::Bridge { .. } => None,
@@ -378,7 +363,7 @@ impl DfStudy {
                   grid: Option<&AdaptiveGrid<'_>>| {
                 let (techs, ff) = self.draw(rng);
                 let mut p = self.put.instantiate(&techs, rs[0]);
-                ready(&mut p, &self.mc, &symbolic, attempt, rng, rec, t);
+                ready(&mut p, &symbolic, attempt, rng, rec, t);
                 let overhead = ff.overhead();
                 let within = grid.map_or(f64::INFINITY, |g| g.verdict_bound(overhead));
                 AdaptiveGrid::measure_row(grid, rs, rec, |r| {
@@ -465,7 +450,7 @@ impl DfStudy {
                 |_, attempt, rng, rec, t| {
                     let (techs, ff) = self.draw(rng);
                     let mut p = self.put.instantiate_fault_free(&techs);
-                    ready(&mut p, &self.mc, &symbolic, attempt, rng, rec, t);
+                    ready(&mut p, &symbolic, attempt, rng, rec, t);
                     Ok(p.worst_delay()? + ff.overhead())
                 },
             )
@@ -657,15 +642,13 @@ impl DfStudy {
     /// saved budget refines the columns near the coverage threshold (and,
     /// when `crossover` supplies the pulse study's curves on the same
     /// grid, near the `C_pulse − C_del` crossover). Bit-identical across
-    /// thread counts. Rejects [`McConfig::dc_warm_start`], which would
-    /// couple a measurement to the sweep points evaluated before it, and
-    /// [`ResilienceConfig::deadline`], which the report cannot account for.
+    /// thread counts. Rejects [`ResilienceConfig::deadline`], which the
+    /// report cannot account for.
     ///
     /// # Errors
     ///
-    /// As for [`DfStudy::coverage`], plus [`CoreError::Unsupported`] for
-    /// `dc_warm_start`, a deadline, or crossover curves on a different
-    /// grid.
+    /// As for [`DfStudy::coverage`], plus [`CoreError::Unsupported`] for a
+    /// deadline or crossover curves on a different grid.
     pub fn coverage_adaptive(
         &self,
         calib: &DfCalibration,
@@ -849,12 +832,8 @@ impl PulseStudy {
     /// The declared direction of the output width along R (DESIGN.md
     /// §5.12): a resistive open dampens the pulse more as it grows, so the
     /// width falls; a bridge fights the pulse less as it weakens, so the
-    /// width rises. `None` under [`McConfig::dc_warm_start`], whose values
-    /// depend on the order of the sweep.
+    /// width rises.
     fn trend(&self) -> Option<Trend> {
-        if self.mc.dc_warm_start {
-            return None;
-        }
         match self.put.defect {
             DefectKind::ExternalRop | DefectKind::InternalRop { .. } => Some(Trend::Falling),
             DefectKind::Bridge { .. } => Some(Trend::Rising),
@@ -882,7 +861,7 @@ impl PulseStudy {
                   grid: Option<&AdaptiveGrid<'_>>| {
                 let (techs, gen_factor) = self.draw_techs(rng);
                 let mut p = self.put.instantiate(&techs, rs[0]);
-                ready(&mut p, &self.mc, &symbolic, attempt, rng, rec, t);
+                ready(&mut p, &symbolic, attempt, rng, rec, t);
                 AdaptiveGrid::measure_row(grid, rs, rec, |r| {
                     p.set_resistance(r)?;
                     p.pulse_width_out(w_in * gen_factor, self.polarity)
@@ -908,7 +887,7 @@ impl PulseStudy {
                 .try_run_samples_durable(label, token, None, |_, attempt, rng, rec, t| {
                     let (techs, gen_factor) = self.draw_techs(rng);
                     let mut p = self.put.instantiate_fault_free(&techs);
-                    ready(&mut p, &self.mc, &symbolic, attempt, rng, rec, t);
+                    ready(&mut p, &symbolic, attempt, rng, rec, t);
                     p.pulse_width_out(width(gen_factor), self.polarity)
                 })
         })?;
@@ -1180,15 +1159,12 @@ impl PulseStudy {
     /// threshold (and, when `crossover` supplies the DF study's curves on
     /// the same grid, near the `C_pulse − C_del` crossover).
     /// Bit-identical across thread counts. Rejects
-    /// [`McConfig::dc_warm_start`], which would couple a measurement to
-    /// the sweep points evaluated before it, and
     /// [`ResilienceConfig::deadline`], which the report cannot account for.
     ///
     /// # Errors
     ///
     /// As for [`PulseStudy::coverage`], plus [`CoreError::Unsupported`]
-    /// for `dc_warm_start`, a deadline, or crossover curves on a different
-    /// grid.
+    /// for a deadline or crossover curves on a different grid.
     pub fn coverage_adaptive(
         &self,
         calib: &PulseCalibration,

@@ -274,14 +274,7 @@ fn rendered_manifest_keeps_every_achieved_halfwidth_to_the_bit() {
 }
 
 #[test]
-fn warm_start_and_mismatched_crossover_are_rejected() {
-    let mut study = df_study(1);
-    study.mc.dc_warm_start = true;
-    let err = study
-        .coverage_adaptive(&calib(), &RS, &FACTORS, &loose_policy(), None)
-        .expect_err("warm start breaks subset purity");
-    assert!(matches!(err, CoreError::Unsupported { .. }), "{err:?}");
-
+fn mismatched_crossover_and_deadline_are_rejected() {
     let study = df_study(1);
     let alien = [CoverageCurve {
         factor: 1.0,

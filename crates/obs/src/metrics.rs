@@ -94,15 +94,14 @@ pub enum Counter {
     SymbolicAnalyses,
     /// Numeric LU refactorizations on a cached symbolic pattern.
     NumericFactorizations,
-    /// Newton iterations that reused the previous factorization (chord steps).
-    JacobianReuses,
     /// Sparse attempts abandoned to the dense engine.
     DenseFallbacks,
     /// Transient time points accepted (step-budget spend).
     StepsAccepted,
     /// Transient steps rejected by local-truncation-error control. No
     /// engine has one since the step controller was removed, so it reads
-    /// 0; it stays while the benchmark and `sim --stats` still report it.
+    /// 0; it stays only because the benchmark's `analog.lte_reject_ratio`
+    /// still reads it, and goes with that metric.
     LteRejections,
     /// Transient steps retried after a Newton failure.
     NewtonRetries,
@@ -158,7 +157,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 33;
+    pub const COUNT: usize = 32;
 
     /// Every counter, in canonical order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -168,7 +167,6 @@ impl Counter {
         Counter::NewtonIterations,
         Counter::SymbolicAnalyses,
         Counter::NumericFactorizations,
-        Counter::JacobianReuses,
         Counter::DenseFallbacks,
         Counter::StepsAccepted,
         Counter::LteRejections,
@@ -206,7 +204,6 @@ impl Counter {
             Counter::NewtonIterations => "newton_iterations",
             Counter::SymbolicAnalyses => "symbolic_analyses",
             Counter::NumericFactorizations => "numeric_factorizations",
-            Counter::JacobianReuses => "jacobian_reuses",
             Counter::DenseFallbacks => "dense_fallbacks",
             Counter::StepsAccepted => "steps_accepted",
             Counter::LteRejections => "lte_rejections",
