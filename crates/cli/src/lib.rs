@@ -41,9 +41,9 @@ use pulsar_analog::{
 };
 use pulsar_cells::{PathSpec, Tech};
 use pulsar_core::{
-    all_branch_faults, campaign_digest_repr, fault_simulate, plan_for_site, study_digest_repr,
-    AdaptivePolicy, AdaptiveReport, Campaign, CoverageCurve, DefectKind, DfStudy, McConfig,
-    PathUnderTest, PulsePattern, PulseStudy, ResilienceConfig, SiteOutcome, TestgenConfig,
+    all_branch_faults, campaign_digest_repr, fault_simulate, plan_for_site, AdaptivePolicy,
+    AdaptiveReport, Campaign, CoreError, CoverageCurve, DefectKind, DfStudy, McConfig,
+    PathUnderTest, Plan, PulsePattern, PulseStudy, ResilienceConfig, SiteOutcome, TestgenConfig,
 };
 use pulsar_logic::parse_iscas85;
 use pulsar_obs::{
@@ -854,6 +854,9 @@ fn cmd_study(args: &[String]) -> Result<String, CliError> {
             .map_err(|_| CliError::usage(format!("study: --samples `{v}` is not a count")))?,
         None => 24,
     };
+    if samples == 0 {
+        return Err(CliError::usage("study: --samples must be at least 1"));
+    }
     let seed: u64 = match flag_value(args, "--seed") {
         Some(v) => v
             .parse()
@@ -878,7 +881,13 @@ fn cmd_study(args: &[String]) -> Result<String, CliError> {
             .map_err(|_| CliError::usage(format!("study: --max-samples `{v}` is not a count")))?,
         None => samples,
     };
-    let policy = AdaptivePolicy::new(precision, max_samples);
+    let plan = if adaptive {
+        Plan::adaptive(&rs, &factors, AdaptivePolicy::new(precision, max_samples))
+    } else {
+        Plan::fixed(&rs, &factors)
+    };
+    plan.validate()
+        .map_err(|e| CliError::usage(format!("study: {e}")))?;
 
     let metrics_out = flag_value(args, "--metrics");
     let trace_out = flag_value(args, "--trace-out");
@@ -900,82 +909,36 @@ fn cmd_study(args: &[String]) -> Result<String, CliError> {
         obs: rec.clone(),
         ..McConfig::paper(samples, seed)
     };
-
-    let mut out = String::new();
-    let report: Option<AdaptiveReport>;
-    let curves: Vec<CoverageCurve>;
-    if kind == "df" {
+    let calibration = |e: CoreError| CliError::run_err("study calibration", &e);
+    let token = CancelToken::new();
+    let (header, report) = if kind == "df" {
         let study = DfStudy::new(put, mc);
-        let calib = study
-            .calibrate()
-            .map_err(|e| CliError::run_err("study calibration", &e))?;
-        let _ = writeln!(
-            out,
-            "df study on the paper path: T0 = {:.3e} s, {} resistances x {} clock factors, \
-             N = {samples}, seed {seed}",
-            calib.t0,
-            rs.len(),
-            factors.len()
-        );
-        if adaptive {
-            let r = study
-                .coverage_adaptive(&calib, &rs, &factors, &policy, None)
-                .map_err(|e| CliError::run_err("adaptive study", &e))?;
-            curves = r.curves.clone();
-            report = Some(r);
-        } else {
-            curves = study
-                .coverage(&calib, &rs, &factors)
-                .map_err(|e| CliError::run_err("study", &e))?;
-            report = None;
-        }
+        let calib = study.calibrate().map_err(calibration)?;
+        let report = study.run(&calib, &plan, &token, None);
+        (study.header(&calib, &plan), report)
     } else {
         let study = PulseStudy::new(put, mc, Polarity::PositiveGoing);
-        let calib = study
-            .calibrate()
-            .map_err(|e| CliError::run_err("study calibration", &e))?;
-        let _ = writeln!(
-            out,
-            "pulse study on the paper path: w_in = {:.3e} s, w_th = {:.3e} s, {} resistances \
-             x {} threshold factors, N = {samples}, seed {seed}",
-            calib.w_in,
-            calib.w_th,
-            rs.len(),
-            factors.len()
-        );
-        if adaptive {
-            let r = study
-                .coverage_adaptive(&calib, &rs, &factors, &policy, None)
-                .map_err(|e| CliError::run_err("adaptive study", &e))?;
-            curves = r.curves.clone();
-            report = Some(r);
-        } else {
-            curves = study
-                .coverage(&calib, &rs, &factors)
-                .map_err(|e| CliError::run_err("study", &e))?;
-            report = None;
-        }
-    }
-    render_curves(&mut out, &curves);
-    if let Some(r) = &report {
+        let calib = study.calibrate().map_err(calibration)?;
+        let report = study.run(&calib, &plan, &token, None);
+        (study.header(&calib, &plan), report)
+    };
+    let context = if adaptive { "adaptive study" } else { "study" };
+    let report = report.map_err(|e| CliError::run_err(context, &e))?;
+    let mut out = header + "\n";
+    render_curves(&mut out, report.curves());
+    if let Some(r) = report.adaptive() {
         render_adaptive(&mut out, r);
     }
     if let Some(f) = trace_out {
         write_journal(&rec, f, &mut out)?;
     }
     if let Some(f) = metrics_out {
-        let mut manifest = RunManifest::new(
-            "study",
-            config_digest(&study_digest_repr(
-                kind, samples, seed, &rs, &factors, adaptive, &policy,
-            )),
-        );
+        let digest = config_digest(&plan.study_digest_repr(kind, samples, seed));
+        let mut manifest = RunManifest::new("study", digest);
         manifest.seed = Some(seed);
         manifest.samples = Some(samples);
         manifest.tech = Some("generic_180nm".to_owned());
-        if let Some(r) = &report {
-            manifest.adaptive = Some(r.to_manifest());
-        }
+        manifest.adaptive = report.adaptive().map(AdaptiveReport::to_manifest);
         write_manifest(manifest, &rec, started_unix_ms, t0, f, &mut out)?;
     }
     Ok(out)
@@ -1651,6 +1614,35 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
             dispatch(&["study".into(), "df".into(), "--r".into(), "1e3,tall".into()]).unwrap_err();
         assert_eq!(e.code, 2);
         assert!(e.message.contains("tall"), "{}", e.message);
+    }
+
+    /// `pulsar study` with `extra` flags on a small df or pulse grid.
+    fn study_args(kind: &str, extra: &[&str]) -> Vec<String> {
+        let base = ["study", kind, "--samples", "4", "--r", "1e3,100e3"];
+        base.iter().chain(extra).map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn study_rejects_zero_samples_as_usage() {
+        let args = ["study", "df", "--samples", "0"].map(String::from);
+        let e = dispatch(&args).unwrap_err();
+        assert_eq!(e.code, 2, "{}", e.message);
+        assert!(e.message.contains("--samples"), "{}", e.message);
+    }
+
+    #[test]
+    fn study_rejects_adaptive_policies_no_run_can_honour_as_usage() {
+        for (kind, flags, needle) in [
+            ("df", ["--max-samples", "0"], "max_samples"),
+            ("pulse", ["--max-samples", "0"], "max_samples"),
+            ("df", ["--precision", "NaN"], "precision NaN"),
+            ("pulse", ["--precision", "-0.1"], "precision -0.1"),
+        ] {
+            let args = study_args(kind, &[&["--adaptive"][..], &flags].concat());
+            let e = dispatch(&args).unwrap_err();
+            assert_eq!(e.code, 2, "{kind} {flags:?}: {}", e.message);
+            assert!(e.message.contains(needle), "{}", e.message);
+        }
     }
 
     #[test]

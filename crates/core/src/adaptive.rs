@@ -1,6 +1,6 @@
-//! The adaptive sequential-sampling engine behind
-//! [`DfStudy::coverage_adaptive`](crate::DfStudy::coverage_adaptive) and
-//! [`PulseStudy::coverage_adaptive`](crate::PulseStudy::coverage_adaptive).
+//! The adaptive sequential-sampling engine behind an adaptive
+//! [`Plan`](crate::Plan), run by [`DfStudy::run`](crate::DfStudy::run)
+//! and [`PulseStudy::run`](crate::PulseStudy::run).
 //!
 //! A fixed-budget coverage study spends the same N transient solves on
 //! every grid point even where 32 samples already pin the coverage down.
@@ -35,9 +35,9 @@
 //!
 //! Subset purity is the load-bearing assumption: a sample's measured
 //! value at resistance `r` must not depend on which *other* resistances
-//! the row evaluates, nor in which order. The study closures guarantee it
-//! by drawing the instance before any measurement and cold-starting every
-//! DC solve.
+//! the row evaluates, nor in which order. The study row kernels guarantee
+//! it by drawing the instance before any measurement and cold-starting
+//! every DC solve.
 //! The same purity lets each row simulate only the columns its
 //! critical-resistance search picks among the active ones
 //! ([`AdaptiveGrid::measure_row`]); the tallies fold the skipped columns'
@@ -46,7 +46,7 @@
 //! `(sample, column)` decisions.
 
 use crate::checkpoint::Checkpoint;
-use crate::durable::{run_samples, Completeness};
+use crate::durable::{run_cancelled, run_samples, Completeness};
 use crate::error::CoreError;
 use crate::resilience::FailureReport;
 use crate::study::{CoverageCurve, McConfig};
@@ -97,29 +97,12 @@ pub(crate) struct AdaptiveGrid<'a> {
 }
 
 impl<'a> AdaptiveGrid<'a> {
-    /// Reduced-clock DF testing: a slack need above the test period
-    /// `factor × t0` fails the test.
-    pub(crate) fn delay(
-        r_values: &'a [f64],
-        factors: &'a [f64],
-        t0: f64,
-        trend: Option<Trend>,
-    ) -> Self {
-        Self::new(r_values, factors, t0, false, trend)
-    }
-
-    /// Pulse propagation: an output pulse narrower than the sensing
-    /// threshold `factor × w_th` is never seen by the sensor.
-    pub(crate) fn pulse(
-        r_values: &'a [f64],
-        factors: &'a [f64],
-        w_th: f64,
-        trend: Option<Trend>,
-    ) -> Self {
-        Self::new(r_values, factors, w_th, true, trend)
-    }
-
-    fn new(
+    /// The grid whose thresholds are `factor × nominal`. A DF grid
+    /// (`detect_below = false`) detects a slack need above the test
+    /// period `factor × T₀`; a pulse grid detects an output pulse narrower
+    /// than the sensing threshold `factor × ω_th⁰`, which the sensor never
+    /// sees. Only a DF grid bounds its delay queries.
+    pub(crate) fn new(
         r_values: &'a [f64],
         factors: &'a [f64],
         nominal: f64,
@@ -387,20 +370,26 @@ impl<'a> AdaptiveGrid<'a> {
                 *n += usize::from(d);
             }
         }
-        Ok(self
-            .factors
-            .iter()
-            .enumerate()
-            .map(|(f, &factor)| CoverageCurve {
-                factor,
-                resistance: self.r_values.to_vec(),
-                coverage: (0..ncols)
-                    .map(|c| detected[c * nfac + f] as f64 / rows.len().max(1) as f64)
-                    .collect(),
-                unresolved,
-                completeness,
-            })
-            .collect())
+        let n = rows.len().max(1) as f64;
+        let coverage = |c: usize, f: usize| detected[c * nfac + f] as f64 / n;
+        Ok(self.curve_set(coverage, unresolved, completeness))
+    }
+
+    /// One curve per factor, `coverage(c, f)` at column `c`.
+    fn curve_set(
+        &self,
+        coverage: impl Fn(usize, usize) -> f64,
+        unresolved: f64,
+        completeness: Completeness,
+    ) -> Vec<CoverageCurve> {
+        let curve = |(f, &factor): (usize, &f64)| CoverageCurve {
+            factor,
+            resistance: self.r_values.to_vec(),
+            coverage: (0..self.r_values.len()).map(|c| coverage(c, f)).collect(),
+            unresolved,
+            completeness,
+        };
+        self.factors.iter().enumerate().map(curve).collect()
     }
 }
 
@@ -544,28 +533,13 @@ fn refine_mask(
 
 /// A study's faulty-row kernel: draws one Monte Carlo instance from the
 /// attempt's RNG stream and measures it at the resistances of the row it
-/// is handed — every one of them without a grid, the ones the grid's
-/// critical-resistance search picks with one ([`AdaptiveGrid::measure_row`])
-/// — with the attempt number, recorder and cancel token the sample loop
-/// passes in. The adaptive runner and the search both need it to be a
-/// pure function of `(stream index, attempt, resistance)` — the same
-/// instance evaluated under a different resistance subset, or in another
-/// order, must produce bit-identical values at the shared resistances.
-pub(crate) trait RowEval:
-    Fn(
-        u32,
-        &mut StdRng,
-        &Recorder,
-        &CancelToken,
-        &[f64],
-        Option<&AdaptiveGrid<'_>>,
-    ) -> Result<Vec<f64>, CoreError>
-    + Sync
-{
-}
-
-impl<F> RowEval for F where
-    F: Fn(
+/// is handed — all of them without a grid, the ones the grid's
+/// critical-resistance search picks with one ([`AdaptiveGrid::measure_row`]).
+/// The adaptive runner and the search need it to be a pure function of
+/// `(stream index, attempt, resistance)`: the same instance under another
+/// resistance subset, or in another order, yields bit-identical values.
+pub(crate) type RowEval<'s> = Box<
+    dyn Fn(
             u32,
             &mut StdRng,
             &Recorder,
@@ -574,19 +548,23 @@ impl<F> RowEval for F where
             Option<&AdaptiveGrid<'_>>,
         ) -> Result<Vec<f64>, CoreError>
         + Sync
-{
-}
+        + 's,
+>;
 
 /// The generic adaptive coverage runner over a study's [`RowEval`],
-/// evaluated at the *active* resistance subset of each round.
+/// evaluated at the *active* resistance subset of each round. A report
+/// cannot account for a truncated run, so a tripped `cancel` fails it
+/// with the run-cancelled error; the checkpoint keeps what finished.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_adaptive(
     mc: &McConfig,
     policy: &AdaptivePolicy,
-    label: &'static str,
+    label: &str,
     grid: &AdaptiveGrid<'_>,
     crossover: Option<&[CoverageCurve]>,
+    cancel: &CancelToken,
     checkpoint: Option<&Checkpoint<Vec<f64>>>,
-    eval: impl RowEval,
+    eval: RowEval<'_>,
 ) -> Result<AdaptiveReport, CoreError> {
     if mc.resilience.deadline.is_some() {
         // A deadline truncates a run, and the report has no
@@ -620,10 +598,8 @@ pub(crate) fn run_adaptive(
     // through the shared sample loop and folds the outcomes — in stream
     // order — into the tallies. Phase 2 passes `offset = max_samples` so
     // its checkpoint records and journal indices never collide with phase
-    // 1's. Nothing cancels the run's private token (a deadline is rejected
-    // above; a sample timeout cancels one attempt, never the run), so
-    // every slot resolves.
-    let token = CancelToken::new();
+    // 1's. Only `cancel` leaves a slot unresolved (a deadline is rejected
+    // above; a sample timeout cancels one attempt, never the run).
     let refine_label = format!("{label}-refine");
     let run_round = |state: &mut RunState,
                      lo: usize,
@@ -638,12 +614,12 @@ pub(crate) fn run_adaptive(
             if refine { &refine_label } else { label },
             lo..hi,
             offset,
-            &token,
+            cancel,
             checkpoint,
             |_, attempt, rng, rec, t| eval(attempt, rng, rec, t, &active_r, Some(grid)),
         );
         for (i, slot) in (lo..).zip(slots) {
-            let o = slot.expect("nothing cancels the run, so every sample resolves");
+            let o = slot.ok_or_else(|| run_cancelled(cancel))?;
             state.evals += active.len() as u64;
             if refine {
                 state.refine_evals += active.len() as u64;
@@ -793,19 +769,11 @@ pub(crate) fn run_adaptive(
     mc.obs
         .add(ObsCounter::AdaptiveRefineSamples, state.refine_evals);
 
-    let unresolved = failures.unresolved_fraction();
-    let curves: Vec<CoverageCurve> = grid
-        .factors
-        .iter()
-        .enumerate()
-        .map(|(f, &factor)| CoverageCurve {
-            factor,
-            resistance: grid.r_values.to_vec(),
-            coverage: state.tally.iter().map(|t| t.coverage(f)).collect(),
-            unresolved,
-            completeness: Completeness::full(failures.samples),
-        })
-        .collect();
+    let curves = grid.curve_set(
+        |c, f| state.tally[c].coverage(f),
+        failures.unresolved_fraction(),
+        Completeness::full(failures.samples),
+    );
     let mut points = Vec::with_capacity(nfac * ncols);
     for (f, &factor) in grid.factors.iter().enumerate() {
         for (c, &resistance) in grid.r_values.iter().enumerate() {

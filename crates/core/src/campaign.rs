@@ -576,7 +576,9 @@ impl Campaign {
                 None
             },
         };
-        let raw = driver.try_run_resumed(
+        let raw = driver.try_run_range_resumed(
+            0,
+            driver.samples(),
             1,
             |_: &CoreError| false,
             hooks,

@@ -6,30 +6,9 @@
 //! CLI or over the daemon socket, the *same configuration must hash to
 //! the same digest*, or the whole-result cache could never hit and the
 //! "bit-identical to the one-shot CLI" guarantee would be unverifiable.
-//! These helpers are therefore the single source of the digest input
-//! strings; the CLI and `pulsar-serve` both call them.
-
-use pulsar_mc::AdaptivePolicy;
-
-/// The digest representation of a `pulsar study` run: kind (`df` |
-/// `pulse`), sample count, seed, resistance sweep, parameter factors,
-/// and the adaptive configuration. Byte-compatible with the string the
-/// CLI has hashed since the manifest was introduced, so digests stay
-/// stable across the serve refactor.
-pub fn study_digest_repr(
-    kind: &str,
-    samples: usize,
-    seed: u64,
-    rs: &[f64],
-    factors: &[f64],
-    adaptive: bool,
-    policy: &AdaptivePolicy,
-) -> String {
-    format!(
-        "study kind={kind} samples={samples} seed={seed} r={rs:?} factors={factors:?} \
-         adaptive={adaptive} policy={policy:?}"
-    )
-}
+//! These helpers, with [`Plan::study_digest_repr`](crate::Plan) for
+//! studies, are therefore the single source of the digest input strings;
+//! the CLI and `pulsar-serve` both call them.
 
 /// The digest representation of a `pulsar campaign` run: the site stride
 /// and the full netlist text. Byte-compatible with the CLI's historical
@@ -41,14 +20,6 @@ pub fn campaign_digest_repr(stride: usize, netlist_text: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn study_repr_is_stable() {
-        let policy = AdaptivePolicy::new(0.15, 24);
-        let s = study_digest_repr("df", 24, 2007, &[1e3, 30e3], &[0.9, 1.1], false, &policy);
-        assert!(s.starts_with("study kind=df samples=24 seed=2007 r=[1000.0, 30000.0]"));
-        assert!(s.contains("factors=[0.9, 1.1] adaptive=false policy="));
-    }
 
     #[test]
     fn campaign_repr_is_stable() {

@@ -149,6 +149,15 @@ where
     outcomes
 }
 
+/// The error a run reports when `token` cut it short and its result
+/// has no completeness to carry a partial run.
+pub(crate) fn run_cancelled(token: &CancelToken) -> CoreError {
+    CoreError::Analog(pulsar_analog::Error::Cancelled {
+        time: 0.0,
+        reason: token.cancelled().unwrap_or(CancelReason::Deadline),
+    })
+}
+
 /// How often the watchdog thread re-checks its clocks.
 const WATCHDOG_TICK: Duration = Duration::from_millis(5);
 

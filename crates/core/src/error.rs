@@ -52,6 +52,13 @@ pub enum CoreError {
         /// The captured panic message.
         message: String,
     },
+    /// A coverage plan asked for a run no sampler can honour (an adaptive
+    /// policy with a zero budget, a zero round length or a NaN or negative
+    /// precision). Raised before any sample runs.
+    InvalidPlan {
+        /// What was wrong with the plan.
+        reason: String,
+    },
     /// A checkpoint file could not be used for resume: unreadable,
     /// malformed beyond the torn-tail tolerance, or recorded under a
     /// different configuration (digest/seed/sample-count mismatch).
@@ -91,6 +98,7 @@ impl fmt::Display for CoreError {
             CoreError::Panic { message } => {
                 write!(f, "sample worker panicked: {message}")
             }
+            CoreError::InvalidPlan { reason } => write!(f, "invalid coverage plan: {reason}"),
             CoreError::Checkpoint { reason } => {
                 write!(f, "checkpoint unusable: {reason}")
             }

@@ -75,6 +75,7 @@ mod faultsim;
 mod iddq;
 mod model_study;
 mod ordering;
+mod plan;
 mod resilience;
 mod study;
 mod testgen;
@@ -92,7 +93,7 @@ pub use checkpoint::{
 };
 pub use compact::{compact_patterns, TestSession};
 pub use df::{df_detects, FfTiming};
-pub use digest::{campaign_digest_repr, study_digest_repr};
+pub use digest::campaign_digest_repr;
 pub use durable::{Completeness, DurableRun};
 pub use engine::{AnalogPath, DefectKind, ModelFault, ModelPath, PathInstance, PathUnderTest};
 pub use error::CoreError;
@@ -100,6 +101,7 @@ pub use faultsim::{all_branch_faults, fault_simulate, BranchFault, FaultSimRepor
 pub use iddq::IddqStudy;
 pub use model_study::{ModelDfStudy, ModelPulseStudy};
 pub use ordering::{OrderingCalibration, OrderingStudy};
+pub use plan::{Plan, Sampling, StudyReport};
 pub use pulsar_lint::LintReport;
 pub use pulsar_mc::{AdaptivePolicy, BinomialInterval, IntervalRule, PointAccuracy};
 pub use pulsar_obs::{CancelReason, CancelToken};

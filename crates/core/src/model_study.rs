@@ -181,7 +181,7 @@ impl ModelPulseStudy {
     ) -> Result<Vec<CoverageCurve>, CoreError> {
         let wouts = self.faulty_wouts(calib.w_in, r_values)?;
         // The closed-form timing model cannot fail per sample.
-        let grid = AdaptiveGrid::pulse(r_values, th_factors, calib.w_th, None);
+        let grid = AdaptiveGrid::new(r_values, th_factors, calib.w_th, true, None);
         grid.curves(&wouts, 0.0, Completeness::full(wouts.len()))
     }
 }
@@ -289,7 +289,7 @@ impl ModelDfStudy {
             .into_iter()
             .collect::<Result<_, CoreError>>()?;
         // The closed-form timing model cannot fail per sample.
-        let grid = AdaptiveGrid::delay(r_values, t_factors, calib.t0, None);
+        let grid = AdaptiveGrid::new(r_values, t_factors, calib.t0, false, None);
         grid.curves(&needs, 0.0, Completeness::full(needs.len()))
     }
 }

@@ -151,6 +151,7 @@ pub fn error_kind(e: &CoreError) -> &'static str {
         CoreError::LintRejected { .. } => "lint-rejected",
         CoreError::Panic { .. } => "panic",
         CoreError::Checkpoint { .. } => "checkpoint",
+        CoreError::InvalidPlan { .. } => "invalid-plan",
         // `CoreError` is non_exhaustive: future variants default here.
         #[allow(unreachable_patterns)]
         _ => "other",

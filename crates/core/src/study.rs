@@ -2,20 +2,21 @@
 //! `C_del(T, R)` for reduced-clock DF testing and `C_pulse(ω_th, R)` for
 //! the pulse-propagation method, over the same circuit instances.
 
-use crate::adaptive::{censored, run_adaptive, AdaptiveGrid, AdaptiveReport, RowEval, Trend};
+use crate::adaptive::{censored, AdaptiveGrid, AdaptiveReport, RowEval, Trend};
 use crate::calib::{calibrate_pulse, calibrate_t0, DfCalibration, PulseCalibration};
 use crate::checkpoint::{Checkpoint, CheckpointSpec, CheckpointValue};
 use crate::df::FfTiming;
-use crate::durable::{run_samples, Completeness, DurableRun};
+use crate::durable::{run_cancelled, run_samples, Completeness, DurableRun};
 use crate::engine::{AnalogPath, BoundedDelay, DefectKind, PathInstance, PathUnderTest};
 use crate::error::CoreError;
+use crate::plan::{self, CoverageStudy, Plan, Sampling, StudyReport};
 use crate::resilience::{FailureReport, McRunReport, ResilienceConfig};
 use crate::transfer::TransferCurve;
 use crate::variation::VariationModel;
 use pulsar_analog::{Edge, FaultPlan, Polarity, SymbolicCache};
 use pulsar_cells::Tech;
 use pulsar_mc::{AdaptivePolicy, MonteCarlo};
-use pulsar_obs::{CancelReason, CancelToken, Counter, Recorder};
+use pulsar_obs::{CancelToken, Counter, Recorder};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -108,7 +109,7 @@ impl McConfig {
     /// report durability it does not have).
     pub fn try_run_samples_durable<T, F>(
         &self,
-        label: &'static str,
+        label: &str,
         run_token: &CancelToken,
         checkpoint: Option<&Checkpoint<T>>,
         f: F,
@@ -169,12 +170,7 @@ fn run_plain<T>(
 ) -> Result<McRunReport<T>, CoreError> {
     let token = CancelToken::new();
     let run = run(&token)?;
-    run.into_run_report().ok_or_else(|| {
-        CoreError::Analog(pulsar_analog::Error::Cancelled {
-            time: 0.0,
-            reason: token.cancelled().unwrap_or(CancelReason::Deadline),
-        })
-    })
+    run.into_run_report().ok_or_else(|| run_cancelled(&token))
 }
 
 /// Static preflight shared by the studies: a configuration with
@@ -236,6 +232,63 @@ fn rows_tag(trend: Option<Trend>) -> &'static str {
     } else {
         "full"
     }
+}
+
+/// A row kernel's optional coverage grid.
+type Grid<'g, 'a> = Option<&'g AdaptiveGrid<'a>>;
+
+/// The faulty-row kernel both studies build on. Lints the sweep and
+/// primes the faulty topology once; the returned closure draws one
+/// instance, builds it at the row's first resistance, readies it and
+/// lets `measure` fill the row at the resistances it is handed — every
+/// one without a grid, the ones the grid's critical-resistance search
+/// picks with one.
+fn row_kernel<'s, S: CoverageStudy + Sync>(
+    study: &'s S,
+    r_values: &[f64],
+    measure: impl Fn(&mut AnalogPath, S::Draw, &[f64], Grid<'_, '_>, &Recorder) -> Result<Vec<f64>, CoreError>
+        + Sync
+        + 's,
+) -> Result<RowEval<'s>, CoreError> {
+    let (put, mc) = study.setup();
+    lint_preflight(put, Some(r_values))?;
+    let nominal_techs = vec![put.tech; put.spec.len()];
+    let symbolic = prime(mc, || put.instantiate(&nominal_techs, r_values[0]));
+    Ok(Box::new(
+        move |attempt,
+              rng: &mut StdRng,
+              rec: &Recorder,
+              t: &CancelToken,
+              rs: &[f64],
+              grid: Grid<'_, '_>| {
+            let (techs, d) = study.draw(rng);
+            let mut p = put.instantiate(&techs, rs[0]);
+            ready(&mut p, &symbolic, attempt, rng, rec, t);
+            measure(&mut p, d, rs, grid, rec)
+        },
+    ))
+}
+
+/// The fault-free kernel both studies calibrate on: `measure` of every
+/// *resolved* instance, in sample order.
+fn fault_free_run<S: CoverageStudy + Sync>(
+    study: &S,
+    label: &str,
+    measure: impl Fn(&mut AnalogPath, S::Draw) -> Result<f64, CoreError> + Sync,
+) -> Result<Vec<f64>, CoreError> {
+    let (put, mc) = study.setup();
+    lint_preflight(put, None)?;
+    let nominal_techs = vec![put.tech; put.spec.len()];
+    let symbolic = prime(mc, || put.instantiate_fault_free(&nominal_techs));
+    let report = run_plain(|token| {
+        mc.try_run_samples_durable(label, token, None, |_, attempt, rng, rec, t| {
+            let (techs, d) = study.draw(rng);
+            let mut p = put.instantiate_fault_free(&techs);
+            ready(&mut p, &symbolic, attempt, rng, rec, t);
+            measure(&mut p, d)
+        })
+    })?;
+    Ok(report.into_resolved())
 }
 
 /// The row format of DF coverage records, carried in both DF coverage
@@ -319,17 +372,6 @@ impl DfStudy {
         }
     }
 
-    /// Per-sample draws, in a fixed order so calibration and coverage
-    /// runs see identical instances.
-    fn draw(&self, rng: &mut StdRng) -> (Vec<Tech>, FfTiming) {
-        let techs = self
-            .mc
-            .variation
-            .sample_techs(&self.put.tech, self.put.spec.len(), rng);
-        let ff = self.mc.variation.sample_ff(self.ff, rng);
-        (techs, ff)
-    }
-
     /// The declared direction of the slack need along R (DESIGN.md
     /// §5.12): a resistive open only slows the path, so the need rises;
     /// a bridge's need has a shallow minimum near `0.9·T₀` and detection
@@ -341,37 +383,19 @@ impl DfStudy {
         }
     }
 
-    /// The faulty-row kernel every DF coverage run shares — fixed, durable
-    /// and adaptive. Lints the sweep and primes the faulty topology once;
-    /// the returned closure draws one instance and measures its slack need
-    /// (worst path delay + flop overhead) at the resistances of the row
-    /// it is handed that the grid's search picks (all of them without a
-    /// grid). Under a grid, each need is measured only up to the grid's
+    /// The faulty-row kernel of every DF run ([`row_kernel`]): an
+    /// instance's slack need (worst path delay + flop overhead) at each
+    /// resistance the grid's search picks, measured only up to the grid's
     /// verdict bound ([`DfStudy::bounded_need`]).
-    fn faulty_eval(&self, r_values: &[f64]) -> Result<impl RowEval + '_, CoreError> {
-        lint_preflight(&self.put, Some(r_values))?;
-        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime(&self.mc, || {
-            self.put.instantiate(&nominal_techs, r_values[0])
-        });
-        Ok(
-            move |attempt,
-                  rng: &mut StdRng,
-                  rec: &Recorder,
-                  t: &CancelToken,
-                  rs: &[f64],
-                  grid: Option<&AdaptiveGrid<'_>>| {
-                let (techs, ff) = self.draw(rng);
-                let mut p = self.put.instantiate(&techs, rs[0]);
-                ready(&mut p, &symbolic, attempt, rng, rec, t);
-                let overhead = ff.overhead();
-                let within = grid.map_or(f64::INFINITY, |g| g.verdict_bound(overhead));
-                AdaptiveGrid::measure_row(grid, rs, rec, |r| {
-                    p.set_resistance(r)?;
-                    Self::bounded_need(&mut p, overhead, within, rec)
-                })
-            },
-        )
+    fn faulty_eval(&self, r_values: &[f64]) -> Result<RowEval<'_>, CoreError> {
+        row_kernel(self, r_values, |p, ff, rs, grid, rec| {
+            let overhead = ff.overhead();
+            let within = grid.map_or(f64::INFINITY, |g| g.verdict_bound(overhead));
+            AdaptiveGrid::measure_row(grid, rs, rec, |r| {
+                p.set_resistance(r)?;
+                Self::bounded_need(p, overhead, within, rec)
+            })
+        })
     }
 
     /// One instance's slack need, worst path delay + `overhead`, measured
@@ -404,32 +428,6 @@ impl DfStudy {
         })
     }
 
-    /// Durable variant of [`DfStudy::try_faulty_needs`]: faulty slack
-    /// needs of every sample, `outcomes[sample]` resolving to the
-    /// per-resistance row, under `run_token` and an optional checkpoint
-    /// opened with [`DfStudy::faulty_checkpoint_spec`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`DfStudy::try_faulty_needs`], plus
-    /// [`CoreError::Checkpoint`] on checkpoint failures or a checkpoint
-    /// opened with another spec.
-    pub fn try_faulty_needs_durable(
-        &self,
-        r_values: &[f64],
-        run_token: &CancelToken,
-        checkpoint: Option<&Checkpoint<Vec<f64>>>,
-    ) -> Result<DurableRun<Vec<f64>>, CoreError> {
-        if let Some(ck) = checkpoint {
-            ck.expect_spec(&self.faulty_checkpoint_spec(r_values))?;
-        }
-        let eval = self.faulty_eval(r_values)?;
-        self.mc
-            .try_run_samples_durable("df-faulty", run_token, checkpoint, |_, a, rng, rec, t| {
-                eval(a, rng, rec, t, r_values, None)
-            })
-    }
-
     /// Fault-free slack need (worst path delay + flop overhead) of the
     /// *resolved* Monte Carlo instances, in sample order.
     ///
@@ -439,23 +437,9 @@ impl DfStudy {
     /// preflight; propagates electrical-simulation failures (via the
     /// failure budget — the default budget of zero aborts on any failure).
     pub fn fault_free_needs(&self) -> Result<Vec<f64>, CoreError> {
-        lint_preflight(&self.put, None)?;
-        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime(&self.mc, || self.put.instantiate_fault_free(&nominal_techs));
-        let report = run_plain(|token| {
-            self.mc.try_run_samples_durable(
-                "df-fault-free",
-                token,
-                None,
-                |_, attempt, rng, rec, t| {
-                    let (techs, ff) = self.draw(rng);
-                    let mut p = self.put.instantiate_fault_free(&techs);
-                    ready(&mut p, &symbolic, attempt, rng, rec, t);
-                    Ok(p.worst_delay()? + ff.overhead())
-                },
-            )
-        })?;
-        Ok(report.into_resolved())
+        fault_free_run(self, "df-fault-free", |p, ff| {
+            Ok(p.worst_delay()? + ff.overhead())
+        })
     }
 
     /// Calibrates `T₀` per the paper: no fault-free instance fails even at
@@ -469,7 +453,8 @@ impl DfStudy {
     }
 
     /// Faulty slack needs with per-sample fault isolation:
-    /// `outcomes[sample]` resolves to the per-resistance row.
+    /// `outcomes[sample]` resolves to the row of exact needs at every
+    /// resistance, and `into_resolved()` keeps the resolved rows.
     ///
     /// # Errors
     ///
@@ -479,198 +464,94 @@ impl DfStudy {
     /// failed after retries; the run-cancelled error when
     /// [`ResilienceConfig::deadline`] cut the run short.
     pub fn try_faulty_needs(&self, r_values: &[f64]) -> Result<McRunReport<Vec<f64>>, CoreError> {
-        run_plain(|token| self.try_faulty_needs_durable(r_values, token, None))
+        let eval = self.faulty_eval(r_values)?;
+        run_plain(|token| {
+            self.mc
+                .try_run_samples_durable("df-faulty", token, None, |_, a, rng, rec, t| {
+                    eval(a, rng, rec, t, r_values, None)
+                })
+        })
     }
 
-    /// Slack needs of every *resolved* instance at every defect
-    /// resistance: `needs[sample][r_index]`.
+    /// Full study: `C_del(R)` curves at each `T = factor × T₀` (the paper
+    /// plots factors 0.9 / 1.0 / 1.1), a fixed [`Plan`] run.
     ///
     /// # Errors
     ///
-    /// Propagates simulation failures (via the failure budget).
-    pub fn faulty_needs(&self, r_values: &[f64]) -> Result<Vec<Vec<f64>>, CoreError> {
-        Ok(self.try_faulty_needs(r_values)?.into_resolved())
-    }
-
-    /// Full study: `C_del(R)` curves at each `T = factor × T₀`
-    /// (the paper plots factors 0.9 / 1.0 / 1.1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates calibration and simulation failures.
+    /// As for [`DfStudy::run`].
     pub fn coverage(
         &self,
         calib: &DfCalibration,
         r_values: &[f64],
         t_factors: &[f64],
     ) -> Result<Vec<CoverageCurve>, CoreError> {
-        Ok(self.coverage_with_report(calib, r_values, t_factors)?.0)
+        let plan = Plan::fixed(r_values, t_factors);
+        let report = self.run(calib, &plan, &CancelToken::new(), None)?;
+        Ok(report.into_parts().0)
     }
 
-    /// Like [`DfStudy::coverage`], also returning the failure accounting
-    /// of the underlying Monte Carlo run. Coverage is computed over the
-    /// resolved samples; each curve's `unresolved` field records the
-    /// excluded fraction, and its `completeness` a run that
-    /// [`ResilienceConfig::deadline`] cut short.
+    /// Runs `plan` on the calibrated grid under `cancel` and the
+    /// [`ResilienceConfig`] budgets, optionally checkpointed (opened with
+    /// [`DfStudy::checkpoint_spec`]); a resumed run is bit-identical to an
+    /// uninterrupted one. Each row is simulated only where its
+    /// critical-resistance search needs it (DESIGN.md §5.12), each need
+    /// only up to the verdict bound (§5.13), with curves bit-identical to
+    /// [`DfStudy::run_full_grid`]'s. A fixed run's curves carry the honest
+    /// [`CoverageCurve::completeness`] of a truncated run; an adaptive run
+    /// cannot, so it rejects [`ResilienceConfig::deadline`] and fails when
+    /// `cancel` trips.
     ///
     /// # Errors
     ///
-    /// Propagates calibration and simulation failures.
-    pub fn coverage_with_report(
+    /// [`CoreError::InvalidPlan`], [`CoreError::LintRejected`] and
+    /// [`CoreError::Unsupported`] (an adaptive deadline, or crossover
+    /// curves on another grid) before any sample;
+    /// [`CoreError::FailureBudgetExceeded`]; [`CoreError::Checkpoint`] on
+    /// checkpoint failures or a checkpoint opened with another spec.
+    pub fn run(
         &self,
         calib: &DfCalibration,
-        r_values: &[f64],
-        t_factors: &[f64],
-    ) -> Result<(Vec<CoverageCurve>, FailureReport), CoreError> {
-        self.coverage_durable(calib, r_values, t_factors, &CancelToken::new(), None)
-    }
-
-    /// The [`CheckpointSpec`] identifying a durable
-    /// [`DfStudy::try_faulty_needs_durable`] run: the digest
-    /// covers the path under test, the variation model, flop timing, and
-    /// the exact resistance sweep (bit patterns), so a checkpoint can
-    /// never resume a different experiment. Coverage runs use
-    /// [`DfStudy::coverage_checkpoint_spec`].
-    pub fn faulty_checkpoint_spec(&self, r_values: &[f64]) -> CheckpointSpec {
-        let digest = pulsar_obs::config_digest(&format!(
-            "df-faulty put={:?} variation={:?} ff={:?} margin={:016x} r={:?}",
-            self.put,
-            self.mc.variation,
-            self.ff,
-            self.clock_margin.to_bits(),
-            r_values.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
-        ));
-        CheckpointSpec {
-            config_digest: digest,
-            seed: self.mc.seed,
-            samples: self.mc.samples,
-        }
-    }
-
-    /// The coverage grid of a calibrated run, searched per row when the
-    /// defect class declares a direction.
-    fn grid<'a>(
-        &self,
-        calib: &DfCalibration,
-        r_values: &'a [f64],
-        t_factors: &'a [f64],
-    ) -> AdaptiveGrid<'a> {
-        AdaptiveGrid::delay(r_values, t_factors, calib.t0, self.trend())
-    }
-
-    /// The [`CheckpointSpec`] identifying a durable
-    /// [`DfStudy::coverage_durable`] run. Its records are sparse rows —
-    /// `NaN` where the critical-resistance search skipped a column,
-    /// negative where a need is censored at the verdict bound (DESIGN.md
-    /// §5.13) — and only meaningful under the thresholds they were
-    /// searched against, so on top of [`DfStudy::faulty_checkpoint_spec`]'s
-    /// identity the digest covers `T₀`, the factor grid (bit patterns) and
-    /// a `rows=sparse` (or `rows=full`, for a class without a declared
-    /// direction) tag with the row format version. A need-row checkpoint
-    /// never resumes a coverage run, nor the reverse, and a checkpoint
-    /// written before needs could be censored never resumes either.
-    pub fn coverage_checkpoint_spec(
-        &self,
-        calib: &DfCalibration,
-        r_values: &[f64],
-        t_factors: &[f64],
-    ) -> CheckpointSpec {
-        let digest = pulsar_obs::config_digest(&format!(
-            "df-coverage put={:?} variation={:?} ff={:?} margin={:016x} t0={:016x} \
-             factors={:?} r={:?} rows={} v{}",
-            self.put,
-            self.mc.variation,
-            self.ff,
-            self.clock_margin.to_bits(),
-            calib.t0.to_bits(),
-            t_factors.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-            r_values.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            rows_tag(self.trend()),
-            DF_ROWS_FORMAT,
-        ));
-        CheckpointSpec {
-            config_digest: digest,
-            seed: self.mc.seed,
-            samples: self.mc.samples,
-        }
-    }
-
-    /// Durable variant of [`DfStudy::coverage_with_report`]: checkpoint/
-    /// resume plus deadlines, per-sample timeouts, and panic containment
-    /// from [`McConfig::try_run_samples_durable`]. The attempt's
-    /// cancellation token is installed in the solver workspace, so a
-    /// deadline interrupts a sample *mid-solve*, not just between samples.
-    /// Coverage is over whatever samples completed, with the honest
-    /// denominator recorded in each curve's [`CoverageCurve::completeness`].
-    /// Each instance is simulated only at the resistances its
-    /// critical-resistance search needs (DESIGN.md §5.12); the curves are
-    /// bit-identical to a full-grid run.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DfStudy::try_faulty_needs`], plus
-    /// [`CoreError::Checkpoint`] on checkpoint failures or a checkpoint
-    /// opened with another spec than
-    /// [`DfStudy::coverage_checkpoint_spec`].
-    pub fn coverage_durable(
-        &self,
-        calib: &DfCalibration,
-        r_values: &[f64],
-        t_factors: &[f64],
-        run_token: &CancelToken,
+        plan: &Plan,
+        cancel: &CancelToken,
         checkpoint: Option<&Checkpoint<Vec<f64>>>,
-    ) -> Result<(Vec<CoverageCurve>, FailureReport), CoreError> {
-        if let Some(ck) = checkpoint {
-            ck.expect_spec(&self.coverage_checkpoint_spec(calib, r_values, t_factors))?;
-        }
-        let eval = self.faulty_eval(r_values)?;
-        let grid = self.grid(calib, r_values, t_factors);
-        let run = self.mc.try_run_samples_durable(
-            "df-faulty",
-            run_token,
-            checkpoint,
-            |_, a, rng, rec, t| eval(a, rng, rec, t, r_values, Some(&grid)),
-        )?;
-        let rows: Vec<&Vec<f64>> = run.resolved_indexed().map(|(_, v)| v).collect();
-        let curves = grid.curves(&rows, run.failures.unresolved_fraction(), run.completeness)?;
-        Ok((curves, run.failures))
+    ) -> Result<StudyReport, CoreError> {
+        plan::run(self, calib, plan, false, cancel, checkpoint)
     }
 
-    /// Adaptive-sampling variant of [`DfStudy::coverage`]: per resistance
-    /// column, samples stop as soon as every factor's coverage interval
-    /// meets `policy.precision` over the ordered sample prefix, and the
-    /// saved budget refines the columns near the coverage threshold (and,
-    /// when `crossover` supplies the pulse study's curves on the same
-    /// grid, near the `C_pulse − C_del` crossover). Bit-identical across
-    /// thread counts. Rejects [`ResilienceConfig::deadline`], which the
-    /// report cannot account for.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DfStudy::coverage`], plus [`CoreError::Unsupported`] for a
-    /// deadline or crossover curves on a different grid.
-    pub fn coverage_adaptive(
+    /// The [`CheckpointSpec`] of a durable [`DfStudy::run`] of `plan`. Its
+    /// digest covers the path under test, the variation model, the flop
+    /// timing, the grid bits, a `rows=sparse` tag (`rows=full` for a class
+    /// without a declared direction) with the row format version, and
+    /// `T₀` for a fixed plan or the policy and crossover curves for an
+    /// adaptive one. The adaptive digest does not cover `T₀` (ROADMAP item
+    /// 4); a record searched against another `T₀` is still never guessed
+    /// from, as the fold refuses a row that cannot decide a column under
+    /// this run's thresholds ([`CoreError::Checkpoint`]).
+    pub fn checkpoint_spec(&self, calib: &DfCalibration, plan: &Plan) -> CheckpointSpec {
+        plan::checkpoint_spec(self, calib, plan)
+    }
+
+    /// [`DfStudy::run`] with every column of every row simulated, each
+    /// delay to its crossing: the reference arm the critical-resistance
+    /// search and the verdict bound are checked against. Its checkpoint
+    /// records the exact rows.
+    #[doc(hidden)]
+    pub fn run_full_grid(
         &self,
         calib: &DfCalibration,
-        r_values: &[f64],
-        t_factors: &[f64],
-        policy: &AdaptivePolicy,
-        crossover: Option<&[CoverageCurve]>,
-    ) -> Result<AdaptiveReport, CoreError> {
-        let grid = self.grid(calib, r_values, t_factors);
-        self.coverage_adaptive_inner(grid, policy, crossover, None)
+        plan: &Plan,
+        cancel: &CancelToken,
+        checkpoint: Option<&Checkpoint<Vec<f64>>>,
+    ) -> Result<StudyReport, CoreError> {
+        plan::run(self, calib, plan, true, cancel, checkpoint)
     }
 
-    /// Durable variant of [`DfStudy::coverage_adaptive`]: every evaluated
-    /// sample row is checkpointed (first-pass rows at their stream index,
-    /// refinement rows offset by `policy.max_samples`), and a resumed run
-    /// replays the stopping decisions over the restored values — the
-    /// curves are bit-identical to an uninterrupted run.
+    /// An adaptive [`DfStudy::run`] with a checkpoint. Kept for
+    /// pulsebench; ROADMAP item 4 deletes it.
     ///
     /// # Errors
     ///
-    /// As for [`DfStudy::coverage_adaptive`], plus
-    /// [`CoreError::Checkpoint`] on checkpoint failures.
+    /// As for [`DfStudy::run`].
     pub fn coverage_adaptive_durable(
         &self,
         calib: &DfCalibration,
@@ -680,27 +561,15 @@ impl DfStudy {
         crossover: Option<&[CoverageCurve]>,
         checkpoint: &Checkpoint<Vec<f64>>,
     ) -> Result<AdaptiveReport, CoreError> {
-        let grid = self.grid(calib, r_values, t_factors);
-        self.coverage_adaptive_inner(grid, policy, crossover, Some(checkpoint))
+        let plan = adaptive_plan(r_values, t_factors, policy, crossover);
+        match self.run(calib, &plan, &CancelToken::new(), Some(checkpoint))? {
+            StudyReport::Adaptive(r) => Ok(r),
+            StudyReport::Fixed { .. } => unreachable!("an adaptive plan reports adaptively"),
+        }
     }
 
-    /// The [`CheckpointSpec`] identifying a durable
-    /// [`DfStudy::coverage_adaptive_durable`] run. The digest additionally
-    /// covers the stopping policy, the factor grid, and any crossover
-    /// reference curves, because all three steer which samples run; the
-    /// record space reserves `3 × policy.max_samples` slots (first pass
-    /// plus the refinement extension at its `max_samples` offset).
-    ///
-    /// The digest also carries the row tag and format version of
-    /// [`DfStudy::coverage_checkpoint_spec`], so a checkpoint written
-    /// before needs could be censored is refused.
-    ///
-    /// `T₀` is not an argument, so the digest cannot cover it. A record
-    /// searched against another `T₀` is still never guessed from: the
-    /// fold refuses a row whose simulated columns cannot decide a skipped
-    /// one under this run's thresholds, or that holds a censored need
-    /// whose floor does not clear one of them ([`CoreError::Checkpoint`]),
-    /// and a row they do decide yields the verdicts its full row would.
+    /// [`DfStudy::checkpoint_spec`] of an adaptive plan, which does not
+    /// read `T₀`. Kept for pulsebench; ROADMAP item 4 deletes it.
     pub fn adaptive_checkpoint_spec(
         &self,
         r_values: &[f64],
@@ -708,77 +577,57 @@ impl DfStudy {
         policy: &AdaptivePolicy,
         crossover: Option<&[CoverageCurve]>,
     ) -> CheckpointSpec {
-        let cross_bits: Vec<Vec<u64>> = crossover
-            .unwrap_or(&[])
-            .iter()
-            .map(|c| c.coverage.iter().map(|v| v.to_bits()).collect())
-            .collect();
-        let digest = pulsar_obs::config_digest(&format!(
-            "df-adaptive put={:?} variation={:?} ff={:?} margin={:016x} policy={:?} \
-             factors={:?} r={:?} crossover={:?} rows={} v{}",
-            self.put,
-            self.mc.variation,
-            self.ff,
-            self.clock_margin.to_bits(),
-            policy,
-            t_factors.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-            r_values.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            cross_bits,
-            rows_tag(self.trend()),
-            DF_ROWS_FORMAT,
-        ));
-        CheckpointSpec {
-            config_digest: digest,
-            seed: self.mc.seed,
-            samples: 3 * policy.max_samples,
-        }
+        let plan = adaptive_plan(r_values, t_factors, policy, crossover);
+        self.checkpoint_spec(&DfCalibration { t0: f64::NAN }, &plan)
     }
 
-    /// [`DfStudy::coverage_adaptive`] with every active column of every
-    /// row simulated, each delay to its crossing: the forced full-grid,
-    /// full-window arm the critical-resistance search and the verdict
-    /// bound are checked against. Its optional checkpoint (opened with
-    /// [`DfStudy::adaptive_checkpoint_spec`]) records the exact rows.
-    #[doc(hidden)]
-    pub fn coverage_adaptive_full_grid(
-        &self,
-        calib: &DfCalibration,
-        r_values: &[f64],
-        t_factors: &[f64],
-        policy: &AdaptivePolicy,
-        crossover: Option<&[CoverageCurve]>,
-        checkpoint: Option<&Checkpoint<Vec<f64>>>,
-    ) -> Result<AdaptiveReport, CoreError> {
-        let mut grid = AdaptiveGrid::delay(r_values, t_factors, calib.t0, None);
-        grid.bounded = false;
-        self.coverage_adaptive_inner(grid, policy, crossover, checkpoint)
-    }
-
-    fn coverage_adaptive_inner(
-        &self,
-        grid: AdaptiveGrid<'_>,
-        policy: &AdaptivePolicy,
-        crossover: Option<&[CoverageCurve]>,
-        checkpoint: Option<&Checkpoint<Vec<f64>>>,
-    ) -> Result<AdaptiveReport, CoreError> {
-        if let Some(ck) = checkpoint {
-            ck.expect_spec(&self.adaptive_checkpoint_spec(
-                grid.r_values,
-                grid.factors,
-                policy,
-                crossover,
-            ))?;
-        }
-        let eval = self.faulty_eval(grid.r_values)?;
-        run_adaptive(
-            &self.mc,
-            policy,
-            "df-adaptive",
-            &grid,
-            crossover,
-            checkpoint,
-            eval,
+    /// The summary line `pulsar study df` and a served DF job print above
+    /// the curves of `plan` (both run the paper path).
+    pub fn header(&self, calib: &DfCalibration, plan: &Plan) -> String {
+        format!(
+            "df study on the paper path: T0 = {:.3e} s, {} resistances x {} clock factors, \
+             N = {}, seed {}",
+            calib.t0,
+            plan.r_values.len(),
+            plan.factors.len(),
+            self.mc.samples,
+            self.mc.seed
         )
+    }
+}
+
+impl CoverageStudy for DfStudy {
+    type Calib = DfCalibration;
+    type Draw = FfTiming;
+    const KIND: &'static str = "df";
+
+    fn draw(&self, rng: &mut StdRng) -> (Vec<Tech>, FfTiming) {
+        let (tech, len) = (&self.put.tech, self.put.spec.len());
+        let techs = self.mc.variation.sample_techs(tech, len, rng);
+        let ff = self.mc.variation.sample_ff(self.ff, rng);
+        (techs, ff)
+    }
+
+    fn setup(&self) -> (&PathUnderTest, &McConfig) {
+        (&self.put, &self.mc)
+    }
+
+    fn row_eval(&self, _: &DfCalibration, r_values: &[f64]) -> Result<RowEval<'_>, CoreError> {
+        self.faulty_eval(r_values)
+    }
+
+    fn grid<'a>(&self, calib: &DfCalibration, plan: &'a Plan) -> AdaptiveGrid<'a> {
+        AdaptiveGrid::new(&plan.r_values, &plan.factors, calib.t0, false, self.trend())
+    }
+
+    fn digest_parts(&self, calib: &DfCalibration, adaptive: bool) -> (String, String) {
+        let margin = self.clock_margin.to_bits();
+        let mut identity = format!("ff={:?} margin={margin:016x}", self.ff);
+        if !adaptive {
+            identity.push_str(&format!(" t0={:016x}", calib.t0.to_bits()));
+        }
+        let rows = format!(" rows={} v{DF_ROWS_FORMAT}", rows_tag(self.trend()));
+        (identity, rows)
     }
 }
 
@@ -819,16 +668,6 @@ impl PulseStudy {
         }
     }
 
-    fn draw_techs(&self, rng: &mut StdRng) -> (Vec<Tech>, f64) {
-        let techs = self
-            .mc
-            .variation
-            .sample_techs(&self.put.tech, self.put.spec.len(), rng);
-        // Pulse-generator width uncertainty (paper §3, point a).
-        let gen_factor = self.mc.variation.sample_sensor(1.0, rng);
-        (techs, gen_factor)
-    }
-
     /// The declared direction of the output width along R (DESIGN.md
     /// §5.12): a resistive open dampens the pulse more as it grows, so the
     /// width falls; a bridge fights the pulse less as it weakens, so the
@@ -840,58 +679,16 @@ impl PulseStudy {
         }
     }
 
-    /// The faulty-row kernel every pulse coverage run shares — fixed,
-    /// durable and adaptive. Lints the sweep and primes the faulty
-    /// topology once; the returned closure draws one instance and measures
-    /// its output width, injecting `w_in` times the instance's generator
-    /// factor, at the resistances of the row it is handed that the grid's
-    /// search picks (all of them without a grid).
-    fn faulty_eval(&self, w_in: f64, r_values: &[f64]) -> Result<impl RowEval + '_, CoreError> {
-        lint_preflight(&self.put, Some(r_values))?;
-        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime(&self.mc, || {
-            self.put.instantiate(&nominal_techs, r_values[0])
-        });
-        Ok(
-            move |attempt,
-                  rng: &mut StdRng,
-                  rec: &Recorder,
-                  t: &CancelToken,
-                  rs: &[f64],
-                  grid: Option<&AdaptiveGrid<'_>>| {
-                let (techs, gen_factor) = self.draw_techs(rng);
-                let mut p = self.put.instantiate(&techs, rs[0]);
-                ready(&mut p, &symbolic, attempt, rng, rec, t);
-                AdaptiveGrid::measure_row(grid, rs, rec, |r| {
-                    p.set_resistance(r)?;
-                    p.pulse_width_out(w_in * gen_factor, self.polarity)
-                })
-            },
-        )
-    }
-
-    /// The fault-free kernel behind [`PulseStudy::fault_free_wouts`] and
-    /// [`PulseStudy::fault_free_wouts_fixed_width`]: output widths of the
-    /// resolved instances, injecting `width(gen_factor)` — the caller
-    /// decides whether the drawn generator factor applies.
-    fn fault_free_run(
-        &self,
-        label: &'static str,
-        width: impl Fn(f64) -> f64 + Sync,
-    ) -> Result<Vec<f64>, CoreError> {
-        lint_preflight(&self.put, None)?;
-        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime(&self.mc, || self.put.instantiate_fault_free(&nominal_techs));
-        let report = run_plain(|token| {
-            self.mc
-                .try_run_samples_durable(label, token, None, |_, attempt, rng, rec, t| {
-                    let (techs, gen_factor) = self.draw_techs(rng);
-                    let mut p = self.put.instantiate_fault_free(&techs);
-                    ready(&mut p, &symbolic, attempt, rng, rec, t);
-                    p.pulse_width_out(width(gen_factor), self.polarity)
-                })
-        })?;
-        Ok(report.into_resolved())
+    /// The faulty-row kernel of every pulse run ([`row_kernel`]): an
+    /// instance's output width at each resistance the grid's search
+    /// picks, injecting `w_in` times the instance's generator factor.
+    fn faulty_eval(&self, w_in: f64, r_values: &[f64]) -> Result<RowEval<'_>, CoreError> {
+        row_kernel(self, r_values, move |p, gen, rs, grid, rec| {
+            AdaptiveGrid::measure_row(grid, rs, rec, |r| {
+                p.set_resistance(r)?;
+                p.pulse_width_out(w_in * gen, self.polarity)
+            })
+        })
     }
 
     /// The fault-free *nominal* transfer curve (the solid line of
@@ -917,7 +714,9 @@ impl PulseStudy {
     /// [`CoreError::LintRejected`] when the configuration fails the static
     /// preflight; propagates simulation failures (via the failure budget).
     pub fn fault_free_wouts(&self, w_in: f64) -> Result<Vec<f64>, CoreError> {
-        self.fault_free_run("pulse-fault-free", |gen_factor| w_in * gen_factor)
+        fault_free_run(self, "pulse-fault-free", |p, gen| {
+            p.pulse_width_out(w_in * gen, self.polarity)
+        })
     }
 
     /// Like [`PulseStudy::fault_free_wouts`] but with the injected width
@@ -929,7 +728,9 @@ impl PulseStudy {
     ///
     /// Propagates simulation failures (via the failure budget).
     pub fn fault_free_wouts_fixed_width(&self, w_in: f64) -> Result<Vec<f64>, CoreError> {
-        self.fault_free_run("pulse-fixed-width", |_| w_in)
+        fault_free_run(self, "pulse-fixed-width", |p, _| {
+            p.pulse_width_out(w_in, self.polarity)
+        })
     }
 
     /// Calibrates `(ω_in⁰, ω_th⁰)` per the paper's rule.
@@ -955,43 +756,36 @@ impl PulseStudy {
         )
     }
 
-    /// Faulty output widths with per-sample fault isolation:
-    /// `outcomes[sample]` resolves to the per-resistance row.
+    /// Faulty output widths with per-sample fault isolation, injecting
+    /// `w_in` (per-instance generator fluctuation included):
+    /// `outcomes[sample]` resolves to the row of widths at every
+    /// resistance, and `into_resolved()` keeps the resolved rows.
     ///
     /// # Errors
     ///
-    /// [`CoreError::LintRejected`] when the configuration fails the static
-    /// preflight (out-of-range stage, non-physical or empty sweep);
-    /// [`CoreError::FailureBudgetExceeded`] when too many samples stay
-    /// failed after retries; the run-cancelled error when
-    /// [`ResilienceConfig::deadline`] cut the run short.
+    /// As for [`DfStudy::try_faulty_needs`].
     pub fn try_faulty_wouts(
         &self,
         w_in: f64,
         r_values: &[f64],
     ) -> Result<McRunReport<Vec<f64>>, CoreError> {
-        run_plain(|token| self.try_faulty_wouts_durable(w_in, r_values, token, None))
-    }
-
-    /// Output widths of every *resolved* instance at every resistance:
-    /// `wouts[sample][r_index]`, injecting `w_in` (per-instance generator
-    /// fluctuation included).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures (via the failure budget).
-    pub fn faulty_wouts(&self, w_in: f64, r_values: &[f64]) -> Result<Vec<Vec<f64>>, CoreError> {
-        Ok(self.try_faulty_wouts(w_in, r_values)?.into_resolved())
+        let eval = self.faulty_eval(w_in, r_values)?;
+        run_plain(|token| {
+            self.mc
+                .try_run_samples_durable("pulse-faulty", token, None, |_, a, rng, rec, t| {
+                    eval(a, rng, rec, t, r_values, None)
+                })
+        })
     }
 
     /// Full study: `C_pulse(R)` curves at each `ω_th = factor × ω_th⁰`
-    /// (the paper plots factors 0.9 / 1.0 / 1.1). Detection = the output
-    /// pulse is *narrower than the sensing threshold* (the sensor sees no
-    /// transition).
+    /// (the paper plots factors 0.9 / 1.0 / 1.1), a fixed [`Plan`] run.
+    /// Detection = the output pulse is *narrower than the sensing
+    /// threshold* (the sensor sees no transition).
     ///
     /// # Errors
     ///
-    /// Propagates simulation failures.
+    /// As for [`PulseStudy::run`].
     pub fn coverage(
         &self,
         calib: &PulseCalibration,
@@ -1001,289 +795,147 @@ impl PulseStudy {
         Ok(self.coverage_with_report(calib, r_values, th_factors)?.0)
     }
 
-    /// Like [`PulseStudy::coverage`], also returning the failure
-    /// accounting of the underlying Monte Carlo run. Coverage is computed
-    /// over the resolved samples; each curve's `unresolved` field records
-    /// the excluded fraction, and its `completeness` a run that
-    /// [`ResilienceConfig::deadline`] cut short.
+    /// [`PulseStudy::coverage`] with the failure accounting. Kept for
+    /// pulsebench; ROADMAP item 4 deletes it.
     ///
     /// # Errors
     ///
-    /// Propagates simulation failures.
+    /// As for [`PulseStudy::run`].
     pub fn coverage_with_report(
         &self,
         calib: &PulseCalibration,
         r_values: &[f64],
         th_factors: &[f64],
     ) -> Result<(Vec<CoverageCurve>, FailureReport), CoreError> {
-        self.coverage_durable(calib, r_values, th_factors, &CancelToken::new(), None)
+        let plan = Plan::fixed(r_values, th_factors);
+        let report = self.run(calib, &plan, &CancelToken::new(), None)?;
+        Ok(report.into_parts())
     }
 
-    /// The [`CheckpointSpec`] identifying a durable
-    /// [`PulseStudy::try_faulty_wouts_durable`] run: the digest covers the
-    /// path under test, the variation model, polarity, injected width, and
-    /// the exact resistance sweep (bit patterns). Coverage runs use
-    /// [`PulseStudy::coverage_checkpoint_spec`].
-    pub fn faulty_checkpoint_spec(&self, w_in: f64, r_values: &[f64]) -> CheckpointSpec {
-        let digest = pulsar_obs::config_digest(&format!(
-            "pulse-faulty put={:?} variation={:?} polarity={:?} w_in={:016x} r={:?}",
-            self.put,
-            self.mc.variation,
-            self.polarity,
-            w_in.to_bits(),
-            r_values.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
-        ));
-        CheckpointSpec {
-            config_digest: digest,
-            seed: self.mc.seed,
-            samples: self.mc.samples,
-        }
-    }
-
-    /// Durable variant of [`PulseStudy::try_faulty_wouts`]:
-    /// checkpoint/resume plus deadlines, per-sample timeouts, and panic
-    /// containment from [`McConfig::try_run_samples_durable`]. The
-    /// attempt's cancellation token is installed in the solver workspace,
-    /// so a deadline interrupts a sample *mid-solve*, not just between
-    /// samples.
-    ///
-    /// # Errors
-    ///
-    /// As for [`PulseStudy::try_faulty_wouts`], plus
-    /// [`CoreError::Checkpoint`] on checkpoint failures or a checkpoint
-    /// opened with another spec than
-    /// [`PulseStudy::faulty_checkpoint_spec`].
-    pub fn try_faulty_wouts_durable(
-        &self,
-        w_in: f64,
-        r_values: &[f64],
-        run_token: &CancelToken,
-        checkpoint: Option<&Checkpoint<Vec<f64>>>,
-    ) -> Result<DurableRun<Vec<f64>>, CoreError> {
-        if let Some(ck) = checkpoint {
-            ck.expect_spec(&self.faulty_checkpoint_spec(w_in, r_values))?;
-        }
-        let eval = self.faulty_eval(w_in, r_values)?;
-        self.mc.try_run_samples_durable(
-            "pulse-faulty",
-            run_token,
-            checkpoint,
-            |_, a, rng, rec, t| eval(a, rng, rec, t, r_values, None),
-        )
-    }
-
-    /// The coverage grid of a calibrated run, searched per row when the
-    /// defect class declares a direction.
-    fn grid<'a>(
-        &self,
-        calib: &PulseCalibration,
-        r_values: &'a [f64],
-        th_factors: &'a [f64],
-    ) -> AdaptiveGrid<'a> {
-        AdaptiveGrid::pulse(r_values, th_factors, calib.w_th, self.trend())
-    }
-
-    /// The [`CheckpointSpec`] identifying a durable
-    /// [`PulseStudy::coverage_durable`] run. Its records are sparse rows,
-    /// only meaningful under the thresholds they were searched against,
-    /// so on top of [`PulseStudy::faulty_checkpoint_spec`]'s identity the
-    /// digest covers `ω_th⁰`, the factor grid (bit patterns) and a
-    /// `rows=sparse` tag. A width-row checkpoint never resumes a coverage
-    /// run, nor the reverse.
-    pub fn coverage_checkpoint_spec(
-        &self,
-        calib: &PulseCalibration,
-        r_values: &[f64],
-        th_factors: &[f64],
-    ) -> CheckpointSpec {
-        let digest = pulsar_obs::config_digest(&format!(
-            "pulse-coverage put={:?} variation={:?} polarity={:?} w_in={:016x} w_th={:016x} \
-             factors={:?} r={:?} rows={}",
-            self.put,
-            self.mc.variation,
-            self.polarity,
-            calib.w_in.to_bits(),
-            calib.w_th.to_bits(),
-            th_factors.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-            r_values.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            rows_tag(self.trend()),
-        ));
-        CheckpointSpec {
-            config_digest: digest,
-            seed: self.mc.seed,
-            samples: self.mc.samples,
-        }
-    }
-
-    /// Durable variant of [`PulseStudy::coverage_with_report`]: coverage
-    /// over whatever samples completed, with the honest denominator
-    /// recorded in each curve's [`CoverageCurve::completeness`]. Each
+    /// Runs `plan` on the calibrated grid, as [`DfStudy::run`] does; each
     /// instance is simulated only at the resistances its
-    /// critical-resistance search needs (DESIGN.md §5.12); the curves are
-    /// bit-identical to a full-grid run.
+    /// critical-resistance search needs.
     ///
     /// # Errors
     ///
-    /// As for [`PulseStudy::try_faulty_wouts`], plus
-    /// [`CoreError::Checkpoint`] on checkpoint failures or a checkpoint
-    /// opened with another spec than
-    /// [`PulseStudy::coverage_checkpoint_spec`].
-    pub fn coverage_durable(
+    /// As for [`DfStudy::run`].
+    pub fn run(
         &self,
         calib: &PulseCalibration,
-        r_values: &[f64],
-        th_factors: &[f64],
-        run_token: &CancelToken,
+        plan: &Plan,
+        cancel: &CancelToken,
         checkpoint: Option<&Checkpoint<Vec<f64>>>,
-    ) -> Result<(Vec<CoverageCurve>, FailureReport), CoreError> {
-        if let Some(ck) = checkpoint {
-            ck.expect_spec(&self.coverage_checkpoint_spec(calib, r_values, th_factors))?;
-        }
-        let eval = self.faulty_eval(calib.w_in, r_values)?;
-        let grid = self.grid(calib, r_values, th_factors);
-        let run = self.mc.try_run_samples_durable(
-            "pulse-faulty",
-            run_token,
-            checkpoint,
-            |_, a, rng, rec, t| eval(a, rng, rec, t, r_values, Some(&grid)),
-        )?;
-        let rows: Vec<&Vec<f64>> = run.resolved_indexed().map(|(_, v)| v).collect();
-        let curves = grid.curves(&rows, run.failures.unresolved_fraction(), run.completeness)?;
-        Ok((curves, run.failures))
+    ) -> Result<StudyReport, CoreError> {
+        plan::run(self, calib, plan, false, cancel, checkpoint)
     }
 
-    /// Adaptive-sampling variant of [`PulseStudy::coverage`]: per
-    /// resistance column, samples stop as soon as every factor's coverage
-    /// interval meets `policy.precision` over the ordered sample prefix,
-    /// and the saved budget refines the columns near the coverage
-    /// threshold (and, when `crossover` supplies the DF study's curves on
-    /// the same grid, near the `C_pulse − C_del` crossover).
-    /// Bit-identical across thread counts. Rejects
-    /// [`ResilienceConfig::deadline`], which the report cannot account for.
-    ///
-    /// # Errors
-    ///
-    /// As for [`PulseStudy::coverage`], plus [`CoreError::Unsupported`]
-    /// for a deadline or crossover curves on a different grid.
-    pub fn coverage_adaptive(
+    /// The [`CheckpointSpec`] of a durable [`PulseStudy::run`] of `plan`.
+    /// Its digest covers the path under test, the variation model, the
+    /// polarity, `ω_in⁰` and `ω_th⁰` (the records are rows searched
+    /// against its thresholds), the grid bits and, for a fixed plan, a
+    /// `rows=sparse` tag, or for an adaptive one the policy and crossover
+    /// curves.
+    pub fn checkpoint_spec(&self, calib: &PulseCalibration, plan: &Plan) -> CheckpointSpec {
+        plan::checkpoint_spec(self, calib, plan)
+    }
+
+    /// [`PulseStudy::run`] with every column of every row simulated: the
+    /// reference arm the critical-resistance search is checked against.
+    #[doc(hidden)]
+    pub fn run_full_grid(
+        &self,
+        calib: &PulseCalibration,
+        plan: &Plan,
+        cancel: &CancelToken,
+        checkpoint: Option<&Checkpoint<Vec<f64>>>,
+    ) -> Result<StudyReport, CoreError> {
+        plan::run(self, calib, plan, true, cancel, checkpoint)
+    }
+
+    /// The summary line `pulsar study pulse` and a served pulse job print
+    /// above the curves of `plan` (both run the paper path).
+    pub fn header(&self, calib: &PulseCalibration, plan: &Plan) -> String {
+        format!(
+            "pulse study on the paper path: w_in = {:.3e} s, w_th = {:.3e} s, {} resistances \
+             x {} threshold factors, N = {}, seed {}",
+            calib.w_in,
+            calib.w_th,
+            plan.r_values.len(),
+            plan.factors.len(),
+            self.mc.samples,
+            self.mc.seed
+        )
+    }
+}
+
+impl CoverageStudy for PulseStudy {
+    type Calib = PulseCalibration;
+    type Draw = f64;
+    const KIND: &'static str = "pulse";
+
+    /// The stage technologies, then the pulse generator's width factor
+    /// (paper §3, point a).
+    fn draw(&self, rng: &mut StdRng) -> (Vec<Tech>, f64) {
+        let (tech, len) = (&self.put.tech, self.put.spec.len());
+        let techs = self.mc.variation.sample_techs(tech, len, rng);
+        let gen_factor = self.mc.variation.sample_sensor(1.0, rng);
+        (techs, gen_factor)
+    }
+
+    fn setup(&self) -> (&PathUnderTest, &McConfig) {
+        (&self.put, &self.mc)
+    }
+
+    fn row_eval(
         &self,
         calib: &PulseCalibration,
         r_values: &[f64],
-        th_factors: &[f64],
-        policy: &AdaptivePolicy,
-        crossover: Option<&[CoverageCurve]>,
-    ) -> Result<AdaptiveReport, CoreError> {
-        let grid = self.grid(calib, r_values, th_factors);
-        self.coverage_adaptive_inner(calib, grid, policy, crossover, None)
+    ) -> Result<RowEval<'_>, CoreError> {
+        self.faulty_eval(calib.w_in, r_values)
     }
 
-    /// Durable variant of [`PulseStudy::coverage_adaptive`]: every
-    /// evaluated sample row is checkpointed (first-pass rows at their
-    /// stream index, refinement rows offset by `policy.max_samples`), and
-    /// a resumed run replays the stopping decisions over the restored
-    /// values — the curves are bit-identical to an uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// As for [`PulseStudy::coverage_adaptive`], plus
-    /// [`CoreError::Checkpoint`] on checkpoint failures.
-    pub fn coverage_adaptive_durable(
-        &self,
-        calib: &PulseCalibration,
-        r_values: &[f64],
-        th_factors: &[f64],
-        policy: &AdaptivePolicy,
-        crossover: Option<&[CoverageCurve]>,
-        checkpoint: &Checkpoint<Vec<f64>>,
-    ) -> Result<AdaptiveReport, CoreError> {
-        let grid = self.grid(calib, r_values, th_factors);
-        self.coverage_adaptive_inner(calib, grid, policy, crossover, Some(checkpoint))
+    fn grid<'a>(&self, calib: &PulseCalibration, plan: &'a Plan) -> AdaptiveGrid<'a> {
+        AdaptiveGrid::new(
+            &plan.r_values,
+            &plan.factors,
+            calib.w_th,
+            true,
+            self.trend(),
+        )
     }
 
-    /// The [`CheckpointSpec`] identifying a durable
-    /// [`PulseStudy::coverage_adaptive_durable`] run. The digest
-    /// additionally covers the calibration (`ω_in⁰` and, because the
-    /// records are rows searched against its thresholds, `ω_th⁰`), the
-    /// stopping policy, the factor grid, and any crossover reference
-    /// curves; the record space reserves `3 × policy.max_samples` slots
-    /// (first pass plus the refinement extension at its `max_samples`
-    /// offset).
-    pub fn adaptive_checkpoint_spec(
-        &self,
-        calib: &PulseCalibration,
-        r_values: &[f64],
-        th_factors: &[f64],
-        policy: &AdaptivePolicy,
-        crossover: Option<&[CoverageCurve]>,
-    ) -> CheckpointSpec {
-        let cross_bits: Vec<Vec<u64>> = crossover
-            .unwrap_or(&[])
-            .iter()
-            .map(|c| c.coverage.iter().map(|v| v.to_bits()).collect())
-            .collect();
-        let digest = pulsar_obs::config_digest(&format!(
-            "pulse-adaptive put={:?} variation={:?} polarity={:?} w_in={:016x} w_th={:016x} \
-             policy={:?} factors={:?} r={:?} crossover={:?}",
-            self.put,
-            self.mc.variation,
+    /// The adaptive digest has never carried the row tag; it stays
+    /// without one so that existing checkpoints keep resuming.
+    fn digest_parts(&self, calib: &PulseCalibration, adaptive: bool) -> (String, String) {
+        let identity = format!(
+            "polarity={:?} w_in={:016x} w_th={:016x}",
             self.polarity,
             calib.w_in.to_bits(),
-            calib.w_th.to_bits(),
-            policy,
-            th_factors.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-            r_values.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            cross_bits,
-        ));
-        CheckpointSpec {
-            config_digest: digest,
-            seed: self.mc.seed,
-            samples: 3 * policy.max_samples,
-        }
+            calib.w_th.to_bits()
+        );
+        let rows = if adaptive {
+            String::new()
+        } else {
+            format!(" rows={}", rows_tag(self.trend()))
+        };
+        (identity, rows)
     }
+}
 
-    /// [`PulseStudy::coverage_adaptive`] with every active column of
-    /// every row simulated: the forced full-grid arm the
-    /// critical-resistance search is checked against.
-    #[doc(hidden)]
-    pub fn coverage_adaptive_full_grid(
-        &self,
-        calib: &PulseCalibration,
-        r_values: &[f64],
-        th_factors: &[f64],
-        policy: &AdaptivePolicy,
-        crossover: Option<&[CoverageCurve]>,
-    ) -> Result<AdaptiveReport, CoreError> {
-        let grid = AdaptiveGrid::pulse(r_values, th_factors, calib.w_th, None);
-        self.coverage_adaptive_inner(calib, grid, policy, crossover, None)
-    }
-
-    fn coverage_adaptive_inner(
-        &self,
-        calib: &PulseCalibration,
-        grid: AdaptiveGrid<'_>,
-        policy: &AdaptivePolicy,
-        crossover: Option<&[CoverageCurve]>,
-        checkpoint: Option<&Checkpoint<Vec<f64>>>,
-    ) -> Result<AdaptiveReport, CoreError> {
-        if let Some(ck) = checkpoint {
-            ck.expect_spec(&self.adaptive_checkpoint_spec(
-                calib,
-                grid.r_values,
-                grid.factors,
-                policy,
-                crossover,
-            ))?;
-        }
-        let eval = self.faulty_eval(calib.w_in, grid.r_values)?;
-        run_adaptive(
-            &self.mc,
-            policy,
-            "pulse-adaptive",
-            &grid,
+/// The adaptive plan of the forwarded signatures pulsebench calls.
+fn adaptive_plan(
+    r_values: &[f64],
+    factors: &[f64],
+    policy: &AdaptivePolicy,
+    crossover: Option<&[CoverageCurve]>,
+) -> Plan {
+    let crossover = crossover.map(<[CoverageCurve]>::to_vec);
+    Plan {
+        sampling: Sampling::Adaptive {
+            policy: *policy,
             crossover,
-            checkpoint,
-            eval,
-        )
+        },
+        ..Plan::fixed(r_values, factors)
     }
 }
 
@@ -1464,56 +1116,80 @@ mod tests {
         dir.join(format!("{}-{}.ckpt", name, std::process::id()))
     }
 
-    fn bits(rows: &[&Vec<f64>]) -> Vec<Vec<u64>> {
-        rows.iter()
+    /// The rows a finished checkpoint holds, in record order.
+    fn record_bits(path: &std::path::Path, spec: CheckpointSpec) -> Vec<Vec<u64>> {
+        let ck = Checkpoint::<Vec<f64>>::open(path, spec).unwrap();
+        ck.prior()
+            .values()
+            .filter_map(|o| o.value())
             .map(|r| r.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    fn curve_bits(report: &StudyReport) -> Vec<u64> {
+        report
+            .curves()
+            .iter()
+            .flat_map(|c| c.coverage.iter().map(|v| v.to_bits()))
             .collect()
     }
 
     #[test]
     fn durable_df_run_matches_plain_bit_for_bit() {
         let study = DfStudy::new(put(), tiny_mc());
-        let rs = [10e3, 100e3];
-        let plain = study.try_faulty_needs(&rs).unwrap();
+        let cal = study.calibrate().unwrap();
+        let plan = Plan::fixed(&[10e3, 100e3], &[0.9, 1.1]);
+        let plain = study.run(&cal, &plan, &CancelToken::new(), None).unwrap();
+        let path = tmp("df-plain");
+        let _ = std::fs::remove_file(&path);
+        let ck = Checkpoint::create(&path, study.checkpoint_spec(&cal, &plan)).unwrap();
         let durable = study
-            .try_faulty_needs_durable(&rs, &CancelToken::new(), None)
+            .run(&cal, &plan, &CancelToken::new(), Some(&ck))
             .unwrap();
-        assert!(durable.is_complete());
-        let plain_rows: Vec<&Vec<f64>> = plain.resolved().collect();
-        let durable_rows: Vec<&Vec<f64>> = durable.resolved_indexed().map(|(_, v)| v).collect();
-        assert_eq!(bits(&plain_rows), bits(&durable_rows));
+        assert!(durable.curves()[0].completeness.is_complete());
+        assert_eq!(curve_bits(&plain), curve_bits(&durable));
+        assert_eq!(plain.into_parts().1, durable.into_parts().1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Runs `plan` checkpointed, cuts the checkpoint to `keep` of its
+    /// bytes (a kill can land on any byte) and resumes: the curves and
+    /// the records match the uninterrupted run bit for bit.
+    fn resume_after_cut<S: CoverageStudy>(
+        name: &str,
+        study: &S,
+        calib: &S::Calib,
+        plan: &Plan,
+        keep: impl Fn(usize) -> usize,
+    ) {
+        let path = tmp(name);
+        let _ = std::fs::remove_file(&path);
+        let spec = plan::checkpoint_spec(study, calib, plan);
+        let run = |ck: &Checkpoint<Vec<f64>>| {
+            plan::run(study, calib, plan, false, &CancelToken::new(), Some(ck)).unwrap()
+        };
+        let full = run(&Checkpoint::create(&path, spec).unwrap());
+        let full_rows = record_bits(&path, spec);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..keep(bytes.len())]).unwrap();
+        let resumed = run(&Checkpoint::open(&path, spec).unwrap());
+        assert_eq!(curve_bits(&full), curve_bits(&resumed));
+        assert_eq!(full_rows, record_bits(&path, spec));
+        let done = resumed.curves()[0].completeness;
+        assert!(done.is_complete());
+        assert!(
+            done.resumed < study.setup().1.samples,
+            "truncation must have dropped at least one record"
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn df_resume_from_truncated_checkpoint_is_bit_identical() {
         let study = DfStudy::new(put(), tiny_mc());
-        let rs = [10e3, 100e3];
-        let path = tmp("df-trunc");
-        let _ = std::fs::remove_file(&path);
-        let spec = study.faulty_checkpoint_spec(&rs);
-        let ck = Checkpoint::create(&path, spec).unwrap();
-        let full = study
-            .try_faulty_needs_durable(&rs, &CancelToken::new(), Some(&ck))
-            .unwrap();
-        drop(ck);
-
-        // A kill can land on any byte: chop the tail mid-record.
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-
-        let ck = Checkpoint::open(&path, spec).unwrap();
-        let resumed = study
-            .try_faulty_needs_durable(&rs, &CancelToken::new(), Some(&ck))
-            .unwrap();
-        let full_rows: Vec<&Vec<f64>> = full.resolved_indexed().map(|(_, v)| v).collect();
-        let resumed_rows: Vec<&Vec<f64>> = resumed.resolved_indexed().map(|(_, v)| v).collect();
-        assert_eq!(bits(&full_rows), bits(&resumed_rows));
-        assert!(resumed.is_complete());
-        assert!(
-            resumed.completeness.resumed < study.mc.samples,
-            "truncation must have dropped at least one record"
-        );
-        let _ = std::fs::remove_file(&path);
+        let cal = study.calibrate().unwrap();
+        let plan = Plan::fixed(&[10e3, 100e3], &[1.0]);
+        resume_after_cut("df-trunc", &study, &cal, &plan, |n| n / 2);
     }
 
     #[test]
@@ -1578,8 +1254,9 @@ mod tests {
         let token = CancelToken::new();
         token.cancel(CancelReason::User);
         let (curves, report) = study
-            .coverage_durable(&cal, &[10e3], &[1.0], &token, None)
-            .unwrap();
+            .run(&cal, &Plan::fixed(&[10e3], &[1.0]), &token, None)
+            .unwrap()
+            .into_parts();
         assert_eq!(report.samples, 0, "nothing ran, nothing counted");
         assert_eq!(curves[0].completeness.done, 0);
         assert_eq!(curves[0].completeness.truncated, Some("interrupted"));
@@ -1590,27 +1267,7 @@ mod tests {
     fn pulse_resume_matches_the_uninterrupted_run() {
         let study = PulseStudy::new(put(), tiny_mc(), Polarity::PositiveGoing);
         let cal = study.calibrate().unwrap();
-        let rs = [10e3, 100e3];
-        let path = tmp("pulse-trunc");
-        let _ = std::fs::remove_file(&path);
-        let spec = study.faulty_checkpoint_spec(cal.w_in, &rs);
-        let ck = Checkpoint::create(&path, spec).unwrap();
-        let full = study
-            .try_faulty_wouts_durable(cal.w_in, &rs, &CancelToken::new(), Some(&ck))
-            .unwrap();
-        drop(ck);
-
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() * 3 / 5]).unwrap();
-
-        let ck = Checkpoint::open(&path, spec).unwrap();
-        let resumed = study
-            .try_faulty_wouts_durable(cal.w_in, &rs, &CancelToken::new(), Some(&ck))
-            .unwrap();
-        let full_rows: Vec<&Vec<f64>> = full.resolved_indexed().map(|(_, v)| v).collect();
-        let resumed_rows: Vec<&Vec<f64>> = resumed.resolved_indexed().map(|(_, v)| v).collect();
-        assert_eq!(bits(&full_rows), bits(&resumed_rows));
-        assert!(resumed.is_complete());
-        let _ = std::fs::remove_file(&path);
+        let plan = Plan::fixed(&[10e3, 100e3], &[1.0]);
+        resume_after_cut("pulse-trunc", &study, &cal, &plan, |n| n * 3 / 5);
     }
 }

@@ -63,7 +63,7 @@ impl DfStudy {
         }
         let needs = self.fault_free_needs()?;
         let worst = needs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let faulty = self.faulty_needs(r_values)?;
+        let faulty = self.try_faulty_needs(r_values)?.into_resolved();
         // Per-instance clock factor: the actually-applied period is
         // factor × T.
         let clock = instrument_factors(self.mc.seed, needs.len(), self.mc.variation.sigma);
@@ -131,7 +131,7 @@ impl PulseStudy {
         )?;
         let healthy = self.fault_free_wouts(w_in)?;
         let weakest = healthy.iter().copied().fold(f64::INFINITY, f64::min);
-        let faulty = self.faulty_wouts(w_in, r_values)?;
+        let faulty = self.try_faulty_wouts(w_in, r_values)?.into_resolved();
         // Per-instance sensor threshold factor.
         let sensor = instrument_factors(self.mc.seed, healthy.len(), self.mc.variation.sigma);
 

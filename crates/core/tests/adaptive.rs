@@ -11,7 +11,7 @@ use pulsar_core::{
     AdaptivePoint, AdaptivePolicy, AdaptiveReport, CheckpointSpec, CoreError, DefectKind,
     DfCalibration, DfStudy, McConfig, PathUnderTest, PulseStudy, ResilienceConfig,
 };
-use pulsar_core::{Checkpoint, CoverageCurve};
+use pulsar_core::{CancelToken, Checkpoint, CoverageCurve, Plan, Sampling, StudyReport};
 use pulsar_mc::MonteCarlo;
 use pulsar_obs::json::{self, Json};
 use pulsar_obs::{Recorder, RunManifest};
@@ -91,14 +91,46 @@ fn fingerprint(report: &AdaptiveReport) -> Vec<(u64, u64, u64, u64, bool, bool)>
         .collect()
 }
 
+/// The adaptive plan over the shared grid.
+fn plan(policy: &AdaptivePolicy, crossover: Option<&[CoverageCurve]>) -> Plan {
+    let crossover = crossover.map(<[CoverageCurve]>::to_vec);
+    Plan {
+        sampling: Sampling::Adaptive {
+            policy: *policy,
+            crossover,
+        },
+        ..Plan::fixed(&RS, &FACTORS)
+    }
+}
+
+/// The report of an adaptive plan's run.
+fn adaptive(report: StudyReport) -> AdaptiveReport {
+    match report {
+        StudyReport::Adaptive(r) => r,
+        other => panic!("an adaptive plan reported {other:?}"),
+    }
+}
+
 #[test]
 fn adaptive_curve_is_bit_identical_across_thread_counts() {
     let baseline = df_study(1)
-        .coverage_adaptive(&calib(), &RS, &FACTORS, &loose_policy(), None)
+        .run(
+            &calib(),
+            &plan(&loose_policy(), None),
+            &CancelToken::new(),
+            None,
+        )
+        .map(adaptive)
         .expect("single-threaded adaptive run");
     for threads in [2, 4] {
         let run = df_study(threads)
-            .coverage_adaptive(&calib(), &RS, &FACTORS, &loose_policy(), None)
+            .run(
+                &calib(),
+                &plan(&loose_policy(), None),
+                &CancelToken::new(),
+                None,
+            )
+            .map(adaptive)
             .expect("multi-threaded adaptive run");
         assert_eq!(
             fingerprint(&baseline),
@@ -115,15 +147,17 @@ fn adaptive_resume_from_truncated_checkpoint_is_bit_identical() {
     let policy = loose_policy();
     let c = calib();
     let baseline = study
-        .coverage_adaptive(&c, &RS, &FACTORS, &policy, None)
+        .run(&c, &plan(&policy, None), &CancelToken::new(), None)
+        .map(adaptive)
         .expect("uninterrupted adaptive run");
 
-    let spec = study.adaptive_checkpoint_spec(&RS, &FACTORS, &policy, None);
+    let spec = study.checkpoint_spec(&calib(), &plan(&policy, None));
     let path = fresh_ckpt("adaptive");
     {
         let ck = Checkpoint::create(&path, spec).expect("create checkpoint");
         let full = study
-            .coverage_adaptive_durable(&c, &RS, &FACTORS, &policy, None, &ck)
+            .run(&c, &plan(&policy, None), &CancelToken::new(), Some(&ck))
+            .map(adaptive)
             .expect("checkpointed adaptive run");
         assert_eq!(
             fingerprint(&baseline),
@@ -139,7 +173,8 @@ fn adaptive_resume_from_truncated_checkpoint_is_bit_identical() {
         std::fs::write(&path, &bytes[..cut]).expect("truncate checkpoint");
         let ck = Checkpoint::open(&path, spec).expect("reopen truncated checkpoint");
         let resumed = study
-            .coverage_adaptive_durable(&c, &RS, &FACTORS, &policy, None, &ck)
+            .run(&c, &plan(&policy, None), &CancelToken::new(), Some(&ck))
+            .map(adaptive)
             .expect("resumed adaptive run");
         assert_eq!(
             fingerprint(&baseline),
@@ -164,7 +199,8 @@ fn unreachable_precision_reduces_to_the_fixed_budget_study() {
     };
     let c = calib();
     let adaptive = study
-        .coverage_adaptive(&c, &RS, &FACTORS, &policy, None)
+        .run(&c, &plan(&policy, None), &CancelToken::new(), None)
+        .map(adaptive)
         .expect("exhaustive adaptive run");
     let fixed = study.coverage(&c, &RS, &FACTORS).expect("fixed-budget run");
     assert_eq!(adaptive.curves.len(), fixed.len());
@@ -188,7 +224,8 @@ fn early_stops_save_evals_and_honestly_report_achieved_precision() {
     let study = df_study(2);
     let policy = loose_policy();
     let report = study
-        .coverage_adaptive(&calib(), &RS, &FACTORS, &policy, None)
+        .run(&calib(), &plan(&policy, None), &CancelToken::new(), None)
+        .map(adaptive)
         .expect("adaptive run");
     assert!(
         report.evals - report.refine_evals < report.fixed_budget_evals,
@@ -206,7 +243,13 @@ fn early_stops_save_evals_and_honestly_report_achieved_precision() {
     // refinement pass has nothing to spend on and the saving is net.
     let high_rs = [30e3, 60e3, 100e3];
     let high = study
-        .coverage_adaptive(&calib(), &high_rs, &FACTORS, &policy, None)
+        .run(
+            &calib(),
+            &Plan::adaptive(&high_rs, &FACTORS, policy),
+            &CancelToken::new(),
+            None,
+        )
+        .map(adaptive)
         .expect("all-high adaptive run");
     assert_eq!(high.refine_evals, 0, "no crossover, no refinement");
     assert!(
@@ -238,7 +281,13 @@ fn early_stops_save_evals_and_honestly_report_achieved_precision() {
 #[test]
 fn rendered_manifest_keeps_every_achieved_halfwidth_to_the_bit() {
     let report = df_study(2)
-        .coverage_adaptive(&calib(), &RS, &FACTORS, &loose_policy(), None)
+        .run(
+            &calib(),
+            &plan(&loose_policy(), None),
+            &CancelToken::new(),
+            None,
+        )
+        .map(adaptive)
         .expect("adaptive run");
     assert!(
         report.points.iter().any(|p| p.accuracy.stopped_early),
@@ -284,14 +333,26 @@ fn mismatched_crossover_and_deadline_are_rejected() {
         completeness: pulsar_core::Completeness::full(12),
     }];
     let err = study
-        .coverage_adaptive(&calib(), &RS, &FACTORS, &loose_policy(), Some(&alien))
+        .run(
+            &calib(),
+            &plan(&loose_policy(), Some(&alien)),
+            &CancelToken::new(),
+            None,
+        )
+        .map(adaptive)
         .expect_err("crossover reference on a different grid");
     assert!(matches!(err, CoreError::Unsupported { .. }), "{err:?}");
 
     let mut study = df_study(1);
     study.mc.resilience.deadline = Some(Duration::from_secs(60));
     let err = study
-        .coverage_adaptive(&calib(), &RS, &FACTORS, &loose_policy(), None)
+        .run(
+            &calib(),
+            &plan(&loose_policy(), None),
+            &CancelToken::new(),
+            None,
+        )
+        .map(adaptive)
         .expect_err("the report has no completeness to carry a deadline cut");
     assert!(matches!(err, CoreError::Unsupported { .. }), "{err:?}");
 }
@@ -306,7 +367,13 @@ fn adaptive_run_contains_a_planned_panic() {
     study.mc.fault_plan =
         Some(FaultPlan::new().fail_sample(2, FaultKind::Panic, FaultPlan::ALWAYS));
     let report = study
-        .coverage_adaptive(&calib(), &RS, &FACTORS, &loose_policy(), None)
+        .run(
+            &calib(),
+            &plan(&loose_policy(), None),
+            &CancelToken::new(),
+            None,
+        )
+        .map(adaptive)
         .expect("a contained panic is one failed sample inside the budget");
     assert!(
         report
@@ -323,7 +390,7 @@ fn adaptive_run_contains_a_planned_panic() {
 fn checkpoint_spec_must_reserve_the_refinement_record_space() {
     let study = df_study(1);
     let policy = loose_policy();
-    let spec = study.adaptive_checkpoint_spec(&RS, &FACTORS, &policy, None);
+    let spec = study.checkpoint_spec(&calib(), &plan(&policy, None));
     assert_eq!(spec.samples, 3 * policy.max_samples);
     // A spec sized like a plain fixed-budget run is refused outright.
     let bad = CheckpointSpec {
@@ -333,7 +400,13 @@ fn checkpoint_spec_must_reserve_the_refinement_record_space() {
     let path = fresh_ckpt("bad-spec");
     let ck = Checkpoint::create(&path, bad).expect("create undersized checkpoint");
     let err = study
-        .coverage_adaptive_durable(&calib(), &RS, &FACTORS, &policy, None, &ck)
+        .run(
+            &calib(),
+            &plan(&policy, None),
+            &CancelToken::new(),
+            Some(&ck),
+        )
+        .map(adaptive)
         .expect_err("undersized record space");
     assert!(matches!(err, CoreError::Checkpoint { .. }), "{err:?}");
     let _ = std::fs::remove_file(&path);
@@ -370,7 +443,13 @@ fn pulse_adaptive_with_crossover_reference_runs_and_refines_near_crossings() {
         .collect();
     study.mc.obs = Recorder::enabled();
     let report = study
-        .coverage_adaptive(&calib, &RS, &FACTORS, &policy, Some(&reference))
+        .run(
+            &calib,
+            &plan(&policy, Some(&reference)),
+            &CancelToken::new(),
+            None,
+        )
+        .map(adaptive)
         .expect("pulse adaptive run");
     assert_eq!(report.curves.len(), FACTORS.len());
     assert_eq!(report.points.len(), FACTORS.len() * RS.len());
@@ -413,7 +492,13 @@ fn pulse_adaptive_with_crossover_reference_runs_and_refines_near_crossings() {
     study.mc.obs = Recorder::disabled();
     // The same run twice is bit-identical (covers the crossover path).
     let again = study
-        .coverage_adaptive(&calib, &RS, &FACTORS, &policy, Some(&reference))
+        .run(
+            &calib,
+            &plan(&policy, Some(&reference)),
+            &CancelToken::new(),
+            None,
+        )
+        .map(adaptive)
         .expect("repeat run");
     assert_eq!(fingerprint(&report), fingerprint(&again));
 }

@@ -6,7 +6,8 @@
 use pulsar_analog::Polarity;
 use pulsar_cells::{PathSpec, Tech};
 use pulsar_core::{
-    CancelReason, CancelToken, CoreError, DefectKind, McConfig, PathUnderTest, PulseStudy,
+    CancelReason, CancelToken, CoreError, DefectKind, McConfig, PathUnderTest, Plan,
+    PulseCalibration, PulseStudy,
 };
 use rand::RngExt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -74,11 +75,17 @@ fn precancelled_batched_study_reports_honest_truncation() {
     let mut mc = McConfig::paper(5, 3);
     mc.threads = Some(2);
     let s = PulseStudy::new(small_put(), mc, Polarity::PositiveGoing);
-    let run = s
-        .try_faulty_wouts_durable(W_IN, &RS, &token, None)
-        .expect("durable run");
-    assert_eq!(run.completeness.done, 0);
-    assert_eq!(run.completeness.truncated, Some("interrupted"));
-    assert_eq!(run.failures.samples, 0, "nothing ran, nothing counted");
-    assert!(run.outcomes.iter().all(Option::is_none));
+    let calib = PulseCalibration {
+        w_in: W_IN,
+        w_th: W_IN,
+    };
+    let (curves, failures) = s
+        .run(&calib, &Plan::fixed(&RS, &[1.0]), &token, None)
+        .expect("durable run")
+        .into_parts();
+    let run = curves[0].completeness;
+    assert_eq!(run.done, 0);
+    assert_eq!(run.truncated, Some("interrupted"));
+    assert_eq!(failures.samples, 0, "nothing ran, nothing counted");
+    assert_eq!(run.requested, 5, "every slot stayed unresolved");
 }

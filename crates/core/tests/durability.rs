@@ -11,8 +11,8 @@ use pulsar_analog::{FaultKind, FaultPlan, Polarity};
 use pulsar_cells::{PathSpec, Tech};
 use pulsar_core::{
     AdaptivePolicy, AdaptiveReport, CancelReason, CancelToken, Checkpoint, CheckpointSpec,
-    CoreError, CoverageCurve, DefectKind, DfCalibration, DfStudy, McConfig, PathUnderTest,
-    PulseCalibration, PulseStudy, ResilienceConfig,
+    CoreError, CoverageCurve, DefectKind, DfCalibration, DfStudy, McConfig, PathUnderTest, Plan,
+    PulseCalibration, PulseStudy, ResilienceConfig, StudyReport,
 };
 use pulsar_mc::SampleOutcome;
 use rand::rngs::StdRng;
@@ -179,36 +179,45 @@ fn electrical_kill_resume_matches_uninterrupted_run() {
         ..McConfig::paper(8, 11)
     };
     let study = PulseStudy::new(put(), mc, Polarity::PositiveGoing);
+    let calib = study.calibrate().expect("pulse calibration");
+    let plan = Plan::fixed(&RS, &FACTORS);
     let baseline = study
-        .try_faulty_wouts_durable(W_IN, &RS, &CancelToken::new(), None)
+        .run(&calib, &plan, &CancelToken::new(), None)
         .expect("clean electrical run");
-    let base_bits: Vec<Vec<u64>> = baseline
-        .resolved_indexed()
-        .map(|(_, row)| row.iter().map(|x| x.to_bits()).collect())
-        .collect();
 
     let path = fresh_ckpt("electrical");
-    let spec = study.faulty_checkpoint_spec(W_IN, &RS);
+    let spec = study.checkpoint_spec(&calib, &plan);
     {
         let ck = Checkpoint::create(&path, spec).expect("create");
         study
-            .try_faulty_wouts_durable(W_IN, &RS, &CancelToken::new(), Some(&ck))
+            .run(&calib, &plan, &CancelToken::new(), Some(&ck))
             .expect("checkpointed electrical run");
     }
+    let base_rows = record_bits(&path, spec);
     // Kill mid-file, then resume to completion.
     let bytes = std::fs::read(&path).expect("read");
     std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
     let ck = Checkpoint::open(&path, spec).expect("reopen");
     let resumed = study
-        .try_faulty_wouts_durable(W_IN, &RS, &CancelToken::new(), Some(&ck))
+        .run(&calib, &plan, &CancelToken::new(), Some(&ck))
         .expect("resumed electrical run");
-    let resumed_bits: Vec<Vec<u64>> = resumed
-        .resolved_indexed()
-        .map(|(_, row)| row.iter().map(|x| x.to_bits()).collect())
-        .collect();
-    assert_eq!(base_bits, resumed_bits);
-    assert!(resumed.is_complete());
+    drop(ck);
+    assert_eq!(curve_bits(baseline.curves()), curve_bits(resumed.curves()));
+    assert_eq!(base_rows, record_bits(&path, spec));
+    assert!(resumed.curves()[0].completeness.is_complete());
     let _ = std::fs::remove_file(&path);
+}
+
+/// The rows a checkpoint holds, in record order.
+fn record_bits(path: &std::path::Path, spec: CheckpointSpec) -> Vec<Vec<u64>> {
+    let ck = Checkpoint::<Vec<f64>>::open(path, spec).expect("reopen");
+    ck.prior()
+        .values()
+        .map(|o| {
+            let row = o.value().expect("a resolved row");
+            row.iter().map(|x| x.to_bits()).collect()
+        })
+        .collect()
 }
 
 #[test]
@@ -230,25 +239,25 @@ fn injected_stall_trips_the_sample_timeout_and_recovers_on_retry() {
     };
     let study = PulseStudy::new(put(), mc, Polarity::PositiveGoing);
     let run = study
-        .try_faulty_wouts_durable(W_IN, &RS, &CancelToken::new(), None)
+        .try_faulty_wouts(W_IN, &RS)
         .expect("timeout must be recoverable");
 
-    assert!(
-        run.is_complete(),
+    assert_eq!(
+        run.failures.samples, 8,
         "a sample timeout never truncates the run"
     );
     assert!(
         matches!(
             &run.outcomes[3],
-            Some(SampleOutcome::Recovered { attempts: 2, .. })
+            SampleOutcome::Recovered { attempts: 2, .. }
         ),
         "sample 3 must recover on its second attempt: {:?}",
-        run.outcomes[3].as_ref().map(|o| o.value().is_some())
+        run.outcomes[3].value().is_some()
     );
     assert_eq!(run.failures.recovered, 1);
     assert_eq!(run.failures.failed, 0);
     assert!(
-        run.outcomes[3].as_ref().and_then(|o| o.value()).is_some(),
+        run.outcomes[3].value().is_some(),
         "the recovered sample carries a real measurement"
     );
 
@@ -262,8 +271,9 @@ fn injected_stall_trips_the_sample_timeout_and_recovers_on_retry() {
         w_th: W_IN,
     };
     let (curves, report) = study
-        .coverage_with_report(&calib, &RS, &[1.0])
-        .expect("a deadline truncates the curves, it does not fail them");
+        .run(&calib, &Plan::fixed(&RS, &[1.0]), &CancelToken::new(), None)
+        .expect("a deadline truncates the curves, it does not fail them")
+        .into_parts();
     assert_eq!(curves[0].completeness.truncated, Some("deadline"));
     assert_eq!(curves[0].completeness.done, 0);
     assert_eq!(report.samples, 0);
@@ -291,17 +301,17 @@ fn panic_storm_is_contained_into_failed_samples() {
     };
     let study = PulseStudy::new(put(), mc, Polarity::PositiveGoing);
     let run = study
-        .try_faulty_wouts_durable(W_IN, &RS, &CancelToken::new(), None)
+        .try_faulty_wouts(W_IN, &RS)
         .expect("3/16 contained panics are inside a 25 % budget");
 
-    assert!(
-        run.is_complete(),
+    assert_eq!(
+        run.failures.samples, 16,
         "contained panics do not truncate the run"
     );
     assert_eq!(run.failures.failed, 3);
     for i in [1usize, 6, 9] {
         match &run.outcomes[i] {
-            Some(SampleOutcome::Failed { error, .. }) => {
+            SampleOutcome::Failed { error, .. } => {
                 assert_eq!(pulsar_core::error_kind(error), "panic");
                 match error {
                     CoreError::Panic { message } => {
@@ -310,11 +320,11 @@ fn panic_storm_is_contained_into_failed_samples() {
                     other => panic!("expected CoreError::Panic, got {other:?}"),
                 }
             }
-            other => panic!("sample {i} must fail: {:?}", other.is_some()),
+            other => panic!("sample {i} must fail: {:?}", other.value().is_some()),
         }
     }
     // Every other sample resolved normally.
-    assert_eq!(run.resolved_indexed().count(), 13);
+    assert_eq!(run.resolved().count(), 13);
 }
 
 #[test]
@@ -326,7 +336,7 @@ fn panic_storm_unwinds_by_default() {
     };
     let study = PulseStudy::new(put(), mc, Polarity::PositiveGoing);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        study.try_faulty_wouts_durable(W_IN, &RS, &CancelToken::new(), None)
+        study.try_faulty_wouts(W_IN, &RS)
     }));
     assert!(
         result.is_err(),
@@ -369,98 +379,64 @@ fn df_study(samples: usize) -> (DfStudy, DfCalibration) {
     (study, calib)
 }
 
+/// A fixed-sample plan over the shared sweep.
+fn fixed() -> Plan {
+    Plan::fixed(&SWEEP, &FACTORS)
+}
+
+/// An adaptive plan over the shared sweep.
+fn adaptive_plan() -> Plan {
+    Plan::adaptive(&SWEEP, &FACTORS, policy())
+}
+
+/// The report of an adaptive plan's run.
+fn adaptive(run: Result<StudyReport, CoreError>) -> Result<AdaptiveReport, CoreError> {
+    run.map(|report| match report {
+        StudyReport::Adaptive(r) => r,
+        other => panic!("an adaptive plan reported {other:?}"),
+    })
+}
+
+/// A checkpoint written by one plan kind is refused by the other, both
+/// when opened with the other's spec and when handed to the other's run.
+fn plans_refuse_each_other(
+    name: &str,
+    spec: impl Fn(&Plan) -> CheckpointSpec,
+    run: impl Fn(&Plan, &Checkpoint<Vec<f64>>) -> Result<StudyReport, CoreError>,
+) {
+    let plans = [fixed(), adaptive_plan()];
+    assert_ne!(spec(&plans[0]), spec(&plans[1]));
+    for (writer, reader) in [(&plans[0], &plans[1]), (&plans[1], &plans[0])] {
+        let path = fresh_ckpt(name);
+        {
+            let ck = Checkpoint::create(&path, spec(writer)).expect("create");
+            run(writer, &ck).expect("own plan");
+        }
+        assert!(is_checkpoint_error(Checkpoint::<Vec<f64>>::open(
+            &path,
+            spec(reader)
+        )));
+        let ck = Checkpoint::open(&path, spec(writer)).expect("reopen");
+        assert!(is_checkpoint_error(run(reader, &ck)));
+        drop(ck);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 #[test]
-fn width_row_and_coverage_checkpoints_refuse_each_other() {
+fn fixed_and_adaptive_checkpoints_refuse_each_other() {
     let (study, calib) = pulse_study(6);
-    let width_spec = study.faulty_checkpoint_spec(calib.w_in, &SWEEP);
-    let coverage_spec = study.coverage_checkpoint_spec(&calib, &SWEEP, &FACTORS);
-    assert_ne!(width_spec, coverage_spec);
-
-    // A width-row file resumed as a coverage checkpoint.
-    let path = fresh_ckpt("width-rows");
-    {
-        let ck = Checkpoint::create(&path, width_spec).expect("create");
-        study
-            .try_faulty_wouts_durable(calib.w_in, &SWEEP, &CancelToken::new(), Some(&ck))
-            .expect("width rows");
-    }
-    assert!(is_checkpoint_error(Checkpoint::<Vec<f64>>::open(
-        &path,
-        coverage_spec
-    )));
-    let ck = Checkpoint::open(&path, width_spec).expect("reopen as width rows");
-    assert!(is_checkpoint_error(study.coverage_durable(
-        &calib,
-        &SWEEP,
-        &FACTORS,
-        &CancelToken::new(),
-        Some(&ck)
-    )));
-    drop(ck);
-    let _ = std::fs::remove_file(&path);
-
-    // And the reverse.
-    let path = fresh_ckpt("sparse-rows");
-    {
-        let ck = Checkpoint::create(&path, coverage_spec).expect("create");
-        study
-            .coverage_durable(&calib, &SWEEP, &FACTORS, &CancelToken::new(), Some(&ck))
-            .expect("coverage");
-    }
-    assert!(is_checkpoint_error(Checkpoint::<Vec<f64>>::open(
-        &path, width_spec
-    )));
-    let ck = Checkpoint::open(&path, coverage_spec).expect("reopen as coverage");
-    assert!(is_checkpoint_error(study.try_faulty_wouts_durable(
-        calib.w_in,
-        &SWEEP,
-        &CancelToken::new(),
-        Some(&ck)
-    )));
-    drop(ck);
-    let _ = std::fs::remove_file(&path);
-
-    // DF: need rows and coverage rows refuse each other the same way.
+    plans_refuse_each_other(
+        "pulse-plans",
+        |plan| study.checkpoint_spec(&calib, plan),
+        |plan, ck| study.run(&calib, plan, &CancelToken::new(), Some(ck)),
+    );
     let (df, t0) = df_study(4);
-    let need_spec = df.faulty_checkpoint_spec(&SWEEP);
-    let df_coverage = df.coverage_checkpoint_spec(&t0, &SWEEP, &FACTORS);
-    let path = fresh_ckpt("df-need-rows");
-    {
-        let ck = Checkpoint::create(&path, need_spec).expect("create");
-        df.try_faulty_needs_durable(&SWEEP, &CancelToken::new(), Some(&ck))
-            .expect("need rows");
-    }
-    assert!(is_checkpoint_error(Checkpoint::<Vec<f64>>::open(
-        &path,
-        df_coverage
-    )));
-    let ck = Checkpoint::open(&path, need_spec).expect("reopen as need rows");
-    assert!(is_checkpoint_error(df.coverage_durable(
-        &t0,
-        &SWEEP,
-        &FACTORS,
-        &CancelToken::new(),
-        Some(&ck)
-    )));
-    drop(ck);
-    let _ = std::fs::remove_file(&path);
-    let path = fresh_ckpt("df-sparse-rows");
-    {
-        let ck = Checkpoint::create(&path, df_coverage).expect("create");
-        df.coverage_durable(&t0, &SWEEP, &FACTORS, &CancelToken::new(), Some(&ck))
-            .expect("DF coverage");
-    }
-    assert!(is_checkpoint_error(Checkpoint::<Vec<f64>>::open(
-        &path, need_spec
-    )));
-    let ck = Checkpoint::open(&path, df_coverage).expect("reopen as coverage");
-    assert!(is_checkpoint_error(df.try_faulty_needs_durable(
-        &SWEEP,
-        &CancelToken::new(),
-        Some(&ck)
-    )));
-    drop(ck);
-    let _ = std::fs::remove_file(&path);
+    plans_refuse_each_other(
+        "df-plans",
+        |plan| df.checkpoint_spec(&t0, plan),
+        |plan, ck| df.run(&t0, plan, &CancelToken::new(), Some(ck)),
+    );
 }
 
 fn policy() -> AdaptivePolicy {
@@ -485,23 +461,26 @@ fn adaptive_checkpoint_from_another_calibration_is_refused() {
         w_th: 0.8 * calib.w_th,
         ..calib
     };
-    let policy = policy();
-    let spec = study.adaptive_checkpoint_spec(&calib, &SWEEP, &FACTORS, &policy, None);
-    let other_spec = study.adaptive_checkpoint_spec(&other, &SWEEP, &FACTORS, &policy, None);
+    let plan = adaptive_plan();
+    let spec = study.checkpoint_spec(&calib, &plan);
+    let other_spec = study.checkpoint_spec(&other, &plan);
     assert_ne!(spec, other_spec, "the pulse digest covers ω_th⁰");
     let path = fresh_ckpt("pulse-adaptive");
     {
         let ck = Checkpoint::create(&path, spec).expect("create");
         study
-            .coverage_adaptive_durable(&calib, &SWEEP, &FACTORS, &policy, None, &ck)
+            .run(&calib, &plan, &CancelToken::new(), Some(&ck))
             .expect("adaptive");
     }
     assert!(is_checkpoint_error(Checkpoint::<Vec<f64>>::open(
         &path, other_spec
     )));
     let ck = Checkpoint::open(&path, spec).expect("reopen");
-    assert!(is_checkpoint_error(study.coverage_adaptive_durable(
-        &other, &SWEEP, &FACTORS, &policy, None, &ck
+    assert!(is_checkpoint_error(study.run(
+        &other,
+        &plan,
+        &CancelToken::new(),
+        Some(&ck)
     )));
     drop(ck);
     let _ = std::fs::remove_file(&path);
@@ -510,20 +489,19 @@ fn adaptive_checkpoint_from_another_calibration_is_refused() {
     // searched against another T₀ is refused when it cannot decide a
     // column, and otherwise yields exactly a fresh run's report.
     let (df, t0) = df_study(6);
-    let spec = df.adaptive_checkpoint_spec(&SWEEP, &FACTORS, &policy, None);
+    let spec = df.checkpoint_spec(&t0, &plan);
     for scale in [0.8, 0.97, 1.03, 1.25] {
         let path = fresh_ckpt("df-adaptive");
         {
             let ck = Checkpoint::create(&path, spec).expect("create");
-            df.coverage_adaptive_durable(&t0, &SWEEP, &FACTORS, &policy, None, &ck)
+            df.run(&t0, &plan, &CancelToken::new(), Some(&ck))
                 .expect("adaptive");
         }
         let moved = DfCalibration { t0: scale * t0.t0 };
-        let fresh = df
-            .coverage_adaptive(&moved, &SWEEP, &FACTORS, &policy, None)
-            .expect("fresh run");
+        assert_eq!(df.checkpoint_spec(&moved, &plan), spec);
+        let fresh = adaptive(df.run(&moved, &plan, &CancelToken::new(), None)).expect("fresh run");
         let ck = Checkpoint::open(&path, spec).expect("reopen");
-        match df.coverage_adaptive_durable(&moved, &SWEEP, &FACTORS, &policy, None, &ck) {
+        match adaptive(df.run(&moved, &plan, &CancelToken::new(), Some(&ck))) {
             Ok(resumed) => assert_eq!(report_bits(&resumed), report_bits(&fresh), "T₀ × {scale}"),
             Err(e) => assert!(
                 matches!(e, CoreError::Checkpoint { .. }),
@@ -546,17 +524,16 @@ fn adaptive_checkpoint_from_another_calibration_is_refused() {
 fn censored_needs_refuse_a_resume_under_longer_periods() {
     let (df, t0) = df_study(6);
     let policy = policy();
-    let spec = df.adaptive_checkpoint_spec(&SWEEP, &FACTORS, &policy, None);
+    let plan = adaptive_plan();
+    let spec = df.checkpoint_spec(&t0, &plan);
     let bounded_path = fresh_ckpt("df-bounded");
     let exact_path = fresh_ckpt("df-exact");
     {
         let bounded = Checkpoint::create(&bounded_path, spec).expect("create");
         let exact = Checkpoint::create(&exact_path, spec).expect("create");
-        let a = df
-            .coverage_adaptive_durable(&t0, &SWEEP, &FACTORS, &policy, None, &bounded)
-            .expect("bounded run");
-        let b = df
-            .coverage_adaptive_full_grid(&t0, &SWEEP, &FACTORS, &policy, None, Some(&exact))
+        let a =
+            adaptive(df.run(&t0, &plan, &CancelToken::new(), Some(&bounded))).expect("bounded run");
+        let b = adaptive(df.run_full_grid(&t0, &plan, &CancelToken::new(), Some(&exact)))
             .expect("full-window run");
         assert_eq!(report_bits(&a), report_bits(&b));
     }
@@ -587,7 +564,7 @@ fn censored_needs_refuse_a_resume_under_longer_periods() {
     );
     let longer = DfCalibration { t0: 1.25 * t0.t0 };
     let ck = Checkpoint::open(&bounded_path, spec).expect("reopen");
-    match df.coverage_adaptive_durable(&longer, &SWEEP, &FACTORS, &policy, None, &ck) {
+    match df.run(&longer, &plan, &CancelToken::new(), Some(&ck)) {
         Err(CoreError::Checkpoint { reason }) => {
             assert!(reason.contains("censored"), "refused for {reason}")
         }
@@ -622,8 +599,11 @@ fn censored_needs_refuse_a_resume_under_longer_periods() {
     }
     let ck = Checkpoint::open(&old_path, old_format).expect("reopen old format");
     assert_eq!(ck.resumed_count(), exact.len());
-    assert!(is_checkpoint_error(df.coverage_adaptive_durable(
-        &t0, &SWEEP, &FACTORS, &policy, None, &ck
+    assert!(is_checkpoint_error(df.run(
+        &t0,
+        &plan,
+        &CancelToken::new(),
+        Some(&ck)
     )));
     drop(ck);
     for p in [bounded_path, exact_path, old_path] {
@@ -634,15 +614,15 @@ fn censored_needs_refuse_a_resume_under_longer_periods() {
 #[test]
 fn coverage_killed_mid_run_resumes_to_the_uninterrupted_curves() {
     let (study, calib) = pulse_study(8);
-    let (clean, _) = study
-        .coverage_with_report(&calib, &SWEEP, &FACTORS)
+    let clean = study
+        .coverage(&calib, &SWEEP, &FACTORS)
         .expect("uninterrupted");
-    let spec = study.coverage_checkpoint_spec(&calib, &SWEEP, &FACTORS);
+    let spec = study.checkpoint_spec(&calib, &fixed());
     let path = fresh_ckpt("pulse-coverage");
     {
         let ck = Checkpoint::create(&path, spec).expect("create");
         study
-            .coverage_durable(&calib, &SWEEP, &FACTORS, &CancelToken::new(), Some(&ck))
+            .run(&calib, &fixed(), &CancelToken::new(), Some(&ck))
             .expect("checkpointed");
     }
     // Kill mid-file, then resume to completion.
@@ -658,8 +638,9 @@ fn coverage_killed_mid_run_resumes_to_the_uninterrupted_curves() {
         .filter_map(|o| o.value())
         .any(|row| row.iter().any(|v| v.is_nan())));
     let (resumed, _) = study
-        .coverage_durable(&calib, &SWEEP, &FACTORS, &CancelToken::new(), Some(&ck))
-        .expect("resumed");
+        .run(&calib, &fixed(), &CancelToken::new(), Some(&ck))
+        .expect("resumed")
+        .into_parts();
     assert_eq!(curve_bits(&resumed), curve_bits(&clean));
     assert!(resumed[0].completeness.is_complete());
     assert_eq!(resumed[0].completeness.resumed, restored);
@@ -667,22 +648,21 @@ fn coverage_killed_mid_run_resumes_to_the_uninterrupted_curves() {
     let _ = std::fs::remove_file(&path);
 
     let (df, t0) = df_study(8);
-    let (clean, _) = df
-        .coverage_with_report(&t0, &SWEEP, &FACTORS)
-        .expect("uninterrupted");
-    let spec = df.coverage_checkpoint_spec(&t0, &SWEEP, &FACTORS);
+    let clean = df.coverage(&t0, &SWEEP, &FACTORS).expect("uninterrupted");
+    let spec = df.checkpoint_spec(&t0, &fixed());
     let path = fresh_ckpt("df-coverage");
     {
         let ck = Checkpoint::create(&path, spec).expect("create");
-        df.coverage_durable(&t0, &SWEEP, &FACTORS, &CancelToken::new(), Some(&ck))
+        df.run(&t0, &fixed(), &CancelToken::new(), Some(&ck))
             .expect("checkpointed");
     }
     let bytes = std::fs::read(&path).expect("read");
     std::fs::write(&path, &bytes[..bytes.len() * 2 / 5]).expect("truncate");
     let ck = Checkpoint::open(&path, spec).expect("reopen");
     let (resumed, _) = df
-        .coverage_durable(&t0, &SWEEP, &FACTORS, &CancelToken::new(), Some(&ck))
-        .expect("resumed");
+        .run(&t0, &fixed(), &CancelToken::new(), Some(&ck))
+        .expect("resumed")
+        .into_parts();
     assert_eq!(curve_bits(&resumed), curve_bits(&clean));
     drop(ck);
     let _ = std::fs::remove_file(&path);

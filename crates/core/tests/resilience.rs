@@ -6,8 +6,8 @@
 use pulsar_analog::{FaultKind, FaultPlan, Polarity};
 use pulsar_cells::{PathSpec, Tech};
 use pulsar_core::{
-    CoreError, DefectKind, DfStudy, McConfig, PathUnderTest, PulseCalibration, PulseStudy,
-    ResilienceConfig,
+    CancelToken, CoreError, DefectKind, DfStudy, McConfig, PathUnderTest, Plan, PulseCalibration,
+    PulseStudy, ResilienceConfig, StudyReport,
 };
 
 fn put() -> PathUnderTest {
@@ -53,7 +53,13 @@ fn injected_failures_leave_coverage_running_with_exact_accounting() {
     // full retry ladder spent on each.
     let study = faulty_study(8, 0.05);
     let (curves, failures) = study
-        .coverage_with_report(&calib(), &RS, &[1.0])
+        .run(
+            &calib(),
+            &Plan::fixed(&RS, &[1.0]),
+            &CancelToken::new(),
+            None,
+        )
+        .map(StudyReport::into_parts)
         .expect("3/64 failures are inside a 5 % budget");
 
     assert_eq!(failures.samples, 64);
@@ -88,10 +94,22 @@ fn curves_and_outcomes_are_bit_identical_across_thread_counts() {
     assert_eq!(r1.failures, r8.failures);
 
     let c1 = one
-        .coverage_with_report(&calib(), &RS, &[0.9, 1.0, 1.1])
+        .run(
+            &calib(),
+            &Plan::fixed(&RS, &[0.9, 1.0, 1.1]),
+            &CancelToken::new(),
+            None,
+        )
+        .map(StudyReport::into_parts)
         .unwrap();
     let c8 = eight
-        .coverage_with_report(&calib(), &RS, &[0.9, 1.0, 1.1])
+        .run(
+            &calib(),
+            &Plan::fixed(&RS, &[0.9, 1.0, 1.1]),
+            &CancelToken::new(),
+            None,
+        )
+        .map(StudyReport::into_parts)
         .unwrap();
     assert_eq!(c1.0, c8.0, "coverage curves must be bit-identical");
 }
@@ -101,7 +119,13 @@ fn failure_budget_aborts_with_per_kind_breakdown() {
     // The same run under a 1 % budget: 3 failures > 0.64 allowed → abort.
     let study = faulty_study(8, 0.01);
     let err = study
-        .coverage_with_report(&calib(), &RS, &[1.0])
+        .run(
+            &calib(),
+            &Plan::fixed(&RS, &[1.0]),
+            &CancelToken::new(),
+            None,
+        )
+        .map(StudyReport::into_parts)
         .expect_err("3/64 failures must exceed a 1 % budget");
     match err {
         CoreError::FailureBudgetExceeded { report } => {
@@ -183,7 +207,8 @@ fn df_study_recovers_injected_transients_end_to_end() {
     let study = DfStudy::new(put(), mc);
     let cal = study.calibrate().expect("calibration survives the plan");
     let (curves, failures) = study
-        .coverage_with_report(&cal, &RS, &[1.0])
+        .run(&cal, &Plan::fixed(&RS, &[1.0]), &CancelToken::new(), None)
+        .map(StudyReport::into_parts)
         .expect("recovered faults stay inside the zero budget");
     assert_eq!(failures.failed, 0);
     assert_eq!(failures.recovered, 1);

@@ -13,11 +13,10 @@ pub type PriorFn<'a, T, E> = &'a (dyn Fn(usize) -> Option<SampleOutcome<T, E>> +
 /// [`RunHooks::on_done`]).
 pub type OnDoneFn<'a, T, E> = &'a (dyn Fn(usize, &SampleOutcome<T, E>) + Sync);
 
-/// Optional control hooks for [`MonteCarlo::try_run_resumed`]: resume from
-/// a prior run, checkpoint freshly finished samples, cancel cooperatively,
-/// and contain worker panics. The default (`RunHooks::default()`) enables
-/// none of them, in which case `try_run_resumed` behaves exactly like
-/// [`MonteCarlo::try_run`].
+/// Optional control hooks for [`MonteCarlo::try_run_range_resumed`]:
+/// resume from a prior run, checkpoint freshly finished samples, cancel
+/// cooperatively, and contain worker panics. The default
+/// (`RunHooks::default()`) enables none of them.
 pub struct RunHooks<'a, T, E> {
     /// Completed outcomes from a prior (interrupted) run, keyed by sample
     /// index. A sample for which this returns `Some` is **skipped** — the
@@ -121,11 +120,6 @@ impl MonteCarlo {
         self.n
     }
 
-    /// Master seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The RNG sample `i` will receive — exposed so callers can regenerate
     /// a single instance (e.g. to re-simulate one outlier with tracing).
     pub fn rng_for(&self, i: usize) -> StdRng {
@@ -144,94 +138,26 @@ impl MonteCarlo {
     /// `f` runs concurrently on multiple threads; it must be `Sync` and
     /// the result type `Send`. One erroring sample aborts nothing here —
     /// `f` is infallible; for fallible per-sample work with isolation and
-    /// retry, use [`MonteCarlo::try_run`].
+    /// retry, use [`MonteCarlo::try_run_range_resumed`].
     pub fn run<T, F>(&self, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize, &mut StdRng) -> T + Sync,
     {
-        self.fan_out(|i| {
-            let mut rng = self.rng_for(i);
-            f(i, &mut rng)
-        })
+        self.fan_out(0..self.n, |i| f(i, &mut self.rng_for(i)))
     }
 
-    /// Fault-isolated variant of [`MonteCarlo::run`]: each sample runs a
-    /// fallible closure and resolves to a [`SampleOutcome`] instead of
-    /// aborting the whole fan-out on the first error.
-    ///
-    /// `f(i, attempt, rng)` is called with `attempt` starting at 1.
-    /// **Every attempt re-derives the same per-sample RNG stream**
-    /// ([`MonteCarlo::rng_for`]), so a retry re-simulates the *identical*
-    /// circuit instance — escalation must come from the `attempt` number
-    /// (e.g. a tightened solver configuration), not from fresh randomness.
-    /// This is what keeps outcomes bit-identical across thread counts
-    /// even when some samples retry.
-    ///
-    /// After a failed attempt the error is retried only while
-    /// `retryable(&e)` holds and fewer than `max_attempts` attempts
-    /// (clamped to ≥ 1) have been spent; otherwise the sample resolves to
-    /// [`SampleOutcome::Failed`] carrying the final error.
-    pub fn try_run<T, E, F, R>(
-        &self,
-        max_attempts: u32,
-        retryable: R,
-        f: F,
-    ) -> Vec<SampleOutcome<T, E>>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize, u32, &mut StdRng) -> Result<T, E> + Sync,
-        R: Fn(&E) -> bool + Sync,
-    {
-        self.try_run_resumed(max_attempts, retryable, RunHooks::default(), f)
-            .into_iter()
-            .map(|o| o.expect("no cancel hook, so every sample resolves"))
-            .collect()
-    }
-
-    /// The durable superset of [`MonteCarlo::try_run`]: identical retry
-    /// semantics, plus the [`RunHooks`] for resume, checkpointing,
-    /// cooperative cancellation and panic containment.
-    ///
-    /// Returns one entry per sample in index order. `Some(outcome)` is a
-    /// resolved/failed sample (fresh or restored from `hooks.prior`);
-    /// `None` means the run was cancelled before that sample started.
-    /// Without a `cancel` hook the result never contains `None`.
-    ///
-    /// Determinism contract: a resumed run — any subset of samples served
-    /// from `prior`, the rest recomputed — produces the same outcome
-    /// vector as an uninterrupted run, because each sample's RNG stream
-    /// depends only on `(seed, i)` and restored outcomes carry their
-    /// original attempt accounting.
-    pub fn try_run_resumed<T, E, F, R>(
-        &self,
-        max_attempts: u32,
-        retryable: R,
-        hooks: RunHooks<'_, T, E>,
-        f: F,
-    ) -> Vec<Option<SampleOutcome<T, E>>>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize, u32, &mut StdRng) -> Result<T, E> + Sync,
-        R: Fn(&E) -> bool + Sync,
-    {
-        self.try_run_range_resumed(0, self.n, max_attempts, retryable, hooks, f)
-    }
-
-    /// Range variant of [`MonteCarlo::try_run_resumed`]: resolves only
-    /// samples `lo..hi` of this driver's stream, returning one entry per
-    /// sample in that range (index order).
-    ///
-    /// This is the adaptive engine's building block: a sequential
-    /// decision loop consumes the `stream_seed`-ordered sample stream in
-    /// rounds, and each round is one contiguous range computed here —
-    /// workers fan out *within* the range while the stopping decisions
-    /// stay on ordered prefixes. Sample `lo + j` sees exactly the RNG
-    /// stream, retry ladder, and hooks it would see in a full-range run,
-    /// so the resolved outcomes for a given range are bit-identical
-    /// across thread counts.
+    /// Fault-isolated, durable variant of [`MonteCarlo::run`] over
+    /// samples `lo..hi`: each resolves to a [`SampleOutcome`], in index
+    /// order, or to `None` when the [`RunHooks`] cancel it before it
+    /// starts. `f(i, attempt, rng)` gets `attempt` from 1 and **the same
+    /// RNG stream on every attempt** ([`MonteCarlo::rng_for`]), so a retry
+    /// re-simulates the identical instance and escalation must come from
+    /// `attempt`; a failed attempt retries while `retryable(&e)` holds and
+    /// fewer than `max_attempts` (at least 1) were spent. Sample `i` sees
+    /// the same stream, ladder and hooks whatever the range, thread count
+    /// or resume state, so a resumed run reproduces the uninterrupted
+    /// outcomes and the adaptive engine can consume the stream in rounds.
     pub fn try_run_range_resumed<T, E, F, R>(
         &self,
         lo: usize,
@@ -248,19 +174,12 @@ impl MonteCarlo {
         R: Fn(&E) -> bool + Sync,
     {
         let max_attempts = max_attempts.max(1);
-        let hi = hi.max(lo);
-        // Fan out over the range via a sub-driver (the sub-driver only
-        // partitions indices; RNG streams and hooks still come from
-        // `self`, keyed by the absolute index).
-        let range_driver = MonteCarlo {
-            n: hi - lo,
-            seed: self.seed,
-            threads: self.threads,
-        };
-        range_driver.fan_out(|j| self.resolve_one(lo + j, max_attempts, &retryable, &hooks, &f))
+        self.fan_out(lo..hi.max(lo), |i| {
+            self.resolve_one(i, max_attempts, &retryable, &hooks, &f)
+        })
     }
 
-    /// The per-sample resolution behind [`MonteCarlo::try_run_resumed`]:
+    /// The per-sample resolution behind [`MonteCarlo::try_run_range_resumed`]:
     /// prior-run lookup, the attempt/retry ladder on a replayed RNG
     /// stream, cancellation, panic containment, and the checkpoint
     /// callback.
@@ -276,20 +195,16 @@ impl MonteCarlo {
         F: Fn(usize, u32, &mut StdRng) -> Result<T, E> + Sync,
         R: Fn(&E) -> bool + Sync,
     {
-        if let Some(prior) = hooks.prior {
-            if let Some(done) = prior(i) {
-                return Some(done);
-            }
+        if let Some(done) = hooks.prior.and_then(|prior| prior(i)) {
+            return Some(done);
         }
         let mut attempt = 1u32;
         let outcome = loop {
-            if let Some(token) = hooks.cancel {
-                if token.is_cancelled() {
-                    return None;
-                }
+            if hooks.cancel.is_some_and(CancelToken::is_cancelled) {
+                return None;
             }
             // Every attempt replays the identical stream; escalation
-            // comes from the attempt number (see `try_run`).
+            // comes from the attempt number (see `try_run_range_resumed`).
             let mut rng = self.rng_for(i);
             let result = match hooks.contain_panics {
                 None => f(i, attempt, &mut rng),
@@ -325,7 +240,7 @@ impl MonteCarlo {
         Some(outcome)
     }
 
-    /// Shared fan-out: runs `g(i)` for `i in 0..n` across the configured
+    /// Shared fan-out: runs `g(i)` for `i in range` across the configured
     /// worker threads and concatenates the per-chunk result vectors in
     /// index order. Infallible by construction — each worker returns its
     /// own `Vec`, so there are no placeholder slots to check afterwards.
@@ -335,32 +250,25 @@ impl MonteCarlo {
     /// to completion (and flush their checkpoint records) instead of
     /// being torn down mid-sample by the unwind. The first panic payload
     /// observed in chunk order is the one re-raised.
-    fn fan_out<T, G>(&self, g: G) -> Vec<T>
+    fn fan_out<T, G>(&self, range: std::ops::Range<usize>, g: G) -> Vec<T>
     where
         T: Send,
         G: Fn(usize) -> T + Sync,
     {
-        if self.n == 0 {
-            return Vec::new();
+        let (base, n) = (range.start, range.len());
+        let threads = self.threads.min(n);
+        if threads <= 1 {
+            return range.map(g).collect();
         }
-        let threads = self.threads.min(self.n);
-        if threads == 1 {
-            return (0..self.n).map(g).collect();
-        }
-
-        let chunk = self.n.div_ceil(threads);
-        let mut out: Vec<T> = Vec::with_capacity(self.n);
+        let chunk = n.div_ceil(threads);
+        let mut out: Vec<T> = Vec::with_capacity(n);
         let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
                     let g = &g;
-                    let n = self.n;
-                    scope.spawn(move || {
-                        let lo = (t * chunk).min(n);
-                        let hi = ((t + 1) * chunk).min(n);
-                        (lo..hi).map(g).collect::<Vec<T>>()
-                    })
+                    let (lo, hi) = ((t * chunk).min(n), ((t + 1) * chunk).min(n));
+                    scope.spawn(move || (base + lo..base + hi).map(g).collect::<Vec<T>>())
                 })
                 .collect();
             for handle in handles {
@@ -396,6 +304,25 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::RngExt;
+
+    /// Every outcome of a full-range run without hooks.
+    fn try_all<T, E, F, R>(
+        mc: MonteCarlo,
+        attempts: u32,
+        retryable: R,
+        f: F,
+    ) -> Vec<SampleOutcome<T, E>>
+    where
+        T: Send,
+        E: Send,
+        F: Fn(usize, u32, &mut StdRng) -> Result<T, E> + Sync,
+        R: Fn(&E) -> bool + Sync,
+    {
+        mc.try_run_range_resumed(0, mc.samples(), attempts, retryable, RunHooks::default(), f)
+            .into_iter()
+            .map(Option::unwrap)
+            .collect()
+    }
 
     #[test]
     fn results_are_in_index_order() {
@@ -478,7 +405,8 @@ mod tests {
         let recover_at = [(3usize, 2u32), (9, 3)];
         let hard_fail = [5usize];
         let mc = MonteCarlo::new(16, 11).with_threads(4);
-        let out = mc.try_run(
+        let out = try_all(
+            mc,
             4,
             |e: &(bool, usize)| e.0,
             |i, attempt, rng| flaky(i, attempt, rng, &recover_at, &hard_fail),
@@ -505,7 +433,8 @@ mod tests {
     #[test]
     fn try_run_exhausts_bounded_attempts() {
         let mc = MonteCarlo::new(4, 1);
-        let out = mc.try_run(
+        let out = try_all(
+            mc,
             3,
             |_: &&str| true,
             |i, _, _| {
@@ -531,7 +460,8 @@ mod tests {
         // retried sample is the same circuit instance.
         let mc = MonteCarlo::new(6, 21);
         let baseline = mc.run(|_, rng| rng.random::<f64>());
-        let out = mc.try_run(
+        let out = try_all(
+            mc,
             2,
             |_: &()| true,
             |i, attempt, rng| {
@@ -555,7 +485,7 @@ mod tests {
         let work = |_i: usize, _attempt: u32, rng: &mut StdRng| -> Result<u64, ()> {
             Ok(rng.random::<u64>())
         };
-        let full = mc.try_run(1, |_: &()| false, work);
+        let full = try_all(mc, 1, |_: &()| false, work);
 
         // "Resume" with the even samples already done: odd samples are
         // recomputed, even ones restored, and the merged vector matches.
@@ -575,7 +505,7 @@ mod tests {
             on_done: Some(&on_done),
             ..RunHooks::default()
         };
-        let resumed = mc.try_run_resumed(1, |_: &()| false, hooks, work);
+        let resumed = mc.try_run_range_resumed(0, mc.samples(), 1, |_: &()| false, hooks, work);
         let resumed: Vec<_> = resumed.into_iter().map(Option::unwrap).collect();
         assert_eq!(resumed, full);
         let mut fresh = computed.into_inner().unwrap();
@@ -593,7 +523,9 @@ mod tests {
             cancel: Some(&token),
             ..RunHooks::default()
         };
-        let out = mc.try_run_resumed(
+        let out = mc.try_run_range_resumed(
+            0,
+            mc.samples(),
             1,
             |_: &()| false,
             hooks,
@@ -619,7 +551,9 @@ mod tests {
             cancel: Some(&token),
             ..RunHooks::default()
         };
-        let out = mc.try_run_resumed(
+        let out = mc.try_run_range_resumed(
+            0,
+            mc.samples(),
             1,
             |_: &()| false,
             hooks,
@@ -640,7 +574,9 @@ mod tests {
             contain_panics: Some(&contain),
             ..RunHooks::default()
         };
-        let out = mc.try_run_resumed(
+        let out = mc.try_run_range_resumed(
+            0,
+            mc.samples(),
             1,
             |_: &String| false,
             hooks,
@@ -674,7 +610,9 @@ mod tests {
             contain_panics: Some(&contain),
             ..RunHooks::default()
         };
-        let out = mc.try_run_resumed(
+        let out = mc.try_run_range_resumed(
+            0,
+            mc.samples(),
             3,
             |_: &String| true,
             hooks,
@@ -740,7 +678,7 @@ mod tests {
             }
         };
         let retryable = |e: &(bool, usize)| e.0;
-        let full = mc.with_threads(1).try_run(3, retryable, work);
+        let full = try_all(mc.with_threads(1), 3, retryable, work);
         for (lo, hi) in [(0usize, 20usize), (3, 17), (16, 20), (5, 5), (7, 3)] {
             for threads in [1usize, 2, 4] {
                 let out = mc.with_threads(threads).try_run_range_resumed(
@@ -778,9 +716,9 @@ mod tests {
                 }
             };
             let retryable = |e: &(bool, usize)| e.0;
-            let base = MonteCarlo::new(n, seed).with_threads(1).try_run(3, retryable, work);
+            let base = try_all(MonteCarlo::new(n, seed).with_threads(1), 3, retryable, work);
             for threads in [2usize, 7] {
-                let par = MonteCarlo::new(n, seed).with_threads(threads).try_run(3, retryable, work);
+                let par = try_all(MonteCarlo::new(n, seed).with_threads(threads), 3, retryable, work);
                 prop_assert_eq!(&base, &par);
             }
         }

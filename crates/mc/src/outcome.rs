@@ -1,7 +1,7 @@
 //! Per-sample resolution of a fault-isolated Monte Carlo run.
 
 /// How one Monte Carlo sample resolved under
-/// [`MonteCarlo::try_run`](crate::MonteCarlo::try_run).
+/// [`MonteCarlo::try_run_range_resumed`](crate::MonteCarlo::try_run_range_resumed).
 ///
 /// The three states form a small lattice ordered by how much trust the
 /// sample deserves: `Ok` (clean first attempt) ≥ `Recovered` (a retry

@@ -25,7 +25,7 @@ use pulsar_analog::Polarity;
 use pulsar_cells::{PathSpec, Tech};
 use pulsar_core::{
     error_kind, is_run_cancelled, Campaign, CheckpointSpec, CoreError, CoverageCurve, DefectKind,
-    DfStudy, McConfig, PathUnderTest, PulseStudy, ResilienceConfig,
+    DfStudy, McConfig, PathUnderTest, Plan, PulseStudy, ResilienceConfig,
 };
 use pulsar_logic::parse_iscas85;
 use pulsar_obs::{CancelReason, CancelToken, Counter, Recorder};
@@ -465,6 +465,7 @@ fn run_study(
         resilience: resilience_for(job),
         ..McConfig::paper(samples, seed)
     };
+    let plan = Plan::fixed(rs, factors);
     let calib_key = job
         .spec
         .calib_digest()
@@ -489,24 +490,12 @@ fn run_study(
             };
             check_cancelled(job)?;
 
-            let ck = open_checkpoint(
-                spool,
-                job.digest,
-                study.coverage_checkpoint_spec(&calib, rs, factors),
-            )?;
-            let (curves, _failures) =
-                study.coverage_durable(&calib, rs, factors, &job.token, ck.as_ref())?;
+            let ck = open_checkpoint(spool, job.digest, study.checkpoint_spec(&calib, &plan))?;
+            let report = study.run(&calib, &plan, &job.token, ck.as_ref())?;
             check_cancelled(job)?;
-            check_complete(&curves)?;
-
-            let mut text = format!(
-                "df study on the paper path: T0 = {:.3e} s, {} resistances x {} clock factors, \
-                 N = {samples}, seed {seed}\n",
-                calib.t0,
-                rs.len(),
-                factors.len()
-            );
-            text.push_str(&CoverageCurve::render_set(&curves));
+            check_complete(report.curves())?;
+            let text =
+                study.header(&calib, &plan) + "\n" + &CoverageCurve::render_set(report.curves());
             Ok(CachedResult {
                 text,
                 solves: solves_spent(&rec),
@@ -530,25 +519,12 @@ fn run_study(
             };
             check_cancelled(job)?;
 
-            let ck = open_checkpoint(
-                spool,
-                job.digest,
-                study.coverage_checkpoint_spec(&calib, rs, factors),
-            )?;
-            let (curves, _failures) =
-                study.coverage_durable(&calib, rs, factors, &job.token, ck.as_ref())?;
+            let ck = open_checkpoint(spool, job.digest, study.checkpoint_spec(&calib, &plan))?;
+            let report = study.run(&calib, &plan, &job.token, ck.as_ref())?;
             check_cancelled(job)?;
-            check_complete(&curves)?;
-
-            let mut text = format!(
-                "pulse study on the paper path: w_in = {:.3e} s, w_th = {:.3e} s, {} resistances \
-                 x {} threshold factors, N = {samples}, seed {seed}\n",
-                calib.w_in,
-                calib.w_th,
-                rs.len(),
-                factors.len()
-            );
-            text.push_str(&CoverageCurve::render_set(&curves));
+            check_complete(report.curves())?;
+            let text =
+                study.header(&calib, &plan) + "\n" + &CoverageCurve::render_set(report.curves());
             Ok(CachedResult {
                 text,
                 solves: solves_spent(&rec),

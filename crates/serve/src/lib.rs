@@ -26,7 +26,7 @@
 //! Results are byte-identical to the one-shot CLI for the same config
 //! digest: both render through [`pulsar_core::CoverageCurve::render_set`]
 //! / [`pulsar_core::CampaignReport::render_report`] and hash the same
-//! [`pulsar_core::study_digest_repr`] strings (DESIGN.md §5.10).
+//! [`pulsar_core::Plan::study_digest_repr`] strings (DESIGN.md §5.10).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

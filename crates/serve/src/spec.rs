@@ -3,12 +3,12 @@
 //! A submitted job is either a coverage study on the paper path or a
 //! whole-netlist campaign. The *config digest* of a spec is computed
 //! from the same canonical strings the one-shot CLI hashes
-//! ([`pulsar_core::study_digest_repr`] /
+//! ([`pulsar_core::Plan::study_digest_repr`] /
 //! [`pulsar_core::campaign_digest_repr`]), which is what makes the
 //! whole-result cache honest: a daemon hit and a CLI run with equal
 //! digests are the same experiment by construction.
 
-use pulsar_core::{campaign_digest_repr, study_digest_repr, AdaptivePolicy};
+use pulsar_core::{campaign_digest_repr, Plan};
 use pulsar_obs::config_digest;
 
 /// Which coverage study a study job runs.
@@ -79,19 +79,9 @@ impl JobSpec {
                 rs,
                 factors,
             } => {
-                // The CLI hashes `adaptive`/`policy` from its flags; the
-                // daemon runs fixed-budget studies, which the CLI
-                // expresses as adaptive=false with the default policy.
-                let policy = AdaptivePolicy::new(0.15, *samples);
-                config_digest(&study_digest_repr(
-                    kind.as_str(),
-                    *samples,
-                    *seed,
-                    rs,
-                    factors,
-                    false,
-                    &policy,
-                ))
+                // The daemon runs fixed-sample studies.
+                let plan = Plan::fixed(rs, factors);
+                config_digest(&plan.study_digest_repr(kind.as_str(), *samples, *seed))
             }
             JobSpec::Campaign { netlist, stride } => {
                 config_digest(&campaign_digest_repr(*stride, netlist))

@@ -27,8 +27,8 @@
 use pulsar_analog::{Polarity, Recorder};
 use pulsar_bench::{bridge_put, internal_rop_put, log_sweep, rop_put};
 use pulsar_core::{
-    AdaptivePolicy, AdaptiveReport, CancelToken, Checkpoint, CoverageCurve, DefectKind, DfStudy,
-    McConfig, PathInstance, PathUnderTest, PulseStudy,
+    AdaptivePolicy, AdaptiveReport, CancelToken, Checkpoint, CoreError, CoverageCurve, DefectKind,
+    DfStudy, McConfig, PathInstance, PathUnderTest, Plan, PulseStudy, StudyReport,
 };
 use pulsar_mc::MonteCarlo;
 use pulsar_obs::Counter;
@@ -144,17 +144,19 @@ fn pulse_arms(put: &PathUnderTest, polarity: Polarity, samples: usize, seed: u64
 
     let label = format!("pulse {:?} {polarity:?} seed {seed}", put.defect);
     let path = scratch(&format!("pulse-{seed}"));
-    let spec = study.coverage_checkpoint_spec(&calib, &rs, &FACTORS);
+    let plan = Plan::fixed(&rs, &FACTORS);
+    let spec = study.checkpoint_spec(&calib, &plan);
     let ck = Checkpoint::create(&path, spec).expect("checkpoint");
     let before = obs.snapshot();
     let (searched, _) = study
-        .coverage_durable(&calib, &rs, &FACTORS, &CancelToken::new(), Some(&ck))
-        .expect("searched coverage");
+        .run(&calib, &plan, &CancelToken::new(), Some(&ck))
+        .expect("searched coverage")
+        .into_parts();
     let after = obs.snapshot();
     drop(ck);
     let rows = checkpoint_rows(&Checkpoint::open(&path, spec).expect("reopen"), samples);
     let _ = std::fs::remove_file(&path);
-    let policy = policy(samples);
+    let plan = Plan::adaptive(&rs, &FACTORS, policy(samples));
     Arms {
         label,
         thresholds: FACTORS.iter().map(|f| f * calib.w_th).collect(),
@@ -166,12 +168,8 @@ fn pulse_arms(put: &PathUnderTest, polarity: Polarity, samples: usize, seed: u64
             - before.counter(Counter::ColumnsSimulated),
         inferred: after.counter(Counter::ColumnsInferred)
             - before.counter(Counter::ColumnsInferred),
-        adaptive: study
-            .coverage_adaptive(&calib, &rs, &FACTORS, &policy, None)
-            .expect("adaptive"),
-        adaptive_full: study
-            .coverage_adaptive_full_grid(&calib, &rs, &FACTORS, &policy, None)
-            .expect("adaptive full grid"),
+        adaptive: adaptive(study.run(&calib, &plan, &CancelToken::new(), None)),
+        adaptive_full: adaptive(study.run_full_grid(&calib, &plan, &CancelToken::new(), None)),
         rs,
     }
 }
@@ -189,17 +187,19 @@ fn df_arms(put: &PathUnderTest, samples: usize, seed: u64) -> Arms {
 
     let label = format!("DF {:?} seed {seed}", put.defect);
     let path = scratch(&format!("df-{seed}"));
-    let spec = study.coverage_checkpoint_spec(&calib, &rs, &FACTORS);
+    let plan = Plan::fixed(&rs, &FACTORS);
+    let spec = study.checkpoint_spec(&calib, &plan);
     let ck = Checkpoint::create(&path, spec).expect("checkpoint");
     let before = obs.snapshot();
     let (searched, _) = study
-        .coverage_durable(&calib, &rs, &FACTORS, &CancelToken::new(), Some(&ck))
-        .expect("searched coverage");
+        .run(&calib, &plan, &CancelToken::new(), Some(&ck))
+        .expect("searched coverage")
+        .into_parts();
     let after = obs.snapshot();
     drop(ck);
     let rows = checkpoint_rows(&Checkpoint::open(&path, spec).expect("reopen"), samples);
     let _ = std::fs::remove_file(&path);
-    let policy = policy(samples);
+    let plan = Plan::adaptive(&rs, &FACTORS, policy(samples));
     Arms {
         label,
         thresholds: FACTORS.iter().map(|f| f * calib.t0).collect(),
@@ -211,13 +211,17 @@ fn df_arms(put: &PathUnderTest, samples: usize, seed: u64) -> Arms {
             - before.counter(Counter::ColumnsSimulated),
         inferred: after.counter(Counter::ColumnsInferred)
             - before.counter(Counter::ColumnsInferred),
-        adaptive: study
-            .coverage_adaptive(&calib, &rs, &FACTORS, &policy, None)
-            .expect("adaptive"),
-        adaptive_full: study
-            .coverage_adaptive_full_grid(&calib, &rs, &FACTORS, &policy, None, None)
-            .expect("adaptive full grid"),
+        adaptive: adaptive(study.run(&calib, &plan, &CancelToken::new(), None)),
+        adaptive_full: adaptive(study.run_full_grid(&calib, &plan, &CancelToken::new(), None)),
         rs,
+    }
+}
+
+/// The report of an adaptive plan's run.
+fn adaptive(run: Result<StudyReport, CoreError>) -> AdaptiveReport {
+    match run.expect("adaptive run") {
+        StudyReport::Adaptive(report) => report,
+        other => panic!("an adaptive plan reported {other:?}"),
     }
 }
 

@@ -68,14 +68,17 @@ fn widths(o: &PulseOutcome) -> Vec<u64> {
         .collect()
 }
 
-/// Pulse queries (Figs. 7 and 9): the study's `faulty_wouts` rows,
+/// Pulse queries (Figs. 7 and 9): the study's `try_faulty_wouts` rows,
 /// `pulse_width_only`, and the stage widths under the settle rule
 /// against the full window. (`propagate_pulse` itself keeps the full
 /// window, so its peak fraction is the full window's by construction.)
 fn check_pulse(put: &PathUnderTest, polarity: Polarity, samples: usize, seed: u64) -> Tally {
     let rs = sweep(put);
     let study = PulseStudy::new(put.clone(), McConfig::paper(samples, seed), polarity);
-    let rows = study.faulty_wouts(W_IN, &rs).expect("study rows");
+    let rows = study
+        .try_faulty_wouts(W_IN, &rs)
+        .expect("study rows")
+        .into_resolved();
     assert_eq!(rows.len(), samples, "every instance must resolve");
     let mc = MonteCarlo::new(samples, seed);
     let mut tally = Tally::default();
@@ -124,12 +127,15 @@ fn check_pulse(put: &PathUnderTest, polarity: Polarity, samples: usize, seed: u6
     tally
 }
 
-/// Transition queries (Figs. 6 and 8): the study's `faulty_needs` rows
+/// Transition queries (Figs. 6 and 8): the study's `try_faulty_needs` rows
 /// and both edges' delays against the full window.
 fn check_df(put: &PathUnderTest, samples: usize, seed: u64) -> Tally {
     let rs = sweep(put);
     let study = DfStudy::new(put.clone(), McConfig::paper(samples, seed));
-    let rows = study.faulty_needs(&rs).expect("study rows");
+    let rows = study
+        .try_faulty_needs(&rs)
+        .expect("study rows")
+        .into_resolved();
     assert_eq!(rows.len(), samples, "every instance must resolve");
     let mc = MonteCarlo::new(samples, seed);
     let mut tally = Tally::default();

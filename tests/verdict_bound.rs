@@ -2,7 +2,7 @@
 //! once the delay is proven to fail every test period, and the row stores
 //! the need censored at its proven floor (DESIGN.md §5.13). This suite
 //! checks each sample's bounded rows against the full-window needs of
-//! `DfStudy::faulty_needs`:
+//! `DfStudy::try_faulty_needs`:
 //!
 //! * an uncensored value equals the full-window need bit for bit;
 //! * a censored value `−L` has every threshold `< L ≤` the full need;
@@ -20,7 +20,7 @@ use pulsar_analog::Recorder;
 use pulsar_bench::{bridge_put, internal_rop_put, log_sweep, rop_put};
 use pulsar_core::{
     AdaptivePolicy, AdaptiveReport, CancelToken, Checkpoint, CoverageCurve, DefectKind, DfStudy,
-    McConfig, PathUnderTest,
+    McConfig, PathUnderTest, Plan,
 };
 use pulsar_obs::Counter;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -130,18 +130,23 @@ fn audit(put: &PathUnderTest, samples: usize, seed: u64) -> u64 {
     let study = DfStudy::new(put.clone(), mc);
     let calib = study.calibrate().expect("calibration");
     let thresholds: Vec<f64> = FACTORS.iter().map(|f| f * calib.t0).collect();
-    let full = study.faulty_needs(&rs).expect("full-window needs");
+    let full = study
+        .try_faulty_needs(&rs)
+        .expect("full-window needs")
+        .into_resolved();
     assert_eq!(full.len(), samples, "{label}: every need row resolves");
 
     // Fixed: the durable run's rows, read back from its checkpoint.
     let path = scratch("fixed");
-    let spec = study.coverage_checkpoint_spec(&calib, &rs, &FACTORS);
+    let plan = Plan::fixed(&rs, &FACTORS);
+    let spec = study.checkpoint_spec(&calib, &plan);
     let before = obs.snapshot();
     let (curves, _) = {
         let ck = Checkpoint::create(&path, spec).expect("checkpoint");
         study
-            .coverage_durable(&calib, &rs, &FACTORS, &CancelToken::new(), Some(&ck))
+            .run(&calib, &plan, &CancelToken::new(), Some(&ck))
             .expect("bounded coverage")
+            .into_parts()
     };
     let after = obs.snapshot();
     let rows = records(&path, spec);
@@ -172,32 +177,28 @@ fn audit(put: &PathUnderTest, samples: usize, seed: u64) -> u64 {
     // Adaptive: the bounded run against the full-grid, full-window arm.
     // Equal reports mean equal stopping decisions, so record `i` of both
     // holds the same active columns.
-    let policy = policy(samples);
-    let spec = study.adaptive_checkpoint_spec(&rs, &FACTORS, &policy, None);
+    let plan = Plan::adaptive(&rs, &FACTORS, policy(samples));
+    let spec = study.checkpoint_spec(&calib, &plan);
     let (bounded_path, exact_path) = (scratch("adaptive"), scratch("adaptive-exact"));
     let bounded = study
-        .coverage_adaptive_durable(
+        .run(
             &calib,
-            &rs,
-            &FACTORS,
-            &policy,
-            None,
-            &Checkpoint::create(&bounded_path, spec).expect("checkpoint"),
+            &plan,
+            &CancelToken::new(),
+            Some(&Checkpoint::create(&bounded_path, spec).expect("checkpoint")),
         )
         .expect("bounded adaptive");
     let exact = study
-        .coverage_adaptive_full_grid(
+        .run_full_grid(
             &calib,
-            &rs,
-            &FACTORS,
-            &policy,
-            None,
+            &plan,
+            &CancelToken::new(),
             Some(&Checkpoint::create(&exact_path, spec).expect("checkpoint")),
         )
         .expect("full-window adaptive");
     assert_eq!(
-        report_bits(&bounded),
-        report_bits(&exact),
+        report_bits(bounded.adaptive().expect("adaptive report")),
+        report_bits(exact.adaptive().expect("adaptive report")),
         "{label}: adaptive report"
     );
     let (b, e) = (records(&bounded_path, spec), records(&exact_path, spec));
