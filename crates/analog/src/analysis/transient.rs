@@ -5,6 +5,8 @@
 //! backward-Euler step (damping trapezoidal ringing), and integrates with
 //! the trapezoidal rule elsewhere. Each step's Newton solve starts from a
 //! linear extrapolation of the last two accepted points (`predict`).
+//! Points before any source first moves are the `t = 0` operating point
+//! and are recorded without a solve (the held rest prefix).
 
 use crate::circuit::{Circuit, NodeId};
 use crate::elements::Element;
@@ -290,6 +292,23 @@ fn sources_settle(ckt: &Circuit) -> Option<(f64, bool)> {
     Some((from, returns))
 }
 
+/// The time before which every source still holds its `t = 0` value: the
+/// minimum of [`Waveform::holds_until`](crate::Waveform::holds_until) over
+/// the sources (`∞` for a circuit of DC sources only). A time point before
+/// it is the `t = 0` operating point, so the step loops record it without
+/// a Newton solve (DESIGN.md §5.17).
+fn sources_quiet_until(ckt: &Circuit) -> f64 {
+    ckt.elements()
+        .iter()
+        .filter_map(|e| match e {
+            Element::Vsource { wave, .. } | Element::Isource { wave, .. } => {
+                Some(wave.holds_until())
+            }
+            _ => None,
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Result-column reservation: the fixed-step window, capped by the point
 /// budget so an oversized window fails on the budget, not the allocator.
 fn reserve_points(cfg: &TranConfig, breakpoints: usize) -> usize {
@@ -530,14 +549,16 @@ impl Circuit {
 
         let mut stats = TranStats::default();
         let mut t = 0.0;
-        // Force a BE step right after t=0 and after every breakpoint.
-        // Such a step also starts Newton from the current point: there is
-        // no earlier point (t = 0) or the sources' slope just changed.
+        // Force a BE step right after t=0 (when no point is held) and after
+        // every breakpoint. Such a step also starts Newton from the current
+        // point: there is no earlier point (t = 0) or the sources' slope
+        // just changed.
         let mut after_discontinuity = true;
         // Predictor history: `x_prev` is the accepted point before `x`,
         // `h_prev` the accepted step between them. Read only when
         // `after_discontinuity` is false, i.e. after a first step.
         let mut h_prev = 0.0_f64;
+        let quiet = sources_quiet_until(self);
 
         // Counters are bumped as the loop goes (not once at the end), so a
         // run that dies on the step budget still journals its true spend.
@@ -576,80 +597,90 @@ impl Circuit {
                 tn = cfg.stop;
             }
 
-            let method = match cfg.integrator {
-                Integrator::BackwardEuler => Method::BackwardEuler,
-                Integrator::Trapezoidal => {
-                    if after_discontinuity {
-                        Method::BackwardEuler
-                    } else {
-                        Method::Trapezoidal
-                    }
-                }
-            };
-
-            // Solve at tn, halving the step on Newton failure (up to 10x).
-            // `xn` is the buffer partner of `x`: seeded by the predictor
-            // (by copy on a retry), rotated (not cloned) on acceptance.
-            let mut sub_t = tn;
-            let mut attempts = 0;
-            if after_discontinuity {
-                xn.copy_from_slice(x);
+            // A point before the sources first move is the `t = 0`
+            // operating point: recorded without a solve, leaving the `t = 0`
+            // companion states and a flat predictor history, so the first
+            // solved step is the trapezoidal step a solved prefix would take.
+            let held = tn < quiet;
+            let sub_t = if held {
+                x_prev.copy_from_slice(x);
+                rec.add(Counter::StepsHeld, 1);
+                tn
             } else {
-                predict(xn, x, x_prev, tn - t, h_prev);
-            }
-            loop {
-                let h = sub_t - t;
-                match sys.solve_newton(
-                    xn,
-                    sub_t,
-                    Some((caps.as_slice(), h, method)),
-                    1.0,
-                    0.0,
-                    cfg.max_newton,
-                    "transient",
-                ) {
-                    Ok(()) => break,
-                    Err(e @ Error::SingularMatrix { .. }) => return Err(e),
-                    Err(e) => {
-                        attempts += 1;
-                        stats.newton_retries += 1;
-                        rec.add(Counter::NewtonRetries, 1);
-                        if attempts > 10 {
-                            return Err(e);
+                let method = match cfg.integrator {
+                    Integrator::BackwardEuler => Method::BackwardEuler,
+                    Integrator::Trapezoidal => {
+                        if after_discontinuity {
+                            Method::BackwardEuler
+                        } else {
+                            Method::Trapezoidal
                         }
-                        sub_t = t + (sub_t - t) / 2.0;
-                        xn.copy_from_slice(x);
+                    }
+                };
+
+                // Solve at tn, halving the step on Newton failure (up to
+                // 10x). `xn` is the buffer partner of `x`: seeded by the
+                // predictor (by copy on a retry), rotated (not cloned) on
+                // acceptance.
+                let mut sub_t = tn;
+                let mut attempts = 0;
+                if after_discontinuity {
+                    xn.copy_from_slice(x);
+                } else {
+                    predict(xn, x, x_prev, tn - t, h_prev);
+                }
+                loop {
+                    let h = sub_t - t;
+                    match sys.solve_newton(
+                        xn,
+                        sub_t,
+                        Some((caps.as_slice(), h, method)),
+                        1.0,
+                        0.0,
+                        cfg.max_newton,
+                        "transient",
+                    ) {
+                        Ok(()) => break,
+                        Err(e @ Error::SingularMatrix { .. }) => return Err(e),
+                        Err(e) => {
+                            attempts += 1;
+                            stats.newton_retries += 1;
+                            rec.add(Counter::NewtonRetries, 1);
+                            if attempts > 10 {
+                                return Err(e);
+                            }
+                            sub_t = t + (sub_t - t) / 2.0;
+                            xn.copy_from_slice(x);
+                        }
                     }
                 }
-            }
 
-            // Accept the (possibly shortened) step: `h` is recomputed from
-            // the final `sub_t`, so it is the *accepted* step size even
-            // after retries halved the trial step.
-            let h = sub_t - t;
-            // Advance the companion states, reusing the `c/h` conductances
-            // the last (accepted) solve hoisted for exactly this `h` and
-            // method — the same bits the baseline recomputes per branch.
-            for ((st, &(a, b, _)), &geq) in
-                caps.iter_mut().zip(cap_branches.iter()).zip(sys.cap_geq())
-            {
-                let v_now = System::node_voltage(xn, a) - System::node_voltage(xn, b);
-                let i_now = match method {
-                    Method::BackwardEuler => geq * (v_now - st.v_prev),
-                    Method::Trapezoidal => geq * (v_now - st.v_prev) - st.i_prev,
-                };
-                st.v_prev = v_now;
-                st.i_prev = i_now;
-            }
-            // Rotate the buffers: the old point becomes the predictor's
-            // history, the new one the current point.
-            core::mem::swap(x_prev, x);
-            core::mem::swap(x, xn);
-            h_prev = h;
+                // Advance the companion states over the accepted (possibly
+                // shortened) step, reusing the `c/h` conductances the last
+                // (accepted) solve hoisted for exactly this step and method
+                // — the same bits the baseline recomputes per branch.
+                for ((st, &(a, b, _)), &geq) in
+                    caps.iter_mut().zip(cap_branches.iter()).zip(sys.cap_geq())
+                {
+                    let v_now = System::node_voltage(xn, a) - System::node_voltage(xn, b);
+                    let i_now = match method {
+                        Method::BackwardEuler => geq * (v_now - st.v_prev),
+                        Method::Trapezoidal => geq * (v_now - st.v_prev) - st.i_prev,
+                    };
+                    st.v_prev = v_now;
+                    st.i_prev = i_now;
+                }
+                // Rotate the buffers: the old point becomes the predictor's
+                // history, the new one the current point.
+                core::mem::swap(x_prev, x);
+                core::mem::swap(x, xn);
+                sub_t
+            };
+            h_prev = sub_t - t;
             t = sub_t;
             record(t, x, &mut times, &mut voltages);
             rec.add(Counter::StepsAccepted, 1);
-            after_discontinuity = hit_bp && (sub_t - tn).abs() < 1e-18;
+            after_discontinuity = !held && hit_bp && (sub_t - tn).abs() < 1e-18;
             if t < cfg.stop - 1e-18 && stop_rule.reached(t, x, rest) {
                 stats.stopped_early = true;
                 break;
@@ -674,8 +705,9 @@ impl Circuit {
     /// allocation, records every node, and runs the preserved pre-PR
     /// Newton and LU kernels (`System::solve_newton_baseline`). It seeds
     /// each step's Newton solve with the same predictor as the
-    /// workspace engine, so results are bit-identical to the workspace
-    /// engine run dense (asserted by the `workspace_equivalence` tests).
+    /// workspace engine and holds the rest prefix by the same rule, so
+    /// results are bit-identical to the workspace engine run dense
+    /// (asserted by the `workspace_equivalence` tests).
     ///
     /// It ignores [`TranConfig::until`] and always runs to `stop`, which
     /// makes it the full-window reference for the early-stop rules.
@@ -727,6 +759,7 @@ impl Circuit {
         let mut t = 0.0;
         let mut after_discontinuity = true;
         let mut prev: Option<(f64, Vec<f64>)> = None; // (h of last step, x before it)
+        let quiet = sources_quiet_until(self);
 
         while t < cfg.stop - 1e-18 {
             if times.len() >= cfg.max_points {
@@ -749,6 +782,15 @@ impl Circuit {
             }
             if tn > cfg.stop {
                 tn = cfg.stop;
+            }
+
+            // The held rest prefix, as in `transient_with`.
+            if tn < quiet {
+                prev = Some((tn - t, x.clone()));
+                t = tn;
+                record(t, &x, &mut times, &mut voltages);
+                after_discontinuity = false;
+                continue;
             }
 
             let method = match cfg.integrator {
@@ -1306,6 +1348,119 @@ mod tests {
                 ckt.transient(&cfg),
                 Err(Error::InvalidTranConfig { .. })
             ));
+        }
+    }
+
+    /// A CMOS inverter driving an RC load from a PWL input that rests at
+    /// 0 V until 0.5 ns (with a corner inside the rest) and ramps after.
+    fn held_deck() -> (Circuit, NodeId) {
+        use crate::elements::{MosType, Mosfet, MosfetParams};
+        let mut ckt = Circuit::new();
+        let vdd = ckt.node("vdd");
+        let vin = ckt.node("in");
+        let out = ckt.node("out");
+        let load = ckt.node("load");
+        ckt.vsource(vdd, Circuit::GROUND, Waveform::dc(1.8));
+        let rest = vec![(0.0, 0.0), (0.21e-9, 0.0), (0.5e-9, 0.0), (0.6e-9, 1.8)];
+        ckt.vsource(vin, Circuit::GROUND, Waveform::Pwl(rest));
+        for (kind, rail, vt0, kp, w) in [
+            (MosType::Pmos, vdd, -0.42, 60e-6, 2e-6),
+            (MosType::Nmos, Circuit::GROUND, 0.4, 170e-6, 1e-6),
+        ] {
+            let params = MosfetParams {
+                vt0,
+                kp,
+                lambda: 0.06,
+                w,
+                l: 0.18e-6,
+                cgs: 1e-15,
+                cgd: 1e-15,
+                cdb: 1e-15,
+            };
+            ckt.add_mosfet(Mosfet {
+                kind,
+                d: out,
+                g: vin,
+                s: rail,
+                params,
+            });
+        }
+        ckt.resistor(out, load, 2e3);
+        ckt.capacitor(load, Circuit::GROUND, 5e-15);
+        (ckt, load)
+    }
+
+    #[test]
+    fn held_points_are_the_operating_point_and_solve_nothing() {
+        use pulsar_obs::Recorder;
+        let (ckt, load) = held_deck();
+        let run = |stop: f64| {
+            let rec = Recorder::enabled();
+            let mut ws = SolverWorkspace::new();
+            ws.set_recorder(rec.clone());
+            let res = ckt
+                .transient_with(&TranConfig::new(4e-12, stop), &mut ws, &TraceCapture::All)
+                .unwrap();
+            (res, rec.snapshot())
+        };
+        let solves = |snap: &pulsar_obs::MetricsSnapshot| {
+            let c = |k| snap.counter(k);
+            (c(Counter::DenseSolves), c(Counter::NewtonIterations))
+        };
+        let dc = {
+            let rec = Recorder::enabled();
+            let mut ws = SolverWorkspace::new();
+            ws.set_recorder(rec.clone());
+            let op = ckt.dc_op_with(0.0, &mut ws).unwrap();
+            (op, rec.snapshot())
+        };
+
+        // Stopping inside the rest: every point after t = 0 is held, and
+        // the run solves exactly what the DC operating point alone does.
+        let (rest, snap) = run(0.45e-9);
+        let held = rest.len() - 1;
+        assert!(held > 100, "{held} held points");
+        assert!(rest.times().contains(&0.21e-9), "the corner is sampled");
+        assert_eq!(snap.counter(Counter::StepsHeld), held as u64);
+        assert_eq!(snap.counter(Counter::StepsAccepted), held as u64);
+        assert_eq!(solves(&snap), solves(&dc.1));
+        for n in 1..ckt.node_count() {
+            let bits: Vec<u64> = rest
+                .trace(NodeId(n))
+                .values()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(
+                bits,
+                vec![dc.0.voltage(NodeId(n)).to_bits(); rest.len()],
+                "node {n}"
+            );
+        }
+
+        // The full run holds the points before 0.5 ns, solves the rest, and
+        // switches the inverter; the baseline engine agrees bit for bit.
+        let (full, snap) = run(1.5e-9);
+        let before = full
+            .times()
+            .iter()
+            .filter(|&&t| 0.0 < t && t < 0.5e-9)
+            .count();
+        assert_eq!(snap.counter(Counter::StepsHeld), before as u64);
+        let solved = snap.counter(Counter::StepsAccepted) - before as u64;
+        assert_eq!(snap.counter(Counter::DenseSolves), solves(&dc.1).0 + solved);
+        assert!(full.trace(load).value_at(0.0) > 1.7 && full.trace(load).last_value() < 0.1);
+        let base = ckt
+            .transient_baseline(&TranConfig::new(4e-12, 1.5e-9))
+            .unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(full.times()), bits(base.times()));
+        for n in 0..ckt.node_count() {
+            let node = NodeId(n);
+            assert_eq!(
+                bits(full.trace(node).values()),
+                bits(base.trace(node).values())
+            );
         }
     }
 

@@ -166,6 +166,26 @@ impl Waveform {
         }
     }
 
+    /// Time up to which the waveform keeps its `t = 0` value: `∞` for a
+    /// DC level, `delay` for a pulse, and for a PWL the last point of its
+    /// opening flat run (`∞` when every point shares the first value).
+    /// On `[0, holds_until)` [`Waveform::value_at`] returns exactly
+    /// `value_at(0.0)`, which lets the transient engine hold its `t = 0`
+    /// operating point there without solving (DESIGN.md §5.17).
+    pub fn holds_until(&self) -> f64 {
+        match self {
+            Waveform::Dc(_) => f64::INFINITY,
+            Waveform::Pulse { delay, .. } => *delay,
+            Waveform::Pwl(points) => match points.first() {
+                None => f64::INFINITY,
+                Some(&(_, v0)) => match points.iter().position(|&(_, v)| v != v0) {
+                    None => f64::INFINITY,
+                    Some(k) => points[k - 1].0,
+                },
+            },
+        }
+    }
+
     /// Times at which the waveform has corners (slope discontinuities)
     /// within `[0, stop]`. The transient engine forces time points here so
     /// sharp edges are never stepped over.
@@ -488,6 +508,52 @@ mod tests {
         assert_eq!(w.value_at(0.5), 1.0);
         assert_eq!(w.value_at(2.0), 2.0);
         assert_eq!(w.value_at(9.0), 2.0);
+    }
+
+    /// `holds_until` of every waveform kind, and the contract the transient
+    /// engine relies on: the `t = 0` value, bit for bit, over `[0, until)`.
+    #[test]
+    fn holds_until_covers_each_waveform_kind() {
+        let cases = [
+            (Waveform::dc(1.8), f64::INFINITY),
+            (
+                Waveform::single_pulse(0.0, 1.8, 0.5e-9, 0.1e-9, 0.1e-9, 0.3e-9),
+                0.5e-9,
+            ),
+            (
+                Waveform::single_pulse(1.8, 0.0, 0.0, 0.1e-9, 0.1e-9, 0.3e-9),
+                0.0,
+            ),
+            (
+                Waveform::Pwl(vec![
+                    (0.0, 0.2),
+                    (0.4e-9, 0.2),
+                    (0.7e-9, 0.2),
+                    (0.8e-9, 1.0),
+                ]),
+                0.7e-9,
+            ),
+            (Waveform::Pwl(vec![(0.0, 0.0), (1e-9, 1.0)]), 0.0),
+            (Waveform::Pwl(vec![(0.3e-9, 1.0), (0.6e-9, 0.0)]), 0.3e-9),
+            (
+                Waveform::Pwl(vec![(0.1e-9, 0.5), (2e-9, 0.5)]),
+                f64::INFINITY,
+            ),
+        ];
+        for (w, until) in cases {
+            assert_eq!(w.holds_until(), until, "{w:?}");
+            let v0 = w.value_at(0.0).to_bits();
+            let end = until.min(3e-9);
+            for k in 0..=100 {
+                let t = end * f64::from(k) / 100.0;
+                if t < until {
+                    assert_eq!(w.value_at(t).to_bits(), v0, "{w:?} at {t:e}");
+                }
+            }
+            if until.is_finite() {
+                assert_ne!(w.value_at(until + 1e-12).to_bits(), v0, "{w:?}");
+            }
+        }
     }
 
     #[test]

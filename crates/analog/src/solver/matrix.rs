@@ -304,8 +304,11 @@ mod tests {
             let mut x2 = b;
             a.solve_in_place(&mut x1).unwrap();
             a2.solve_in_place_baseline(&mut x2).unwrap();
-            prop_assert_eq!(&x1, &x2);
-            prop_assert_eq!(&a.data, &a2.data);
+            // Bit patterns: `==` on `f64` equates -0.0 with 0.0 and fails
+            // on equal NaNs.
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&x1), bits(&x2));
+            prop_assert_eq!(bits(&a.data), bits(&a2.data));
         }
 
         /// A x = b solved then multiplied back must reproduce b, for random

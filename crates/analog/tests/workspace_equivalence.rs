@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 use proptest::strategy::Just;
 use pulsar_analog::{
-    Circuit, Edge, MosType, Mosfet, MosfetParams, NodeId, SolverMode, SolverWorkspace,
+    Circuit, DcSolution, Edge, MosType, Mosfet, MosfetParams, NodeId, SolverMode, SolverWorkspace,
     TraceCapture, TranConfig, Waveform,
 };
 
@@ -113,6 +113,12 @@ fn config() -> TranConfig {
     TranConfig::new(10e-12, 3e-9)
 }
 
+/// Bit patterns of `v`: "bit-identical" is compared on these, since `==`
+/// on `f64` equates `-0.0` with `0.0` and fails on equal NaNs.
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -142,9 +148,9 @@ proptest! {
         let baseline = ckt.transient_baseline(&cfg).expect("baseline engine");
 
         for res in [&first, &again, &baseline] {
-            prop_assert_eq!(fresh.times(), res.times());
+            prop_assert_eq!(bits(fresh.times()), bits(res.times()));
             for &n in &taps {
-                prop_assert_eq!(fresh.trace(n).values(), res.trace(n).values());
+                prop_assert_eq!(bits(fresh.trace(n).values()), bits(res.trace(n).values()));
             }
         }
     }
@@ -165,18 +171,16 @@ proptest! {
             .transient_with(&cfg, &mut ws, &TraceCapture::Nodes(subset.clone()))
             .expect("slim capture");
 
-        prop_assert_eq!(all.times(), slim.times());
+        prop_assert_eq!(bits(all.times()), bits(slim.times()));
         for &n in &subset {
-            prop_assert_eq!(all.trace(n).values(), slim.trace(n).values());
+            prop_assert_eq!(bits(all.trace(n).values()), bits(slim.trace(n).values()));
             let th = 0.9;
-            prop_assert_eq!(
-                all.trace(n).crossings(th, Edge::Rising),
-                slim.trace(n).crossings(th, Edge::Rising)
-            );
-            prop_assert_eq!(
-                all.trace(n).crossings(th, Edge::Falling),
-                slim.trace(n).crossings(th, Edge::Falling)
-            );
+            for edge in [Edge::Rising, Edge::Falling] {
+                prop_assert_eq!(
+                    bits(&all.trace(n).crossings(th, edge)),
+                    bits(&slim.trace(n).crossings(th, edge))
+                );
+            }
         }
     }
 
@@ -189,10 +193,9 @@ proptest! {
         let cold = ckt.dc_op().expect("dc");
         let reused = ckt.dc_op_with(0.0, &mut ws).expect("reused dc");
         let reused2 = ckt.dc_op_with(0.0, &mut ws).expect("reused dc again");
-        for &n in &taps {
-            prop_assert_eq!(cold.voltage(n), reused.voltage(n));
-            prop_assert_eq!(cold.voltage(n), reused2.voltage(n));
-        }
+        let volts = |op: &DcSolution| bits(&taps.iter().map(|&n| op.voltage(n)).collect::<Vec<_>>());
+        prop_assert_eq!(volts(&cold), volts(&reused));
+        prop_assert_eq!(volts(&cold), volts(&reused2));
     }
 
     /// The sparse engine, forced on, reproduces the dense engine within

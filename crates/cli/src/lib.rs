@@ -224,9 +224,12 @@ serve flags (client operations):
                      block on / report / cancel / follow the journal of
                      a job by id; --stats and --shutdown take no value
 
+Each flag may be given once; a repeated flag is a usage error.
+
 Exit codes: 0 = success, 1 = runtime failure, 2 = usage error,
 130 = interrupted (SIGINT; checkpointed work is resumable with --resume,
-and an interrupted serve daemon resumes drained jobs from its --spool).
+an interrupted study prints the curves of the samples done, and an
+interrupted serve daemon resumes drained jobs from its --spool).
 Typed serve rejections (busy, tenant-budget, shutdown) exit 1.
 ";
 
@@ -252,13 +255,18 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
 ///
 /// As for [`dispatch`], plus the interrupted (exit 130) failure.
 pub fn dispatch_with_cancel(args: &[String], token: &CancelToken) -> Result<String, CliError> {
+    if let Some(flag) = repeated_flag(args) {
+        return Err(CliError::usage(format!(
+            "{flag} is given more than once (each flag is read once)"
+        )));
+    }
     match args.first().map(String::as_str) {
         Some("sim") => cmd_sim(&args[1..], token),
         Some("lint") => cmd_lint(&args[1..]),
         Some("testgen") => cmd_testgen(&args[1..]),
         Some("campaign") => cmd_campaign(&args[1..], token),
         Some("faultsim") => cmd_faultsim(&args[1..]),
-        Some("study") => cmd_study(&args[1..]),
+        Some("study") => cmd_study(&args[1..], token),
         Some("serve") => cmd_serve(&args[1..], token),
         Some("--help" | "-h" | "help") | None => Ok(USAGE.to_owned()),
         Some(other) => Err(CliError::usage(format!(
@@ -344,22 +352,38 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// The tokens of `args` that are not flag values, each with whether it
+/// is a flag.
+fn tokens(args: &[String]) -> impl Iterator<Item = (bool, &str)> {
+    let mut skip = false;
+    args.iter().filter_map(move |a| {
+        if std::mem::take(&mut skip) {
+            return None;
+        }
+        let flag = a.starts_with("--");
+        skip = flag && !BOOL_FLAGS.contains(&a.as_str());
+        Some((flag, a.as_str()))
+    })
+}
+
 fn positionals(args: &[String]) -> Vec<&str> {
     // Tokens that are neither flags nor flag values.
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            skip = !BOOL_FLAGS.contains(&a.as_str());
-            continue;
-        }
-        out.push(a.as_str());
-    }
-    out
+    tokens(args)
+        .filter_map(|(flag, a)| (!flag).then_some(a))
+        .collect()
+}
+
+/// The first flag given twice. [`flag_value`] reads only the first of a
+/// repeated flag, so a repeat is refused instead of silently dropped.
+fn repeated_flag(args: &[String]) -> Option<&str> {
+    let flags: Vec<&str> = tokens(args)
+        .filter_map(|(flag, a)| flag.then_some(a))
+        .collect();
+    flags
+        .iter()
+        .enumerate()
+        .find(|&(i, f)| flags[..i].contains(f))
+        .map(|(_, f)| *f)
 }
 
 fn positional(args: &[String]) -> Option<&str> {
@@ -523,8 +547,10 @@ fn cmd_sim(args: &[String], token: &CancelToken) -> Result<String, CliError> {
         );
         let _ = writeln!(
             out,
-            "transient stats: {} steps accepted, {} Newton retries, {} Newton iterations",
+            "transient stats: {} steps accepted ({} held at rest), {} Newton retries, \
+             {} Newton iterations",
             snap.counter(ObsCounter::StepsAccepted),
+            snap.counter(ObsCounter::StepsHeld),
             snap.counter(ObsCounter::NewtonRetries),
             snap.counter(ObsCounter::NewtonIterations)
         );
@@ -841,7 +867,7 @@ fn render_adaptive(out: &mut String, report: &AdaptiveReport) {
 /// (`pulse`). `--adaptive` switches the fixed per-point budget to the
 /// early-stopping engine; the summary and the `--metrics` manifest then
 /// carry the measured per-point `{requested, achieved}` precision.
-fn cmd_study(args: &[String]) -> Result<String, CliError> {
+fn cmd_study(args: &[String], token: &CancelToken) -> Result<String, CliError> {
     let kind = positional(args).ok_or_else(|| CliError::usage("study: missing kind (df|pulse)"))?;
     if kind != "df" && kind != "pulse" {
         return Err(CliError::usage(format!(
@@ -910,24 +936,50 @@ fn cmd_study(args: &[String]) -> Result<String, CliError> {
         ..McConfig::paper(samples, seed)
     };
     let calibration = |e: CoreError| CliError::run_err("study calibration", &e);
-    let token = CancelToken::new();
     let (header, report) = if kind == "df" {
         let study = DfStudy::new(put, mc);
         let calib = study.calibrate().map_err(calibration)?;
-        let report = study.run(&calib, &plan, &token, None);
+        let report = study.run(&calib, &plan, token, None);
         (study.header(&calib, &plan), report)
     } else {
         let study = PulseStudy::new(put, mc, Polarity::PositiveGoing);
         let calib = study.calibrate().map_err(calibration)?;
-        let report = study.run(&calib, &plan, &token, None);
+        let report = study.run(&calib, &plan, token, None);
         (study.header(&calib, &plan), report)
     };
-    let context = if adaptive { "adaptive study" } else { "study" };
-    let report = report.map_err(|e| CliError::run_err(context, &e))?;
+    let interrupted = token.cancelled() == Some(CancelReason::User);
     let mut out = header + "\n";
+    let report = match report {
+        Ok(report) => report,
+        // An adaptive report cannot account for a truncated run, so an
+        // interrupted adaptive study has no curves (and no manifest) to
+        // show; its journal still holds the samples done.
+        Err(_) if interrupted => {
+            if let Some(f) = trace_out {
+                write_journal(&rec, f, &mut out)?;
+            }
+            return Err(CliError::interrupted(
+                "adaptive study interrupted (an adaptive run reports only when whole)",
+                out,
+            ));
+        }
+        Err(e) => {
+            let context = if adaptive { "adaptive study" } else { "study" };
+            return Err(CliError::run_err(context, &e));
+        }
+    };
     render_curves(&mut out, report.curves());
     if let Some(r) = report.adaptive() {
         render_adaptive(&mut out, r);
+    }
+    let done = report.curves().first().map(|c| c.completeness);
+    if let Some(c) = done.filter(|c| !c.is_complete()) {
+        let why = c.truncated.unwrap_or("incomplete");
+        let _ = writeln!(
+            out,
+            "TRUNCATED ({why}): {} of {} samples done",
+            c.done, c.requested
+        );
     }
     if let Some(f) = trace_out {
         write_journal(&rec, f, &mut out)?;
@@ -940,6 +992,14 @@ fn cmd_study(args: &[String]) -> Result<String, CliError> {
         manifest.tech = Some("generic_180nm".to_owned());
         manifest.adaptive = report.adaptive().map(AdaptiveReport::to_manifest);
         write_manifest(manifest, &rec, started_unix_ms, t0, f, &mut out)?;
+    }
+    // Ctrl-C: the curves over the samples done, the journal and the
+    // manifest are already written — exit 130 as `campaign` does.
+    if interrupted {
+        return Err(CliError::interrupted(
+            "study interrupted (the curves above cover the samples done before it)",
+            out,
+        ));
     }
     Ok(out)
 }
@@ -1283,10 +1343,16 @@ mod tests {
             [
                 "solver stats: N sparse solves (N symbolic analyses, N numeric factorizations), \
                  N dense solves (N iterations), N dense fallbacks",
-                "transient stats: N steps accepted, N Newton retries, N Newton iterations",
+                "transient stats: N steps accepted (N held at rest), N Newton retries, \
+                 N Newton iterations",
             ],
             "{out}"
         );
+        // The 1 ns pulse delay at a 10 ps step: the 100 points up to the
+        // edge (the last of them, summed from 10 ps steps, lands just
+        // below 1 ns) are held at the operating point without a solve.
+        assert!(out.contains("(100 held at rest)"), "{out}");
+        assert!(out.contains("301 dense solves"), "{out}");
         // The RC deck is tiny, so the `Auto` crossover keeps it dense.
         assert!(out.contains("solver stats: 0 sparse solves"), "{out}");
 
@@ -1520,6 +1586,58 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
         assert!(partial.contains("TRUNCATED (interrupted)"), "{partial}");
         assert!(e.render().contains("130 = interrupted"), "{}", e.render());
         let _ = fs::remove_file(&ck);
+    }
+
+    #[test]
+    fn interrupted_study_exits_130_with_partial_report() {
+        let token = CancelToken::new();
+        token.cancel(CancelReason::User);
+        let e = dispatch_with_cancel(&study_args("df", &[]), &token).unwrap_err();
+        assert_eq!(e.code, 130);
+        assert_eq!(e.kind, "interrupted");
+        let partial = e.partial.as_deref().expect("partial report survives");
+        assert!(partial.contains("T0 ="), "{partial}");
+        assert!(partial.contains("factor 0.90: coverage"), "{partial}");
+        assert!(
+            partial.contains("TRUNCATED (interrupted): 0 of 4 samples done"),
+            "{partial}"
+        );
+        assert!(e.render().contains("130 = interrupted"), "{}", e.render());
+
+        // An adaptive run has no partial curves, but still exits 130.
+        let e = dispatch_with_cancel(&study_args("pulse", &["--adaptive"]), &token).unwrap_err();
+        assert_eq!(e.code, 130);
+        let partial = e.partial.as_deref().expect("the header survives");
+        assert!(partial.contains("w_th ="), "{partial}");
+        assert!(!partial.contains("factor "), "{partial}");
+    }
+
+    #[test]
+    fn repeated_flags_are_usage_errors() {
+        for (args, flag) in [
+            (study_args("df", &["--samples", "0"]), "--samples"),
+            (
+                study_args("pulse", &["--adaptive", "--adaptive"]),
+                "--adaptive",
+            ),
+            (
+                [
+                    "sim", "deck.sp", "--csv", "a.csv", "--stats", "--csv", "b.csv",
+                ]
+                .map(String::from)
+                .to_vec(),
+                "--csv",
+            ),
+        ] {
+            let e = dispatch(&args).unwrap_err();
+            assert_eq!(e.code, 2, "{args:?}: {}", e.message);
+            assert!(e.message.contains(flag), "{}", e.message);
+            assert!(e.message.contains("more than once"), "{}", e.message);
+        }
+        // A flag *value* that repeats a flag name is not a repeat.
+        assert_eq!(repeated_flag(&study_args("df", &["--seed", "4"])), None);
+        let args = ["serve", "s.sock", "--run", "df", "--tenant", "--run"].map(String::from);
+        assert_eq!(repeated_flag(&args), None);
     }
 
     #[test]

@@ -98,6 +98,9 @@ pub enum Counter {
     DenseFallbacks,
     /// Transient time points accepted (step-budget spend).
     StepsAccepted,
+    /// Of [`Counter::StepsAccepted`], the points recorded at the `t = 0`
+    /// operating point without a Newton solve, before any source moves.
+    StepsHeld,
     /// Transient steps rejected by local-truncation-error control. No
     /// engine has one since the step controller was removed, so it reads
     /// 0; it stays only because the benchmark's `analog.lte_reject_ratio`
@@ -157,7 +160,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 32;
+    pub const COUNT: usize = 33;
 
     /// Every counter, in canonical order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -169,6 +172,7 @@ impl Counter {
         Counter::NumericFactorizations,
         Counter::DenseFallbacks,
         Counter::StepsAccepted,
+        Counter::StepsHeld,
         Counter::LteRejections,
         Counter::NewtonRetries,
         Counter::SamplesOk,
@@ -206,6 +210,7 @@ impl Counter {
             Counter::NumericFactorizations => "numeric_factorizations",
             Counter::DenseFallbacks => "dense_fallbacks",
             Counter::StepsAccepted => "steps_accepted",
+            Counter::StepsHeld => "steps_held",
             Counter::LteRejections => "lte_rejections",
             Counter::NewtonRetries => "newton_retries",
             Counter::SamplesOk => "samples_ok",
