@@ -9,7 +9,7 @@ use crate::checkpoint::{decode_f64, encode_f64, Checkpoint, CheckpointSpec, Chec
 use crate::durable::{Completeness, Watchdog};
 use crate::error::CoreError;
 use crate::resilience::{error_kind, is_run_cancelled, ResilienceConfig};
-use crate::testgen::{PathTestPlan, SitePlanner, TestgenConfig};
+use crate::testgen::{PathTestPlan, SitePlanner, TestgenConfig, R_REL_TOL};
 use pulsar_analog::{FaultPlan, Polarity};
 use pulsar_logic::{collapsed_fault_sites, GateId, InputVector, Netlist, Path, PathStep, SignalId};
 use pulsar_mc::{MonteCarlo, RunHooks, SampleOutcome, Summary};
@@ -493,7 +493,10 @@ impl Campaign {
     /// The [`CheckpointSpec`] identifying a durable run of this campaign
     /// over `nl`: the config digest covers the testgen knobs, collapse,
     /// stride, *and* the resolved probed-site list, so a checkpoint can
-    /// never be resumed against a different netlist or site ordering.
+    /// never be resumed against a different netlist or site ordering. It
+    /// also names the `R_min` search and its tolerance, so a checkpoint
+    /// written under another search, whose `R_min` differ in their low
+    /// bits, is refused instead of mixed into one report.
     ///
     /// # Errors
     ///
@@ -501,7 +504,7 @@ impl Campaign {
     pub fn checkpoint_spec(&self, nl: &Netlist) -> Result<CheckpointSpec, CoreError> {
         let sites = self.probed_sites(nl)?;
         let digest = config_digest(&format!(
-            "campaign cfg={:?} stride={} collapse={} sites={:?}",
+            "campaign cfg={:?} stride={} collapse={} sites={:?} rmin=illinois-{R_REL_TOL:e}",
             self.cfg, self.stride, self.collapse, sites
         ));
         Ok(CheckpointSpec {
@@ -599,6 +602,8 @@ impl Campaign {
             },
         );
         drop(watchdog);
+        self.obs
+            .add(ObsCounter::ModelEvaluations, planner.model_evaluations());
 
         let resumed = checkpoint.map_or(0, |c| {
             (0..raw.len())

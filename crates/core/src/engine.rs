@@ -399,6 +399,13 @@ impl ModelPath {
         &self.current
     }
 
+    /// Index into [`ModelPath::model`]'s elements of the element the
+    /// resistance writes (`None` on a fault-free path): the elements
+    /// before it are the same at every resistance.
+    pub(crate) fn fault_element(&self) -> Option<usize> {
+        self.fault.map(|slot| slot.at)
+    }
+
     /// Writes resistance `ohms` into the fault's element: the same value
     /// as injecting `ohms × c` into a fresh copy of the healthy model.
     fn apply(&mut self, ohms: f64) {

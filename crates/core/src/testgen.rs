@@ -7,8 +7,9 @@
 //! 2. sensitizes each (side inputs non-controlling, pulse carrier free),
 //! 3. characterizes each path's pulse-width transfer with the fast
 //!    logic-level engine and picks `(ω_in, ω_th)` by the region-3 rule,
-//! 4. computes the path's **minimum detectable resistance** `R_min` by
-//!    bisection, trying both pulse kinds (*h* and *l*),
+//! 4. computes the path's **minimum detectable resistance** `R_min`, to
+//!    a relative width of 1e-9, by a bracketed false-position search on
+//!    ln R (DESIGN.md §5.14), trying both pulse kinds (*h* and *l*),
 //! 5. ranks the plans: "the best path … should be searched between paths
 //!    featuring low values of ω_in and ω_th" — lowest `R_min` first.
 
@@ -16,10 +17,13 @@ use crate::engine::{ModelFault, ModelPath, PathInstance};
 use crate::error::CoreError;
 use pulsar_analog::Polarity;
 use pulsar_cells::{BuiltPath, CellKind, PathFault, PathSpec, Tech};
-use pulsar_logic::{paths_from_fanin, sensitize, GateKind, InputVector, Netlist, Path, SignalId};
+use pulsar_logic::{
+    sensitize, visit_paths_from_fanin, GateKind, InputVector, Netlist, Path, SignalId,
+};
 use pulsar_timing::{PathTimingModel, TimingLibrary};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Knobs for [`plan_for_site`].
@@ -42,7 +46,11 @@ pub struct TestgenConfig {
     pub sweep_points: usize,
     /// Effective fan-out branch capacitance the defect charges, farads.
     pub c_branch: f64,
-    /// `R_min` bisection bracket, ohms.
+    /// `R_min` search bracket `(r_lo, r_hi)`, ohms: finite, positive and
+    /// increasing, or [`SitePlanner::new`] refuses the config. `R_min` is
+    /// `r_lo` when `r_lo` already detects, `None` when `r_hi` does not,
+    /// and otherwise the detected end of a bracket narrowed to
+    /// `hi ≤ lo·(1 + 1e-9)`.
     pub r_bracket: (f64, f64),
 }
 
@@ -92,7 +100,8 @@ pub struct PathTestPlan {
 /// # Errors
 ///
 /// [`CoreError::NoSensitizablePath`] when no candidate path can be
-/// sensitized; netlist errors propagate.
+/// sensitized; [`CoreError::InvalidPlan`] for an unusable
+/// [`TestgenConfig::r_bracket`]; netlist errors propagate.
 pub fn plan_for_site(
     nl: &Netlist,
     site: SignalId,
@@ -114,7 +123,7 @@ const POLARITIES: [Polarity; 2] = [Polarity::PositiveGoing, Polarity::NegativeGo
 /// (netlist, path, library, config), and a path through several probed
 /// sites is a candidate of each. The planner memoizes them per distinct
 /// path; [`SitePlanner::plan`] runs only the site-specific part (the
-/// fault mapping and the `R_min` bisection). Its plans are bit-identical
+/// fault mapping and the `R_min` search). Its plans are bit-identical
 /// to [`plan_for_site`]'s, whatever the order or thread sites are planned
 /// in.
 ///
@@ -128,6 +137,8 @@ pub struct SitePlanner<'a> {
     /// Per distinct candidate path: its shared work, or `None` when it
     /// yields no plan for any site (unsensitizable or over budget).
     memo: Mutex<PathMap<Option<Arc<SharedPath>>>>,
+    /// Model evaluations spent by the `R_min` searches so far.
+    evaluations: AtomicU64,
 }
 
 /// The site-independent planning work for one path.
@@ -145,19 +156,38 @@ impl<'a> SitePlanner<'a> {
     ///
     /// # Errors
     ///
-    /// Structural netlist errors (a combinational loop).
+    /// Structural netlist errors (a combinational loop);
+    /// [`CoreError::InvalidPlan`] when [`TestgenConfig::r_bracket`] is
+    /// not finite, positive and increasing.
     pub fn new(
         nl: &'a Netlist,
         lib: &'a TimingLibrary,
         cfg: &TestgenConfig,
     ) -> Result<Self, CoreError> {
         nl.topological_order()?;
+        let (r_lo, r_hi) = cfg.r_bracket;
+        if !(r_lo.is_finite() && r_hi.is_finite() && 0.0 < r_lo && r_lo < r_hi) {
+            return Err(CoreError::InvalidPlan {
+                reason: format!(
+                    "testgen r_bracket ({r_lo:e}, {r_hi:e}) must be finite, positive and increasing"
+                ),
+            });
+        }
         Ok(SitePlanner {
             nl,
             lib,
             cfg: *cfg,
             memo: Mutex::new(PathMap::default()),
+            evaluations: AtomicU64::new(0),
         })
+    }
+
+    /// Trial resistances the `R_min` searches of this planner have
+    /// evaluated the model at so far, over every site and thread. The
+    /// searches are site work, never memoized, so a run's total does not
+    /// depend on thread count or site order.
+    pub fn model_evaluations(&self) -> u64 {
+        self.evaluations.load(Ordering::Relaxed) // ordering: a tally; it guards no data
     }
 
     /// [`plan_for_site`] for `site`: ranked plans, best first.
@@ -167,14 +197,14 @@ impl<'a> SitePlanner<'a> {
     /// As for [`plan_for_site`].
     pub fn plan(&self, site: SignalId) -> Result<Vec<PathTestPlan>, CoreError> {
         let (nl, cfg) = (self.nl, &self.cfg);
-        let candidates = paths_from_fanin(nl, site, cfg.max_paths)?;
         let mut plans = Vec::new();
 
-        for path in candidates {
-            let Some(shared) = self.shared(&path)? else {
-                continue;
+        // `new` checked the netlist, so the walk needs no loop check.
+        visit_paths_from_fanin(nl, site, cfg.max_paths, |path| {
+            let Some(shared) = self.shared(path)? else {
+                return Ok(());
             };
-            let fault = fault_for(&path, nl, site, cfg.c_branch);
+            let fault = fault_for(path, nl, site, cfg.c_branch);
             let mut faulty = ModelPath::new(shared.healthy.clone(), Some(fault), cfg.r_bracket.0);
 
             // Try both pulse kinds; keep the better (lower R_min).
@@ -183,14 +213,17 @@ impl<'a> SitePlanner<'a> {
                 let Some((w_in, w_th)) = knee else {
                     continue;
                 };
-                let r_min = r_min(&mut faulty, polarity, w_in, w_th, cfg.r_bracket)?;
+                let mut search = RMinSearch::new(&faulty, polarity, w_in, w_th);
+                let r_min = search.run(&mut faulty, cfg.r_bracket)?;
+                // ordering: a tally; it guards no data
+                self.evaluations.fetch_add(search.spent, Ordering::Relaxed);
                 if best.is_none_or(|b| rank(r_min) < rank(b.3)) {
                     best = Some((polarity, w_in, w_th, r_min));
                 }
             }
             if let Some((polarity, w_in, w_th, r_min)) = best {
                 plans.push(PathTestPlan {
-                    path,
+                    path: path.clone(),
                     vector: shared.vector.clone(),
                     polarity,
                     w_in,
@@ -198,7 +231,8 @@ impl<'a> SitePlanner<'a> {
                     r_min,
                 });
             }
-        }
+            Ok::<(), CoreError>(())
+        })?;
 
         if plans.is_empty() {
             return Err(CoreError::NoSensitizablePath {
@@ -327,46 +361,149 @@ fn transfer_knee(
     Ok(Some((w_in, w_healthy / cfg.sensor_margin)))
 }
 
-/// `R_min` by bisection inside `(r_lo, r_hi)`: detection (w_out < w_th)
-/// is monotone in R. `None` when even `r_hi` goes undetected.
-fn r_min(
-    faulty: &mut ModelPath,
-    polarity: Polarity,
-    w_in: f64,
+/// The `R_min` search stops once its bracket satisfies
+/// `hi ≤ lo·(1 + R_REL_TOL)`. Campaign checkpoints name it.
+pub(crate) const R_REL_TOL: f64 = 1e-9;
+
+/// The shortest step the `R_min` search takes from a bracket end, in
+/// ln R: half the stopping width, so a step that lands past the root
+/// next to an end closes the bracket.
+const MIN_STEP: f64 = 0.5 * R_REL_TOL;
+
+/// Cap on model evaluations per search, both bracket ends included. The
+/// safeguard below halves the ln-R bracket at least every third step, so
+/// the default bracket (ln width 10.6) reaches the tolerance within about
+/// 100 evaluations even if no false-position step ever helps; a search
+/// that hits the cap still returns a detected resistance.
+const MAX_EVALUATIONS: u64 = 160;
+
+/// One `R_min` search on a faulty path for one pulse kind and
+/// `(ω_in, ω_th)`. No resistance changes the pulse entering the fault
+/// element, so it is folded once and each trial folds only the elements
+/// from the fault on.
+struct RMinSearch {
     w_th: f64,
-    (r_lo, r_hi): (f64, f64),
-) -> Result<Option<f64>, CoreError> {
-    let mut detects = |r: f64| -> Result<bool, CoreError> {
+    /// Index of the fault element.
+    at: usize,
+    /// The pulse entering element `at` (`None`: dampened before it).
+    front: Option<(f64, Polarity)>,
+    /// Model evaluations spent so far.
+    spent: u64,
+}
+
+/// One end of the search bracket: `x = ln r` and the excess
+/// `w_out − ω_th` there, which the Illinois rule may have halved. A
+/// difference of finite floats is negative exactly when `w_out < ω_th`,
+/// so the sign of the excess as measured is the verdict.
+#[derive(Clone, Copy)]
+struct End {
+    r: f64,
+    x: f64,
+    excess: f64,
+}
+
+impl End {
+    fn detects(&self) -> bool {
+        self.excess < 0.0
+    }
+}
+
+impl RMinSearch {
+    fn new(faulty: &ModelPath, polarity: Polarity, w_in: f64, w_th: f64) -> Self {
+        let at = faulty
+            .fault_element()
+            .expect("a planned path carries its fault");
+        RMinSearch {
+            w_th,
+            at,
+            front: faulty.model().fold_pulse(0..at, w_in, polarity),
+            spent: 0,
+        }
+    }
+
+    /// The bracket end at `r = exp(x)`. Its output width is bit-identical
+    /// to `faulty.pulse_width_out(w_in, polarity)`.
+    fn end_at(&mut self, faulty: &mut ModelPath, r: f64, x: f64) -> Result<End, CoreError> {
+        self.spent += 1;
         faulty.set_resistance(r)?;
-        Ok(faulty.pulse_width_out(w_in, polarity)? < w_th)
-    };
-    Ok(if !detects(r_hi)? {
-        None
-    } else if detects(r_lo)? {
-        Some(r_lo)
-    } else {
-        let (mut lo, mut hi) = (r_lo, r_hi);
-        // Bisect in log space: resistance spans decades.
-        for _ in 0..48 {
-            let mid = (lo.ln() + hi.ln()).exp2div2();
-            if detects(mid)? {
-                hi = mid;
+        let model = faulty.model();
+        let w = self
+            .front
+            .and_then(|(w, pol)| model.fold_pulse(self.at..model.elements().len(), w, pol))
+            .map_or(0.0, |(w, _)| w);
+        Ok(End {
+            r,
+            x,
+            excess: w - self.w_th,
+        })
+    }
+
+    /// `R_min` inside `(r_lo, r_hi)`, which [`SitePlanner::new`] checked
+    /// to be finite, positive and increasing. Detection (`w_out < ω_th`)
+    /// is monotone in R. `None` when even `r_hi` goes undetected, `r_lo`
+    /// when it already detects; otherwise the detected end of a bracket
+    /// narrowed on ln R by Illinois (false-position) steps, each replaced
+    /// by the midpoint when it falls outside the bracket or when the last
+    /// two steps failed to halve it.
+    fn run(
+        &mut self,
+        faulty: &mut ModelPath,
+        (r_lo, r_hi): (f64, f64),
+    ) -> Result<Option<f64>, CoreError> {
+        let mut hi = self.end_at(faulty, r_hi, r_hi.ln())?;
+        if !hi.detects() {
+            return Ok(None);
+        }
+        let mut lo = self.end_at(faulty, r_lo, r_lo.ln())?;
+        if lo.detects() {
+            return Ok(Some(r_lo));
+        }
+        // Which end the last false-position step replaced (true: `hi`).
+        let mut last_hi = None;
+        let mut width = hi.x - lo.x;
+        let mut slow_steps = 0;
+        while hi.r > lo.r * (1.0 + R_REL_TOL) && self.spent < MAX_EVALUATIONS {
+            let secant = (lo.x * hi.excess - hi.x * lo.excess) / (hi.excess - lo.excess);
+            let false_position = slow_steps < 2 && lo.x < secant && secant < hi.x;
+            let x = if false_position {
+                // A step closer than `MIN_STEP` to an end moves no end
+                // usefully: it would creep up on a root it already found
+                // from one side. Put it `MIN_STEP` away, where it closes
+                // the bracket if the estimate is right.
+                secant.max(lo.x + MIN_STEP).min(hi.x - MIN_STEP)
             } else {
-                lo = mid;
+                0.5 * (lo.x + hi.x)
+            };
+            let r = x.exp();
+            if !(lo.r < r && r < hi.r) {
+                break; // the bracket is down to rounding
+            }
+            let probe = self.end_at(faulty, r, x)?;
+            // Illinois: an end kept through two false-position steps in a
+            // row has its excess halved, so the next secant moves off it.
+            // A midpoint step neither starts nor breaks such a run.
+            if probe.detects() {
+                hi = probe;
+                if last_hi == Some(true) {
+                    lo.excess *= 0.5;
+                }
+            } else {
+                lo = probe;
+                if last_hi == Some(false) {
+                    hi.excess *= 0.5;
+                }
+            }
+            if false_position {
+                last_hi = Some(probe.detects());
+            }
+            if hi.x - lo.x <= 0.5 * width {
+                width = hi.x - lo.x;
+                slow_steps = 0;
+            } else {
+                slow_steps += 1;
             }
         }
-        Some(hi)
-    })
-}
-
-/// Geometric mean helper for log-space bisection.
-trait ExpDiv {
-    fn exp2div2(self) -> f64;
-}
-
-impl ExpDiv for f64 {
-    fn exp2div2(self) -> f64 {
-        (self / 2.0).exp()
+        Ok(Some(hi.r))
     }
 }
 
@@ -511,6 +648,80 @@ mod tests {
         assert!(p.pulse_width_out(best.w_in, best.polarity).unwrap() < best.w_th);
         p.set_resistance(r_min * 0.7).unwrap();
         assert!(p.pulse_width_out(best.w_in, best.polarity).unwrap() >= best.w_th);
+    }
+
+    /// Plans with `r_bracket` set to `bracket` must be refused, as a
+    /// typed error naming the bracket, before the planner exists to
+    /// evaluate anything.
+    fn assert_bracket_refused(bracket: (f64, f64)) {
+        let (nl, site) = small_chain_netlist();
+        let lib = TimingLibrary::generic();
+        let cfg = TestgenConfig {
+            r_bracket: bracket,
+            ..TestgenConfig::default()
+        };
+        match SitePlanner::new(&nl, &lib, &cfg) {
+            Err(CoreError::InvalidPlan { reason }) => {
+                assert!(reason.contains("r_bracket"), "{bracket:?}: {reason}");
+            }
+            other => panic!("{bracket:?} was accepted: {other:?}"),
+        }
+        assert!(
+            matches!(
+                plan_for_site(&nl, site, &lib, &cfg),
+                Err(CoreError::InvalidPlan { .. })
+            ),
+            "{bracket:?}"
+        );
+    }
+
+    #[test]
+    fn non_finite_brackets_are_refused() {
+        assert_bracket_refused((f64::NAN, 2e6));
+        assert_bracket_refused((50.0, f64::NAN));
+        assert_bracket_refused((50.0, f64::INFINITY));
+        assert_bracket_refused((f64::NEG_INFINITY, 2e6));
+    }
+
+    #[test]
+    fn non_positive_brackets_are_refused() {
+        assert_bracket_refused((0.0, 2e6));
+        assert_bracket_refused((-50.0, 2e6));
+        assert_bracket_refused((-2e6, -50.0));
+    }
+
+    #[test]
+    fn inverted_and_empty_brackets_are_refused() {
+        // An inverted bracket used to plan every path as undetectable.
+        assert_bracket_refused((2e6, 50.0));
+        assert_bracket_refused((50.0, 50.0));
+    }
+
+    #[test]
+    fn search_meets_its_tolerance_within_the_cap() {
+        let (nl, site) = small_chain_netlist();
+        let lib = TimingLibrary::generic();
+        let cfg = TestgenConfig::default();
+        let planner = SitePlanner::new(&nl, &lib, &cfg).unwrap();
+        let plans = planner.plan(site).unwrap();
+        let best = &plans[0];
+        let healthy = PathTimingModel::from_netlist_path(&nl, &best.path, &lib);
+        let fault = fault_for(&best.path, &nl, site, cfg.c_branch);
+        let mut faulty = ModelPath::new(healthy, Some(fault), cfg.r_bracket.0);
+        let mut search = RMinSearch::new(&faulty, best.polarity, best.w_in, best.w_th);
+        let r = search.run(&mut faulty, cfg.r_bracket).unwrap().unwrap();
+        assert_eq!(Some(r), best.r_min);
+        assert!(
+            search.spent < MAX_EVALUATIONS,
+            "{} evaluations",
+            search.spent
+        );
+        // The undetected end lies within the tolerance below it.
+        faulty.set_resistance(r / (1.0 + 2.0 * R_REL_TOL)).unwrap();
+        assert!(faulty.pulse_width_out(best.w_in, best.polarity).unwrap() >= best.w_th);
+        faulty.set_resistance(r).unwrap();
+        assert!(faulty.pulse_width_out(best.w_in, best.polarity).unwrap() < best.w_th);
+        assert!(planner.model_evaluations() >= search.spent);
     }
 
     #[test]

@@ -229,3 +229,37 @@ fn in_place_model_path_matches_a_fresh_one_at_every_resistance() {
         }
     }
 }
+
+/// The campaign journals its `R_min` searches' model evaluations: the
+/// same count at any thread count and on every run (the searches are
+/// site work, never memoized), and the planner's own total.
+#[test]
+fn model_evaluations_repeat_exactly() {
+    use pulsar_obs::{Counter, Recorder};
+    let nl = c432_like();
+    let lib = TimingLibrary::calibrated(calibrate_inverter(&Tech::generic_180nm()).unwrap());
+    let count = |threads| {
+        let obs = Recorder::enabled();
+        Campaign {
+            stride: 3,
+            threads: Some(threads),
+            obs: obs.clone(),
+            ..Campaign::default()
+        }
+        .run(&nl, &lib)
+        .unwrap();
+        obs.snapshot().counter(Counter::ModelEvaluations)
+    };
+    let one = count(1);
+    for threads in [1, 2, 4] {
+        assert_eq!(count(threads), one, "{threads} threads");
+    }
+    let planner = SitePlanner::new(&nl, &lib, &TestgenConfig::default()).unwrap();
+    for g in collapsed_fault_sites(&nl).into_iter().step_by(3) {
+        let _ = planner.plan(g.representative);
+    }
+    assert_eq!(planner.model_evaluations(), one);
+    // The fixed bisection spent 50 per search with an interior root (about
+    // 21,000 here); the bracketed search about a third of that.
+    assert!(one > 0 && one <= 8_500, "{one} model evaluations");
+}

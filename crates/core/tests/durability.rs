@@ -667,3 +667,73 @@ fn coverage_killed_mid_run_resumes_to_the_uninterrupted_curves() {
     drop(ck);
     let _ = std::fs::remove_file(&path);
 }
+
+/// A campaign checkpoint written under the fixed 48-halving `R_min`
+/// bisection, whose digest named no search, is refused: its plans'
+/// `R_min` differ from this search's in their low bits, and one resumed
+/// report must not mix the two.
+#[test]
+fn campaign_checkpoint_from_the_bisection_search_is_refused() {
+    use pulsar_core::{Campaign, SitePlanRecord};
+    use pulsar_logic::{c17, collapsed_fault_sites};
+    use pulsar_timing::TimingLibrary;
+
+    let nl = c17();
+    let lib = TimingLibrary::generic();
+    let campaign = Campaign {
+        threads: Some(1),
+        ..Campaign::default()
+    };
+    let spec = campaign.checkpoint_spec(&nl).expect("spec");
+    let sites: Vec<_> = collapsed_fault_sites(&nl)
+        .into_iter()
+        .map(|g| g.representative)
+        .step_by(campaign.stride.max(1))
+        .collect();
+    let bisection = CheckpointSpec {
+        config_digest: pulsar_obs::config_digest(&format!(
+            "campaign cfg={:?} stride={} collapse={} sites={:?}",
+            campaign.cfg, campaign.stride, campaign.collapse, sites
+        )),
+        ..spec
+    };
+    assert_ne!(bisection, spec, "the search is not in the digest");
+
+    // An uninterrupted run under this search, recorded under the old spec.
+    let reference = campaign.run(&nl, &lib).expect("run");
+    let path = fresh_ckpt("campaign-bisection");
+    {
+        let ck = Checkpoint::create(&path, bisection).expect("create");
+        ck.record(0, 0, &SampleOutcome::Ok(SitePlanRecord::Unsensitizable));
+    }
+    let ck = Checkpoint::<SitePlanRecord>::open(&path, bisection).expect("reopen old spec");
+    assert!(is_checkpoint_error(campaign.run_durable(
+        &nl,
+        &lib,
+        &CancelToken::new(),
+        Some(&ck)
+    )));
+    drop(ck);
+    assert!(is_checkpoint_error(campaign.resume_from(
+        &nl,
+        &lib,
+        &CancelToken::new(),
+        &path
+    )));
+
+    // A checkpoint of this search resumes to the uninterrupted report.
+    let fresh = fresh_ckpt("campaign-illinois");
+    let first = campaign
+        .resume_from(&nl, &lib, &CancelToken::new(), &fresh)
+        .expect("first run");
+    let resumed = campaign
+        .resume_from(&nl, &lib, &CancelToken::new(), &fresh)
+        .expect("resume");
+    assert_eq!(resumed.completeness.resumed, reference.sites.len());
+    for r in [&first, &resumed] {
+        assert_eq!(format!("{:?}", r.sites), format!("{:?}", reference.sites));
+    }
+    for p in [path, fresh] {
+        let _ = std::fs::remove_file(p);
+    }
+}

@@ -48,6 +48,6 @@ pub use error::LogicError;
 pub use faults::{collapsed_fault_sites, FaultGroup};
 pub use iscas::{parse_iscas85, write_iscas85};
 pub use netlist::{Gate, GateId, GateKind, Netlist, SignalId};
-pub use paths::{enumerate_paths, paths_from_fanin, Path, PathStep};
+pub use paths::{enumerate_paths, paths_from_fanin, visit_paths_from_fanin, Path, PathStep};
 pub use sensitize::{sensitize, InputVector};
 pub use sim::{simulate, simulate_bool};

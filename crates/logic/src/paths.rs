@@ -157,6 +157,9 @@ pub fn enumerate_paths(
 /// `len() == limit` to detect truncation). Test generation prefers *some*
 /// candidate paths over none on fan-out-heavy circuits.
 ///
+/// The collecting form of [`visit_paths_from_fanin`]: same paths, same
+/// order, same cap.
+///
 /// # Errors
 ///
 /// [`LogicError::CombinationalLoop`] for cyclic netlists.
@@ -166,16 +169,45 @@ pub fn paths_from_fanin(
     limit: usize,
 ) -> Result<Vec<Path>, LogicError> {
     nl.topological_order()?;
-    let fanouts = nl.fanouts();
+    let mut result = Vec::new();
+    visit_paths_from_fanin(nl, site, limit, |path| {
+        result.push(path.clone());
+        Ok::<(), LogicError>(())
+    })?;
+    Ok(result)
+}
 
-    // Backward segments: site ← … ← PI, as reversed step lists.
-    let mut back: Vec<(SignalId, Vec<PathStep>)> = Vec::new();
-    let mut bstack: Vec<PathStep> = Vec::new();
+/// Calls `visit` on each path [`paths_from_fanin`] returns, in its order
+/// and under its cap, without building the list: every path is composed
+/// in one reused buffer, so a caller that keeps only some paths clones
+/// only those. The first error `visit` returns stops the walk and is
+/// returned.
+///
+/// The walk does not check the netlist for loops: [`Netlist`]'s
+/// append-only construction cannot make one, and a caller that wants
+/// the typed error checks [`Netlist::topological_order`] once, up front.
+///
+/// # Errors
+///
+/// Whatever `visit` returns.
+pub fn visit_paths_from_fanin<E>(
+    nl: &Netlist,
+    site: SignalId,
+    limit: usize,
+    mut visit: impl FnMut(&Path) -> Result<(), E>,
+) -> Result<(), E> {
+    // Backward segments: site ← … ← PI, stored PI side first one after
+    // another in one flat list; `(pi, end)` ends a segment at `end`, and
+    // the segment starts where the one before it ended.
+    let mut back: Vec<(SignalId, usize)> = Vec::new();
+    let mut back_steps: Vec<PathStep> = Vec::new();
+    let mut stack: Vec<PathStep> = Vec::new();
     fn back_dfs(
         nl: &Netlist,
         at: SignalId,
         stack: &mut Vec<PathStep>,
-        out: &mut Vec<(SignalId, Vec<PathStep>)>,
+        out: &mut Vec<(SignalId, usize)>,
+        steps: &mut Vec<PathStep>,
         limit: usize,
     ) {
         if out.len() >= limit {
@@ -183,22 +215,21 @@ pub fn paths_from_fanin(
         }
         match nl.driver_id(at) {
             None => {
-                let mut steps = stack.clone();
-                steps.reverse();
-                out.push((at, steps));
+                steps.extend(stack.iter().rev());
+                out.push((at, steps.len()));
             }
             Some(g) => {
                 for (pin, &inp) in nl.gate(g).inputs.iter().enumerate() {
                     stack.push(PathStep { gate: g, pin });
-                    back_dfs(nl, inp, stack, out, limit);
+                    back_dfs(nl, inp, stack, out, steps, limit);
                     stack.pop();
                 }
             }
         }
     }
-    back_dfs(nl, site, &mut bstack, &mut back, limit);
+    back_dfs(nl, site, &mut stack, &mut back, &mut back_steps, limit);
 
-    // Forward segments: site → … → PO.
+    // Forward segments: site → … → PO, flat in the same way.
     let output_set: Vec<bool> = {
         let mut v = vec![false; nl.signal_count()];
         for &o in nl.outputs() {
@@ -206,52 +237,65 @@ pub fn paths_from_fanin(
         }
         v
     };
-    let mut fwd: Vec<Vec<PathStep>> = Vec::new();
-    let mut fstack: Vec<PathStep> = Vec::new();
+    let mut fwd: Vec<usize> = Vec::new();
+    let mut fwd_steps: Vec<PathStep> = Vec::new();
     fn fwd_dfs(
         nl: &Netlist,
-        fanouts: &[Vec<(GateId, usize)>],
         output_set: &[bool],
         at: SignalId,
         stack: &mut Vec<PathStep>,
-        out: &mut Vec<Vec<PathStep>>,
+        out: &mut Vec<usize>,
+        steps: &mut Vec<PathStep>,
         limit: usize,
     ) {
         if out.len() >= limit {
             return;
         }
         if output_set[at.index()] {
-            out.push(stack.clone());
+            steps.extend_from_slice(stack);
+            out.push(steps.len());
         }
-        for &(g, pin) in &fanouts[at.index()] {
+        for &(g, pin) in &nl.fanouts()[at.index()] {
             stack.push(PathStep { gate: g, pin });
-            fwd_dfs(
-                nl,
-                fanouts,
-                output_set,
-                nl.gate(g).output,
-                stack,
-                out,
-                limit,
-            );
+            fwd_dfs(nl, output_set, nl.gate(g).output, stack, out, steps, limit);
             stack.pop();
         }
     }
-    fwd_dfs(nl, fanouts, &output_set, site, &mut fstack, &mut fwd, limit);
+    stack.clear();
+    fwd_dfs(
+        nl,
+        &output_set,
+        site,
+        &mut stack,
+        &mut fwd,
+        &mut fwd_steps,
+        limit,
+    );
 
-    // Cartesian product, capped.
-    let mut result = Vec::new();
-    'outer: for (pi, bsteps) in &back {
-        for fsteps in &fwd {
-            if result.len() >= limit {
-                break 'outer;
+    // Cartesian product, capped, composed in one buffer.
+    let mut path = Path {
+        from: site,
+        steps: Vec::new(),
+    };
+    let mut visited = 0;
+    let mut b_start = 0;
+    for &(pi, b_end) in &back {
+        let mut f_start = 0;
+        for &f_end in &fwd {
+            if visited >= limit {
+                return Ok(());
             }
-            let mut steps = bsteps.clone();
-            steps.extend_from_slice(fsteps);
-            result.push(Path { from: *pi, steps });
+            path.from = pi;
+            path.steps.clear();
+            path.steps.extend_from_slice(&back_steps[b_start..b_end]);
+            path.steps.extend_from_slice(&fwd_steps[f_start..f_end]);
+            visit(&path)?;
+            visited += 1;
+            f_start = f_end;
         }
+        b_start = b_end;
     }
-    Ok(result)
+    Ok(())
 }
 
 #[cfg(test)]

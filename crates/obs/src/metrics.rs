@@ -122,6 +122,9 @@ pub enum Counter {
     SitesUnsensitizable,
     /// Campaign sites whose electrical analysis failed.
     SitesFailed,
+    /// Logic-level model evaluations at trial resistances in the
+    /// campaign's `R_min` searches.
+    ModelEvaluations,
     /// Per-point sample evaluations the adaptive stopping rule *skipped*
     /// relative to the fixed budget (fixed-budget evals − evals spent).
     AdaptiveSamplesSaved,
@@ -160,7 +163,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 33;
+    pub const COUNT: usize = 34;
 
     /// Every counter, in canonical order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -182,6 +185,7 @@ impl Counter {
         Counter::SitesPlanned,
         Counter::SitesUnsensitizable,
         Counter::SitesFailed,
+        Counter::ModelEvaluations,
         Counter::AdaptiveSamplesSaved,
         Counter::AdaptiveRefineSamples,
         Counter::ColumnsSimulated,
@@ -220,6 +224,7 @@ impl Counter {
             Counter::SitesPlanned => "sites_planned",
             Counter::SitesUnsensitizable => "sites_unsensitizable",
             Counter::SitesFailed => "sites_failed",
+            Counter::ModelEvaluations => "model_evaluations",
             Counter::AdaptiveSamplesSaved => "adaptive_samples_saved",
             Counter::AdaptiveRefineSamples => "adaptive_refine_samples",
             Counter::ColumnsSimulated => "columns_simulated",

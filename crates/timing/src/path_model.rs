@@ -265,18 +265,39 @@ impl PathTimingModel {
     /// Output pulse width for an input pulse of width `w_in` and the given
     /// polarity; 0.0 when dampened anywhere along the chain.
     pub fn pulse_out(&self, w_in: f64, polarity: Polarity) -> f64 {
-        let mut w = w_in;
-        let mut pol = polarity;
-        for e in &self.elements {
+        self.fold_pulse(0..self.elements.len(), w_in, polarity)
+            .map_or(0.0, |(w, _)| w)
+    }
+
+    /// The fold behind [`PathTimingModel::pulse_out`] over the elements in
+    /// `range`, for a pulse of width `w` and `polarity` entering element
+    /// `range.start`: the width and polarity leaving the range, or `None`
+    /// once an element dampens it (width 0).
+    ///
+    /// Folding `0..k` and then `k..len` from its result is the whole
+    /// fold, bit for bit, so a caller that varies only elements from `k`
+    /// on can fold the prefix once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of bounds.
+    pub fn fold_pulse(
+        &self,
+        range: std::ops::Range<usize>,
+        w: f64,
+        polarity: Polarity,
+    ) -> Option<(f64, Polarity)> {
+        let (mut w, mut pol) = (w, polarity);
+        for e in &self.elements[range] {
             if e.inverts() {
                 pol = pol.inverted();
             }
             w = e.width_out(w, pol);
             if w == 0.0 {
-                return 0.0;
+                return None;
             }
         }
-        w
+        Some((w, pol))
     }
 
     /// The smallest input width that still yields a non-zero output width,
@@ -450,6 +471,43 @@ mod tests {
             let (lo, hi) = if w1 <= w2 { (w1, w2) } else { (w2, w1) };
             for pol in [Polarity::PositiveGoing, Polarity::NegativeGoing] {
                 prop_assert!(c.pulse_out(lo, pol) <= c.pulse_out(hi, pol) + 1e-18);
+            }
+        }
+
+        /// Folding the prefix `0..k` and then the rest from its result is
+        /// `pulse_out` bit for bit, at every split `k`, on chains mixing
+        /// gates (inverting or not, slowed or not), RC elements and
+        /// zero-width cutoffs (a zero-τ RC passes everything; a huge one
+        /// kills the pulse, after which the suffix must not run).
+        #[test]
+        fn split_fold_is_pulse_out(
+            spec in proptest::collection::vec((0u8..4, 0.3f64..1.8, 0.0f64..4e-10), 0..10),
+            w_in in 0.0f64..1.5e-9,
+        ) {
+            let elements: Vec<PathElement> = spec
+                .iter()
+                .map(|&(kind, k, x)| match kind {
+                    0 | 1 => PathElement::Gate {
+                        model: GateTimingModel::new(100e-12 * k, 80e-12 * k, 60e-12 * k, 200e-12 * k),
+                        inverting: kind == 0,
+                        slow_rise: x * 0.25,
+                        slow_fall: 0.0,
+                    },
+                    2 => PathElement::RcNet { tau: x },
+                    _ => PathElement::RcNet { tau: if k < 1.0 { 0.0 } else { 1e-6 } },
+                })
+                .collect();
+            let c = PathTimingModel::new(elements);
+            let n = c.elements().len();
+            for pol in [Polarity::PositiveGoing, Polarity::NegativeGoing] {
+                let whole = c.pulse_out(w_in, pol);
+                for k in 0..=n {
+                    let split = c
+                        .fold_pulse(0..k, w_in, pol)
+                        .and_then(|(w, p)| c.fold_pulse(k..n, w, p))
+                        .map_or(0.0, |(w, _)| w);
+                    prop_assert_eq!(split.to_bits(), whole.to_bits());
+                }
             }
         }
 
