@@ -43,9 +43,9 @@ pub struct TranConfig {
 ///
 /// The rule is checked after each accepted step. Stepping is causal and
 /// the step sequence does not depend on `stop`, so a run cut by a rule
-/// holds exactly the first points of the full-window run, bit for bit.
-/// Only the preserved baseline engine ([`Circuit::transient_baseline`])
-/// ignores the rule and always runs to `stop`.
+/// holds exactly the first points of the full-window run, bit for bit;
+/// the same configuration under [`Until::Stop`] is that full-window
+/// reference.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Until {
     /// Run to `stop`.
@@ -295,7 +295,7 @@ fn sources_settle(ckt: &Circuit) -> Option<(f64, bool)> {
 /// The time before which every source still holds its `t = 0` value: the
 /// minimum of [`Waveform::holds_until`](crate::Waveform::holds_until) over
 /// the sources (`∞` for a circuit of DC sources only). A time point before
-/// it is the `t = 0` operating point, so the step loops record it without
+/// it is the `t = 0` operating point, so the step loop records it without
 /// a Newton solve (DESIGN.md §5.17).
 fn sources_quiet_until(ckt: &Circuit) -> f64 {
     ckt.elements()
@@ -658,7 +658,7 @@ impl Circuit {
                 // Advance the companion states over the accepted (possibly
                 // shortened) step, reusing the `c/h` conductances the last
                 // (accepted) solve hoisted for exactly this step and method
-                // — the same bits the baseline recomputes per branch.
+                // — the same bits as recomputing them per branch.
                 for ((st, &(a, b, _)), &geq) in
                     caps.iter_mut().zip(cap_branches.iter()).zip(sys.cap_geq())
                 {
@@ -692,173 +692,6 @@ impl Circuit {
             times,
             voltages,
             captured,
-            stats,
-        })
-    }
-
-    /// The pre-workspace transient engine, preserved verbatim as the
-    /// benchmark baseline and as an independent numerical cross-check.
-    ///
-    /// This is what [`Circuit::transient`] was before workspace reuse:
-    /// it clones the solution vector on every step attempt and every
-    /// accepted step, keeps the predictor history as a per-step
-    /// allocation, records every node, and runs the preserved pre-PR
-    /// Newton and LU kernels (`System::solve_newton_baseline`). It seeds
-    /// each step's Newton solve with the same predictor as the
-    /// workspace engine and holds the rest prefix by the same rule, so
-    /// results are bit-identical to the workspace engine run dense
-    /// (asserted by the `workspace_equivalence` tests).
-    ///
-    /// It ignores [`TranConfig::until`] and always runs to `stop`, which
-    /// makes it the full-window reference for the early-stop rules.
-    ///
-    /// Not part of the simulation API proper: it is the test oracle of
-    /// the `workspace_equivalence` suite and of
-    /// `BuiltPath`'s baseline-engine unit tests.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Circuit::transient`].
-    pub fn transient_baseline(&self, cfg: &TranConfig) -> Result<TranResult, Error> {
-        cfg.validate()?;
-        let mut scratch = SysScratch::default();
-        // The baseline engine is dense end to end: pin its DC seed dense
-        // too, so it stays bit-identical to the pre-sparse implementation
-        // even for circuits above the `Auto` crossover dimension.
-        scratch.sparse.mode = crate::solver::workspace::SolverMode::ForceDense;
-        let mut x = Vec::new();
-        self.dc_into(0.0, &mut scratch, &mut x)?;
-        let mut sys = System::new(self, &mut scratch);
-
-        // Companion-model states, one per capacitive branch.
-        let mut branches = Vec::new();
-        collect_cap_branches(self, &mut branches);
-        let mut caps: Vec<CapState> = branches
-            .iter()
-            .map(|&(a, b, _)| CapState {
-                v_prev: System::node_voltage(&x, a) - System::node_voltage(&x, b),
-                i_prev: 0.0,
-            })
-            .collect();
-
-        let mut breakpoints: Vec<f64> = Vec::new();
-        collect_breakpoints(self, cfg.stop, &mut breakpoints);
-        let mut next_bp = 0usize;
-
-        let capacity = reserve_points(cfg, breakpoints.len());
-        let mut times = Vec::with_capacity(capacity);
-        let mut voltages: Vec<Vec<f64>> = vec![Vec::with_capacity(capacity); self.node_count()];
-        let record = |t: f64, x: &[f64], times: &mut Vec<f64>, voltages: &mut Vec<Vec<f64>>| {
-            times.push(t);
-            for (n, column) in voltages.iter_mut().enumerate() {
-                column.push(System::node_voltage(x, NodeId(n)));
-            }
-        };
-        record(0.0, &x, &mut times, &mut voltages);
-
-        let mut t = 0.0;
-        let mut after_discontinuity = true;
-        let mut prev: Option<(f64, Vec<f64>)> = None; // (h of last step, x before it)
-        let quiet = sources_quiet_until(self);
-
-        while t < cfg.stop - 1e-18 {
-            if times.len() >= cfg.max_points {
-                return Err(Error::StepBudgetExhausted {
-                    points: times.len(),
-                    time: t,
-                });
-            }
-            if let Some(e) = crate::inject::fire(times.len(), t) {
-                return Err(e);
-            }
-            let mut tn = t + cfg.step;
-            let mut hit_bp = false;
-            while next_bp < breakpoints.len() && breakpoints[next_bp] <= t + 1e-18 {
-                next_bp += 1;
-            }
-            if next_bp < breakpoints.len() && breakpoints[next_bp] < tn - 1e-18 {
-                tn = breakpoints[next_bp];
-                hit_bp = true;
-            }
-            if tn > cfg.stop {
-                tn = cfg.stop;
-            }
-
-            // The held rest prefix, as in `transient_with`.
-            if tn < quiet {
-                prev = Some((tn - t, x.clone()));
-                t = tn;
-                record(t, &x, &mut times, &mut voltages);
-                after_discontinuity = false;
-                continue;
-            }
-
-            let method = match cfg.integrator {
-                Integrator::BackwardEuler => Method::BackwardEuler,
-                Integrator::Trapezoidal => {
-                    if after_discontinuity {
-                        Method::BackwardEuler
-                    } else {
-                        Method::Trapezoidal
-                    }
-                }
-            };
-
-            let mut sub_t = tn;
-            let mut attempts = 0;
-            let mut xn = x.clone();
-            if let (false, Some((h_prev, x_prev))) = (after_discontinuity, &prev) {
-                predict(&mut xn, &x, x_prev, tn - t, *h_prev);
-            }
-            loop {
-                let h = sub_t - t;
-                match sys.solve_newton_baseline(
-                    &mut xn,
-                    sub_t,
-                    Some((&caps, h, method)),
-                    1.0,
-                    0.0,
-                    cfg.max_newton,
-                    "transient",
-                ) {
-                    Ok(()) => break,
-                    Err(e @ Error::SingularMatrix { .. }) => return Err(e),
-                    Err(e) => {
-                        attempts += 1;
-                        if attempts > 10 {
-                            return Err(e);
-                        }
-                        sub_t = t + (sub_t - t) / 2.0;
-                        xn.copy_from_slice(&x);
-                    }
-                }
-            }
-
-            let h = sub_t - t;
-            prev = Some((h, x.clone()));
-            for (st, &(a, b, c)) in caps.iter_mut().zip(&branches) {
-                let v_now = System::node_voltage(&xn, a) - System::node_voltage(&xn, b);
-                let i_now = match method {
-                    Method::BackwardEuler => c / h * (v_now - st.v_prev),
-                    Method::Trapezoidal => 2.0 * c / h * (v_now - st.v_prev) - st.i_prev,
-                };
-                st.v_prev = v_now;
-                st.i_prev = i_now;
-            }
-            x = xn;
-            t = sub_t;
-            record(t, &x, &mut times, &mut voltages);
-            after_discontinuity = hit_bp && (sub_t - tn).abs() < 1e-18;
-        }
-
-        let stats = TranStats {
-            accepted_points: times.len(),
-            ..TranStats::default()
-        };
-        Ok(TranResult {
-            times,
-            voltages,
-            captured: None,
             stats,
         })
     }
@@ -1439,7 +1272,8 @@ mod tests {
         }
 
         // The full run holds the points before 0.5 ns, solves the rest, and
-        // switches the inverter; the baseline engine agrees bit for bit.
+        // switches the inverter, on the bits pinned when an independent
+        // engine still agreed with this one.
         let (full, snap) = run(1.5e-9);
         let before = full
             .times()
@@ -1450,18 +1284,15 @@ mod tests {
         let solved = snap.counter(Counter::StepsAccepted) - before as u64;
         assert_eq!(snap.counter(Counter::DenseSolves), solves(&dc.1).0 + solved);
         assert!(full.trace(load).value_at(0.0) > 1.7 && full.trace(load).last_value() < 0.1);
-        let base = ckt
-            .transient_baseline(&TranConfig::new(4e-12, 1.5e-9))
-            .unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(full.times()), bits(base.times()));
+        let mut all = bits(full.times());
         for n in 0..ckt.node_count() {
-            let node = NodeId(n);
-            assert_eq!(
-                bits(full.trace(node).values()),
-                bits(base.trace(node).values())
-            );
+            all.extend(bits(full.trace(NodeId(n)).values()));
         }
+        assert_eq!(
+            pulsar_obs::config_digest(&format!("{all:x?}")),
+            13_473_036_014_145_254_487
+        );
     }
 
     #[test]
@@ -1476,6 +1307,5 @@ mod tests {
             other => panic!("expected StepBudgetExhausted, got {other:?}"),
         };
         budget(ckt.transient(&cfg));
-        budget(ckt.transient_baseline(&cfg));
     }
 }

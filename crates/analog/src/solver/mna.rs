@@ -94,8 +94,8 @@ impl<'c, 'w> System<'c, 'w> {
         scratch.rhs.resize(nu, 0.0);
         scratch.newton.clear();
         scratch.newton.resize(nu, 0.0);
-        // The companion-conductance cache is keyed by step size only; a
-        // rebuilt system may describe a different circuit, so drop it.
+        // The companion-conductance cache is keyed by step size and method;
+        // a rebuilt system may describe a different circuit, so drop it.
         scratch.cap_geq_key = None;
         // Engine decision (and symbolic-cache validation) for this system.
         {
@@ -116,31 +116,6 @@ impl<'c, 'w> System<'c, 'w> {
         self.nu
     }
 
-    /// MNA row/column of a node, or `None` for ground.
-    #[inline]
-    fn var(node: NodeId) -> Option<usize> {
-        dense_var(node)
-    }
-
-    #[inline]
-    fn volt(x: &[f64], node: NodeId) -> f64 {
-        match Self::var(node) {
-            Some(i) => x[i],
-            None => 0.0,
-        }
-    }
-
-    #[inline]
-    fn stamp_g(&mut self, a: NodeId, b: NodeId, g: f64) {
-        dense_stamp_g(&mut self.scratch.matrix, a, b, g);
-    }
-
-    /// Injects current `i` into node `into` and removes it from `from`.
-    #[inline]
-    fn stamp_i(&mut self, into: NodeId, from: NodeId, i: f64) {
-        dense_stamp_i(&mut self.scratch.rhs, into, from, i);
-    }
-
     /// Hoists every value that is constant across the Newton iterations of
     /// one solve call: `1/R` per resistor, the scaled source values at time
     /// `t`, and the capacitor companion pairs `(geq, ieq)` in stamping
@@ -149,9 +124,10 @@ impl<'c, 'w> System<'c, 'w> {
     /// divisions are paid once per step-size change, not once per
     /// iteration.
     ///
-    /// Every value is computed by the same expression as the baseline
-    /// assembly, so [`System::assemble_fast`] stamps bit-identical numbers
-    /// in the identical order.
+    /// Every value is bit-identical to computing it from scratch (`1/R`,
+    /// `src_scale·value_at(t)`, `companion(c, h, method, state)`), which
+    /// the `hoisted_values_match_from_scratch` property test checks over
+    /// call sequences that keep or change `(h, method)`.
     fn hoist_step_values(
         &mut self,
         t: f64,
@@ -225,178 +201,21 @@ impl<'c, 'w> System<'c, 'w> {
         &self.scratch.cap_geq
     }
 
-    /// Assembles the linearized system about candidate solution `x`, using
-    /// the values hoisted by [`System::hoist_step_values`] for everything
-    /// that does not depend on `x`. Stamp order and stamped values are
-    /// bit-identical to [`System::assemble_baseline`] (asserted by the
-    /// `workspace_equivalence` property tests and the transient baseline
-    /// cross-checks); only where the constants are computed differs.
-    fn assemble_fast(&mut self, x: &[f64], dynamic: bool, gmin: f64) -> Result<(), Error> {
-        self.scratch.matrix.clear();
-        self.scratch.rhs.fill(0.0);
-
-        let g_floor = GMIN_FLOOR + gmin;
-        for n in 0..self.nn {
-            self.scratch.matrix.add(n, n, g_floor);
-        }
-
-        let mut cap_idx = 0usize;
-        for (ei, e) in self.ckt.elements().iter().enumerate() {
-            match e {
-                Element::Resistor { a, b, .. } => {
-                    let g = self.scratch.elem_val[ei];
-                    self.stamp_g(*a, *b, g);
-                }
-                Element::Capacitor { a, b, .. } => {
-                    if dynamic {
-                        let geq = self.scratch.cap_geq[cap_idx];
-                        let ieq = self.scratch.cap_ieq[cap_idx];
-                        self.stamp_g(*a, *b, geq);
-                        self.stamp_i(*a, *b, ieq);
-                    }
-                    cap_idx += 1;
-                }
-                Element::Vsource { p, n, .. } => {
-                    let br = branch_var(&self.scratch.branch_index, ei)?;
-                    if let Some(i) = Self::var(*p) {
-                        self.scratch.matrix.add(i, br, 1.0);
-                        self.scratch.matrix.add(br, i, 1.0);
-                    }
-                    if let Some(j) = Self::var(*n) {
-                        self.scratch.matrix.add(j, br, -1.0);
-                        self.scratch.matrix.add(br, j, -1.0);
-                    }
-                    self.scratch.rhs[br] = self.scratch.elem_val[ei];
-                }
-                Element::Isource { p, n, .. } => {
-                    let i = self.scratch.elem_val[ei];
-                    self.stamp_i(*p, *n, i);
-                }
-                Element::Mosfet(m) => {
-                    self.stamp_mosfet(m, x);
-                    if dynamic {
-                        let caps = [
-                            (m.g, m.s, m.params.cgs),
-                            (m.g, m.d, m.params.cgd),
-                            (m.d, mos_bulk(m), m.params.cdb),
-                        ];
-                        for (k, (a, b, c)) in caps.into_iter().enumerate() {
-                            if c > 0.0 {
-                                let geq = self.scratch.cap_geq[cap_idx + k];
-                                let ieq = self.scratch.cap_ieq[cap_idx + k];
-                                self.stamp_g(a, b, geq);
-                                self.stamp_i(a, b, ieq);
-                            }
-                        }
-                    }
-                    cap_idx += MOS_CAPS;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Assembles the linearized system about candidate solution `x` at time
-    /// `t`, using `cap_states`/`dt` for the dynamic companions (DC analysis
-    /// passes `None` which opens all capacitors), `src_scale` for source
-    /// stepping and `gmin` for gmin stepping.
-    ///
-    /// This is the pre-workspace assembly, preserved verbatim for the
-    /// benchmark baseline engine: every companion pair and source value is
-    /// recomputed inside each Newton iteration. The live engine runs
-    /// [`System::hoist_step_values`] + [`System::assemble_fast`] instead.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_baseline(
-        &mut self,
-        x: &[f64],
-        t: f64,
-        dynamics: Option<(&[CapState], f64, Method)>,
-        src_scale: f64,
-        gmin: f64,
-    ) -> Result<(), Error> {
-        self.scratch.matrix.clear();
-        self.scratch.rhs.fill(0.0);
-
-        let g_floor = GMIN_FLOOR + gmin;
-        for n in 0..self.nn {
-            self.scratch.matrix.add(n, n, g_floor);
-        }
-
-        let mut cap_idx = 0usize;
-        for (ei, e) in self.ckt.elements().iter().enumerate() {
-            match e {
-                Element::Resistor { a, b, ohms } => {
-                    self.stamp_g(*a, *b, 1.0 / ohms);
-                }
-                Element::Capacitor { a, b, farads } => {
-                    if let Some((states, h, method)) = dynamics {
-                        let st = states[cap_idx];
-                        let (geq, ieq) = companion(*farads, h, method, st);
-                        self.stamp_g(*a, *b, geq);
-                        // ieq models the history: a current source pushing
-                        // ieq into node a (and out of b).
-                        self.stamp_i(*a, *b, ieq);
-                    }
-                    cap_idx += 1;
-                }
-                Element::Vsource { p, n, wave } => {
-                    let br = branch_var(&self.scratch.branch_index, ei)?;
-                    if let Some(i) = Self::var(*p) {
-                        self.scratch.matrix.add(i, br, 1.0);
-                        self.scratch.matrix.add(br, i, 1.0);
-                    }
-                    if let Some(j) = Self::var(*n) {
-                        self.scratch.matrix.add(j, br, -1.0);
-                        self.scratch.matrix.add(br, j, -1.0);
-                    }
-                    self.scratch.rhs[br] = src_scale * wave.value_at(t);
-                }
-                Element::Isource { p, n, wave } => {
-                    self.stamp_i(*p, *n, src_scale * wave.value_at(t));
-                }
-                Element::Mosfet(m) => {
-                    self.stamp_mosfet(m, x);
-                    // Lumped device capacitances as dynamic companions.
-                    if let Some((states, h, method)) = dynamics {
-                        let caps = [
-                            (m.g, m.s, m.params.cgs),
-                            (m.g, m.d, m.params.cgd),
-                            (m.d, mos_bulk(m), m.params.cdb),
-                        ];
-                        for (k, (a, b, c)) in caps.into_iter().enumerate() {
-                            if c > 0.0 {
-                                let st = states[cap_idx + k];
-                                let (geq, ieq) = companion(c, h, method, st);
-                                self.stamp_g(a, b, geq);
-                                self.stamp_i(a, b, ieq);
-                            }
-                        }
-                    }
-                    cap_idx += MOS_CAPS;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn stamp_mosfet(&mut self, m: &Mosfet, x: &[f64]) {
-        dense_stamp_mosfet(&mut self.scratch.matrix, &mut self.scratch.rhs, m, x);
-    }
-
     /// Newton–Raphson loop. `x` holds the initial guess and, on success,
     /// the solution.
     ///
-    /// Every iteration applies the clamped update and then tests it: the
-    /// solve is accepted once no node update was clamped and each is
-    /// within `VNTOL + RELTOL·|x|`. That holds for the first iteration
-    /// too, so a good initial guess (a converged DC point, the transient
-    /// predictor) costs one assembly and one LU solve.
+    /// Every iteration applies the clamped update and then tests it
+    /// ([`damped_update`]): the solve is accepted once no node update was
+    /// clamped and each is within `VNTOL + RELTOL·|x|`. That holds for the
+    /// first iteration too, so a good initial guess (a converged DC point,
+    /// the transient predictor) costs one assembly and one LU solve.
     ///
     /// Routing: when the workspace's sparse engine is engaged (see
     /// [`SparseScratch::prepare`]) the solve runs the sparse Newton loop;
-    /// a numeric pivot failure there falls back to the dense loop, which
-    /// also serves every below-crossover and force-dense solve with
-    /// arithmetic bit-identical to the pre-sparse engine.
+    /// a numeric pivot failure or non-convergence there reruns the solve
+    /// on the dense loop, which also serves every below-crossover and
+    /// force-dense solve. Both loops stamp through the one traversal,
+    /// [`assemble`].
     #[allow(clippy::too_many_arguments)] // one call site per analysis
     pub fn solve_newton(
         &mut self,
@@ -411,19 +230,20 @@ impl<'c, 'w> System<'c, 'w> {
         debug_assert_eq!(x.len(), self.nu);
         let _span = self.scratch.recorder.span(Phase::NewtonSolve);
         self.hoist_step_values(t, dynamics, src_scale);
+        let dynamic = dynamics.is_some();
         if self.scratch.sparse.active {
             self.scratch.sparse.x_save.clear();
             self.scratch.sparse.x_save.extend_from_slice(x);
-            match self.try_newton_sparse(x, t, dynamics, gmin, max_iter, context) {
+            match self.try_newton_sparse(x, t, dynamic, gmin, max_iter, context) {
                 Some(Ok(())) => return Ok(()),
                 // Vanishing numeric pivot (None) or Newton non-convergence
                 // (Some(Err)): restore the initial guess and re-run this
                 // solve on the dense partial-pivot engine. Pivoting is
                 // sturdier on badly scaled systems (mΩ wire shorts next to
                 // gmin floors), and on a genuinely singular matrix the
-                // dense engine reproduces the baseline SingularMatrix
-                // error exactly. The solver can therefore never be *less*
-                // robust than the dense baseline, only faster.
+                // dense engine reports the SingularMatrix error. The
+                // solver is therefore never *less* robust than the dense
+                // engine alone, only faster.
                 Some(Err(_)) | None => {
                     let SysScratch {
                         sparse, recorder, ..
@@ -437,44 +257,38 @@ impl<'c, 'w> System<'c, 'w> {
         let mut iters: u64 = 0;
         for _ in 0..max_iter {
             iters += 1;
-            if let Err(e) = self.assemble_fast(x, dynamics.is_some(), gmin) {
-                dense_solve_done(&self.scratch.recorder, iters);
-                return Err(e);
-            }
-            // Split-borrow the scratch so the hoisted Newton vector can be
-            // solved against the matrix without re-allocating per call.
             let SysScratch {
                 matrix,
                 rhs,
                 newton,
+                branch_index,
+                elem_val,
+                cap_geq,
+                cap_ieq,
                 recorder,
                 ..
             } = &mut *self.scratch;
+            let hoisted = Hoisted {
+                branch_index,
+                elem_val,
+                cap_geq,
+                cap_ieq,
+            };
+            if let Err(e) = assemble(self.ckt, &hoisted, matrix, rhs, x, dynamic, gmin) {
+                dense_solve_done(recorder, iters);
+                return Err(e);
+            }
             newton.copy_from_slice(rhs);
             if let Err(e) = matrix.solve_in_place(newton) {
                 dense_solve_done(recorder, iters);
                 return Err(e);
             }
-
-            // Damped update + convergence test on node voltages.
-            let mut converged = true;
-            for i in 0..self.nu {
-                let mut delta = newton[i] - x[i];
-                if i < self.nn {
-                    if delta > VSTEP_LIMIT {
-                        delta = VSTEP_LIMIT;
-                        converged = false;
-                    } else if delta < -VSTEP_LIMIT {
-                        delta = -VSTEP_LIMIT;
-                        converged = false;
-                    }
-                    if delta.abs() > VNTOL + RELTOL * x[i].abs() {
-                        converged = false;
-                    }
-                }
-                x[i] += delta;
+            // The update is `A⁻¹b − x`, taken element by element before
+            // any of `x` moves.
+            for (d, &xi) in newton.iter_mut().zip(x.iter()) {
+                *d -= xi;
             }
-            if converged {
+            if damped_update(x, newton, self.nn) {
                 dense_solve_done(recorder, iters);
                 return Ok(());
             }
@@ -498,21 +312,19 @@ impl<'c, 'w> System<'c, 'w> {
         &mut self,
         x: &mut [f64],
         t: f64,
-        dynamics: Option<(&[CapState], f64, Method)>,
+        dynamic: bool,
         gmin: f64,
         max_iter: usize,
         context: &'static str,
     ) -> Option<Result<(), Error>> {
         self.scratch.recorder.add(Counter::SparseSolves, 1);
-        let nn = self.nn;
-        let nu = self.nu;
-        let dyn_on = dynamics.is_some();
         for iter in 0..max_iter {
-            if let Err(e) = self.assemble_sparse(x, dyn_on, gmin) {
-                return Some(Err(e));
-            }
             let SysScratch {
                 rhs,
+                branch_index,
+                elem_val,
+                cap_geq,
+                cap_ieq,
                 sparse,
                 recorder,
                 ..
@@ -531,6 +343,16 @@ impl<'c, 'w> System<'c, 'w> {
                 Some(s) => s,
                 None => unreachable!("sparse engine active without a symbolic object"),
             };
+            let hoisted = Hoisted {
+                branch_index,
+                elem_val,
+                cap_geq,
+                cap_ieq,
+            };
+            let mut target = SparseValues { sym, vals: a_vals };
+            if let Err(e) = assemble(self.ckt, &hoisted, &mut target, rhs, x, dynamic, gmin) {
+                return Some(Err(e));
+            }
             sym.residual(a_vals, x, rhs, resid);
             {
                 let _span = recorder.span(Phase::NumericRefactorize);
@@ -541,29 +363,9 @@ impl<'c, 'w> System<'c, 'w> {
                 }
             }
             delta.clear();
-            delta.resize(nu, 0.0);
+            delta.resize(self.nu, 0.0);
             sym.solve(lu_vals, resid, delta, y);
-
-            // Damped update + convergence test, same semantics as the
-            // dense loop (whose delta is `A⁻¹b − x`, identical to `A⁻¹r`).
-            let mut converged = true;
-            for i in 0..nu {
-                let mut d = delta[i];
-                if i < nn {
-                    if d > VSTEP_LIMIT {
-                        d = VSTEP_LIMIT;
-                        converged = false;
-                    } else if d < -VSTEP_LIMIT {
-                        d = -VSTEP_LIMIT;
-                        converged = false;
-                    }
-                    if d.abs() > VNTOL + RELTOL * x[i].abs() {
-                        converged = false;
-                    }
-                }
-                x[i] += d;
-            }
-            if converged {
+            if damped_update(x, delta, self.nn) {
                 recorder.newton_solve_done(iter as u64 + 1);
                 return Some(Ok(()));
             }
@@ -576,140 +378,6 @@ impl<'c, 'w> System<'c, 'w> {
         }))
     }
 
-    /// Sparse counterpart of [`System::assemble_fast`]: identical element
-    /// traversal and stamp values (from the same hoisted buffers), writing
-    /// into the pattern-compressed value array instead of the dense
-    /// matrix. Kept as a separate copy so the dense assembly stays
-    /// untouched — and bit-identical to baseline.
-    fn assemble_sparse(&mut self, x: &[f64], dynamic: bool, gmin: f64) -> Result<(), Error> {
-        let ckt = self.ckt;
-        let nn = self.nn;
-        let SysScratch {
-            rhs,
-            branch_index,
-            elem_val,
-            cap_geq,
-            cap_ieq,
-            sparse,
-            ..
-        } = &mut *self.scratch;
-        let SparseScratch {
-            symbolic, a_vals, ..
-        } = sparse;
-        let sym = match symbolic.as_deref() {
-            Some(s) => s,
-            None => unreachable!("sparse assembly without a symbolic object"),
-        };
-        sym.clear_values(a_vals);
-        rhs.fill(0.0);
-
-        let g_floor = GMIN_FLOOR + gmin;
-        for n in 0..nn {
-            sym.add(a_vals, n, n, g_floor);
-        }
-
-        let mut cap_idx = 0usize;
-        for (ei, e) in ckt.elements().iter().enumerate() {
-            match e {
-                Element::Resistor { a, b, .. } => {
-                    sparse_stamp_g(sym, a_vals, *a, *b, elem_val[ei]);
-                }
-                Element::Capacitor { a, b, .. } => {
-                    if dynamic {
-                        sparse_stamp_g(sym, a_vals, *a, *b, cap_geq[cap_idx]);
-                        sparse_stamp_i(rhs, *a, *b, cap_ieq[cap_idx]);
-                    }
-                    cap_idx += 1;
-                }
-                Element::Vsource { p, n, .. } => {
-                    let br = branch_var(branch_index, ei)?;
-                    if let Some(i) = Self::var(*p) {
-                        sym.add(a_vals, i, br, 1.0);
-                        sym.add(a_vals, br, i, 1.0);
-                    }
-                    if let Some(j) = Self::var(*n) {
-                        sym.add(a_vals, j, br, -1.0);
-                        sym.add(a_vals, br, j, -1.0);
-                    }
-                    rhs[br] = elem_val[ei];
-                }
-                Element::Isource { p, n, .. } => {
-                    sparse_stamp_i(rhs, *p, *n, elem_val[ei]);
-                }
-                Element::Mosfet(m) => {
-                    sparse_stamp_mosfet(sym, a_vals, rhs, m, x);
-                    if dynamic {
-                        let caps = [
-                            (m.g, m.s, m.params.cgs),
-                            (m.g, m.d, m.params.cgd),
-                            (m.d, mos_bulk(m), m.params.cdb),
-                        ];
-                        for (k, (a, b, c)) in caps.into_iter().enumerate() {
-                            if c > 0.0 {
-                                sparse_stamp_g(sym, a_vals, a, b, cap_geq[cap_idx + k]);
-                                sparse_stamp_i(rhs, a, b, cap_ieq[cap_idx + k]);
-                            }
-                        }
-                    }
-                    cap_idx += MOS_CAPS;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The pre-workspace Newton kernel, preserved verbatim for the
-    /// benchmark baseline engine: allocates its update vector per call and
-    /// runs the preserved scalar LU. Numerically identical to
-    /// [`System::solve_newton`] (asserted bitwise by the transient-engine
-    /// baseline tests); only the allocation behavior and inner-loop code
-    /// generation differ.
-    #[allow(clippy::too_many_arguments)] // mirrors solve_newton
-    pub fn solve_newton_baseline(
-        &mut self,
-        x: &mut [f64],
-        t: f64,
-        dynamics: Option<(&[CapState], f64, Method)>,
-        src_scale: f64,
-        gmin: f64,
-        max_iter: usize,
-        context: &'static str,
-    ) -> Result<(), Error> {
-        debug_assert_eq!(x.len(), self.nu);
-        let mut xnew = vec![0.0; self.nu];
-        for _ in 0..max_iter {
-            self.assemble_baseline(x, t, dynamics, src_scale, gmin)?;
-            xnew.copy_from_slice(&self.scratch.rhs);
-            self.scratch.matrix.solve_in_place_baseline(&mut xnew)?;
-
-            let mut converged = true;
-            for i in 0..self.nu {
-                let mut delta = xnew[i] - x[i];
-                if i < self.nn {
-                    if delta > VSTEP_LIMIT {
-                        delta = VSTEP_LIMIT;
-                        converged = false;
-                    } else if delta < -VSTEP_LIMIT {
-                        delta = -VSTEP_LIMIT;
-                        converged = false;
-                    }
-                    if delta.abs() > VNTOL + RELTOL * x[i].abs() {
-                        converged = false;
-                    }
-                }
-                x[i] += delta;
-            }
-            if converged {
-                return Ok(());
-            }
-        }
-        Err(Error::NoConvergence {
-            context,
-            iterations: max_iter,
-            time: t,
-        })
-    }
-
     /// Collects the capacitive branches in stamping order into `out`,
     /// yielding `(node_a, node_b, farads)`.
     #[cfg(test)]
@@ -720,82 +388,171 @@ impl<'c, 'w> System<'c, 'w> {
     }
 
     pub fn node_voltage(x: &[f64], node: NodeId) -> f64 {
-        Self::volt(x, node)
+        volt(x, node)
     }
 }
 
-/// Sparse twin of [`System::stamp_g`]: a conductance block between `a`
-/// and `b`, accumulated into the pattern-compressed values.
+/// Applies one damped Newton update `x += clamp(delta)` and reports
+/// convergence. Node-voltage updates (the first `nn` unknowns) are clamped
+/// to `±VSTEP_LIMIT`; the update converges when none was clamped and each
+/// is within `VNTOL + RELTOL·|x|` of the point it was taken from. Branch
+/// currents move unclamped and untested. Both Newton loops accept through
+/// here, so the dense and sparse engines share one acceptance rule.
 #[inline]
-fn sparse_stamp_g(sym: &SymbolicLu, vals: &mut [f64], a: NodeId, b: NodeId, g: f64) {
-    let ia = System::var(a);
-    let ib = System::var(b);
-    if let Some(i) = ia {
-        sym.add(vals, i, i, g);
+fn damped_update(x: &mut [f64], delta: &[f64], nn: usize) -> bool {
+    let mut converged = true;
+    for (i, (xi, &d)) in x.iter_mut().zip(delta).enumerate() {
+        let mut d = d;
+        if i < nn {
+            if d > VSTEP_LIMIT {
+                d = VSTEP_LIMIT;
+                converged = false;
+            } else if d < -VSTEP_LIMIT {
+                d = -VSTEP_LIMIT;
+                converged = false;
+            }
+            if d.abs() > VNTOL + RELTOL * xi.abs() {
+                converged = false;
+            }
+        }
+        *xi += d;
     }
-    if let Some(j) = ib {
-        sym.add(vals, j, j, g);
+    converged
+}
+
+/// Where one assembly writes its matrix entries: the dense matrix or the
+/// sparse engine's values over the stamp pattern. [`assemble`] is generic
+/// over it, so each engine gets its own monomorphised copy of the one
+/// element traversal and no runtime switch.
+trait StampTarget {
+    /// Zeroes every entry before an assembly.
+    fn clear(&mut self);
+    /// Accumulates `v` into entry `(r, c)`.
+    fn add(&mut self, r: usize, c: usize, v: f64);
+}
+
+impl StampTarget for DenseMatrix {
+    #[inline]
+    fn clear(&mut self) {
+        DenseMatrix::clear(self);
     }
-    if let (Some(i), Some(j)) = (ia, ib) {
-        sym.add(vals, i, j, -g);
-        sym.add(vals, j, i, -g);
+
+    #[inline]
+    fn add(&mut self, r: usize, c: usize, v: f64) {
+        DenseMatrix::add(self, r, c, v);
     }
 }
 
-/// Sparse twin of [`System::stamp_i`]: injects current `i` into node
-/// `into` and removes it from `from` (RHS only).
+/// The sparse engine's assembly target: the value array over `sym`'s
+/// stamp pattern.
+struct SparseValues<'a> {
+    sym: &'a SymbolicLu,
+    vals: &'a mut Vec<f64>,
+}
+
+impl StampTarget for SparseValues<'_> {
+    #[inline]
+    fn clear(&mut self) {
+        self.sym.clear_values(self.vals);
+    }
+
+    #[inline]
+    fn add(&mut self, r: usize, c: usize, v: f64) {
+        self.sym.add(self.vals, r, c, v);
+    }
+}
+
+/// What [`assemble`] reads besides the candidate solution: the
+/// element → branch-current map and the values
+/// [`System::hoist_step_values`] left for this solve.
+struct Hoisted<'s> {
+    branch_index: &'s [Option<usize>],
+    elem_val: &'s [f64],
+    cap_geq: &'s [f64],
+    cap_ieq: &'s [f64],
+}
+
+/// Assembles the linearized system about candidate solution `x` into
+/// `target` and `rhs`: the gmin floor on every node, then each element in
+/// order. Everything that does not depend on `x` comes from `hoisted`;
+/// `dynamic` stamps the capacitor companions (a DC solve opens them), and
+/// `gmin` adds to the floor for gmin stepping. Stamp order and values are
+/// the same for both targets.
+fn assemble<T: StampTarget>(
+    ckt: &Circuit,
+    hoisted: &Hoisted<'_>,
+    target: &mut T,
+    rhs: &mut [f64],
+    x: &[f64],
+    dynamic: bool,
+    gmin: f64,
+) -> Result<(), Error> {
+    target.clear();
+    rhs.fill(0.0);
+
+    let g_floor = GMIN_FLOOR + gmin;
+    for n in 0..ckt.node_count() - 1 {
+        target.add(n, n, g_floor);
+    }
+
+    let Hoisted {
+        branch_index,
+        elem_val,
+        cap_geq,
+        cap_ieq,
+    } = *hoisted;
+    let mut cap_idx = 0usize;
+    for (ei, e) in ckt.elements().iter().enumerate() {
+        match e {
+            Element::Resistor { a, b, .. } => stamp_g(target, *a, *b, elem_val[ei]),
+            Element::Capacitor { a, b, .. } => {
+                if dynamic {
+                    stamp_g(target, *a, *b, cap_geq[cap_idx]);
+                    // ieq models the history: a current source pushing
+                    // ieq into node a (and out of b).
+                    stamp_i(rhs, *a, *b, cap_ieq[cap_idx]);
+                }
+                cap_idx += 1;
+            }
+            Element::Vsource { p, n, .. } => {
+                let br = branch_var(branch_index, ei)?;
+                if let Some(i) = var(*p) {
+                    target.add(i, br, 1.0);
+                    target.add(br, i, 1.0);
+                }
+                if let Some(j) = var(*n) {
+                    target.add(j, br, -1.0);
+                    target.add(br, j, -1.0);
+                }
+                rhs[br] = elem_val[ei];
+            }
+            Element::Isource { p, n, .. } => stamp_i(rhs, *p, *n, elem_val[ei]),
+            Element::Mosfet(m) => {
+                stamp_mosfet(target, rhs, m, x);
+                // Lumped device capacitances as dynamic companions.
+                if dynamic {
+                    let caps = [
+                        (m.g, m.s, m.params.cgs),
+                        (m.g, m.d, m.params.cgd),
+                        (m.d, mos_bulk(m), m.params.cdb),
+                    ];
+                    for (k, (a, b, c)) in caps.into_iter().enumerate() {
+                        if c > 0.0 {
+                            stamp_g(target, a, b, cap_geq[cap_idx + k]);
+                            stamp_i(rhs, a, b, cap_ieq[cap_idx + k]);
+                        }
+                    }
+                }
+                cap_idx += MOS_CAPS;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// MNA row/column of a node, or `None` for ground.
 #[inline]
-fn sparse_stamp_i(rhs: &mut [f64], into: NodeId, from: NodeId, i: f64) {
-    if let Some(r) = System::var(into) {
-        rhs[r] += i;
-    }
-    if let Some(r) = System::var(from) {
-        rhs[r] -= i;
-    }
-}
-
-/// Sparse twin of [`System::stamp_mosfet`]: same linearization, same
-/// effective-terminal handling, writing through the stamp pattern.
-fn sparse_stamp_mosfet(sym: &SymbolicLu, vals: &mut [f64], rhs: &mut [f64], m: &Mosfet, x: &[f64]) {
-    let vd = System::volt(x, m.d);
-    let vg = System::volt(x, m.g);
-    let vs = System::volt(x, m.s);
-    let lin = linearize(m, vd, vg, vs);
-
-    let (deff, seff) = if lin.swapped { (m.s, m.d) } else { (m.d, m.s) };
-    let id_ = System::var(deff);
-    let is_ = System::var(seff);
-    let ig_ = System::var(m.g);
-
-    if let Some(r) = id_ {
-        if let Some(c) = ig_ {
-            sym.add(vals, r, c, lin.gm);
-        }
-        sym.add(vals, r, r, lin.gds);
-        if let Some(c) = is_ {
-            sym.add(vals, r, c, -(lin.gm + lin.gds));
-        }
-    }
-    if let Some(r) = is_ {
-        if let Some(c) = ig_ {
-            sym.add(vals, r, c, -lin.gm);
-        }
-        if let Some(c) = id_ {
-            sym.add(vals, r, c, -lin.gds);
-        }
-        sym.add(vals, r, r, lin.gm + lin.gds);
-    }
-
-    let vgs_eff = vg - System::volt(x, seff);
-    let vds_eff = System::volt(x, deff) - System::volt(x, seff);
-    let ieq = lin.i - lin.gm * vgs_eff - lin.gds * vds_eff;
-    sparse_stamp_i(rhs, seff, deff, ieq);
-}
-
-/// MNA row/column of a node, or `None` for ground. Free-function twin of
-/// [`System::var`] for the dense stamp helpers below.
-#[inline]
-fn dense_var(node: NodeId) -> Option<usize> {
+fn var(node: NodeId) -> Option<usize> {
     if node.is_ground() {
         None
     } else {
@@ -805,78 +562,78 @@ fn dense_var(node: NodeId) -> Option<usize> {
 
 /// Node voltage under the MNA unknown ordering (ground reads 0).
 #[inline]
-fn dense_volt(x: &[f64], node: NodeId) -> f64 {
-    match dense_var(node) {
+fn volt(x: &[f64], node: NodeId) -> f64 {
+    match var(node) {
         Some(i) => x[i],
         None => 0.0,
     }
 }
 
-/// Stamps conductance `g` between `a` and `b` into the dense matrix.
+/// Stamps conductance `g` between `a` and `b`.
 #[inline]
-fn dense_stamp_g(matrix: &mut DenseMatrix, a: NodeId, b: NodeId, g: f64) {
-    let ia = dense_var(a);
-    let ib = dense_var(b);
+fn stamp_g<T: StampTarget>(target: &mut T, a: NodeId, b: NodeId, g: f64) {
+    let ia = var(a);
+    let ib = var(b);
     if let Some(i) = ia {
-        matrix.add(i, i, g);
+        target.add(i, i, g);
     }
     if let Some(j) = ib {
-        matrix.add(j, j, g);
+        target.add(j, j, g);
     }
     if let (Some(i), Some(j)) = (ia, ib) {
-        matrix.add(i, j, -g);
-        matrix.add(j, i, -g);
+        target.add(i, j, -g);
+        target.add(j, i, -g);
     }
 }
 
 /// Injects current `i` into node `into` and removes it from `from`.
 #[inline]
-fn dense_stamp_i(rhs: &mut [f64], into: NodeId, from: NodeId, i: f64) {
-    if let Some(r) = dense_var(into) {
+fn stamp_i(rhs: &mut [f64], into: NodeId, from: NodeId, i: f64) {
+    if let Some(r) = var(into) {
         rhs[r] += i;
     }
-    if let Some(r) = dense_var(from) {
+    if let Some(r) = var(from) {
         rhs[r] -= i;
     }
 }
 
 /// Linearizes and stamps one MOSFET about candidate solution `x`.
-fn dense_stamp_mosfet(matrix: &mut DenseMatrix, rhs: &mut [f64], m: &Mosfet, x: &[f64]) {
-    let vd = dense_volt(x, m.d);
-    let vg = dense_volt(x, m.g);
-    let vs = dense_volt(x, m.s);
+fn stamp_mosfet<T: StampTarget>(target: &mut T, rhs: &mut [f64], m: &Mosfet, x: &[f64]) {
+    let vd = volt(x, m.d);
+    let vg = volt(x, m.g);
+    let vs = volt(x, m.s);
     let lin = linearize(m, vd, vg, vs);
 
     let (deff, seff) = if lin.swapped { (m.s, m.d) } else { (m.d, m.s) };
-    let id_ = dense_var(deff);
-    let is_ = dense_var(seff);
-    let ig_ = dense_var(m.g);
+    let id_ = var(deff);
+    let is_ = var(seff);
+    let ig_ = var(m.g);
 
     // i(deff→seff) ≈ ieq + gm·vg + gds·vdeff − (gm+gds)·vseff
     if let Some(r) = id_ {
         if let Some(c) = ig_ {
-            matrix.add(r, c, lin.gm);
+            target.add(r, c, lin.gm);
         }
-        matrix.add(r, r, lin.gds);
+        target.add(r, r, lin.gds);
         if let Some(c) = is_ {
-            matrix.add(r, c, -(lin.gm + lin.gds));
+            target.add(r, c, -(lin.gm + lin.gds));
         }
     }
     if let Some(r) = is_ {
         if let Some(c) = ig_ {
-            matrix.add(r, c, -lin.gm);
+            target.add(r, c, -lin.gm);
         }
         if let Some(c) = id_ {
-            matrix.add(r, c, -lin.gds);
+            target.add(r, c, -lin.gds);
         }
-        matrix.add(r, r, lin.gm + lin.gds);
+        target.add(r, r, lin.gm + lin.gds);
     }
 
-    let vgs_eff = vg - dense_volt(x, seff);
-    let vds_eff = dense_volt(x, deff) - dense_volt(x, seff);
+    let vgs_eff = vg - volt(x, seff);
+    let vds_eff = volt(x, deff) - volt(x, seff);
     let ieq = lin.i - lin.gm * vgs_eff - lin.gds * vds_eff;
     // ieq leaves deff and enters seff.
-    dense_stamp_i(rhs, seff, deff, ieq);
+    stamp_i(rhs, seff, deff, ieq);
 }
 
 /// Branch-current unknown of the voltage source at element index `ei`,
@@ -929,9 +686,10 @@ pub(crate) fn mos_bulk(m: &Mosfet) -> NodeId {
 }
 
 /// One hoisted companion pair: writes `ieq[idx]` (history-dependent,
-/// refreshed every solve) and, when `refresh` is set, `geq[idx]`
-/// (step-size-dependent only). The expressions mirror [`companion`]
-/// exactly, so the cached values are bit-identical to recomputing.
+/// refreshed every solve) and, when `refresh` is set, `geq[idx]` (a
+/// function of the step size and method only). The expressions are the
+/// textbook companion model's, so the cached values are bit-identical to
+/// recomputing them.
 #[allow(clippy::too_many_arguments)] // plain data plumbing, two call sites
 fn hoist_companion(
     geq_v: &mut [f64],
@@ -957,19 +715,6 @@ fn hoist_companion(
         Method::BackwardEuler => geq * st.v_prev,
         Method::Trapezoidal => geq * st.v_prev + st.i_prev,
     };
-}
-
-fn companion(c: f64, h: f64, method: Method, st: CapState) -> (f64, f64) {
-    match method {
-        Method::BackwardEuler => {
-            let geq = c / h;
-            (geq, geq * st.v_prev)
-        }
-        Method::Trapezoidal => {
-            let geq = 2.0 * c / h;
-            (geq, geq * st.v_prev + st.i_prev)
-        }
-    }
 }
 
 /// Linearization of a MOSFET for stamping: current from the *effective*
@@ -1044,6 +789,7 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::elements::Waveform;
+    use proptest::prelude::*;
 
     #[test]
     fn voltage_divider_dc() {
@@ -1067,7 +813,7 @@ mod tests {
     fn clobbered_branch_index_is_a_typed_error_not_a_panic() {
         // A vsource whose branch-current slot has been wiped (malformed
         // element list / corrupted scratch) must surface Error::Internal
-        // from every assembly path instead of panicking mid-campaign.
+        // from both stamp targets instead of panicking mid-campaign.
         let mut ckt = Circuit::new();
         let a = ckt.node("a");
         let b = ckt.node("b");
@@ -1085,13 +831,22 @@ mod tests {
         let err = sys
             .solve_newton(&mut x, 0.0, None, 1.0, 0.0, 50, "test")
             .unwrap_err();
-        assert!(matches!(err, Error::Internal { .. }), "fast path: {err:?}");
+        assert!(matches!(err, Error::Internal { .. }), "dense: {err:?}");
 
+        // The sparse assembly hits the same slot first, then its dense
+        // fallback reports it.
+        let mut ws = SysScratch::default();
+        ws.sparse.mode = crate::solver::workspace::SolverMode::ForceSparse;
+        let mut sys = System::new(&ckt, &mut ws);
+        assert!(sys.scratch.sparse.active);
+        for slot in sys.scratch.branch_index.iter_mut() {
+            *slot = None;
+        }
         let mut x = vec![0.0; sys.unknowns()];
         let err = sys
-            .solve_newton_baseline(&mut x, 0.0, None, 1.0, 0.0, 50, "test")
+            .solve_newton(&mut x, 0.0, None, 1.0, 0.0, 50, "test")
             .unwrap_err();
-        assert!(matches!(err, Error::Internal { .. }), "baseline: {err:?}");
+        assert!(matches!(err, Error::Internal { .. }), "sparse: {err:?}");
     }
 
     #[test]
@@ -1211,5 +966,105 @@ mod tests {
         assert_eq!(caps[1].2, 1e-15); // cgs
         assert_eq!(caps[2].2, 2e-15); // cgd
         assert_eq!(caps[3].2, 3e-15); // cdb
+    }
+
+    /// The textbook companion model of capacitor `c` over a step `h`:
+    /// the `(geq, ieq)` pair [`System::hoist_step_values`] must reproduce.
+    fn companion(c: f64, h: f64, method: Method, st: CapState) -> (f64, f64) {
+        match method {
+            Method::BackwardEuler => {
+                let geq = c / h;
+                (geq, geq * st.v_prev)
+            }
+            Method::Trapezoidal => {
+                let geq = 2.0 * c / h;
+                (geq, geq * st.v_prev + st.i_prev)
+            }
+        }
+    }
+
+    /// One hoist call: time, step, method, and a seed for the states.
+    type HoistCall = (f64, f64, bool, u64);
+
+    proptest! {
+        /// The hoisted values equal the same quantities computed from
+        /// scratch, bit for bit, over call sequences whose `(h, method)`
+        /// repeats (the cached `geq` is reused), changes only the method,
+        /// changes only the step, or drops the dynamics (a DC solve).
+        #[test]
+        fn hoisted_values_match_from_scratch(
+            ohms in 1.0f64..1e6,
+            farads in 1e-16f64..1e-12,
+            mos_c in prop::collection::vec(0.0f64..5e-15, 3..4),
+            src_scale in 0.0f64..1.0,
+            calls in prop::collection::vec(
+                (0.0f64..3e-9, 1e-13f64..1e-11, any::<bool>(), 0u64..1000),
+                1..12,
+            ),
+        ) {
+            let mut ckt = Circuit::new();
+            let a = ckt.node("a");
+            let b = ckt.node("b");
+            ckt.vsource(a, Circuit::GROUND, Waveform::single_pulse(0.0, 1.8, 0.5e-9, 50e-12, 50e-12, 1e-9));
+            ckt.isource(b, Circuit::GROUND, Waveform::step(0.0, 1e-4, 1e-9, 20e-12));
+            ckt.resistor(a, b, ohms);
+            ckt.capacitor(b, Circuit::GROUND, farads);
+            ckt.add_mosfet(Mosfet {
+                kind: MosType::Pmos,
+                d: b,
+                g: a,
+                s: a,
+                params: MosfetParams {
+                    vt0: -0.4,
+                    kp: 60e-6,
+                    lambda: 0.05,
+                    w: 2e-6,
+                    l: 0.18e-6,
+                    cgs: mos_c[0],
+                    cgd: mos_c[1],
+                    cdb: mos_c[2],
+                },
+            });
+            let mut ws = SysScratch::default();
+            let mut sys = System::new(&ckt, &mut ws);
+            let branches = sys.cap_branches();
+            // Repeat each call with the same (h, method) and then with only
+            // the method flipped, on top of the drawn sequence.
+            let mut seq: Vec<(HoistCall, bool)> = Vec::new();
+            for &(t, h, trap, seed) in &calls {
+                seq.push(((t, h, trap, seed), true));
+                seq.push(((t + h, h, trap, seed + 1), true));
+                seq.push(((t + h, h, !trap, seed + 2), true));
+                seq.push(((t, h, trap, seed + 3), seed % 4 != 0));
+            }
+            for ((t, h, trap, seed), dynamic) in seq {
+                let method = if trap { Method::Trapezoidal } else { Method::BackwardEuler };
+                let states: Vec<CapState> = (0..branches.len() as u64)
+                    .map(|k| CapState {
+                        v_prev: ((seed * 7 + k * 13) % 37) as f64 * 0.05 - 0.9,
+                        i_prev: ((seed * 11 + k * 5) % 29) as f64 * 1e-6 - 1.4e-5,
+                    })
+                    .collect();
+                let dynamics = dynamic.then_some((states.as_slice(), h, method));
+                sys.hoist_step_values(t, dynamics, src_scale);
+                for (ei, e) in ckt.elements().iter().enumerate() {
+                    let want = match e {
+                        Element::Resistor { ohms, .. } => 1.0 / ohms,
+                        Element::Vsource { wave, .. } | Element::Isource { wave, .. } => {
+                            src_scale * wave.value_at(t)
+                        }
+                        _ => continue,
+                    };
+                    prop_assert_eq!(sys.scratch.elem_val[ei].to_bits(), want.to_bits());
+                }
+                if dynamic {
+                    for (k, &(_, _, c)) in branches.iter().enumerate() {
+                        let (geq, ieq) = companion(c, h, method, states[k]);
+                        prop_assert_eq!(sys.scratch.cap_geq[k].to_bits(), geq.to_bits(), "geq {}", k);
+                        prop_assert_eq!(sys.scratch.cap_ieq[k].to_bits(), ieq.to_bits(), "ieq {}", k);
+                    }
+                }
+            }
+        }
     }
 }

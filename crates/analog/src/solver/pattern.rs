@@ -15,7 +15,7 @@
 //! construction lives here in `analog` next to the stamping code rather
 //! than being re-derived in the lint crate.
 //!
-//! ## Construction rules (mirroring `System::assemble_fast`)
+//! ## Construction rules (mirroring `mna::assemble`)
 //!
 //! The gmin floor puts every node diagonal in the pattern unconditionally.
 //! Resistors stamp their 2×2 conductance block. Voltage sources stamp ±1

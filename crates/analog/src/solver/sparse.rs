@@ -277,7 +277,7 @@ impl SymbolicLu {
     ///
     /// `Err(original_row)` when a numeric pivot vanishes (or is not
     /// finite); the caller falls back to dense partial-pivot LU for the
-    /// solve, which reproduces the baseline error exactly if the matrix is
+    /// solve, which reports the dense engine's error if the matrix is
     /// genuinely singular.
     pub fn factor(
         &self,

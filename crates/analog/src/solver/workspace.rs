@@ -36,7 +36,9 @@ pub enum SolverMode {
     /// path.
     #[default]
     Auto,
-    /// Always dense — the preserved, bit-identical-to-baseline engine.
+    /// Always dense: the partial-pivot engine every below-crossover
+    /// system already uses, so results match `Auto` on those bit for
+    /// bit.
     ForceDense,
     /// Always sparse (when the pattern is structurally sound); used by
     /// equivalence tests and benchmarks.

@@ -5,17 +5,17 @@
 //!
 //! * a fresh internal workspace ([`Circuit::transient`]),
 //! * a caller-owned workspace reused across runs and across *different*
-//!   circuits ([`Circuit::transient_with`]),
-//! * the preserved allocation-per-step baseline engine
-//!   ([`Circuit::transient_baseline`]), and
+//!   circuits ([`Circuit::transient_with`]), and
 //! * [`TraceCapture::Nodes`] vs [`TraceCapture::All`] for the captured
 //!   columns.
 //!
 //! The decks are RC ladders, and about half of them end in a CMOS
-//! inverter. A linear deck's Newton solve lands on `A⁻¹b` whatever its
-//! starting point, so only the inverter's multi-iteration solves show
-//! that the workspace and baseline engines share the step predictor and
-//! the acceptance rule (DESIGN.md §5.15), not just the linear algebra.
+//! inverter, so the comparisons cover multi-iteration Newton solves and
+//! not just the linear algebra. What the engine computes is pinned
+//! separately: the shipped nonlinear example decks must reproduce
+//! committed FNV-1a digests of their bits, recorded when a second,
+//! independently written engine still agreed with this one. A change that
+//! moves the bits on purpose re-pins them, as it regenerates `results/`.
 
 use proptest::prelude::*;
 use proptest::strategy::Just;
@@ -123,7 +123,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Fresh workspace ≡ reused workspace (twice, to prove no state leaks
-    /// between runs) ≡ the allocation-per-step baseline engine.
+    /// between runs).
     #[test]
     fn workspace_reuse_is_bit_identical(spec in deck_strategy()) {
         let (ckt, taps) = build(&spec);
@@ -145,9 +145,8 @@ proptest! {
         let again = ckt
             .transient_with(&cfg, &mut ws, &TraceCapture::All)
             .expect("workspace survives topology changes");
-        let baseline = ckt.transient_baseline(&cfg).expect("baseline engine");
 
-        for res in [&first, &again, &baseline] {
+        for res in [&first, &again] {
             prop_assert_eq!(bits(fresh.times()), bits(res.times()));
             for &n in &taps {
                 prop_assert_eq!(bits(fresh.trace(n).values()), bits(res.trace(n).values()));
@@ -220,5 +219,38 @@ proptest! {
                 prop_assert!((d - s).abs() < 1e-6, "node {:?}: {:e} vs {:e}", n, d, s);
             }
         }
+    }
+}
+
+/// FNV-1a digest of the bit patterns of a run's time grid and of every
+/// node's trace, in node order.
+fn run_digest(ckt: &Circuit, res: &pulsar_analog::TranResult) -> u64 {
+    let mut all = bits(res.times());
+    for n in ckt.nodes() {
+        all.extend(bits(res.trace(n).values()));
+    }
+    pulsar_obs::config_digest(&format!("{all:x?}"))
+}
+
+/// The shipped nonlinear example decks, run through a fresh and a reused
+/// workspace, reproduce their pinned digests (see the module docs).
+#[test]
+fn example_decks_match_pinned_digests() {
+    let decks = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/decks");
+    let mut ws = SolverWorkspace::new();
+    for (file, pinned) in [
+        ("cmos_inverter.sp", 10_225_632_495_872_235_694),
+        ("pulse_chain.sp", 3_865_716_625_628_743_621),
+    ] {
+        let text = std::fs::read_to_string(format!("{decks}/{file}")).expect("deck on disk");
+        let deck = pulsar_analog::parse_deck(&text).expect("deck parses");
+        let cfg = deck.tran.clone().expect("deck has a .tran card");
+        let fresh = deck.circuit.transient(&cfg).expect("deck converges");
+        let reused = deck
+            .circuit
+            .transient_with(&cfg, &mut ws, &TraceCapture::All)
+            .expect("reused workspace");
+        assert_eq!(run_digest(&deck.circuit, &fresh), pinned, "{file}");
+        assert_eq!(run_digest(&deck.circuit, &reused), pinned, "{file} reused");
     }
 }

@@ -257,10 +257,6 @@ pub struct BuiltPath {
     /// Per-path solver scratch, reused across every simulation this path
     /// runs (stimulus sweeps, resistance sweeps, retries).
     workspace: SolverWorkspace,
-    /// When false, simulations run through the allocation-per-step
-    /// baseline engine instead of the workspace (the unit tests' oracle).
-    #[cfg(test)]
-    reuse_workspace: bool,
     /// Which node waveforms the default measurement runs record.
     capture_policy: CapturePolicy,
     /// Node tolerance of the pulse queries' [`Until::Settled`] rule: a
@@ -414,8 +410,6 @@ impl BuiltPath {
             step_scale: 1.0,
             vdd_source,
             workspace: SolverWorkspace::new(),
-            #[cfg(test)]
-            reuse_workspace: true,
             capture_policy: CapturePolicy::default(),
             settle_tol: 0.25 * min_vt,
         }
@@ -450,14 +444,9 @@ impl BuiltPath {
         Ok(Self::new(spec, fault, techs))
     }
 
-    /// Runs a transient through the path's own workspace (or, in unit
-    /// tests with reuse disabled, the baseline engine). All measurement
-    /// paths funnel here so the toggle covers every simulation uniformly.
+    /// Runs a transient through the path's own workspace; every
+    /// measurement funnels here.
     fn sim(&mut self, cfg: &TranConfig, capture: &TraceCapture) -> Result<TranResult, Error> {
-        #[cfg(test)]
-        if !self.reuse_workspace {
-            return self.circuit.transient_baseline(cfg);
-        }
         self.circuit
             .transient_with(cfg, &mut self.workspace, capture)
     }
@@ -628,18 +617,6 @@ impl BuiltPath {
     /// Overrides the default transient step (default 4 ps).
     pub fn set_step(&mut self, seconds: f64) {
         self.step = seconds;
-    }
-
-    /// Enables or disables solver-workspace reuse (default: enabled).
-    ///
-    /// With reuse on, every simulation this path runs goes through one
-    /// per-path [`SolverWorkspace`], recycling the MNA matrix, Newton
-    /// scratch and transient buffers across calls. With reuse off,
-    /// simulations run through the allocation-per-step baseline engine,
-    /// the oracle the unit tests hold the workspace engine to bit for bit.
-    #[cfg(test)]
-    pub fn set_workspace_reuse(&mut self, on: bool) {
-        self.reuse_workspace = on;
     }
 
     /// Sets how much waveform data the default measurement runs record;
@@ -1126,13 +1103,6 @@ mod tests {
             .pulse_width_only(400e-12, Polarity::PositiveGoing, None)
             .unwrap();
         assert_eq!(w.to_bits(), full.output_width.to_bits());
-
-        // As does the preserved baseline engine.
-        p.set_workspace_reuse(false);
-        let wb = p
-            .pulse_width_only(400e-12, Polarity::PositiveGoing, None)
-            .unwrap();
-        assert_eq!(wb.to_bits(), full.output_width.to_bits());
     }
 
     #[test]
@@ -1594,40 +1564,45 @@ mod tests {
     }
 
     #[test]
-    fn workspace_reuse_matches_baseline_engine_exactly() {
-        // The workspace path (reused buffers, slim capture) must reproduce
-        // the allocation-per-step baseline engine bit for bit, across a
-        // resistance sweep on one instance.
+    fn paper_chain_runs_match_pinned_digests() {
+        // The paper chain under an external ROP, swept over resistance on
+        // one instance (so the workspace is reused throughout): pulse runs
+        // with every trace, slim pulse runs and early-stopped delay runs
+        // reproduce the digests pinned when an independent engine still
+        // agreed with this one bit for bit.
         let spec = PathSpec::paper_chain();
         let fault = PathFault::ExternalRop {
             stage: 1,
             ohms: 8e3,
         };
-        let mut reuse = BuiltPath::new(&spec, &fault, &techs(7));
-        let mut baseline = BuiltPath::new(&spec, &fault, &techs(7));
-        baseline.set_workspace_reuse(false);
-        for r in [1e3, 8e3, 30e3] {
-            reuse.set_fault_resistance(r).unwrap();
-            baseline.set_fault_resistance(r).unwrap();
-            let a = reuse
+        let mut p = BuiltPath::new(&spec, &fault, &techs(7));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (r, pinned) in [
+            (1e3, 8_161_923_243_692_808_572),
+            (8e3, 8_677_080_723_737_943_989),
+            (30e3, 11_864_738_911_079_333_223),
+        ] {
+            p.set_fault_resistance(r).unwrap();
+            let (traced, res) = p
+                .propagate_pulse_traced(450e-12, Polarity::PositiveGoing, None)
+                .unwrap();
+            let slim = p
                 .propagate_pulse(450e-12, Polarity::PositiveGoing, None)
                 .unwrap();
-            let b = baseline
-                .propagate_pulse(450e-12, Polarity::PositiveGoing, None)
-                .unwrap();
-            assert_eq!(a.output_width, b.output_width, "at {r:e} Ω");
-            assert_eq!(a.peak_fraction, b.peak_fraction, "at {r:e} Ω");
-            assert_eq!(a.stage_widths, b.stage_widths, "at {r:e} Ω");
+            assert_eq!(bits(&slim.stage_widths), bits(&traced.stage_widths));
+            let mut all = bits(res.times());
+            for n in p.circuit().nodes() {
+                all.extend(bits(res.trace(n).values()));
+            }
+            all.extend(bits(&[slim.output_width, slim.peak_fraction]));
+            all.extend(bits(&slim.stage_widths));
+            for edge in [Edge::Rising, Edge::Falling] {
+                let delay = p.propagate_transition(edge, None).unwrap().delay;
+                all.extend(bits(&[delay.unwrap_or(f64::NAN)]));
+            }
+            let digest = pulsar_obs::config_digest(&format!("{all:x?}"));
+            assert_eq!(digest, pinned, "at {r:e} Ω");
         }
-        let da = reuse
-            .propagate_transition(Edge::Rising, None)
-            .unwrap()
-            .delay;
-        let db = baseline
-            .propagate_transition(Edge::Rising, None)
-            .unwrap()
-            .delay;
-        assert_eq!(da, db);
     }
 
     #[test]

@@ -428,8 +428,9 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Only structural netlist errors (e.g. a combinational loop) abort
-    /// the whole campaign.
+    /// As for [`Campaign::run_durable`]; without a checkpoint that is
+    /// only [`CoreError::InvalidPlan`] for an unusable
+    /// [`TestgenConfig::r_bracket`].
     pub fn run(&self, nl: &Netlist, lib: &TimingLibrary) -> Result<CampaignReport, CoreError> {
         self.run_durable(nl, lib, &CancelToken::new(), None)
     }
@@ -438,8 +439,7 @@ impl Campaign {
     /// collapse/stride settings. This ordering is also the checkpoint
     /// index space: site `i` here is record index `i` in a durable run's
     /// checkpoint file.
-    fn probed_sites(&self, nl: &Netlist) -> Result<Vec<SignalId>, CoreError> {
-        nl.topological_order().map_err(CoreError::from)?;
+    fn probed_sites(&self, nl: &Netlist) -> Vec<SignalId> {
         // Candidate sites: PIs + gate outputs — collapsed to group
         // representatives when enabled — then stride-sampled.
         let sites: Vec<SignalId> = if self.collapse {
@@ -452,7 +452,7 @@ impl Campaign {
             v.extend(nl.gates().iter().map(|g| g.output));
             v
         };
-        Ok(sites.into_iter().step_by(self.stride.max(1)).collect())
+        sites.into_iter().step_by(self.stride.max(1)).collect()
     }
 
     fn worker_threads(&self, sites: usize) -> usize {
@@ -497,21 +497,22 @@ impl Campaign {
     /// also names the `R_min` search and its tolerance, so a checkpoint
     /// written under another search, whose `R_min` differ in their low
     /// bits, is refused instead of mixed into one report.
-    ///
-    /// # Errors
-    ///
-    /// Structural netlist errors, as for [`Campaign::run`].
-    pub fn checkpoint_spec(&self, nl: &Netlist) -> Result<CheckpointSpec, CoreError> {
-        let sites = self.probed_sites(nl)?;
+    pub fn checkpoint_spec(&self, nl: &Netlist) -> CheckpointSpec {
+        self.spec_for(&self.probed_sites(nl))
+    }
+
+    /// [`Campaign::checkpoint_spec`] of a netlist whose probed sites are
+    /// `sites`.
+    fn spec_for(&self, sites: &[SignalId]) -> CheckpointSpec {
         let digest = config_digest(&format!(
             "campaign cfg={:?} stride={} collapse={} sites={:?} rmin=illinois-{R_REL_TOL:e}",
             self.cfg, self.stride, self.collapse, sites
         ));
-        Ok(CheckpointSpec {
+        CheckpointSpec {
             config_digest: digest,
             seed: 0,
             samples: sites.len(),
-        })
+        }
     }
 
     /// Durable variant of [`Campaign::run`]: cooperative cancellation
@@ -529,9 +530,10 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Structural netlist errors as for [`Campaign::run`];
-    /// [`CoreError::Checkpoint`] when `checkpoint` belongs to a different
-    /// campaign or a record append failed mid-run.
+    /// [`CoreError::InvalidPlan`] for an unusable
+    /// [`TestgenConfig::r_bracket`]; [`CoreError::Checkpoint`] when
+    /// `checkpoint` belongs to a different campaign or a record append
+    /// failed mid-run.
     pub fn run_durable(
         &self,
         nl: &Netlist,
@@ -540,11 +542,10 @@ impl Campaign {
         checkpoint: Option<&Checkpoint<SitePlanRecord>>,
     ) -> Result<CampaignReport, CoreError> {
         let setup_span = self.obs.span(Phase::StudySetup);
-        let sites = self.probed_sites(nl)?;
+        let sites = self.probed_sites(nl);
         drop(setup_span);
         if let Some(c) = checkpoint {
-            let expected = self.checkpoint_spec(nl)?;
-            if *c.spec() != expected {
+            if *c.spec() != self.spec_for(&sites) {
                 return Err(CoreError::Checkpoint {
                     reason: format!(
                         "checkpoint {} was opened under a different campaign spec",
@@ -661,8 +662,7 @@ impl Campaign {
         run_token: &CancelToken,
         path: &std::path::Path,
     ) -> Result<CampaignReport, CoreError> {
-        let spec = self.checkpoint_spec(nl)?;
-        let ck = Checkpoint::open(path, spec)?;
+        let ck = Checkpoint::open(path, self.checkpoint_spec(nl))?;
         self.run_durable(nl, lib, run_token, Some(&ck))
     }
 }
@@ -877,7 +877,7 @@ mod tests {
         let path = tmp("roundtrip");
         let _ = std::fs::remove_file(&path);
 
-        let spec = campaign.checkpoint_spec(&nl).unwrap();
+        let spec = campaign.checkpoint_spec(&nl);
         let ck = Checkpoint::create(&path, spec).unwrap();
         let first = campaign
             .run_durable(&nl, &lib, &CancelToken::new(), Some(&ck))
@@ -908,7 +908,7 @@ mod tests {
         let path = tmp("truncated");
         let _ = std::fs::remove_file(&path);
 
-        let spec = campaign.checkpoint_spec(&nl).unwrap();
+        let spec = campaign.checkpoint_spec(&nl);
         let ck = Checkpoint::create(&path, spec).unwrap();
         let full = campaign
             .run_durable(&nl, &lib, &CancelToken::new(), Some(&ck))
@@ -965,7 +965,7 @@ mod tests {
         };
         let path = tmp("mismatch");
         let _ = std::fs::remove_file(&path);
-        let ck = Checkpoint::create(&path, a.checkpoint_spec(&nl).unwrap()).unwrap();
+        let ck = Checkpoint::create(&path, a.checkpoint_spec(&nl)).unwrap();
         let err = b
             .run_durable(
                 &nl,

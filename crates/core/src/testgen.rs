@@ -101,7 +101,7 @@ pub struct PathTestPlan {
 ///
 /// [`CoreError::NoSensitizablePath`] when no candidate path can be
 /// sensitized; [`CoreError::InvalidPlan`] for an unusable
-/// [`TestgenConfig::r_bracket`]; netlist errors propagate.
+/// [`TestgenConfig::r_bracket`].
 pub fn plan_for_site(
     nl: &Netlist,
     site: SignalId,
@@ -156,7 +156,6 @@ impl<'a> SitePlanner<'a> {
     ///
     /// # Errors
     ///
-    /// Structural netlist errors (a combinational loop);
     /// [`CoreError::InvalidPlan`] when [`TestgenConfig::r_bracket`] is
     /// not finite, positive and increasing.
     pub fn new(
@@ -164,7 +163,6 @@ impl<'a> SitePlanner<'a> {
         lib: &'a TimingLibrary,
         cfg: &TestgenConfig,
     ) -> Result<Self, CoreError> {
-        nl.topological_order()?;
         let (r_lo, r_hi) = cfg.r_bracket;
         if !(r_lo.is_finite() && r_hi.is_finite() && 0.0 < r_lo && r_lo < r_hi) {
             return Err(CoreError::InvalidPlan {

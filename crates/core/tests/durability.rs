@@ -684,7 +684,7 @@ fn campaign_checkpoint_from_the_bisection_search_is_refused() {
         threads: Some(1),
         ..Campaign::default()
     };
-    let spec = campaign.checkpoint_spec(&nl).expect("spec");
+    let spec = campaign.checkpoint_spec(&nl);
     let sites: Vec<_> = collapsed_fault_sites(&nl)
         .into_iter()
         .map(|g| g.representative)

@@ -173,8 +173,8 @@ pub struct Gate {
 /// A combinational netlist: primary inputs, gates, primary outputs.
 ///
 /// Signals are created by [`Netlist::add_input`] and [`Netlist::add_gate`];
-/// the structure is append-only. Use [`Netlist::topological_order`] to
-/// check for combinational loops before simulating.
+/// the structure is append-only, and a gate may only read signals that
+/// already exist, so a `Netlist` never holds a combinational loop.
 #[derive(Debug, Clone, Default)]
 pub struct Netlist {
     names: Vec<String>,
@@ -310,9 +310,9 @@ impl Netlist {
     ///
     /// # Errors
     ///
-    /// [`LogicError::CombinationalLoop`] when the structure is cyclic.
-    /// (Loops cannot be built through the public construction API, which
-    /// is append-only, but parsed netlists may contain them.)
+    /// [`LogicError::CombinationalLoop`] when the structure is cyclic,
+    /// which the append-only construction API never builds (the ISCAS
+    /// parser reports a looped input itself, before building).
     pub fn topological_order(&self) -> Result<Vec<GateId>, LogicError> {
         // Kahn's algorithm over gates.
         let mut indeg = vec![0usize; self.gates.len()];
@@ -403,6 +403,18 @@ mod tests {
         let (mut nl, _, _, _, o) = small();
         nl.mark_output(o);
         assert_eq!(nl.outputs().len(), 1);
+    }
+
+    /// A gate may read only signals that already exist, so no gate can
+    /// read its own output or a later gate's: the netlist stays acyclic,
+    /// which is why path walks need no loop check.
+    #[test]
+    #[should_panic(expected = "not in this netlist")]
+    fn add_gate_rejects_a_signal_not_yet_in_the_netlist() {
+        let (mut nl, a, ..) = small();
+        // The signal this gate is about to drive.
+        let own_output = SignalId(nl.signal_count());
+        let _ = nl.add_gate(GateKind::Nand, &[a, own_output], "loop");
     }
 
     #[test]

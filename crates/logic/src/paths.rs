@@ -6,6 +6,7 @@
 
 use crate::error::LogicError;
 use crate::netlist::{GateId, Netlist, SignalId};
+use std::convert::Infallible;
 
 /// One step of a path: a gate entered through a specific input pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,18 +76,17 @@ impl Path {
 /// `limit` paths have been produced — path counts are exponential in the
 /// worst case, so a cap is mandatory.
 ///
+/// The forward walk ends because a [`Netlist`] is acyclic by
+/// construction.
+///
 /// # Errors
 ///
-/// [`LogicError::PathLimit`] when the cap is exceeded;
-/// [`LogicError::CombinationalLoop`] is impossible here because traversal
-/// follows fan-out edges only finitely (cyclic netlists would loop, so the
-/// function validates acyclicity first and reports it).
+/// [`LogicError::PathLimit`] when the cap is exceeded.
 pub fn enumerate_paths(
     nl: &Netlist,
     through: Option<SignalId>,
     limit: usize,
 ) -> Result<Vec<Path>, LogicError> {
-    nl.topological_order()?; // acyclicity check
     let fanouts = nl.fanouts();
     let output_set: Vec<bool> = {
         let mut v = vec![false; nl.signal_count()];
@@ -158,21 +158,17 @@ pub fn enumerate_paths(
 /// candidate paths over none on fan-out-heavy circuits.
 ///
 /// The collecting form of [`visit_paths_from_fanin`]: same paths, same
-/// order, same cap.
-///
-/// # Errors
-///
-/// [`LogicError::CombinationalLoop`] for cyclic netlists.
+/// order, same cap. It cannot fail: a [`Netlist`] is acyclic by
+/// construction, so the error type is [`Infallible`].
 pub fn paths_from_fanin(
     nl: &Netlist,
     site: SignalId,
     limit: usize,
-) -> Result<Vec<Path>, LogicError> {
-    nl.topological_order()?;
+) -> Result<Vec<Path>, Infallible> {
     let mut result = Vec::new();
     visit_paths_from_fanin(nl, site, limit, |path| {
         result.push(path.clone());
-        Ok::<(), LogicError>(())
+        Ok::<(), Infallible>(())
     })?;
     Ok(result)
 }
@@ -184,8 +180,7 @@ pub fn paths_from_fanin(
 /// returned.
 ///
 /// The walk does not check the netlist for loops: [`Netlist`]'s
-/// append-only construction cannot make one, and a caller that wants
-/// the typed error checks [`Netlist::topological_order`] once, up front.
+/// append-only construction cannot make one.
 ///
 /// # Errors
 ///
