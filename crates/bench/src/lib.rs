@@ -17,7 +17,6 @@
 
 use pulsar_analog::Polarity;
 use pulsar_cells::RopSite;
-use pulsar_cells::{PathSpec, Tech};
 use pulsar_core::{DefectKind, McConfig, ModelFault, ModelPulseStudy, PathUnderTest};
 use pulsar_logic::GateKind;
 use pulsar_timing::{PathElement, PathTimingModel, TimingLibrary};
@@ -64,12 +63,7 @@ impl ExpParams {
 
 /// The paper's §4 path: 7 gates, fan-out branch at the faulted stage.
 pub fn paper_put(defect: DefectKind) -> PathUnderTest {
-    PathUnderTest {
-        spec: PathSpec::paper_chain(),
-        defect,
-        stage: 1,
-        tech: Tech::generic_180nm(),
-    }
+    PathUnderTest::paper(defect)
 }
 
 /// The external-ROP path under test used by Figs. 6/7 (the worst case for

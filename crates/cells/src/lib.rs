@@ -50,7 +50,7 @@ mod tech;
 pub use characterize::{vtc, Vtc};
 pub use flipflop::{characterize_dff, DffTiming};
 pub use gates::{CellKind, CmosBuilder, GateHandle, RopSite};
-pub use path::{BuiltPath, CapturePolicy, PathFault, PathSpec, PulseOutcome, TransitionOutcome};
+pub use path::{BuiltPath, PathFault, PathSpec, PulseOutcome, TransitionOutcome};
 pub use pulsegen::PulseGenerator;
 pub use sensing::TransitionDetector;
 pub use tech::Tech;

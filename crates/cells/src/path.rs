@@ -169,28 +169,6 @@ impl PathFault {
     }
 }
 
-/// How much waveform data a path's default measurement runs record.
-///
-/// Capture selection never touches the solver — the same time points are
-/// accepted with the same arithmetic under every policy — so any
-/// measurement taken from a captured trace is bit-identical across
-/// policies. The policy only decides which measurements *exist* in the
-/// result, and how much per-point storage the run pays for.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CapturePolicy {
-    /// Capture every stage output (the default):
-    /// [`PulseOutcome::stage_widths`] is fully populated.
-    #[default]
-    StageOutputs,
-    /// Capture only the nodes the top-level measurement reads — the path
-    /// output for pulse runs. [`PulseOutcome::stage_widths`] comes back
-    /// empty; `output_width` and `peak_fraction` are bit-identical to the
-    /// other policies. The hot-path setting for Monte Carlo width
-    /// studies, where per-stage waveforms are recorded only to be thrown
-    /// away.
-    MeasurementsOnly,
-}
-
 /// Result of a pulse-propagation run.
 #[derive(Debug, Clone)]
 pub struct PulseOutcome {
@@ -201,8 +179,6 @@ pub struct PulseOutcome {
     /// partial dampening even when no full pulse appears).
     pub peak_fraction: f64,
     /// Pulse width measured at each stage output, input to output side.
-    /// Empty when the run recorded only the output trace
-    /// ([`CapturePolicy::MeasurementsOnly`]).
     pub stage_widths: Vec<f64>,
 }
 
@@ -257,8 +233,6 @@ pub struct BuiltPath {
     /// Per-path solver scratch, reused across every simulation this path
     /// runs (stimulus sweeps, resistance sweeps, retries).
     workspace: SolverWorkspace,
-    /// Which node waveforms the default measurement runs record.
-    capture_policy: CapturePolicy,
     /// Node tolerance of the pulse queries' [`Until::Settled`] rule: a
     /// quarter of the smallest |Vt0| of any transistor in the path.
     settle_tol: f64,
@@ -410,7 +384,6 @@ impl BuiltPath {
             step_scale: 1.0,
             vdd_source,
             workspace: SolverWorkspace::new(),
-            capture_policy: CapturePolicy::default(),
             settle_tol: 0.25 * min_vt,
         }
     }
@@ -619,19 +592,6 @@ impl BuiltPath {
         self.step = seconds;
     }
 
-    /// Sets how much waveform data the default measurement runs record;
-    /// see [`CapturePolicy`]. Width and delay numbers are bit-identical
-    /// across policies — only the set of recorded traces (and therefore
-    /// [`PulseOutcome::stage_widths`]) changes.
-    pub fn set_capture_policy(&mut self, policy: CapturePolicy) {
-        self.capture_policy = policy;
-    }
-
-    /// The currently configured capture policy.
-    pub fn capture_policy(&self) -> CapturePolicy {
-        self.capture_policy
-    }
-
     /// Selects the linear-solver engine used inside Newton iterations for
     /// this path's workspace-backed simulations: [`SolverMode::Auto`]
     /// (sparse above the crossover dimension, dense below — the default),
@@ -739,8 +699,7 @@ impl BuiltPath {
 
     /// Injects a pulse of width `w_in` (measured at 50 % of VDD) and the
     /// given polarity at the path input, simulates, and measures the
-    /// surviving pulse at the output — and, under the default
-    /// [`CapturePolicy::StageOutputs`], at every intermediate stage.
+    /// surviving pulse at the output and at every intermediate stage.
     ///
     /// Pass a custom `cfg` to control step/stop; `None` uses a window
     /// sized from the path length ([`BuiltPath::default_config`]) and runs
@@ -757,21 +716,17 @@ impl BuiltPath {
         polarity: Polarity,
         cfg: Option<&TranConfig>,
     ) -> Result<PulseOutcome, Error> {
-        // The capture policy decides which columns the run materializes;
-        // the solve itself is identical either way.
-        let capture = match self.capture_policy {
-            CapturePolicy::StageOutputs => TraceCapture::Nodes(self.stage_outputs.clone()),
-            CapturePolicy::MeasurementsOnly => TraceCapture::Nodes(vec![self.output()]),
-        };
+        let capture = TraceCapture::Nodes(self.stage_outputs.clone());
         // The full window: a dampened pulse's peak excursion can still
         // creep up in the tail the settle rule would cut.
         let (outcome, _) = self.pulse_run(w_in, polarity, cfg, &capture, Until::Stop)?;
         Ok(outcome)
     }
 
-    /// Width-only fast path: like [`BuiltPath::propagate_pulse`] under
-    /// [`CapturePolicy::MeasurementsOnly`] (regardless of the configured
-    /// policy), returning just the output pulse width. This is what
+    /// Width-only fast path: like [`BuiltPath::propagate_pulse`], but it
+    /// records only the output trace and returns just the output pulse
+    /// width. Capture selection never touches the solver, so the width is
+    /// bit-identical to [`BuiltPath::propagate_pulse`]'s. This is what
     /// Monte Carlo width studies run per sample.
     ///
     /// With `cfg = None` the run ends early under [`Until::Settled`] at
@@ -846,8 +801,8 @@ impl BuiltPath {
         let res = self.sim(cfg, capture)?;
 
         let vth = self.vdd / 2.0;
-        // Per-stage widths need the stage traces; a slim capture
-        // (measurements-only) skips them instead of guessing.
+        // Per-stage widths need the stage traces; the width-only capture
+        // skips them instead of guessing.
         let have_stages = match capture {
             TraceCapture::All => true,
             TraceCapture::Nodes(nodes) => self.stage_outputs.iter().all(|n| nodes.contains(n)),
@@ -1087,18 +1042,8 @@ mod tests {
             .unwrap();
         assert_eq!(full.stage_widths.len(), 3);
 
-        p.set_capture_policy(CapturePolicy::MeasurementsOnly);
-        assert_eq!(p.capture_policy(), CapturePolicy::MeasurementsOnly);
-        let slim = p
-            .propagate_pulse(400e-12, Polarity::PositiveGoing, None)
-            .unwrap();
-        assert!(slim.stage_widths.is_empty());
-        assert_eq!(slim.output_width.to_bits(), full.output_width.to_bits());
-        assert_eq!(slim.peak_fraction.to_bits(), full.peak_fraction.to_bits());
-
-        // The width-only fast path slims the capture regardless of the
-        // configured policy, and still matches bit for bit.
-        p.set_capture_policy(CapturePolicy::StageOutputs);
+        // The width-only fast path records only the output trace, and
+        // still matches bit for bit.
         let w = p
             .pulse_width_only(400e-12, Polarity::PositiveGoing, None)
             .unwrap();

@@ -36,14 +36,12 @@ use std::fs;
 use std::time::{Duration, Instant, SystemTime};
 
 use pulsar_analog::{
-    parse_deck, to_csv, to_vcd, NodeId, Polarity, Recorder, SolverWorkspace, TraceCapture,
-    TranConfig,
+    parse_deck, to_csv, to_vcd, NodeId, Recorder, SolverWorkspace, TraceCapture, TranConfig,
 };
-use pulsar_cells::{PathSpec, Tech};
 use pulsar_core::{
     all_branch_faults, campaign_digest_repr, fault_simulate, plan_for_site, AdaptivePolicy,
-    AdaptiveReport, Campaign, CoreError, CoverageCurve, DefectKind, DfStudy, McConfig,
-    PathUnderTest, Plan, PulsePattern, PulseStudy, ResilienceConfig, SiteOutcome, TestgenConfig,
+    AdaptiveReport, CalibratedStudy, Campaign, CoverageCurve, McConfig, Plan, PulsePattern,
+    ResilienceConfig, SiteOutcome, StudyKind, StudyRequest, TestgenConfig,
 };
 use pulsar_logic::parse_iscas85;
 use pulsar_obs::{
@@ -52,7 +50,6 @@ use pulsar_obs::{
 };
 use pulsar_serve::{
     Client as ServeClient, Daemon as ServeDaemon, JobOutcome, JobSpec, ServeConfig,
-    StudyKind as ServeStudyKind,
 };
 use pulsar_timing::TimingLibrary;
 
@@ -334,6 +331,86 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
+}
+
+/// What a flag value must be, and how it parses. A value outside the
+/// domain is a usage error, never a silent default or a panic further
+/// on.
+struct Domain<T> {
+    what: &'static str,
+    parse: fn(&str) -> Option<T>,
+}
+
+const COUNT: Domain<usize> = Domain {
+    what: "a count",
+    parse: |v| v.parse().ok(),
+};
+
+const INTEGER: Domain<u64> = Domain {
+    what: "a non-negative integer",
+    parse: |v| v.parse().ok(),
+};
+
+const NUMBER: Domain<f64> = Domain {
+    what: "a number",
+    parse: |v| v.parse().ok(),
+};
+
+const NUMBERS: Domain<Vec<f64>> = Domain {
+    what: "a comma-separated list of numbers",
+    parse: |v| v.split(',').map(|x| x.trim().parse().ok()).collect(),
+};
+
+/// A wall-clock budget. The bound keeps it a [`Duration`] and, in
+/// milliseconds, an integer the wire protocol carries exactly (< 2^53).
+const SECONDS: Domain<f64> = Domain {
+    what: "a number of seconds in [0, 9e12]",
+    parse: |v| v.parse().ok().filter(|s| (0.0..=9e12).contains(s)),
+};
+
+/// A time constant: finite and > 0.
+const TAU: Domain<f64> = Domain {
+    what: "a finite number of seconds > 0",
+    parse: |v| v.parse().ok().filter(|t: &f64| t.is_finite() && *t > 0.0),
+};
+
+const FRACTION: Domain<f64> = Domain {
+    what: "a fraction in [0, 1]",
+    parse: |v| v.parse().ok().filter(|f| (0.0..=1.0).contains(f)),
+};
+
+/// Flag `name` of command `cmd` in `domain`: `None` when the flag is
+/// absent, a usage error naming the command, the flag and the domain when
+/// it has no value or one outside the domain.
+fn flag<T>(
+    args: &[String],
+    cmd: &str,
+    name: &str,
+    domain: Domain<T>,
+) -> Result<Option<T>, CliError> {
+    if !has_flag(args, name) {
+        return Ok(None);
+    }
+    let v = flag_value(args, name)
+        .ok_or_else(|| CliError::usage(format!("{cmd}: {name} needs a value")))?;
+    let bad = || CliError::usage(format!("{cmd}: {name} `{v}` is not {}", domain.what));
+    (domain.parse)(v).map(Some).ok_or_else(bad)
+}
+
+/// The study flags `pulsar study` and `pulsar serve --submit/--run`
+/// share, over the study defaults.
+fn study_request(args: &[String], cmd: &str, kind: StudyKind) -> Result<StudyRequest, CliError> {
+    let mut req = StudyRequest::new(kind);
+    req.samples = flag(args, cmd, "--samples", COUNT)?.unwrap_or(req.samples);
+    req.seed = flag(args, cmd, "--seed", INTEGER)?.unwrap_or(req.seed);
+    req.rs = flag(args, cmd, "--r", NUMBERS)?.unwrap_or(req.rs);
+    req.factors = flag(args, cmd, "--factors", NUMBERS)?.unwrap_or(req.factors);
+    if req.samples == 0 {
+        return Err(CliError::usage(format!(
+            "{cmd}: --samples must be at least 1"
+        )));
+    }
+    Ok(req)
 }
 
 /// Flags that do not consume a value; everything else starting with
@@ -623,9 +700,7 @@ fn cmd_testgen(args: &[String]) -> Result<String, CliError> {
     let path = positional(args).ok_or_else(|| CliError::usage("testgen: missing netlist path"))?;
     let nl = parse_iscas85(&read(path)?).map_err(|e| CliError::run_err("parse", &e))?;
     let mut cfg = TestgenConfig::default();
-    if let Some(n) = flag_value(args, "--max-paths").and_then(|v| v.parse().ok()) {
-        cfg.max_paths = n;
-    }
+    cfg.max_paths = flag(args, "testgen", "--max-paths", COUNT)?.unwrap_or(cfg.max_paths);
     let site = match flag_value(args, "--site") {
         Some(name) => nl
             .find_signal(name)
@@ -673,19 +748,10 @@ fn cmd_campaign(args: &[String], token: &CancelToken) -> Result<String, CliError
     let path = positional(args).ok_or_else(|| CliError::usage("campaign: missing netlist path"))?;
     let text = read(path)?;
     let nl = parse_iscas85(&text).map_err(|e| CliError::run_err("parse", &e))?;
-    let stride = flag_value(args, "--stride")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let stride = flag(args, "campaign", "--stride", COUNT)?.unwrap_or(1);
     let metrics_out = flag_value(args, "--metrics");
     let trace_out = flag_value(args, "--trace-out");
-    let deadline = match flag_value(args, "--deadline") {
-        Some(v) => Some(Duration::from_secs_f64(v.parse().map_err(|_| {
-            CliError::usage(format!(
-                "campaign: --deadline `{v}` is not a number of seconds"
-            ))
-        })?)),
-        None => None,
-    };
+    let deadline = flag(args, "campaign", "--deadline", SECONDS)?.map(Duration::from_secs_f64);
     let checkpoint_path = match (
         flag_value(args, "--checkpoint"),
         flag_value(args, "--resume"),
@@ -776,9 +842,7 @@ fn cmd_campaign(args: &[String], token: &CancelToken) -> Result<String, CliError
 fn cmd_faultsim(args: &[String]) -> Result<String, CliError> {
     let path = positional(args).ok_or_else(|| CliError::usage("faultsim: missing netlist path"))?;
     let nl = parse_iscas85(&read(path)?).map_err(|e| CliError::run_err("parse", &e))?;
-    let tau = flag_value(args, "--tau")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2e-9);
+    let tau = flag(args, "faultsim", "--tau", TAU)?.unwrap_or(2e-9);
 
     let lib = TimingLibrary::generic();
     let report = Campaign::default()
@@ -817,22 +881,6 @@ fn cmd_faultsim(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn parse_f64_list(s: &str, flag: &str) -> Result<Vec<f64>, CliError> {
-    s.split(',')
-        .map(|v| {
-            v.trim()
-                .parse::<f64>()
-                .map_err(|_| CliError::usage(format!("study: {flag} value `{v}` is not a number")))
-        })
-        .collect()
-}
-
-fn render_curves(out: &mut String, curves: &[CoverageCurve]) {
-    // One renderer for every consumer (CLI, serve daemon, bench asserts):
-    // same digest ⇒ byte-identical curve text, by construction.
-    out.push_str(&CoverageCurve::render_set(curves));
-}
-
 fn render_adaptive(out: &mut String, report: &AdaptiveReport) {
     let _ = writeln!(
         out,
@@ -869,48 +917,23 @@ fn render_adaptive(out: &mut String, report: &AdaptiveReport) {
 /// carry the measured per-point `{requested, achieved}` precision.
 fn cmd_study(args: &[String], token: &CancelToken) -> Result<String, CliError> {
     let kind = positional(args).ok_or_else(|| CliError::usage("study: missing kind (df|pulse)"))?;
-    if kind != "df" && kind != "pulse" {
-        return Err(CliError::usage(format!(
+    let kind = StudyKind::parse(kind).ok_or_else(|| {
+        CliError::usage(format!(
             "study: unknown kind `{kind}` (expected df or pulse)"
-        )));
-    }
-    let samples: usize = match flag_value(args, "--samples") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("study: --samples `{v}` is not a count")))?,
-        None => 24,
-    };
-    if samples == 0 {
-        return Err(CliError::usage("study: --samples must be at least 1"));
-    }
-    let seed: u64 = match flag_value(args, "--seed") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("study: --seed `{v}` is not an integer")))?,
-        None => 2007,
-    };
-    let rs = parse_f64_list(flag_value(args, "--r").unwrap_or("1e3,30e3,100e3"), "--r")?;
-    let factors = parse_f64_list(
-        flag_value(args, "--factors").unwrap_or("0.9,1.1"),
-        "--factors",
-    )?;
+        ))
+    })?;
+    let req = study_request(args, "study", kind)?;
     let adaptive = has_flag(args, "--adaptive");
-    let precision: f64 = match flag_value(args, "--precision") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("study: --precision `{v}` is not a number")))?,
-        None => 0.15,
-    };
-    let max_samples: usize = match flag_value(args, "--max-samples") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("study: --max-samples `{v}` is not a count")))?,
-        None => samples,
-    };
+    let precision = flag(args, "study", "--precision", NUMBER)?.unwrap_or(0.15);
+    let max_samples = flag(args, "study", "--max-samples", COUNT)?.unwrap_or(req.samples);
     let plan = if adaptive {
-        Plan::adaptive(&rs, &factors, AdaptivePolicy::new(precision, max_samples))
+        Plan::adaptive(
+            &req.rs,
+            &req.factors,
+            AdaptivePolicy::new(precision, max_samples),
+        )
     } else {
-        Plan::fixed(&rs, &factors)
+        Plan::fixed(&req.rs, &req.factors)
     };
     plan.validate()
         .map_err(|e| CliError::usage(format!("study: {e}")))?;
@@ -925,30 +948,16 @@ fn cmd_study(args: &[String], token: &CancelToken) -> Result<String, CliError> {
     let started_unix_ms = unix_ms();
     let t0 = Instant::now();
 
-    let put = PathUnderTest {
-        spec: PathSpec::paper_chain(),
-        defect: DefectKind::ExternalRop,
-        stage: 1,
-        tech: Tech::generic_180nm(),
-    };
     let mc = McConfig {
         obs: rec.clone(),
-        ..McConfig::paper(samples, seed)
+        ..McConfig::paper(req.samples, req.seed)
     };
-    let calibration = |e: CoreError| CliError::run_err("study calibration", &e);
-    let (header, report) = if kind == "df" {
-        let study = DfStudy::new(put, mc);
-        let calib = study.calibrate().map_err(calibration)?;
-        let report = study.run(&calib, &plan, token, None);
-        (study.header(&calib, &plan), report)
-    } else {
-        let study = PulseStudy::new(put, mc, Polarity::PositiveGoing);
-        let calib = study.calibrate().map_err(calibration)?;
-        let report = study.run(&calib, &plan, token, None);
-        (study.header(&calib, &plan), report)
-    };
+    let calib = req.kind.calibrate(mc.clone());
+    let calib = calib.map_err(|e| CliError::run_err("study calibration", &e))?;
+    let study = CalibratedStudy::new(mc, calib);
+    let report = study.run(&plan, token, None);
     let interrupted = token.cancelled() == Some(CancelReason::User);
-    let mut out = header + "\n";
+    let mut out = study.header(&plan) + "\n";
     let report = match report {
         Ok(report) => report,
         // An adaptive report cannot account for a truncated run, so an
@@ -968,7 +977,7 @@ fn cmd_study(args: &[String], token: &CancelToken) -> Result<String, CliError> {
             return Err(CliError::run_err(context, &e));
         }
     };
-    render_curves(&mut out, report.curves());
+    out.push_str(&CoverageCurve::render_set(report.curves()));
     if let Some(r) = report.adaptive() {
         render_adaptive(&mut out, r);
     }
@@ -985,10 +994,10 @@ fn cmd_study(args: &[String], token: &CancelToken) -> Result<String, CliError> {
         write_journal(&rec, f, &mut out)?;
     }
     if let Some(f) = metrics_out {
-        let digest = config_digest(&plan.study_digest_repr(kind, samples, seed));
+        let digest = config_digest(&plan.study_digest_repr(kind.as_str(), req.samples, req.seed));
         let mut manifest = RunManifest::new("study", digest);
-        manifest.seed = Some(seed);
-        manifest.samples = Some(samples);
+        manifest.seed = Some(req.seed);
+        manifest.samples = Some(req.samples);
         manifest.tech = Some("generic_180nm".to_owned());
         manifest.adaptive = report.adaptive().map(AdaptiveReport::to_manifest);
         write_manifest(manifest, &rec, started_unix_ms, t0, f, &mut out)?;
@@ -1052,23 +1061,11 @@ fn serve_daemon(
     token: &CancelToken,
 ) -> Result<String, CliError> {
     let mut cfg = ServeConfig::new(sock);
-    if let Some(v) = flag_value(args, "--workers") {
-        cfg.workers = v
-            .parse()
-            .map_err(|_| CliError::usage(format!("serve: --workers `{v}` is not a count")))?;
-    }
-    if let Some(v) = flag_value(args, "--queue-depth") {
-        cfg.queue_depth = v
-            .parse()
-            .map_err(|_| CliError::usage(format!("serve: --queue-depth `{v}` is not a count")))?;
-    }
+    cfg.workers = flag(args, "serve", "--workers", COUNT)?.unwrap_or(cfg.workers);
+    cfg.queue_depth = flag(args, "serve", "--queue-depth", COUNT)?.unwrap_or(cfg.queue_depth);
     cfg.spool = flag_value(args, "--spool").map(std::path::PathBuf::from);
     cfg.metrics_out = flag_value(args, "--metrics").map(std::path::PathBuf::from);
-    if let Some(v) = flag_value(args, "--tenant-budget") {
-        cfg.tenant_budget = Some(v.parse().map_err(|_| {
-            CliError::usage(format!("serve: --tenant-budget `{v}` is not a count"))
-        })?);
-    }
+    cfg.tenant_budget = flag(args, "serve", "--tenant-budget", INTEGER)?;
     let workers = cfg.workers;
     let depth = cfg.queue_depth;
     let daemon = ServeDaemon::start(cfg)
@@ -1118,14 +1115,18 @@ fn serve_daemon(
     Ok(out)
 }
 
-/// Client mode: one operation against a running daemon.
+/// Client mode: one operation against a running daemon. The flags are
+/// read before connecting, so a bad value is a usage error whether or
+/// not a daemon listens.
 fn serve_client(op: &str, args: &[String], sock: &std::path::Path) -> Result<String, CliError> {
-    let mut client = ServeClient::connect(sock).map_err(|e| {
-        CliError::run(format!(
-            "serve: cannot connect to `{}`: {e}",
-            sock.display()
-        ))
-    })?;
+    let connect = || {
+        ServeClient::connect(sock).map_err(|e| {
+            CliError::run(format!(
+                "serve: cannot connect to `{}`: {e}",
+                sock.display()
+            ))
+        })
+    };
     let fail = |e: pulsar_serve::ClientError| CliError::run(format!("serve: {e}"));
     match op {
         "--submit" | "--run" => {
@@ -1133,21 +1134,9 @@ fn serve_client(op: &str, args: &[String], sock: &std::path::Path) -> Result<Str
                 .ok_or_else(|| CliError::usage(format!("serve: {op} needs a kind")))?;
             let spec = serve_spec(args, kind)?;
             let tenant = flag_value(args, "--tenant");
-            let deadline_ms = match flag_value(args, "--deadline") {
-                Some(v) => {
-                    let secs: f64 = v.parse().map_err(|_| {
-                        CliError::usage(format!("serve: --deadline `{v}` is not a number"))
-                    })?;
-                    Some((secs * 1e3) as u64)
-                }
-                None => None,
-            };
-            let budget = match flag_value(args, "--failure-budget") {
-                Some(v) => Some(v.parse().map_err(|_| {
-                    CliError::usage(format!("serve: --failure-budget `{v}` is not a number"))
-                })?),
-                None => None,
-            };
+            let deadline_ms = flag(args, "serve", "--deadline", SECONDS)?.map(|s| (s * 1e3) as u64);
+            let budget = flag(args, "serve", "--failure-budget", FRACTION)?;
+            let mut client = connect()?;
             let (job, digest, cached) = client
                 .submit_with(&spec, tenant, deadline_ms, budget)
                 .map_err(fail)?;
@@ -1176,6 +1165,7 @@ fn serve_client(op: &str, args: &[String], sock: &std::path::Path) -> Result<Str
         }
         "--wait" | "--status" | "--cancel" => {
             let job = serve_job_id(args, op)?;
+            let mut client = connect()?;
             let o = match op {
                 "--wait" => client.wait(job),
                 "--status" => client.status(job),
@@ -1187,7 +1177,7 @@ fn serve_client(op: &str, args: &[String], sock: &std::path::Path) -> Result<Str
         "--stream" => {
             let job = serve_job_id(args, "--stream")?;
             let mut out = String::new();
-            let state = client
+            let state = connect()?
                 .stream(job, |event| {
                     out.push_str(event);
                     out.push('\n');
@@ -1197,12 +1187,12 @@ fn serve_client(op: &str, args: &[String], sock: &std::path::Path) -> Result<Str
             Ok(out)
         }
         "--stats" => {
-            let mut payload = client.stats().map_err(fail)?;
+            let mut payload = connect()?.stats().map_err(fail)?;
             payload.push('\n');
             Ok(payload)
         }
         "--shutdown" => {
-            client.shutdown().map_err(fail)?;
+            connect()?.shutdown().map_err(fail)?;
             Ok("daemon shutting down\n".to_owned())
         }
         other => Err(CliError::usage(format!(
@@ -1214,42 +1204,14 @@ fn serve_client(op: &str, args: &[String], sock: &std::path::Path) -> Result<Str
 /// Parses a submit/run spec from the CLI flags, with the same defaults
 /// as `pulsar study` / `pulsar campaign`.
 fn serve_spec(args: &[String], kind: &str) -> Result<JobSpec, CliError> {
-    if let Some(k) = ServeStudyKind::parse(kind) {
-        let samples: usize = match flag_value(args, "--samples") {
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError::usage(format!("serve: --samples `{v}` is not a count")))?,
-            None => 24,
-        };
-        let seed: u64 = match flag_value(args, "--seed") {
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError::usage(format!("serve: --seed `{v}` is not an integer")))?,
-            None => 2007,
-        };
-        let rs = parse_f64_list(flag_value(args, "--r").unwrap_or("1e3,30e3,100e3"), "--r")?;
-        let factors = parse_f64_list(
-            flag_value(args, "--factors").unwrap_or("0.9,1.1"),
-            "--factors",
-        )?;
-        return Ok(JobSpec::Study {
-            kind: k,
-            samples,
-            seed,
-            rs,
-            factors,
-        });
+    if let Some(k) = StudyKind::parse(kind) {
+        return study_request(args, "serve", k).map(JobSpec::from);
     }
     if kind == "campaign" {
         let path = flag_value(args, "--netlist")
             .ok_or_else(|| CliError::usage("serve: campaign jobs need --netlist FILE"))?;
         let netlist = read(path)?;
-        let stride: usize = match flag_value(args, "--stride") {
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError::usage(format!("serve: --stride `{v}` is not a count")))?,
-            None => 1,
-        };
+        let stride = flag(args, "serve", "--stride", COUNT)?.unwrap_or(1);
         return Ok(JobSpec::Campaign { netlist, stride });
     }
     Err(CliError::usage(format!(
@@ -1257,11 +1219,9 @@ fn serve_spec(args: &[String], kind: &str) -> Result<JobSpec, CliError> {
     )))
 }
 
-fn serve_job_id(args: &[String], flag: &str) -> Result<u64, CliError> {
-    let v = flag_value(args, flag)
-        .ok_or_else(|| CliError::usage(format!("serve: {flag} needs a job id")))?;
-    v.parse()
-        .map_err(|_| CliError::usage(format!("serve: {flag} `{v}` is not a job id")))
+fn serve_job_id(args: &[String], flag_name: &str) -> Result<u64, CliError> {
+    flag(args, "serve", flag_name, INTEGER)?
+        .ok_or_else(|| CliError::usage(format!("serve: {flag_name} needs a job id")))
 }
 
 fn serve_render_outcome(o: &JobOutcome) -> String {
@@ -1638,6 +1598,33 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
         assert_eq!(repeated_flag(&study_args("df", &["--seed", "4"])), None);
         let args = ["serve", "s.sock", "--run", "df", "--tenant", "--run"].map(String::from);
         assert_eq!(repeated_flag(&args), None);
+    }
+
+    #[test]
+    fn bad_flag_values_are_usage_errors() {
+        let bench = tmp("c17flags.bench", C17);
+        let sock = fresh_path("no-daemon.sock").to_string_lossy().into_owned();
+        let (b, s) = (bench.as_str(), sock.as_str());
+        for case in [
+            &["campaign", b, "--deadline", "-1"][..],
+            &["campaign", b, "--deadline", "NaN"],
+            &["campaign", b, "--deadline", "1e30"],
+            &["campaign", b, "--stride", "abc"],
+            &["testgen", b, "--max-paths", "zz"],
+            &["faultsim", b, "--tau", "nope"],
+            &["faultsim", b, "--tau", "-1"],
+            &["serve", s, "--run", "df", "--deadline", "-5"],
+            &["serve", s, "--run", "df", "--deadline", "1e19"],
+            &["serve", s, "--run", "df", "--failure-budget", "-3"],
+            &["serve", s, "--submit", "pulse", "--samples", "many"],
+            &["serve", s, "--wait", "seven"],
+        ] {
+            let args: Vec<String> = case.iter().map(|a| (*a).to_owned()).collect();
+            let e = dispatch(&args).unwrap_err();
+            assert_eq!((e.code, e.kind), (2, "usage"), "{case:?}: {}", e.message);
+            let flag = case[case.len() - 2];
+            assert!(e.message.contains(flag), "{case:?}: {}", e.message);
+        }
     }
 
     #[test]

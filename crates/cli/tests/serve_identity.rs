@@ -1,9 +1,9 @@
 //! A served study answers with the same bytes as the one-shot CLI: both
-//! hash the same digest string and render through the same curve
-//! renderer, so `pulsar serve --run df ...` and `pulsar study df ...`
-//! with the same flags must agree byte for byte. That holds for a cold
-//! job, which calibrates for itself, and for a resweep, which reuses the
-//! daemon's cached calibration.
+//! run the same study request through the same calibrated study and
+//! curve renderer, so `pulsar serve --run <kind> ...` and `pulsar study
+//! <kind> ...` with the same flags must agree byte for byte. That holds
+//! for both kinds, for a cold job, which calibrates for itself, and for a
+//! resweep, which reuses the daemon's cached calibration.
 
 #![allow(clippy::unwrap_used)]
 
@@ -27,9 +27,9 @@ const SAMPLES: usize = 2;
 const SEED: u64 = 2007;
 const RS: [f64; 2] = [1e3, 100e3];
 
-fn spec(factors: &[f64]) -> JobSpec {
+fn spec(kind: StudyKind, factors: &[f64]) -> JobSpec {
     JobSpec::Study {
-        kind: StudyKind::Df,
+        kind,
         samples: SAMPLES,
         seed: SEED,
         rs: RS.to_vec(),
@@ -37,12 +37,12 @@ fn spec(factors: &[f64]) -> JobSpec {
     }
 }
 
-/// The one-shot `pulsar study df` report for the flags [`spec`] carries.
-fn one_shot(factors: &[f64]) -> String {
+/// The one-shot `pulsar study` report for the flags [`spec`] carries.
+fn one_shot(kind: StudyKind, factors: &[f64]) -> String {
     let list = |v: &[f64]| v.iter().map(f64::to_string).collect::<Vec<_>>().join(",");
     let args: Vec<String> = [
         "study".to_owned(),
-        "df".to_owned(),
+        kind.as_str().to_owned(),
         "--samples".to_owned(),
         SAMPLES.to_string(),
         "--seed".to_owned(),
@@ -71,20 +71,24 @@ fn calib_hits(c: &mut Client) -> f64 {
         .unwrap_or(0.0)
 }
 
-#[test]
-fn served_df_study_is_byte_identical_to_the_one_shot_cli() {
-    let dir = tmp_dir("df");
+/// Serves a cold job and then a calibration-cache resweep of `kind`,
+/// each against the one-shot CLI.
+fn assert_served_matches_one_shot(kind: StudyKind) {
+    let dir = tmp_dir(kind.as_str());
     let daemon = Daemon::start(ServeConfig::new(dir.join("d.sock"))).unwrap();
     let mut c = Client::connect_within(daemon.socket(), Duration::from_secs(5)).unwrap();
 
     let cold = [0.9, 1.1];
-    assert_eq!(served(&mut c, &spec(&cold)), one_shot(&cold));
+    assert_eq!(served(&mut c, &spec(kind, &cold)), one_shot(kind, &cold));
     assert_eq!(calib_hits(&mut c), 0.0, "a cold daemon has no calibration");
 
     // Same kind, samples and seed; new factors: the result cache misses
     // and the calibration comes from the daemon's cache.
     let resweep = [0.8, 1.0, 1.2];
-    assert_eq!(served(&mut c, &spec(&resweep)), one_shot(&resweep));
+    assert_eq!(
+        served(&mut c, &spec(kind, &resweep)),
+        one_shot(kind, &resweep)
+    );
     assert!(
         calib_hits(&mut c) >= 1.0,
         "the resweep must reuse the calibration"
@@ -93,4 +97,14 @@ fn served_df_study_is_byte_identical_to_the_one_shot_cli() {
     c.shutdown().unwrap();
     daemon.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn served_df_study_is_byte_identical_to_the_one_shot_cli() {
+    assert_served_matches_one_shot(StudyKind::Df);
+}
+
+#[test]
+fn served_pulse_study_is_byte_identical_to_the_one_shot_cli() {
+    assert_served_matches_one_shot(StudyKind::Pulse);
 }

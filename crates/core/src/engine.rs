@@ -42,6 +42,18 @@ pub struct PathUnderTest {
 }
 
 impl PathUnderTest {
+    /// The paper's §4 path: the 7-gate [`PathSpec::paper_chain`] in the
+    /// generic 180 nm technology, with `defect` at stage 1, the stage
+    /// whose fan-out branch the paper faults.
+    pub fn paper(defect: DefectKind) -> PathUnderTest {
+        PathUnderTest {
+            spec: PathSpec::paper_chain(),
+            defect,
+            stage: 1,
+            tech: Tech::generic_180nm(),
+        }
+    }
+
     /// Maps the defect onto a [`PathFault`] at resistance `ohms`.
     pub fn fault(&self, ohms: f64) -> PathFault {
         match self.defect {

@@ -32,6 +32,9 @@
 //!   Carlo sample;
 //! * [`DfStudy`] / [`PulseStudy`] — the coverage experiments
 //!   `C_del(T, R)` and `C_pulse(ω_th, R)` of Figs. 6–9;
+//! * [`StudyRequest`] → [`CalibratedStudy`] — the one path `pulsar
+//!   study` and `pulsar serve` run either study through on the paper
+//!   path ([`PathUnderTest::paper`]);
 //! * [`plan_for_site`] — test generation (§5): per fault site, enumerate
 //!   sensitizable paths, derive `(ω_in, ω_th)` per path and the minimum
 //!   detectable resistance `R_min` (Fig. 11); [`SitePlanner`] plans many
@@ -76,6 +79,7 @@ mod iddq;
 mod model_study;
 mod ordering;
 mod plan;
+mod request;
 mod resilience;
 mod study;
 mod testgen;
@@ -99,12 +103,13 @@ pub use engine::{AnalogPath, DefectKind, ModelFault, ModelPath, PathInstance, Pa
 pub use error::CoreError;
 pub use faultsim::{all_branch_faults, fault_simulate, BranchFault, FaultSimReport, PulsePattern};
 pub use iddq::IddqStudy;
-pub use model_study::{ModelDfStudy, ModelPulseStudy};
+pub use model_study::ModelPulseStudy;
 pub use ordering::{OrderingCalibration, OrderingStudy};
 pub use plan::{Plan, Sampling, StudyReport};
 pub use pulsar_lint::LintReport;
 pub use pulsar_mc::{AdaptivePolicy, BinomialInterval, IntervalRule, PointAccuracy};
 pub use pulsar_obs::{CancelReason, CancelToken};
+pub use request::{CalibratedStudy, Calibration, StudyKind, StudyRequest};
 pub use resilience::{
     error_kind, is_retryable, is_run_cancelled, FailureReport, McRunReport, ResilienceConfig,
 };

@@ -186,114 +186,6 @@ impl ModelPulseStudy {
     }
 }
 
-/// Reduced-clock DF study on the logic-level engine — the model-side
-/// counterpart of [`DfStudy`](crate::DfStudy), sharing its calibration
-/// rule and coverage definition.
-#[derive(Debug, Clone)]
-pub struct ModelDfStudy {
-    /// Healthy path model.
-    pub healthy: PathTimingModel,
-    /// Defect mapping swept by the study.
-    pub fault: ModelFault,
-    /// Monte Carlo setup.
-    pub mc: McConfig,
-    /// Nominal flop timing.
-    pub ff: crate::df::FfTiming,
-    /// Clock-uncertainty margin for `T₀` calibration (paper: 0.9).
-    pub clock_margin: f64,
-}
-
-impl ModelDfStudy {
-    /// A study with the paper's margins.
-    pub fn new(healthy: PathTimingModel, fault: ModelFault, mc: McConfig) -> Self {
-        ModelDfStudy {
-            healthy,
-            fault,
-            mc,
-            ff: crate::df::FfTiming::nominal(),
-            clock_margin: 0.9,
-        }
-    }
-
-    fn gate_count(&self) -> usize {
-        self.healthy
-            .elements()
-            .iter()
-            .filter(|e| matches!(e, PathElement::Gate { .. }))
-            .count()
-    }
-
-    fn draw(&self, rng: &mut StdRng) -> (PathTimingModel, crate::df::FfTiming) {
-        let sigma = self.mc.variation.sigma;
-        let g = Gaussian::new(1.0, sigma);
-        let lo = factor_floor(sigma);
-        let hi = 1.0 + 4.0 * sigma;
-        let factors: Vec<f64> = (0..self.gate_count())
-            .map(|_| g.sample_clamped(rng, lo, hi))
-            .collect();
-        let ff = self.mc.variation.sample_ff(self.ff, rng);
-        (self.healthy.with_stage_factors(&factors), ff)
-    }
-
-    /// Per-instance fault-free slack needs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine failures.
-    pub fn fault_free_needs(&self) -> Result<Vec<f64>, CoreError> {
-        self.mc
-            .driver()
-            .run(move |_, rng| {
-                let (inst, ff) = self.draw(rng);
-                let mut p = ModelPath::new(inst, None, 0.0);
-                Ok(p.worst_delay()? + ff.overhead())
-            })
-            .into_iter()
-            .collect()
-    }
-
-    /// Calibrates `T₀` (zero false positives at `clock_margin · T₀`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine failures; fails on empty samples.
-    pub fn calibrate(&self) -> Result<crate::calib::DfCalibration, CoreError> {
-        crate::calib::calibrate_t0(&self.fault_free_needs()?, self.clock_margin)
-    }
-
-    /// `C_del(R)` curves at each `T = factor × T₀`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine failures.
-    pub fn coverage(
-        &self,
-        calib: &crate::calib::DfCalibration,
-        r_values: &[f64],
-        t_factors: &[f64],
-    ) -> Result<Vec<CoverageCurve>, CoreError> {
-        let r_vec = r_values.to_vec();
-        let needs: Vec<Vec<f64>> = self
-            .mc
-            .driver()
-            .run(move |_, rng| {
-                let (inst, ff) = self.draw(rng);
-                let mut p = ModelPath::new(inst, Some(self.fault), r_vec[0]);
-                let mut row = Vec::with_capacity(r_vec.len());
-                for &r in &r_vec {
-                    p.set_resistance(r)?;
-                    row.push(p.worst_delay()? + ff.overhead());
-                }
-                Ok(row)
-            })
-            .into_iter()
-            .collect::<Result<_, CoreError>>()?;
-        // The closed-form timing model cannot fail per sample.
-        let grid = AdaptiveGrid::new(r_values, t_factors, calib.t0, false, None);
-        grid.curves(&needs, 0.0, Completeness::full(needs.len()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
@@ -358,38 +250,6 @@ mod tests {
         let a = s.fault_free_wouts(300e-12).unwrap();
         let b = s.fault_free_wouts(300e-12).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn model_df_study_mirrors_the_electrical_methodology() {
-        let mc = McConfig {
-            variation: VariationModel::paper(),
-            ..McConfig::paper(40, 9)
-        };
-        let s = ModelDfStudy::new(
-            healthy(),
-            ModelFault::RcAfter {
-                stage: 1,
-                c_branch: 13e-15,
-            },
-            mc,
-        );
-        let needs = s.fault_free_needs().unwrap();
-        let cal = s.calibrate().unwrap();
-        for n in &needs {
-            assert!(0.9 * cal.t0 >= *n - 1e-18, "false positive at 0.9 T0");
-        }
-        let rs = [500.0, 20e3, 200e3];
-        let curves = s.coverage(&cal, &rs, &[0.9, 1.0, 1.1]).unwrap();
-        // Coverage grows with R and shrinks with T.
-        for c in &curves {
-            assert!(c.coverage[2] >= c.coverage[0] - 1e-12);
-        }
-        assert!(curves[0].coverage[2] >= curves[2].coverage[2] - 1e-12);
-        assert!(
-            curves[1].coverage[2] > 0.9,
-            "200 kΩ must fail DF: {curves:?}"
-        );
     }
 
     #[test]

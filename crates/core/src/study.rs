@@ -580,20 +580,6 @@ impl DfStudy {
         let plan = adaptive_plan(r_values, t_factors, policy, crossover);
         self.checkpoint_spec(&DfCalibration { t0: f64::NAN }, &plan)
     }
-
-    /// The summary line `pulsar study df` and a served DF job print above
-    /// the curves of `plan` (both run the paper path).
-    pub fn header(&self, calib: &DfCalibration, plan: &Plan) -> String {
-        format!(
-            "df study on the paper path: T0 = {:.3e} s, {} resistances x {} clock factors, \
-             N = {}, seed {}",
-            calib.t0,
-            plan.r_values.len(),
-            plan.factors.len(),
-            self.mc.samples,
-            self.mc.seed
-        )
-    }
 }
 
 impl CoverageStudy for DfStudy {
@@ -850,21 +836,6 @@ impl PulseStudy {
         checkpoint: Option<&Checkpoint<Vec<f64>>>,
     ) -> Result<StudyReport, CoreError> {
         plan::run(self, calib, plan, true, cancel, checkpoint)
-    }
-
-    /// The summary line `pulsar study pulse` and a served pulse job print
-    /// above the curves of `plan` (both run the paper path).
-    pub fn header(&self, calib: &PulseCalibration, plan: &Plan) -> String {
-        format!(
-            "pulse study on the paper path: w_in = {:.3e} s, w_th = {:.3e} s, {} resistances \
-             x {} threshold factors, N = {}, seed {}",
-            calib.w_in,
-            calib.w_th,
-            plan.r_values.len(),
-            plan.factors.len(),
-            self.mc.samples,
-            self.mc.seed
-        )
     }
 }
 

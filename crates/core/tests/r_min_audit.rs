@@ -82,7 +82,7 @@ fn reference_plans(
     cfg: &TestgenConfig,
 ) -> Vec<PathTestPlan> {
     let mut plans = Vec::new();
-    for path in paths_from_fanin(nl, site, cfg.max_paths).unwrap() {
+    for path in paths_from_fanin(nl, site, cfg.max_paths) {
         let Ok(Some(vector)) = sensitize(nl, &path, cfg.max_backtracks) else {
             continue;
         };

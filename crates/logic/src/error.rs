@@ -4,7 +4,8 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LogicError {
-    /// The netlist contains a combinational cycle through the named signal.
+    /// ISCAS-85 text describes a combinational cycle through the named
+    /// signal (a built [`Netlist`](crate::Netlist) cannot hold one).
     CombinationalLoop {
         /// Name of a signal on the cycle.
         signal: String,

@@ -260,7 +260,12 @@ impl Netlist {
         &self.outputs
     }
 
-    /// All gates.
+    /// All gates, in topological (input-to-output) order: [`add_gate`]
+    /// reads only signals that already exist, so every gate's inputs are
+    /// primary inputs or outputs of lower-index gates. A netlist is
+    /// append-only, so it cannot hold a combinational loop.
+    ///
+    /// [`add_gate`]: Netlist::add_gate
     pub fn gates(&self) -> &[Gate] {
         &self.gates
     }
@@ -306,75 +311,35 @@ impl Netlist {
         &self.fanouts
     }
 
-    /// Gates in topological (input-to-output) order.
-    ///
-    /// # Errors
-    ///
-    /// [`LogicError::CombinationalLoop`] when the structure is cyclic,
-    /// which the append-only construction API never builds (the ISCAS
-    /// parser reports a looped input itself, before building).
-    pub fn topological_order(&self) -> Result<Vec<GateId>, LogicError> {
-        // Kahn's algorithm over gates.
-        let mut indeg = vec![0usize; self.gates.len()];
-        for (gi, g) in self.gates.iter().enumerate() {
-            for s in &g.inputs {
-                if self.drivers[s.0].is_some() {
-                    indeg[gi] += 1;
-                }
-            }
-        }
-        let mut queue: Vec<GateId> = indeg
-            .iter()
-            .enumerate()
-            .filter(|&(_, d)| *d == 0)
-            .map(|(i, _)| GateId(i))
-            .collect();
-        let mut order = Vec::with_capacity(self.gates.len());
-        while let Some(g) = queue.pop() {
-            order.push(g);
-            let out = self.gates[g.0].output;
-            for &(succ, _) in &self.fanouts[out.0] {
-                indeg[succ.0] -= 1;
-                if indeg[succ.0] == 0 {
-                    queue.push(succ);
-                }
-            }
-        }
-        if order.len() == self.gates.len() {
-            Ok(order)
-        } else {
-            let stuck = indeg
-                .iter()
-                .position(|&d| d > 0)
-                .map(|i| self.names[self.gates[i].output.0].clone())
-                .unwrap_or_default();
-            Err(LogicError::CombinationalLoop { signal: stuck })
-        }
-    }
-
     /// Logic depth of every signal (0 for PIs), and the maximum depth.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`LogicError::CombinationalLoop`].
-    pub fn depths(&self) -> Result<(Vec<usize>, usize), LogicError> {
-        let order = self.topological_order()?;
+    pub fn depths(&self) -> (Vec<usize>, usize) {
         let mut depth = vec![0usize; self.names.len()];
         let mut max = 0;
-        for g in order {
-            let gate = &self.gates[g.0];
+        for gate in &self.gates {
             let d = gate.inputs.iter().map(|s| depth[s.0]).max().unwrap_or(0) + 1;
             depth[gate.output.0] = d;
             max = max.max(d);
         }
-        Ok((depth, max))
+        (depth, max)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use crate::{c432_like, parse_iscas85, random_netlist, BenchParams};
+    use proptest::prelude::*;
+
+    /// Whether every gate reads only primary inputs and outputs of
+    /// lower-index gates: the order [`Netlist::gates`] promises.
+    pub(crate) fn gate_order_is_topological(nl: &Netlist) -> bool {
+        nl.gates().iter().enumerate().all(|(i, g)| {
+            g.inputs
+                .iter()
+                .all(|&s| nl.driver_id(s).is_none_or(|d| d.index() < i))
+        })
+    }
 
     fn small() -> (Netlist, SignalId, SignalId, SignalId, SignalId) {
         let mut nl = Netlist::new();
@@ -417,19 +382,30 @@ mod tests {
         let _ = nl.add_gate(GateKind::Nand, &[a, own_output], "loop");
     }
 
+    proptest! {
+        #[test]
+        fn gate_index_order_is_topological(seed: u64, gates in 3usize..60, layers in 1usize..8) {
+            let params = BenchParams { inputs: 6, gates, outputs: 3, layers };
+            prop_assert!(gate_order_is_topological(&random_netlist(&params, seed)));
+        }
+    }
+
     #[test]
-    fn topological_order_is_valid() {
-        let (nl, ..) = small();
-        let order = nl.topological_order().unwrap();
-        assert_eq!(order.len(), 2);
-        // The NAND (gate 0) must precede the NOT (gate 1).
-        assert_eq!(order[0].index(), 0);
+    fn built_and_parsed_netlists_are_in_topological_order() {
+        assert!(gate_order_is_topological(&small().0));
+        assert!(gate_order_is_topological(&c432_like()));
+        // Gates listed after their readers: the parser places each gate
+        // once its inputs exist.
+        let text = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(m, n)\nm = NOT(n)\nn = AND(a, b)\n";
+        let nl = parse_iscas85(text).unwrap();
+        assert_eq!(nl.gate_count(), 3);
+        assert!(gate_order_is_topological(&nl));
     }
 
     #[test]
     fn depths_count_levels() {
         let (nl, a, _, n, o) = small();
-        let (d, max) = nl.depths().unwrap();
+        let (d, max) = nl.depths();
         assert_eq!(d[a.index()], 0);
         assert_eq!(d[n.index()], 1);
         assert_eq!(d[o.index()], 2);

@@ -158,19 +158,14 @@ pub fn enumerate_paths(
 /// candidate paths over none on fan-out-heavy circuits.
 ///
 /// The collecting form of [`visit_paths_from_fanin`]: same paths, same
-/// order, same cap. It cannot fail: a [`Netlist`] is acyclic by
-/// construction, so the error type is [`Infallible`].
-pub fn paths_from_fanin(
-    nl: &Netlist,
-    site: SignalId,
-    limit: usize,
-) -> Result<Vec<Path>, Infallible> {
+/// order, same cap.
+pub fn paths_from_fanin(nl: &Netlist, site: SignalId, limit: usize) -> Vec<Path> {
     let mut result = Vec::new();
-    visit_paths_from_fanin(nl, site, limit, |path| {
+    let Ok(()) = visit_paths_from_fanin(nl, site, limit, |path| {
         result.push(path.clone());
         Ok::<(), Infallible>(())
-    })?;
-    Ok(result)
+    });
+    result
 }
 
 /// Calls `visit` on each path [`paths_from_fanin`] returns, in its order
@@ -335,7 +330,7 @@ mod tests {
     #[test]
     fn fanin_enumeration_matches_filtered_global() {
         let (nl, _a, _b, g1) = reconvergent();
-        let via = paths_from_fanin(&nl, g1, 100).unwrap();
+        let via = paths_from_fanin(&nl, g1, 100);
         let filt = enumerate_paths(&nl, Some(g1), 100).unwrap();
         assert_eq!(via.len(), filt.len());
         for p in &via {

@@ -1,57 +1,47 @@
 //! Bit-parallel logic simulation (64 patterns per pass).
 
-use crate::error::LogicError;
 use crate::netlist::Netlist;
 
-/// Simulates the netlist over 64 parallel patterns.
+/// Simulates the netlist over 64 parallel patterns, gate by gate in
+/// index order, which is topological ([`Netlist::gates`]).
 ///
 /// `pi_words[k]` carries 64 values of primary input `k` (bit `j` = pattern
 /// `j`). Returns one word per *signal*, indexed by [`SignalId::index`](crate::SignalId::index)
 /// so both intermediate nets and outputs can be
 /// observed.
 ///
-/// # Errors
-///
-/// [`LogicError::CombinationalLoop`] for cyclic structures.
-///
 /// # Panics
 ///
 /// Panics if `pi_words.len()` differs from the number of primary inputs.
-pub fn simulate(nl: &Netlist, pi_words: &[u64]) -> Result<Vec<u64>, LogicError> {
+pub fn simulate(nl: &Netlist, pi_words: &[u64]) -> Vec<u64> {
     assert_eq!(
         pi_words.len(),
         nl.inputs().len(),
         "one input word per primary input"
     );
-    let order = nl.topological_order()?;
     let mut values = vec![0u64; nl.signal_count()];
     for (w, s) in pi_words.iter().zip(nl.inputs()) {
         values[s.index()] = *w;
     }
     let mut ins: Vec<u64> = Vec::new();
-    for g in order {
-        let gate = nl.gate(g);
+    for gate in nl.gates() {
         ins.clear();
         ins.extend(gate.inputs.iter().map(|s| values[s.index()]));
         values[gate.output.index()] = gate.kind.eval_words(&ins);
     }
-    Ok(values)
+    values
 }
 
 /// Single-pattern convenience wrapper over [`simulate`]: plain booleans in,
 /// one boolean per signal out.
 ///
-/// # Errors
-///
-/// Propagates [`LogicError::CombinationalLoop`].
-///
 /// # Panics
 ///
 /// Panics on input-count mismatch.
-pub fn simulate_bool(nl: &Netlist, pi: &[bool]) -> Result<Vec<bool>, LogicError> {
+pub fn simulate_bool(nl: &Netlist, pi: &[bool]) -> Vec<bool> {
     let words: Vec<u64> = pi.iter().map(|&b| if b { 1 } else { 0 }).collect();
-    let vals = simulate(nl, &words)?;
-    Ok(vals.into_iter().map(|w| w & 1 == 1).collect())
+    let vals = simulate(nl, &words);
+    vals.into_iter().map(|w| w & 1 == 1).collect()
 }
 
 #[cfg(test)]
@@ -77,7 +67,7 @@ mod tests {
             (true, false, false),
             (true, true, false),
         ] {
-            let vals = simulate_bool(&nl, &[av, bv]).unwrap();
+            let vals = simulate_bool(&nl, &[av, bv]);
             assert_eq!(vals[y.index()], want, "a={av} b={bv}");
         }
     }
@@ -98,10 +88,10 @@ mod tests {
         let wa = 0b10101010u64;
         let wb = 0b11001100u64;
         let wc = 0b11110000u64;
-        let words = simulate(&nl, &[wa, wb, wc]).unwrap();
+        let words = simulate(&nl, &[wa, wb, wc]);
         for p in 0..8 {
             let bit = |w: u64| (w >> p) & 1 == 1;
-            let seq = simulate_bool(&nl, &[bit(wa), bit(wb), bit(wc)]).unwrap();
+            let seq = simulate_bool(&nl, &[bit(wa), bit(wb), bit(wc)]);
             assert_eq!(bit(words[y.index()]), seq[y.index()], "pattern {p}");
         }
     }
@@ -119,7 +109,7 @@ mod tests {
             let or = nl.add_gate(GateKind::Or, &[na, nb], "or").unwrap();
             nl.mark_output(nand);
             nl.mark_output(or);
-            let vals = simulate(&nl, &[wa, wb]).unwrap();
+            let vals = simulate(&nl, &[wa, wb]);
             prop_assert_eq!(vals[nand.index()], vals[or.index()]);
         }
 
@@ -135,7 +125,7 @@ mod tests {
             let flat = nl.add_gate(GateKind::Xor, &[a, b, c], "flat").unwrap();
             nl.mark_output(x2);
             nl.mark_output(flat);
-            let vals = simulate(&nl, &[wa, wb, wc]).unwrap();
+            let vals = simulate(&nl, &[wa, wb, wc]);
             prop_assert_eq!(vals[x2.index()], vals[flat.index()]);
         }
     }

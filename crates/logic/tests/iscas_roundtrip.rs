@@ -27,8 +27,8 @@ proptest! {
         let words: Vec<u64> = (0..inputs as u64)
             .map(|i| seed.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(i as u32 * 7) ^ i)
             .collect();
-        let va = simulate(&nl, &words).expect("acyclic");
-        let vb = simulate(&back, &words).expect("acyclic");
+        let va = simulate(&nl, &words);
+        let vb = simulate(&back, &words);
         for (oa, ob) in nl.outputs().iter().zip(back.outputs()) {
             // Outputs correspond by name, not necessarily by index.
             let name = nl.signal_name(*oa);

@@ -11,7 +11,7 @@ use pulsar_logic::{
 };
 
 fn verify_sensitized(nl: &Netlist, path: &Path, pi: &[bool]) {
-    let vals = simulate_bool(nl, pi).expect("acyclic by construction");
+    let vals = simulate_bool(nl, pi);
     for step in &path.steps {
         let gate = nl.gate(step.gate);
         for (pin, &sig) in gate.inputs.iter().enumerate() {

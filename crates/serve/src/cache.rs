@@ -10,7 +10,7 @@
 //! by the next job instead of wedging the key forever.
 
 use crate::fill::{Claim, FillSlot, EMPTY, FILL_ORDERINGS, READY};
-use pulsar_core::{DfCalibration, PulseCalibration};
+use pulsar_core::Calibration;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -200,28 +200,15 @@ pub struct CachedResult {
     pub solves: u64,
 }
 
-/// A cached calibration: the study's calibrated operating point (`T₀`
-/// for DF, `(ω_in⁰, ω_th⁰)` for the pulse test). This *is* the cached
-/// DC-operating-point layer: the calibrated point pins the nominal
-/// electrical operating state of the path, and per-sample DC solutions
-/// can't be shared without changing results (each Monte Carlo draw has
-/// its own operating point).
-#[derive(Debug, Clone, Copy)]
-pub enum CalibEntry {
-    /// DF-test calibration.
-    Df(DfCalibration),
-    /// Pulse-test calibration.
-    Pulse(PulseCalibration),
-}
-
 /// The daemon's cross-job cache bundle, shared by every worker.
 #[derive(Debug, Default)]
 pub struct ServeCaches {
     /// Whole-result cache: digest → completed report text. A hit answers
     /// a submission with zero solves.
     pub result: DigestCache<CachedResult>,
-    /// Calibration cache (see [`CalibEntry`]).
-    pub calib: DigestCache<CalibEntry>,
+    /// Calibration cache: a study's calibrated operating point, keyed by
+    /// kind, sample count and seed.
+    pub calib: DigestCache<Calibration>,
 }
 
 impl ServeCaches {

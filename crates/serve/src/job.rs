@@ -21,18 +21,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use pulsar_analog::Polarity;
-use pulsar_cells::{PathSpec, Tech};
 use pulsar_core::{
-    error_kind, is_run_cancelled, Campaign, CheckpointSpec, CoreError, CoverageCurve, DefectKind,
-    DfStudy, McConfig, PathUnderTest, Plan, PulseStudy, ResilienceConfig,
+    error_kind, is_run_cancelled, CalibratedStudy, Campaign, Checkpoint, CoreError, CoverageCurve,
+    McConfig, Plan, ResilienceConfig, StudyRequest,
 };
 use pulsar_logic::parse_iscas85;
 use pulsar_obs::{CancelReason, CancelToken, Counter, Recorder};
 use pulsar_timing::TimingLibrary;
 
-use crate::cache::{CacheOutcome, CachedResult, CalibEntry, ServeCaches};
-use crate::spec::{JobSpec, StudyKind};
+use crate::cache::{CacheOutcome, CachedResult, ServeCaches};
+use crate::spec::{calib_key, JobSpec};
 
 /// Lifecycle of a job.
 #[derive(Debug, Clone, PartialEq)]
@@ -322,16 +320,6 @@ fn lock_clean<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     }
 }
 
-/// The built-in paper path, exactly as `pulsar study` constructs it.
-fn paper_put() -> PathUnderTest {
-    PathUnderTest {
-        spec: PathSpec::paper_chain(),
-        defect: DefectKind::ExternalRop,
-        stage: 1,
-        tech: Tech::generic_180nm(),
-    }
-}
-
 enum RunError {
     Core(CoreError),
     Lint(String),
@@ -411,7 +399,16 @@ fn run_uncached(
             seed,
             rs,
             factors,
-        } => run_study(job, caches, spool, *kind, *samples, *seed, rs, factors),
+        } => {
+            let req = StudyRequest {
+                kind: *kind,
+                samples: *samples,
+                seed: *seed,
+                rs: rs.clone(),
+                factors: factors.clone(),
+            };
+            run_study(job, caches, spool, &req)
+        }
         JobSpec::Campaign { netlist, stride } => run_campaign(job, spool, netlist, *stride),
     }
 }
@@ -440,97 +437,48 @@ fn check_cancelled(job: &Job) -> Result<(), RunError> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_study(
     job: &Job,
     caches: &ServeCaches,
     spool: Option<&Path>,
-    kind: StudyKind,
-    samples: usize,
-    seed: u64,
-    rs: &[f64],
-    factors: &[f64],
+    req: &StudyRequest,
 ) -> Result<CachedResult, RunError> {
     let rec = job.rec.clone();
 
     // Static preflight: structurally broken configs are rejected before
     // calibration engages the Monte Carlo machinery.
-    let report = paper_put().lint(Some(rs));
+    let report = req.lint();
     if !report.is_clean() {
         return Err(RunError::Lint(report.render_human()));
     }
 
-    let base_mc = McConfig {
+    let mc = McConfig {
         obs: rec.clone(),
         resilience: resilience_for(job),
-        ..McConfig::paper(samples, seed)
+        ..McConfig::paper(req.samples, req.seed)
     };
-    let plan = Plan::fixed(rs, factors);
-    let calib_key = job
-        .spec
-        .calib_digest()
-        .ok_or_else(|| RunError::Cancelled("internal: study without calib key".to_owned()))?;
-
-    match kind {
-        StudyKind::Df => {
-            let study = DfStudy::new(paper_put(), base_mc);
-            let (entry, co) = caches.calib.get_or_fill(calib_key, || {
-                study
-                    .calibrate()
-                    .map(CalibEntry::Df)
-                    .map_err(RunError::from)
-            })?;
-            if co == CacheOutcome::Hit {
-                rec.add(Counter::ServeCalibCacheHits, 1);
-            }
-            let CalibEntry::Df(calib) = entry else {
-                return Err(RunError::Cancelled(
-                    "internal: calibration cache kind mismatch".to_owned(),
-                ));
-            };
-            check_cancelled(job)?;
-
-            let ck = open_checkpoint(spool, job.digest, study.checkpoint_spec(&calib, &plan))?;
-            let report = study.run(&calib, &plan, &job.token, ck.as_ref())?;
-            check_cancelled(job)?;
-            check_complete(report.curves())?;
-            let text =
-                study.header(&calib, &plan) + "\n" + &CoverageCurve::render_set(report.curves());
-            Ok(CachedResult {
-                text,
-                solves: solves_spent(&rec),
-            })
-        }
-        StudyKind::Pulse => {
-            let study = PulseStudy::new(paper_put(), base_mc, Polarity::PositiveGoing);
-            let (entry, co) = caches.calib.get_or_fill(calib_key, || {
-                study
-                    .calibrate()
-                    .map(CalibEntry::Pulse)
-                    .map_err(RunError::from)
-            })?;
-            if co == CacheOutcome::Hit {
-                rec.add(Counter::ServeCalibCacheHits, 1);
-            }
-            let CalibEntry::Pulse(calib) = entry else {
-                return Err(RunError::Cancelled(
-                    "internal: calibration cache kind mismatch".to_owned(),
-                ));
-            };
-            check_cancelled(job)?;
-
-            let ck = open_checkpoint(spool, job.digest, study.checkpoint_spec(&calib, &plan))?;
-            let report = study.run(&calib, &plan, &job.token, ck.as_ref())?;
-            check_cancelled(job)?;
-            check_complete(report.curves())?;
-            let text =
-                study.header(&calib, &plan) + "\n" + &CoverageCurve::render_set(report.curves());
-            Ok(CachedResult {
-                text,
-                solves: solves_spent(&rec),
-            })
-        }
+    let key = calib_key(req.kind, req.samples, req.seed);
+    let (calib, co) = caches.calib.get_or_fill(key, || {
+        req.kind.calibrate(mc.clone()).map_err(RunError::from)
+    })?;
+    if co == CacheOutcome::Hit {
+        rec.add(Counter::ServeCalibCacheHits, 1);
     }
+    check_cancelled(job)?;
+
+    let study = CalibratedStudy::new(mc, calib);
+    let plan = Plan::fixed(&req.rs, &req.factors);
+    let ck = spool_path(spool, job.digest)
+        .map(|p| Checkpoint::open(&p, study.checkpoint_spec(&plan)))
+        .transpose()?;
+    let report = study.run(&plan, &job.token, ck.as_ref())?;
+    check_cancelled(job)?;
+    check_complete(report.curves())?;
+    let text = study.header(&plan) + "\n" + &CoverageCurve::render_set(report.curves());
+    Ok(CachedResult {
+        text,
+        solves: solves_spent(&rec),
+    })
 }
 
 fn run_campaign(
@@ -561,17 +509,6 @@ fn run_campaign(
     })
 }
 
-fn open_checkpoint(
-    spool: Option<&Path>,
-    digest: u64,
-    spec: CheckpointSpec,
-) -> Result<Option<pulsar_core::Checkpoint<Vec<f64>>>, RunError> {
-    match spool_path(spool, digest) {
-        Some(p) => Ok(Some(pulsar_core::Checkpoint::open(&p, spec)?)),
-        None => Ok(None),
-    }
-}
-
 /// A durable run that was truncated (deadline, cancel) must not be
 /// cached as the answer for its digest.
 fn check_complete(curves: &[CoverageCurve]) -> Result<(), RunError> {
@@ -592,6 +529,7 @@ fn solves_spent(rec: &Recorder) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pulsar_core::StudyKind;
 
     fn table_and_token() -> (JobTable, CancelToken) {
         (JobTable::new(), CancelToken::new())

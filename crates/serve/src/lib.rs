@@ -41,11 +41,12 @@ pub mod proto;
 pub mod queue;
 pub mod spec;
 
-pub use cache::{CacheOutcome, CachedResult, CalibEntry, DigestCache, ServeCaches};
+pub use cache::{CacheOutcome, CachedResult, DigestCache, ServeCaches};
 pub use client::{Client, ClientError};
 pub use daemon::{Daemon, ServeConfig, ServeSummary};
 pub use fill::{Claim, FillOrderings, FillSlot, FILL_ORDERINGS};
 pub use job::{Job, JobOutcome, JobState, JobTable};
 pub use proto::{Request, RequestError, Response};
+pub use pulsar_core::StudyKind;
 pub use queue::{JobQueue, PushError};
-pub use spec::{JobSpec, StudyKind};
+pub use spec::JobSpec;

@@ -7,7 +7,8 @@
 //! the golden tests in `tests/proto_golden.rs` (protocol spec in
 //! DESIGN.md §5.10).
 
-use crate::spec::{JobSpec, StudyKind};
+use crate::spec::JobSpec;
+use pulsar_core::{StudyKind, StudyRequest};
 use pulsar_obs::json::{self, json_str, Json};
 use std::fmt::{self, Write as _};
 
@@ -130,6 +131,11 @@ impl Request {
         let tenant = doc.get("tenant").and_then(Json::as_str).map(str::to_owned);
         let deadline_ms = uint_field(doc, "deadline_ms")?;
         let failure_budget = doc.get("failure_budget").and_then(Json::as_num);
+        if failure_budget.is_some_and(|b| !(0.0..=1.0).contains(&b)) {
+            return Err(RequestError::usage(
+                "submit: `failure_budget` must be a fraction in [0, 1]",
+            ));
+        }
         let spec = if kind == "campaign" {
             let netlist = doc
                 .get("netlist")
@@ -149,30 +155,25 @@ impl Request {
             let kind = StudyKind::parse(kind).ok_or_else(|| {
                 RequestError::usage(format!("submit: unknown kind `{kind}` (df|pulse|campaign)"))
             })?;
-            let samples = uint_field(doc, "samples")?.unwrap_or(24);
-            let seed = uint_field(doc, "seed")?.unwrap_or(2007);
-            let rs = num_list(doc, "r").unwrap_or_else(|| vec![1e3, 30e3, 100e3]);
-            let factors = num_list(doc, "factors").unwrap_or_else(|| vec![0.9, 1.1]);
-            if samples == 0 {
+            let mut req = StudyRequest::new(kind);
+            req.samples = uint_field(doc, "samples")?.unwrap_or(req.samples);
+            req.seed = uint_field(doc, "seed")?.unwrap_or(req.seed);
+            req.rs = num_list(doc, "r").unwrap_or(req.rs);
+            req.factors = num_list(doc, "factors").unwrap_or(req.factors);
+            if req.samples == 0 {
                 return Err(RequestError::usage("submit: `samples` must be >= 1"));
             }
-            if samples > MAX_SAMPLES {
+            if req.samples > MAX_SAMPLES {
                 return Err(RequestError::usage(format!(
                     "submit: `samples` must be <= {MAX_SAMPLES}"
                 )));
             }
-            if rs.is_empty() || factors.is_empty() {
+            if req.rs.is_empty() || req.factors.is_empty() {
                 return Err(RequestError::usage(
                     "submit: `r` and `factors` must be non-empty",
                 ));
             }
-            JobSpec::Study {
-                kind,
-                samples,
-                seed,
-                rs,
-                factors,
-            }
+            JobSpec::from(req)
         };
         Ok(Request::Submit {
             spec,

@@ -8,36 +8,8 @@
 //! whole-result cache honest: a daemon hit and a CLI run with equal
 //! digests are the same experiment by construction.
 
-use pulsar_core::{campaign_digest_repr, Plan};
+use pulsar_core::{campaign_digest_repr, Plan, StudyKind, StudyRequest};
 use pulsar_obs::config_digest;
-
-/// Which coverage study a study job runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StudyKind {
-    /// Reduced-clock DF test (`pulsar study df`).
-    Df,
-    /// Pulse-propagation test (`pulsar study pulse`).
-    Pulse,
-}
-
-impl StudyKind {
-    /// The CLI kind string (`"df"` | `"pulse"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StudyKind::Df => "df",
-            StudyKind::Pulse => "pulse",
-        }
-    }
-
-    /// Parses the CLI kind string.
-    pub fn parse(s: &str) -> Option<StudyKind> {
-        match s {
-            "df" => Some(StudyKind::Df),
-            "pulse" => Some(StudyKind::Pulse),
-            _ => None,
-        }
-    }
-}
 
 /// One submitted unit of work.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,6 +36,18 @@ pub enum JobSpec {
         /// Site stride.
         stride: usize,
     },
+}
+
+impl From<StudyRequest> for JobSpec {
+    fn from(r: StudyRequest) -> JobSpec {
+        JobSpec::Study {
+            kind: r.kind,
+            samples: r.samples,
+            seed: r.seed,
+            rs: r.rs,
+            factors: r.factors,
+        }
+    }
 }
 
 impl JobSpec {
@@ -100,34 +84,19 @@ impl JobSpec {
                 samples,
                 seed,
                 ..
-            } => Some(config_digest(&format!(
-                "serve-calib kind={} samples={samples} seed={seed}",
-                kind.as_str()
-            ))),
+            } => Some(calib_key(*kind, *samples, *seed)),
             JobSpec::Campaign { .. } => None,
         }
     }
+}
 
-    /// Short human label for status lines and logs.
-    pub fn label(&self) -> String {
-        match self {
-            JobSpec::Study {
-                kind,
-                samples,
-                seed,
-                rs,
-                factors,
-            } => format!(
-                "study {} samples={samples} seed={seed} |r|={} |f|={}",
-                kind.as_str(),
-                rs.len(),
-                factors.len()
-            ),
-            JobSpec::Campaign { netlist, stride } => {
-                format!("campaign stride={stride} bytes={}", netlist.len())
-            }
-        }
-    }
+/// The calibration-cache key of a study: calibration depends on the
+/// kind, the sample count and the seed, not on the sweep grid.
+pub(crate) fn calib_key(kind: StudyKind, samples: usize, seed: u64) -> u64 {
+    config_digest(&format!(
+        "serve-calib kind={} samples={samples} seed={seed}",
+        kind.as_str()
+    ))
 }
 
 #[cfg(test)]

@@ -157,7 +157,8 @@ impl<'a> NetSim<'a> {
     ///
     /// # Errors
     ///
-    /// Netlist errors (combinational loops) propagate.
+    /// None: a [`Netlist`] cannot hold a loop. The `Result` stays for
+    /// callers that test it (pulsebench's campaign probe).
     ///
     /// # Panics
     ///
@@ -170,22 +171,19 @@ impl<'a> NetSim<'a> {
         polarity: Polarity,
         w_in: f64,
     ) -> Result<NetSimOutcome, LogicError> {
-        self.run(
-            pi_values,
-            pi,
-            TimedEvent::Pulse {
-                t_lead: 0.0,
-                width: w_in,
-                polarity,
-            },
-        )
+        let pulse = TimedEvent::Pulse {
+            t_lead: 0.0,
+            width: w_in,
+            polarity,
+        };
+        Ok(self.run(pi_values, pi, pulse))
     }
 
     /// Propagates a single transition injected at `pi`.
     ///
     /// # Errors
     ///
-    /// Netlist errors propagate.
+    /// None, as for [`NetSim::run_pulse`].
     ///
     /// # Panics
     ///
@@ -197,29 +195,23 @@ impl<'a> NetSim<'a> {
         pi: SignalId,
         edge: Edge,
     ) -> Result<NetSimOutcome, LogicError> {
-        self.run(pi_values, pi, TimedEvent::Edge { t: 0.0, edge })
+        Ok(self.run(pi_values, pi, TimedEvent::Edge { t: 0.0, edge }))
     }
 
-    fn run(
-        &self,
-        pi_values: &[bool],
-        pi: SignalId,
-        event: TimedEvent,
-    ) -> Result<NetSimOutcome, LogicError> {
+    fn run(&self, pi_values: &[bool], pi: SignalId, event: TimedEvent) -> NetSimOutcome {
         assert!(
             self.nl.inputs().contains(&pi),
             "injection site {} is not a primary input",
             self.nl.signal_name(pi)
         );
-        let statics = simulate_bool(self.nl, pi_values)?;
-        let order = self.nl.topological_order()?;
-
+        let statics = simulate_bool(self.nl, pi_values);
         let mut events: Vec<Option<TimedEvent>> = vec![None; self.nl.signal_count()];
         events[pi.index()] = Some(event);
         let mut reconvergence = false;
 
-        for gid in order {
-            let gate = self.nl.gate(gid);
+        // Gate index order is topological (`Netlist::gates`).
+        for (g, gate) in self.nl.gates().iter().enumerate() {
+            let gid = GateId::from_index(g);
             let active: Vec<usize> = gate
                 .inputs
                 .iter()
@@ -258,11 +250,11 @@ impl<'a> NetSim<'a> {
             .iter()
             .map(|o| events[o.index()])
             .collect();
-        Ok(NetSimOutcome {
+        NetSimOutcome {
             po_events,
             events,
             reconvergence,
-        })
+        }
     }
 
     /// Propagates one event through one gate pin; `None` when masked or
