@@ -9,6 +9,7 @@ use crate::circuit::{Circuit, NodeId};
 use crate::elements::{Element, MosType, Mosfet, MosfetParams};
 use crate::error::Error;
 use crate::solver::matrix::DenseMatrix;
+use crate::solver::pattern::{topology_key, StampPattern};
 use crate::solver::sparse::SymbolicLu;
 use crate::solver::workspace::{SparseScratch, SysScratch};
 use pulsar_obs::{Counter, Phase, Recorder};
@@ -98,12 +99,17 @@ impl<'c, 'w> System<'c, 'w> {
         // a rebuilt system may describe a different circuit, so drop it.
         scratch.cap_geq_key = None;
         // Engine decision (and symbolic-cache validation) for this system.
+        // The dense matrix keeps the stamp pattern for its LU replay, also
+        // behind the sparse engine, which falls back to it.
         {
             let SysScratch {
                 sparse, recorder, ..
             } = &mut *scratch;
             sparse.prepare(ckt, nu, recorder);
         }
+        scratch
+            .matrix
+            .use_pattern(topology_key(ckt), || StampPattern::build_transient(ckt));
         System {
             ckt,
             nn,
@@ -396,13 +402,18 @@ impl<'c, 'w> System<'c, 'w> {
 /// convergence. Node-voltage updates (the first `nn` unknowns) are clamped
 /// to `±VSTEP_LIMIT`; the update converges when none was clamped and each
 /// is within `VNTOL + RELTOL·|x|` of the point it was taken from. Branch
-/// currents move unclamped and untested. Both Newton loops accept through
-/// here, so the dense and sparse engines share one acceptance rule.
+/// currents move unclamped and untested, except that a non-finite update
+/// anywhere never converges (every comparison with NaN is false, so the
+/// tests above would pass it). Both Newton loops accept through here, so
+/// the dense and sparse engines share one acceptance rule.
 #[inline]
 fn damped_update(x: &mut [f64], delta: &[f64], nn: usize) -> bool {
     let mut converged = true;
     for (i, (xi, &d)) in x.iter_mut().zip(delta).enumerate() {
         let mut d = d;
+        if !d.is_finite() {
+            converged = false;
+        }
         if i < nn {
             if d > VSTEP_LIMIT {
                 d = VSTEP_LIMIT;
@@ -807,6 +818,22 @@ mod tests {
             .unwrap();
         assert!((System::node_voltage(&x, a) - 2.0).abs() < 1e-9);
         assert!((System::node_voltage(&x, b) - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn non_finite_updates_never_converge() {
+        // Two node voltages and one branch current; each update below
+        // would pass the clamp and tolerance tests if it were finite.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in 0..3 {
+                let mut x = vec![1.0, 0.5, 1e-3];
+                let mut delta = vec![0.0; 3];
+                delta[at] = bad;
+                assert!(!damped_update(&mut x, &delta, 2), "{bad} at {at}");
+            }
+        }
+        let mut x = vec![1.0, 0.5, 1e-3];
+        assert!(damped_update(&mut x, &[1e-9, -1e-9, 5.0], 2));
     }
 
     #[test]

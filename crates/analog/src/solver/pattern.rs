@@ -165,6 +165,13 @@ impl StampPattern {
         StampPattern { rows }
     }
 
+    /// A pattern from explicit rows (each sorted and deduplicated), for
+    /// tests that draw patterns rather than circuits.
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: Vec<Vec<usize>>) -> Self {
+        StampPattern { rows }
+    }
+
     /// Matrix dimension (node-voltage unknowns + voltage-source branches).
     pub fn dim(&self) -> usize {
         self.rows.len()

@@ -46,10 +46,11 @@ pub enum SolverMode {
 }
 
 /// Below this many MNA unknowns `SolverMode::Auto` stays dense: the dense
-/// LU already skips structural zeros, and for small matrices its linear
-/// memory layout beats the sparse engine's indirection (measured in
-/// BENCH_pr4.json). The paper-scale 7-gate path is
-/// 12 unknowns (dense); a 32-stage inverter chain is 36 (sparse).
+/// LU replays a structural plan of the stamp pattern (`matrix::LuPlan`),
+/// and for small matrices its linear memory layout beats the sparse
+/// engine's indirection (measured in BENCH_pr4.json). The paper-scale
+/// 7-gate path is 12 unknowns fault-free and 13 under an external ROP
+/// (dense); a 32-stage inverter chain is 36 (sparse).
 const SPARSE_CROSSOVER: usize = 24;
 
 /// `PULSAR_FORCE_DENSE=1` routes every solve through the dense engine

@@ -32,6 +32,7 @@ use std::path::{Path, PathBuf};
 /// Modules on the per-timestep hot path: `unwrap`, `Instant::now`, and
 /// in-loop allocation are banned here (rules `SRC0002`–`SRC0004`).
 pub const HOT_PATHS: &[&str] = &[
+    "crates/analog/src/solver/matrix.rs",
     "crates/analog/src/solver/mna.rs",
     "crates/analog/src/waveform.rs",
     "crates/mc/src/adaptive.rs",

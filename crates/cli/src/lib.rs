@@ -346,6 +346,13 @@ const COUNT: Domain<usize> = Domain {
     parse: |v| v.parse().ok(),
 };
 
+/// A count that must be at least one: a sample count, a stride or a pool
+/// size.
+const POSITIVE: Domain<usize> = Domain {
+    what: "a count >= 1",
+    parse: |v| v.parse().ok().filter(|&c| c >= 1),
+};
+
 const INTEGER: Domain<u64> = Domain {
     what: "a non-negative integer",
     parse: |v| v.parse().ok(),
@@ -401,15 +408,10 @@ fn flag<T>(
 /// share, over the study defaults.
 fn study_request(args: &[String], cmd: &str, kind: StudyKind) -> Result<StudyRequest, CliError> {
     let mut req = StudyRequest::new(kind);
-    req.samples = flag(args, cmd, "--samples", COUNT)?.unwrap_or(req.samples);
+    req.samples = flag(args, cmd, "--samples", POSITIVE)?.unwrap_or(req.samples);
     req.seed = flag(args, cmd, "--seed", INTEGER)?.unwrap_or(req.seed);
     req.rs = flag(args, cmd, "--r", NUMBERS)?.unwrap_or(req.rs);
     req.factors = flag(args, cmd, "--factors", NUMBERS)?.unwrap_or(req.factors);
-    if req.samples == 0 {
-        return Err(CliError::usage(format!(
-            "{cmd}: --samples must be at least 1"
-        )));
-    }
     Ok(req)
 }
 
@@ -748,7 +750,7 @@ fn cmd_campaign(args: &[String], token: &CancelToken) -> Result<String, CliError
     let path = positional(args).ok_or_else(|| CliError::usage("campaign: missing netlist path"))?;
     let text = read(path)?;
     let nl = parse_iscas85(&text).map_err(|e| CliError::run_err("parse", &e))?;
-    let stride = flag(args, "campaign", "--stride", COUNT)?.unwrap_or(1);
+    let stride = flag(args, "campaign", "--stride", POSITIVE)?.unwrap_or(1);
     let metrics_out = flag_value(args, "--metrics");
     let trace_out = flag_value(args, "--trace-out");
     let deadline = flag(args, "campaign", "--deadline", SECONDS)?.map(Duration::from_secs_f64);
@@ -1061,19 +1063,19 @@ fn serve_daemon(
     token: &CancelToken,
 ) -> Result<String, CliError> {
     let mut cfg = ServeConfig::new(sock);
-    cfg.workers = flag(args, "serve", "--workers", COUNT)?.unwrap_or(cfg.workers);
+    cfg.workers = flag(args, "serve", "--workers", POSITIVE)?.unwrap_or(cfg.workers);
     cfg.queue_depth = flag(args, "serve", "--queue-depth", COUNT)?.unwrap_or(cfg.queue_depth);
     cfg.spool = flag_value(args, "--spool").map(std::path::PathBuf::from);
     cfg.metrics_out = flag_value(args, "--metrics").map(std::path::PathBuf::from);
     cfg.tenant_budget = flag(args, "serve", "--tenant-budget", INTEGER)?;
-    let workers = cfg.workers;
     let depth = cfg.queue_depth;
     let daemon = ServeDaemon::start(cfg)
         .map_err(|e| CliError::run(format!("serve: cannot start daemon: {e}")))?;
     // Readiness goes to stderr so stdout stays a clean summary stream.
     eprintln!(
-        "pulsar serve: listening on {} ({workers} workers, queue depth {depth})",
-        daemon.socket().display()
+        "pulsar serve: listening on {} ({} workers, queue depth {depth})",
+        daemon.socket().display(),
+        daemon.workers()
     );
 
     let sig = token.clone();
@@ -1211,7 +1213,7 @@ fn serve_spec(args: &[String], kind: &str) -> Result<JobSpec, CliError> {
         let path = flag_value(args, "--netlist")
             .ok_or_else(|| CliError::usage("serve: campaign jobs need --netlist FILE"))?;
         let netlist = read(path)?;
-        let stride = flag(args, "serve", "--stride", COUNT)?.unwrap_or(1);
+        let stride = flag(args, "serve", "--stride", POSITIVE)?.unwrap_or(1);
         return Ok(JobSpec::Campaign { netlist, stride });
     }
     Err(CliError::usage(format!(
@@ -1339,6 +1341,28 @@ mod tests {
         assert!(out.contains("wrote"));
         assert!(fs::read_to_string(&vcd).unwrap().contains("$timescale"));
         assert!(fs::read_to_string(&csv).unwrap().starts_with("t,in,out"));
+    }
+
+    /// An NMOS strength of 1e307 overflows the device current to a NaN
+    /// Newton update. The deck lints clean; the solve must reject the
+    /// update and recover by step halving instead of printing NaN rows.
+    #[test]
+    fn sim_never_accepts_a_non_finite_newton_update() {
+        let text = include_str!("../../../examples/decks/cmos_inverter.sp")
+            .replace(".model nx nmos\n", ".model nx nmos kp=1e307\n");
+        assert!(text.contains("kp=1e307"));
+        let deck = tmp("overflow.sp", &text);
+        let csv = tmp("overflow.csv", "");
+        dispatch(&["sim".into(), deck, "--csv".into(), csv.clone()]).unwrap();
+        let rows = fs::read_to_string(&csv).unwrap();
+        let mut points = 0;
+        for row in rows.lines().skip(1) {
+            points += 1;
+            for v in row.split(',') {
+                assert!(v.parse::<f64>().unwrap().is_finite(), "{row}");
+            }
+        }
+        assert!(points > 600, "{points} points");
     }
 
     #[test]
@@ -1610,6 +1634,8 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
             &["campaign", b, "--deadline", "NaN"],
             &["campaign", b, "--deadline", "1e30"],
             &["campaign", b, "--stride", "abc"],
+            &["campaign", b, "--stride", "0"],
+            &["serve", s, "--workers", "0"],
             &["testgen", b, "--max-paths", "zz"],
             &["faultsim", b, "--tau", "nope"],
             &["faultsim", b, "--tau", "-1"],

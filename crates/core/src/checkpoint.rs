@@ -272,8 +272,8 @@ impl<T: CheckpointValue> Checkpoint<T> {
 
     /// Resumes from an existing checkpoint at `path`: loads the decodable
     /// prefix, validates it against `spec`, compacts it (temporary file +
-    /// atomic rename, so an old torn tail is dropped for good), and
-    /// reopens for appending.
+    /// atomic rename, so an old torn tail is dropped for good; skipped
+    /// when the file is already compact), and reopens for appending.
     ///
     /// # Errors
     ///
@@ -286,8 +286,8 @@ impl<T: CheckpointValue> Checkpoint<T> {
         let text = std::fs::read_to_string(path).map_err(|e| io_err("cannot read", path, &e))?;
         let loaded = load_prefix::<T>(&text, &spec)?;
 
-        // Compact: good header + surviving records, atomically swapped in.
-        let tmp = path.with_extension("ckpt.tmp");
+        // Compact: good header + surviving records, atomically swapped in
+        // unless the file already holds exactly those bytes.
         let mut out = header_line(&spec, T::TAG);
         for (&index, (stream_seed, o)) in &loaded {
             let (outcome, attempts, value) = match o {
@@ -297,8 +297,11 @@ impl<T: CheckpointValue> Checkpoint<T> {
             };
             out.push_str(&record_line(index, *stream_seed, outcome, attempts, value));
         }
-        std::fs::write(&tmp, &out).map_err(|e| io_err("cannot write", &tmp, &e))?;
-        std::fs::rename(&tmp, path).map_err(|e| io_err("cannot rename over", path, &e))?;
+        if out != text {
+            let tmp = path.with_extension("ckpt.tmp");
+            std::fs::write(&tmp, &out).map_err(|e| io_err("cannot write", &tmp, &e))?;
+            std::fs::rename(&tmp, path).map_err(|e| io_err("cannot rename over", path, &e))?;
+        }
         let file = OpenOptions::new()
             .append(true)
             .open(path)

@@ -737,3 +737,67 @@ fn campaign_checkpoint_from_the_bisection_search_is_refused() {
         let _ = std::fs::remove_file(p);
     }
 }
+
+/// Resuming compacts the file only when compaction changes its bytes. A
+/// clean checkpoint keeps its inode and leaves no temporary file; a torn
+/// tail, swapped records or a torn header are still rewritten (a rename
+/// gives the file a new inode) into the canonical form.
+#[test]
+fn resume_rewrites_only_a_checkpoint_that_is_not_compact() {
+    use std::os::unix::fs::MetadataExt;
+    let inode = |p: &std::path::Path| std::fs::metadata(p).expect("stat").ino();
+    let mc = McConfig {
+        threads: Some(1),
+        ..McConfig::paper(8, 7)
+    };
+    let spec = synth_spec(8, 7);
+    let path = fresh_ckpt("compact");
+    let tmp = path.with_extension("ckpt.tmp");
+    {
+        let ck = Checkpoint::create(&path, spec).expect("create");
+        mc.try_run_samples_durable("soak", &CancelToken::new(), Some(&ck), |_, _, rng, _, _| {
+            Ok(synth(rng))
+        })
+        .expect("checkpointed run");
+    }
+    // One resume puts the file in canonical form; the next must not touch it.
+    drop(Checkpoint::<f64>::resume(&path, spec).expect("first resume"));
+    let clean = std::fs::read_to_string(&path).expect("read");
+    let ino = inode(&path);
+    let ck = Checkpoint::<f64>::resume(&path, spec).expect("clean resume");
+    assert_eq!(ck.resumed_count(), 8);
+    drop(ck);
+    assert_eq!(std::fs::read_to_string(&path).expect("read"), clean);
+    assert_eq!(inode(&path), ino, "a compact checkpoint is not rewritten");
+    assert!(!tmp.exists(), "no temporary file is left behind");
+
+    let lines: Vec<&str> = clean.lines().collect();
+    let mut swapped: Vec<&str> = lines.clone();
+    swapped.swap(1, 2);
+    let header_only = format!("{}\n", lines[0]);
+    for (what, text, want) in [
+        (
+            "torn tail",
+            format!("{clean}{}", &lines[1][..lines[1].len() / 2]),
+            clean.clone(),
+        ),
+        ("swapped records", swapped.join("\n") + "\n", clean.clone()),
+        (
+            "torn header",
+            lines[0][..lines[0].len() / 2].to_owned(),
+            header_only,
+        ),
+    ] {
+        std::fs::write(&path, &text).expect("write");
+        let ino = inode(&path);
+        drop(Checkpoint::<f64>::resume(&path, spec).expect(what));
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("read"),
+            want,
+            "{what}"
+        );
+        assert_ne!(inode(&path), ino, "{what}: rewritten");
+        assert!(!tmp.exists(), "{what}: no temporary file is left behind");
+    }
+    let _ = std::fs::remove_file(&path);
+}

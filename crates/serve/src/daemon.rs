@@ -42,7 +42,7 @@ use crate::spec::JobSpec;
 pub struct ServeConfig {
     /// Unix socket path to listen on (removed and re-created).
     pub socket: PathBuf,
-    /// Worker threads executing jobs.
+    /// Worker threads executing jobs; the daemon spawns at least one.
     pub workers: usize,
     /// Bound on queued (not yet running) jobs; past it, submits get a
     /// typed `busy` rejection.
@@ -135,7 +135,9 @@ impl Daemon {
     /// # Errors
     ///
     /// I/O errors binding the socket or creating the spool directory.
-    pub fn start(cfg: ServeConfig) -> std::io::Result<Daemon> {
+    pub fn start(mut cfg: ServeConfig) -> std::io::Result<Daemon> {
+        // What runs is what the log line and the manifest report.
+        cfg.workers = cfg.workers.max(1);
         if let Some(spool) = &cfg.spool {
             std::fs::create_dir_all(spool)?;
         }
@@ -161,7 +163,7 @@ impl Daemon {
         let accept = std::thread::spawn(move || accept_loop(listener, &accept_inner));
 
         let mut workers = Vec::new();
-        for _ in 0..inner.cfg.workers.max(1) {
+        for _ in 0..inner.cfg.workers {
             let w = Arc::clone(&inner);
             workers.push(std::thread::spawn(move || worker_loop(&w)));
         }
@@ -192,6 +194,11 @@ impl Daemon {
     /// Cancel it from a signal handler to drain and exit.
     pub fn token(&self) -> &CancelToken {
         &self.inner.token
+    }
+
+    /// The number of worker threads the daemon spawned.
+    pub fn workers(&self) -> usize {
+        self.inner.cfg.workers
     }
 
     /// The socket path the daemon is listening on.

@@ -442,3 +442,30 @@ fn shutdown_writes_a_serve_manifest() {
     assert_eq!(serve.get("jobs_admitted").and_then(Json::as_num), Some(1.0));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_zero_worker_config_reports_the_one_worker_it_runs() {
+    let dir = tmp_dir("workers0");
+    let manifest_path = dir.join("serve.json");
+    let mut cfg = ServeConfig::new(dir.join("d.sock"));
+    cfg.workers = 0;
+    cfg.metrics_out = Some(manifest_path.clone());
+    let daemon = Daemon::start(cfg).expect("start daemon");
+    assert_eq!(daemon.workers(), 1);
+    daemon.shutdown();
+    daemon.join().expect("join");
+    let text = std::fs::read_to_string(&manifest_path).expect("manifest written");
+    let doc = json::parse(&text).expect("manifest is JSON");
+    assert_eq!(
+        doc.get("threads").and_then(Json::as_num),
+        Some(1.0),
+        "{text}"
+    );
+    let serve = doc.get("serve").expect("serve block");
+    assert_eq!(
+        serve.get("workers").and_then(Json::as_num),
+        Some(1.0),
+        "{text}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
