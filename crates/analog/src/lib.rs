@@ -71,7 +71,7 @@ pub use error::Error;
 pub use export::{to_csv, to_vcd};
 pub use inject::{ArmedFault, FaultKind, FaultPlan};
 pub use solver::pattern::{topology_key, PatternMode, StampPattern};
-pub use solver::workspace::{SolverMode, SolverWorkspace, SymbolicCache};
+pub use solver::workspace::{SolverWorkspace, SymbolicCache};
 pub use waveform::{delay_floor, propagation_delay, Edge, Polarity, Pulse, Trace};
 
 // Re-exported so downstream crates can speak the observability types this

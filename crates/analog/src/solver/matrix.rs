@@ -1,5 +1,7 @@
+use std::sync::Arc;
+
 use crate::error::Error;
-use crate::solver::pattern::StampPattern;
+use crate::solver::workspace::Structure;
 
 /// Dense row-major square matrix with in-place LU solution.
 ///
@@ -12,7 +14,7 @@ use crate::solver::pattern::StampPattern;
 /// stamped MNA entries are never `-0.0` (stamps accumulate from `+0.0`,
 /// and IEEE subtraction of equal finite values rounds to `+0.0`).
 ///
-/// Given the stamp pattern of its topology ([`DenseMatrix::use_pattern`]),
+/// Given the structure of its topology ([`DenseMatrix::use_structure`]),
 /// the matrix also keeps a [`LuPlan`]: the cells the partial-pivot
 /// elimination can fill under the pivot order it chose last time. A
 /// factorization whose pivots follow that order replays only the planned
@@ -26,12 +28,13 @@ pub(crate) struct DenseMatrix {
 
 /// The structural replay plan of one topology's dense LU.
 ///
-/// Learned from the stamp pattern and the pivot rows the dense loop chose,
-/// the plan lists per column `k`, closed under fill: the rows below `k`
-/// that may hold a pivot candidate, the rows below `k` to eliminate after
-/// the row swap, and the pivot row's columns right of `k`. A replay
-/// searches only the candidates (first strictly greater magnitude wins, as
-/// in the dense loop) and updates only planned cells. That is exact:
+/// Learned from the topology's shared stamp pattern and the pivot rows the
+/// dense loop chose, the plan lists per column `k`, closed under fill: the
+/// rows below `k` that may hold a pivot candidate, the rows below `k` to
+/// eliminate after the row swap, and the pivot row's columns right of
+/// `k`. A replay searches only the candidates (first strictly greater
+/// magnitude wins, as in the dense loop) and updates only planned cells.
+/// That is exact:
 ///
 /// * every cell outside the plan is `+0.0` — assembly writes only pattern
 ///   cells (debug-asserted), and no entry is ever `-0.0` (see
@@ -54,14 +57,13 @@ pub(crate) struct DenseMatrix {
 /// solutions, factors and errors against the dense loop bit for bit.
 #[derive(Debug, Clone, Default)]
 struct LuPlan {
-    /// Topology key of the installed pattern; `None` factors every matrix
-    /// on the dense loop.
-    key: Option<u64>,
-    /// Row-major `n × n` mask of the cells assembly may write.
-    pattern: Vec<bool>,
+    /// Structure of the installed topology, whose stamp pattern holds the
+    /// cells assembly may write; `None` factors every matrix on the dense
+    /// loop.
+    structure: Option<Arc<Structure>>,
     /// Pivot row per column, recorded by the dense loop.
     pivots: Vec<usize>,
-    /// Whether the lists below describe `pattern` under `pivots`.
+    /// Whether the lists below describe the pattern under `pivots`.
     learned: bool,
     /// `cand[cand_ptr[k]..cand_ptr[k + 1]]`: rows below `k` that may hold
     /// a nonzero in column `k` before the swap (ascending).
@@ -76,7 +78,7 @@ struct LuPlan {
     ucols: Vec<usize>,
     /// Symbolic elimination scratch for [`DenseMatrix::learn_plan`].
     fill: Vec<bool>,
-    /// Patterns installed and plans learned, for the tests that check a
+    /// Structures installed and plans learned, for the tests that check a
     /// workspace keeps its plan.
     #[cfg(test)]
     builds: (usize, usize),
@@ -123,10 +125,10 @@ impl DenseMatrix {
 
     /// Resizes to `n x n` and zeroes every entry, reusing the existing
     /// allocation when capacity allows (the workspace-reuse hook). A new
-    /// dimension drops the installed pattern and its plan.
+    /// dimension drops the installed structure and its plan.
     pub fn reset(&mut self, n: usize) {
         if n != self.n {
-            self.plan.key = None;
+            self.plan.structure = None;
             self.plan.learned = false;
         }
         self.n = n;
@@ -135,30 +137,19 @@ impl DenseMatrix {
         self.plan.pivots.resize(n, 0);
     }
 
-    /// Installs the stamp pattern of topology `key` for structural replay,
-    /// building it with `build` only when another (or no) pattern is
-    /// installed, so a workspace keeps its plan across the solves, sweeps
-    /// and samples of one topology.
-    pub fn use_pattern(&mut self, key: u64, build: impl FnOnce() -> StampPattern) {
-        if self.plan.key == Some(key) {
+    /// Installs the structure of a topology for structural replay. A
+    /// structure of the installed topology keeps the plan, so a workspace
+    /// keeps it across the solves, sweeps and samples of one topology.
+    pub fn use_structure(&mut self, structure: &Arc<Structure>) {
+        if matches!(&self.plan.structure, Some(s) if s.key == structure.key) {
             return;
         }
-        let pattern = build();
-        let n = self.n;
         self.plan.learned = false;
-        self.plan.key = None;
-        if pattern.dim() != n {
+        self.plan.structure = None;
+        if structure.pattern.dim() != self.n {
             return;
         }
-        let mask = &mut self.plan.pattern;
-        mask.clear();
-        mask.resize(n * n, false);
-        for r in 0..n {
-            for &c in pattern.row(r) {
-                mask[r * n + c] = true;
-            }
-        }
-        self.plan.key = Some(key);
+        self.plan.structure = Some(Arc::clone(structure));
         #[cfg(test)]
         {
             self.plan.builds.0 += 1;
@@ -231,8 +222,8 @@ impl DenseMatrix {
         // plan describes them again only once it is re-learned.
         self.plan.learned = false;
         self.factor_dense(k, rhs)?;
-        if self.plan.key.is_some() {
-            self.learn_plan();
+        if let Some(structure) = self.plan.structure.clone() {
+            self.learn_plan(&structure);
         }
         self.back_substitute_dense(rhs);
         Ok(())
@@ -314,7 +305,7 @@ impl DenseMatrix {
         // the caller). `learn_plan` built every list for this `n`: the
         // `*_ptr` arrays have `n + 1` ascending offsets into their lists,
         // every listed row or column lies in `k + 1..n`, and each pivot
-        // lies in `k..n` (`reset` and `use_pattern` unlearn the plan
+        // lies in `k..n` (`reset` and `use_structure` unlearn the plan
         // when `n` or the topology changes). Every offset below is
         // therefore in bounds, and rows `k` and `piv != k` do not overlap.
         unsafe {
@@ -420,15 +411,20 @@ impl DenseMatrix {
         }
     }
 
-    /// Learns the plan of the installed pattern under the recorded pivots:
+    /// Learns the plan of `structure`'s pattern under the recorded pivots:
     /// a symbolic run of the elimination that swaps rows as the pivots
     /// did and fills every cell a row update can reach. Reuses the plan's
     /// buffers, so re-learning allocates nothing once they have grown.
-    fn learn_plan(&mut self) {
+    fn learn_plan(&mut self, structure: &Structure) {
         let n = self.n;
         let p = &mut self.plan;
         p.fill.clear();
-        p.fill.extend_from_slice(&p.pattern);
+        p.fill.resize(n * n, false);
+        for r in 0..n {
+            for &c in structure.pattern.row(r) {
+                p.fill[r * n + c] = true;
+            }
+        }
         for v in [&mut p.cand_ptr, &mut p.elim_ptr, &mut p.ucol_ptr] {
             v.clear();
             v.push(0);
@@ -469,10 +465,13 @@ impl DenseMatrix {
     /// Whether every cell outside the installed pattern holds `+0.0`, the
     /// premise of a replay.
     fn outside_pattern_is_zero(&self) -> bool {
-        self.data
-            .iter()
-            .zip(&self.plan.pattern)
-            .all(|(v, &stamped)| stamped || v.to_bits() == 0)
+        let Some(s) = &self.plan.structure else {
+            return false;
+        };
+        let n = self.n;
+        (0..n * n).all(|i| {
+            self.data[i].to_bits() == 0 || s.pattern.row(i / n).binary_search(&(i % n)).is_ok()
+        })
     }
 }
 
@@ -480,6 +479,8 @@ impl DenseMatrix {
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use crate::solver::pattern::StampPattern;
+    use crate::solver::workspace::Engine;
     use proptest::prelude::*;
 
     impl DenseMatrix {
@@ -703,7 +704,11 @@ mod tests {
                 })
                 .collect();
             let mut m = DenseMatrix::zeros(n);
-            m.use_pattern(7, || StampPattern::from_rows(pattern.clone()));
+            m.use_structure(&Arc::new(Structure {
+                key: 7,
+                pattern: StampPattern::from_rows(pattern.clone()),
+                engine: Engine::Dense,
+            }));
             let odd = (rng.next_f64() * nodes as f64) as usize;
             for draw in 0..3 {
                 let mut a = DenseMatrix::zeros(n);
@@ -827,7 +832,7 @@ mod tests {
     }
 
     /// A resistance sweep re-solves one topology on one workspace: the
-    /// pattern is installed once and the plan survives the sweep, so only
+    /// structure is installed once and the plan survives the sweep, so only
     /// the first factorization of each pivot order re-learns it.
     #[test]
     fn resistance_sweep_keeps_the_plan() {

@@ -9,9 +9,8 @@ use crate::circuit::{Circuit, NodeId};
 use crate::elements::{Element, MosType, Mosfet, MosfetParams};
 use crate::error::Error;
 use crate::solver::matrix::DenseMatrix;
-use crate::solver::pattern::{topology_key, StampPattern};
 use crate::solver::sparse::SymbolicLu;
-use crate::solver::workspace::{SparseScratch, SysScratch};
+use crate::solver::workspace::{SparseScratch, Structure, SysScratch};
 use pulsar_obs::{Counter, Phase, Recorder};
 
 /// Absolute node-voltage convergence tolerance (V).
@@ -23,13 +22,6 @@ const VSTEP_LIMIT: f64 = 0.6;
 /// Leakage conductance from every node to ground keeping matrices
 /// well-posed even with all transistors cut off.
 const GMIN_FLOOR: f64 = 1e-12;
-
-/// Books the end of one dense Newton solve on the per-run recorder: the
-/// iteration spend and the iterations-per-solve histogram.
-fn dense_solve_done(rec: &Recorder, iters: u64) {
-    rec.add(Counter::DenseIterations, iters);
-    rec.newton_solve_done(iters);
-}
 
 /// Dynamic (companion-model) state of one capacitor.
 #[derive(Debug, Clone, Copy)]
@@ -93,23 +85,16 @@ impl<'c, 'w> System<'c, 'w> {
         scratch.matrix.reset(nu);
         scratch.rhs.clear();
         scratch.rhs.resize(nu, 0.0);
-        scratch.newton.clear();
-        scratch.newton.resize(nu, 0.0);
+        scratch.delta.clear();
+        scratch.delta.resize(nu, 0.0);
         // The companion-conductance cache is keyed by step size and method;
         // a rebuilt system may describe a different circuit, so drop it.
         scratch.cap_geq_key = None;
-        // Engine decision (and symbolic-cache validation) for this system.
-        // The dense matrix keeps the stamp pattern for its LU replay, also
-        // behind the sparse engine, which falls back to it.
-        {
-            let SysScratch {
-                sparse, recorder, ..
-            } = &mut *scratch;
-            sparse.prepare(ckt, nu, recorder);
-        }
-        scratch
-            .matrix
-            .use_pattern(topology_key(ckt), || StampPattern::build_transient(ckt));
+        // The topology's structure decides the engine. The dense matrix
+        // plans over its pattern, also behind the sparse engine, which
+        // falls back to it.
+        let structure = scratch.structure_for(ckt, nu);
+        scratch.matrix.use_structure(&structure);
         System {
             ckt,
             nn,
@@ -207,7 +192,7 @@ impl<'c, 'w> System<'c, 'w> {
         &self.scratch.cap_geq
     }
 
-    /// Newton–Raphson loop. `x` holds the initial guess and, on success,
+    /// Newton–Raphson solve. `x` holds the initial guess and, on success,
     /// the solution.
     ///
     /// Every iteration applies the clamped update and then tests it
@@ -216,12 +201,11 @@ impl<'c, 'w> System<'c, 'w> {
     /// first iteration too, so a good initial guess (a converged DC point,
     /// the transient predictor) costs one assembly and one LU solve.
     ///
-    /// Routing: when the workspace's sparse engine is engaged (see
-    /// [`SparseScratch::prepare`]) the solve runs the sparse Newton loop;
-    /// a numeric pivot failure or non-convergence there reruns the solve
-    /// on the dense loop, which also serves every below-crossover and
-    /// force-dense solve. Both loops stamp through the one traversal,
-    /// [`assemble`].
+    /// Routing: when the topology's structure carries a sparse analysis
+    /// (see [`Structure`]) the solve runs on the sparse engine; a numeric
+    /// pivot failure or non-convergence there reruns the solve on the dense
+    /// engine, which also serves every below-crossover solve. Both run the
+    /// one loop, [`Newton::run`], monomorphised over the engine.
     #[allow(clippy::too_many_arguments)] // one call site per analysis
     pub fn solve_newton(
         &mut self,
@@ -236,152 +220,72 @@ impl<'c, 'w> System<'c, 'w> {
         debug_assert_eq!(x.len(), self.nu);
         let _span = self.scratch.recorder.span(Phase::NewtonSolve);
         self.hoist_step_values(t, dynamics, src_scale);
-        let dynamic = dynamics.is_some();
-        if self.scratch.sparse.active {
-            self.scratch.sparse.x_save.clear();
-            self.scratch.sparse.x_save.extend_from_slice(x);
-            match self.try_newton_sparse(x, t, dynamic, gmin, max_iter, context) {
-                Some(Ok(())) => return Ok(()),
-                // Vanishing numeric pivot (None) or Newton non-convergence
-                // (Some(Err)): restore the initial guess and re-run this
-                // solve on the dense partial-pivot engine. Pivoting is
-                // sturdier on badly scaled systems (mΩ wire shorts next to
-                // gmin floors), and on a genuinely singular matrix the
-                // dense engine reports the SingularMatrix error. The
-                // solver is therefore never *less* robust than the dense
-                // engine alone, only faster.
-                Some(Err(_)) | None => {
-                    let SysScratch {
-                        sparse, recorder, ..
-                    } = &mut *self.scratch;
-                    x.copy_from_slice(&sparse.x_save);
-                    recorder.add(Counter::DenseFallbacks, 1);
+        let SysScratch {
+            matrix,
+            rhs,
+            delta,
+            branch_index,
+            elem_val,
+            cap_geq,
+            cap_ieq,
+            structure,
+            sparse,
+            recorder,
+            ..
+        } = &mut *self.scratch;
+        let newton = Newton {
+            ckt: self.ckt,
+            branch_index,
+            elem_val,
+            cap_geq,
+            cap_ieq,
+            nn: self.nn,
+            dynamic: dynamics.is_some(),
+            gmin,
+            max_iter,
+        };
+        if let Some(sym) = structure.as_deref().and_then(Structure::symbolic) {
+            sparse.x_save.clear();
+            sparse.x_save.extend_from_slice(x);
+            recorder.add(Counter::SparseSolves, 1);
+            let engine = &mut SparseEngine {
+                sym,
+                s: sparse,
+                rec: recorder,
+            };
+            let (iters, exit) = newton.run(engine, rhs, delta, x);
+            match exit {
+                Exit::Converged => {
+                    recorder.newton_solve_done(iters);
+                    return Ok(());
                 }
+                Exit::NoConvergence => recorder.newton_solve_done(iters),
+                Exit::Solve(_) => recorder.add(Counter::NewtonIterations, iters),
+                Exit::Assembly(_) => {}
             }
+            // Vanishing numeric pivot or Newton non-convergence: restore
+            // the initial guess and re-run this solve on the dense
+            // partial-pivot engine. Pivoting is sturdier on badly scaled
+            // systems (mΩ wire shorts next to gmin floors), and on a
+            // genuinely singular matrix the dense engine reports the
+            // SingularMatrix error. The solver is therefore never *less*
+            // robust than the dense engine alone, only faster.
+            x.copy_from_slice(&sparse.x_save);
+            recorder.add(Counter::DenseFallbacks, 1);
         }
-        self.scratch.recorder.add(Counter::DenseSolves, 1);
-        let mut iters: u64 = 0;
-        for _ in 0..max_iter {
-            iters += 1;
-            let SysScratch {
-                matrix,
-                rhs,
-                newton,
-                branch_index,
-                elem_val,
-                cap_geq,
-                cap_ieq,
-                recorder,
-                ..
-            } = &mut *self.scratch;
-            let hoisted = Hoisted {
-                branch_index,
-                elem_val,
-                cap_geq,
-                cap_ieq,
-            };
-            if let Err(e) = assemble(self.ckt, &hoisted, matrix, rhs, x, dynamic, gmin) {
-                dense_solve_done(recorder, iters);
-                return Err(e);
-            }
-            newton.copy_from_slice(rhs);
-            if let Err(e) = matrix.solve_in_place(newton) {
-                dense_solve_done(recorder, iters);
-                return Err(e);
-            }
-            // The update is `A⁻¹b − x`, taken element by element before
-            // any of `x` moves.
-            for (d, &xi) in newton.iter_mut().zip(x.iter()) {
-                *d -= xi;
-            }
-            if damped_update(x, newton, self.nn) {
-                dense_solve_done(recorder, iters);
-                return Ok(());
-            }
+        recorder.add(Counter::DenseSolves, 1);
+        let (iters, exit) = newton.run(matrix, rhs, delta, x);
+        recorder.add(Counter::DenseIterations, iters);
+        recorder.newton_solve_done(iters);
+        match exit {
+            Exit::Converged => Ok(()),
+            Exit::NoConvergence => Err(Error::NoConvergence {
+                context,
+                iterations: max_iter,
+                time: t,
+            }),
+            Exit::Assembly(e) | Exit::Solve(e) => Err(e),
         }
-        dense_solve_done(&self.scratch.recorder, iters);
-        Err(Error::NoConvergence {
-            context,
-            iterations: max_iter,
-            time: t,
-        })
-    }
-
-    /// The sparse Newton loop, in delta form: each iteration assembles
-    /// `A(x)` and `b(x)` over the stamp pattern (cheap, O(nnz)), forms the
-    /// residual `r = b − A·x`, refactors `LU = A(x)` and takes the exact
-    /// Newton step `x += clamp(LU⁻¹·r)`.
-    ///
-    /// Returns `None` when a numeric pivot vanishes, in which case the
-    /// caller reruns the solve on the dense partial-pivot engine.
-    fn try_newton_sparse(
-        &mut self,
-        x: &mut [f64],
-        t: f64,
-        dynamic: bool,
-        gmin: f64,
-        max_iter: usize,
-        context: &'static str,
-    ) -> Option<Result<(), Error>> {
-        self.scratch.recorder.add(Counter::SparseSolves, 1);
-        for iter in 0..max_iter {
-            let SysScratch {
-                rhs,
-                branch_index,
-                elem_val,
-                cap_geq,
-                cap_ieq,
-                sparse,
-                recorder,
-                ..
-            } = &mut *self.scratch;
-            let SparseScratch {
-                symbolic,
-                a_vals,
-                lu_vals,
-                w,
-                y,
-                resid,
-                delta,
-                ..
-            } = sparse;
-            let sym = match symbolic.as_deref() {
-                Some(s) => s,
-                None => unreachable!("sparse engine active without a symbolic object"),
-            };
-            let hoisted = Hoisted {
-                branch_index,
-                elem_val,
-                cap_geq,
-                cap_ieq,
-            };
-            let mut target = SparseValues { sym, vals: a_vals };
-            if let Err(e) = assemble(self.ckt, &hoisted, &mut target, rhs, x, dynamic, gmin) {
-                return Some(Err(e));
-            }
-            sym.residual(a_vals, x, rhs, resid);
-            {
-                let _span = recorder.span(Phase::NumericRefactorize);
-                recorder.add(Counter::NumericFactorizations, 1);
-                if sym.factor(a_vals, lu_vals, w).is_err() {
-                    recorder.add(Counter::NewtonIterations, iter as u64 + 1);
-                    return None;
-                }
-            }
-            delta.clear();
-            delta.resize(self.nu, 0.0);
-            sym.solve(lu_vals, resid, delta, y);
-            if damped_update(x, delta, self.nn) {
-                recorder.newton_solve_done(iter as u64 + 1);
-                return Some(Ok(()));
-            }
-        }
-        self.scratch.recorder.newton_solve_done(max_iter as u64);
-        Some(Err(Error::NoConvergence {
-            context,
-            iterations: max_iter,
-            time: t,
-        }))
     }
 
     /// Collects the capacitive branches in stamping order into `out`,
@@ -404,8 +308,9 @@ impl<'c, 'w> System<'c, 'w> {
 /// is within `VNTOL + RELTOL·|x|` of the point it was taken from. Branch
 /// currents move unclamped and untested, except that a non-finite update
 /// anywhere never converges (every comparison with NaN is false, so the
-/// tests above would pass it). Both Newton loops accept through here, so
-/// the dense and sparse engines share one acceptance rule.
+/// tests above would pass it). The Newton loop accepts through here on
+/// either engine, so the dense and sparse engines share one acceptance
+/// rule.
 #[inline]
 fn damped_update(x: &mut [f64], delta: &[f64], nn: usize) -> bool {
     let mut converged = true;
@@ -431,18 +336,22 @@ fn damped_update(x: &mut [f64], delta: &[f64], nn: usize) -> bool {
     converged
 }
 
-/// Where one assembly writes its matrix entries: the dense matrix or the
-/// sparse engine's values over the stamp pattern. [`assemble`] is generic
-/// over it, so each engine gets its own monomorphised copy of the one
-/// element traversal and no runtime switch.
-trait StampTarget {
+/// A linear engine of the Newton loop: where one assembly writes its
+/// matrix entries, and how the Newton update is solved from them.
+/// [`Newton::assemble`] and [`Newton::run`] are generic over it, so each
+/// engine gets its own monomorphised copy of the one element traversal and
+/// the one loop, with no runtime switch.
+trait LinearEngine {
     /// Zeroes every entry before an assembly.
     fn clear(&mut self);
     /// Accumulates `v` into entry `(r, c)`.
     fn add(&mut self, r: usize, c: usize, v: f64);
+    /// Solves the assembled system `A·x' = b` (`b` is `rhs`) for the
+    /// Newton update `delta = x' − x`.
+    fn solve_update(&mut self, rhs: &[f64], x: &[f64], delta: &mut [f64]) -> Result<(), Error>;
 }
 
-impl StampTarget for DenseMatrix {
+impl LinearEngine for DenseMatrix {
     #[inline]
     fn clear(&mut self) {
         DenseMatrix::clear(self);
@@ -452,113 +361,199 @@ impl StampTarget for DenseMatrix {
     fn add(&mut self, r: usize, c: usize, v: f64) {
         DenseMatrix::add(self, r, c, v);
     }
+
+    /// `A⁻¹b − x`, the subtraction taken element by element before any of
+    /// `x` moves.
+    #[inline]
+    fn solve_update(&mut self, rhs: &[f64], x: &[f64], delta: &mut [f64]) -> Result<(), Error> {
+        delta.copy_from_slice(rhs);
+        self.solve_in_place(delta)?;
+        for (d, &xi) in delta.iter_mut().zip(x) {
+            *d -= xi;
+        }
+        Ok(())
+    }
 }
 
-/// The sparse engine's assembly target: the value array over `sym`'s
-/// stamp pattern.
-struct SparseValues<'a> {
+/// The sparse engine: the value arrays over `sym`'s stamp pattern and
+/// filled factors, booking its refactorizations on `rec`.
+struct SparseEngine<'a> {
     sym: &'a SymbolicLu,
-    vals: &'a mut Vec<f64>,
+    s: &'a mut SparseScratch,
+    rec: &'a Recorder,
 }
 
-impl StampTarget for SparseValues<'_> {
+impl LinearEngine for SparseEngine<'_> {
     #[inline]
     fn clear(&mut self) {
-        self.sym.clear_values(self.vals);
+        self.sym.clear_values(&mut self.s.a_vals);
     }
 
     #[inline]
     fn add(&mut self, r: usize, c: usize, v: f64) {
-        self.sym.add(self.vals, r, c, v);
+        self.sym.add(&mut self.s.a_vals, r, c, v);
+    }
+
+    /// Delta form: the residual `r = b − A·x`, a numeric refactorization
+    /// `LU = A` (no per-iteration symbolic work) and `LU⁻¹·r`, the exact
+    /// Newton step. A vanishing numeric pivot is a `SingularMatrix` error.
+    #[inline]
+    fn solve_update(&mut self, rhs: &[f64], x: &[f64], delta: &mut [f64]) -> Result<(), Error> {
+        let rec = self.rec;
+        let SparseScratch {
+            a_vals,
+            lu_vals,
+            w,
+            y,
+            resid,
+            ..
+        } = &mut *self.s;
+        self.sym.residual(a_vals, x, rhs, resid);
+        {
+            let _span = rec.span(Phase::NumericRefactorize);
+            rec.add(Counter::NumericFactorizations, 1);
+            self.sym
+                .factor(a_vals, lu_vals, w)
+                .map_err(|row| Error::SingularMatrix { row })?;
+        }
+        self.sym.solve(lu_vals, resid, delta, y);
+        Ok(())
     }
 }
 
-/// What [`assemble`] reads besides the candidate solution: the
-/// element → branch-current map and the values
-/// [`System::hoist_step_values`] left for this solve.
-struct Hoisted<'s> {
-    branch_index: &'s [Option<usize>],
-    elem_val: &'s [f64],
-    cap_geq: &'s [f64],
-    cap_ieq: &'s [f64],
+/// How one engine's Newton loop ended.
+enum Exit {
+    Converged,
+    /// `max_iter` iterations without convergence.
+    NoConvergence,
+    /// Assembly failed (broken branch bookkeeping).
+    Assembly(Error),
+    /// The linear solve failed (a singular matrix or, on the sparse
+    /// engine, a vanishing numeric pivot).
+    Solve(Error),
 }
 
-/// Assembles the linearized system about candidate solution `x` into
-/// `target` and `rhs`: the gmin floor on every node, then each element in
-/// order. Everything that does not depend on `x` comes from `hoisted`;
-/// `dynamic` stamps the capacitor companions (a DC solve opens them), and
-/// `gmin` adds to the floor for gmin stepping. Stamp order and values are
-/// the same for both targets.
-fn assemble<T: StampTarget>(
-    ckt: &Circuit,
-    hoisted: &Hoisted<'_>,
-    target: &mut T,
-    rhs: &mut [f64],
-    x: &[f64],
+/// What one Newton solve reads besides its engine and candidate solution:
+/// the element → branch-current map, the values
+/// [`System::hoist_step_values`] left for this solve, and the solve's
+/// settings.
+struct Newton<'a> {
+    ckt: &'a Circuit,
+    branch_index: &'a [Option<usize>],
+    elem_val: &'a [f64],
+    cap_geq: &'a [f64],
+    cap_ieq: &'a [f64],
+    /// Node-voltage unknowns (the clamped, tested part of an update).
+    nn: usize,
+    /// Stamp the capacitor companions (a DC solve opens them).
     dynamic: bool,
+    /// Added to the gmin floor, for gmin stepping.
     gmin: f64,
-) -> Result<(), Error> {
-    target.clear();
-    rhs.fill(0.0);
+    max_iter: usize,
+}
 
-    let g_floor = GMIN_FLOOR + gmin;
-    for n in 0..ckt.node_count() - 1 {
-        target.add(n, n, g_floor);
-    }
-
-    let Hoisted {
-        branch_index,
-        elem_val,
-        cap_geq,
-        cap_ieq,
-    } = *hoisted;
-    let mut cap_idx = 0usize;
-    for (ei, e) in ckt.elements().iter().enumerate() {
-        match e {
-            Element::Resistor { a, b, .. } => stamp_g(target, *a, *b, elem_val[ei]),
-            Element::Capacitor { a, b, .. } => {
-                if dynamic {
-                    stamp_g(target, *a, *b, cap_geq[cap_idx]);
-                    // ieq models the history: a current source pushing
-                    // ieq into node a (and out of b).
-                    stamp_i(rhs, *a, *b, cap_ieq[cap_idx]);
-                }
-                cap_idx += 1;
+impl Newton<'_> {
+    /// The Newton loop on `engine`: assemble about `x` into `engine` and
+    /// `rhs`, solve for the update into `delta`, apply it. Returns the
+    /// iterations run and how the loop ended; the caller books them.
+    #[inline]
+    fn run<E: LinearEngine>(
+        &self,
+        engine: &mut E,
+        rhs: &mut [f64],
+        delta: &mut [f64],
+        x: &mut [f64],
+    ) -> (u64, Exit) {
+        for iter in 1..=self.max_iter as u64 {
+            if let Err(e) = self.assemble(engine, rhs, x) {
+                return (iter, Exit::Assembly(e));
             }
-            Element::Vsource { p, n, .. } => {
-                let br = branch_var(branch_index, ei)?;
-                if let Some(i) = var(*p) {
-                    target.add(i, br, 1.0);
-                    target.add(br, i, 1.0);
-                }
-                if let Some(j) = var(*n) {
-                    target.add(j, br, -1.0);
-                    target.add(br, j, -1.0);
-                }
-                rhs[br] = elem_val[ei];
+            if let Err(e) = engine.solve_update(rhs, x, delta) {
+                return (iter, Exit::Solve(e));
             }
-            Element::Isource { p, n, .. } => stamp_i(rhs, *p, *n, elem_val[ei]),
-            Element::Mosfet(m) => {
-                stamp_mosfet(target, rhs, m, x);
-                // Lumped device capacitances as dynamic companions.
-                if dynamic {
-                    let caps = [
-                        (m.g, m.s, m.params.cgs),
-                        (m.g, m.d, m.params.cgd),
-                        (m.d, mos_bulk(m), m.params.cdb),
-                    ];
-                    for (k, (a, b, c)) in caps.into_iter().enumerate() {
-                        if c > 0.0 {
-                            stamp_g(target, a, b, cap_geq[cap_idx + k]);
-                            stamp_i(rhs, a, b, cap_ieq[cap_idx + k]);
-                        }
-                    }
-                }
-                cap_idx += MOS_CAPS;
+            if damped_update(x, delta, self.nn) {
+                return (iter, Exit::Converged);
             }
         }
+        (self.max_iter as u64, Exit::NoConvergence)
     }
-    Ok(())
+
+    /// Assembles the linearized system about candidate solution `x` into
+    /// `target` and `rhs`: the gmin floor on every node, then each element
+    /// in order. Everything that does not depend on `x` was hoisted. Stamp
+    /// order and values are the same for both engines.
+    fn assemble<T: LinearEngine>(
+        &self,
+        target: &mut T,
+        rhs: &mut [f64],
+        x: &[f64],
+    ) -> Result<(), Error> {
+        let Newton {
+            ckt,
+            branch_index,
+            elem_val,
+            cap_geq,
+            cap_ieq,
+            dynamic,
+            gmin,
+            ..
+        } = *self;
+        target.clear();
+        rhs.fill(0.0);
+
+        let g_floor = GMIN_FLOOR + gmin;
+        for n in 0..ckt.node_count() - 1 {
+            target.add(n, n, g_floor);
+        }
+
+        let mut cap_idx = 0usize;
+        for (ei, e) in ckt.elements().iter().enumerate() {
+            match e {
+                Element::Resistor { a, b, .. } => stamp_g(target, *a, *b, elem_val[ei]),
+                Element::Capacitor { a, b, .. } => {
+                    if dynamic {
+                        stamp_g(target, *a, *b, cap_geq[cap_idx]);
+                        // ieq models the history: a current source pushing
+                        // ieq into node a (and out of b).
+                        stamp_i(rhs, *a, *b, cap_ieq[cap_idx]);
+                    }
+                    cap_idx += 1;
+                }
+                Element::Vsource { p, n, .. } => {
+                    let br = branch_var(branch_index, ei)?;
+                    if let Some(i) = var(*p) {
+                        target.add(i, br, 1.0);
+                        target.add(br, i, 1.0);
+                    }
+                    if let Some(j) = var(*n) {
+                        target.add(j, br, -1.0);
+                        target.add(br, j, -1.0);
+                    }
+                    rhs[br] = elem_val[ei];
+                }
+                Element::Isource { p, n, .. } => stamp_i(rhs, *p, *n, elem_val[ei]),
+                Element::Mosfet(m) => {
+                    stamp_mosfet(target, rhs, m, x);
+                    // Lumped device capacitances as dynamic companions.
+                    if dynamic {
+                        let caps = [
+                            (m.g, m.s, m.params.cgs),
+                            (m.g, m.d, m.params.cgd),
+                            (m.d, mos_bulk(m), m.params.cdb),
+                        ];
+                        for (k, (a, b, c)) in caps.into_iter().enumerate() {
+                            if c > 0.0 {
+                                stamp_g(target, a, b, cap_geq[cap_idx + k]);
+                                stamp_i(rhs, a, b, cap_ieq[cap_idx + k]);
+                            }
+                        }
+                    }
+                    cap_idx += MOS_CAPS;
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// MNA row/column of a node, or `None` for ground.
@@ -582,7 +577,7 @@ fn volt(x: &[f64], node: NodeId) -> f64 {
 
 /// Stamps conductance `g` between `a` and `b`.
 #[inline]
-fn stamp_g<T: StampTarget>(target: &mut T, a: NodeId, b: NodeId, g: f64) {
+fn stamp_g<T: LinearEngine>(target: &mut T, a: NodeId, b: NodeId, g: f64) {
     let ia = var(a);
     let ib = var(b);
     if let Some(i) = ia {
@@ -609,7 +604,7 @@ fn stamp_i(rhs: &mut [f64], into: NodeId, from: NodeId, i: f64) {
 }
 
 /// Linearizes and stamps one MOSFET about candidate solution `x`.
-fn stamp_mosfet<T: StampTarget>(target: &mut T, rhs: &mut [f64], m: &Mosfet, x: &[f64]) {
+fn stamp_mosfet<T: LinearEngine>(target: &mut T, rhs: &mut [f64], m: &Mosfet, x: &[f64]) {
     let vd = volt(x, m.d);
     let vg = volt(x, m.g);
     let vs = volt(x, m.s);
@@ -862,10 +857,17 @@ mod tests {
 
         // The sparse assembly hits the same slot first, then its dense
         // fallback reports it.
-        let mut ws = SysScratch::default();
-        ws.sparse.mode = crate::solver::workspace::SolverMode::ForceSparse;
+        let mut ws = SysScratch {
+            force_sparse: Some(true),
+            ..SysScratch::default()
+        };
         let mut sys = System::new(&ckt, &mut ws);
-        assert!(sys.scratch.sparse.active);
+        assert!(sys
+            .scratch
+            .structure
+            .as_deref()
+            .and_then(Structure::symbolic)
+            .is_some());
         for slot in sys.scratch.branch_index.iter_mut() {
             *slot = None;
         }

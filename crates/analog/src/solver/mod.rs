@@ -6,4 +6,6 @@ pub(crate) mod matrix;
 pub(crate) mod mna;
 pub mod pattern;
 pub(crate) mod sparse;
+#[cfg(test)]
+mod sparse_vs_dense;
 pub(crate) mod workspace;

@@ -15,7 +15,7 @@
 //! construction lives here in `analog` next to the stamping code rather
 //! than being re-derived in the lint crate.
 //!
-//! ## Construction rules (mirroring `mna::assemble`)
+//! ## Construction rules (mirroring `mna::Newton::assemble`)
 //!
 //! The gmin floor puts every node diagonal in the pattern unconditionally.
 //! Resistors stamp their 2×2 conductance block. Voltage sources stamp ±1

@@ -48,8 +48,6 @@ const NO_SLOT: u32 = u32::MAX;
 #[derive(Debug)]
 pub(crate) struct SymbolicLu {
     n: usize,
-    /// Structural fingerprint of the circuit this was computed for.
-    pub topo_key: u64,
     /// Assembly pattern, CSR over *original* row/column indices.
     a_start: Vec<usize>,
     a_cols: Vec<usize>,
@@ -83,7 +81,7 @@ impl SymbolicLu {
     /// deficit (no transversal exists) — the same verdict lint's
     /// PL0101/PL0102 matching reports, with `row` the first uncoverable
     /// row.
-    pub fn analyze(pattern: &StampPattern, topo_key: u64) -> Result<SymbolicLu, Error> {
+    pub fn analyze(pattern: &StampPattern) -> Result<SymbolicLu, Error> {
         let n = pattern.dim();
         let (col_match, unmatched) = pattern.matching();
         if let Some(&row) = unmatched.first() {
@@ -185,7 +183,6 @@ impl SymbolicLu {
 
         Ok(SymbolicLu {
             n,
-            topo_key,
             a_start,
             a_cols,
             a_perm_cols,
@@ -196,31 +193,6 @@ impl SymbolicLu {
             lu_diag,
             slot_of,
         })
-    }
-
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Nonzero count of the assembly pattern.
-    pub fn nnz(&self) -> usize {
-        self.a_cols.len()
-    }
-
-    /// Nonzero count of the filled `L+U` pattern.
-    pub fn lu_nnz(&self) -> usize {
-        self.lu_cols.len()
-    }
-
-    /// Permuted-row → original-row map (a permutation of `0..dim()`).
-    pub fn row_permutation(&self) -> &[usize] {
-        &self.rperm
-    }
-
-    /// Permuted-column → original-column map (a permutation of `0..dim()`).
-    pub fn col_permutation(&self) -> &[usize] {
-        &self.cperm
     }
 
     /// Resets `vals` to an all-zero value buffer for assembly.
@@ -271,7 +243,7 @@ impl SymbolicLu {
 
     /// Numeric refactorization: up-looking row LU of the assembled values
     /// into the precomputed filled pattern. `w` is caller-owned scratch of
-    /// length `dim()`.
+    /// length `n`.
     ///
     /// # Errors
     ///
@@ -323,7 +295,7 @@ impl SymbolicLu {
 
     /// Solves `A·x = b` with the current factors. `b` and `x` are in
     /// original index space; `y` is caller-owned scratch of length
-    /// `dim()`. `b` and `x` may not alias.
+    /// `n`. `b` and `x` may not alias.
     pub fn solve(&self, lu_vals: &[f64], b: &[f64], x: &mut [f64], y: &mut Vec<f64>) {
         y.clear();
         y.resize(self.n, 0.0);
@@ -410,7 +382,6 @@ mod tests {
     use crate::circuit::Circuit;
     use crate::elements::{MosType, Mosfet, MosfetParams, Waveform};
     use crate::solver::matrix::DenseMatrix;
-    use crate::solver::pattern::topology_key;
     use proptest::prelude::*;
 
     /// Deterministic LCG so the property tests do not depend on proptest's
@@ -504,12 +475,12 @@ mod tests {
             let mut rng = Lcg::new(seed);
             let ckt = random_circuit(&mut rng, nodes);
             let pat = StampPattern::build_transient(&ckt);
-            let sym = SymbolicLu::analyze(&pat, topology_key(&ckt)).unwrap();
-            prop_assert!(is_permutation(sym.row_permutation()));
-            prop_assert!(is_permutation(sym.col_permutation()));
-            prop_assert_eq!(sym.dim(), pat.dim());
+            let sym = SymbolicLu::analyze(&pat).unwrap();
+            prop_assert!(is_permutation(&sym.rperm));
+            prop_assert!(is_permutation(&sym.cperm));
+            prop_assert_eq!(sym.n, pat.dim());
             // Fill only ever adds cells to the permuted original pattern.
-            prop_assert!(sym.lu_nnz() >= sym.nnz());
+            prop_assert!(sym.lu_cols.len() >= sym.a_cols.len());
         }
 
         /// Symbolic + numeric factorization must solve random nonsingular
@@ -549,7 +520,7 @@ mod tests {
             let pat = StampPattern::build_transient(&ckt);
             let n = pat.dim();
             let nn = nodes;
-            let sym = SymbolicLu::analyze(&pat, topology_key(&ckt)).unwrap();
+            let sym = SymbolicLu::analyze(&pat).unwrap();
 
             let mut vals = Vec::new();
             sym.clear_values(&mut vals);
@@ -617,7 +588,7 @@ mod tests {
         ckt.resistor(a, Circuit::GROUND, 1e3);
         let pat = StampPattern::build_transient(&ckt);
         assert!(!pat.unmatched_rows().is_empty());
-        let res = SymbolicLu::analyze(&pat, topology_key(&ckt));
+        let res = SymbolicLu::analyze(&pat);
         assert!(matches!(res, Err(Error::SingularMatrix { .. })));
     }
 
@@ -632,7 +603,7 @@ mod tests {
         ckt.resistor(a, Circuit::GROUND, 1e3);
         ckt.resistor(b, Circuit::GROUND, 1e3);
         let pat = StampPattern::build_transient(&ckt);
-        let sym = SymbolicLu::analyze(&pat, topology_key(&ckt)).unwrap();
+        let sym = SymbolicLu::analyze(&pat).unwrap();
         let mut vals = Vec::new();
         sym.clear_values(&mut vals);
         // Rank-1 values: every pattern cell set to 1.0.
@@ -651,7 +622,7 @@ mod tests {
         let ckt = random_circuit(&mut rng, 6);
         let pat = StampPattern::build_transient(&ckt);
         let n = pat.dim();
-        let sym = SymbolicLu::analyze(&pat, topology_key(&ckt)).unwrap();
+        let sym = SymbolicLu::analyze(&pat).unwrap();
         let mut vals = Vec::new();
         sym.clear_values(&mut vals);
         let mut dense = vec![0.0; n * n];

@@ -5,20 +5,18 @@
 //! and a Monte Carlo study multiplies that by thousands of samples. A
 //! [`SolverWorkspace`] owns every buffer those solves need — the MNA
 //! matrix, RHS, Newton scratch, capacitor companion states, breakpoint
-//! list and the transient double-buffers — so repeated solves reuse both
-//! the allocations and the symbolic stamp layout instead of rebuilding
-//! them per call.
+//! list and the transient double-buffers — and the [`Structure`] of the
+//! topology it solves, so repeated solves reuse both the allocations and
+//! the symbolic stamp layout instead of rebuilding them per call.
 //!
 //! Reuse is allocation-only: the arithmetic performed with a warm
 //! workspace is bit-for-bit identical to a fresh one (asserted by the
-//! `workspace_equivalence` property tests). The one exception trades
-//! bitwise identity for speed, within solver tolerances: the sparse linear
-//! engine, which [`SolverMode`] engages above a crossover dimension
-//! (different elimination order ⇒ different rounding; the `sparse_solver`
-//! tests bound the drift).
+//! `workspace_equivalence` property tests). The linear engine follows the
+//! matrix dimension alone: dense below `SPARSE_CROSSOVER` unknowns,
+//! sparse from it on (a different elimination order, so different
+//! rounding; the `sparse_vs_dense` tests bound the drift).
 
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 use crate::circuit::{Circuit, NodeId};
 use crate::solver::matrix::DenseMatrix;
@@ -27,104 +25,101 @@ use crate::solver::pattern::{topology_key, StampPattern};
 use crate::solver::sparse::SymbolicLu;
 use pulsar_obs::{CancelToken, Counter, Phase, Recorder};
 
-/// Linear-engine selection for a [`SolverWorkspace`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverMode {
-    /// Sparse above the crossover dimension (24 unknowns), dense below
-    /// (the default). Small systems fit the dense kernel's cache
-    /// behavior; large chain-structured systems win from the sparse
-    /// path.
-    #[default]
-    Auto,
-    /// Always dense: the partial-pivot engine every below-crossover
-    /// system already uses, so results match `Auto` on those bit for
-    /// bit.
-    ForceDense,
-    /// Always sparse (when the pattern is structurally sound); used by
-    /// equivalence tests and benchmarks.
-    ForceSparse,
-}
-
-/// Below this many MNA unknowns `SolverMode::Auto` stays dense: the dense
-/// LU replays a structural plan of the stamp pattern (`matrix::LuPlan`),
-/// and for small matrices its linear memory layout beats the sparse
-/// engine's indirection (measured in BENCH_pr4.json). The paper-scale
-/// 7-gate path is 12 unknowns fault-free and 13 under an external ROP
-/// (dense); a 32-stage inverter chain is 36 (sparse).
+/// Below this many MNA unknowns a system solves on the dense engine: the
+/// dense LU replays a structural plan of the stamp pattern
+/// (`matrix::LuPlan`), and for small matrices its linear memory layout
+/// beats the sparse engine's indirection (measured in BENCH_pr4.json). The
+/// paper-scale 7-gate path is 12 unknowns fault-free and 13 under an
+/// external ROP (dense); a 32-stage inverter chain is 36 (sparse).
 const SPARSE_CROSSOVER: usize = 24;
 
-/// `PULSAR_FORCE_DENSE=1` routes every solve through the dense engine
-/// regardless of [`SolverMode`] — the field escape hatch if the sparse
-/// path ever misbehaves. Read once per process.
-fn force_dense_env() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| {
-        std::env::var("PULSAR_FORCE_DENSE")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-    })
+/// What one circuit topology fixes for every solve of it, built once and
+/// shared through an `Arc` by every workspace that solves the topology
+/// (see [`SymbolicCache`]).
+#[derive(Debug)]
+pub(crate) struct Structure {
+    /// Structural fingerprint of the circuit ([`topology_key`]).
+    pub key: u64,
+    /// The transient stamp pattern, a superset of the DC one, so one
+    /// pattern serves both kinds of solve. The dense LU plans over it.
+    pub pattern: StampPattern,
+    /// The linear engine the topology's solves run on.
+    pub engine: Engine,
 }
 
-/// An opaque, shareable handle to a cached symbolic factorization.
+/// The linear engine of one topology, decided by its dimension.
+#[derive(Debug)]
+pub(crate) enum Engine {
+    /// Below the crossover: the dense LU.
+    Dense,
+    /// The sparse LU over this symbolic analysis of the pattern.
+    Sparse(Box<SymbolicLu>),
+    /// Above the crossover, but the pattern is structurally singular: the
+    /// dense LU solves, and reports the `SingularMatrix` error.
+    Singular,
+}
+
+impl Structure {
+    /// Builds the structure of `ckt` (topology `key`), running the sparse
+    /// symbolic analysis when `sparse` is set. Only that analysis is booked
+    /// on `rec`, as one `SymbolicAnalyses` tick under a `SymbolicAnalysis`
+    /// span; a structurally singular pattern also books a dense fallback.
+    fn build(ckt: &Circuit, key: u64, sparse: bool, rec: &Recorder) -> Self {
+        let _span = sparse.then(|| rec.span(Phase::SymbolicAnalysis));
+        let pattern = StampPattern::build_transient(ckt);
+        let engine = if !sparse {
+            Engine::Dense
+        } else {
+            rec.add(Counter::SymbolicAnalyses, 1);
+            match SymbolicLu::analyze(&pattern) {
+                Ok(sym) => Engine::Sparse(Box::new(sym)),
+                Err(_) => {
+                    rec.add(Counter::DenseFallbacks, 1);
+                    Engine::Singular
+                }
+            }
+        };
+        Structure {
+            key,
+            pattern,
+            engine,
+        }
+    }
+
+    /// Whether this structure serves a topology `key` of `nu` unknowns
+    /// whose solves want the sparse engine when `sparse` is set.
+    fn fits(&self, key: u64, nu: usize, sparse: bool) -> bool {
+        self.key == key
+            && self.pattern.dim() == nu
+            && sparse != matches!(self.engine, Engine::Dense)
+    }
+
+    /// The sparse engine's analysis, when the topology's solves run on it.
+    pub fn symbolic(&self) -> Option<&SymbolicLu> {
+        match &self.engine {
+            Engine::Sparse(sym) => Some(sym),
+            Engine::Dense | Engine::Singular => None,
+        }
+    }
+}
+
+/// An opaque, shareable handle to one topology's cached structure: its
+/// stamp pattern and, above the crossover, its sparse symbolic analysis.
 ///
 /// Obtained from [`SolverWorkspace::prime_symbolic`] on one instance of a
 /// circuit topology and installed into sibling workspaces with
-/// [`SolverWorkspace::adopt_symbolic`], so a Monte Carlo study pays for
-/// exactly one symbolic analysis per topology. Cloning shares (never
-/// recomputes) the analysis. The handle remembers the structural
-/// fingerprint of the circuit it was computed for; adopting it into a
-/// workspace that then solves a *different* topology is safe — the
-/// mismatch is detected and a fresh analysis runs.
+/// [`SolverWorkspace::adopt_symbolic`], so a Monte Carlo study builds the
+/// structure exactly once per topology, whichever engine solves it.
+/// Cloning shares (never recomputes) it. The handle remembers the
+/// structural fingerprint of the circuit it was built for; adopting it
+/// into a workspace that then solves a *different* topology is safe — the
+/// mismatch is detected and a fresh structure is built.
 #[derive(Debug, Clone)]
-pub struct SymbolicCache(pub(crate) Arc<SymbolicLu>);
+pub struct SymbolicCache(pub(crate) Arc<Structure>);
 
-impl SymbolicCache {
-    /// Matrix dimension the analysis was computed for.
-    pub fn dim(&self) -> usize {
-        self.0.dim()
-    }
-
-    /// Nonzero count of the assembly (stamp) pattern.
-    pub fn nnz(&self) -> usize {
-        self.0.nnz()
-    }
-
-    /// Nonzero count of the filled `L+U` pattern (≥ `nnz`; the difference
-    /// is the fill the ordering could not avoid).
-    pub fn lu_nnz(&self) -> usize {
-        self.0.lu_nnz()
-    }
-
-    /// Structural fingerprint of the circuit this analysis belongs to.
-    pub fn topology_key(&self) -> u64 {
-        self.0.topo_key
-    }
-
-    /// The fill-reducing row permutation (permuted row → original row).
-    pub fn row_permutation(&self) -> &[usize] {
-        self.0.row_permutation()
-    }
-
-    /// The fill-reducing column permutation (permuted col → original col).
-    pub fn col_permutation(&self) -> &[usize] {
-        self.0.col_permutation()
-    }
-}
-
-/// Sparse-engine state carried by [`SysScratch`]: the cached symbolic
-/// object and the value buffers for assembly and factors.
+/// The sparse engine's value buffers for assembly and factors.
 #[derive(Debug, Default)]
 pub(crate) struct SparseScratch {
-    /// Engine selection for this workspace.
-    pub mode: SolverMode,
-    /// Cached symbolic factorization (shared across samples via `Arc`).
-    pub symbolic: Option<Arc<SymbolicLu>>,
-    /// Topology key whose symbolic analysis failed (structural-rank
-    /// deficit); cached so a singular topology is analyzed once, not per
-    /// solve.
-    pub failed_key: Option<u64>,
-    /// Decision for the current `System`: sparse engine engaged.
-    pub active: bool,
     /// Assembled matrix values over the stamp pattern.
     pub a_vals: Vec<f64>,
     /// Numeric `L+U` values over the filled pattern.
@@ -135,54 +130,9 @@ pub(crate) struct SparseScratch {
     pub y: Vec<f64>,
     /// Newton residual `b − A·x`.
     pub resid: Vec<f64>,
-    /// Newton update `A⁻¹·resid`.
-    pub delta: Vec<f64>,
     /// Initial guess saved across a sparse attempt, so a dense retry
     /// after sparse non-convergence starts from the same point.
     pub x_save: Vec<f64>,
-}
-
-impl SparseScratch {
-    /// Decides whether the sparse engine handles the next solves of `ckt`
-    /// (`nu` MNA unknowns) and, if so, ensures a matching symbolic
-    /// factorization is cached. Called once per `System` construction.
-    /// `rec` is the per-run recorder of the owning workspace.
-    pub fn prepare(&mut self, ckt: &Circuit, nu: usize, rec: &Recorder) -> bool {
-        self.active = false;
-        if force_dense_env() {
-            return false;
-        }
-        let want = match self.mode {
-            SolverMode::ForceDense => false,
-            SolverMode::ForceSparse => true,
-            SolverMode::Auto => nu >= SPARSE_CROSSOVER,
-        };
-        if !want {
-            return false;
-        }
-        let key = topology_key(ckt);
-        let cached = matches!(&self.symbolic, Some(s) if s.topo_key == key && s.dim() == nu);
-        if !cached {
-            if self.failed_key == Some(key) {
-                return false;
-            }
-            let _span = rec.span(Phase::SymbolicAnalysis);
-            let pattern = StampPattern::build_transient(ckt);
-            rec.add(Counter::SymbolicAnalyses, 1);
-            match SymbolicLu::analyze(&pattern, key) {
-                Ok(sym) => self.symbolic = Some(Arc::new(sym)),
-                Err(_) => {
-                    // Structural-rank deficit: remember and let the dense
-                    // engine report the identical SingularMatrix error.
-                    self.failed_key = Some(key);
-                    rec.add(Counter::DenseFallbacks, 1);
-                    return false;
-                }
-            }
-        }
-        self.active = true;
-        true
-    }
 }
 
 /// Scratch for one assembled MNA system: matrix, RHS, Newton update and
@@ -191,8 +141,9 @@ impl SparseScratch {
 pub(crate) struct SysScratch {
     pub matrix: DenseMatrix,
     pub rhs: Vec<f64>,
-    /// Newton update vector, hoisted out of `solve_newton`.
-    pub newton: Vec<f64>,
+    /// Newton update vector of either engine, hoisted out of
+    /// `solve_newton`.
+    pub delta: Vec<f64>,
     /// Element index → branch-current unknown index, for voltage sources.
     pub branch_index: Vec<Option<usize>>,
     /// Per-element hoisted value, indexed by element position: `1/R` for
@@ -209,7 +160,9 @@ pub(crate) struct SysScratch {
     pub cap_ieq: Vec<f64>,
     /// `(h.to_bits(), method)` that `cap_geq` was computed for.
     pub cap_geq_key: Option<(u64, Method)>,
-    /// Sparse-engine state (symbolic cache, assembly and factor values).
+    /// Structure of the topology last solved or adopted.
+    pub structure: Option<Arc<Structure>>,
+    /// Sparse-engine assembly and factor values.
     pub sparse: SparseScratch,
     /// Per-run observability handle; disabled by default, so every
     /// instrumentation call is one `Option` branch.
@@ -218,6 +171,37 @@ pub(crate) struct SysScratch {
     /// the transient step loop. `None` (the default) skips the check
     /// entirely, so uncancellable runs pay one `Option` branch per point.
     pub cancel: Option<CancelToken>,
+    /// Engine override for the tests that compare the two engines on one
+    /// circuit: `Some(true)` solves sparse, `Some(false)` dense.
+    #[cfg(test)]
+    pub force_sparse: Option<bool>,
+}
+
+impl SysScratch {
+    /// The structure of `ckt`, a topology of `nu` unknowns: the installed
+    /// one when it fits, else a new one, which is installed. Called once per
+    /// `System` construction.
+    pub fn structure_for(&mut self, ckt: &Circuit, nu: usize) -> Arc<Structure> {
+        let key = topology_key(ckt);
+        let sparse = self.wants_sparse(nu);
+        match &self.structure {
+            Some(s) if s.fits(key, nu, sparse) => Arc::clone(s),
+            _ => {
+                let s = Arc::new(Structure::build(ckt, key, sparse, &self.recorder));
+                self.structure = Some(Arc::clone(&s));
+                s
+            }
+        }
+    }
+
+    /// Whether a system of `nu` unknowns solves on the sparse engine.
+    fn wants_sparse(&self, nu: usize) -> bool {
+        #[cfg(test)]
+        if let Some(sparse) = self.force_sparse {
+            return sparse;
+        }
+        nu >= SPARSE_CROSSOVER
+    }
 }
 
 /// Scratch for the transient engine: companion states, the capacitive
@@ -265,42 +249,29 @@ impl SolverWorkspace {
         Self::default()
     }
 
-    /// Selects the linear engine for this workspace. The default,
-    /// [`SolverMode::Auto`], switches from dense to sparse at a measured
-    /// crossover dimension. `PULSAR_FORCE_DENSE=1` in the environment
-    /// overrides every mode.
-    pub fn set_solver_mode(&mut self, mode: SolverMode) {
-        self.sys.sparse.mode = mode;
+    /// Builds (or reuses) the structure of `ckt` — its stamp pattern and,
+    /// above the sparse crossover, the sparse symbolic analysis — and
+    /// returns a shareable handle to it. Install the handle into sibling
+    /// workspaces with [`SolverWorkspace::adopt_symbolic`] so a whole study
+    /// builds exactly one structure per topology.
+    pub fn prime_symbolic(&mut self, ckt: &Circuit) -> SymbolicCache {
+        SymbolicCache(self.sys.structure_for(ckt, ckt.unknown_count()))
     }
 
-    /// The currently selected [`SolverMode`].
-    pub fn solver_mode(&self) -> SolverMode {
-        self.sys.sparse.mode
-    }
-
-    /// Runs (or reuses) the symbolic analysis of `ckt` under this
-    /// workspace's engine selection and returns a shareable handle, or
-    /// `None` when the sparse engine would not be used for this circuit
-    /// (mode/crossover/escape hatch) or the pattern is structurally
-    /// singular. Install the handle into sibling workspaces with
-    /// [`SolverWorkspace::adopt_symbolic`] so a whole study performs
-    /// exactly one analysis per topology.
-    pub fn prime_symbolic(&mut self, ckt: &Circuit) -> Option<SymbolicCache> {
-        let rec = self.sys.recorder.clone();
-        if self.sys.sparse.prepare(ckt, ckt.unknown_count(), &rec) {
-            self.sys.sparse.symbolic.clone().map(SymbolicCache)
-        } else {
-            None
-        }
-    }
-
-    /// Installs a symbolic factorization primed elsewhere (see
+    /// Installs a structure primed elsewhere (see
     /// [`SolverWorkspace::prime_symbolic`]). Safe against mismatches: the
     /// handle's structural fingerprint is revalidated before every use, so
     /// adopting a cache for a different topology merely costs a fresh
-    /// analysis.
+    /// structure.
     pub fn adopt_symbolic(&mut self, cache: &SymbolicCache) {
-        self.sys.sparse.symbolic = Some(Arc::clone(&cache.0));
+        self.sys.structure = Some(Arc::clone(&cache.0));
+    }
+
+    /// Forces the linear engine of every later solve: sparse when `sparse`
+    /// is set, dense otherwise, whatever the dimension.
+    #[cfg(test)]
+    pub(crate) fn force_engine(&mut self, sparse: bool) {
+        self.sys.force_sparse = Some(sparse);
     }
 
     /// Installs a per-run [`Recorder`]; every solve through this workspace
@@ -328,5 +299,73 @@ impl SolverWorkspace {
     /// The cancellation token installed on this workspace, if any.
     pub fn cancel_token(&self) -> Option<&CancelToken> {
         self.sys.cancel.as_ref()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used)]
+    use super::*;
+    use crate::{TraceCapture, TranConfig, Waveform};
+
+    /// A pulse-driven RC ladder of `stages` sections: `stages + 2` MNA
+    /// unknowns.
+    fn ladder(stages: usize) -> Circuit {
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        ckt.vsource(
+            vin,
+            Circuit::GROUND,
+            Waveform::single_pulse(0.0, 1.8, 0.1e-9, 50e-12, 50e-12, 200e-12),
+        );
+        let mut prev = vin;
+        for i in 0..stages {
+            let n = ckt.node(format!("t{i}"));
+            ckt.resistor(prev, n, 1e3);
+            ckt.capacitor(n, Circuit::GROUND, 20e-15);
+            prev = n;
+        }
+        ckt
+    }
+
+    /// A primed topology adopted by two workspaces is built once, on either
+    /// engine: both solve on the primed structure, and each one's dense LU
+    /// plans over its shared pattern, so neither builds a pattern of its
+    /// own. Only the sparse analysis is booked.
+    #[test]
+    fn adopted_structure_is_built_once_for_both_engines() {
+        for (stages, sparse) in [(6, false), (30, true)] {
+            let ckt = ladder(stages);
+            assert_eq!(ckt.unknown_count() >= SPARSE_CROSSOVER, sparse);
+            let rec = Recorder::enabled();
+            let mut primer = SolverWorkspace::new();
+            primer.set_recorder(rec.clone());
+            let cache = primer.prime_symbolic(&ckt);
+            assert_eq!(cache.0.symbolic().is_some(), sparse);
+            let workspaces: Vec<SolverWorkspace> = (0..2)
+                .map(|_| {
+                    let mut ws = SolverWorkspace::new();
+                    ws.set_recorder(rec.clone());
+                    ws.adopt_symbolic(&cache);
+                    ckt.transient_with(
+                        &TranConfig::new(10e-12, 0.5e-9),
+                        &mut ws,
+                        &TraceCapture::All,
+                    )
+                    .unwrap();
+                    ws
+                })
+                .collect();
+            for ws in &workspaces {
+                assert!(Arc::ptr_eq(ws.sys.structure.as_ref().unwrap(), &cache.0));
+            }
+            // The handle, the primer's slot, and each workspace's slot and
+            // dense plan: nothing else was built.
+            assert_eq!(Arc::strong_count(&cache.0), 2 + 2 * workspaces.len());
+            let snap = rec.snapshot();
+            assert_eq!(snap.counter(Counter::SymbolicAnalyses), u64::from(sparse));
+            assert_eq!(snap.counter(Counter::SparseSolves) > 0, sparse);
+            assert_eq!(snap.counter(Counter::DenseFallbacks), 0);
+        }
     }
 }

@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 use proptest::strategy::Just;
 use pulsar_analog::{
-    Circuit, DcSolution, Edge, MosType, Mosfet, MosfetParams, NodeId, SolverMode, SolverWorkspace,
+    Circuit, DcSolution, Edge, MosType, Mosfet, MosfetParams, NodeId, SolverWorkspace,
     TraceCapture, TranConfig, Waveform,
 };
 
@@ -195,30 +195,6 @@ proptest! {
         let volts = |op: &DcSolution| bits(&taps.iter().map(|&n| op.voltage(n)).collect::<Vec<_>>());
         prop_assert_eq!(volts(&cold), volts(&reused));
         prop_assert_eq!(volts(&cold), volts(&reused2));
-    }
-
-    /// The sparse engine, forced on, reproduces the dense engine within
-    /// solver tolerance on the same random decks — same time grid, every
-    /// trace pointwise close. (These decks sit below the `Auto` crossover
-    /// dimension, which is exactly why the bitwise tests above stay
-    /// bitwise: `Auto` routes them dense. Forcing sparse here proves the
-    /// other engine solves them too.)
-    #[test]
-    fn forced_sparse_matches_dense_within_tolerance(spec in deck_strategy()) {
-        let (ckt, taps) = build(&spec);
-        let cfg = config();
-        let dense = ckt.transient(&cfg).expect("deck converges");
-        let mut ws = SolverWorkspace::new();
-        ws.set_solver_mode(SolverMode::ForceSparse);
-        let sparse = ckt
-            .transient_with(&cfg, &mut ws, &TraceCapture::All)
-            .expect("sparse engine");
-        prop_assert_eq!(dense.times(), sparse.times());
-        for &n in &taps {
-            for (d, s) in dense.trace(n).values().iter().zip(sparse.trace(n).values()) {
-                prop_assert!((d - s).abs() < 1e-6, "node {:?}: {:e} vs {:e}", n, d, s);
-            }
-        }
     }
 }
 

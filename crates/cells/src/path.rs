@@ -16,8 +16,8 @@ use crate::gates::{CellKind, CmosBuilder, RopSite};
 use crate::tech::Tech;
 use pulsar_analog::{
     delay_floor, propagation_delay, CancelToken, Circuit, Edge, Error, Integrator, NodeId,
-    Polarity, Recorder, SolverMode, SolverWorkspace, SymbolicCache, TraceCapture, TranConfig,
-    TranResult, Until, Waveform,
+    Polarity, Recorder, SolverWorkspace, SymbolicCache, TraceCapture, TranConfig, TranResult,
+    Until, Waveform,
 };
 
 /// Structural description of a path: the gate chain plus per-stage extra
@@ -592,35 +592,22 @@ impl BuiltPath {
         self.step = seconds;
     }
 
-    /// Selects the linear-solver engine used inside Newton iterations for
-    /// this path's workspace-backed simulations: [`SolverMode::Auto`]
-    /// (sparse above the crossover dimension, dense below — the default),
-    /// [`SolverMode::ForceDense`], or [`SolverMode::ForceSparse`].
-    pub fn set_solver_mode(&mut self, mode: SolverMode) {
-        self.workspace.set_solver_mode(mode);
+    /// Builds the solver structure of this path's circuit now — its stamp
+    /// pattern and, above the sparse crossover dimension, the sparse
+    /// symbolic analysis (fill-reducing ordering + elimination structure)
+    /// — and returns a shareable handle to it. Studies prime one instance
+    /// and [`BuiltPath::adopt_symbolic`] the result into every other
+    /// instance of the same topology so the structure is built exactly
+    /// once per topology.
+    pub fn prime_symbolic(&mut self) -> SymbolicCache {
+        self.workspace.prime_symbolic(&self.circuit)
     }
 
-    /// The currently configured solver mode.
-    pub fn solver_mode(&self) -> SolverMode {
-        self.workspace.solver_mode()
-    }
-
-    /// Runs the sparse symbolic analysis (fill-reducing ordering +
-    /// elimination structure) for this path's circuit now, and returns a
-    /// shareable handle to it, or `None` when the sparse path is not
-    /// engaged (below crossover, forced dense, or structurally singular).
-    /// Studies prime one instance and [`BuiltPath::adopt_symbolic`] the
-    /// result into every other instance of the same topology so the
-    /// analysis runs exactly once per topology.
-    pub fn prime_symbolic(&mut self) -> Option<SymbolicCache> {
-        SolverWorkspace::prime_symbolic(&mut self.workspace, &self.circuit)
-    }
-
-    /// Installs a symbolic factorization produced by
+    /// Installs a solver structure produced by
     /// [`BuiltPath::prime_symbolic`] on another instance of the *same*
     /// circuit topology. Adopting a cache whose topology key does not
-    /// match this path's circuit is safe — it is simply re-analyzed on
-    /// first use.
+    /// match this path's circuit is safe — the structure is simply
+    /// rebuilt on first use.
     pub fn adopt_symbolic(&mut self, cache: &SymbolicCache) {
         self.workspace.adopt_symbolic(cache);
     }

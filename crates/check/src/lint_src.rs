@@ -34,6 +34,7 @@ use std::path::{Path, PathBuf};
 pub const HOT_PATHS: &[&str] = &[
     "crates/analog/src/solver/matrix.rs",
     "crates/analog/src/solver/mna.rs",
+    "crates/analog/src/solver/sparse.rs",
     "crates/analog/src/waveform.rs",
     "crates/mc/src/adaptive.rs",
 ];

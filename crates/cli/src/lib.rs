@@ -611,8 +611,8 @@ fn cmd_sim(args: &[String], token: &CancelToken) -> Result<String, CliError> {
     if has_flag(args, "--stats") {
         // Counters scoped to this run's recorder — concurrent runs in the
         // same process no longer bleed into each other. Which engine ran
-        // depends on the MNA dimension (`Auto` crossover) and the
-        // PULSAR_FORCE_DENSE environment override.
+        // depends on the MNA dimension alone: sparse from 24 unknowns on,
+        // dense below (and as the fallback of a failed sparse solve).
         let _ = writeln!(
             out,
             "solver stats: {} sparse solves ({} symbolic analyses, {} numeric factorizations), \

@@ -189,14 +189,14 @@ fn lint_preflight(put: &PathUnderTest, r_values: Option<&[f64]>) -> Result<(), C
 }
 
 /// Readies one sample attempt's instance: the runner's recorder and
-/// cancel token, the run's symbolic factorization, and on retries the
+/// cancel token, the run's solver structure, and on retries the
 /// escalation ladder. The jitter scale is drawn
 /// from the sample's RNG *after* all instance draws, and only on retries —
 /// first attempts consume exactly the legacy stream, so their results stay
 /// bit-identical to non-resilient runs.
 fn ready(
     p: &mut AnalogPath,
-    symbolic: &Option<SymbolicCache>,
+    symbolic: &SymbolicCache,
     attempt: u32,
     rng: &mut StdRng,
     rec: &Recorder,
@@ -204,21 +204,19 @@ fn ready(
 ) {
     p.set_recorder(rec.clone());
     p.set_cancel(token.clone());
-    if let Some(c) = symbolic {
-        p.built_path().adopt_symbolic(c);
-    }
+    p.built_path().adopt_symbolic(symbolic);
     if attempt > 1 {
         let step_scale = 0.7 + 0.25 * rng.random::<f64>();
         p.harden(attempt - 1, step_scale);
     }
 }
 
-/// The symbolic factorization a run's samples adopt: one analysis of the
-/// nominal instance `build` makes, booked on the run's recorder. Process
-/// variation and sweep resistances change element *values*, never the
-/// stamp pattern, so one analysis per Monte Carlo run suffices. `None`
-/// when the sparse path is not engaged for this circuit.
-fn prime(mc: &McConfig, build: impl FnOnce() -> AnalogPath) -> Option<SymbolicCache> {
+/// The solver structure a run's samples adopt, for either linear engine:
+/// built once on the nominal instance `build` makes, with its sparse
+/// analysis (if any) booked on the run's recorder. Process variation and
+/// sweep resistances change element *values*, never the stamp pattern, so
+/// one structure per Monte Carlo run suffices.
+fn prime(mc: &McConfig, build: impl FnOnce() -> AnalogPath) -> SymbolicCache {
     let mut p = build();
     p.set_recorder(mc.obs.clone());
     p.built_path().prime_symbolic()

@@ -738,6 +738,49 @@ fn campaign_checkpoint_from_the_bisection_search_is_refused() {
     }
 }
 
+/// A record nested deeper than any parser stack could follow is a torn
+/// tail: the records before it load, and the run redoes the rest.
+#[test]
+fn deeply_nested_record_is_a_torn_tail() {
+    let mc = McConfig {
+        threads: Some(1),
+        ..McConfig::paper(8, 11)
+    };
+    let spec = synth_spec(8, 11);
+    let path = fresh_ckpt("nested");
+    {
+        let ck = Checkpoint::create(&path, spec).expect("create");
+        mc.try_run_samples_durable("soak", &CancelToken::new(), Some(&ck), |_, _, rng, _, _| {
+            Ok(synth(rng))
+        })
+        .expect("checkpointed run");
+    }
+    let clean = std::fs::read_to_string(&path).expect("read");
+    let lines: Vec<&str> = clean.lines().collect();
+    let kept = 3;
+    let text = format!(
+        "{}\n{{\"kind\":\"sample-done\",\"value\":{}\n{}\n",
+        lines[..=kept].join("\n"),
+        "[".repeat(1_000_000),
+        lines[kept + 1..].join("\n")
+    );
+    std::fs::write(&path, text).expect("write");
+    let ck = Checkpoint::open(&path, spec).expect("open");
+    assert_eq!(
+        ck.resumed_count(),
+        kept,
+        "the records before the nested one"
+    );
+    let resumed = mc
+        .try_run_samples_durable("soak", &CancelToken::new(), Some(&ck), |_, _, rng, _, _| {
+            Ok(synth(rng))
+        })
+        .expect("resumed run");
+    assert!(resumed.is_complete());
+    assert_eq!(resumed.completeness.resumed, kept);
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Resuming compacts the file only when compaction changes its bytes. A
 /// clean checkpoint keeps its inode and leaves no temporary file; a torn
 /// tail, swapped records or a torn header are still rewritten (a rename

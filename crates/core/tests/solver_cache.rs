@@ -15,7 +15,7 @@ use pulsar_obs::{Counter, Recorder};
 #[test]
 fn study_runs_exactly_one_symbolic_analysis_per_topology() {
     // 32 stages → 36 MNA unknowns, above the sparse crossover, so
-    // SolverMode::Auto engages the sparse engine without any forcing.
+    // the engine follows the dimension and solves it sparse.
     let put = PathUnderTest {
         spec: PathSpec::inverter_chain(32),
         defect: DefectKind::ExternalRop,

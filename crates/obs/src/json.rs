@@ -88,16 +88,24 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the bound keeps a hostile line (a serve request, a
+/// checkpoint record) from overflowing the stack of the thread parsing it;
+/// every document this repository writes nests a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message with a byte offset when the input is
-/// not valid JSON or has trailing content.
+/// not valid JSON, has trailing content, or nests arrays and objects
+/// deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -111,6 +119,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -151,6 +161,10 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
@@ -229,10 +243,12 @@ impl Parser<'_> {
 
     fn array(&mut self) -> Result<Json, String> {
         self.expect(b'[')?;
+        self.depth += 1;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Arr(items));
         }
         loop {
@@ -243,6 +259,7 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Arr(items));
                 }
                 _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
@@ -252,10 +269,12 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Json, String> {
         self.expect(b'{')?;
+        self.depth += 1;
         let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Obj(pairs));
         }
         loop {
@@ -271,6 +290,7 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Obj(pairs));
                 }
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
@@ -381,6 +401,21 @@ mod tests {
             ]))
         );
         assert_eq!(doc.get("b").unwrap().get("c"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = "[".repeat(1_000_000);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let over = format!(
+            "{}{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&over).is_err());
     }
 
     #[test]

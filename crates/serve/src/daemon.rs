@@ -22,7 +22,7 @@
 //! and returns a [`ServeSummary`].
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -325,20 +325,44 @@ fn settle(inner: &DaemonInner, job: &Job, state: JobState) {
     job.finish(state);
 }
 
+/// Longest request line a connection handler reads, in bytes. It is far
+/// above any inline ISCAS-85 netlist (c7552, the largest, is well under
+/// 1 MB of text) and bounds what one client can make the daemon allocate.
+pub const MAX_REQUEST_LINE: usize = 4 << 20;
+
 fn handle_connection(stream: UnixStream, inner: &Arc<DaemonInner>) {
     let Ok(reader_half) = stream.try_clone() else {
         return;
     };
     let mut writer = stream;
-    let reader = BufReader::new(reader_half);
-    for line in reader.lines() {
-        let Ok(line) = line else {
+    let mut reader = BufReader::new(reader_half);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // The line keeps its newline, which the JSON parser skips as
+        // whitespace.
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) if n == limit as usize && buf.last() != Some(&b'\n') => {
+                // The rest of the line stays unread, so the connection
+                // cannot go on: answer, then close it.
+                let oversize = Response::Error {
+                    kind: "malformed".to_owned(),
+                    message: format!("request line longer than {MAX_REQUEST_LINE} bytes"),
+                };
+                write_line(&mut writer, &oversize);
+                return;
+            }
+            Ok(_) => {}
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
             return;
         };
         if line.trim().is_empty() {
             continue;
         }
-        let reply_ok = match Request::parse(&line) {
+        let reply_ok = match Request::parse(line) {
             Ok(req) => respond(&req, inner, &mut writer),
             Err(e) => write_line(
                 &mut writer,

@@ -43,7 +43,7 @@ pub mod spec;
 
 pub use cache::{CacheOutcome, CachedResult, DigestCache, ServeCaches};
 pub use client::{Client, ClientError};
-pub use daemon::{Daemon, ServeConfig, ServeSummary};
+pub use daemon::{Daemon, ServeConfig, ServeSummary, MAX_REQUEST_LINE};
 pub use fill::{Claim, FillOrderings, FillSlot, FILL_ORDERINGS};
 pub use job::{Job, JobOutcome, JobState, JobTable};
 pub use proto::{Request, RequestError, Response};

@@ -1,7 +1,7 @@
 //! End-to-end daemon tests over a real Unix socket: whole-result cache
 //! hits with zero transient solves (asserted via the obs counters),
 //! calibration reuse across resweeps, malformed-line handling that keeps
-//! the connection open, busy backpressure, cancel, stream, per-tenant
+//! the connection open, deeply nested and oversize lines, busy backpressure, cancel, stream, per-tenant
 //! failure budgets, and a drain/restart cycle that resumes a checkpointed
 //! job bit-identically.
 
@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use pulsar_obs::json::{self, Json};
-use pulsar_serve::{Client, Daemon, JobSpec, ServeConfig, StudyKind};
+use pulsar_serve::{Client, Daemon, JobSpec, ServeConfig, StudyKind, MAX_REQUEST_LINE};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("pulsar-serve-e2e-{tag}-{}", std::process::id()));
@@ -189,6 +189,64 @@ fn malformed_line_gets_typed_error_and_connection_survives() {
         .expect("write");
     reader.read_line(&mut line).expect("read");
     assert!(line.contains("\"unknown-job\""), "got: {line}");
+
+    drop(writer);
+    let mut c = Client::connect(daemon.socket()).expect("connect");
+    c.shutdown().expect("shutdown");
+    daemon.join().expect("join");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn nested_and_oversize_lines_get_errors_and_the_daemon_keeps_serving() {
+    let dir = tmp_dir("hostile");
+    let daemon = Daemon::start(ServeConfig::new(dir.join("d.sock"))).expect("start daemon");
+    use std::io::{BufRead, BufReader, Write};
+    let connect = || {
+        let stream = std::os::unix::net::UnixStream::connect(daemon.socket()).expect("connect raw");
+        (BufReader::new(stream.try_clone().expect("clone")), stream)
+    };
+    let stats_answers = |reader: &mut BufReader<_>, writer: &mut std::os::unix::net::UnixStream| {
+        let mut line = String::new();
+        writer.write_all(b"{\"op\":\"stats\"}\n").expect("write");
+        reader.read_line(&mut line).expect("read");
+        assert!(
+            line.contains("\"ok\":true") && line.contains("\"op\":\"stats\""),
+            "got: {line}"
+        );
+    };
+
+    // Nesting deep enough to overflow a recursive parser's stack is a
+    // typed error, and the connection keeps serving.
+    let (mut reader, mut writer) = connect();
+    let mut line = String::new();
+    writer
+        .write_all(format!("{}\n", "[".repeat(20_000)).as_bytes())
+        .expect("write");
+    reader.read_line(&mut line).expect("read");
+    assert!(
+        line.contains("\"ok\":false") && line.contains("\"malformed\""),
+        "a deeply nested line must get a typed error, got: {line}"
+    );
+    stats_answers(&mut reader, &mut writer);
+
+    // An oversize line is answered and its connection closed; the daemon
+    // serves the next one. The write may fail part-way once the daemon
+    // has stopped reading.
+    let (mut reader, mut writer) = connect();
+    let mut big = vec![b'x'; MAX_REQUEST_LINE + 1];
+    big.push(b'\n');
+    let _ = writer.write_all(&big);
+    line.clear();
+    reader.read_line(&mut line).expect("read");
+    assert!(
+        line.contains("\"ok\":false") && line.contains("\"malformed\""),
+        "an oversize line must get a typed error, got: {line}"
+    );
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).expect("read"), 0, "closed");
+    let (mut reader, mut writer) = connect();
+    stats_answers(&mut reader, &mut writer);
 
     drop(writer);
     let mut c = Client::connect(daemon.socket()).expect("connect");
