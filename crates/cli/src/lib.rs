@@ -40,8 +40,8 @@ use pulsar_analog::{
 };
 use pulsar_core::{
     all_branch_faults, campaign_digest_repr, fault_simulate, plan_for_site, AdaptivePolicy,
-    AdaptiveReport, CalibratedStudy, Campaign, CoverageCurve, McConfig, Plan, PulsePattern,
-    ResilienceConfig, SiteOutcome, StudyKind, StudyRequest, TestgenConfig,
+    AdaptiveReport, CalibratedStudy, Campaign, Checkpoint, CoverageCurve, McConfig, Plan,
+    PulsePattern, ResilienceConfig, SiteOutcome, StudyKind, StudyRequest, TestgenConfig,
 };
 use pulsar_logic::parse_iscas85;
 use pulsar_obs::{
@@ -216,7 +216,8 @@ serve flags (client operations):
                      the job fails)
   --tenant NAME      attribute the job to a tenant for budget accounting
   --deadline SECONDS per-job wall-clock deadline
-  --failure-budget F per-job tolerated site-failure fraction (0..=1)
+  --failure-budget F a study job's tolerated sample-failure fraction
+                     (0..=1); a campaign records failed sites instead
   --wait/--status/--cancel/--stream JOB
                      block on / report / cancel / follow the journal of
                      a job by id; --stats and --shutdown take no value
@@ -794,11 +795,11 @@ fn cmd_campaign(args: &[String], token: &CancelToken) -> Result<String, CliError
         ..Campaign::default()
     };
     let lib = TimingLibrary::generic();
-    let report = match checkpoint_path {
-        Some(p) => campaign.resume_from(&nl, &lib, token, std::path::Path::new(p)),
-        None => campaign.run_durable(&nl, &lib, token, None),
-    }
-    .map_err(|e| CliError::run_err("campaign", &e))?;
+    let report = checkpoint_path
+        .map(|p| Checkpoint::open(std::path::Path::new(p), campaign.checkpoint_spec(&nl)))
+        .transpose()
+        .and_then(|ck| campaign.run_durable(&nl, &lib, token, ck.as_ref()))
+        .map_err(|e| CliError::run_err("campaign", &e))?;
 
     let mut out = report.render_report(&nl, checkpoint_path);
     if rec.is_enabled() {

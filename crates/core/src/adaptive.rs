@@ -46,7 +46,7 @@
 //! `(sample, column)` decisions.
 
 use crate::checkpoint::Checkpoint;
-use crate::durable::{run_cancelled, run_samples, Completeness};
+use crate::durable::{run_cancelled, run_samples, settle_failures, Completeness};
 use crate::error::CoreError;
 use crate::resilience::FailureReport;
 use crate::study::{CoverageCurve, McConfig};
@@ -747,19 +747,12 @@ pub(crate) fn run_adaptive(
         }
     }
 
-    let failures = FailureReport::from_indexed(
+    let failures = settle_failures(
         state.outcomes.iter().map(|(i, o)| (*i, o)),
         state.outcomes.len(),
         mc.resilience.failure_budget,
-    );
-    if failures.exceeds_budget() {
-        return Err(CoreError::FailureBudgetExceeded {
-            report: Box::new(failures),
-        });
-    }
-    if let Some(ck) = checkpoint {
-        ck.ensure_healthy()?;
-    }
+        checkpoint,
+    )?;
 
     let fixed_budget_evals = ncols as u64 * max as u64;
     mc.obs.add(

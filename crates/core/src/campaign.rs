@@ -6,13 +6,13 @@
 //! paper's conclusion points to.
 
 use crate::checkpoint::{decode_f64, encode_f64, Checkpoint, CheckpointSpec, CheckpointValue};
-use crate::durable::{Completeness, Watchdog};
+use crate::durable::{resolve, Completeness};
 use crate::error::CoreError;
-use crate::resilience::{error_kind, is_run_cancelled, ResilienceConfig};
+use crate::resilience::{error_kind, ResilienceConfig};
 use crate::testgen::{PathTestPlan, SitePlanner, TestgenConfig, R_REL_TOL};
 use pulsar_analog::{FaultPlan, Polarity};
 use pulsar_logic::{collapsed_fault_sites, GateId, InputVector, Netlist, Path, PathStep, SignalId};
-use pulsar_mc::{MonteCarlo, RunHooks, SampleOutcome, Summary};
+use pulsar_mc::{MonteCarlo, SampleOutcome, Summary};
 use pulsar_obs::json::{json_str, Json};
 use pulsar_obs::{config_digest, CancelToken, Counter as ObsCounter, Event, Phase, Recorder};
 use pulsar_timing::TimingLibrary;
@@ -63,10 +63,12 @@ pub struct Campaign {
     /// enabled, it times site enumeration, counts per-site outcomes, and
     /// journals one `"site"` event per probed site.
     pub obs: Recorder,
-    /// Resilience knobs honored by every entry point ([`Campaign::run`],
-    /// [`Campaign::run_durable`], [`Campaign::resume_from`]): `deadline`
-    /// truncates the run at a site boundary, `contain_panics` converts a
-    /// panicking site into a [`SiteOutcome::Failed`].
+    /// Resilience knobs honored by both entry points ([`Campaign::run`],
+    /// [`Campaign::run_durable`]): `deadline` truncates the run at a site
+    /// boundary, `contain_panics` converts a panicking site into a
+    /// [`SiteOutcome::Failed`]. A site gets one attempt and no per-site
+    /// timeout, so `max_attempts` and `sample_timeout` do not apply, and
+    /// failed sites are recorded, so neither does `failure_budget`.
     pub resilience: ResilienceConfig,
 }
 
@@ -105,15 +107,6 @@ pub enum SitePlanRecord {
     Planned(PathTestPlan),
     /// No path through the site could be sensitized.
     Unsensitizable,
-}
-
-impl SitePlanRecord {
-    fn into_site_outcome(self) -> SiteOutcome {
-        match self {
-            SitePlanRecord::Planned(p) => SiteOutcome::Planned(p),
-            SitePlanRecord::Unsensitizable => SiteOutcome::Unsensitizable,
-        }
-    }
 }
 
 /// Decodes the `"planned"` shape; `None` on any mismatch.
@@ -455,16 +448,6 @@ impl Campaign {
         sites.into_iter().step_by(self.stride.max(1)).collect()
     }
 
-    fn worker_threads(&self, sites: usize) -> usize {
-        self.threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|t| t.get())
-                    .unwrap_or(1)
-            })
-            .min(sites.max(1))
-    }
-
     /// Emits one `"site"` journal event and bumps the per-outcome counter.
     fn journal_site(&self, i: usize, site: SignalId, o: &SiteOutcome) {
         let mut ev = Event::new("site", i);
@@ -524,7 +507,9 @@ impl Campaign {
     /// A cancelled or deadline-cut run returns the sites it finished —
     /// [`CampaignReport::completeness`] says how many and why it stopped —
     /// and the checkpoint (when given) holds everything needed to resume.
-    /// An uninterrupted durable run is identical to [`Campaign::run`]
+    /// Open it with [`Checkpoint::open`] under [`Campaign::checkpoint_spec`]:
+    /// the same call starts a fresh durable run and resumes an interrupted
+    /// one. An uninterrupted durable run is identical to [`Campaign::run`]
     /// outcome-for-outcome ([`Campaign::run`] is this call without a
     /// checkpoint).
     ///
@@ -545,48 +530,32 @@ impl Campaign {
         let sites = self.probed_sites(nl);
         drop(setup_span);
         if let Some(c) = checkpoint {
-            if *c.spec() != self.spec_for(&sites) {
-                return Err(CoreError::Checkpoint {
-                    reason: format!(
-                        "checkpoint {} was opened under a different campaign spec",
-                        c.path().display()
-                    ),
-                });
-            }
+            c.expect_spec(&self.spec_for(&sites))?;
         }
 
-        let driver = MonteCarlo::new(sites.len(), 0).with_threads(self.worker_threads(sites.len()));
-        // Deadline only: site planning is logic-level with no inner
-        // cancellation point, so a per-site timeout could never fire.
-        let watchdog = Watchdog::new(run_token.clone(), self.resilience.deadline, None);
-
+        let driver = MonteCarlo::new(sites.len(), 0);
+        let driver = self.threads.map_or(driver, |t| driver.with_threads(t));
+        // One attempt per site, and a deadline-only watchdog: site
+        // planning is deterministic and logic-level, with no inner
+        // cancellation point, so neither a retry nor a per-site timeout
+        // could change anything.
+        let resilience = ResilienceConfig {
+            max_attempts: 1,
+            sample_timeout: None,
+            ..self.resilience.clone()
+        };
         // One planner per run: every site shares its per-path memo, which
         // goes when the run returns (DESIGN.md §5.14).
         let planner = SitePlanner::new(nl, lib, &self.cfg)?;
-        let prior = |i: usize| checkpoint.and_then(|c| c.prior().get(&i).cloned());
-        let on_done = |i: usize, o: &SampleOutcome<SitePlanRecord, CoreError>| {
-            if let Some(c) = checkpoint {
-                c.record(i, driver.stream_seed(i), o);
-            }
-        };
-        let contain = |message: String| CoreError::Panic { message };
-        let hooks = RunHooks {
-            prior: Some(&prior),
-            on_done: Some(&on_done),
-            cancel: Some(run_token),
-            contain_panics: if self.resilience.contain_panics {
-                Some(&contain)
-            } else {
-                None
-            },
-        };
-        let raw = driver.try_run_range_resumed(
+        let journal = self.obs.is_enabled();
+        let slots = resolve(
+            &driver,
+            &resilience,
+            0..sites.len(),
             0,
-            driver.samples(),
-            1,
-            |_: &CoreError| false,
-            hooks,
-            |i, _attempt, _rng| {
+            run_token,
+            checkpoint,
+            |i, _attempt, _rng, _token| {
                 // A planned fault for this probed-site index fails it
                 // here: campaign planning is logic-level and never reaches
                 // the analog solver, so the plan is honored at this level.
@@ -601,69 +570,34 @@ impl Campaign {
                     Err(e) => Err(e),
                 }
             },
+            |i, o, cancelled| {
+                let outcome = match o {
+                    SampleOutcome::Ok(rec) | SampleOutcome::Recovered { value: rec, .. } => {
+                        match rec {
+                            SitePlanRecord::Planned(p) => SiteOutcome::Planned(p),
+                            SitePlanRecord::Unsensitizable => SiteOutcome::Unsensitizable,
+                        }
+                    }
+                    SampleOutcome::Failed { error, .. } => SiteOutcome::Failed(error),
+                };
+                if journal && !cancelled {
+                    self.journal_site(i, sites[i], &outcome);
+                }
+                outcome
+            },
         );
-        drop(watchdog);
         self.obs
             .add(ObsCounter::ModelEvaluations, planner.model_evaluations());
-
-        let resumed = checkpoint.map_or(0, |c| {
-            (0..raw.len())
-                .filter(|i| raw[*i].is_some() && c.prior().contains_key(i))
-                .count()
-        });
-        let requested = sites.len();
-        let mut done_sites: Vec<(SignalId, SiteOutcome)> = Vec::with_capacity(requested);
-        for (i, slot) in raw.into_iter().enumerate() {
-            let outcome = match slot {
-                None => None,
-                Some(SampleOutcome::Failed { error, .. }) if is_run_cancelled(&error) => None,
-                Some(SampleOutcome::Ok(rec))
-                | Some(SampleOutcome::Recovered { value: rec, .. }) => {
-                    Some(rec.into_site_outcome())
-                }
-                Some(SampleOutcome::Failed { error, .. }) => Some(SiteOutcome::Failed(error)),
-            };
-            if let Some(o) = outcome {
-                if self.obs.is_enabled() {
-                    self.journal_site(i, sites[i], &o);
-                }
-                done_sites.push((sites[i], o));
-            }
-        }
         if let Some(c) = checkpoint {
             c.ensure_healthy()?;
         }
-        let completeness = Completeness {
-            requested,
-            done: done_sites.len(),
-            resumed,
-            // A cancellation that landed after the last site resolved (or
-            // when every site was restored from the checkpoint) truncated
-            // nothing: the campaign is complete.
-            truncated: (done_sites.len() < requested)
-                .then(|| run_token.cancelled().map(|r| r.label()))
-                .flatten(),
-        };
+        let completeness = Completeness::of(&slots, checkpoint, run_token);
+        let done_sites = sites
+            .into_iter()
+            .zip(slots)
+            .filter_map(|(site, slot)| Some((site, slot?)))
+            .collect();
         Ok(CampaignReport::from_parts(done_sites, completeness))
-    }
-
-    /// Opens (or creates) the checkpoint at `path` for this campaign over
-    /// `nl` and runs durably against it — the one-call version of
-    /// [`Campaign::checkpoint_spec`] + [`Checkpoint::open`] +
-    /// [`Campaign::run_durable`], and the CLI's `--resume` semantics.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Campaign::run_durable`].
-    pub fn resume_from(
-        &self,
-        nl: &Netlist,
-        lib: &TimingLibrary,
-        run_token: &CancelToken,
-        path: &std::path::Path,
-    ) -> Result<CampaignReport, CoreError> {
-        let ck = Checkpoint::open(path, self.checkpoint_spec(nl))?;
-        self.run_durable(nl, lib, run_token, Some(&ck))
     }
 }
 
@@ -919,8 +853,9 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() * 2 / 3]).unwrap();
 
+        let ck = Checkpoint::open(&path, spec).unwrap();
         let resumed = campaign
-            .resume_from(&nl, &lib, &CancelToken::new(), &path)
+            .run_durable(&nl, &lib, &CancelToken::new(), Some(&ck))
             .unwrap();
         assert_eq!(report_fingerprints(&full), report_fingerprints(&resumed));
         assert!(

@@ -347,11 +347,6 @@ impl<T: CheckpointValue> Checkpoint<T> {
         &self.path
     }
 
-    /// The spec this checkpoint was opened under.
-    pub fn spec(&self) -> &CheckpointSpec {
-        &self.spec
-    }
-
     /// Checks that this checkpoint was opened for the run `want`
     /// identifies — the guard a study runs before it restores a record,
     /// so a checkpoint of another experiment (or of the same sweep with

@@ -1,18 +1,20 @@
-//! Durable-run machinery shared by the studies and campaigns: the one
-//! Monte Carlo sample loop every study entry point runs on
-//! ([`run_samples`]), the wall-clock watchdog behind
+//! Durable-run machinery shared by the studies and campaigns. One
+//! durability core, [`resolve`], runs every durable loop — study samples
+//! and campaign sites alike: the wall-clock watchdog behind
 //! [`ResilienceConfig::deadline`] / [`ResilienceConfig::sample_timeout`],
-//! and the completeness accounting a truncated run reports instead of
-//! throwing its partial result away.
-//!
-//! [`ResilienceConfig::deadline`]: crate::ResilienceConfig
-//! [`ResilienceConfig::sample_timeout`]: crate::ResilienceConfig
+//! the checkpoint and cancel hooks, panic containment and the retry
+//! ladder. On top of it sit the study sample loop ([`run_samples`]), the
+//! completeness rule a truncated run reports instead of throwing its
+//! partial result away ([`Completeness::of`]), and the studies'
+//! failure-budget epilogue ([`settle_failures`]).
 
 use crate::checkpoint::{Checkpoint, CheckpointValue};
 use crate::error::CoreError;
-use crate::resilience::{error_kind, is_retryable, is_run_cancelled, FailureReport};
+use crate::resilience::{
+    error_kind, is_retryable, is_run_cancelled, FailureReport, ResilienceConfig,
+};
 use crate::study::McConfig;
-use pulsar_mc::{RunHooks, SampleOutcome};
+use pulsar_mc::{MonteCarlo, RunHooks, SampleOutcome};
 use pulsar_obs::{CancelReason, CancelToken, Counter as ObsCounter, Event, Phase, Recorder};
 use rand::rngs::StdRng;
 use std::collections::HashMap;
@@ -21,21 +23,89 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// The durability core: resolves items `range` of `driver` under every
+/// [`ResilienceConfig`] budget, with checkpoint records at `offset + i`,
+/// and returns one slot per item in index order — `None` where run
+/// cancellation (interrupt or deadline) cut the item short, which is
+/// *not done* rather than failed. `f` gets the attempt's watchdog token;
+/// `finish(i, outcome, cancelled)` then turns every outcome, in index
+/// order and run-cancelled ones included, into the caller's item.
+#[allow(clippy::too_many_arguments)] // one core, two callers
+pub(crate) fn resolve<T, U, F, G>(
+    driver: &MonteCarlo,
+    resilience: &ResilienceConfig,
+    range: Range<usize>,
+    offset: usize,
+    run_token: &CancelToken,
+    checkpoint: Option<&Checkpoint<T>>,
+    f: F,
+    mut finish: G,
+) -> Vec<Option<U>>
+where
+    T: Send + Sync + Clone + CheckpointValue,
+    F: Fn(usize, u32, &mut StdRng, &CancelToken) -> Result<T, CoreError> + Sync,
+    G: FnMut(usize, SampleOutcome<T, CoreError>, bool) -> U,
+{
+    let watchdog = Watchdog::new(
+        run_token.clone(),
+        resilience.deadline,
+        resilience.sample_timeout,
+    );
+    let prior = |i: usize| checkpoint.and_then(|c| c.prior().get(&(offset + i)).cloned());
+    let on_done = |i: usize, o: &SampleOutcome<T, CoreError>| {
+        if let Some(c) = checkpoint {
+            c.record(offset + i, driver.stream_seed(i), o);
+        }
+    };
+    let contain = |message: String| CoreError::Panic { message };
+    let hooks = RunHooks {
+        prior: Some(&prior),
+        on_done: Some(&on_done),
+        cancel: Some(run_token),
+        contain_panics: if resilience.contain_panics {
+            Some(&contain)
+        } else {
+            None
+        },
+    };
+    let raw = driver.try_run_range_resumed(
+        range.start,
+        range.end,
+        resilience.max_attempts,
+        is_retryable,
+        hooks,
+        |i, attempt, rng| {
+            let (token, _guard) = watchdog.attempt(i);
+            f(i, attempt, rng, &token)
+        },
+    );
+    // Stop the watchdog before the caller's accounting so a deadline
+    // cannot fire between its done count and its truncation label.
+    drop(watchdog);
+    (range.start..)
+        .zip(raw)
+        .map(|(i, slot)| {
+            let o = slot?;
+            let cancelled = matches!(
+                &o,
+                SampleOutcome::Failed { error, .. } if is_run_cancelled(error)
+            );
+            let item = finish(i, o, cancelled);
+            (!cancelled).then_some(item)
+        })
+        .collect()
+}
+
 /// The Monte Carlo sample loop under every study entry point — fixed,
-/// durable and adaptive alike. Resolves stream samples `range` of `mc`'s
-/// driver and returns one slot per sample in index order: `None` where run
-/// cancellation (interrupt or deadline) cut the sample short, which is
-/// *not done* rather than failed.
-///
-/// Per sample it forks a private recorder, arms the test fault plan, opens
-/// the [`Phase::McSample`] span and hands `f` the attempt's watchdog token,
-/// honouring every [`ResilienceConfig`](crate::ResilienceConfig) budget.
+/// durable and adaptive alike: [`resolve`] over stream samples `range`
+/// of `mc`'s driver, where each sample forks a private recorder, arms the
+/// test fault plan and opens the [`Phase::McSample`] span around `f`.
 /// Checkpoint records live at `offset + i` — the adaptive refinement pass
 /// runs at `offset = max_samples` so its records never collide with the
-/// first pass — and so do the `"sample"` journal events, labelled `label`,
-/// which carry the stream seed of `i`, attempts, escalation rung, outcome
-/// and that sample's non-zero counters. With a disabled recorder the
-/// journal is inert.
+/// first pass — and so do the `"sample"` journal events, labelled
+/// `label`, which carry the stream seed of `i`, attempts, escalation
+/// rung, outcome and that sample's non-zero counters. With a disabled
+/// recorder the journal is inert.
 pub(crate) fn run_samples<T, F>(
     mc: &McConfig,
     label: &str,
@@ -51,102 +121,87 @@ where
 {
     let driver = mc.driver();
     let plan = mc.fault_plan.clone().unwrap_or_default();
-    let watchdog = Watchdog::new(
-        run_token.clone(),
-        mc.resilience.deadline,
-        mc.resilience.sample_timeout,
-    );
     // Fork on the main thread so shard creation order is deterministic
     // regardless of worker scheduling.
     let lo = range.start;
     let recs: Vec<Recorder> = range.clone().map(|_| mc.obs.fork()).collect();
-    let prior = |i: usize| checkpoint.and_then(|c| c.prior().get(&(offset + i)).cloned());
-    let on_done = |i: usize, o: &SampleOutcome<T, CoreError>| {
-        if let Some(c) = checkpoint {
-            c.record(offset + i, driver.stream_seed(i), o);
-        }
-    };
-    let contain = |message: String| CoreError::Panic { message };
-    let hooks = RunHooks {
-        prior: Some(&prior),
-        on_done: Some(&on_done),
-        cancel: Some(run_token),
-        contain_panics: if mc.resilience.contain_panics {
-            Some(&contain)
-        } else {
-            None
-        },
-    };
-    let raw = driver.try_run_range_resumed(
-        lo,
-        range.end,
-        mc.resilience.max_attempts,
-        is_retryable,
-        hooks,
-        |i, attempt, rng| {
+    let journal = mc.obs.is_enabled();
+    let outcomes = resolve(
+        &driver,
+        &mc.resilience,
+        range,
+        offset,
+        run_token,
+        checkpoint,
+        |i, attempt, rng, token| {
             let rec = &recs[i - lo];
             let _span = rec.span(Phase::McSample);
             // Inert unless a test installed a plan naming sample `i`.
             let _fault = plan.arm(i, attempt);
-            let (token, _guard) = watchdog.attempt(i);
-            f(i, attempt, rng, rec, &token)
+            f(i, attempt, rng, rec, token)
         },
-    );
-    // Stop the watchdog before the caller's accounting so a deadline
-    // cannot fire between its done count and its truncation label.
-    drop(watchdog);
-
-    // Journal every sample that produced an outcome, then strip the
-    // run-cancelled ones to `None`: they were interrupted, not failed.
-    let journal = mc.obs.is_enabled();
-    let outcomes = raw
-        .into_iter()
-        .zip(&recs)
-        .enumerate()
-        .map(|(j, (slot, rec))| {
-            let i = lo + j;
-            let cancelled = matches!(
-                &slot,
-                Some(SampleOutcome::Failed { error, .. }) if is_run_cancelled(error)
-            );
-            if let Some(o) = slot.as_ref().filter(|_| journal) {
-                let mut ev = Event::new("sample", offset + i);
-                ev.label = Some(label.to_owned());
-                ev.seed = Some(driver.stream_seed(i));
-                match o {
-                    SampleOutcome::Ok(_) => mc.obs.add(ObsCounter::SamplesOk, 1),
-                    SampleOutcome::Recovered { attempts, .. } => {
-                        ev.outcome = "recovered";
-                        ev.attempts = *attempts;
-                        mc.obs.add(ObsCounter::SamplesRecovered, 1);
+        |i, o, cancelled| {
+            if !journal {
+                return o;
+            }
+            let mut ev = Event::new("sample", offset + i);
+            ev.label = Some(label.to_owned());
+            ev.seed = Some(driver.stream_seed(i));
+            match &o {
+                SampleOutcome::Ok(_) => mc.obs.add(ObsCounter::SamplesOk, 1),
+                SampleOutcome::Recovered { attempts, .. } => {
+                    ev.outcome = "recovered";
+                    ev.attempts = *attempts;
+                    mc.obs.add(ObsCounter::SamplesRecovered, 1);
+                }
+                SampleOutcome::Failed { error, attempts } => {
+                    ev.outcome = if cancelled { "cancelled" } else { "failed" };
+                    ev.attempts = *attempts;
+                    ev.error_kind = Some(error_kind(error).to_owned());
+                    if let CoreError::Panic { message } = error {
+                        ev.detail = Some(message.clone());
                     }
-                    SampleOutcome::Failed { error, attempts } => {
-                        ev.outcome = if cancelled { "cancelled" } else { "failed" };
-                        ev.attempts = *attempts;
-                        ev.error_kind = Some(error_kind(error).to_owned());
-                        if let CoreError::Panic { message } = error {
-                            ev.detail = Some(message.clone());
-                        }
-                        if !cancelled {
-                            mc.obs.add(ObsCounter::SamplesFailed, 1);
-                        }
+                    if !cancelled {
+                        mc.obs.add(ObsCounter::SamplesFailed, 1);
                     }
                 }
-                ev.escalation_rung = ev.attempts.saturating_sub(1);
-                mc.obs
-                    .add(ObsCounter::RetryAttempts, u64::from(ev.escalation_rung));
-                ev.counters = rec.local_snapshot().nonzero_counters();
-                mc.obs.event(ev);
             }
-            slot.filter(|_| !cancelled)
-        })
-        .collect();
+            ev.escalation_rung = ev.attempts.saturating_sub(1);
+            mc.obs
+                .add(ObsCounter::RetryAttempts, u64::from(ev.escalation_rung));
+            ev.counters = recs[i - lo].local_snapshot().nonzero_counters();
+            mc.obs.event(ev);
+            o
+        },
+    );
     // Fold per-sample shards into the registry accumulator so a long
     // campaign of many runs does not grow the live set without bound.
     for rec in &recs {
         rec.retire();
     }
     outcomes
+}
+
+/// The studies' epilogue over their `done` finished samples: the failure
+/// accounting, refused past `failure_budget` with
+/// [`CoreError::FailureBudgetExceeded`], then the checkpoint's health
+/// ([`Checkpoint::ensure_healthy`]).
+pub(crate) fn settle_failures<'a, T: 'a, C: CheckpointValue>(
+    outcomes: impl IntoIterator<Item = (usize, &'a SampleOutcome<T, CoreError>)>,
+    done: usize,
+    failure_budget: f64,
+    checkpoint: Option<&Checkpoint<C>>,
+) -> Result<FailureReport, CoreError> {
+    let failures = FailureReport::from_indexed(outcomes, done, failure_budget);
+    if failures.exceeds_budget() {
+        return Err(CoreError::FailureBudgetExceeded {
+            report: Box::new(failures),
+        });
+    }
+    if let Some(c) = checkpoint {
+        c.ensure_healthy()?;
+    }
+    Ok(failures)
 }
 
 /// The error a run reports when `token` cut it short and its result
@@ -171,10 +226,10 @@ const WATCHDOG_TICK: Duration = Duration::from_millis(5);
 /// registry only at attempt boundaries — the solver step loop sees
 /// nothing but its token's relaxed atomic load.
 ///
-/// With neither budget set no thread is spawned and `begin` just clones
-/// the run token.
+/// With neither budget set no thread is spawned and `attempt` just
+/// clones the run token.
 #[derive(Debug)]
-pub(crate) struct Watchdog {
+struct Watchdog {
     run: CancelToken,
     sample_timeout: Option<Duration>,
     registry: Arc<Mutex<HashMap<usize, (CancelToken, Instant)>>>,
@@ -183,7 +238,7 @@ pub(crate) struct Watchdog {
 }
 
 impl Watchdog {
-    pub(crate) fn new(
+    fn new(
         run: CancelToken,
         deadline: Option<Duration>,
         sample_timeout: Option<Duration>,
@@ -235,55 +290,43 @@ impl Watchdog {
     }
 
     /// Starts one sample attempt: returns the token the attempt should
-    /// install in its solver workspace. With a sample timeout configured
-    /// this is a registered child of the run token (fresh budget per
-    /// attempt, so a retry under the escalated ladder gets its full
-    /// allowance); otherwise it is the run token itself.
-    pub(crate) fn begin(&self, index: usize) -> CancelToken {
+    /// install in its solver workspace, and a guard that ends the attempt
+    /// on drop — also when it unwinds (contained panics), so a poisoned
+    /// sample never leaves a stale registry entry behind. With a sample
+    /// timeout configured the token is a registered child of the run
+    /// token (fresh budget per attempt, so a retry under the escalated
+    /// ladder gets its full allowance); otherwise it is the run token
+    /// itself.
+    fn attempt(&self, index: usize) -> (CancelToken, AttemptGuard<'_>) {
+        let guard = AttemptGuard {
+            watchdog: self,
+            index,
+        };
         if self.sample_timeout.is_none() {
-            return self.run.clone();
+            return (self.run.clone(), guard);
         }
         let child = self.run.child();
         if let Ok(mut reg) = self.registry.lock() {
             reg.insert(index, (child.clone(), Instant::now()));
         }
-        child
-    }
-
-    /// Ends the sample attempt started by [`Watchdog::begin`].
-    pub(crate) fn end(&self, index: usize) {
-        if self.sample_timeout.is_none() {
-            return;
-        }
-        if let Ok(mut reg) = self.registry.lock() {
-            reg.remove(&index);
-        }
-    }
-
-    /// RAII variant of [`Watchdog::begin`]: the registration is released
-    /// even when the attempt unwinds (contained panics), so a poisoned
-    /// sample never leaves a stale registry entry behind.
-    pub(crate) fn attempt(&self, index: usize) -> (CancelToken, AttemptGuard<'_>) {
-        let token = self.begin(index);
-        (
-            token,
-            AttemptGuard {
-                watchdog: self,
-                index,
-            },
-        )
+        (child, guard)
     }
 }
 
 /// Deregisters a sample attempt on drop (see [`Watchdog::attempt`]).
-pub(crate) struct AttemptGuard<'a> {
+struct AttemptGuard<'a> {
     watchdog: &'a Watchdog,
     index: usize,
 }
 
 impl Drop for AttemptGuard<'_> {
     fn drop(&mut self) {
-        self.watchdog.end(self.index);
+        if self.watchdog.sample_timeout.is_none() {
+            return;
+        }
+        if let Ok(mut reg) = self.watchdog.registry.lock() {
+            reg.remove(&self.index);
+        }
     }
 }
 
@@ -324,6 +367,33 @@ impl Completeness {
             done: n,
             resumed: 0,
             truncated: None,
+        }
+    }
+
+    /// What a durable run over `slots` did: the `Some` slots are done,
+    /// those `checkpoint` held were resumed, and `token`'s reason is the
+    /// truncation only if a slot is undone — a cancellation after the
+    /// last item resolved truncated nothing, and saying otherwise would
+    /// make callers discard a full result.
+    pub(crate) fn of<T: CheckpointValue, U>(
+        slots: &[Option<U>],
+        checkpoint: Option<&Checkpoint<T>>,
+        token: &CancelToken,
+    ) -> Completeness {
+        let requested = slots.len();
+        let done = slots.iter().flatten().count();
+        let resumed = checkpoint.map_or(0, |c| {
+            (0..requested)
+                .filter(|i| slots[*i].is_some() && c.prior().contains_key(i))
+                .count()
+        });
+        Completeness {
+            requested,
+            done,
+            resumed,
+            truncated: (done < requested)
+                .then(|| token.cancelled().map(|r| r.label()))
+                .flatten(),
         }
     }
 
@@ -400,22 +470,21 @@ mod tests {
     fn watchdog_times_out_a_registered_sample_without_killing_the_run() {
         let run = CancelToken::new();
         let wd = Watchdog::new(run.clone(), None, Some(Duration::from_millis(10)));
-        let tok = wd.begin(3);
+        let (tok, _attempt) = wd.attempt(3);
         let start = Instant::now();
         while !tok.is_cancelled() && start.elapsed() < Duration::from_secs(5) {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(tok.cancelled(), Some(CancelReason::Timeout));
         assert_eq!(run.cancelled(), None, "run token survives a sample timeout");
-        wd.end(3);
     }
 
     #[test]
     fn deregistered_samples_are_not_timed_out() {
         let run = CancelToken::new();
         let wd = Watchdog::new(run.clone(), None, Some(Duration::from_millis(20)));
-        let tok = wd.begin(0);
-        wd.end(0);
+        let (tok, attempt) = wd.attempt(0);
+        drop(attempt);
         std::thread::sleep(Duration::from_millis(60));
         assert_eq!(tok.cancelled(), None);
     }
@@ -425,7 +494,7 @@ mod tests {
         let run = CancelToken::new();
         let wd = Watchdog::new(run.clone(), None, None);
         assert!(wd.thread.is_none());
-        let tok = wd.begin(1);
+        let (tok, _attempt) = wd.attempt(1);
         run.cancel(CancelReason::User);
         assert_eq!(tok.cancelled(), Some(CancelReason::User));
     }

@@ -53,14 +53,6 @@ impl IddqStudy {
         }
     }
 
-    fn driver(&self) -> pulsar_mc::MonteCarlo {
-        let d = pulsar_mc::MonteCarlo::new(self.mc.samples, self.mc.seed);
-        match self.mc.threads {
-            Some(t) => d.with_threads(t),
-            None => d,
-        }
-    }
-
     /// Per-instance background leakage draws (independent salted stream).
     fn backgrounds(&self) -> Vec<f64> {
         let sigma = self.mc.variation.sigma;
@@ -79,7 +71,7 @@ impl IddqStudy {
     /// Propagates DC-solver failures.
     pub fn fault_free_currents(&self) -> Result<Vec<f64>, CoreError> {
         let bg = self.backgrounds();
-        let raw: Vec<Result<f64, CoreError>> = self.driver().run(|_, rng| {
+        let raw: Vec<Result<f64, CoreError>> = self.mc.driver().run(|_, rng| {
             let techs = self
                 .mc
                 .variation
@@ -119,7 +111,7 @@ impl IddqStudy {
     pub fn coverage(&self, threshold: f64, r_values: &[f64]) -> Result<CoverageCurve, CoreError> {
         let bg = self.backgrounds();
         let r_vec = r_values.to_vec();
-        let rows: Vec<Result<Vec<f64>, CoreError>> = self.driver().run(move |_, rng| {
+        let rows: Vec<Result<Vec<f64>, CoreError>> = self.mc.driver().run(move |_, rng| {
             let techs = self
                 .mc
                 .variation

@@ -45,14 +45,6 @@ impl OrderingStudy {
         }
     }
 
-    fn driver(&self) -> pulsar_mc::MonteCarlo {
-        let d = pulsar_mc::MonteCarlo::new(self.mc.samples, self.mc.seed);
-        match self.mc.threads {
-            Some(t) => d.with_threads(t),
-            None => d,
-        }
-    }
-
     /// Monitored-path instance techs for sample `i`'s RNG.
     fn draw_mon(&self, rng: &mut StdRng) -> Vec<pulsar_cells::Tech> {
         self.mc
@@ -76,7 +68,8 @@ impl OrderingStudy {
     ///
     /// Propagates simulator errors.
     pub fn reference_delays(&self, n_ref: usize) -> Result<Vec<f64>, CoreError> {
-        self.driver()
+        self.mc
+            .driver()
             .run(move |i, _| {
                 let techs = self.draw_ref(i, n_ref);
                 let spec = PathSpec::inverter_chain(n_ref);
@@ -94,7 +87,8 @@ impl OrderingStudy {
     ///
     /// Propagates simulator errors.
     pub fn monitored_fault_free_delays(&self) -> Result<Vec<f64>, CoreError> {
-        self.driver()
+        self.mc
+            .driver()
             .run(move |_, rng| {
                 let techs = self.draw_mon(rng);
                 let mut p = self.put.instantiate_fault_free(&techs);
@@ -152,6 +146,7 @@ impl OrderingStudy {
         let reference = self.reference_delays(calib.ref_stages)?;
         let r_vec = r_values.to_vec();
         let faulty: Vec<Vec<f64>> = self
+            .mc
             .driver()
             .run(move |_, rng| {
                 let techs = self.draw_mon(rng);

@@ -6,7 +6,7 @@ use crate::adaptive::{censored, AdaptiveGrid, AdaptiveReport, RowEval, Trend};
 use crate::calib::{calibrate_pulse, calibrate_t0, DfCalibration, PulseCalibration};
 use crate::checkpoint::{Checkpoint, CheckpointSpec, CheckpointValue};
 use crate::df::FfTiming;
-use crate::durable::{run_cancelled, run_samples, Completeness, DurableRun};
+use crate::durable::{run_cancelled, run_samples, settle_failures, Completeness, DurableRun};
 use crate::engine::{AnalogPath, BoundedDelay, DefectKind, PathInstance, PathUnderTest};
 use crate::error::CoreError;
 use crate::plan::{self, CoverageStudy, Plan, Sampling, StudyReport};
@@ -119,40 +119,16 @@ impl McConfig {
         F: Fn(usize, u32, &mut StdRng, &Recorder, &CancelToken) -> Result<T, CoreError> + Sync,
     {
         let outcomes = run_samples(self, label, 0..self.samples, 0, run_token, checkpoint, f);
-        let done = outcomes.iter().flatten().count();
-        let resumed = checkpoint.map_or(0, |c| {
-            (0..outcomes.len())
-                .filter(|i| outcomes[*i].is_some() && c.prior().contains_key(i))
-                .count()
-        });
-        let failures = FailureReport::from_indexed(
+        let completeness = Completeness::of(&outcomes, checkpoint, run_token);
+        let failures = settle_failures(
             outcomes
                 .iter()
                 .enumerate()
                 .filter_map(|(i, o)| o.as_ref().map(|o| (i, o))),
-            done,
+            completeness.done,
             self.resilience.failure_budget,
-        );
-        if failures.exceeds_budget() {
-            return Err(CoreError::FailureBudgetExceeded {
-                report: Box::new(failures),
-            });
-        }
-        if let Some(c) = checkpoint {
-            c.ensure_healthy()?;
-        }
-        let completeness = Completeness {
-            requested: self.samples,
-            done,
-            resumed,
-            // A cancellation that landed after the last sample resolved
-            // (or when everything was restored from the checkpoint)
-            // truncated nothing: the run is complete, and saying
-            // otherwise would make callers discard a full result.
-            truncated: (done < self.samples)
-                .then(|| run_token.cancelled().map(|r| r.label()))
-                .flatten(),
-        };
+            checkpoint,
+        )?;
         Ok(DurableRun {
             outcomes,
             failures,

@@ -714,21 +714,18 @@ fn campaign_checkpoint_from_the_bisection_search_is_refused() {
         Some(&ck)
     )));
     drop(ck);
-    assert!(is_checkpoint_error(campaign.resume_from(
-        &nl,
-        &lib,
-        &CancelToken::new(),
-        &path
+    assert!(is_checkpoint_error(Checkpoint::open(&path, spec).and_then(
+        |ck| campaign.run_durable(&nl, &lib, &CancelToken::new(), Some(&ck))
     )));
 
     // A checkpoint of this search resumes to the uninterrupted report.
     let fresh = fresh_ckpt("campaign-illinois");
-    let first = campaign
-        .resume_from(&nl, &lib, &CancelToken::new(), &fresh)
-        .expect("first run");
-    let resumed = campaign
-        .resume_from(&nl, &lib, &CancelToken::new(), &fresh)
-        .expect("resume");
+    let run = || {
+        let ck = Checkpoint::open(&fresh, spec)?;
+        campaign.run_durable(&nl, &lib, &CancelToken::new(), Some(&ck))
+    };
+    let first = run().expect("first run");
+    let resumed = run().expect("resume");
     assert_eq!(resumed.completeness.resumed, reference.sites.len());
     for r in [&first, &resumed] {
         assert_eq!(format!("{:?}", r.sites), format!("{:?}", reference.sites));
@@ -736,6 +733,119 @@ fn campaign_checkpoint_from_the_bisection_search_is_refused() {
     for p in [path, fresh] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+/// A contained panic at one probed site fails that site after a single
+/// attempt — a site is planned once, whatever retry budget the studies
+/// have — and leaves every other site as a clean run plans it.
+#[test]
+fn campaign_contains_a_panicking_site_in_one_attempt() {
+    use pulsar_core::{Campaign, SiteOutcome};
+    use std::sync::Arc;
+
+    let nl = pulsar_logic::c17();
+    let lib = pulsar_timing::TimingLibrary::generic();
+    // One thread: sites plan on this thread, where the hook counts panics.
+    let clean = Campaign {
+        threads: Some(1),
+        ..Campaign::default()
+    };
+    let reference = clean.run(&nl, &lib).expect("clean run");
+    let k = reference
+        .sites
+        .iter()
+        .position(|(_, o)| matches!(o, SiteOutcome::Planned(_)))
+        .expect("c17 has a planned site");
+    let chaos = Campaign {
+        fault_plan: Some(FaultPlan::new().fail_sample(k, FaultKind::Panic, FaultPlan::ALWAYS)),
+        resilience: ResilienceConfig {
+            contain_panics: true,
+            ..ResilienceConfig::default()
+        },
+        ..clean.clone()
+    };
+    assert_eq!(chaos.resilience.max_attempts, 3, "studies would retry");
+
+    let me = std::thread::current().id();
+    let panics = Arc::new(AtomicUsize::new(0));
+    let prev: Arc<dyn Fn(&std::panic::PanicHookInfo<'_>) + Send + Sync> =
+        Arc::from(std::panic::take_hook());
+    {
+        let (panics, prev) = (Arc::clone(&panics), Arc::clone(&prev));
+        std::panic::set_hook(Box::new(move |info| {
+            if std::thread::current().id() == me {
+                panics.fetch_add(1, Ordering::Relaxed);
+            } else {
+                prev(info);
+            }
+        }));
+    }
+    let report = chaos.run(&nl, &lib);
+    drop(std::panic::take_hook());
+    std::panic::set_hook(Box::new(move |info| prev(info)));
+    let report = report.expect("a contained panic is a failed site");
+
+    assert_eq!(panics.load(Ordering::Relaxed), 1, "one attempt, no retry");
+    assert_eq!(report.failed, 1);
+    assert_eq!(report.sites.len(), reference.sites.len());
+    for (j, (got, want)) in report.sites.iter().zip(&reference.sites).enumerate() {
+        if j == k {
+            assert_eq!(got.0, want.0);
+            match &got.1 {
+                SiteOutcome::Failed(CoreError::Panic { message }) => {
+                    assert!(message.contains("injected panic"), "{message}");
+                }
+                other => panic!("site {k} must fail with a panic, got {other:?}"),
+            }
+        } else {
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "site {j}");
+        }
+    }
+}
+
+/// A zero deadline over a complete campaign checkpoint restores every
+/// site and truncates nothing: the deadline trips before any site runs,
+/// but no site is left to run.
+#[test]
+fn zero_deadline_campaign_over_a_complete_checkpoint_is_complete() {
+    use pulsar_core::Campaign;
+
+    let nl = pulsar_logic::c17();
+    let lib = pulsar_timing::TimingLibrary::generic();
+    let campaign = Campaign {
+        threads: Some(1),
+        ..Campaign::default()
+    };
+    let path = fresh_ckpt("campaign-complete");
+    let full = {
+        let ck = Checkpoint::open(&path, campaign.checkpoint_spec(&nl)).expect("create");
+        campaign
+            .run_durable(&nl, &lib, &CancelToken::new(), Some(&ck))
+            .expect("full run")
+    };
+    assert!(full.completeness.is_complete());
+
+    let zero = Campaign {
+        resilience: ResilienceConfig {
+            deadline: Some(Duration::ZERO),
+            ..ResilienceConfig::default()
+        },
+        ..campaign
+    };
+    let ck = Checkpoint::open(&path, zero.checkpoint_spec(&nl)).expect("reopen");
+    let token = CancelToken::new();
+    let resumed = zero
+        .run_durable(&nl, &lib, &token, Some(&ck))
+        .expect("resumed run");
+    assert_eq!(token.cancelled(), Some(CancelReason::Deadline));
+    let c = resumed.completeness;
+    assert_eq!(c.requested, full.sites.len());
+    assert_eq!(c.done, c.requested);
+    assert_eq!(c.resumed, c.requested);
+    assert_eq!(c.truncated, None);
+    assert_eq!(format!("{:?}", resumed.sites), format!("{:?}", full.sites));
+    drop(ck);
+    let _ = std::fs::remove_file(&path);
 }
 
 /// A record nested deeper than any parser stack could follow is a torn

@@ -10,6 +10,7 @@
 //! by the next job instead of wedging the key forever.
 
 use crate::fill::{Claim, FillSlot, EMPTY, FILL_ORDERINGS, READY};
+use crate::lock_clean;
 use pulsar_core::Calibration;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -170,13 +171,6 @@ impl<T: Clone> DigestCache<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-/// Locks a mutex, riding through poisoning: a cache value is only
-/// observable after a *completed* fill, so a panic elsewhere can't leave
-/// it half-written.
-fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Stand-in error for the impossible claim-won-twice state; never

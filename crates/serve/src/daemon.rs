@@ -8,15 +8,16 @@
 //! - one detached **connection handler** per client, reading request
 //!   lines and writing response lines (a `stream` op occupies its
 //!   connection until the job ends — use a second connection for
-//!   control);
+//!   control), at most [`MAX_CONNECTIONS`] at once;
 //! - `workers` **worker threads** (joined) popping job ids off the
 //!   bounded [`JobQueue`] and executing them through the cross-job
 //!   [`ServeCaches`].
 //!
-//! Shutdown (client `shutdown` op, or [`Daemon::shutdown`], e.g. from a
-//! SIGINT handler) cancels the daemon token — which, being the parent
-//! of every job token, interrupts running jobs mid-solve so their
-//! durable runs flush checkpoints — closes the queue, and lets the
+//! Shutdown (client `shutdown` op, [`Daemon::shutdown`], or a bare
+//! cancel of [`Daemon::token`], e.g. from a SIGINT handler) cancels the
+//! daemon token — which, being the parent of every job token, interrupts
+//! running jobs mid-solve so their durable runs flush checkpoints — and
+//! the accept loop, which polls that token, closes the queue and lets the
 //! workers drain the backlog as `cancelled` jobs. [`Daemon::join`]
 //! collects the threads, removes the socket, writes the serve manifest,
 //! and returns a [`ServeSummary`].
@@ -25,6 +26,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -33,6 +35,7 @@ use pulsar_obs::{CancelReason, CancelToken, Counter, Recorder, RunManifest, Serv
 
 use crate::cache::ServeCaches;
 use crate::job::{execute, Job, JobState, JobTable};
+use crate::lock_clean;
 use crate::proto::{Request, Response};
 use crate::queue::{JobQueue, PushError};
 use crate::spec::JobSpec;
@@ -95,6 +98,8 @@ struct DaemonInner {
     rec: Recorder,
     /// Failed-job counts per tenant, for the admission budget.
     tenants: Mutex<HashMap<String, u64>>,
+    /// Connection handlers alive, each holding a [`ConnectionSlot`].
+    connections: AtomicUsize,
 }
 
 impl DaemonInner {
@@ -156,6 +161,7 @@ impl Daemon {
             token: CancelToken::new(),
             rec: Recorder::enabled(),
             tenants: Mutex::new(HashMap::new()),
+            connections: AtomicUsize::new(0),
             cfg,
         });
 
@@ -167,16 +173,6 @@ impl Daemon {
             let w = Arc::clone(&inner);
             workers.push(std::thread::spawn(move || worker_loop(&w)));
         }
-        // Watchdog: a bare token cancel (e.g. a SIGINT bridge tripping
-        // `Daemon::token`) must also close the queue, or the workers
-        // would block in `pop` forever. Joined with the workers.
-        let wd = Arc::clone(&inner);
-        workers.push(std::thread::spawn(move || {
-            while !wd.token.is_cancelled() {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            wd.queue.close();
-        }));
 
         Ok(Daemon {
             inner,
@@ -260,29 +256,57 @@ impl Daemon {
     }
 }
 
+/// Most connections the daemon serves at once. One past it is answered
+/// with a single `busy` error line and closed, so clients holding idle
+/// connections cannot pile up daemon threads.
+pub const MAX_CONNECTIONS: usize = 64;
+
 fn accept_loop(listener: UnixListener, inner: &Arc<DaemonInner>) {
     loop {
         match listener.accept() {
-            Ok((stream, _addr)) => {
-                let conn_inner = Arc::clone(inner);
-                // spawn: detached by design — the handler lives as long as
-                // its client connection; shutdown closes the listener and
-                // pending handlers see queue/table errors and return.
-                std::thread::spawn(move || handle_connection(stream, &conn_inner));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if inner.token.is_cancelled() {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(_) => {
-                if inner.token.is_cancelled() {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }
+            Ok((stream, _addr)) => admit(stream, inner),
+            Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
+        if inner.token.is_cancelled() {
+            // A bare token cancel (e.g. a SIGINT bridge tripping
+            // `Daemon::token`) must also close the queue, or the workers
+            // would block in `pop` forever.
+            inner.queue.close();
+            return;
+        }
+    }
+}
+
+/// Starts a handler for `stream` in one of the [`MAX_CONNECTIONS`]
+/// slots, or answers `busy` and closes it when all are held.
+fn admit(mut stream: UnixStream, inner: &Arc<DaemonInner>) {
+    // ordering: Relaxed — the count only gates admission and no data
+    // rides on it; each RMW is atomic, so a slot is never lost or
+    // counted twice.
+    let held = inner.connections.fetch_add(1, Ordering::Relaxed);
+    let slot = ConnectionSlot(Arc::clone(inner));
+    if held >= MAX_CONNECTIONS {
+        let busy = Response::Error {
+            kind: "busy".to_owned(),
+            message: format!("connection limit reached ({MAX_CONNECTIONS} open)"),
+        };
+        write_line(&mut stream, &busy);
+        return;
+    }
+    // spawn: detached by design — the handler lives as long as its client
+    // connection; shutdown closes the listener and pending handlers see
+    // queue/table errors and return. Its slot goes back when it does.
+    std::thread::spawn(move || handle_connection(stream, &slot.0));
+}
+
+/// One held connection slot, given back on drop — also when its handler
+/// unwinds.
+struct ConnectionSlot(Arc<DaemonInner>);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        // ordering: Relaxed — paired with `admit`'s RMW; see there.
+        self.0.connections.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -594,11 +618,4 @@ fn write_line(w: &mut UnixStream, resp: &Response) -> bool {
     let mut line = resp.render();
     line.push('\n');
     w.write_all(line.as_bytes()).is_ok()
-}
-
-fn lock_clean<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
 }

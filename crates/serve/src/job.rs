@@ -30,6 +30,7 @@ use pulsar_obs::{CancelReason, CancelToken, Counter, Recorder};
 use pulsar_timing::TimingLibrary;
 
 use crate::cache::{CacheOutcome, CachedResult, ServeCaches};
+use crate::lock_clean;
 use crate::spec::{calib_key, JobSpec};
 
 /// Lifecycle of a job.
@@ -302,22 +303,6 @@ impl JobTable {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Ids of jobs currently in a non-terminal state.
-    pub fn live_ids(&self) -> Vec<u64> {
-        lock_clean(&self.jobs)
-            .values()
-            .filter(|j| !j.outcome().terminal)
-            .map(|j| j.id)
-            .collect()
-    }
-}
-
-fn lock_clean<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
 }
 
 enum RunError {
@@ -497,10 +482,11 @@ fn run_campaign(
     };
     let lib = TimingLibrary::generic();
     let ck_path = spool_path(spool, job.digest);
-    let report = match &ck_path {
-        Some(p) => campaign.resume_from(&nl, &lib, &job.token, p),
-        None => campaign.run_durable(&nl, &lib, &job.token, None),
-    }?;
+    let ck = ck_path
+        .as_ref()
+        .map(|p| Checkpoint::open(p, campaign.checkpoint_spec(&nl)))
+        .transpose()?;
+    let report = campaign.run_durable(&nl, &lib, &job.token, ck.as_ref())?;
     check_cancelled(job)?;
     let text = report.render_report(&nl, ck_path.as_deref().and_then(Path::to_str));
     Ok(CachedResult {

@@ -43,10 +43,18 @@ pub mod spec;
 
 pub use cache::{CacheOutcome, CachedResult, DigestCache, ServeCaches};
 pub use client::{Client, ClientError};
-pub use daemon::{Daemon, ServeConfig, ServeSummary, MAX_REQUEST_LINE};
+pub use daemon::{Daemon, ServeConfig, ServeSummary, MAX_CONNECTIONS, MAX_REQUEST_LINE};
 pub use fill::{Claim, FillOrderings, FillSlot, FILL_ORDERINGS};
 pub use job::{Job, JobOutcome, JobState, JobTable};
 pub use proto::{Request, RequestError, Response};
 pub use pulsar_core::StudyKind;
 pub use queue::{JobQueue, PushError};
 pub use spec::JobSpec;
+
+/// Locks `m`, riding through poisoning. Every mutex here guards a value
+/// that a panicking holder cannot leave half-written: a cache value is
+/// observable only after a completed fill, and jobs, queue entries and
+/// tenant counts change in single assignments or pushes.
+pub(crate) fn lock_clean<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -9,6 +9,7 @@
 //! [`crate::job::JobTable`]. The dequeue/cancel interleaving is
 //! explored by protocol model P4 in `pulsar-check`.
 
+use crate::lock_clean;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
@@ -102,13 +103,6 @@ impl JobQueue {
     /// True when nothing is queued (racy; for stats only).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-fn lock_clean<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
     }
 }
 

@@ -72,22 +72,6 @@ impl JobSpec {
             }
         }
     }
-
-    /// Cache key of the calibration cache. Calibration depends on the
-    /// study kind, sample count, and seed — not on the sweep grid — so
-    /// jobs that differ only in `rs`/`factors` share a calibration.
-    /// `None` for campaigns (no Monte Carlo calibration phase).
-    pub fn calib_digest(&self) -> Option<u64> {
-        match self {
-            JobSpec::Study {
-                kind,
-                samples,
-                seed,
-                ..
-            } => Some(calib_key(*kind, *samples, *seed)),
-            JobSpec::Campaign { .. } => None,
-        }
-    }
 }
 
 /// The calibration-cache key of a study: calibration depends on the
@@ -129,8 +113,18 @@ mod tests {
             rs: vec![5e3],
             factors: vec![1.0],
         };
+        // The key a study job calibrates under (`job::run_study`).
+        let key = |s: &JobSpec| match s {
+            JobSpec::Study {
+                kind,
+                samples,
+                seed,
+                ..
+            } => calib_key(*kind, *samples, *seed),
+            JobSpec::Campaign { .. } => unreachable!("a study spec"),
+        };
         assert_ne!(a.digest(), b.digest());
-        assert_eq!(a.calib_digest(), b.calib_digest());
+        assert_eq!(key(&a), key(&b));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! End-to-end daemon tests over a real Unix socket: whole-result cache
 //! hits with zero transient solves (asserted via the obs counters),
 //! calibration reuse across resweeps, malformed-line handling that keeps
-//! the connection open, deeply nested and oversize lines, busy backpressure, cancel, stream, per-tenant
+//! the connection open, deeply nested and oversize lines, the connection
+//! cap, busy backpressure, cancel, stream, per-tenant
 //! failure budgets, and a drain/restart cycle that resumes a checkpointed
 //! job bit-identically.
 
@@ -9,7 +10,9 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use pulsar_obs::json::{self, Json};
-use pulsar_serve::{Client, Daemon, JobSpec, ServeConfig, StudyKind, MAX_REQUEST_LINE};
+use pulsar_serve::{
+    Client, Daemon, JobSpec, ServeConfig, StudyKind, MAX_CONNECTIONS, MAX_REQUEST_LINE,
+};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("pulsar-serve-e2e-{tag}-{}", std::process::id()));
@@ -250,6 +253,76 @@ fn nested_and_oversize_lines_get_errors_and_the_daemon_keeps_serving() {
 
     drop(writer);
     let mut c = Client::connect(daemon.socket()).expect("connect");
+    c.shutdown().expect("shutdown");
+    daemon.join().expect("join");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn connections_past_the_cap_get_busy_and_a_freed_slot_serves_again() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+    let dir = tmp_dir("conn-cap");
+    let daemon = Daemon::start(ServeConfig::new(dir.join("d.sock"))).expect("start daemon");
+    let connect = || {
+        let stream = UnixStream::connect(daemon.socket()).expect("connect raw");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        (BufReader::new(stream.try_clone().expect("clone")), stream)
+    };
+    // A daemon that answers `busy` may hang up before the request lands,
+    // so the write may fail; the reply is read either way.
+    let ask_stats = |(reader, writer): &mut (BufReader<UnixStream>, UnixStream)| {
+        let mut line = String::new();
+        let _ = writer.write_all(b"{\"op\":\"stats\"}\n");
+        reader.read_line(&mut line).expect("read");
+        line
+    };
+
+    // Every held connection has been answered, so each holds a handler.
+    let mut held: Vec<_> = (0..MAX_CONNECTIONS).map(|_| connect()).collect();
+    for conn in &mut held {
+        assert!(ask_stats(conn).contains("\"ok\":true"));
+    }
+
+    // One past the cap gets a single busy line, then the daemon hangs up.
+    let (mut reader, _writer) = connect();
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read busy line");
+    assert!(
+        line.contains("\"ok\":false") && line.contains("\"kind\":\"busy\""),
+        "got: {line}"
+    );
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).expect("read"), 0, "closed");
+
+    // Close one held connection and wait for its handler to hang up too.
+    let (mut reader, writer) = held.pop().expect("a held connection");
+    writer
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).expect("read"), 0, "closed");
+    drop((reader, writer));
+
+    // The slot goes back as the handler returns, an instant after the
+    // hang-up: a probe that still lands on a full daemon is told `busy`
+    // and closed, so at most one probe is open at a time.
+    let mut answered = false;
+    for _ in 0..200 {
+        let reply = ask_stats(&mut connect());
+        if reply.contains("\"ok\":true") && reply.contains("\"op\":\"stats\"") {
+            answered = true;
+            break;
+        }
+        assert!(reply.contains("\"kind\":\"busy\""), "got: {reply}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(answered, "a freed slot must serve a new connection");
+
+    drop(held);
+    let mut c = Client::connect_within(daemon.socket(), Duration::from_secs(5)).expect("connect");
     c.shutdown().expect("shutdown");
     daemon.join().expect("join");
     let _ = std::fs::remove_dir_all(&dir);
